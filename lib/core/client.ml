@@ -276,9 +276,9 @@ let on_message t ~src msg =
       Hashtbl.iter (fun _ p -> try_complete t p) t.pending
   | Wire.Request_msg _ | Wire.Pre_prepare_msg _ | Wire.Prepare_msg _
   | Wire.Commit_msg _ | Wire.View_change_msg _ | Wire.New_view_msg _
-  | Wire.Fetch_missing _ | Wire.Batch_package_msg _ | Wire.Fetch_state _
-  | Wire.Fetch_snapshot | Wire.Snapshot_offer _ | Wire.Fetch_snapshot_chunk _
-  | Wire.Snapshot_chunk _ | Wire.Fetch_suffix _ | Wire.Ledger_suffix_chunk _
+  | Wire.Fetch_missing _ | Wire.Batch_package_msg _ | Wire.Fetch_ledger _
+  | Wire.Snapshot_offer _ | Wire.Fetch_snapshot_chunk _ | Wire.Snapshot_chunk _
+  | Wire.Ledger_suffix_chunk _
   | Wire.Replyx_request _ | Wire.Gov_receipts_request _
   | Wire.Ack_msg _ | Wire.Status_query _ | Wire.Status_info _
   | Wire.Read_query _ | Wire.Read_answer _ | Wire.Audit_query _

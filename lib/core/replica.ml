@@ -20,8 +20,8 @@ module Tree = Iaccf_merkle.Tree
 module Rng = Iaccf_util.Rng
 module Obs = Iaccf_obs.Obs
 module Snapshot = Iaccf_statesync.Snapshot
-module SyncChunk = Iaccf_statesync.Chunk
 module SyncSession = Iaccf_statesync.Session
+module SyncServer = Iaccf_statesync.Server
 module SyncValidate = Iaccf_statesync.Validate
 module SyncMetrics = Iaccf_statesync.Metrics
 
@@ -129,6 +129,17 @@ type reconfig_phase =
   | Ending of { vote_seqno : int; new_config : Config.t; committed_root : D.t }
   | Starting of { cp_seqno : int; last_start : int }
 
+(* What executing a batch changes outside its own record, captured before
+   it runs so that an aborted execution or a rollback can restore it. *)
+type undo = {
+  u_ledger : int;
+  u_kv : int;
+  u_gov_index : int;
+  u_dc : D.t;
+  u_phase : reconfig_phase;
+  u_cfg : Config.t;
+}
+
 type batch_record = {
   br_pp : Message.pre_prepare;
   br_batch_hashes : D.t list;
@@ -136,12 +147,7 @@ type batch_record = {
   br_txs : Batch.tx_entry list;
   br_ev_prepares : Message.prepare list;
   br_ev_nonces : (int * string) list;
-  br_ledger_start : int;
-  br_kv_version_before : int;
-  br_gov_index_before : int;
-  br_dc_before : D.t;
-  br_phase_before : reconfig_phase;
-  br_cfg_before : Config.t;
+  br_undo : undo;
   mutable br_prepared : bool;
   mutable br_committed : bool;
   (* Virtual-clock stamps for the phase latency histograms and spans. *)
@@ -192,19 +198,11 @@ type t = {
   pending_pps : (int, Message.pre_prepare * D.t list) Hashtbl.t;
   checkpoints : (int, Checkpoint.t * D.t) Hashtbl.t;
   mutable latest_cp_seqno : int;
-  (* State sync (lib/statesync): which checkpoint digests a COMMITTED
-     Batch.Checkpoint entry seals (only sealed checkpoints may be served
-     or installed), the in-flight catch-up session if any, and a cache of
-     the last serialized snapshot this replica served. *)
-  sealed_cps : (int, D.t) Hashtbl.t;
-  (* cp_seqno -> seqno of the Batch.Checkpoint that sealed it. A view
-     change can roll the sealing batch back out of the ledger; offers must
-     check it is still inside the served prefix. *)
-  sealed_at : (int, int) Hashtbl.t;
-  mutable latest_sealed_cp : int;
+  (* Catch-up (lib/statesync): the serving side, which owns the sealed
+     checkpoints, and the requesting side's session. *)
+  server : SyncServer.t;
+  sync_client : SyncSession.t;
   mutable pruned_upto : int; (* ledger length pruned from our disk store *)
-  mutable sync_session : SyncSession.t option;
-  mutable snapshot_cache : (int * string) option;
   sync : SyncMetrics.t;
   mutable gov_receipts_rev : Receipt.t list;
   mutable progress_marker : int;
@@ -213,6 +211,10 @@ type t = {
   mutable fetch_target : int option; (* replica we are fetching state from *)
   mutable extra_recipients : int list;
   mutable stall_count : int; (* consecutive no-progress timer ticks *)
+  (* The highest view above ours that signed consensus messages came from,
+     and their senders: proof that a new view exists we never saw. *)
+  mutable ahead_view : int;
+  mutable ahead_from : int list;
   (* Rollback-proof memory backing view-change messages (Alg. 2 reads PP
      from the message store, not the roll-backable ledger): *)
   prepared_pps : (int, Message.pre_prepare) Hashtbl.t; (* seqno -> best pp *)
@@ -295,6 +297,29 @@ let batch_end_length t seqno =
     match Hashtbl.find_opt t.batch_ledger_end seqno with
     | Some n -> n
     | None -> Ledger.length t.ledger
+
+let note_view_ahead t ~view ~src =
+  if view > t.view then
+    if view > t.ahead_view then begin
+      t.ahead_view <- view;
+      t.ahead_from <- [ src ]
+    end
+    else if view = t.ahead_view && not (List.mem src t.ahead_from) then
+      t.ahead_from <- src :: t.ahead_from
+
+(* A replica running a view above ours, once f+1 have shown it: at least
+   one of them is honest, so that view has a new-view we never saw. *)
+let view_ahead t =
+  if t.ahead_view > t.view && List.length t.ahead_from > Config.f t.cfg then
+    Some (List.hd t.ahead_from)
+  else None
+
+(* Reason-coded tallies, registry-wide: why a pre-prepare was not executed
+   on arrival (replica.reject.*: missing_requests and missing_evidence
+   fetch the batch package, kind and exec are refused; replica.pp.*:
+   buffered for a later seqno or view, or stale and dropped), and how
+   often executed batches were rolled back (replica.rollback). *)
+let tally t name = Obs.incr (Obs.counter t.obs name)
 
 let checkpoint_at t seqno =
   Option.map fst (Hashtbl.find_opt t.checkpoints seqno)
@@ -456,6 +481,22 @@ let prefetch_pp_sigs t ?(skip_exec_upto = 0) entries =
     Vstage.prefetch t.vstage ~cls:"pre_prepare" ~principal:Profile.Replica_key items
   end
 
+(* What a catch-up session needs from the replica to gate an install. The
+   dry run's signature checks are prefetched in one pooled batch first. *)
+let sync_hooks t =
+  {
+    SyncSession.verify_pp = verify_pp_sig t;
+    check_suffix =
+      (fun ~cp_seqno entries ->
+        prefetch_pp_sigs t
+          (List.map
+             (fun pp -> Entry.Pre_prepare pp)
+             (SyncValidate.sigs_to_check ~cp_seqno entries));
+        SyncValidate.check_suffix ~tree:(Ledger.m_tree_copy t.ledger)
+          ~next_seqno:t.seqno ~cp_seqno ~verify_pp:(verify_pp_sig t) entries);
+    peers = (fun () -> List.filter (fun r -> r <> t.rid) (replica_ids t));
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Network plumbing                                                    *)
 
@@ -472,6 +513,10 @@ let send t ~dst msg =
     peerreview_extra_sign t (Wire.describe msg);
     Network.send t.network ~src:t.rid ~dst msg
   end
+
+let fetch_ledger t ~dst offer =
+  send t ~dst
+    (Wire.Fetch_ledger { fl_from_len = Ledger.length t.ledger; fl_offer = offer })
 
 let broadcast_replicas t msg =
   let recipients = List.sort_uniq compare (replica_ids t @ t.extra_recipients) in
@@ -490,6 +535,23 @@ let update_queue_gauge t =
 (* ------------------------------------------------------------------ *)
 (* Evidence (P_{s-P}, K_{s-P}, E_{s-P})                                *)
 
+(* Backups, ascending by id, whose prepare matches the batch's pre-prepare
+   and whose revealed nonce opens that prepare's commitment. *)
+let commit_candidates t rec_ =
+  let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
+  let pph = Message.pp_hash rec_.br_pp in
+  let nonces = sub_tbl t.commits (v, s) in
+  Hashtbl.fold
+    (fun r (p : Message.prepare) acc ->
+      if r = rec_.br_pp.Message.primary || not (D.equal p.Message.p_pp_hash pph) then acc
+      else
+        match Hashtbl.find_opt nonces r with
+        | Some n when D.equal (D.of_string n) p.Message.p_nonce_com -> (r, p, n) :: acc
+        | _ -> acc)
+    (sub_tbl t.prepares (v, s))
+    []
+  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+
 (* Commitment evidence for the batch at [s_past]: the pre-prepare signer
    plus the first quorum-1 backups (ascending id) that contributed both a
    matching prepare and a nonce opening its commitment. *)
@@ -499,30 +561,14 @@ let evidence_for t s_past =
     match Hashtbl.find_opt t.records s_past with
     | None -> None
     | Some rec_ -> (
-        let v = rec_.br_pp.Message.view in
-        let pph = Message.pp_hash rec_.br_pp in
         let primary = rec_.br_pp.Message.primary in
-        let preps = sub_tbl t.prepares (v, s_past) in
-        let nonces = sub_tbl t.commits (v, s_past) in
-        let primary_nonce = Hashtbl.find_opt nonces primary in
-        match primary_nonce with
+        match
+          Hashtbl.find_opt (sub_tbl t.commits (rec_.br_pp.Message.view, s_past)) primary
+        with
         | Some pk_nonce
           when Nonce.check ~commitment:rec_.br_pp.Message.nonce_com
                  (Option.get (Nonce.of_revealed pk_nonce)) -> (
-            let candidates =
-              Hashtbl.fold
-                (fun r (p : Message.prepare) acc ->
-                  if r = primary || not (D.equal p.Message.p_pp_hash pph) then acc
-                  else begin
-                    match Hashtbl.find_opt nonces r with
-                    | Some n
-                      when D.equal (D.of_string n) p.Message.p_nonce_com ->
-                        (r, p, n) :: acc
-                    | _ -> acc
-                  end)
-                preps []
-              |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-            in
+            let candidates = commit_candidates t rec_ in
             let needed = quorum t - 1 in
             if List.length candidates < needed then None
             else begin
@@ -610,13 +656,6 @@ let execute_requests t ~base_index reqs =
 (* ------------------------------------------------------------------ *)
 (* Transaction status (observer/read tier)                             *)
 
-(* Record the write sets of the batch [execute_requests] just produced;
-   called right after each record-creation site so [tx_writes] lines up
-   with [records]. Re-executions (re-proposals, state-transfer replay)
-   overwrite with identical content. *)
-let stash_batch_writes t s =
-  Hashtbl.replace t.tx_writes s (Array.of_list t.last_exec_writes)
-
 let note_committed t s v = Hashtbl.replace t.committed_views s v
 
 (* Fold a stabilized-or-committed batch's writes into the key index, in
@@ -677,6 +716,72 @@ let append_ledger t entry = if keep_ledger t then ignore (Ledger.append t.ledger
 let ledger_len t = if keep_ledger t then Ledger.length t.ledger else t.seqno * 4
 let m_root_now t = if keep_ledger t then Ledger.m_root t.ledger else D.zero
 
+let capture t =
+  {
+    u_ledger = ledger_len t;
+    u_kv = Store.version t.store;
+    u_gov_index = t.gov_index;
+    u_dc = t.current_dc;
+    u_phase = t.phase;
+    u_cfg = t.cfg;
+  }
+
+let restore t u =
+  if keep_ledger t then Ledger.truncate t.ledger u.u_ledger;
+  Store.rollback t.store u.u_kv;
+  t.gov_index <- u.u_gov_index;
+  t.current_dc <- u.u_dc;
+  t.phase <- u.u_phase;
+  t.cfg <- u.u_cfg
+
+(* Whether re-execution reproduced the recorded results, transaction by
+   transaction. *)
+let same_results (a : Batch.tx_entry list) (b : Batch.tx_entry list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Batch.tx_entry) (y : Batch.tx_entry) ->
+         String.equal x.Batch.result.Batch.output y.Batch.result.Batch.output
+         && D.equal x.Batch.result.Batch.write_set_hash
+              y.Batch.result.Batch.write_set_hash)
+       a b
+
+(* Append an executed batch to the ledger and retire its requests. *)
+let append_batch t pp txs =
+  append_ledger t (Entry.Pre_prepare pp);
+  List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
+  List.iter
+    (fun (tx : Batch.tx_entry) ->
+      let h = D.to_raw (Request.hash tx.Batch.request) in
+      Hashtbl.replace t.executed_requests h tx.Batch.index;
+      Hashtbl.remove t.requests h)
+    txs
+
+(* Record an executed batch: its record, where its entries end in the
+   ledger, and the write sets [execute_requests] just produced, so
+   [tx_writes] lines up with [records]. Re-executions (re-proposals,
+   state-transfer replay) overwrite with identical content. *)
+let add_record t pp ~batch_hashes ~reqs ~txs ~ev_prepares ~ev_nonces ~undo ~committed =
+  let rec_ =
+    {
+      br_pp = pp;
+      br_batch_hashes = batch_hashes;
+      br_requests = reqs;
+      br_txs = txs;
+      br_ev_prepares = ev_prepares;
+      br_ev_nonces = ev_nonces;
+      br_undo = undo;
+      br_prepared = committed;
+      br_committed = committed;
+      br_t_pp = 0.0;
+      br_t_prepared = 0.0;
+    }
+  in
+  let s = pp.Message.seqno in
+  Hashtbl.replace t.records s rec_;
+  Hashtbl.replace t.batch_ledger_end s (ledger_len t);
+  Hashtbl.replace t.tx_writes s (Array.of_list t.last_exec_writes);
+  rec_
+
 let append_evidence_entries t ~s_past ev_prepares ev_nonces =
   if s_past >= 1 then begin
     match Hashtbl.find_opt t.records s_past with
@@ -688,6 +793,16 @@ let append_evidence_entries t ~s_past ev_prepares ev_nonces =
         append_ledger t
           (Entry.Nonce_evidence { ne_view = v; ne_seqno = s_past; ne_nonces = ev_nonces })
   end
+
+(* The configuration the key-value store records under the reserved key,
+   when it is newer than ours. *)
+let stored_config t =
+  match Iaccf_kv.Hamt.find App.config_key (Store.map t.store) with
+  | None -> None
+  | Some bytes -> (
+      match Config.deserialize bytes with
+      | exception _ -> None
+      | c -> if c.Config.config_no > t.cfg.Config.config_no then Some c else None)
 
 (* Shared post-execution bookkeeping: d_C updates, checkpoints, governance
    phase transitions, configuration activation (§5.1, §3.4). *)
@@ -720,20 +835,11 @@ let post_execute_batch t (pp : Message.pre_prepare) txs =
   | Ending _ | Starting _ -> ());
   (* Detect a passed referendum: the vote procedure installs the new
      configuration under the reserved key. *)
-  (match t.phase with
-  | Normal -> (
-      match Iaccf_kv.Hamt.find App.config_key (Store.map t.store) with
-      | Some bytes -> (
-          match Config.deserialize bytes with
-          | exception _ -> ()
-          | new_config ->
-              if new_config.Config.config_no > t.cfg.Config.config_no then begin
-                t.extra_recipients <- replica_ids t;
-                t.phase <-
-                  Ending { vote_seqno = s; new_config; committed_root = m_root_now t }
-              end)
-      | None -> ())
-  | Ending _ | Starting _ -> ());
+  (match (t.phase, stored_config t) with
+  | Normal, Some new_config ->
+      t.extra_recipients <- replica_ids t;
+      t.phase <- Ending { vote_seqno = s; new_config; committed_root = m_root_now t }
+  | (Normal | Ending _ | Starting _), _ -> ());
   (* Configuration activation at vote_seqno + 2P. *)
   (match t.phase with
   | Ending { vote_seqno; new_config; _ }
@@ -786,25 +892,13 @@ let maybe_write_snapshot t cp_seqno cp_digest =
       | _ -> ())
   | _ -> ()
 
-(* A checkpoint digest is trustworthy for state sync once the
-   Batch.Checkpoint entry recording it has COMMITTED — at that point a
-   quorum signed over a ledger containing it (§3.4). *)
-let seal_checkpoint t ~cp_seqno ~cp_digest ~seal_seqno =
-  (* Always refresh the seal position: a view change may have rolled the
-     original sealing batch back, and a later batch re-sealed the same
-     digest at a different seqno. *)
-  Hashtbl.replace t.sealed_at cp_seqno seal_seqno;
-  match Hashtbl.find_opt t.sealed_cps cp_seqno with
-  | Some d when D.equal d cp_digest -> ()
-  | _ ->
-      Hashtbl.replace t.sealed_cps cp_seqno cp_digest;
-      if cp_seqno > t.latest_sealed_cp then t.latest_sealed_cp <- cp_seqno;
-      maybe_write_snapshot t cp_seqno cp_digest
-
+(* A committed checkpoint batch seals the digest it records; persist a
+   newly sealed checkpoint. *)
 let seal_from_kind t (pp : Message.pre_prepare) =
   match pp.Message.kind with
   | Batch.Checkpoint { cp_seqno; cp_digest } ->
-      seal_checkpoint t ~cp_seqno ~cp_digest ~seal_seqno:pp.Message.seqno
+      if SyncServer.seal t.server ~cp_seqno ~cp_digest ~seal_seqno:pp.Message.seqno
+      then maybe_write_snapshot t cp_seqno cp_digest
   | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -814,6 +908,29 @@ let g_tree_of_txs txs =
   let tree = Tree.create () in
   List.iter (fun tx -> Tree.append tree (Batch.tx_leaf tx)) txs;
   tree
+
+(* Receipt material (§3.3) for the transactions of a batch that satisfy
+   [pick], in batch order. *)
+let replyxs rec_ pick =
+  let tree = lazy (g_tree_of_txs rec_.br_txs) in
+  let size = List.length rec_.br_txs in
+  List.concat
+    (List.mapi
+       (fun i (tx : Batch.tx_entry) ->
+         if not (pick tx) then []
+         else
+           [
+             ( tx,
+               Wire.Replyx_msg
+                 {
+                   Message.x_pp = rec_.br_pp;
+                   x_tx = tx;
+                   x_leaf_index = i;
+                   x_batch_size = size;
+                   x_path = Tree.path (Lazy.force tree) i;
+                 } );
+           ])
+       rec_.br_txs)
 
 let designated_for t (tx : Batch.tx_entry) =
   let ids = replica_ids t in
@@ -858,47 +975,18 @@ let send_replies t rec_ =
             send_to_client t pk reply
           end)
         rec_.br_txs;
-      if t.params.variant.Variant.gen_receipts then begin
-        let tree = g_tree_of_txs rec_.br_txs in
-        let size = List.length rec_.br_txs in
-        List.iteri
-          (fun i (tx : Batch.tx_entry) ->
-            if designated_for t tx = t.rid then
-              send_to_client t tx.Batch.request.Request.client_pk
-                (Wire.Replyx_msg
-                   {
-                     Message.x_pp = rec_.br_pp;
-                     x_tx = tx;
-                     x_leaf_index = i;
-                     x_batch_size = size;
-                     x_path = Tree.path tree i;
-                   }))
-          rec_.br_txs
-      end
+      if t.params.variant.Variant.gen_receipts then
+        List.iter
+          (fun ((tx : Batch.tx_entry), m) ->
+            send_to_client t tx.Batch.request.Request.client_pk m)
+          (replyxs rec_ (fun tx -> designated_for t tx = t.rid))
   | _ -> ()
 
 let build_receipt t ~seqno ~tx_position =
   match Hashtbl.find_opt t.records seqno with
   | None -> None
   | Some rec_ when rec_.br_committed -> (
-      let v = rec_.br_pp.Message.view in
-      let primary = rec_.br_pp.Message.primary in
-      let pph = Message.pp_hash rec_.br_pp in
-      let preps = sub_tbl t.prepares (v, seqno) in
-      let nonces = sub_tbl t.commits (v, seqno) in
-      let candidates =
-        Hashtbl.fold
-          (fun r (p : Message.prepare) acc ->
-            if r = primary || not (D.equal p.Message.p_pp_hash pph) then acc
-            else begin
-              match Hashtbl.find_opt nonces r with
-              | Some n when D.equal (D.of_string n) p.Message.p_nonce_com ->
-                  (r, p, n) :: acc
-              | _ -> acc
-            end)
-          preps []
-        |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-      in
+      let candidates = commit_candidates t rec_ in
       let needed = quorum t - 1 in
       if List.length candidates < needed then None
       else begin
@@ -1228,12 +1316,7 @@ and plan_batch t s =
 and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
   let s = t.seqno in
   let v = t.view in
-  let ledger_start = ledger_len t in
-  let kv_before = Store.version t.store in
-  let gov_before = t.gov_index in
-  let dc_before = t.current_dc in
-  let phase_before = t.phase in
-  let cfg_before = t.cfg in
+  let undo = capture t in
   append_evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces;
   let base_index = ledger_len t + 1 in
   let executed = execute_requests t ~base_index reqs in
@@ -1241,15 +1324,7 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
     (* Re-proposals after a view change keep the original entries so the
        batch's Merkle root (and every receipt bound to it) is unchanged. *)
     match fixed_txs with
-    | Some original
-      when List.length original = List.length executed
-           && List.for_all2
-                (fun (a : Batch.tx_entry) (b : Batch.tx_entry) ->
-                  String.equal a.Batch.result.Batch.output b.Batch.result.Batch.output
-                  && D.equal a.Batch.result.Batch.write_set_hash
-                       b.Batch.result.Batch.write_set_hash)
-                original executed ->
-        original
+    | Some original when same_results original executed -> original
     | Some _ | None -> executed
   in
   let g_root = Batch.g_root txs in
@@ -1258,8 +1333,8 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
   Hashtbl.replace t.own_nonces (v, s) (Nonce.reveal nonce);
   let payload =
     Message.pre_prepare_payload ~view:v ~seqno:s ~m_root ~g_root
-      ~nonce_com:(Nonce.commit nonce) ~ev_bitmap ~gov_index:gov_before
-      ~cp_digest:dc_before ~kind ~primary:t.rid
+      ~nonce_com:(Nonce.commit nonce) ~ev_bitmap ~gov_index:undo.u_gov_index
+      ~cp_digest:undo.u_dc ~kind ~primary:t.rid
   in
   let pp : Message.pre_prepare =
     {
@@ -1269,48 +1344,21 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
       g_root;
       nonce_com = Nonce.commit nonce;
       ev_bitmap;
-      gov_index = gov_before;
-      cp_digest = dc_before;
+      gov_index = undo.u_gov_index;
+      cp_digest = undo.u_dc;
       kind;
       primary = t.rid;
       signature = sign_digest t ~cls:"pre_prepare" payload;
     }
   in
-  append_ledger t (Entry.Pre_prepare pp);
-  List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
-  let batch_hashes = List.map (fun (r : Request.t) -> Request.hash r) reqs in
-  List.iter
-    (fun (tx : Batch.tx_entry) ->
-      let h = D.to_raw (Request.hash tx.Batch.request) in
-      Hashtbl.replace t.executed_requests h tx.Batch.index;
-      Hashtbl.remove t.requests h)
-    txs;
+  append_batch t pp txs;
   t.request_order <-
     List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
   update_queue_gauge t;
   let rec_ =
-    {
-      br_pp = pp;
-      br_batch_hashes = batch_hashes;
-      br_requests = reqs;
-      br_txs = txs;
-      br_ev_prepares = ev_prepares;
-      br_ev_nonces = ev_nonces;
-      br_ledger_start = ledger_start;
-      br_kv_version_before = kv_before;
-      br_gov_index_before = gov_before;
-      br_dc_before = dc_before;
-      br_phase_before = phase_before;
-      br_cfg_before = cfg_before;
-      br_prepared = false;
-      br_committed = false;
-      br_t_pp = 0.0;
-      br_t_prepared = 0.0;
-    }
+    add_record t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs
+      ~ev_prepares ~ev_nonces ~undo ~committed:false
   in
-  Hashtbl.replace t.records s rec_;
-  Hashtbl.replace t.batch_ledger_end s (ledger_len t);
-  stash_batch_writes t s;
   trace_batch_begin t rec_;
   (* Bridge the two flow identities: request flows are keyed by trace id,
      batch phases by seqno. This instant (primary only — batching happens
@@ -1326,7 +1374,7 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
       reqs;
   post_execute_batch t pp txs;
   t.seqno <- s + 1;
-  broadcast_replicas t (Wire.Pre_prepare_msg { pp; batch = batch_hashes });
+  broadcast_replicas t (Wire.Pre_prepare_msg { pp; batch = rec_.br_batch_hashes });
   check_prepared t
 
 (* ------------------------------------------------------------------ *)
@@ -1379,43 +1427,23 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
       batch_hashes
   in
   if missing <> [] then begin
-    (match Sys.getenv_opt "IACCF_DEBUG_REJECT" with
-    | Some _ ->
-        Printf.eprintf "FETCH-MISS r%d s=%d missing=%d\n%!" t.rid s
-          (List.length missing)
-    | None -> ());
+    tally t "replica.reject.missing_requests";
     send t ~dst:pp.Message.primary (Wire.Fetch_missing { fm_seqno = s });
     false
   end
   else begin
     match evidence_matching t (s - t.params.pipeline) pp.Message.ev_bitmap with
     | None ->
-        (match Sys.getenv_opt "IACCF_DEBUG_REJECT" with
-        | Some _ -> Printf.eprintf "FETCH-EV r%d s=%d\n%!" t.rid s
-        | None -> ());
+        tally t "replica.reject.missing_evidence";
         send t ~dst:pp.Message.primary (Wire.Fetch_missing { fm_seqno = s });
         false
     | Some (ev_prepares, ev_nonces) ->
         if not (validate_kind t pp) then begin
-          (match Sys.getenv_opt "IACCF_DEBUG_REJECT" with
-          | Some _ ->
-              Printf.eprintf
-                "REJECT-KIND r%d s=%d v=%d latest_cp=%d lc=%d phase=%s\n%!"
-                t.rid s v t.latest_cp_seqno t.last_committed
-                (match t.phase with
-                | Normal -> "normal"
-                | Ending _ -> "ending"
-                | Starting _ -> "starting")
-          | None -> ());
+          tally t "replica.reject.kind";
           true (* reject; suspicion via timer *)
         end
         else begin
-          let ledger_start = ledger_len t in
-          let kv_before = Store.version t.store in
-          let gov_before = t.gov_index in
-          let dc_before = t.current_dc in
-          let phase_before = t.phase in
-          let cfg_before = t.cfg in
+          let undo = capture t in
           append_evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares
             ev_nonces;
           let base_index = ledger_len t + 1 in
@@ -1428,14 +1456,6 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
               batch_hashes
           in
           let txs = execute_requests t ~base_index reqs in
-          let undo () =
-            if keep_ledger t then Ledger.truncate t.ledger ledger_start;
-            Store.rollback t.store kv_before;
-            t.gov_index <- gov_before;
-            t.current_dc <- dc_before;
-            t.phase <- phase_before;
-            t.cfg <- cfg_before
-          in
           (* A re-proposed batch must keep its original entries: if fresh
              execution diverges from the pre-prepare's g_root only in the
              assigned indices, adopt the archived entries for this root. *)
@@ -1445,16 +1465,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
               match
                 Hashtbl.find_opt t.archived_content (s, (pp.Message.g_root :> string))
               with
-              | Some (_, _, original)
-                when List.length original = List.length txs
-                     && List.for_all2
-                          (fun (a : Batch.tx_entry) (b : Batch.tx_entry) ->
-                            String.equal a.Batch.result.Batch.output
-                              b.Batch.result.Batch.output
-                            && D.equal a.Batch.result.Batch.write_set_hash
-                                 b.Batch.result.Batch.write_set_hash)
-                          original txs ->
-                  original
+              | Some (_, _, original) when same_results original txs -> original
               | _ -> txs
             end
           in
@@ -1473,26 +1484,12 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
           then begin
             (* Divergent execution or a lying primary: roll back (Alg. 1,
                line 23) and let the progress timer trigger a view change. *)
-            (match Sys.getenv_opt "IACCF_DEBUG_REJECT" with
-            | Some _ ->
-                Printf.eprintf
-                  "REJECT-EXEC r%d s=%d v=%d min_ok=%b g_ok=%b m_ok=%b\n%!"
-                  t.rid s v min_index_ok
-                  (D.equal g_root pp.Message.g_root)
-                  ((not (keep_ledger t)) || D.equal m_root pp.Message.m_root)
-            | None -> ());
-            undo ();
+            tally t "replica.reject.exec";
+            restore t undo;
             true
           end
           else begin
-            append_ledger t (Entry.Pre_prepare pp);
-            List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
-            List.iter
-              (fun (tx : Batch.tx_entry) ->
-                let h = D.to_raw (Request.hash tx.Batch.request) in
-                Hashtbl.replace t.executed_requests h tx.Batch.index;
-                Hashtbl.remove t.requests h)
-              txs;
+            append_batch t pp txs;
             t.request_order <-
               List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
             let nonce = Nonce.derive ~key:t.nonce_key ~view:v ~seqno:s in
@@ -1513,28 +1510,9 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
               }
             in
             let rec_ =
-              {
-                br_pp = pp;
-                br_batch_hashes = batch_hashes;
-                br_requests = reqs;
-                br_txs = txs;
-                br_ev_prepares = ev_prepares;
-                br_ev_nonces = ev_nonces;
-                br_ledger_start = ledger_start;
-                br_kv_version_before = kv_before;
-                br_gov_index_before = gov_before;
-                br_dc_before = dc_before;
-                br_phase_before = phase_before;
-                br_cfg_before = cfg_before;
-                br_prepared = false;
-                br_committed = false;
-                br_t_pp = 0.0;
-                br_t_prepared = 0.0;
-              }
+              add_record t pp ~batch_hashes ~reqs ~txs ~ev_prepares ~ev_nonces ~undo
+                ~committed:false
             in
-            Hashtbl.replace t.records s rec_;
-            Hashtbl.replace t.batch_ledger_end s (ledger_len t);
-            stash_batch_writes t s;
             trace_batch_begin t rec_;
             post_execute_batch t pp txs;
             t.seqno <- s + 1;
@@ -1563,21 +1541,16 @@ and try_process_pending t =
   | _ -> ()
 
 and on_pre_prepare t (pp : Message.pre_prepare) batch =
-  (match Sys.getenv_opt "IACCF_DEBUG_PP" with
-  | Some _ ->
-      Printf.eprintf
-        "PP r%d: recv s=%d v=%d | my v=%d s=%d ready=%b nonce_used=%b\n%!" t.rid
-        pp.Message.seqno pp.Message.view t.view t.seqno t.ready
-        (Hashtbl.mem t.own_nonces (t.view, pp.Message.seqno))
-  | None -> ());
   if t.running && t.activated && pp.Message.primary <> t.rid then begin
-    if pp.Message.view >= t.view then
+    if pp.Message.view < t.view then tally t "replica.pp.stale"
+    else
       verify_pp_sig_async t pp (fun sig_ok ->
           (* Re-check the view guard: with the pool enabled an earlier
              callback in this flush may have advanced the view (inline
              mode runs the callback immediately, so the re-check is a
              no-op there). *)
           if sig_ok && pp.Message.view >= t.view then begin
+            note_view_ahead t ~view:pp.Message.view ~src:pp.Message.primary;
             if
               pp.Message.view = t.view && t.ready && pp.Message.seqno = t.seqno
               && not (Hashtbl.mem t.own_nonces (t.view, pp.Message.seqno))
@@ -1591,6 +1564,7 @@ and on_pre_prepare t (pp : Message.pre_prepare) batch =
               (* While a view change is in flight our sequence number may roll
                  back below this pre-prepare's: keep everything for the newest
                  view until the new-view settles. *)
+              tally t "replica.pp.buffered";
               match Hashtbl.find_opt t.pending_pps pp.Message.seqno with
               | Some (prev, _) when prev.Message.view > pp.Message.view -> ()
               | _ -> Hashtbl.replace t.pending_pps pp.Message.seqno (pp, batch)
@@ -1640,23 +1614,11 @@ and resend_executed t (req : Request.t) =
                      r_nonce = nonce;
                    })
           | _ -> ());
-          if t.params.variant.Variant.gen_receipts then begin
-            let tree = g_tree_of_txs rec_.br_txs in
-            let size = List.length rec_.br_txs in
-            List.iteri
-              (fun i (tx : Batch.tx_entry) ->
-                if D.equal (Request.hash tx.Batch.request) h then
-                  send_to_client t req.Request.client_pk
-                    (Wire.Replyx_msg
-                       {
-                         Message.x_pp = rec_.br_pp;
-                         x_tx = tx;
-                         x_leaf_index = i;
-                         x_batch_size = size;
-                         x_path = Tree.path tree i;
-                       }))
-              rec_.br_txs
-          end;
+          if t.params.variant.Variant.gen_receipts then
+            List.iter
+              (fun (_, m) -> send_to_client t req.Request.client_pk m)
+              (replyxs rec_ (fun (tx : Batch.tx_entry) ->
+                   D.equal (Request.hash tx.Batch.request) h));
           raise Found
         end)
       t.records
@@ -1727,6 +1689,7 @@ and on_prepare t (p : Message.prepare) =
   if t.running && t.activated && p.Message.p_replica <> t.rid then
     verify_prepare_sig_async t p (fun sig_ok ->
         if sig_ok then begin
+          note_view_ahead t ~view:p.Message.p_view ~src:p.Message.p_replica;
           Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
             p.Message.p_replica p;
           check_prepared t
@@ -1761,25 +1724,15 @@ and on_commit t (c : Message.commit) =
 (* Roll-back (Appx. A, Lemma 1)                                        *)
 
 and rollback_to t target =
-  (match Sys.getenv_opt "IACCF_DEBUG_ROLLBACK" with
-  | Some _ when target < t.seqno - 1 ->
-      Printf.eprintf "ROLLBACK r%d target=%d seqno=%d lc=%d lp=%d view=%d\n%!"
-        t.rid target t.seqno t.last_committed t.last_prepared t.view
-  | _ -> ());
   let top = t.seqno - 1 in
   (* Remember the highest seqno ever reached before forgetting records:
      the status table keeps answering PENDING (never back to UNKNOWN) for
      rolled-back ids awaiting re-proposal. *)
   if top > t.hw_seqno then t.hw_seqno <- top;
   if top > target then begin
+    tally t "replica.rollback";
     (match Hashtbl.find_opt t.records (target + 1) with
-    | Some rec_ ->
-        if keep_ledger t then Ledger.truncate t.ledger rec_.br_ledger_start;
-        Store.rollback t.store rec_.br_kv_version_before;
-        t.gov_index <- rec_.br_gov_index_before;
-        t.current_dc <- rec_.br_dc_before;
-        t.phase <- rec_.br_phase_before;
-        t.cfg <- rec_.br_cfg_before
+    | Some rec_ -> restore t rec_.br_undo
     | None -> ());
     for q = target + 1 to top do
       match Hashtbl.find_opt t.records q with
@@ -1949,11 +1902,7 @@ and maybe_new_view t =
             (* Our uncommitted prefix may diverge from the canonical chain:
                drop it and fetch the committed entries from a replica that
                prepared the high-water batch (Alg. 2). *)
-            t.fetch_target <- Some vc.Message.vc_replica;
-            rollback_to t t.last_committed;
-            if keep_ledger t then Ledger.truncate t.ledger (committed_prefix_length t);
-            send t ~dst:vc.Message.vc_replica
-              (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
+            refetch t ~upto:t.last_committed vc.Message.vc_replica
         | None -> ()
       end
       else begin
@@ -2036,17 +1985,11 @@ and try_complete_new_view t =
   | Some (nv, vcs) ->
       let s_lp, _ = summarize_view_changes vcs in
       let target = max 0 (s_lp - t.params.pipeline) in
-      let reconcile () =
-        (* Our prefix diverges from the new view's canonical chain (we may
-           have missed earlier view-change entries, or hold uncommitted
-           batches the quorum never saw): drop back to the committed prefix
-           and fetch the primary's ledger (Alg. 2's reconciliation). *)
-        t.fetch_target <- Some nv.Message.nv_primary;
-        rollback_to t t.last_committed;
-        if keep_ledger t then Ledger.truncate t.ledger (committed_prefix_length t);
-        send t ~dst:nv.Message.nv_primary
-          (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
-      in
+      (* Our prefix diverges from the new view's canonical chain (we may
+         have missed earlier view-change entries, or hold uncommitted
+         batches the quorum never saw): drop back to the committed prefix
+         and fetch the primary's ledger (Alg. 2's reconciliation). *)
+      let reconcile () = refetch t ~upto:t.last_committed nv.Message.nv_primary in
       if t.last_committed < target then reconcile ()
       else begin
         rollback_to t target;
@@ -2085,623 +2028,6 @@ and try_complete_new_view t =
 (* ------------------------------------------------------------------ *)
 (* State transfer                                                      *)
 
-and store_package_evidence t (bp : Wire.batch_package) =
-  List.iter
-    (fun (p : Message.prepare) ->
-      Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
-        p.Message.p_replica p)
-    bp.Wire.bp_ev_prepares;
-  let past = bp.Wire.bp_pp.Message.seqno - t.params.pipeline in
-  match Hashtbl.find_opt t.records past with
-  | Some rec_ ->
-      let v = rec_.br_pp.Message.view in
-      List.iter
-        (fun (r, n) -> Hashtbl.replace (sub_tbl t.commits (v, past)) r n)
-        bp.Wire.bp_ev_nonces;
-      check_committed t
-  | None -> ()
-
-(* Ledger length of the prefix covering batches up to last_prepared: the
-   safe suffix to serve to catching-up replicas. *)
-and safe_ledger_length t =
-  if t.last_prepared >= t.seqno - 1 then Ledger.length t.ledger
-  else begin
-    match Hashtbl.find_opt t.records (t.last_prepared + 1) with
-    | Some rec_ -> rec_.br_ledger_start
-    | None -> Ledger.length t.ledger
-  end
-
-(* The serialized snapshot for a sealed checkpoint: from the retained
-   in-memory checkpoint, or re-read from the durable snapshot file. Either
-   way the bytes must reproduce the sealed digest before they are served. *)
-and sealed_snapshot_bytes t cp_seqno =
-  match Hashtbl.find_opt t.sealed_cps cp_seqno with
-  | None -> None
-  | Some digest -> (
-      match t.snapshot_cache with
-      | Some (s, data) when s = cp_seqno -> Some data
-      | _ ->
-          let data =
-            match Hashtbl.find_opt t.checkpoints cp_seqno with
-            | Some (cp, d) when D.equal d digest -> Some (Checkpoint.serialize cp)
-            | _ -> (
-                match storage_dir t with
-                | None -> None
-                | Some dir -> (
-                    match Snapshot.load_serialized ~dir cp_seqno with
-                    | None -> None
-                    | Some payload -> (
-                        match Checkpoint.deserialize payload with
-                        | cp
-                          when cp.Checkpoint.seqno = cp_seqno
-                               && D.equal (Checkpoint.digest cp) digest ->
-                            Some payload
-                        | _ -> None
-                        | exception Iaccf_util.Codec.Decode_error _ -> None)))
-          in
-          (match data with
-          | Some d -> t.snapshot_cache <- Some (cp_seqno, d)
-          | None -> ());
-          data)
-
-(* A seal is only usable by a peer if the Batch.Checkpoint that recorded
-   it still sits inside the prefix we serve: a view change can roll the
-   sealing batch out of the ledger (truncation removes its
-   batch_ledger_end entry), leaving the checkpoint sealed for us but
-   unprovable to anyone syncing from us until it re-commits. *)
-and seal_in_served_prefix t cp_seqno =
-  match Hashtbl.find_opt t.sealed_at cp_seqno with
-  | None -> false
-  | Some seal_seqno -> (
-      match Hashtbl.find_opt t.batch_ledger_end seal_seqno with
-      | Some seal_end -> seal_end <= safe_ledger_length t
-      | None -> false)
-
-(* Newest sealed checkpoint we can actually serve the bytes for. *)
-and best_offer t =
-  Hashtbl.fold (fun s _ acc -> s :: acc) t.sealed_cps []
-  |> List.sort (fun a b -> compare b a)
-  |> List.find_map (fun cp_seqno ->
-         match sealed_snapshot_bytes t cp_seqno with
-         | Some payload
-           when Hashtbl.mem t.batch_ledger_end cp_seqno
-                && seal_in_served_prefix t cp_seqno ->
-             Some (cp_seqno, payload)
-         | _ -> None)
-
-and send_offer t ~dst (cp_seqno, payload) =
-  Obs.incr t.sync.offers;
-  send t ~dst
-    (Wire.Snapshot_offer
-       {
-         so_cp_seqno = cp_seqno;
-         so_total =
-           SyncChunk.count ~chunk_bytes:(Network.chunk_bytes t.network) payload;
-         so_bytes = String.length payload;
-         so_upto = safe_ledger_length t;
-         so_view = t.view;
-       })
-
-(* One bounded suffix extent: entries from [from_len] until the per-message
-   byte budget is spent (always at least one entry). The receiver keeps
-   pulling with Fetch_suffix until it reaches [lc_upto]. *)
-and send_suffix_chunk t ~dst from_len =
-  if keep_ledger t && from_len >= 1 then begin
-    let upto = safe_ledger_length t in
-    if upto > from_len then begin
-      let budget = Network.chunk_bytes t.network in
-      let rec take i bytes acc =
-        if i >= upto then List.rev acc
-        else begin
-          let e = Ledger.get t.ledger i in
-          let sz = Entry.size_bytes e in
-          if acc <> [] && bytes + sz > budget then List.rev acc
-          else take (i + 1) (bytes + sz) (e :: acc)
-        end
-      in
-      send t ~dst
-        (Wire.Ledger_suffix_chunk
-           {
-             lc_from = from_len;
-             lc_entries = take from_len 0 [];
-             lc_upto = upto;
-             lc_view = t.view;
-           })
-    end
-  end
-
-(* Fetch_state is the smart entry point: a requester far behind the newest
-   sealed checkpoint — or behind our pruned-from-disk prefix — is offered a
-   snapshot; anyone else gets an incremental suffix extent. Fetch_suffix
-   never offers, so a requester that declined (or finished) a snapshot can
-   always drain the remainder incrementally. *)
-and on_fetch_state t ~src from_len =
-  if keep_ledger t && from_len >= 1 then begin
-    let offer =
-      match best_offer t with
-      | Some (cp_seqno, payload)
-        when from_len < batch_end_length t cp_seqno
-             && (from_len < t.pruned_upto
-                 || safe_ledger_length t - from_len
-                    >= 2 * t.params.checkpoint_interval) ->
-          Some (cp_seqno, payload)
-      | _ -> None
-    in
-    match offer with
-    | Some o -> send_offer t ~dst:src o
-    | None -> send_suffix_chunk t ~dst:src from_len
-  end
-
-and on_fetch_suffix t ~src from_len = send_suffix_chunk t ~dst:src from_len
-
-and on_fetch_snapshot_chunk t ~src ~cp_seqno ~index =
-  match sealed_snapshot_bytes t cp_seqno with
-  | None -> ()
-  | Some payload ->
-      let chunks =
-        SyncChunk.split ~chunk_bytes:(Network.chunk_bytes t.network) payload
-      in
-      let total = List.length chunks in
-      if index >= 0 && index < total then
-        send t ~dst:src
-          (Wire.Snapshot_chunk
-             {
-               sc_cp_seqno = cp_seqno;
-               sc_index = index;
-               sc_total = total;
-               sc_data = List.nth chunks index;
-             })
-
-(* Apply a received ledger suffix: append evidence verbatim, re-execute
-   every batch checking roots and recorded results, adopt view changes.
-   State transfer thus reconstructs exactly the sender's ledger — including
-   the view-change and new-view entries that batch replay alone would
-   miss. *)
-and apply_entries t ?(skip_exec_upto = 0) entries =
-  prefetch_pp_sigs t ~skip_exec_upto entries;
-  let progressed = ref false in
-  let aborted = ref false in
-  (* Current batch being assembled: (pp, txs rev). *)
-  let current = ref None in
-  let staged_ev = ref [] in (* evidence entries awaiting their pp, reversed *)
-  let flush_batch () =
-    match !current with
-    | None -> ()
-    | Some (pp, txs_rev) ->
-        current := None;
-        let recorded = List.rev txs_rev in
-        let s = pp.Message.seqno in
-        let skip_exec = s <= skip_exec_upto in
-        (* Checkpoint-based bootstrap (Â§3.4): entries up to the installed
-           checkpoint are adopted without re-execution; only checkpoint
-           batches' signatures are verified, plus the Merkle chain below. *)
-        let sig_ok =
-          if skip_exec then begin
-            match pp.Message.kind with
-            | Batch.Checkpoint _ -> verify_pp_sig t pp
-            | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> true
-          end
-          else verify_pp_sig t pp
-        in
-        if s <> t.seqno || not sig_ok then aborted := true
-        else if skip_exec then begin
-          (* Adopt verbatim: ledger, Merkle chain, and bookkeeping move; the
-             key-value store comes from the checkpoint instead. *)
-          List.iter (fun e -> append_ledger t e) (List.rev !staged_ev);
-          staged_ev := [];
-          let m_root = m_root_now t in
-          if
-            (not (D.equal m_root pp.Message.m_root))
-            || not (D.equal (Batch.g_root recorded) pp.Message.g_root)
-          then aborted := true
-          else begin
-            append_ledger t (Entry.Pre_prepare pp);
-            List.iter
-              (fun (tx : Batch.tx_entry) ->
-                append_ledger t (Entry.Tx tx);
-                let h = D.to_raw (Request.hash tx.Batch.request) in
-                Hashtbl.replace t.executed_requests h tx.Batch.index;
-                let proc = tx.Batch.request.Request.proc in
-                if String.length proc >= 4 && String.sub proc 0 4 = "gov/" then
-                  t.gov_index <- tx.Batch.index)
-              recorded;
-            (match pp.Message.kind with
-            | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
-            | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ());
-            seal_from_kind t pp;
-            Hashtbl.replace t.batch_ledger_end s (ledger_len t);
-            t.seqno <- s + 1;
-            t.last_prepared <- max t.last_prepared s;
-            t.last_committed <- max t.last_committed s;
-            (* Skip region: no execution, so there are no write sets to
-               index, but the status table still learns the batch's view. *)
-            note_committed t s pp.Message.view;
-            advance_stable t;
-            progressed := true
-          end
-        end
-        else begin
-          let ledger_start = ledger_len t in
-          let kv_before = Store.version t.store in
-          let gov_before = t.gov_index in
-          let dc_before = t.current_dc in
-          let phase_before = t.phase in
-          let cfg_before = t.cfg in
-          (* Evidence entries preceding this pp go in verbatim and feed the
-             message stores so later evidence assembly works. *)
-          List.iter
-            (fun e ->
-              (match e with
-              | Entry.Prepare_evidence { pe_prepares; _ } ->
-                  List.iter
-                    (fun (p : Message.prepare) ->
-                      Hashtbl.replace
-                        (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
-                        p.Message.p_replica p)
-                    pe_prepares
-              | Entry.Nonce_evidence { ne_view; ne_seqno; ne_nonces } ->
-                  List.iter
-                    (fun (r, n) ->
-                      Hashtbl.replace (sub_tbl t.commits (ne_view, ne_seqno)) r n)
-                    ne_nonces
-              | _ -> ());
-              append_ledger t e)
-            (List.rev !staged_ev);
-          staged_ev := [];
-          let reqs = List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request) recorded in
-          let base_index = ledger_len t + 1 in
-          let executed = execute_requests t ~base_index reqs in
-          (* Indices are adopted from the recorded entries (they are bound by
-             the signed g_root and may be lower than the physical position if
-             the batch was re-proposed after a view change). *)
-          let matches =
-            List.length executed = List.length recorded
-            && List.for_all2
-                 (fun (a : Batch.tx_entry) (b : Batch.tx_entry) ->
-                   String.equal a.Batch.result.Batch.output b.Batch.result.Batch.output
-                   && D.equal a.Batch.result.Batch.write_set_hash
-                        b.Batch.result.Batch.write_set_hash)
-                 executed recorded
-          in
-          let txs = recorded in
-          let g_root = Batch.g_root txs in
-          let m_root = m_root_now t in
-          if
-            (not matches)
-            || (not (D.equal g_root pp.Message.g_root))
-            || not (D.equal m_root pp.Message.m_root)
-          then begin
-            if keep_ledger t then Ledger.truncate t.ledger ledger_start;
-            Store.rollback t.store kv_before;
-            t.gov_index <- gov_before;
-            t.current_dc <- dc_before;
-            t.phase <- phase_before;
-            t.cfg <- cfg_before;
-            aborted := true
-          end
-          else begin
-            append_ledger t (Entry.Pre_prepare pp);
-            List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
-            List.iter
-              (fun (tx : Batch.tx_entry) ->
-                let h = D.to_raw (Request.hash tx.Batch.request) in
-                Hashtbl.replace t.executed_requests h tx.Batch.index;
-                Hashtbl.remove t.requests h)
-              txs;
-            let rec_ =
-              {
-                br_pp = pp;
-                br_batch_hashes = List.map Request.hash reqs;
-                br_requests = reqs;
-                br_txs = txs;
-                br_ev_prepares = [];
-                br_ev_nonces = [];
-                br_ledger_start = ledger_start;
-                br_kv_version_before = kv_before;
-                br_gov_index_before = gov_before;
-                br_dc_before = dc_before;
-                br_phase_before = phase_before;
-                br_cfg_before = cfg_before;
-                br_prepared = true;
-                br_committed = true;
-                br_t_pp = 0.0;
-                br_t_prepared = 0.0;
-              }
-            in
-            Hashtbl.replace t.records s rec_;
-            Hashtbl.replace t.batch_ledger_end s (ledger_len t);
-            stash_batch_writes t s;
-            (match Hashtbl.find_opt t.prepared_pps s with
-            | Some prev when prev.Message.view >= pp.Message.view -> ()
-            | _ -> Hashtbl.replace t.prepared_pps s pp);
-            post_execute_batch t pp txs;
-            seal_from_kind t pp;
-            t.seqno <- s + 1;
-            t.last_prepared <- max t.last_prepared s;
-            t.last_committed <- max t.last_committed s;
-            note_committed t s pp.Message.view;
-            index_batch_writes t s;
-            advance_stable t;
-            progressed := true
-          end
-        end
-  in
-  List.iter
-    (fun entry ->
-      if not !aborted then begin
-        match entry with
-        | Entry.Tx tx -> (
-            match !current with
-            | Some (pp, txs_rev) -> current := Some (pp, tx :: txs_rev)
-            | None -> aborted := true)
-        | Entry.Pre_prepare pp ->
-            flush_batch ();
-            if not !aborted then current := Some (pp, [])
-        | Entry.Prepare_evidence _ | Entry.Nonce_evidence _ ->
-            flush_batch ();
-            if not !aborted then staged_ev := entry :: !staged_ev
-        | Entry.View_change_set vcs ->
-            flush_batch ();
-            if not !aborted then begin
-              List.iter
-                (fun (vc : Message.view_change) ->
-                  Hashtbl.replace (sub_tbl t.view_changes vc.Message.vc_view)
-                    vc.Message.vc_replica vc)
-                vcs;
-              append_ledger t entry
-            end
-        | Entry.New_view nv ->
-            flush_batch ();
-            if not !aborted then begin
-              append_ledger t entry;
-              if nv.Message.nv_view > t.view then t.view <- nv.Message.nv_view;
-              progressed := true
-            end
-        | Entry.Genesis _ -> aborted := true
-      end)
-    entries;
-  if not !aborted then flush_batch ();
-  !progressed
-
-and on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view =
-  if t.running && keep_ledger t then begin
-    match t.sync_session with
-    | Some s when SyncSession.peer s = src ->
-        if SyncSession.on_entries s ~from:lc_from lc_entries ~upto:lc_upto ~view:lc_view
-        then begin
-          if SyncSession.suffix_end s < SyncSession.upto s then
-            send t ~dst:src
-              (Wire.Fetch_suffix { fx_from_len = SyncSession.suffix_end s });
-          try_install_session t s
-        end
-    | _ ->
-        (* No session: incremental catch-up, applied as it arrives. *)
-        if lc_from = Ledger.length t.ledger then begin
-          let progressed = apply_entries t lc_entries in
-          if progressed then begin
-            if lc_view > t.view && t.pending_new_view = None then t.view <- lc_view;
-            if in_config t && not t.activated then t.activated <- true;
-            (match t.fetch_target with
-            | Some target when Ledger.length t.ledger < lc_upto || not t.activated ->
-                send t ~dst:target
-                  (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
-            | Some _ -> t.fetch_target <- None
-            | None ->
-                if Ledger.length t.ledger < lc_upto then
-                  send t ~dst:src
-                    (Wire.Fetch_suffix { fx_from_len = Ledger.length t.ledger }));
-            try_complete_new_view t;
-            maybe_new_view t;
-            try_process_pending t;
-            check_prepared t;
-            try_send_pre_prepares t
-          end
-        end
-  end
-
-(* Checkpoint-based bootstrap entry point (join_snapshot): offer the newest
-   sealed snapshot, or fall back to serving the ledger incrementally. *)
-and on_fetch_snapshot t ~src =
-  if keep_ledger t then begin
-    match best_offer t with
-    | Some o -> send_offer t ~dst:src o
-    | None -> send_suffix_chunk t ~dst:src 1
-  end
-
-(* Accept an offer when we are genuinely behind the offered checkpoint and
-   idle: drop the speculative (uncommitted) tail and open a chunked
-   transfer session with the offering peer. Everything received is
-   verified before installation, so a bogus offer costs only the
-   speculative suffix — which a real catch-up would discard anyway. *)
-and on_snapshot_offer t ~src ~cp_seqno ~total ~bytes ~upto ~view =
-  if
-    t.running && keep_ledger t
-    && t.sync_session = None
-    && cp_seqno > t.last_committed
-    && total >= 1 && total <= 65536
-    && bytes >= 0
-    && bytes <= 64 * 1024 * 1024
-  then begin
-    rollback_to t t.last_committed;
-    Ledger.truncate t.ledger (committed_prefix_length t);
-    let s =
-      SyncSession.create ~peer:src ~cp_seqno ~total ~bytes ~upto ~view
-        ~suffix_from:(Ledger.length t.ledger) ~now:(Obs.now t.obs)
-    in
-    t.sync_session <- Some s;
-    if Obs.tracing_enabled t.obs then
-      Obs.instant t.obs ~node:t.rid ~cat:"statesync" ~name:"statesync.accept"
-        ~args:
-          [
-            ("peer", string_of_int src);
-            ("cp_seqno", string_of_int cp_seqno);
-            ("chunks", string_of_int total);
-          ]
-        ();
-    request_session_chunks t s ~window:4;
-    send t ~dst:src (Wire.Fetch_suffix { fx_from_len = SyncSession.suffix_end s })
-  end
-
-and request_session_chunks t s ~window =
-  List.iter
-    (fun i ->
-      send t ~dst:(SyncSession.peer s)
-        (Wire.Fetch_snapshot_chunk
-           { fc_cp_seqno = SyncSession.cp_seqno s; fc_index = i }))
-    (SyncSession.chunks_to_request s ~window)
-
-and on_snapshot_chunk t ~src ~cp_seqno ~index data =
-  match t.sync_session with
-  | Some s when SyncSession.peer s = src && SyncSession.cp_seqno s = cp_seqno -> (
-      match SyncSession.on_chunk s ~index data with
-      | `Added ->
-          Obs.incr t.sync.chunks;
-          Obs.add t.sync.bytes (String.length data);
-          request_session_chunks t s ~window:1;
-          try_install_session t s
-      | `Duplicate | `Invalid -> ())
-  | _ -> ()
-
-(* Abandon the session (stall or failed verification) and restart the
-   catch-up against the next replica, so one bad or dead peer cannot park
-   us forever. *)
-and drop_session_and_retarget t s ~verify_failed reason =
-  if verify_failed then Obs.incr t.sync.verify_fail;
-  if Obs.tracing_enabled t.obs then
-    Obs.instant t.obs ~node:t.rid ~cat:"statesync" ~name:"statesync.abort"
-      ~args:
-        [ ("peer", string_of_int (SyncSession.peer s)); ("reason", reason) ]
-      ();
-  t.sync_session <- None;
-  let peer = SyncSession.peer s in
-  let others = List.filter (fun r -> r <> t.rid && r <> peer) (replica_ids t) in
-  let next =
-    match List.find_opt (fun r -> r > peer) (List.sort compare others) with
-    | Some r -> Some r
-    | None -> ( match others with r :: _ -> Some r | [] -> None)
-  in
-  match next with
-  | None -> ()
-  | Some target ->
-      t.fetch_target <- Some target;
-      send t ~dst:target (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
-
-(* Install once the snapshot is assembled and the buffered suffix reaches
-   the batch that seals its digest. The gate, in order: the bytes decode
-   to the offered checkpoint; a signed committed Batch.Checkpoint in the
-   suffix seals exactly that digest; and a side-effect-free dry-run
-   (Validate.check_suffix) confirms the suffix chains from our committed
-   prefix through the checkpoint. Only then is any replica state touched. *)
-and try_install_session t s =
-  match SyncSession.assembled s with
-  | None -> ()
-  | Some payload -> (
-      let cp_seqno = SyncSession.cp_seqno s in
-      let entries = SyncSession.suffix s in
-      let seal =
-        List.find_map
-          (fun e ->
-            match e with
-            | Entry.Pre_prepare pp -> (
-                match pp.Message.kind with
-                | Batch.Checkpoint { cp_seqno = cs; cp_digest }
-                  when cs = cp_seqno ->
-                    Some (pp, cp_digest)
-                | _ -> None)
-            | _ -> None)
-          entries
-      in
-      match seal with
-      | None ->
-          (* The sealing batch is past the buffered suffix; wait unless the
-             peer claims we already have everything. *)
-          if SyncSession.suffix_end s >= SyncSession.upto s then
-            drop_session_and_retarget t s ~verify_failed:true
-              "suffix exhausted without a sealing checkpoint batch"
-      | Some (seal_pp, sealed_digest) -> (
-          match Checkpoint.deserialize payload with
-          | exception Iaccf_util.Codec.Decode_error _ ->
-              drop_session_and_retarget t s ~verify_failed:true
-                "snapshot bytes do not decode"
-          | cp ->
-              if cp.Checkpoint.seqno <> cp_seqno then
-                drop_session_and_retarget t s ~verify_failed:true
-                  "snapshot is for a different checkpoint"
-              else begin
-                let digest = Checkpoint.digest cp in
-                if not (D.equal digest sealed_digest) then
-                  drop_session_and_retarget t s ~verify_failed:true
-                    "snapshot digest does not match the sealed digest"
-                else if not (verify_pp_sig t seal_pp) then
-                  drop_session_and_retarget t s ~verify_failed:true
-                    "sealing checkpoint batch is not properly signed"
-                else begin
-                  (* Warm the cache with exactly the signatures the dry-run
-                     below will check, in one pooled batch. *)
-                  (if Vstage.pooled t.vstage
-                   && not t.params.variant.Variant.macs_only
-                  then
-                     prefetch_pp_sigs t
-                       (List.map
-                          (fun pp -> Iaccf_ledger.Entry.Pre_prepare pp)
-                          (SyncValidate.sigs_to_check ~cp_seqno entries)));
-                  match
-                    SyncValidate.check_suffix
-                      ~tree:(Ledger.m_tree_copy t.ledger) ~next_seqno:t.seqno
-                      ~cp_seqno ~verify_pp:(verify_pp_sig t) entries
-                  with
-                  | Error reason ->
-                      drop_session_and_retarget t s ~verify_failed:true reason
-                  | Ok () ->
-                      install_session t s cp digest entries
-                        ~seal_seqno:seal_pp.Message.seqno
-                end
-              end))
-
-and install_session t s cp digest entries ~seal_seqno =
-  let cp_seqno = cp.Checkpoint.seqno in
-  Store.reset_to t.store cp.Checkpoint.state;
-  ignore (apply_entries t ~skip_exec_upto:cp_seqno entries);
-  (* Configuration is read back from the installed state; joining
-     mid-reconfiguration is not supported (as before). *)
-  (match Iaccf_kv.Hamt.find App.config_key (Store.map t.store) with
-  | Some bytes -> (
-      match Config.deserialize bytes with
-      | exception _ -> ()
-      | c -> if c.Config.config_no > t.cfg.Config.config_no then t.cfg <- c)
-  | None -> ());
-  Hashtbl.replace t.checkpoints cp_seqno (cp, digest);
-  t.latest_cp_seqno <- max t.latest_cp_seqno cp_seqno;
-  Hashtbl.replace t.sealed_cps cp_seqno digest;
-  Hashtbl.replace t.sealed_at cp_seqno seal_seqno;
-  if cp_seqno > t.latest_sealed_cp then t.latest_sealed_cp <- cp_seqno;
-  if SyncSession.view s > t.view && t.pending_new_view = None then
-    t.view <- SyncSession.view s;
-  if in_config t && not t.activated then t.activated <- true;
-  let skipped =
-    max 0 (batch_end_length t cp_seqno - SyncSession.suffix_from s)
-  in
-  Obs.incr t.sync.installs;
-  Obs.add t.sync.entries_skipped skipped;
-  Obs.Histogram.observe t.sync.duration_ms (Obs.now t.obs -. SyncSession.started s);
-  if Obs.tracing_enabled t.obs then
-    Obs.instant t.obs ~node:t.rid ~cat:"statesync" ~name:"statesync.install"
-      ~args:
-        [
-          ("cp_seqno", string_of_int cp_seqno);
-          ("entries_skipped", string_of_int skipped);
-        ]
-      ();
-  t.sync_session <- None;
-  if Ledger.length t.ledger < SyncSession.upto s then
-    send t ~dst:(SyncSession.peer s)
-      (Wire.Fetch_suffix { fx_from_len = Ledger.length t.ledger });
-  try_complete_new_view t;
-  maybe_new_view t;
-  try_process_pending t;
-  check_prepared t;
-  try_send_pre_prepares t
-
 and on_batch_package t (bp : Wire.batch_package) =
   if t.running && t.activated then begin
     (* Adopt the requests and evidence; the buffered pre-prepare (or this
@@ -2716,7 +2042,20 @@ and on_batch_package t (bp : Wire.batch_package) =
           Obs.incr t.ctr.c_requests_received
         end)
       bp.Wire.bp_requests;
-    store_package_evidence t bp;
+    List.iter
+      (fun (p : Message.prepare) ->
+        Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
+          p.Message.p_replica p)
+      bp.Wire.bp_ev_prepares;
+    let past = bp.Wire.bp_pp.Message.seqno - t.params.pipeline in
+    (match Hashtbl.find_opt t.records past with
+    | Some rec_ ->
+        let v = rec_.br_pp.Message.view in
+        List.iter
+          (fun (r, n) -> Hashtbl.replace (sub_tbl t.commits (v, past)) r n)
+          bp.Wire.bp_ev_nonces;
+        check_committed t
+    | None -> ());
     if
       bp.Wire.bp_pp.Message.seqno = t.seqno
       && not (Hashtbl.mem t.pending_pps t.seqno)
@@ -2727,38 +2066,279 @@ and on_batch_package t (bp : Wire.batch_package) =
     check_prepared t
   end
 
-(* ------------------------------------------------------------------ *)
-(* Progress timer: retransmission, then view change                    *)
+(* What the catch-up server reads of this replica for one request. It
+   serves the prefix covering batches up to last_prepared. *)
+and served_ledger t =
+  let served =
+    match Hashtbl.find_opt t.records (t.last_prepared + 1) with
+    | Some rec_ when t.last_prepared < t.seqno - 1 -> rec_.br_undo.u_ledger
+    | _ -> Ledger.length t.ledger
+  in
+  {
+    SyncServer.served;
+    entry = Ledger.get t.ledger;
+    batch_end = Hashtbl.find_opt t.batch_ledger_end;
+    retained = Hashtbl.find_opt t.checkpoints;
+    dir = storage_dir t;
+    chunk_bytes = Network.chunk_bytes t.network;
+  }
 
-(* Liveness for an in-flight sync session: a tick without progress
-   re-requests the missing chunks and the next suffix extent from the same
-   peer; a second consecutive silent tick abandons the peer. Returns
-   whether a session is (still) active — while one is, the ordinary
-   stall/view-change escalation stays out of the way. *)
-and tick_sync_session t =
-  match t.sync_session with
-  | None -> false
-  | Some s ->
-      let stalls = SyncSession.tick s in
-      if stalls >= 2 then begin
-        drop_session_and_retarget t s ~verify_failed:false "peer stalled";
-        t.sync_session <> None
+(* The one catch-up request: a snapshot offer or a suffix extent, as the
+   requester's policy allows. *)
+and on_fetch_ledger t ~src ~from_len ~offer =
+  if keep_ledger t then begin
+    let l = served_ledger t in
+    match
+      SyncServer.answer t.server l offer ~from_len ~pruned_upto:t.pruned_upto
+        ~interval:t.params.checkpoint_interval
+    with
+    | Some (SyncServer.Offer { cp_seqno; total; bytes }) ->
+        send t ~dst:src
+          (Wire.Snapshot_offer
+             {
+               so_cp_seqno = cp_seqno;
+               so_total = total;
+               so_bytes = bytes;
+               so_upto = l.served;
+               so_view = t.view;
+             })
+    | Some (SyncServer.Extent entries) ->
+        send t ~dst:src
+          (Wire.Ledger_suffix_chunk
+             {
+               lc_from = from_len;
+               lc_entries = entries;
+               lc_upto = l.served;
+               lc_view = t.view;
+             })
+    | None -> ()
+  end
+
+(* Apply one batch of a received or recovered ledger extent: append its
+   evidence verbatim, re-execute it checking roots and recorded results
+   (or, up to [skip_exec_upto], adopt it without execution), and commit
+   it. [false], with nothing changed, if it does not check out. *)
+and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
+  let s = pp.Message.seqno in
+  (* Checkpoint-based bootstrap (§3.4): entries up to the installed
+     checkpoint are adopted without re-execution; only checkpoint
+     batches' signatures are verified, plus the Merkle chain below. *)
+  let skip_exec = s <= skip_exec_upto in
+  let sig_ok =
+    match pp.Message.kind with
+    | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _
+      when skip_exec ->
+        true
+    | _ -> verify_pp_sig t pp
+  in
+  if s <> t.seqno || not sig_ok then false
+  else begin
+    let undo = capture t in
+    (* Evidence entries preceding this pp go in verbatim; a batch we
+       execute also feeds them to the message stores, so later
+       evidence assembly works. *)
+    List.iter
+      (fun e ->
+        (if not skip_exec then
+           match e with
+           | Entry.Prepare_evidence { pe_prepares; _ } ->
+               List.iter
+                 (fun (p : Message.prepare) ->
+                   Hashtbl.replace
+                     (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
+                     p.Message.p_replica p)
+                 pe_prepares
+           | Entry.Nonce_evidence { ne_view; ne_seqno; ne_nonces } ->
+               List.iter
+                 (fun (r, n) ->
+                   Hashtbl.replace (sub_tbl t.commits (ne_view, ne_seqno)) r n)
+                 ne_nonces
+           | _ -> ());
+        append_ledger t e)
+      evidence;
+    let reqs = List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request) txs in
+    (* Indices are adopted from the recorded entries (they are bound by
+       the signed g_root and may be lower than the physical position if
+       the batch was re-proposed after a view change). *)
+    let results_ok =
+      skip_exec
+      || same_results (execute_requests t ~base_index:(ledger_len t + 1) reqs) txs
+    in
+    if
+      (not results_ok)
+      || (not (D.equal (Batch.g_root txs) pp.Message.g_root))
+      || not (D.equal (m_root_now t) pp.Message.m_root)
+    then begin
+      restore t undo;
+      false
+    end
+    else begin
+      if skip_exec then begin
+        (* Adopt verbatim; the key-value store comes from the
+           checkpoint, so there are no write sets to index. *)
+        append_ledger t (Entry.Pre_prepare pp);
+        List.iter
+          (fun (tx : Batch.tx_entry) ->
+            append_ledger t (Entry.Tx tx);
+            Hashtbl.replace t.executed_requests
+              (D.to_raw (Request.hash tx.Batch.request))
+              tx.Batch.index;
+            if is_gov_request tx.Batch.request then t.gov_index <- tx.Batch.index)
+          txs;
+        (match pp.Message.kind with
+        | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
+        | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ());
+        Hashtbl.replace t.batch_ledger_end s (ledger_len t)
       end
       else begin
-        if stalls = 1 then begin
-          let peer = SyncSession.peer s in
-          List.iteri
-            (fun k i ->
-              if k < 4 then
-                send t ~dst:peer
-                  (Wire.Fetch_snapshot_chunk
-                     { fc_cp_seqno = SyncSession.cp_seqno s; fc_index = i }))
-            (SyncSession.missing s);
+        append_batch t pp txs;
+        ignore
+          (add_record t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs
+             ~ev_prepares:[] ~ev_nonces:[] ~undo ~committed:true);
+        (match Hashtbl.find_opt t.prepared_pps s with
+        | Some prev when prev.Message.view >= pp.Message.view -> ()
+        | _ -> Hashtbl.replace t.prepared_pps s pp);
+        post_execute_batch t pp txs
+      end;
+      seal_from_kind t pp;
+      t.seqno <- s + 1;
+      t.last_prepared <- max t.last_prepared s;
+      t.last_committed <- max t.last_committed s;
+      note_committed t s pp.Message.view;
+      if not skip_exec then index_batch_writes t s;
+      advance_stable t;
+      true
+    end
+  end
+
+(* Apply a received ledger suffix batch by batch, adopting view changes
+   along the way, until the first batch that does not check out. State
+   transfer thus reconstructs exactly the sender's ledger, including the
+   view-change and new-view entries that batch replay alone would miss. *)
+and apply_entries t ?(skip_exec_upto = 0) entries =
+  prefetch_pp_sigs t ~skip_exec_upto entries;
+  let rec go progressed = function
+    | [] | Entry.Malformed _ :: _ -> progressed
+    | Entry.Batch { evidence; pp; txs } :: rest ->
+        if apply_batch t ~skip_exec_upto pp ~evidence txs then go true rest
+        else progressed
+    | Entry.Protocol e :: rest -> (
+        append_ledger t e;
+        match e with
+        | Entry.View_change_set vcs ->
+            List.iter
+              (fun (vc : Message.view_change) ->
+                Hashtbl.replace (sub_tbl t.view_changes vc.Message.vc_view)
+                  vc.Message.vc_replica vc)
+              vcs;
+            go progressed rest
+        | Entry.New_view nv ->
+            if nv.Message.nv_view > t.view then t.view <- nv.Message.nv_view;
+            go true rest
+        | _ -> go progressed rest)
+  in
+  go false (Entry.batches entries)
+
+and on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view =
+  if t.running && keep_ledger t then begin
+    match
+      SyncSession.on_suffix t.sync_client ~src ~from:lc_from lc_entries ~upto:lc_upto
+        ~view:lc_view
+    with
+    | Some actions -> run_sync_actions t actions
+    | None ->
+        (* Not for a session: incremental catch-up, applied as it arrives. *)
+        if lc_from = Ledger.length t.ledger && apply_entries t lc_entries then begin
+          if lc_view > t.view && t.pending_new_view = None then t.view <- lc_view;
+          if in_config t && not t.activated then t.activated <- true;
+          (match t.fetch_target with
+          | Some target when Ledger.length t.ledger < lc_upto || not t.activated ->
+              fetch_ledger t ~dst:target SyncSession.If_far
+          | Some _ -> t.fetch_target <- None
+          | None ->
+              if Ledger.length t.ledger < lc_upto then
+                fetch_ledger t ~dst:src SyncSession.Never);
+          resume_after_catch_up t
+        end
+  end
+
+and resume_after_catch_up t =
+  try_complete_new_view t;
+  maybe_new_view t;
+  try_process_pending t;
+  check_prepared t;
+  try_send_pre_prepares t
+
+(* The requesting side of a snapshot catch-up lives in Session; the
+   replica carries out its actions. Accepting an offer drops our
+   speculative (uncommitted) tail: everything received is verified before
+   installation, so a bogus offer costs only that tail, which a real
+   catch-up would discard anyway. *)
+and on_snapshot_offer t ~src ~cp_seqno ~total ~bytes ~upto ~view =
+  if t.running && keep_ledger t then
+    run_sync_actions t
+      (SyncSession.on_offer t.sync_client (sync_hooks t) ~src ~cp_seqno ~total
+         ~bytes ~upto ~view ~last_committed:t.last_committed ~rollback:(fun () ->
+           rollback_to t t.last_committed;
+           Ledger.truncate t.ledger (committed_prefix_length t);
+           Ledger.length t.ledger))
+
+and run_sync_actions t actions =
+  List.iter
+    (function
+      | SyncSession.Request_chunks { peer; cp_seqno; indices } ->
+          List.iter
+            (fun i ->
+              send t ~dst:peer
+                (Wire.Fetch_snapshot_chunk { fc_cp_seqno = cp_seqno; fc_index = i }))
+            indices
+      | SyncSession.Request_suffix { peer; from_len } ->
           send t ~dst:peer
-            (Wire.Fetch_suffix { fx_from_len = SyncSession.suffix_end s })
-        end;
-        true
-      end
+            (Wire.Fetch_ledger { fl_from_len = from_len; fl_offer = SyncSession.Never })
+      | SyncSession.Retarget peer ->
+          t.fetch_target <- Some peer;
+          fetch_ledger t ~dst:peer SyncSession.If_far
+      | SyncSession.Install i -> install_snapshot t i)
+    actions
+
+and install_snapshot t (i : SyncSession.install) =
+  let cp_seqno = i.cp.Checkpoint.seqno in
+  adopt_checkpoint t i.cp i.digest i.entries;
+  ignore
+    (SyncServer.seal t.server ~cp_seqno ~cp_digest:i.digest ~seal_seqno:i.seal_seqno);
+  if i.view > t.view && t.pending_new_view = None then t.view <- i.view;
+  if in_config t && not t.activated then t.activated <- true;
+  let skipped = max 0 (batch_end_length t cp_seqno - i.suffix_from) in
+  Obs.incr t.sync.installs;
+  Obs.add t.sync.entries_skipped skipped;
+  Obs.Histogram.observe t.sync.duration_ms (Obs.now t.obs -. i.started);
+  if Obs.tracing_enabled t.obs then
+    Obs.instant t.obs ~node:t.rid ~cat:"statesync" ~name:"statesync.install"
+      ~args:
+        [
+          ("cp_seqno", string_of_int cp_seqno);
+          ("entries_skipped", string_of_int skipped);
+        ]
+      ();
+  if Ledger.length t.ledger < i.upto then fetch_ledger t ~dst:i.peer SyncSession.Never;
+  resume_after_catch_up t
+
+(* Checkpoint-based bootstrap (§3.4), from a peer or from disk: install
+   the checkpoint's state, adopt the entries up to it without
+   re-execution and replay the rest, read the configuration back from the
+   installed state, and record the checkpoint. Joining
+   mid-reconfiguration is not supported. *)
+and adopt_checkpoint t cp digest entries =
+  let cp_seqno = cp.Checkpoint.seqno in
+  Store.reset_to t.store cp.Checkpoint.state;
+  ignore (apply_entries t ~skip_exec_upto:cp_seqno entries);
+  Option.iter (fun c -> t.cfg <- c) (stored_config t);
+  Hashtbl.replace t.checkpoints cp_seqno (cp, digest);
+  t.latest_cp_seqno <- max t.latest_cp_seqno cp_seqno
+
+
+(* ------------------------------------------------------------------ *)
+(* Progress timer: retransmission, then view change                    *)
 
 (* The periodic tick trace replaces the old IACCF_DEBUG_TICK stderr dump:
    the env var still opts a run in, but the record now lands in the trace
@@ -2779,24 +2359,28 @@ and debug_tick_trace t =
         ]
       ()
 
+(* While a session is in flight, the ordinary stall and view-change
+   escalation stays out of its way. A passive joiner keeps pulling state
+   until our configuration includes us and we have caught up (§5.1). *)
 and progress_tick t =
-  if t.running && not t.activated then begin
-    (* Passive joiner: keep pulling state until our configuration includes
-       us and we have caught up (§5.1). *)
-    if not (tick_sync_session t) then begin
-      match t.fetch_target with
-      | Some target ->
-          send t ~dst:target
-            (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
-      | None -> ()
-    end;
-    arm_progress_timer t
+  if t.running then begin
+    if t.activated then debug_tick_trace t;
+    run_sync_actions t (SyncSession.tick t.sync_client);
+    if SyncSession.syncing t.sync_client then arm_progress_timer t
+    else if t.activated then progress_tick_active t
+    else begin
+      Option.iter (fun dst -> fetch_ledger t ~dst SyncSession.If_far) t.fetch_target;
+      arm_progress_timer t
+    end
   end
-  else if t.running && t.activated then begin
-    debug_tick_trace t;
-    if tick_sync_session t then arm_progress_timer t
-    else progress_tick_active t
-  end
+
+(* Drop everything after batch [upto] and fetch the ledger from [src]
+   until caught up with it. *)
+and refetch t ~upto src =
+  rollback_to t upto;
+  if keep_ledger t then Ledger.truncate t.ledger (committed_prefix_length t);
+  t.fetch_target <- Some src;
+  fetch_ledger t ~dst:src SyncSession.If_far
 
 and progress_tick_active t =
   begin
@@ -2808,20 +2392,31 @@ and progress_tick_active t =
     in
     if working && t.last_committed = t.progress_marker then begin
       t.stall_count <- t.stall_count + 1;
-      (* First stall: a gap may just mean a lost message. *)
       let has_gap =
         Hashtbl.fold (fun s _ acc -> acc || s > t.seqno) t.pending_pps false
       in
-      if has_gap && t.ready && t.stall_count <= 1 then begin
-        (* Likely just lost messages: drop the speculative suffix and
-           bulk-fetch from the committed prefix. If that does not restore
-           progress by the next tick, suspect the primary instead. *)
-        rollback_to t t.last_committed;
-        if keep_ledger t then Ledger.truncate t.ledger (committed_prefix_length t);
-        send t ~dst:(primary_id t)
-          (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
-      end
-      else start_view_change t
+      (* First stall with a gap: likely just lost messages. Drop the
+         speculative suffix and bulk-fetch from the committed prefix; if
+         that does not restore progress by the next tick, suspect the
+         primary instead. Where the fleet has visibly moved to a later view
+         and the primary to fetch from would be ourselves, or where we
+         would escalate, catch up to that view instead. *)
+      let gap_fetch = has_gap && t.ready && t.stall_count <= 1 in
+      match view_ahead t with
+      | Some src when t.ready && not (gap_fetch && primary_id t <> t.rid) ->
+          (* The fleet moved to a view whose new-view we never received (we
+             were down when it went out). Our own view change would find
+             nobody to join it, so catch up from a replica in that view: the
+             New_view entries move us into the view through apply_entries.
+             Roll back P batches below our committed prefix first: every
+             later new view's rollback target is at or above that point, so
+             what remains is a prefix of the sender's ledger. *)
+          refetch t ~upto:(max 0 (t.last_committed - t.params.pipeline)) src
+      | _ when gap_fetch ->
+          rollback_to t t.last_committed;
+          if keep_ledger t then Ledger.truncate t.ledger (committed_prefix_length t);
+          fetch_ledger t ~dst:(primary_id t) SyncSession.If_far
+      | _ -> start_view_change t
     end
     else if not working then t.stall_count <- 0;
     t.progress_marker <- t.last_committed;
@@ -2839,11 +2434,9 @@ and arm_progress_timer t =
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 
-let is_replica_address addr = addr < Iaccf_util.Bitmap.max_replicas
-
 let on_message t ~src msg =
   if t.running then begin
-    (if t.params.variant.Variant.peerreview && is_replica_address src then begin
+    (if t.params.variant.Variant.peerreview && src < Bitmap.max_replicas then begin
        match msg with
        | Wire.Ack_msg _ -> Obs.incr t.ctr.c_sigs_verified
        | _ ->
@@ -2870,43 +2463,46 @@ let on_message t ~src msg =
         | Some bp -> send t ~dst:src (Wire.Batch_package_msg bp)
         | None -> ())
     | Wire.Batch_package_msg bp -> on_batch_package t bp
-    | Wire.Fetch_state { fs_from_len } -> on_fetch_state t ~src fs_from_len
-    | Wire.Fetch_snapshot -> on_fetch_snapshot t ~src
+    | Wire.Fetch_ledger { fl_from_len; fl_offer } ->
+        on_fetch_ledger t ~src ~from_len:fl_from_len ~offer:fl_offer
     | Wire.Snapshot_offer { so_cp_seqno; so_total; so_bytes; so_upto; so_view } ->
         on_snapshot_offer t ~src ~cp_seqno:so_cp_seqno ~total:so_total
           ~bytes:so_bytes ~upto:so_upto ~view:so_view
-    | Wire.Fetch_snapshot_chunk { fc_cp_seqno; fc_index } ->
-        on_fetch_snapshot_chunk t ~src ~cp_seqno:fc_cp_seqno ~index:fc_index
+    | Wire.Fetch_snapshot_chunk { fc_cp_seqno; fc_index } -> (
+        match
+          SyncServer.chunk t.server (served_ledger t) ~cp_seqno:fc_cp_seqno
+            ~index:fc_index
+        with
+        | Some (total, data) ->
+            send t ~dst:src
+              (Wire.Snapshot_chunk
+                 {
+                   sc_cp_seqno = fc_cp_seqno;
+                   sc_index = fc_index;
+                   sc_total = total;
+                   sc_data = data;
+                 })
+        | None -> ())
     | Wire.Snapshot_chunk { sc_cp_seqno; sc_index; sc_total = _; sc_data } ->
-        on_snapshot_chunk t ~src ~cp_seqno:sc_cp_seqno ~index:sc_index sc_data
-    | Wire.Fetch_suffix { fx_from_len } -> on_fetch_suffix t ~src fx_from_len
+        run_sync_actions t
+          (SyncSession.on_chunk t.sync_client ~src ~cp_seqno:sc_cp_seqno
+             ~index:sc_index sc_data)
     | Wire.Ledger_suffix_chunk { lc_from; lc_entries; lc_upto; lc_view } ->
         on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view
     | Wire.Replyx_request { rr_seqno; rr_tx_hash } ->
         (* The client may not know which batch its transaction landed in;
            check the hinted seqno first, then search by request hash. *)
         let answer_from rec_ =
-          if rec_.br_committed then begin
-            let tree = g_tree_of_txs rec_.br_txs in
-            let size = List.length rec_.br_txs in
-            List.iteri
-              (fun i (tx : Batch.tx_entry) ->
-                if D.equal (Request.hash tx.Batch.request) rr_tx_hash then
-                  send t ~dst:src
-                    (Wire.Replyx_msg
-                       {
-                         Message.x_pp = rec_.br_pp;
-                         x_tx = tx;
-                         x_leaf_index = i;
-                         x_batch_size = size;
-                         x_path = Tree.path tree i;
-                       }))
-              rec_.br_txs;
-            List.exists
-              (fun (tx : Batch.tx_entry) -> D.equal (Request.hash tx.Batch.request) rr_tx_hash)
-              rec_.br_txs
-          end
-          else false
+          rec_.br_committed
+          &&
+          match
+            replyxs rec_ (fun (tx : Batch.tx_entry) ->
+                D.equal (Request.hash tx.Batch.request) rr_tx_hash)
+          with
+          | [] -> false
+          | answers ->
+              List.iter (fun (_, m) -> send t ~dst:src m) answers;
+              true
         in
         let found =
           match Hashtbl.find_opt t.records rr_seqno with
@@ -2974,33 +2570,7 @@ let restore_from_storage t storage =
   let n = S.length storage in
   if n = 0 then false
   else begin
-    (* A pruned store only holds entries from its base onward; the prefix
-       lives in the audit package prune_before exported. The combined
-       history goes through exactly the same validation as an unpruned one
-       (signed m_root chain during replay, prefix-root check on attach),
-       so the package carries no extra authority. *)
-    let base = S.pruned_before storage in
-    let prefix =
-      if base = 0 then []
-      else begin
-        let pkg_path = S.package_path storage in
-        if not (Sys.file_exists pkg_path) then
-          raise
-            (S.Storage_error
-               (Printf.sprintf
-                  "store is pruned before entry %d but the audit package %s is \
-                   missing"
-                  base pkg_path));
-        let pkg = Iaccf_storage.Package.read_file pkg_path in
-        let entries = pkg.Iaccf_storage.Package.pkg_entries in
-        if List.length entries < base then
-          raise
-            (S.Storage_error
-               "audit package does not cover the store's pruned prefix");
-        List.filteri (fun i _ -> i < base) entries
-      end
-    in
-    let all = prefix @ List.init (n - base) (fun i -> S.get storage (base + i)) in
+    let all = S.history storage in
     (match all with
     | Entry.Genesis g :: _ ->
         if not (D.equal (Genesis.hash g) t.service) then
@@ -3014,44 +2584,12 @@ let restore_from_storage t storage =
        checkpoint batch in the durable history seals: install its state and
        adopt the prefix without re-execution, replaying only the suffix. *)
     let snapshot =
-      match storage_dir t with
-      | None -> None
-      | Some dir ->
-          Snapshot.list ~dir
-          |> List.find_map (fun cp_seqno ->
-                 match Snapshot.load ~dir cp_seqno with
-                 | None -> None
-                 | Some cp ->
-                     let digest = Checkpoint.digest cp in
-                     if
-                       List.exists
-                         (fun e ->
-                           match e with
-                           | Entry.Pre_prepare pp -> (
-                               match pp.Message.kind with
-                               | Batch.Checkpoint { cp_seqno = cs; cp_digest }
-                                 ->
-                                   cs = cp_seqno
-                                   && D.equal cp_digest digest
-                                   && verify_pp_sig t pp
-                               | _ -> false)
-                           | _ -> false)
-                         entries
-                     then Some (cp, digest)
-                     else None)
+      Option.bind (storage_dir t) (fun dir ->
+          Snapshot.newest_sealed ~dir ~verify_pp:(verify_pp_sig t) entries)
     in
     (match snapshot with
     | Some (cp, digest) ->
-        Store.reset_to t.store cp.Checkpoint.state;
-        ignore (apply_entries t ~skip_exec_upto:cp.Checkpoint.seqno entries);
-        (match Iaccf_kv.Hamt.find App.config_key (Store.map t.store) with
-        | Some bytes -> (
-            match Config.deserialize bytes with
-            | exception _ -> ()
-            | c -> if c.Config.config_no > t.cfg.Config.config_no then t.cfg <- c)
-        | None -> ());
-        Hashtbl.replace t.checkpoints cp.Checkpoint.seqno (cp, digest);
-        t.latest_cp_seqno <- max t.latest_cp_seqno cp.Checkpoint.seqno;
+        adopt_checkpoint t cp digest entries;
         Obs.incr t.sync.cold_snapshot_restore
     | None ->
         ignore (apply_entries t entries);
@@ -3102,6 +2640,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
         | None -> ())
       cfg.Config.replicas;
   let store = Store.create () in
+  let sync = SyncMetrics.make obs in
   let cp0 = Checkpoint.make ~seqno:0 (Store.map store) in
   let t =
     {
@@ -3147,13 +2686,10 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       pending_pps = Hashtbl.create 8;
       checkpoints = Hashtbl.create 8;
       latest_cp_seqno = 0;
-      sealed_cps = Hashtbl.create 8;
-      sealed_at = Hashtbl.create 8;
-      latest_sealed_cp = 0;
+      server = SyncServer.create ~metrics:sync;
       pruned_upto = 0;
-      sync_session = None;
-      snapshot_cache = None;
-      sync = SyncMetrics.make obs;
+      sync_client = SyncSession.create ~obs ~node:id ~metrics:sync;
+      sync;
       gov_receipts_rev = [];
       progress_marker = 0;
       batch_timer_armed = false;
@@ -3161,6 +2697,8 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       fetch_target = None;
       extra_recipients = [];
       stall_count = 0;
+      ahead_view = 0;
+      ahead_from = [];
       prepared_pps = Hashtbl.create 16;
       batch_ledger_end = Hashtbl.create 32;
       archived_content = Hashtbl.create 16;
@@ -3207,17 +2745,17 @@ let inject_view_change t = start_view_change t
 let join t ~from =
   if t.running then begin
     t.fetch_target <- Some from;
-    send t ~dst:from (Wire.Fetch_state { fs_from_len = Ledger.length t.ledger })
+    fetch_ledger t ~dst:from SyncSession.If_far
   end
 
 let join_snapshot t ~from =
   if t.running then begin
     t.fetch_target <- Some from;
-    send t ~dst:from Wire.Fetch_snapshot
+    fetch_ledger t ~dst:from SyncSession.Always
   end
 
 let pruned_upto t = t.pruned_upto
-let syncing t = t.sync_session <> None
+let syncing t = SyncSession.syncing t.sync_client
 
 (* Ledger compaction: drop the durable prefix behind the newest sealed,
    durably-snapshotted checkpoint. The in-memory ledger keeps the full
@@ -3234,7 +2772,7 @@ let prune t =
         |> List.find_opt (fun cp_seqno ->
                Hashtbl.mem t.batch_ledger_end cp_seqno
                &&
-               match (Snapshot.load ~dir cp_seqno, Hashtbl.find_opt t.sealed_cps cp_seqno) with
+               match (Snapshot.load ~dir cp_seqno, SyncServer.sealed t.server cp_seqno) with
                | Some cp, Some d -> D.equal (Checkpoint.digest cp) d
                | _ -> false)
       in

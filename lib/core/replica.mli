@@ -186,12 +186,13 @@ val inject_view_change : t -> unit
 val join : t -> from:int -> unit
 (** A replica added by reconfiguration fetches the ledger from an existing
     replica, replays it, and activates once it appears in the current
-    configuration (§5.1). *)
+    configuration (§5.1). Sends the catch-up request with the [If_far]
+    policy: the peer offers a snapshot only if we are far behind. *)
 
 val join_snapshot : t -> from:int -> unit
-(** Checkpoint-based bootstrap (§3.4): ask a peer for its newest sealed
-    snapshot. The peer answers with a chunked snapshot offer (or a plain
-    ledger suffix if it has none); the joiner verifies the assembled
+(** Checkpoint-based bootstrap (§3.4): the catch-up request with the
+    [Always] policy. The peer answers with a chunked snapshot offer (or a
+    plain ledger suffix if it has none); the joiner verifies the assembled
     snapshot against the digest sealed in a signed checkpoint batch and
     the suffix against the Merkle root chain before installing, then
     replays only the tail. *)
@@ -211,7 +212,7 @@ val pruned_upto : t -> int
     nothing was pruned). *)
 
 val syncing : t -> bool
-(** Whether a chunked state-sync session is currently in flight. *)
+(** Whether a snapshot catch-up session is currently in flight. *)
 
 val store_version : t -> int
 (** Transactions executed locally (resets on checkpoint installation);

@@ -20,12 +20,11 @@ type t =
   | New_view_msg of { nv : Message.new_view; vcs : Message.view_change list }
   | Fetch_missing of { fm_seqno : int }
   | Batch_package_msg of batch_package
-  | Fetch_state of { fs_from_len : int }
-  | Fetch_snapshot
-  (* State sync (chunked): a peer answers Fetch_state/Fetch_snapshot with
-     either bounded Ledger_suffix_chunks or, when the requester is far
-     behind (or behind a pruned prefix), a Snapshot_offer; the requester
-     then pulls snapshot chunks and the remaining suffix explicitly. *)
+  (* Catch-up: a peer answers Fetch_ledger with a bounded
+     Ledger_suffix_chunk or, as the request's offer policy allows, a
+     Snapshot_offer; the requester then pulls snapshot chunks and the
+     remaining suffix explicitly. *)
+  | Fetch_ledger of { fl_from_len : int; fl_offer : Iaccf_statesync.Session.offer }
   | Snapshot_offer of {
       so_cp_seqno : int;  (* checkpoint the snapshot captures *)
       so_total : int;  (* chunk count *)
@@ -40,7 +39,6 @@ type t =
       sc_total : int;
       sc_data : string;
     }
-  | Fetch_suffix of { fx_from_len : int }  (* never answered with an offer *)
   | Ledger_suffix_chunk of {
       lc_from : int;  (* ledger index of the first entry *)
       lc_entries : Iaccf_ledger.Entry.t list;
@@ -124,9 +122,9 @@ let flow_of = function
       (* A busy rejection terminates (one attempt of) the request's flow,
          so it shares the request's content-derived identity. *)
       Some ("flow.request", String.sub (D.to_hex b_tx_hash) 0 12)
-  | Fetch_missing _ | Batch_package_msg _ | Fetch_state _ | Fetch_snapshot
+  | Fetch_missing _ | Batch_package_msg _ | Fetch_ledger _
   | Snapshot_offer _ | Fetch_snapshot_chunk _ | Snapshot_chunk _
-  | Fetch_suffix _ | Ledger_suffix_chunk _ | Replyx_request _
+  | Ledger_suffix_chunk _ | Replyx_request _
   | Gov_receipts_request _ | Gov_receipts_msg _ | Ack_msg _ ->
       None
 
@@ -142,8 +140,9 @@ let describe = function
   | New_view_msg { nv; _ } -> Printf.sprintf "new-view(v=%d)" nv.Message.nv_view
   | Fetch_missing { fm_seqno } -> Printf.sprintf "fetch-missing(s=%d)" fm_seqno
   | Batch_package_msg bp -> Printf.sprintf "batch-package(s=%d)" bp.bp_pp.Message.seqno
-  | Fetch_state { fs_from_len } -> Printf.sprintf "fetch-state(from=%d)" fs_from_len
-  | Fetch_snapshot -> "fetch-snapshot"
+  | Fetch_ledger { fl_from_len; fl_offer } ->
+      Printf.sprintf "fetch-ledger(from=%d,offer=%s)" fl_from_len
+        (Iaccf_statesync.Session.offer_to_string fl_offer)
   | Snapshot_offer { so_cp_seqno; so_total; so_bytes; _ } ->
       Printf.sprintf "snapshot-offer(cp=%d,%d chunks,%dB)" so_cp_seqno so_total
         so_bytes
@@ -152,7 +151,6 @@ let describe = function
   | Snapshot_chunk { sc_cp_seqno; sc_index; sc_total; _ } ->
       Printf.sprintf "snapshot-chunk(cp=%d,%d/%d)" sc_cp_seqno (sc_index + 1)
         sc_total
-  | Fetch_suffix { fx_from_len } -> Printf.sprintf "fetch-suffix(from=%d)" fx_from_len
   | Ledger_suffix_chunk { lc_from; lc_entries; _ } ->
       Printf.sprintf "ledger-suffix(from=%d,%d entries)" lc_from
         (List.length lc_entries)

@@ -3,9 +3,10 @@
     [Batch_package] bundles everything a replica needs to adopt a batch it
     missed: the pre-prepare, the requests in execution order, and the
     commitment-evidence entries that precede the pre-prepare in the ledger.
-    It backs retransmission ([Fetch_missing]) and state transfer
-    ([Fetch_state]) for stragglers, new-view synchronisation, and joining
-    replicas (§3.4, §5.1). *)
+    It backs retransmission ([Fetch_missing]) of a batch that is not yet
+    executed. Committed history travels as [Ledger_suffix_chunk]s in
+    answer to [Fetch_ledger], for stragglers, new-view synchronisation,
+    and joining replicas (§3.4, §5.1). *)
 
 module Message = Iaccf_types.Message
 module Request = Iaccf_types.Request
@@ -31,12 +32,11 @@ type t =
   | Fetch_missing of { fm_seqno : int }
       (** ask for the batch package at a sequence number *)
   | Batch_package_msg of batch_package
-  | Fetch_state of { fs_from_len : int }
-      (** ask for state from this entry index on; the sender may answer
-          with a suffix extent or, if the requester is far behind, a
-          snapshot offer *)
-  | Fetch_snapshot
-      (** joining replica asks for a checkpoint-based bootstrap (§3.4) *)
+  | Fetch_ledger of { fl_from_len : int; fl_offer : Iaccf_statesync.Session.offer }
+      (** the one catch-up request: the ledger from this entry index on.
+          The sender answers with a suffix extent or, as [fl_offer]
+          allows ({!Iaccf_statesync.Session.should_offer}), a snapshot
+          offer *)
   | Snapshot_offer of {
       so_cp_seqno : int;  (** checkpoint the snapshot captures *)
       so_total : int;  (** number of chunks *)
@@ -51,9 +51,6 @@ type t =
       sc_total : int;
       sc_data : string;
     }
-  | Fetch_suffix of { fx_from_len : int }
-      (** like [Fetch_state] but never answered with an offer — used to
-          drain the remainder during and after a snapshot transfer *)
   | Ledger_suffix_chunk of {
       lc_from : int;  (** ledger index of the first entry *)
       lc_entries : Iaccf_ledger.Entry.t list;

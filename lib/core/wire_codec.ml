@@ -2,7 +2,10 @@
    variant's payload in the canonical Iaccf_util.Codec encoding (the same
    writers the signing payloads and the ledger use, so the byte discipline
    is uniform across the system). The tag numbers are wire format: never
-   renumber an existing variant, only append. *)
+   renumber an existing variant, only append. A tag whose meaning
+   changes bumps [envelope_version]; retired tags stay unassigned. Tag
+   10 is the one catch-up request since version 2; tags 11 and 15 carried
+   the two requests it replaced. *)
 
 module Codec = Iaccf_util.Codec
 module W = Codec.W
@@ -12,6 +15,7 @@ module Request = Iaccf_types.Request
 module Batch = Iaccf_types.Batch
 module Entry = Iaccf_ledger.Entry
 module D = Iaccf_crypto.Digest32
+module Session = Iaccf_statesync.Session
 
 let tag_of = function
   | Wire.Request_msg _ -> 0
@@ -24,12 +28,10 @@ let tag_of = function
   | New_view_msg _ -> 7
   | Fetch_missing _ -> 8
   | Batch_package_msg _ -> 9
-  | Fetch_state _ -> 10
-  | Fetch_snapshot -> 11
+  | Fetch_ledger _ -> 10
   | Snapshot_offer _ -> 12
   | Fetch_snapshot_chunk _ -> 13
   | Snapshot_chunk _ -> 14
-  | Fetch_suffix _ -> 15
   | Ledger_suffix_chunk _ -> 16
   | Replyx_request _ -> 17
   | Gov_receipts_request _ -> 18
@@ -110,8 +112,13 @@ let encode_msg w (msg : Wire.t) =
       W.list w (Message.encode_view_change w) vcs
   | Fetch_missing { fm_seqno } -> W.u64 w fm_seqno
   | Batch_package_msg bp -> encode_batch_package w bp
-  | Fetch_state { fs_from_len } -> W.u64 w fs_from_len
-  | Fetch_snapshot -> ()
+  | Fetch_ledger { fl_from_len; fl_offer } ->
+      W.u64 w fl_from_len;
+      W.u8 w
+        (match fl_offer with
+        | Session.Never -> 0
+        | Session.If_far -> 1
+        | Session.Always -> 2)
   | Snapshot_offer { so_cp_seqno; so_total; so_bytes; so_upto; so_view } ->
       W.u64 w so_cp_seqno;
       W.u64 w so_total;
@@ -126,7 +133,6 @@ let encode_msg w (msg : Wire.t) =
       W.u64 w sc_index;
       W.u64 w sc_total;
       W.bytes w sc_data
-  | Fetch_suffix { fx_from_len } -> W.u64 w fx_from_len
   | Ledger_suffix_chunk { lc_from; lc_entries; lc_upto; lc_view } ->
       W.u64 w lc_from;
       W.list w (Entry.encode w) lc_entries;
@@ -197,8 +203,16 @@ let decode_msg r : Wire.t =
       New_view_msg { nv; vcs }
   | 8 -> Fetch_missing { fm_seqno = R.u64 r }
   | 9 -> Batch_package_msg (decode_batch_package r)
-  | 10 -> Fetch_state { fs_from_len = R.u64 r }
-  | 11 -> Fetch_snapshot
+  | 10 ->
+      let fl_from_len = R.u64 r in
+      let fl_offer =
+        match R.u8 r with
+        | 0 -> Session.Never
+        | 1 -> Session.If_far
+        | 2 -> Session.Always
+        | n -> raise (Codec.Decode_error (Printf.sprintf "bad offer policy %d" n))
+      in
+      Fetch_ledger { fl_from_len; fl_offer }
   | 12 ->
       let so_cp_seqno = R.u64 r in
       let so_total = R.u64 r in
@@ -216,7 +230,6 @@ let decode_msg r : Wire.t =
       let sc_total = R.u64 r in
       let sc_data = R.bytes r in
       Snapshot_chunk { sc_cp_seqno; sc_index; sc_total; sc_data }
-  | 15 -> Fetch_suffix { fx_from_len = R.u64 r }
   | 16 ->
       let lc_from = R.u64 r in
       let lc_entries = R.list r Entry.decode in
@@ -286,7 +299,7 @@ let deserialize s = Codec.decode s decode_msg
    addresses, not protocol state, so a frame carries (src, dst) around the
    message. The version byte guards against skew between fleet binaries. *)
 
-let envelope_version = 1
+let envelope_version = 2
 
 let encode_envelope ~src ~dst msg =
   Codec.encode (fun w ->

@@ -97,3 +97,29 @@ let pp ppf = function
       Format.fprintf ppf "nonce-evidence{s=%d;n=%d}" ne_seqno (List.length ne_nonces)
   | View_change_set vcs -> Format.fprintf ppf "view-change-set{n=%d}" (List.length vcs)
   | New_view nv -> Format.fprintf ppf "new-view{v=%d}" nv.Message.nv_view
+
+type item =
+  | Batch of { evidence : t list; pp : Message.pre_prepare; txs : Batch.tx_entry list }
+  | Protocol of t
+  | Malformed of string
+
+let batches entries =
+  let close acc = function
+    | None -> acc
+    | Some (evidence, pp, txs_rev) -> Batch { evidence; pp; txs = List.rev txs_rev } :: acc
+  in
+  let rec go acc evidence open_ = function
+    | [] -> List.rev (close acc open_)
+    | Tx tx :: rest -> (
+        match open_ with
+        | Some (ev, pp, txs_rev) -> go acc evidence (Some (ev, pp, tx :: txs_rev)) rest
+        | None -> List.rev (Malformed "transaction entry outside a batch" :: acc))
+    | Pre_prepare pp :: rest ->
+        go (close acc open_) [] (Some (List.rev evidence, pp, [])) rest
+    | ((Prepare_evidence _ | Nonce_evidence _) as e) :: rest ->
+        go (close acc open_) (e :: evidence) None rest
+    | ((View_change_set _ | New_view _) as e) :: rest ->
+        go (Protocol e :: close acc open_) evidence None rest
+    | Genesis _ :: _ -> List.rev (Malformed "genesis entry inside a suffix" :: acc)
+  in
+  go [] [] None entries

@@ -42,3 +42,20 @@ val size_bytes : t -> int
 (** Serialized size; reported in the Table 1 bench. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** A ledger extent grouped by batch. *)
+type item =
+  | Batch of {
+      evidence : t list;  (** the evidence entries just before [pp] *)
+      pp : Message.pre_prepare;
+      txs : Iaccf_types.Batch.tx_entry list;
+    }
+  | Protocol of t  (** a view-change set or a new-view *)
+  | Malformed of string
+      (** a transaction outside a batch, or a genesis entry; always last *)
+
+val batches : t list -> item list
+(** Group an extent that does not start at genesis, in ledger order.
+    Evidence attaches to the next pre-prepare; evidence with no
+    pre-prepare after it is left out. A genesis entry also drops the batch
+    it interrupts. *)

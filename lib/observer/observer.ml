@@ -153,7 +153,7 @@ let create ~addr ~source ~genesis ~app ~params ~sched ~network ~rng ?obs
   Network.register network addr (fun ~src msg -> handle t ~src msg);
   Replica.start inner;
   (* Continuous tailing: join sets the fetch target and sends the first
-     Fetch_state; as a never-activated replica, the inner replica's
+     catch-up request; as a never-activated replica, the inner replica's
      progress tick keeps re-fetching from the target forever, pulling each
      new committed suffix as the source's ledger grows. *)
   if snapshot then Replica.join_snapshot inner ~from:source

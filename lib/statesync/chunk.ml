@@ -48,7 +48,6 @@ let add asm ~index data =
   end
 
 let complete asm = asm.received = asm.total
-let received asm = asm.received
 let total asm = asm.total
 
 let missing asm =

@@ -24,7 +24,6 @@ val add : asm -> index:int -> string -> [ `Added | `Duplicate | `Invalid ]
     would overflow the advertised payload size. *)
 
 val complete : asm -> bool
-val received : asm -> int
 val total : asm -> int
 
 val missing : asm -> int list

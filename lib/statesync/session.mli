@@ -1,56 +1,101 @@
-(** One in-flight catch-up session on the fetching replica.
+(** The requesting side of catch-up (§3.4 checkpoint-based bootstrap).
 
-    Created when a peer's snapshot offer is accepted; collects snapshot
-    chunks and the buffered ledger suffix, and tracks liveness so the
-    replica's progress tick can re-request missing pieces or abandon a
-    stalled peer. Verification (checkpoint digest, Merkle roots) is the
-    replica's job at install time — the session is bookkeeping only. *)
+    A replica catches up with one request: "send me the ledger from
+    length [n] on", tagged with an {!offer} policy that says whether the
+    peer may answer with a snapshot offer instead of suffix extents.
+    Accepting an offer opens a session with the offering peer. This module
+    runs that session: it bounds what it accepts, windows the snapshot
+    chunk requests, buffers the ledger suffix, re-requests on a silent
+    tick and moves to another peer on a second, and decides when the
+    assembled snapshot may be installed.
+
+    The replica feeds it events and carries out the {!action}s it returns,
+    in order. Verification primitives come in as {!hooks} with the offer
+    that opens a session; the session never touches the replica's ledger
+    or key-value store. *)
+
+(** {1 Offer policy (the serving side)} *)
+
+type offer =
+  | Never  (** answer with suffix extents only *)
+  | If_far
+      (** offer a snapshot when the requester is far behind the checkpoint
+          (two checkpoint intervals) or behind the server's pruned prefix *)
+  | Always  (** offer whenever a servable sealed snapshot exists *)
+
+val offer_to_string : offer -> string
+
+val should_offer :
+  offer -> from_len:int -> cp_end:int -> served:int -> pruned_upto:int ->
+  interval:int -> bool
+(** Whether a server holding a servable sealed snapshot whose checkpoint
+    batch ends at ledger length [cp_end] answers a request from
+    [from_len] with an offer. [served] is the server's safe ledger
+    length, [pruned_upto] the prefix it pruned from disk, [interval] the
+    checkpoint interval. *)
+
+(** {1 The requesting side} *)
+
+type hooks = {
+  verify_pp : Iaccf_types.Message.pre_prepare -> bool;
+      (** primary signature on a pre-prepare *)
+  check_suffix :
+    cp_seqno:int -> Iaccf_ledger.Entry.t list -> (unit, string) result;
+      (** side-effect-free dry run of the adoption
+          ({!Validate.check_suffix} against a copy of the caller's tree) *)
+  peers : unit -> int list;  (** replicas other than the caller *)
+}
+
+type install = {
+  cp : Iaccf_kv.Checkpoint.t;
+  digest : Iaccf_crypto.Digest32.t;  (** the sealed digest [cp] reproduces *)
+  entries : Iaccf_ledger.Entry.t list;  (** the suffix from [suffix_from] *)
+  seal_seqno : int;  (** the checkpoint batch that seals [digest] *)
+  peer : int;
+  upto : int;  (** the peer's advertised safe ledger length *)
+  view : int;  (** the highest view the peer reported *)
+  suffix_from : int;
+  started : float;  (** when the offer was accepted *)
+}
+
+type action =
+  | Request_chunks of { peer : int; cp_seqno : int; indices : int list }
+  | Request_suffix of { peer : int; from_len : int }
+      (** catch-up request with the {!Never} policy *)
+  | Retarget of int
+      (** the session was abandoned: catch up from this peer instead,
+          with the {!If_far} policy *)
+  | Install of install
+      (** the session is over and everything the gate checks held *)
 
 type t
 
-val create :
-  peer:int -> cp_seqno:int -> total:int -> bytes:int -> upto:int ->
-  view:int -> suffix_from:int -> now:float -> t
-(** From an accepted [Snapshot_offer]: [total]/[bytes] dimension the chunk
-    assembler, [upto]/[view] are the peer's advertised ledger length and
-    view, [suffix_from] is our ledger length at session start.
-    @raise Invalid_argument if [total < 1] or [bytes < 0]. *)
+val create : obs:Iaccf_obs.Obs.t -> node:int -> metrics:Metrics.t -> t
+(** No session in flight. [node] labels trace events. *)
 
-val peer : t -> int
-val cp_seqno : t -> int
-val suffix_from : t -> int
+val syncing : t -> bool
+(** Whether a session is in flight. *)
 
-val suffix_end : t -> int
-(** [suffix_from] plus the entries buffered so far. *)
+val on_offer :
+  t -> hooks -> src:int -> cp_seqno:int -> total:int -> bytes:int -> upto:int ->
+  view:int -> last_committed:int -> rollback:(unit -> int) -> action list
+(** A peer's snapshot offer. Accepted only when no session is in flight,
+    the checkpoint is past [last_committed], and the dimensions are
+    sane. Accepting calls [rollback], which drops the caller's
+    uncommitted suffix and returns its ledger length: the suffix is
+    buffered from there. *)
 
-val upto : t -> int
-val view : t -> int
+val on_chunk : t -> src:int -> cp_seqno:int -> index:int -> string -> action list
+(** A snapshot chunk; ignored unless it belongs to the session. *)
 
-val started : t -> float
-(** Session start time (registry clock), for the duration histogram. *)
+val on_suffix :
+  t -> src:int -> from:int -> Iaccf_ledger.Entry.t list -> upto:int ->
+  view:int -> action list option
+(** A ledger-suffix extent. [None] when it is not from the session's
+    peer (the caller applies it incrementally). An extent that does not
+    continue the buffer exactly — a gap or a replay — is dropped. *)
 
-val suffix : t -> Iaccf_ledger.Entry.t list
-(** Buffered suffix entries, ledger order. *)
-
-val on_chunk : t -> index:int -> string -> [ `Added | `Duplicate | `Invalid ]
-(** Record one snapshot chunk. *)
-
-val on_entries :
-  t -> from:int -> Iaccf_ledger.Entry.t list -> upto:int -> view:int -> bool
-(** Buffer a suffix extent. Accepted only when [from] equals
-    {!suffix_end} and the extent is non-empty; gaps and replays return
-    [false] and are simply re-requested. *)
-
-val snapshot_complete : t -> bool
-val assembled : t -> string option
-val missing : t -> int list
-val chunk_total : t -> int
-
-val chunks_to_request : t -> window:int -> int list
-(** Up to [window] never-yet-requested chunk indices, advancing the
-    request cursor; [[]] once all have been requested at least once
-    (retries then come from {!missing}). *)
-
-val tick : t -> int
-(** Liveness probe from the periodic tick: returns the number of
-    consecutive ticks without progress (0 when progress was made). *)
+val tick : t -> action list
+(** The caller's periodic progress tick. The first silent tick
+    re-requests the missing chunks and the next suffix extent; the second
+    abandons the peer. *)

@@ -28,3 +28,12 @@ val list : dir:string -> int list
 
 val retain : dir:string -> keep:int -> unit
 (** Delete all but the newest [keep] snapshot files. *)
+
+val newest_sealed :
+  dir:string ->
+  verify_pp:(Iaccf_types.Message.pre_prepare -> bool) ->
+  Iaccf_ledger.Entry.t list ->
+  (Checkpoint.t * Iaccf_crypto.Digest32.t) option
+(** The newest snapshot whose digest a properly signed checkpoint batch
+    among [entries] seals, with that digest: where a cold start may resume
+    without replaying the prefix. *)

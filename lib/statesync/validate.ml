@@ -15,10 +15,6 @@ module D = Iaccf_crypto.Digest32
    batch-atomic on its own), so a suffix that passes here cannot make the
    real skip-region adoption fail halfway with entries already appended. *)
 
-exception Bad of string
-
-let failf fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
 (* The exact set of pre-prepares [check_suffix] will signature-check:
    checkpoint-kind batches inside the skip region. Callers with a pooled
    verify stage prefetch these so the sequential walk below hits the
@@ -36,65 +32,44 @@ let sigs_to_check ~cp_seqno entries =
     entries
 
 let check_suffix ~tree ~next_seqno ~cp_seqno ~verify_pp entries =
-  let expected = ref next_seqno in
-  let current = ref None in
-  let staged = ref [] in
-  (* evidence entries awaiting their pre-prepare, reversed *)
   let push e = if Entry.in_merkle_tree e then Tree.append tree (Entry.leaf_digest e) in
-  let flush () =
-    match !current with
-    | None -> ()
-    | Some ((pp : Message.pre_prepare), txs_rev) ->
-        current := None;
+  let rec go expected = function
+    | [] ->
+        if expected <= cp_seqno then
+          Error
+            (Printf.sprintf "suffix ends at batch %d, before the checkpoint at %d"
+               (expected - 1) cp_seqno)
+        else Ok ()
+    | Entry.Malformed m :: _ -> Error m
+    | Entry.Protocol e :: rest ->
+        push e;
+        go expected rest
+    | Entry.Batch { pp; _ } :: _ when pp.Message.seqno > cp_seqno -> Ok ()
+    | Entry.Batch { evidence; pp; txs } :: rest ->
         let s = pp.Message.seqno in
-        if s > cp_seqno then raise Exit
+        let signed () =
+          match pp.Message.kind with
+          | Batch.Checkpoint _ -> verify_pp pp
+          | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> true
+        in
+        if s <> expected then
+          Error (Printf.sprintf "batch %d out of order (expected %d)" s expected)
+        else if not (signed ()) then
+          Error (Printf.sprintf "checkpoint batch %d: bad primary signature" s)
         else begin
-          if s <> !expected then
-            failf "batch %d out of order (expected %d)" s !expected;
-          (match pp.Message.kind with
-          | Batch.Checkpoint _ ->
-              if not (verify_pp pp) then
-                failf "checkpoint batch %d: bad primary signature" s
-          | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ());
-          List.iter push (List.rev !staged);
-          staged := [];
+          List.iter push evidence;
           if not (D.equal (Tree.root tree) pp.Message.m_root) then
-            failf "batch %d: ledger root diverges from the signed m_root" s;
-          let recorded = List.rev txs_rev in
-          if not (D.equal (Batch.g_root recorded) pp.Message.g_root) then
-            failf "batch %d: transactions do not reproduce the signed g_root" s;
-          push (Entry.Pre_prepare pp);
-          List.iter (fun tx -> push (Entry.Tx tx)) recorded;
-          expected := s + 1
+            Error
+              (Printf.sprintf "batch %d: ledger root diverges from the signed m_root" s)
+          else if not (D.equal (Batch.g_root txs) pp.Message.g_root) then
+            Error
+              (Printf.sprintf
+                 "batch %d: transactions do not reproduce the signed g_root" s)
+          else begin
+            push (Entry.Pre_prepare pp);
+            List.iter (fun tx -> push (Entry.Tx tx)) txs;
+            go (s + 1) rest
+          end
         end
   in
-  match
-    List.iter
-      (fun entry ->
-        match entry with
-        | Entry.Tx tx -> (
-            match !current with
-            | Some (pp, txs_rev) -> current := Some (pp, tx :: txs_rev)
-            | None -> failf "transaction entry outside a batch")
-        | Entry.Pre_prepare pp ->
-            flush ();
-            current := Some (pp, [])
-        | Entry.Prepare_evidence _ | Entry.Nonce_evidence _ ->
-            flush ();
-            staged := entry :: !staged
-        | Entry.View_change_set _ | Entry.New_view _ ->
-            flush ();
-            push entry
-        | Entry.Genesis _ -> failf "genesis entry inside a suffix")
-      entries;
-    flush ()
-  with
-  | () ->
-      if !expected <= cp_seqno then
-        Error
-          (Printf.sprintf
-             "suffix ends at batch %d, before the checkpoint at %d" (!expected - 1)
-             cp_seqno)
-      else Ok ()
-  | exception Exit -> Ok ()
-  | exception Bad m -> Error m
+  go next_seqno (Entry.batches entries)

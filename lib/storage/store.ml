@@ -522,6 +522,22 @@ let truncate t n =
    before any unlink. Crash ordering: sync -> package -> prune marker ->
    unlink; every intermediate state reopens correctly (a marker without
    unlinks just finishes the unlink on open). *)
+(* The entries of the cumulative audit package, which must cover the
+   pruned prefix. *)
+let package_entries t ~what =
+  let pkg_path = package_path t in
+  if Sys.file_exists pkg_path then begin
+    let entries = (Package.read_file pkg_path).Package.pkg_entries in
+    if List.length entries < t.base then
+      fail "%s: audit package covers only %d entries but entries before %d \
+            were pruned" what (List.length entries) t.base;
+    entries
+  end
+  else if t.base > 0 then
+    fail "%s: audit package %s is missing but entries before %d were pruned"
+      what pkg_path t.base
+  else []
+
 let prune_before t upto =
   check_rw t "prune_before";
   if upto < 1 || upto > length t then
@@ -537,17 +553,8 @@ let prune_before t upto =
   else begin
     sync t;
     let pkg_path = package_path t in
-    let prev_entries =
-      if Sys.file_exists pkg_path then (Package.read_file pkg_path).Package.pkg_entries
-      else if t.base > 0 then
-        fail "prune_before: audit package %s is missing but entries before %d \
-              were already pruned" pkg_path t.base
-      else []
-    in
+    let prev_entries = package_entries t ~what:"prune_before" in
     let prev_end = List.length prev_entries in
-    if prev_end < t.base then
-      fail "prune_before: audit package covers only %d entries but entries \
-            before %d were already pruned" prev_end t.base;
     let pkg_end = max prev_end upto in
     if pkg_end > prev_end then begin
       let entries =
@@ -633,6 +640,11 @@ let to_ledger t =
        from the audit package (%s)"
       t.base audit_package_name;
   Ledger.of_entries (List.init (length t) (get t))
+
+let history t =
+  check_open t "history";
+  List.filteri (fun i _ -> i < t.base) (package_entries t ~what:"history")
+  @ List.init (length t - t.base) (fun i -> get t (t.base + i))
 
 let attach ?(allow_rollback = false) t ledger =
   check_rw t "attach";

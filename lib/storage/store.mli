@@ -133,6 +133,13 @@ val to_ledger : t -> Ledger.t
     cold-start and package export). @raise Storage_error on a pruned store
     — reconstruct the full history from the audit package instead. *)
 
+val history : t -> Entry.t list
+(** Every persisted entry from genesis on: on a pruned store, the pruned
+    prefix comes from the audit package {!prune_before} exported. The
+    package carries no extra authority; callers validate the combined
+    history exactly as an unpruned one.
+    @raise Storage_error if the package is missing or too short. *)
+
 val attach : ?allow_rollback:bool -> t -> Ledger.t -> unit
 (** Make the store the write-through backend of a ledger. The Merkle roots
     over the shared prefix are verified {e before} anything destructive

@@ -78,6 +78,43 @@ let test_two_view_changes () =
   check Alcotest.bool "view advanced twice" true
     (Replica.view (Cluster.replica cluster 2) >= 2)
 
+let test_restarted_primary_rejoins () =
+  (* The view-0 primary stops, the backups move to view 1 without it, and
+     it restarts only after its next progress tick, long after the
+     new-view message went out. It must catch up from the replicas already
+     in view 1 rather than escalate view changes nobody else joins. *)
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  let ok, _ = drive cluster client 5 ~timeout_ms:60_000.0 in
+  check Alcotest.bool "warmup" true ok;
+  let r0 = Cluster.replica cluster 0 in
+  Replica.stop r0;
+  let ok, _ = drive cluster client 5 ~timeout_ms:300_000.0 in
+  check Alcotest.bool "view 1 serves" true ok;
+  Cluster.run cluster
+    ~ms:(2.0 *. (Cluster.params cluster).Replica.vc_timeout_ms);
+  Replica.start r0;
+  let target = Replica.last_committed (Cluster.replica cluster 1) in
+  (* Keep the service busy, one request every 50 ms, until the restarted
+     primary has caught up (or 5 s have passed). *)
+  let rec caught_up rounds =
+    if Replica.last_committed r0 >= target then true
+    else if rounds = 0 || not (fst (drive cluster client 1 ~timeout_ms:60_000.0))
+    then false
+    else begin
+      Cluster.run cluster ~ms:50.0;
+      caught_up (rounds - 1)
+    end
+  in
+  let caught = caught_up 100 in
+  check Alcotest.bool "restarted primary caught up" true caught;
+  List.iter
+    (fun r ->
+      check Alcotest.int
+        (Printf.sprintf "replica %d: one view change" (Replica.id r))
+        1 (Replica.view r))
+    (Cluster.replicas cluster)
+
 let test_receipts_survive_view_change_audit () =
   (* Regression: receipts issued before a view change must stay compatible
      with the post-view-change ledger (re-proposed batches keep their
@@ -347,6 +384,8 @@ let () =
           Alcotest.test_case "lossy network" `Slow test_lossy_network;
           Alcotest.test_case "partition heals" `Quick test_partition_heals;
           Alcotest.test_case "two view changes" `Quick test_two_view_changes;
+          Alcotest.test_case "restarted primary rejoins" `Quick
+            test_restarted_primary_rejoins;
           Alcotest.test_case "equivocating primary" `Quick
             test_equivocating_primary_cannot_commit_both;
         ] );

@@ -295,6 +295,198 @@ let test_install_rejects_garbage_bytes () =
   in
   check Alcotest.bool "garbage rejected" true (verify_fails joiner >= 1)
 
+(* ------------------------------------------------------------------ *)
+(* The catch-up session, driven directly (no cluster)                  *)
+(* ------------------------------------------------------------------ *)
+
+module Session = Iaccf_statesync.Session
+module Entry = Iaccf_ledger.Entry
+module Message = Iaccf_types.Message
+module Batch = Iaccf_types.Batch
+
+let session_cp = Checkpoint.make ~seqno:10 (Hamt.of_list (workload (8, 3)))
+let session_chunks = Chunk.split ~chunk_bytes:16 (Checkpoint.serialize session_cp)
+
+(* A pre-prepare whose batch seals [digest] as checkpoint 10. *)
+let sealing_pp digest =
+  {
+    Message.view = 0;
+    seqno = 20;
+    m_root = D.of_string "m";
+    g_root = D.of_string "g";
+    nonce_com = D.of_string "n";
+    ev_bitmap = Iaccf_util.Bitmap.empty;
+    gov_index = 0;
+    cp_digest = digest;
+    kind = Batch.Checkpoint { cp_seqno = 10; cp_digest = digest };
+    primary = 0;
+    signature = "sig";
+  }
+
+(* Suffix extents: [n] entries that seal nothing, or the seal. *)
+let plain n =
+  List.init n (fun _ ->
+      Entry.Pre_prepare { (sealing_pp (D.of_string "x")) with kind = Batch.Regular })
+
+let seal digest = [ Entry.Pre_prepare (sealing_pp digest) ]
+
+(* A client whose session came from an offer by peer 1 for checkpoint 10,
+   our ledger at length 5 and the peer's at 40; we are replica 3. *)
+let open_session ?(peers = [ 0; 1; 2 ]) () =
+  let obs = Iaccf_obs.Obs.passive () in
+  let metrics = Iaccf_statesync.Metrics.make obs in
+  let c = Session.create ~obs ~node:3 ~metrics in
+  let hooks =
+    {
+      Session.verify_pp = (fun _ -> true);
+      check_suffix = (fun ~cp_seqno:_ _ -> Ok ());
+      peers = (fun () -> peers);
+    }
+  in
+  let actions =
+    Session.on_offer c hooks ~src:1 ~cp_seqno:10 ~total:(List.length session_chunks)
+      ~bytes:(String.length (Checkpoint.serialize session_cp))
+      ~upto:40 ~view:0 ~last_committed:4 ~rollback:(fun () -> 5)
+  in
+  (c, metrics, actions)
+
+let describe_action = function
+  | Session.Request_chunks { peer; indices; _ } ->
+      Printf.sprintf "chunks %d [%s]" peer
+        (String.concat ";" (List.map string_of_int indices))
+  | Session.Request_suffix { peer; from_len } ->
+      Printf.sprintf "suffix %d from %d" peer from_len
+  | Session.Retarget peer -> Printf.sprintf "retarget %d" peer
+  | Session.Install { cp; _ } -> Printf.sprintf "install %d" cp.Checkpoint.seqno
+
+let actions = Alcotest.(list string)
+let show = List.map describe_action
+
+let chunk c i =
+  Session.on_chunk c ~src:1 ~cp_seqno:10 ~index:i (List.nth session_chunks i)
+
+let suffix c ~from entries =
+  Option.map show (Session.on_suffix c ~src:1 ~from entries ~upto:40 ~view:0)
+
+let test_session_refuses_gaps_and_replays () =
+  let c, _, _ = open_session () in
+  check Alcotest.(option actions) "gap dropped" (Some []) (suffix c ~from:7 (plain 2));
+  check Alcotest.(option actions) "extent accepted" (Some [ "suffix 1 from 7" ])
+    (suffix c ~from:5 (plain 2));
+  check Alcotest.(option actions) "replay dropped" (Some []) (suffix c ~from:5 (plain 2));
+  check Alcotest.(option actions) "empty extent dropped" (Some []) (suffix c ~from:7 []);
+  check Alcotest.(option actions) "other peer: not the session's" None
+    (Option.map show (Session.on_suffix c ~src:2 ~from:7 (plain 2) ~upto:40 ~view:0))
+
+let test_session_silent_tick_rerequests () =
+  check Alcotest.bool "at least six chunks" true (List.length session_chunks >= 6);
+  let c, _, opened = open_session () in
+  check actions "offer accepted" [ "chunks 1 [0;1;2;3]"; "suffix 1 from 5" ] (show opened);
+  check actions "chunk 1 pulls the next" [ "chunks 1 [4]" ] (show (chunk c 1));
+  check actions "tick after progress" [] (show (Session.tick c));
+  check actions "silent tick" [ "chunks 1 [0;2;3;4]"; "suffix 1 from 5" ]
+    (show (Session.tick c));
+  check Alcotest.bool "still syncing" true (Session.syncing c)
+
+let test_session_second_silent_tick_retargets () =
+  let c, _, _ = open_session () in
+  ignore (Session.tick c);
+  check actions "second silent tick" [ "retarget 2" ] (show (Session.tick c));
+  check Alcotest.bool "session dropped" false (Session.syncing c);
+  (* The last peer in id order wraps around to the first. *)
+  let c, _, _ = open_session ~peers:[ 0; 1 ] () in
+  ignore (Session.tick c);
+  check actions "wraps around" [ "retarget 0" ] (show (Session.tick c))
+
+let test_session_install_gate () =
+  let digest = Checkpoint.digest session_cp in
+  let last = List.length session_chunks - 1 in
+  let installs l = List.filter (String.starts_with ~prefix:"install") (show l) in
+  (* Snapshot first: no install until the sealing batch is buffered. *)
+  let c, _, _ = open_session () in
+  for i = 0 to last do
+    check actions "no install without the seal" [] (installs (chunk c i))
+  done;
+  check Alcotest.(option actions) "suffix without the seal" (Some [ "suffix 1 from 8" ])
+    (suffix c ~from:5 (plain 3));
+  check Alcotest.(option actions) "seal arrives" (Some [ "suffix 1 from 9"; "install 10" ])
+    (suffix c ~from:8 (seal digest));
+  check Alcotest.bool "session over" false (Session.syncing c);
+  (* Seal first: no install until the last chunk lands. *)
+  let c, _, _ = open_session () in
+  check Alcotest.(option actions) "seal buffered" (Some [ "suffix 1 from 6" ])
+    (suffix c ~from:5 (seal digest));
+  for i = 0 to last - 1 do
+    check actions "no install before assembly" [] (installs (chunk c i))
+  done;
+  check actions "assembled" [ "install 10" ] (installs (chunk c last));
+  (* A seal for different bytes fails verification and moves on. *)
+  let c, metrics, _ = open_session () in
+  for i = 0 to last do
+    ignore (chunk c i)
+  done;
+  check
+    Alcotest.(option actions)
+    "digest mismatch" (Some [ "suffix 1 from 6"; "retarget 2" ])
+    (suffix c ~from:5 (seal (D.of_string "other")));
+  check Alcotest.int "counted" 1
+    (Iaccf_obs.Obs.value metrics.Iaccf_statesync.Metrics.verify_fail)
+
+(* ------------------------------------------------------------------ *)
+(* The serving side's offer policy                                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_should_offer_table () =
+  List.iter
+    (fun (label, offer, from_len, pruned_upto, expected) ->
+      check Alcotest.bool label expected
+        (Session.should_offer offer ~from_len ~cp_end:100 ~served:120 ~pruned_upto
+           ~interval:10))
+    [
+      ("never, far behind", Session.Never, 1, 0, false);
+      ("if-far, near", Session.If_far, 110, 0, false);
+      ("if-far, far behind", Session.If_far, 1, 0, true);
+      ("if-far, behind the prune", Session.If_far, 99, 100, true);
+      ("if-far, past the checkpoint", Session.If_far, 100, 0, false);
+      ("always, near", Session.Always, 110, 0, true);
+    ]
+
+(* One catch-up request per policy against a live replica: what comes back
+   is an offer or a suffix extent. *)
+let test_offer_policy_on_cluster () =
+  let params =
+    { Replica.default_params with checkpoint_interval = 10; max_batch = 2 }
+  in
+  let cluster = Cluster.make ~n:4 ~params () in
+  let client = Cluster.add_client cluster () in
+  check Alcotest.bool "workload ran" true (drive cluster client 60 ~timeout_ms:300_000.0);
+  Cluster.run cluster ~ms:1000.0;
+  let net = Cluster.network cluster in
+  let replies = ref [] in
+  Network.register net 9 (fun ~src:_ msg -> replies := msg :: !replies);
+  let served = Ledger.length (Replica.ledger (Cluster.replica cluster 0)) in
+  List.iter
+    (fun (label, offer, from_len, expected) ->
+      replies := [];
+      Network.send net ~src:9 ~dst:0
+        (Wire.Fetch_ledger { fl_from_len = from_len; fl_offer = offer });
+      Cluster.run cluster ~ms:50.0;
+      let got =
+        List.filter_map
+          (function
+            | Wire.Snapshot_offer _ -> Some "offer"
+            | Wire.Ledger_suffix_chunk _ -> Some "suffix"
+            | _ -> None)
+          !replies
+      in
+      check Alcotest.(list string) label [ expected ] got)
+    [
+      ("near behind", Session.If_far, served - 2, "suffix");
+      ("far behind", Session.If_far, 1, "offer");
+      ("always", Session.Always, served - 2, "offer");
+      ("never", Session.Never, 1, "suffix");
+    ]
+
 let () =
   Random.self_init ();
   Alcotest.run "iaccf_statesync"
@@ -323,5 +515,20 @@ let () =
           Alcotest.test_case "wrong digest" `Quick test_install_rejects_wrong_digest;
           Alcotest.test_case "wrong seqno" `Quick test_install_rejects_wrong_seqno;
           Alcotest.test_case "garbage bytes" `Quick test_install_rejects_garbage_bytes;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "gaps and replays refused" `Quick
+            test_session_refuses_gaps_and_replays;
+          Alcotest.test_case "silent tick re-requests" `Quick
+            test_session_silent_tick_rerequests;
+          Alcotest.test_case "second silent tick retargets" `Quick
+            test_session_second_silent_tick_retargets;
+          Alcotest.test_case "install gate" `Quick test_session_install_gate;
+        ] );
+      ( "offer-policy",
+        [
+          Alcotest.test_case "policy table" `Quick test_should_offer_table;
+          Alcotest.test_case "one request per policy" `Quick test_offer_policy_on_cluster;
         ] );
     ]
