@@ -1,20 +1,10 @@
-(* @crypto-bench: the signature-verification pipeline microbench.
+(* @crypto-bench: signature verification, inline vs tabled.
 
-   The headline comparison mirrors the replica hot path this PR rewires:
-   every client signature is checked ~3 times per lifecycle — once at
-   delivery, once by the audit bulk re-check, once by observer suffix
-   revalidation. Inline, that is three full Schnorr.verify calls on an
-   untabled key; through the batched Vstage (4 domains) it is one
-   accelerated verification (fixed-base tables, pool dispatch) plus two
-   LRU cache hits. speedup_batched_vs_inline is the acceptance number
-   (>= 2x); it holds even on a single-CPU host, where the domain fan-out
-   adds no parallelism and the win is purely tables + cache.
-
-   Component microbenches (inline / pooled / tabled / cached throughput
-   on a one-shot job mix) are also reported, informationally — on a
-   single CPU the pooled figure is *below* inline (queue overhead with no
-   parallel hardware), which is exactly why the stage keeps the cache and
-   tables in front of the pool.
+   One fixed job mix is verified twice: inline, with [Schnorr.verify] on
+   untabled keys, and through [Vstage.verify], which interns each key and
+   builds its fixed-base table on the key's third use (the replica's hot
+   path). The tabled figure includes building the tables. Walls are
+   medians over alternating rounds.
 
    Writes BENCH_crypto.json through the report layer's row emitter:
    deterministic counts gate Exact, wall-clock throughputs are Info. Not
@@ -23,18 +13,19 @@
    repo root to keep the JSON. *)
 
 open Iaccf_crypto
+module Obs = Iaccf_obs.Obs
 module Report = Iaccf_report.Report
 
 let n_keys = 8
 let n_jobs = 256
-let domains = 4
-let lifecycle_checks = 3 (* delivery + audit re-check + observer revalidation *)
 
-let make_keys prefix =
-  Array.init n_keys (fun i -> Schnorr.keypair_of_seed (Printf.sprintf "%s-%d" prefix i))
+(* Each call derives fresh key values, so tables built on one set never
+   accelerate another. *)
+let make_keys () =
+  Array.init n_keys (fun i -> Schnorr.keypair_of_seed (Printf.sprintf "bench-%d" i))
 
-(* A fixed job mix over [keys]: round-robin keys, every 16th signature
-   corrupted so the reject path is exercised too. Fully deterministic. *)
+(* A fixed job mix: round-robin keys, every 16th signature corrupted so
+   the reject path is exercised too. Fully deterministic. *)
 let make_jobs keys =
   List.init n_jobs (fun i ->
       let sk, pk = keys.(i mod n_keys) in
@@ -42,162 +33,72 @@ let make_jobs keys =
       let signature =
         if i mod 16 = 15 then String.make 64 '\x2a' else Schnorr.sign sk digest
       in
-      { Parverify.j_pk = pk; j_digest = digest; j_signature = signature })
+      (pk, digest, signature))
 
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let tx_s n wall = if wall > 0.0 then float_of_int n /. wall else 0.0
+let verifies_s wall = if wall > 0.0 then float_of_int n_jobs /. wall else 0.0
 
-(* --- pipeline: 3 lifecycle checks per signature, inline vs staged ----- *)
-
-let pipeline_rows () =
-  let jobs = make_jobs (make_keys "pipe-inline") in
+(* One round: the job mix inline on fresh keys, then through a fresh
+   stage on another fresh key set. *)
+let round () =
   let inline, wall_inline =
+    let jobs = make_jobs (make_keys ()) in
     time (fun () ->
-        List.init lifecycle_checks (fun _ -> List.map Parverify.run_job jobs)
-        |> List.hd)
+        List.map (fun (pk, digest, signature) -> Schnorr.verify pk digest ~signature) jobs)
   in
-  (* The staged run gets its own untabled key values (tables are per-value,
-     so the inline baseline above stays unaccelerated). *)
-  let staged_keys = make_keys "pipe-inline" in
-  let staged_jobs =
-    List.map2
-      (fun j i ->
-        { j with Parverify.j_pk = snd staged_keys.(i mod n_keys) })
-      jobs
-      (List.init n_jobs Fun.id)
-  in
-  let st = Vstage.create ~domains () in
-  (* Replica keys are registered at startup; chatty client keys earn their
-     tables after a few uses. Register here like the replica does. *)
-  Array.iter (fun (_, pk) -> ignore (Vstage.register st pk)) staged_keys;
-  let staged, wall_staged =
+  let obs = Obs.passive () in
+  let st = Vstage.create ~obs () in
+  let tabled, wall_tabled =
+    let jobs = make_jobs (make_keys ()) in
     time (fun () ->
-        (* delivery: batched submit/flush, one flush per 16-message batch *)
-        let out = ref [] in
-        List.iteri
-          (fun i j ->
-            Vstage.submit st ~cls:"bench" ~principal:Profile.Client_key
-              j.Parverify.j_pk j.Parverify.j_digest
-              ~signature:j.Parverify.j_signature (fun ok -> out := ok :: !out);
-            if i mod 16 = 15 then Vstage.flush st)
-          staged_jobs;
-        Vstage.flush st;
-        (* audit bulk re-check + observer revalidation: cache hits *)
-        for _ = 2 to lifecycle_checks do
-          List.iter
-            (fun j ->
-              ignore
-                (Vstage.verify_now st ~cls:"bench" ~principal:Profile.Client_key
-                   j.Parverify.j_pk j.Parverify.j_digest
-                   ~signature:j.Parverify.j_signature))
-            staged_jobs
-        done;
-        List.rev !out)
-  in
-  if inline <> staged then begin
-    prerr_endline "crypto-bench: staged pipeline diverged from inline";
-    exit 1
-  end;
-  let valid = List.length (List.filter Fun.id inline) in
-  let checks = n_jobs * lifecycle_checks in
-  let speedup = if wall_staged > 0.0 then wall_inline /. wall_staged else 0.0 in
-  Printf.printf
-    "crypto-bench pipeline: %d sigs x %d checks (%d valid), %d domains\n"
-    n_jobs lifecycle_checks valid domains;
-  Printf.printf "  inline  %8.1f checks/s  (%.3f s)\n" (tx_s checks wall_inline)
-    wall_inline;
-  Printf.printf "  staged  %8.1f checks/s  (%.3f s)\n" (tx_s checks wall_staged)
-    wall_staged;
-  Printf.printf "  batched vs inline speedup: %.2fx\n%!" speedup;
-  let bench = "crypto" in
-  let series =
-    Printf.sprintf "pipeline jobs=%d checks=%d keys=%d" n_jobs lifecycle_checks
-      n_keys
-  in
-  let exact metric v =
-    Report.row ~bench ~series ~metric ~gate:Report.Exact (float_of_int v)
-  in
-  let info metric v = Report.row ~bench ~series ~metric ~gate:Report.Info v in
-  [
-    exact "jobs" n_jobs;
-    exact "valid" valid;
-    exact "domains" domains;
-    exact "cache_hits" (Vstage.cache_hits st);
-    exact "cache_misses" (Vstage.cache_misses st);
-    info "inline_checks_s" (tx_s checks wall_inline);
-    info "staged_checks_s" (tx_s checks wall_staged);
-    info "speedup_batched_vs_inline" speedup;
-  ]
-
-(* --- components: one-shot job mix through each acceleration alone ----- *)
-
-let component_rows () =
-  let jobs = make_jobs (make_keys "bench") in
-  (* Spawning worker domains is one-time process cost, not per-batch cost;
-     warm the pool so the pooled figure measures steady state. *)
-  ignore (Parverify.verify_batch_results ~domains jobs);
-  let inline, wall_inline = time (fun () -> List.map Parverify.run_job jobs) in
-  let pooled, wall_pooled =
-    time (fun () -> Parverify.verify_batch_results ~domains jobs)
-  in
-  if inline <> pooled then begin
-    prerr_endline "crypto-bench: pooled verification diverged from inline";
-    exit 1
-  end;
-  let (), wall_precompute =
-    time (fun () ->
-        List.iter
-          (fun j ->
-            if not (Schnorr.has_table j.Parverify.j_pk) then
-              Schnorr.precompute j.Parverify.j_pk)
+        List.map
+          (fun (pk, digest, signature) ->
+            Vstage.verify st ~cls:"bench" ~principal:Profile.Client_key pk digest
+              ~signature)
           jobs)
   in
-  let tabled, wall_tabled = time (fun () -> List.map Parverify.run_job jobs) in
   if inline <> tabled then begin
     prerr_endline "crypto-bench: tabled verification diverged from inline";
     exit 1
   end;
-  (* Warm a result cache with one pass, then measure the hit path. *)
-  let st = Vstage.create ~domains:0 () in
-  let verify_all () =
-    List.map
-      (fun j ->
-        Vstage.verify_now st ~cls:"bench" ~principal:Profile.Client_key
-          j.Parverify.j_pk j.Parverify.j_digest
-          ~signature:j.Parverify.j_signature)
-      jobs
-  in
-  ignore (verify_all ());
-  let cached, wall_cached = time verify_all in
-  if inline <> cached then begin
-    prerr_endline "crypto-bench: cached verification diverged from inline";
-    exit 1
-  end;
-  Printf.printf "crypto-bench components: %d one-shot jobs\n" n_jobs;
-  let line label wall =
-    Printf.printf "  %-22s %10.1f verifies/s  (%.3f s)\n" label
-      (tx_s n_jobs wall) wall
-  in
-  line "inline" wall_inline;
-  line (Printf.sprintf "pooled (%d domains)" domains) wall_pooled;
-  line "tabled (fixed-base)" wall_tabled;
-  line "cached (LRU hits)" wall_cached;
-  Printf.printf "  precompute of %d keys    %.3f s\n%!" n_keys wall_precompute;
-  let bench = "crypto" in
-  let series = Printf.sprintf "components jobs=%d keys=%d" n_jobs n_keys in
-  let info metric v = Report.row ~bench ~series ~metric ~gate:Report.Info v in
-  [
-    info "inline_verifies_s" (tx_s n_jobs wall_inline);
-    info "pooled_verifies_s" (tx_s n_jobs wall_pooled);
-    info "tabled_verifies_s" (tx_s n_jobs wall_tabled);
-    info "cached_verifies_s" (tx_s n_jobs wall_cached);
-    info "precompute_wall_s" wall_precompute;
-  ]
+  (inline, Obs.counter_value obs "crypto.keys.precomputed", wall_inline, wall_tabled)
+
+(* Alternating rounds, medians reported: single sub-second samples on a
+   shared machine drift by tens of percent. *)
+let rounds = 5
+
+let median xs = List.nth (List.sort Float.compare xs) (List.length xs / 2)
 
 let () =
-  let rows = pipeline_rows () @ component_rows () in
-  Report.write_rows ~file:"BENCH_crypto.json" ~bench:"crypto" rows
+  let results = List.init rounds (fun _ -> round ()) in
+  let inline, precomputed, _, _ = List.hd results in
+  let wall_inline = median (List.map (fun (_, _, w, _) -> w) results) in
+  let wall_tabled = median (List.map (fun (_, _, _, w) -> w) results) in
+  let valid = List.length (List.filter Fun.id inline) in
+  let speedup = if wall_tabled > 0.0 then wall_inline /. wall_tabled else 0.0 in
+  Printf.printf "crypto-bench: %d jobs over %d keys (%d valid), median of %d rounds\n"
+    n_jobs n_keys valid rounds;
+  Printf.printf "  inline  %8.1f verifies/s  (%.3f s)\n" (verifies_s wall_inline)
+    wall_inline;
+  Printf.printf "  tabled  %8.1f verifies/s  (%.3f s, %d tables built)\n"
+    (verifies_s wall_tabled) wall_tabled precomputed;
+  Printf.printf "  tabled vs inline speedup: %.2fx\n%!" speedup;
+  let bench = "crypto" in
+  let series = Printf.sprintf "verify jobs=%d keys=%d" n_jobs n_keys in
+  let exact metric v =
+    Report.row ~bench ~series ~metric ~gate:Report.Exact (float_of_int v)
+  in
+  let info metric v = Report.row ~bench ~series ~metric ~gate:Report.Info v in
+  Report.write_rows ~file:"BENCH_crypto.json" ~bench
+    [
+      exact "jobs" n_jobs;
+      exact "valid" valid;
+      exact "keys_precomputed" precomputed;
+      info "inline_verifies_s" (verifies_s wall_inline);
+      info "tabled_verifies_s" (verifies_s wall_tabled);
+      info "speedup_tabled_vs_inline" speedup;
+    ]

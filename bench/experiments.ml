@@ -211,13 +211,8 @@ let fig7 ?(total = 200) () =
 (* ------------------------------------------------------------------ *)
 (* Table 3: breakdown of IA-CCF features                                *)
 
-let table3 ?(total = 240) ?(verify_domains = 0) () =
-  print_header
-    (if verify_domains > 1 then
-       Printf.sprintf
-         "Table 3: breakdown of IA-CCF features (f=1, dedicated cluster, verify pool at %d domains)"
-         verify_domains
-     else "Table 3: breakdown of IA-CCF features (f=1, dedicated cluster)");
+let table3 ?(total = 240) () =
+  print_header "Table 3: breakdown of IA-CCF features (f=1, dedicated cluster)";
   let v = Variant.full in
   let rows =
     [
@@ -279,8 +274,7 @@ let table3 ?(total = 240) ?(verify_domains = 0) () =
   List.iter
     (fun (label, variant, accounts, empty_requests) ->
       keep
-        (run_iaccf ~label ~variant ~accounts ~empty_requests ~total
-           ~verify_domains ()))
+        (run_iaccf ~label ~variant ~accounts ~empty_requests ~total ()))
     rows;
   (* Ablation of the nonce-commitment scheme (§3.1, Lemma 3): signing
      commit messages adds one signature + N-1 verifications per replica per
@@ -293,15 +287,10 @@ let table3 ?(total = 240) ?(verify_domains = 0) () =
   Printf.printf "%-28s %6d tx  %8.1f tx/s  (analytic fast path; %d signatures)\n%!"
     "Pompe (empty requests)" p.Iaccf_baselines.Pompe.r_commands
     p.Iaccf_baselines.Pompe.r_throughput p.Iaccf_baselines.Pompe.r_signatures;
-  write_bench_json
-    ~file:
-      (if verify_domains > 1 then "BENCH_table3_pooled.json"
-       else "BENCH_table3.json")
-    ~bench:"table3"
+  write_bench_json ~file:"BENCH_table3.json" ~bench:"table3"
     ~meta:
       [
         ("total", string_of_int total);
-        ("verify_domains", string_of_int verify_domains);
         ("pompe_txs", string_of_int p.Iaccf_baselines.Pompe.r_commands);
         ("pompe_signatures", string_of_int p.Iaccf_baselines.Pompe.r_signatures);
       ]

@@ -89,8 +89,7 @@ let preload_accounts cluster ~accounts ~initial_balance =
 let run_iaccf ?(label = "IA-CCF") ?(n = 4) ?(variant = Variant.full)
     ?(latency = Latency.dedicated_cluster) ?(accounts = 100) ?(total = 300)
     ?(concurrency = 64) ?(pipeline = 2) ?(checkpoint_interval = 50)
-    ?(max_batch = 100) ?(empty_requests = false) ?(seed = 42)
-    ?(verify_domains = 0) ?obs () =
+    ?(max_batch = 100) ?(empty_requests = false) ?(seed = 42) ?obs () =
   let params =
     {
       Replica.pipeline;
@@ -100,7 +99,6 @@ let run_iaccf ?(label = "IA-CCF") ?(n = 4) ?(variant = Variant.full)
       vc_timeout_ms = 100_000.0 (* no view changes during load runs *);
       variant;
       snapshot_interval = 0;
-      verify_domains;
       admission_queue = 0;
     }
   in
@@ -189,7 +187,7 @@ let run_iaccf ?(label = "IA-CCF") ?(n = 4) ?(variant = Variant.full)
    open-loop series and bench/load.exe sweep. *)
 let run_iaccf_open ?(label = "IA-CCF-open") ?(n = 4) ?(accounts = 100)
     ?(duration_ms = 1_000.0) ?(sessions = 2048) ?(seed = 42)
-    ?(admission_queue = 64) ?(verify_domains = 0) ~rate () =
+    ?(admission_queue = 64) ~rate () =
   let params =
     {
       Replica.pipeline = 1;
@@ -199,7 +197,6 @@ let run_iaccf_open ?(label = "IA-CCF-open") ?(n = 4) ?(accounts = 100)
       vc_timeout_ms = 100_000.0;
       variant = Variant.full;
       snapshot_interval = 0;
-      verify_domains;
       admission_queue;
     }
   in

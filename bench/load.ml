@@ -1,10 +1,9 @@
 (* Open-loop saturation bench: sweep Poisson offered rates over a
    deliberately capacity-limited cluster (small batches, one batch in
    flight) with admission control on, and record the throughput-latency
-   curve bending at the knee. Also checks the determinism contract for
-   the admission path (pooled vs inline verification gives identical
-   counts) and the session table's memory story (>= 100k identities well
-   under a gigabyte). Writes BENCH_load.json in the rows/1 schema. *)
+   curve bending at the knee. Also checks the session table's memory
+   story (>= 100k identities well under a gigabyte). Writes
+   BENCH_load.json in the rows/1 schema. *)
 
 open Iaccf_core
 module Load = Iaccf_load
@@ -20,7 +19,7 @@ let percentile p xs = Obs.Histogram.percentile_of_list p xs
    prepare -> nonce-reveal path takes ~15 ms, so about 2 tx / 15 ms =
    ~130 tx/s. The sweep brackets that knee from well under capacity to
    ~2.3x over it. *)
-let params ~verify_domains =
+let params =
   {
     Replica.pipeline = 1;
     checkpoint_interval = 50;
@@ -29,7 +28,6 @@ let params ~verify_domains =
     vc_timeout_ms = 100_000.0;
     variant = Variant.full;
     snapshot_interval = 0;
-    verify_domains;
     admission_queue = 64;
   }
 
@@ -54,11 +52,10 @@ type open_result = {
   or_wall_s : float;
 }
 
-let run_open ?(verify_domains = 0) ?(seed = 77) ~rate () =
+let run_open ?(seed = 77) ~rate () =
   let obs = Obs.passive () in
   let cluster =
-    Cluster.make ~seed ~n:4
-      ~params:(params ~verify_domains)
+    Cluster.make ~seed ~n:4 ~params
       ~latency:(fun _rng -> Latency.constant 5.0)
       ~app:(Smallbank.app ()) ~obs ()
   in
@@ -188,39 +185,6 @@ let session_scale () =
       wall;
   ]
 
-(* Same-seed pooled vs inline runs must agree on every admission and
-   commit count: the verify pool only reorders work, never outcomes. *)
-let determinism_check () =
-  (* overload rate on purpose: the comparison must cover the rejection
-     path, not just clean admissions *)
-  let rate = 300.0 in
-  let inline = run_open ~verify_domains:0 ~seed:91 ~rate () in
-  let pooled = run_open ~verify_domains:4 ~seed:91 ~rate () in
-  let pairs =
-    [
-      ("offered", inline.or_offered, pooled.or_offered);
-      ("committed", inline.or_committed, pooled.or_committed);
-      ("admitted", inline.or_admitted, pooled.or_admitted);
-      ("rejected", inline.or_rejected, pooled.or_rejected);
-    ]
-  in
-  List.iter
-    (fun (name, a, b) ->
-      if a <> b then begin
-        Printf.eprintf "FAIL: pooled/inline %s diverged: %d vs %d\n%!" name a b;
-        exit 1
-      end)
-    pairs;
-  Printf.printf
-    "  pooled(4)/inline agree: offered %d committed %d admitted %d rejected %d\n%!"
-    inline.or_offered inline.or_committed inline.or_admitted inline.or_rejected;
-  let open Report in
-  List.concat_map
-    (fun (name, a, _) ->
-      [ row ~bench:"load" ~series:"pool-check" ~metric:name ~gate:Exact
-          (float_of_int a) ])
-    pairs
-
 (* The saturation-curve shape checks from the experiment definition:
    below the knee p50 stays within ~2x of the most lightly loaded run;
    past it latency grows super-linearly (retry/queueing delays dominate)
@@ -261,11 +225,9 @@ let () =
   let results = List.map (fun rate -> run_open ~rate ()) offered_rates in
   List.iter print_open results;
   knee_checks results;
-  Printf.printf "=== determinism: pooled vs inline admission counts ===\n%!";
-  let pool_rows = determinism_check () in
   Printf.printf "=== session-table scale ===\n%!";
   let session_rows = session_scale () in
-  let rows = List.concat_map rows_of_open results @ pool_rows @ session_rows in
+  let rows = List.concat_map rows_of_open results @ session_rows in
   Report.write_rows ~file:"BENCH_load.json" ~bench:"load"
     ~meta:[ ("duration_ms", Printf.sprintf "%.0f" duration_ms) ]
     rows;

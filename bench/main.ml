@@ -2,8 +2,8 @@
    paper's evaluation (see DESIGN.md's per-experiment index), plus a
    Bechamel micro-benchmark suite for the primitives.
 
-   Usage:  main.exe [table1|fig4|table2|fig5|fig6|fig7|table3|table3-pooled|
-                     receipts|governance|audit|storage|micro|quick|all]        *)
+   Usage:  main.exe [table1|fig4|table2|fig5|fig6|fig7|table3|receipts|
+                     governance|audit|storage|micro|quick|all]                 *)
 
 open Bechamel
 module Sha256 = Iaccf_crypto.Sha256
@@ -43,18 +43,17 @@ let micro_tests () =
     Test.make ~name:"fig4:schnorr-sign" (Staged.stage (fun () -> ignore (Schnorr.sign sk digest)));
     Test.make ~name:"fig5:schnorr-verify"
       (Staged.stage (fun () -> ignore (Schnorr.verify pk digest ~signature)));
-    (* §3.4: parallelized signature verification. Parverify defaults to
-       the machine's recommended domain count (sequential on one core, as
-       in this container), so the row reports whatever the hardware
-       offers. *)
+    (* A batch's worth of client signatures, one untabled key each. *)
     (let jobs =
        List.init 8 (fun i ->
            let sk, pk = Schnorr.keypair_of_seed (Printf.sprintf "pv%d" i) in
            let d = Sha256.digest (string_of_int i) in
-           { Iaccf_crypto.Parverify.j_pk = pk; j_digest = d; j_signature = Schnorr.sign sk d })
+           (pk, d, Schnorr.sign sk d))
      in
      Test.make ~name:"t3:verify-batch8"
-       (Staged.stage (fun () -> ignore (Iaccf_crypto.Parverify.verify_batch jobs))));
+       (Staged.stage (fun () ->
+            ignore
+              (List.for_all (fun (pk, d, signature) -> Schnorr.verify pk d ~signature) jobs))));
     Test.make ~name:"t3:hmac" (Staged.stage (fun () -> ignore (Hmac.mac ~key:"k" "payload")));
     (* §6.3 receipts: Merkle path verification in G (batch 300). *)
     Test.make ~name:"r1:merkle-path-verify"
@@ -127,7 +126,6 @@ let () =
   | "fig6" -> Experiments.fig6 ()
   | "fig7" -> Experiments.fig7 ()
   | "table3" -> Experiments.table3 ()
-  | "table3-pooled" -> Experiments.table3 ~verify_domains:4 ()
   | "receipts" -> Experiments.receipts_bench ()
   | "governance" -> Experiments.governance_bench ()
   | "audit" -> Experiments.audit_bench ()
@@ -137,6 +135,6 @@ let () =
   | "all" -> all ()
   | other ->
       Printf.eprintf
-        "unknown experiment %S; expected table1|fig4|table2|fig5|fig6|fig7|table3|table3-pooled|receipts|governance|audit|storage|micro|quick|all\n"
+        "unknown experiment %S; expected table1|fig4|table2|fig5|fig6|fig7|table3|receipts|governance|audit|storage|micro|quick|all\n"
         other;
       exit 2

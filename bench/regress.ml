@@ -9,7 +9,7 @@
    - statesync: one chunked catch-up of a joining replica (the
      @statesync-bench path at its smallest size);
    - chaos: the identity-intercept equivalence run from @chaos-overhead;
-   - crypto: the batched verify stage's count invariants;
+   - crypto: the verify stage's results and its table threshold;
    - load: an open-loop on/off burst through the shared generator with
      admission control shedding at the primary (the @load-bench path at
      its smallest size).
@@ -141,57 +141,60 @@ let chaos_rows () =
     Report.row ~bench ~series ~metric:"virtual_ms" ~gate:Report.Exact vt_direct;
   ]
 
-(* --- crypto: the batched verify stage, counts only (wall clock lives in
-   @crypto-bench) -------------------------------------------------------- *)
+(* --- crypto: the verify stage's table threshold, counts only (wall clock
+   lives in @crypto-bench) ------------------------------------------------ *)
 
 let crypto_rows () =
   let module Crypto = Iaccf_crypto in
-  let n_keys = 4 and n_jobs = 24 in
+  (* Key k signs k+1 messages, so the keys fall on both sides of the
+     third-use table threshold; every eighth signature is corrupted. *)
+  let n_keys = 6 in
   let keys =
     Array.init n_keys (fun i ->
         Crypto.Schnorr.keypair_of_seed (Printf.sprintf "regress-%d" i))
   in
   let jobs =
-    List.init n_jobs (fun i ->
-        let sk, pk = keys.(i mod n_keys) in
-        let digest = Crypto.Sha256.digest (Printf.sprintf "regress-msg-%d" i) in
-        let signature =
-          if i mod 8 = 7 then String.make 64 '\x2a'
-          else Crypto.Schnorr.sign sk digest
-        in
-        { Crypto.Parverify.j_pk = pk; j_digest = digest; j_signature = signature })
+    List.concat
+      (List.init n_keys (fun k -> List.init (k + 1) (fun _ -> k)))
+    |> List.mapi (fun i k ->
+           let sk, pk = keys.(k) in
+           let digest = Crypto.Sha256.digest (Printf.sprintf "regress-msg-%d" i) in
+           let signature =
+             if i mod 8 = 7 then String.make 64 '\x2a'
+             else Crypto.Schnorr.sign sk digest
+           in
+           (pk, digest, signature))
   in
-  let inline = List.map Crypto.Parverify.run_job jobs in
-  let pooled = Crypto.Parverify.verify_batch_results ~domains:4 jobs in
-  if inline <> pooled then fail "pooled verification diverged from inline";
-  (* Two waves through a pooled stage with a flush between: wave 2 repeats
-     wave 1's keys, so its hit/miss split is seed-deterministic. *)
-  let st = Crypto.Vstage.create ~domains:4 () in
-  let staged = ref [] in
-  let wave () =
-    List.iter
-      (fun j ->
-        Crypto.Vstage.submit st ~cls:"regress"
-          ~principal:Crypto.Profile.Client_key j.Crypto.Parverify.j_pk
-          j.Crypto.Parverify.j_digest ~signature:j.Crypto.Parverify.j_signature
-          (fun ok -> staged := ok :: !staged))
-      jobs;
-    Crypto.Vstage.flush st
+  let obs = Obs.passive () in
+  let st = Crypto.Vstage.create ~obs () in
+  let staged =
+    List.map
+      (fun (pk, digest, signature) ->
+        Crypto.Vstage.verify st ~cls:"regress" ~principal:Crypto.Profile.Client_key
+          pk digest ~signature)
+      jobs
   in
-  wave ();
-  wave ();
-  if List.rev !staged <> inline @ inline then
-    fail "staged verification diverged from inline";
+  (* The reference: fresh key values, never tabled. *)
+  let inline =
+    List.map
+      (fun (pk, digest, signature) ->
+        match
+          Crypto.Schnorr.public_key_of_bytes (Crypto.Schnorr.public_key_to_bytes pk)
+        with
+        | Some pk -> Crypto.Schnorr.verify pk digest ~signature
+        | None -> false)
+      jobs
+  in
+  if staged <> inline then fail "staged verification diverged from inline";
   let bench = "regress_crypto" in
-  let series = Printf.sprintf "verify jobs=%d keys=%d" n_jobs n_keys in
+  let series = Printf.sprintf "verify jobs=%d keys=%d" (List.length jobs) n_keys in
   let exact metric v =
     Report.row ~bench ~series ~metric ~gate:Report.Exact (float_of_int v)
   in
   [
-    exact "jobs" n_jobs;
+    exact "jobs" (List.length jobs);
     exact "valid" (List.length (List.filter Fun.id inline));
-    exact "cache_hits" (Crypto.Vstage.cache_hits st);
-    exact "cache_misses" (Crypto.Vstage.cache_misses st);
+    exact "keys_precomputed" (Obs.counter_value obs "crypto.keys.precomputed");
   ]
 
 (* --- load: open-loop burst through the shared generator, with admission
@@ -209,7 +212,6 @@ let open_load_rows () =
       vc_timeout_ms = 100_000.0;
       variant = Variant.full;
       snapshot_interval = 0;
-      verify_domains = 0;
       admission_queue = 16;
     }
   in

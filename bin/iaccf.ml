@@ -110,17 +110,6 @@ let persist_config ~persist ~fsync ~segment_kb =
       })
     persist
 
-let verify_domains_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "verify-domains" ] ~docv:"D"
-        ~doc:
-          "Batch signature verification per message delivery and fan the \
-           batches across $(docv) OCaml domains ($(b,0) or $(b,1): verify \
-           inline). Results are folded back in submission order, so runs \
-           stay seed-deterministic; only wall-clock time changes.")
-
 let metrics_arg =
   Arg.(
     value
@@ -175,11 +164,9 @@ let latency_fn = function
   | `Lan -> Latency.lan
   | `Wan -> Latency.wan
 
-let make_cluster ?persist ?obs ?profile ?(snapshot_interval = 0)
-    ?(verify_domains = 0) ~n ~seed ~latency () =
-  let params =
-    { Replica.default_params with Replica.snapshot_interval; verify_domains }
-  in
+let make_cluster ?persist ?obs ?profile ?(snapshot_interval = 0) ~n ~seed ~latency
+    () =
+  let params = { Replica.default_params with Replica.snapshot_interval } in
   Cluster.make ~seed ~n ~params ~latency:(latency_fn latency)
     ~app:(Smallbank.app ()) ?persist ?obs ?profile ()
 
@@ -243,13 +230,12 @@ let drive_smallbank ?client cluster ~txs ~seed =
 
 let run_cmd =
   let run n txs seed latency persist fsync segment_kb snapshot_interval prune
-      metrics trace verify_domains =
+      metrics trace =
     let t0 = Unix.gettimeofday () in
     let persist = persist_config ~persist ~fsync ~segment_kb in
     let obs = make_obs ~metrics ~trace in
     let cluster =
-      make_cluster ?persist ?obs ~snapshot_interval ~verify_domains ~n ~seed
-        ~latency ()
+      make_cluster ?persist ?obs ~snapshot_interval ~n ~seed ~latency ()
     in
     let restored =
       match Cluster.storage cluster 0 with
@@ -269,11 +255,6 @@ let run_cmd =
     let st = Replica.stats r0 in
     Printf.printf "replicas:            %d (f=%d)\n" n
       (Iaccf_types.Config.f (Replica.config r0));
-    if verify_domains > 1 then
-      Printf.printf "verify pool:         %d domains (%d cache hits, %d misses)\n"
-        verify_domains
-        (Obs.counter_value (Replica.obs r0) "crypto.cache.hit")
-        (Obs.counter_value (Replica.obs r0) "crypto.cache.miss");
     Printf.printf "transactions:        %d committed in %.2fs (%.0f tx/s)\n"
       st.Replica.txs_committed wall
       (float_of_int st.Replica.txs_committed /. wall);
@@ -339,7 +320,7 @@ let run_cmd =
     Term.(
       const run $ replicas_arg $ txs_arg $ seed_arg $ latency_arg $ persist_arg
       $ fsync_arg $ segment_kb_arg $ snapshot_interval_arg $ prune_arg
-      $ metrics_arg $ trace_arg $ verify_domains_arg)
+      $ metrics_arg $ trace_arg)
 
 let stats_cmd =
   let phase_rows =
@@ -445,14 +426,13 @@ let print_outcome = function
   | Enforcer.No_misbehavior -> print_endline "audit: no misbehavior detected"
   | _ -> print_endline "unexpected outcome"
 
-let investigate ?(verify_domains = 0) ~genesis ~receipts ~ledger ~checkpoint () =
+let investigate ~genesis ~receipts ~ledger ~checkpoint () =
   let params = Replica.default_params in
   let enforcer =
     Enforcer.create ~genesis ~app:(Smallbank.app ())
       ~pipeline:params.Replica.pipeline
       ~checkpoint_interval:params.Replica.checkpoint_interval
   in
-  Enforcer.set_verify_domains enforcer verify_domains;
   Enforcer.investigate enforcer ~receipts ~gov_receipts:[]
     ~provider:(fun _ ->
       Some { Enforcer.resp_ledger = ledger; resp_checkpoint = checkpoint })
@@ -467,7 +447,7 @@ let package_arg =
            running the in-process attack scenario.")
 
 let audit_cmd =
-  let run n seed package verify_domains =
+  let run n seed package =
     match package with
     | Some file ->
         (* Offline path: every audit input comes from the package file. *)
@@ -479,20 +459,19 @@ let audit_cmd =
           (Ledger.length ledger) (List.length receipts)
           (Iaccf_crypto.Digest32.to_hex pkg.Package.pkg_m_root);
         print_outcome
-          (investigate ~verify_domains ~genesis ~receipts ~ledger
+          (investigate ~genesis ~receipts ~ledger
              ~checkpoint:pkg.Package.pkg_checkpoint ())
     | None ->
         let genesis, receipts, forged = rewrite_attack ~n ~seed in
         print_outcome
-          (investigate ~verify_domains ~genesis ~receipts ~ledger:forged
-             ~checkpoint:None ())
+          (investigate ~genesis ~receipts ~ledger:forged ~checkpoint:None ())
   in
   Cmd.v
     (Cmd.info "audit"
        ~doc:
          "Demonstrate auditing: all replicas rewrite history; blame is \
           assigned. With --package, audit evidence from a file on disk.")
-    Term.(const run $ replicas_arg $ seed_arg $ package_arg $ verify_domains_arg)
+    Term.(const run $ replicas_arg $ seed_arg $ package_arg)
 
 let export_package_cmd =
   let run n txs seed out from =
@@ -897,19 +876,14 @@ let observe_cmd =
    configuration the dominant row is client-signature verification —
    the paper's headline cost. *)
 let profile_cmd =
-  let run n txs seed latency verify_domains =
+  let run n txs seed latency =
     let profile = Profile.create () in
-    let cluster =
-      make_cluster ~profile ~verify_domains ~n ~seed ~latency ()
-    in
+    let cluster = make_cluster ~profile ~n ~seed ~latency () in
     let _ = drive_smallbank cluster ~txs ~seed in
     Cluster.run cluster ~ms:5_000.0;
     Printf.printf
-      "crypto cost profile: %d replicas, %d txs, seed %d (%.3f s profiled%s)\n\n"
-      n txs seed (Profile.elapsed_s profile)
-      (if verify_domains > 1 then
-         Printf.sprintf ", verify pool at %d domains" verify_domains
-       else "");
+      "crypto cost profile: %d replicas, %d txs, seed %d (%.3f s profiled)\n\n"
+      n txs seed (Profile.elapsed_s profile);
     print_string (Profile.render profile);
     match Profile.rows profile with
     | { Profile.r_op = Profile.Verify; r_cls = "request";
@@ -924,9 +898,7 @@ let profile_cmd =
          "Run a SmallBank workload with per-operation crypto cost accounting \
           and print the breakdown by operation, message class, and principal \
           kind (client vs replica keys), sorted by wall time.")
-    Term.(
-      const run $ replicas_arg $ txs_arg $ seed_arg $ latency_arg
-      $ verify_domains_arg)
+    Term.(const run $ replicas_arg $ txs_arg $ seed_arg $ latency_arg)
 
 (* iaccf bench-report — aggregate BENCH_*.json files into a trend table
    and, with --baseline-dir, gate the current numbers against committed
@@ -1072,8 +1044,10 @@ let transport_stat_line ~label lookup =
     (v "net.sock.connect_retries")
     (let dropped k = int_of_string_opt (v k) |> Option.value ~default:0 in
      string_of_int
-       (dropped "net.dropped.peer_down" + dropped "net.dropped.no_route"
-      + dropped "net.dropped.garbage"))
+       (List.fold_left
+          (fun acc reason -> acc + dropped ("net.dropped." ^ reason))
+          0
+          [ "backoff"; "queue_full"; "conn_lost"; "no_route"; "garbage" ]))
 
 let cluster_cmd =
   let tcp_arg =
@@ -1285,7 +1259,7 @@ let load_cmd =
              (ramp between rate/3 and 2x rate across the window).")
   in
   let run n rate duration_ms sessions accounts admission_queue arrival seed
-      verify_domains metrics =
+      metrics =
     (* Capacity-limited on purpose: pipeline 1 over 5 ms links commits a
        two-tx batch every ~15 ms (~130 tx/s at the defaults), so the
        saturation knee is reachable at CLI-friendly offered rates. *)
@@ -1297,7 +1271,6 @@ let load_cmd =
         batch_delay_ms = 4.0;
         vc_timeout_ms = 100_000.0;
         admission_queue;
-        verify_domains;
       }
     in
     let obs = Obs.create ~metrics:true ~tracing:false () in
@@ -1396,7 +1369,7 @@ let load_cmd =
     Term.(
       const run $ replicas_arg $ rate_arg $ duration_arg $ sessions_arg
       $ accounts_arg $ admission_queue_arg $ arrival_arg $ seed_arg
-      $ verify_domains_arg $ metrics_arg)
+      $ metrics_arg)
 
 let () =
   let info =

@@ -73,7 +73,7 @@ let run_one (sc : Scenario.t) ~seed =
     r_wall_s = Unix.gettimeofday () -. t0;
   }
 
-(* --- seed sweep, parallel over domains (same shape as Parverify) --- *)
+(* --- seed sweep, parallel over domains --- *)
 
 let default_jobs () = min 4 (max 1 (Domain.recommended_domain_count () - 1))
 

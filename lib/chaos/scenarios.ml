@@ -44,20 +44,6 @@ let loss_ramp =
       at 3_000.0 "loss off" (set_loss 0.0);
     ]
 
-(* The domain-pooled verify stage must not perturb protocol behaviour: the
-   same crash-plus-view-change script as above, but with every replica
-   batching its signature checks across 4 worker domains. The oracle's
-   clean-audit verdict checks the protocol outcome; the @chaos-smoke
-   determinism check re-runs this cell and requires a byte-identical
-   metrics snapshot (wall-clock-dependent pool histograms are Profile-side
-   only, never in the obs registry). *)
-let pooled_verify =
-  live ~name:"pooled-verify" ~suite:Core
-    ~params:{ Replica.default_params with verify_domains = 4 }
-    [
-      at 150.0 "crash the view-0 primary" (crash_replica 0);
-    ]
-
 (* --- byzantine suite, below threshold: one scripted replica (f = 1) --- *)
 
 let equivocating_primary =
@@ -593,7 +579,6 @@ let core =
     partition_heal;
     oneway_partition;
     loss_ramp;
-    pooled_verify;
     overload_loss_ramp;
     overload_primary_crash;
   ]
@@ -625,12 +610,13 @@ let suite = function
 
 (* Fast cross-section for the default test run: one scenario per suite,
    plus the state-sync pair (snapshot catch-up and compaction are load-
-   bearing for recovery, so they stay in the default run) and the pooled
-   verify stage (whose same-seed determinism the smoke driver asserts). *)
+   bearing for recovery, so they stay in the default run) and the primary
+   crash (the view-change path, whose same-seed determinism the smoke
+   driver asserts). *)
 let smoke =
   [
     crash_restart;
-    pooled_verify;
+    primary_crash;
     collusion_wrong_execution;
     cold_restart;
     snapshot_cold_restart;

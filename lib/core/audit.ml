@@ -11,7 +11,6 @@ module Hamt = Iaccf_kv.Hamt
 module Tree = Iaccf_merkle.Tree
 module Bitmap = Iaccf_util.Bitmap
 module D = Iaccf_crypto.Digest32
-module Parverify = Iaccf_crypto.Parverify
 
 type upom =
   | Invalid_receipt of { ir_receipt : Receipt.t; ir_reason : string }
@@ -37,7 +36,6 @@ type t = {
   app : App.t;
   pipeline : int;
   checkpoint_interval : int;
-  mutable verify_domains : int;
   chain : Govchain.t;
 }
 
@@ -48,41 +46,8 @@ let create ~genesis ~app ~pipeline ~checkpoint_interval =
     app;
     pipeline;
     checkpoint_interval;
-    verify_domains = 0;
     chain = Govchain.create genesis ~pipeline;
   }
-
-let set_verify_domains t d = t.verify_domains <- d
-
-(* Client-signature results for a batch's transactions, in order. With a
-   domain budget the Schnorr work is fanned out through the verify pool —
-   this is the audit's bulk check, up to [max_batch] verifies per batch —
-   and the structural service-binding check stays here. The sequential
-   path is [Request.verify] itself, so results are identical either way. *)
-let bulk_sig_results t txs =
-  if t.verify_domains > 1 && List.length txs >= 4 then
-    let jobs =
-      List.map
-        (fun (tx : Batch.tx_entry) ->
-          let r = tx.Batch.request in
-          let payload =
-            Request.signing_payload ~proc:r.Request.proc ~args:r.Request.args
-              ~client_pk:r.Request.client_pk ~service:r.Request.service
-              ~min_index:r.Request.min_index ~client_seqno:r.Request.client_seqno
-          in
-          {
-            Parverify.j_pk = r.Request.client_pk;
-            j_digest = D.to_raw payload;
-            j_signature = r.Request.signature;
-          })
-        txs
-    in
-    let schnorr_ok = Parverify.verify_batch_results ~domains:t.verify_domains jobs in
-    List.map2
-      (fun (tx : Batch.tx_entry) ok ->
-        ok && D.equal tx.Batch.request.Request.service t.service)
-      txs schnorr_ok
-  else List.map (fun (tx : Batch.tx_entry) -> Request.verify tx.Batch.request ~service:t.service) txs
 
 (* ------------------------------------------------------------------ *)
 (* Verdict assembly                                                    *)
@@ -238,18 +203,17 @@ let scan_ledger t ~responder ledger =
         let s = pp.Message.seqno in
         if not (D.equal (Batch.g_root txs) pp.Message.g_root) then
           fail i (Printf.sprintf "batch %d: transactions do not match g_root" s);
-        let sig_results = bulk_sig_results t txs in
-        List.iter2
-          (fun (tx : Batch.tx_entry) sig_ok ->
+        List.iter
+          (fun (tx : Batch.tx_entry) ->
             if tx.Batch.request.Request.min_index > tx.Batch.index then
               fail i (Printf.sprintf "batch %d: minimum index violated" s);
-            if not sig_ok then
+            if not (Request.verify tx.Batch.request ~service:t.service) then
               fail i (Printf.sprintf "batch %d: invalid client signature" s);
             if
               String.length tx.Batch.request.Request.proc >= 4
               && String.sub tx.Batch.request.Request.proc 0 4 = "gov/"
             then gov_index := tx.Batch.index)
-          txs sig_results;
+          txs;
         Hashtbl.replace batches s { bi_pp = pp; bi_pp_index = pp_index; bi_txs = txs };
         max_seqno := max !max_seqno s;
         (* A vote that passes schedules the configuration change 2P later.

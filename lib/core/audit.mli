@@ -57,12 +57,6 @@ val create :
   checkpoint_interval:int ->
   t
 
-val set_verify_domains : t -> int -> unit
-(** With a value > 1 (default 0: sequential), the audit's bulk
-    client-signature sweep — up to [max_batch] Schnorr checks per replayed
-    batch — fans across that many OCaml domains via the verify pool.
-    Verdicts are identical either way; only wall-clock time changes. *)
-
 val add_gov_receipts : t -> Receipt.t list -> (unit, verdict) result
 (** Feed the supporting governance chain; a fork yields a verdict. *)
 

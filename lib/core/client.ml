@@ -202,18 +202,7 @@ let rec arm_retry t p =
     (Sched.schedule t.sched ~delay:t.retry_ms (fun () ->
          if (not p.p_done) && Hashtbl.mem t.pending (D.to_raw p.p_hash) then begin
            p.p_retries <- p.p_retries + 1;
-           (match Sys.getenv_opt "IACCF_DEBUG_CLIENT" with
-           | Some _ when p.p_retries mod 50 = 0 ->
-               Printf.eprintf "CLIENT retry#%d tx=%s replyx=%b replies=%s\n%!"
-                 p.p_retries
-                 (String.sub (D.to_hex p.p_hash) 0 8)
-                 (p.p_replyx <> None)
-                 (String.concat ";"
-                    (Hashtbl.fold
-                       (fun (v, s) tbl acc ->
-                         Printf.sprintf "(v%d,s%d:%d)" v s (Hashtbl.length tbl) :: acc)
-                       p.p_replies []))
-           | _ -> ());
+           Obs.incr (Obs.counter t.obs "client.retries");
            (* A reply names a batch, not a request, so buffered replies may
               all belong to other batches of ours: a replyx request alone
               cannot revive a request the replicas never admitted (or

@@ -18,7 +18,6 @@ type t = {
   app : App.t;
   pipeline : int;
   checkpoint_interval : int;
-  mutable verify_domains : int;
   mutable punished : string list;
   watches : (string, Iaccf_types.Config.t) Hashtbl.t; (* request hash -> config *)
   mutable violations : Iaccf_crypto.Digest32.t list;
@@ -30,13 +29,10 @@ let create ~genesis ~app ~pipeline ~checkpoint_interval =
     app;
     pipeline;
     checkpoint_interval;
-    verify_domains = 0;
     punished = [];
     watches = Hashtbl.create 8;
     violations = [];
   }
-
-let set_verify_domains t d = t.verify_domains <- d
 
 let punish t members =
   t.punished <- List.sort_uniq compare (members @ t.punished)
@@ -44,12 +40,8 @@ let punish t members =
 let punished_members t = t.punished
 
 let fresh_auditor t =
-  let auditor =
-    Audit.create ~genesis:t.genesis ~app:t.app ~pipeline:t.pipeline
-      ~checkpoint_interval:t.checkpoint_interval
-  in
-  Audit.set_verify_domains auditor t.verify_domains;
-  auditor
+  Audit.create ~genesis:t.genesis ~app:t.app ~pipeline:t.pipeline
+    ~checkpoint_interval:t.checkpoint_interval
 
 let newest_receipt receipts =
   List.fold_left

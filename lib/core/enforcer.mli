@@ -26,10 +26,6 @@ val create :
   checkpoint_interval:int ->
   t
 
-val set_verify_domains : t -> int -> unit
-(** Handed to every auditor this enforcer spins up (see
-    {!Audit.set_verify_domains}); outcomes are unaffected. *)
-
 val investigate :
   t ->
   receipts:Receipt.t list ->

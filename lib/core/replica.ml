@@ -33,11 +33,6 @@ type params = {
   vc_timeout_ms : float;
   variant : Variant.t;
   snapshot_interval : int;
-  verify_domains : int;
-      (* > 1 enables the pooled verify stage: per-message signature checks
-         are batched per delivery and dispatched across OCaml domains.
-         0/1 (the default) verifies inline — byte-identical behavior to
-         the pre-pool replica, which the committed bench baselines gate. *)
   admission_queue : int;
       (* > 0 bounds the primary's pending-request queue: a fresh request
          arriving while the queue holds at least this many entries is shed
@@ -55,7 +50,6 @@ let default_params =
     vc_timeout_ms = 400.0;
     variant = Variant.full;
     snapshot_interval = 0;
-    verify_domains = 0;
     admission_queue = 0;
   }
 
@@ -170,7 +164,7 @@ type t = {
   rng : Rng.t;
   obs : Obs.t;
   profile : Profile.t; (* wall-clock sign/verify/apply cost accounting *)
-  vstage : Vstage.t; (* batched, cached, pool-backed signature verification *)
+  vstage : Vstage.t; (* signature verification with per-key tables *)
   ctr : counters;
   ph : phase_hists;
   mutable cfg : Config.t;
@@ -366,132 +360,63 @@ let verify_digest t ~cls ~replica d ~signature =
            performs no verification and must not skew sigs_verified or the
            profiler's Table-3 breakdown. *)
         Obs.incr t.ctr.c_sigs_verified;
-        Vstage.verify_now t.vstage ~cls ~principal:Profile.Replica_key pk
+        Vstage.verify t.vstage ~cls ~principal:Profile.Replica_key pk
           (D.to_raw d) ~signature
 
-(* Asynchronous variant for the per-message hot path: the verification is
-   submitted to the verify stage and [k] receives the result. With the
-   pool disabled (verify_domains <= 1) the stage verifies inline and runs
-   [k] before returning — identical control flow to [verify_digest]; with
-   the pool enabled, [k] is deferred to the per-message flush and runs in
-   submission order. *)
-let verify_digest_async t ~cls ~replica d ~signature k =
-  if t.params.variant.Variant.macs_only then
-    k
-      (Obs.incr t.ctr.c_macs_computed;
-       Profile.time t.profile Profile.Mac ~cls Profile.Replica_key (fun () ->
-           Hmac.verify ~key:t.mac_key (D.to_raw d) ~mac:signature))
-  else
-    match Config.replica_pk t.cfg replica with
-    | None -> k false
-    | Some pk ->
-        Obs.incr t.ctr.c_sigs_verified;
-        Vstage.submit t.vstage ~cls ~principal:Profile.Replica_key pk (D.to_raw d)
-          ~signature k
-
+(* Structure checks come first (they cost nothing); only a well-formed
+   message pays for the signature math. *)
 let verify_pp_sig t (pp : Message.pre_prepare) =
   pp.Message.primary = Config.primary_of_view t.cfg pp.Message.view
   && verify_digest t ~cls:"pre_prepare" ~replica:pp.Message.primary
        (Message.pp_hash pp) ~signature:pp.Message.signature
 
-(* Async forms of the per-message verifiers (the sole form for prepare /
-   view-change / new-view — their handlers all went through the stage);
-   structure checks stay synchronous (they cost nothing), only the
-   signature math goes through the stage. *)
-let verify_pp_sig_async t (pp : Message.pre_prepare) k =
-  if pp.Message.primary <> Config.primary_of_view t.cfg pp.Message.view then
-    k false
-  else
-    verify_digest_async t ~cls:"pre_prepare" ~replica:pp.Message.primary
-      (Message.pp_hash pp) ~signature:pp.Message.signature k
-
-let verify_prepare_sig_async t (p : Message.prepare) k =
+let verify_prepare_sig t (p : Message.prepare) =
   let payload =
     Message.prepare_payload ~view:p.Message.p_view ~seqno:p.Message.p_seqno
       ~replica:p.Message.p_replica ~nonce_com:p.Message.p_nonce_com
       ~pp_hash:p.Message.p_pp_hash
   in
-  verify_digest_async t ~cls:"prepare" ~replica:p.Message.p_replica payload
-    ~signature:p.Message.p_signature k
+  verify_digest t ~cls:"prepare" ~replica:p.Message.p_replica payload
+    ~signature:p.Message.p_signature
 
-let verify_vc_sig_async t (vc : Message.view_change) k =
+let verify_vc_sig t (vc : Message.view_change) =
   let payload =
     Message.view_change_payload ~view:vc.Message.vc_view
       ~replica:vc.Message.vc_replica ~last_prepared:vc.Message.vc_last_prepared
   in
-  verify_digest_async t ~cls:"view_change" ~replica:vc.Message.vc_replica payload
-    ~signature:vc.Message.vc_signature k
+  verify_digest t ~cls:"view_change" ~replica:vc.Message.vc_replica payload
+    ~signature:vc.Message.vc_signature
 
-let verify_nv_sig_async t (nv : Message.new_view) k =
-  if nv.Message.nv_primary <> Config.primary_of_view t.cfg nv.Message.nv_view then
-    k false
-  else
-    verify_digest_async t ~cls:"new_view" ~replica:nv.Message.nv_primary
-      (Message.new_view_payload ~view:nv.Message.nv_view ~m_root:nv.Message.nv_m_root
-         ~vc_bitmap:nv.Message.nv_vc_bitmap ~vc_hash:nv.Message.nv_vc_hash
-         ~primary:nv.Message.nv_primary)
-      ~signature:nv.Message.nv_signature k
+let verify_nv_sig t (nv : Message.new_view) =
+  nv.Message.nv_primary = Config.primary_of_view t.cfg nv.Message.nv_view
+  && verify_digest t ~cls:"new_view" ~replica:nv.Message.nv_primary
+       (Message.new_view_payload ~view:nv.Message.nv_view ~m_root:nv.Message.nv_m_root
+          ~vc_bitmap:nv.Message.nv_vc_bitmap ~vc_hash:nv.Message.nv_vc_hash
+          ~primary:nv.Message.nv_primary)
+       ~signature:nv.Message.nv_signature
 
-(* Join N view-change verifications. All are submitted (one flush batch in
-   pooled mode); [k] fires once with the conjunction when the last result
-   lands. *)
-let verify_vc_sigs_async t vcs k =
-  let n = List.length vcs in
-  if n = 0 then k true
+(* The paper's dominant cost: one client-key verification per request,
+   unamortized by batching. *)
+let verify_request_sig t (req : Request.t) =
+  if not t.params.variant.Variant.verify_client_sigs then true
+  else if not (D.equal req.Request.service t.service) then false
   else begin
-    let done_ = ref 0 and all_ok = ref true in
-    List.iter
-      (fun vc ->
-        verify_vc_sig_async t vc (fun ok ->
-            if not ok then all_ok := false;
-            incr done_;
-            if !done_ = n then k !all_ok))
-      vcs
-  end
-
-(* Warm the verify stage's result cache for a bulk synchronous sweep over
-   ledger entries (state transfer, snapshot install, cold restore): the
-   pre-prepare signatures the sequential walk will check are dispatched
-   across the pool in one batch first, so each later [verify_pp_sig] is a
-   cache hit. No-op unless the pool is enabled. Reconfiguration inside the
-   suffix can change a primary's key mid-walk; a mis-keyed prefetch entry
-   just misses the cache and the walk verifies inline as before. *)
-let prefetch_pp_sigs t ?(skip_exec_upto = 0) entries =
-  if Vstage.pooled t.vstage && not t.params.variant.Variant.macs_only then begin
-    let items =
-      List.filter_map
-        (fun e ->
-          match e with
-          | Iaccf_ledger.Entry.Pre_prepare pp
-            when pp.Message.primary = Config.primary_of_view t.cfg pp.Message.view
-                 && (pp.Message.seqno > skip_exec_upto
-                    ||
-                    match pp.Message.kind with
-                    | Batch.Checkpoint _ -> true
-                    | Batch.Regular | Batch.End_of_config _
-                    | Batch.Start_of_config _ ->
-                        false) -> (
-              match Config.replica_pk t.cfg pp.Message.primary with
-              | Some pk ->
-                  Some (pk, D.to_raw (Message.pp_hash pp), pp.Message.signature)
-              | None -> None)
-          | _ -> None)
-        entries
+    Obs.incr t.ctr.c_sigs_verified;
+    let payload =
+      Request.signing_payload ~proc:req.Request.proc ~args:req.Request.args
+        ~client_pk:req.Request.client_pk ~service:req.Request.service
+        ~min_index:req.Request.min_index ~client_seqno:req.Request.client_seqno
     in
-    Vstage.prefetch t.vstage ~cls:"pre_prepare" ~principal:Profile.Replica_key items
+    Vstage.verify t.vstage ~cls:"request" ~principal:Profile.Client_key
+      req.Request.client_pk (D.to_raw payload) ~signature:req.Request.signature
   end
 
-(* What a catch-up session needs from the replica to gate an install. The
-   dry run's signature checks are prefetched in one pooled batch first. *)
+(* What a catch-up session needs from the replica to gate an install. *)
 let sync_hooks t =
   {
     SyncSession.verify_pp = verify_pp_sig t;
     check_suffix =
       (fun ~cp_seqno entries ->
-        prefetch_pp_sigs t
-          (List.map
-             (fun pp -> Entry.Pre_prepare pp)
-             (SyncValidate.sigs_to_check ~cp_seqno entries));
         SyncValidate.check_suffix ~tree:(Ledger.m_tree_copy t.ledger)
           ~next_seqno:t.seqno ~cp_seqno ~verify_pp:(verify_pp_sig t) entries);
     peers = (fun () -> List.filter (fun r -> r <> t.rid) (replica_ids t));
@@ -1543,33 +1468,27 @@ and try_process_pending t =
 and on_pre_prepare t (pp : Message.pre_prepare) batch =
   if t.running && t.activated && pp.Message.primary <> t.rid then begin
     if pp.Message.view < t.view then tally t "replica.pp.stale"
-    else
-      verify_pp_sig_async t pp (fun sig_ok ->
-          (* Re-check the view guard: with the pool enabled an earlier
-             callback in this flush may have advanced the view (inline
-             mode runs the callback immediately, so the re-check is a
-             no-op there). *)
-          if sig_ok && pp.Message.view >= t.view then begin
-            note_view_ahead t ~view:pp.Message.view ~src:pp.Message.primary;
-            if
-              pp.Message.view = t.view && t.ready && pp.Message.seqno = t.seqno
-              && not (Hashtbl.mem t.own_nonces (t.view, pp.Message.seqno))
-            then begin
-              if process_pre_prepare t pp batch then () else
-                Hashtbl.replace t.pending_pps pp.Message.seqno (pp, batch);
-              try_process_pending t
-            end
-            else if pp.Message.seqno >= t.seqno || (not t.ready) || pp.Message.view > t.view
-            then begin
-              (* While a view change is in flight our sequence number may roll
-                 back below this pre-prepare's: keep everything for the newest
-                 view until the new-view settles. *)
-              tally t "replica.pp.buffered";
-              match Hashtbl.find_opt t.pending_pps pp.Message.seqno with
-              | Some (prev, _) when prev.Message.view > pp.Message.view -> ()
-              | _ -> Hashtbl.replace t.pending_pps pp.Message.seqno (pp, batch)
-            end
-          end)
+    else if verify_pp_sig t pp then begin
+      note_view_ahead t ~view:pp.Message.view ~src:pp.Message.primary;
+      if
+        pp.Message.view = t.view && t.ready && pp.Message.seqno = t.seqno
+        && not (Hashtbl.mem t.own_nonces (t.view, pp.Message.seqno))
+      then begin
+        if process_pre_prepare t pp batch then () else
+          Hashtbl.replace t.pending_pps pp.Message.seqno (pp, batch);
+        try_process_pending t
+      end
+      else if pp.Message.seqno >= t.seqno || (not t.ready) || pp.Message.view > t.view
+      then begin
+        (* While a view change is in flight our sequence number may roll
+           back below this pre-prepare's: keep everything for the newest
+           view until the new-view settles. *)
+        tally t "replica.pp.buffered";
+        match Hashtbl.find_opt t.pending_pps pp.Message.seqno with
+        | Some (prev, _) when prev.Message.view > pp.Message.view -> ()
+        | _ -> Hashtbl.replace t.pending_pps pp.Message.seqno (pp, batch)
+      end
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1647,71 +1566,47 @@ and on_request t (req : Request.t) =
       send_to_client t req.Request.client_pk
         (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = Request.hash req })
     end
-    else if not (Hashtbl.mem t.requests h) then begin
-      let admit ok =
-        if ok && not (Hashtbl.mem t.requests h) then begin
-          Hashtbl.replace t.requests h req;
-          t.request_order <- Request.hash req :: t.request_order;
-          Obs.incr t.ctr.c_requests_received;
-          if is_primary t then Obs.incr t.ctr.c_load_admitted;
-          update_queue_gauge t;
-          if Obs.tracing_enabled t.obs then
-            Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.received"
-              ~args:[ ("proc", req.Request.proc) ]
-              ();
-          if is_primary t then arm_batch_timer t;
-          try_process_pending t
-        end
-      in
-      if t.params.variant.Variant.verify_client_sigs then begin
-        (* The paper's dominant cost: one client-key verification per
-           request, unamortized by batching — exactly what the verify
-           stage's cache (retransmits carry identical signatures) and
-           domain pool attack. The service check stays synchronous. *)
-        if not (D.equal req.Request.service t.service) then admit false
-        else begin
-          Obs.incr t.ctr.c_sigs_verified;
-          let payload =
-            Request.signing_payload ~proc:req.Request.proc ~args:req.Request.args
-              ~client_pk:req.Request.client_pk ~service:req.Request.service
-              ~min_index:req.Request.min_index ~client_seqno:req.Request.client_seqno
-          in
-          Vstage.submit t.vstage ~cls:"request" ~principal:Profile.Client_key
-            req.Request.client_pk (D.to_raw payload)
-            ~signature:req.Request.signature admit
-        end
-      end
-      else admit true
+    else if (not (Hashtbl.mem t.requests h)) && verify_request_sig t req then begin
+      Hashtbl.replace t.requests h req;
+      t.request_order <- Request.hash req :: t.request_order;
+      Obs.incr t.ctr.c_requests_received;
+      if is_primary t then Obs.incr t.ctr.c_load_admitted;
+      update_queue_gauge t;
+      if Obs.tracing_enabled t.obs then
+        Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.received"
+          ~args:[ ("proc", req.Request.proc) ]
+          ();
+      if is_primary t then arm_batch_timer t;
+      try_process_pending t
     end
   end
 
 and on_prepare t (p : Message.prepare) =
-  if t.running && t.activated && p.Message.p_replica <> t.rid then
-    verify_prepare_sig_async t p (fun sig_ok ->
-        if sig_ok then begin
-          note_view_ahead t ~view:p.Message.p_view ~src:p.Message.p_replica;
-          Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
-            p.Message.p_replica p;
-          check_prepared t
-        end)
+  if t.running && t.activated && p.Message.p_replica <> t.rid && verify_prepare_sig t p
+  then begin
+    note_view_ahead t ~view:p.Message.p_view ~src:p.Message.p_replica;
+    Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
+      p.Message.p_replica p;
+    check_prepared t
+  end
 
 and on_commit t (c : Message.commit) =
   if t.running && t.activated && c.Message.c_replica <> t.rid then begin
     (* Signed-commit ablation: pay the verification the nonce scheme saves.
-       The result is discarded, so the job rides the stage without gating
-       the commit bookkeeping below. Counted only when the key lookup
-       succeeds — an unknown replica id verifies nothing. *)
+       The result is discarded: it does not gate the commit bookkeeping
+       below. Counted only when the key lookup succeeds — an unknown
+       replica id verifies nothing. *)
     if t.params.variant.Variant.sign_commits then begin
       match Config.replica_pk t.cfg c.Message.c_replica with
       | Some pk ->
           Obs.incr t.ctr.c_sigs_verified;
-          Vstage.submit t.vstage ~cls:"commit" ~principal:Profile.Replica_key pk
-            (D.to_raw
-               (D.of_string
-                  (Printf.sprintf "commit:%d:%d:%d" c.Message.c_view
-                     c.Message.c_seqno c.Message.c_replica)))
-            ~signature:(String.make 64 '\000')
-            (fun _ -> ())
+          ignore
+            (Vstage.verify t.vstage ~cls:"commit" ~principal:Profile.Replica_key pk
+               (D.to_raw
+                  (D.of_string
+                     (Printf.sprintf "commit:%d:%d:%d" c.Message.c_view
+                        c.Message.c_seqno c.Message.c_replica)))
+               ~signature:(String.make 64 '\000'))
       | None -> ()
     end;
     Hashtbl.replace (sub_tbl t.commits (c.Message.c_view, c.Message.c_seqno))
@@ -1821,17 +1716,16 @@ and send_view_change t v' =
 and start_view_change t = send_view_change t (t.view + 1)
 
 and on_view_change t (vc : Message.view_change) =
-  if t.running && t.activated && vc.Message.vc_view >= t.view then
-    verify_vc_sig_async t vc (fun sig_ok ->
-        if sig_ok && vc.Message.vc_view >= t.view then begin
-          Hashtbl.replace (sub_tbl t.view_changes vc.Message.vc_view)
-            vc.Message.vc_replica vc;
-          if
-            vc.Message.vc_view > t.view
-            && Hashtbl.length (sub_tbl t.view_changes vc.Message.vc_view) > Config.f t.cfg
-          then send_view_change t vc.Message.vc_view
-          else maybe_new_view t
-        end)
+  if t.running && t.activated && vc.Message.vc_view >= t.view && verify_vc_sig t vc
+  then begin
+    Hashtbl.replace (sub_tbl t.view_changes vc.Message.vc_view)
+      vc.Message.vc_replica vc;
+    if
+      vc.Message.vc_view > t.view
+      && Hashtbl.length (sub_tbl t.view_changes vc.Message.vc_view) > Config.f t.cfg
+    then send_view_change t vc.Message.vc_view
+    else maybe_new_view t
+  end
 
 (* The highest prepared pre-prepare across a view-change quorum, plus the
    pre-prepares for the P sequence numbers ending at it (best view wins). *)
@@ -1965,19 +1859,16 @@ and on_new_view t (nv : Message.new_view) vcs =
     && nv.Message.nv_primary <> t.rid
     && List.length vcs >= quorum t
     && List.for_all (fun vc -> vc.Message.vc_view = nv.Message.nv_view) vcs
-  then
-    (* The new-view signature plus a quorum of view-change signatures is
-       the hot path's one natural bulk verification: all of them land in a
-       single pooled batch. *)
-    verify_nv_sig_async t nv (fun nv_ok ->
-        if nv_ok && nv.Message.nv_view >= t.view then
-          verify_vc_sigs_async t vcs (fun vcs_ok ->
-              if vcs_ok && nv.Message.nv_view >= t.view then begin
-                t.view <- nv.Message.nv_view;
-                t.ready <- false;
-                t.pending_new_view <- Some (nv, vcs);
-                try_complete_new_view t
-              end))
+    && verify_nv_sig t nv
+    (* Every bundled view-change signature is checked, even after one
+       fails: sigs_verified counts the whole quorum. *)
+    && List.fold_left (fun ok vc -> verify_vc_sig t vc && ok) true vcs
+  then begin
+    t.view <- nv.Message.nv_view;
+    t.ready <- false;
+    t.pending_new_view <- Some (nv, vcs);
+    try_complete_new_view t
+  end
 
 and try_complete_new_view t =
   match t.pending_new_view with
@@ -2216,7 +2107,6 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
    transfer thus reconstructs exactly the sender's ledger, including the
    view-change and new-view entries that batch replay alone would miss. *)
 and apply_entries t ?(skip_exec_upto = 0) entries =
-  prefetch_pp_sigs t ~skip_exec_upto entries;
   let rec go progressed = function
     | [] | Entry.Malformed _ :: _ -> progressed
     | Entry.Batch { evidence; pp; txs } :: rest ->
@@ -2340,11 +2230,9 @@ and adopt_checkpoint t cp digest entries =
 (* ------------------------------------------------------------------ *)
 (* Progress timer: retransmission, then view change                    *)
 
-(* The periodic tick trace replaces the old IACCF_DEBUG_TICK stderr dump:
-   the env var still opts a run in, but the record now lands in the trace
-   stream with everything else instead of interleaving with test output. *)
-and debug_tick_trace t =
-  if Obs.tracing_enabled t.obs && Sys.getenv_opt "IACCF_DEBUG_TICK" <> None then
+(* One trace instant per progress tick: where the replica stood. *)
+and tick_trace t =
+  if Obs.tracing_enabled t.obs then
     Obs.instant t.obs ~node:t.rid ~cat:"replica" ~name:"replica.tick"
       ~args:
         [
@@ -2364,7 +2252,7 @@ and debug_tick_trace t =
    until our configuration includes us and we have caught up (§5.1). *)
 and progress_tick t =
   if t.running then begin
-    if t.activated then debug_tick_trace t;
+    if t.activated then tick_trace t;
     run_sync_actions t (SyncSession.tick t.sync_client);
     if SyncSession.syncing t.sync_client then arm_progress_timer t
     else if t.activated then progress_tick_active t
@@ -2539,13 +2427,6 @@ let on_message t ~src msg =
         (* Read/audit serving belongs to observers (Iaccf_observer);
            replicas ignore these to keep the consensus path untouched. *)
         ());
-    (* Pooled mode: dispatch every verification this delivery submitted as
-       one batch across the worker domains, then run the deferred
-       continuations in submission order. The flush happens entirely
-       inside this delivery — before the scheduler hands out the next
-       event — so pooled runs stay seed-deterministic. Inline mode:
-       nothing is ever pending and this is one branch. *)
-    Vstage.flush t.vstage
   end
 
 let dispatch = on_message
@@ -2627,18 +2508,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
   let obs = match obs with Some o -> o | None -> Obs.passive () in
   let profile = match profile with Some p -> p | None -> Profile.disabled in
   Obs.set_node_name obs id (Printf.sprintf "replica-%d" id);
-  let vstage = Vstage.create ~domains:params.verify_domains ~obs ~profile () in
-  (* Pooled runs are throughput runs: build the fixed-base tables for the
-     configuration's replica keys up front (they verify constantly).
-     Inline runs let the stage's use-count threshold decide, keeping
-     replica construction cheap for the many short-lived test clusters. *)
-  if params.verify_domains > 1 then
-    List.iter
-      (fun (r : Config.replica_info) ->
-        match Config.replica_pk cfg r.Config.replica_id with
-        | Some pk -> ignore (Vstage.register vstage pk)
-        | None -> ())
-      cfg.Config.replicas;
+  let vstage = Vstage.create ~obs ~profile () in
   let store = Store.create () in
   let sync = SyncMetrics.make obs in
   let cp0 = Checkpoint.make ~seqno:0 (Store.map store) in

@@ -23,12 +23,6 @@ type params = {
       (** persist a durable snapshot every this many sequence numbers once
           the checkpoint is sealed (requires [storage]; multiples of
           [checkpoint_interval] are sensible); [0] disables writing *)
-  verify_domains : int;
-      (** > 1: signature verifications are batched per message delivery and
-          dispatched across this many OCaml domains (completion callbacks
-          run in submission order, so runs stay seed-deterministic); 0 or 1
-          (default) verifies inline, byte-identical to the unpooled
-          replica *)
   admission_queue : int;
       (** > 0: the primary sheds a fresh request with a {!Wire.Busy_msg}
           (before paying for signature verification) whenever its pending

@@ -7,10 +7,9 @@
    (defaulting to CPU time); the registry is instance-scoped so parallel
    runs do not bleed into each other.
 
-   This is the measurement the ROADMAP's domain-based verify pool needs
-   before it exists: the breakdown shows how much of the budget is
-   client-signature verification (the paper's dominant row) and how much
-   is amortized per-batch protocol crypto. *)
+   The breakdown shows how much of the budget is client-signature
+   verification (the paper's dominant row) and how much is amortized
+   per-batch protocol crypto. *)
 
 (* [Apply] is the one non-crypto row: request execution against the KV
    store, recorded so the critical-path overlay can compare crypto cost
@@ -72,21 +71,6 @@ let time t op ~cls principal f =
     c.virt_ms <- c.virt_ms +. (t.virt () -. v0);
     result
   end
-
-(* Charge an already-measured cost to a cell. The pooled verify stage
-   measures one wall-clock interval around a whole batch (the jobs run
-   concurrently on worker domains, so per-job [time] wrappers would
-   double-count) and attributes the interval across the jobs' classes. *)
-let record t op ~cls principal ~wall_s ~virt_ms ~count =
-  if t.enabled then begin
-    let c = cell t (op, cls, principal) in
-    c.count <- c.count + count;
-    c.wall_s <- c.wall_s +. wall_s;
-    c.virt_ms <- c.virt_ms +. virt_ms
-  end
-
-let wall_now t = t.wall ()
-let virt_now t = t.virt ()
 
 type row = {
   r_op : op;

@@ -1,52 +1,17 @@
-(** The batched, pool-backed signature-verification stage.
+(** The one signature check every caller goes through.
 
-    Replica hot paths do not call {!Schnorr.verify} inline; they {!submit}
-    jobs with completion callbacks and {!flush} once per delivered message.
-    Three accelerations stack: a bounded LRU result cache keyed
-    [(pk, digest, signature)], per-key fixed-base precomputation
-    ({!Group.make_table}) for keys seen repeatedly, and — with
-    [domains > 1] — the {!Parverify} domain pool for each flushed batch's
-    cache misses.
-
-    Determinism contract: with [domains <= 1] (the default), [submit]
-    verifies inline and runs the callback before returning, byte-identical
-    to unstaged code. With the pool enabled, callbacks are deferred to
-    [flush] but always run in submission order, so a fixed seed still
-    yields byte-identical simulation output; only wall-clock readings
-    (Profile rows, {!queue_wait}) vary run to run. Obs counters and the
-    batch-size histogram record only deterministic values. *)
+    {!verify} interns the key, builds its fixed-base table
+    ({!Schnorr.precompute}) on the key's third use, verifies, and charges
+    the check to a {!Profile} under its message class and principal. *)
 
 type t
 
-val create :
-  ?domains:int ->
-  ?cache_capacity:int ->
-  ?obs:Iaccf_obs.Obs.t ->
-  ?profile:Profile.t ->
-  ?wall:(unit -> float) ->
-  unit ->
-  t
-(** [domains] (default 0) > 1 enables pooled batching. [obs] (default: a
-    private passive registry) receives the [crypto.cache.{hit,miss}],
-    [crypto.pool.{jobs,batches}], [crypto.keys.precomputed] counters and
-    the [crypto.pool.batch_size] histogram. [profile] is charged for every
-    verification (amortized across a batch when pooled). [wall] (default
-    [Sys.time]) feeds the queue-wait histogram only. *)
+val create : ?obs:Iaccf_obs.Obs.t -> ?profile:Profile.t -> unit -> t
+(** [obs] (default: a private passive registry) receives the
+    [crypto.keys.precomputed] counter, one per table built. [profile]
+    (default {!Profile.disabled}) is charged for every verification. *)
 
-val pooled : t -> bool
-(** Whether [domains > 1], i.e. submissions defer to {!flush}. *)
-
-val domains : t -> int
-
-val cache_hits : t -> int
-val cache_misses : t -> int
-(** Result-cache statistics (lifetime, from the underlying LRU). *)
-
-val register : t -> Schnorr.public_key -> Schnorr.public_key
-(** Intern a key known to verify constantly (replica keys at startup) and
-    build its fixed-base table immediately; returns the canonical copy. *)
-
-val verify_now :
+val verify :
   t ->
   cls:string ->
   principal:Profile.principal ->
@@ -54,40 +19,6 @@ val verify_now :
   string ->
   signature:string ->
   bool
-(** Synchronous cache-checked verification — the inline-mode workhorse and
-    the read side for bulk paths that {!prefetch}ed. *)
-
-val submit :
-  t ->
-  cls:string ->
-  principal:Profile.principal ->
-  Schnorr.public_key ->
-  string ->
-  signature:string ->
-  (bool -> unit) ->
-  unit
-(** Queue one verification with a completion callback. Inline mode runs
-    the callback before returning; pooled mode defers it to {!flush}.
-    Callbacks always fire in submission order. *)
-
-val flush : t -> unit
-(** Dispatch every pending submission's cache misses across the domain
-    pool and run all pending callbacks, in submission order. Callbacks may
-    submit follow-up jobs; [flush] drains until quiet. Reentrant calls and
-    empty queues are no-ops. *)
-
-val prefetch :
-  t ->
-  cls:string ->
-  principal:Profile.principal ->
-  (Schnorr.public_key * string * string) list ->
-  unit
-(** [(pk, digest, signature)] triples a bulk synchronous path is about to
-    verify one by one: pool-verify the cache misses now so the following
-    {!verify_now} loop hits the cache. No-op when not pooled. *)
-
-val queue_wait : t -> Iaccf_obs.Obs.Histogram.h
-(** Submit-to-callback wall-clock wait per job (ms), pooled mode only.
-    Detached from the [obs] registry because its values are
-    nondeterministic — registry snapshots must stay byte-identical for a
-    fixed seed. *)
+(** [verify t ~cls ~principal pk digest ~signature] is
+    [Schnorr.verify pk digest ~signature], accelerated by the key's table
+    once it has one. *)

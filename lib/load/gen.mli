@@ -14,8 +14,7 @@
     Accounting invariant: [offered = committed + outstanding] at all
     times — every arrival is either completed or still pending/retrying.
     All state advances on the virtual clock from seeded RNG streams, so
-    a run is deterministic for a fixed seed (including under a pooled
-    verification stage, whose callbacks fire in submission order). *)
+    a run is deterministic for a fixed seed. *)
 
 type t
 

@@ -11,9 +11,13 @@
    exponential-backoff retry; every other address — clients, observers —
    is reached by a learned return route (the transport records which
    connection an envelope's source arrived on). A destination with
-   neither is dropped and counted, as is every frame queued for a peer
-   whose connection dies ([net.dropped.peer_down]): the protocol layer
-   above owns retransmission, the transport never blocks on a corpse. *)
+   neither is dropped and counted ([net.dropped.no_route]), as is a frame
+   for a peer inside its dial backoff window ([net.dropped.backoff]), one
+   that finds the connection's queue full ([net.dropped.queue_full]), and
+   every frame still queued when a connection dies
+   ([net.dropped.conn_lost]; the death itself counts under
+   [net.sock.closed.<cause>]): the protocol layer above owns
+   retransmission, the transport never blocks on a corpse. *)
 
 module Obs = Iaccf_obs.Obs
 
@@ -52,7 +56,9 @@ type t = {
   c_frames_out : Obs.counter;
   c_accepted : Obs.counter;
   c_connect_retries : Obs.counter;
-  c_dropped_peer_down : Obs.counter;
+  c_dropped_backoff : Obs.counter;
+  c_dropped_queue_full : Obs.counter;
+  c_dropped_conn_lost : Obs.counter;
   c_dropped_no_route : Obs.counter;
   c_dropped_garbage : Obs.counter;
 }
@@ -90,7 +96,9 @@ let create ?obs ?(queue_cap = 8192) ?listen () =
     c_frames_out = Obs.counter obs "net.sock.frames_out";
     c_accepted = Obs.counter obs "net.sock.accepted";
     c_connect_retries = Obs.counter obs "net.sock.connect_retries";
-    c_dropped_peer_down = Obs.counter obs "net.dropped.peer_down";
+    c_dropped_backoff = Obs.counter obs "net.dropped.backoff";
+    c_dropped_queue_full = Obs.counter obs "net.dropped.queue_full";
+    c_dropped_conn_lost = Obs.counter obs "net.dropped.conn_lost";
     c_dropped_no_route = Obs.counter obs "net.dropped.no_route";
     c_dropped_garbage = Obs.counter obs "net.dropped.garbage";
   }
@@ -113,20 +121,14 @@ let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let peer_of_conn t c =
   match c.peer_id with None -> None | Some id -> Hashtbl.find_opt t.peers id
 
-(* Tear a connection down. Frames still queued on it are gone — count
-   them against the peer rather than pretend they were sent. *)
-let debug_net =
-  match Sys.getenv_opt "IACCF_DEBUG_NET" with Some _ -> true | None -> false
-
+(* Tear a connection down, counting why under [net.sock.closed.<cause>].
+   Frames still queued on it are gone — count them rather than pretend
+   they were sent. *)
 let kill_conn t c ~cause =
   if not c.dead then begin
     c.dead <- true;
-    let lost = Queue.length c.outq in
-    if lost > 0 then Obs.add t.c_dropped_peer_down lost;
-    if debug_net then
-      Printf.eprintf "NET kill_conn peer=%s cause=%s lost=%d t=%.3f\n%!"
-        (match c.peer_id with Some i -> string_of_int i | None -> "?")
-        cause lost (Unix.gettimeofday ());
+    Obs.incr (Obs.counter t.obs ("net.sock.closed." ^ cause));
+    Obs.add t.c_dropped_conn_lost (Queue.length c.outq);
     close_fd c.fd;
     t.conns <- List.filter (fun c' -> c' != c) t.conns;
     Hashtbl.iter
@@ -178,7 +180,7 @@ let ensure_dialled t p =
   | None -> if Unix.gettimeofday () >= p.p_retry_at then dial t p
 
 let enqueue t p_gauge c framed =
-  if Queue.length c.outq >= t.queue_cap then Obs.incr t.c_dropped_peer_down
+  if Queue.length c.outq >= t.queue_cap then Obs.incr t.c_dropped_queue_full
   else begin
     Queue.push framed c.outq;
     match p_gauge with
@@ -195,10 +197,7 @@ let send t ~dst payload =
       | Some c -> enqueue t (Some p.p_queue_gauge) c framed
       | None ->
           (* dial refused and we are inside the backoff window *)
-          if debug_net then
-            Printf.eprintf "NET drop-backoff dst=%d t=%.3f\n%!" dst
-              (Unix.gettimeofday ());
-          Obs.incr t.c_dropped_peer_down)
+          Obs.incr t.c_dropped_backoff)
   | None -> (
       match Hashtbl.find_opt t.routes dst with
       | Some c when not c.dead -> enqueue t None c framed
@@ -247,7 +246,7 @@ let handle_read t c =
             continue := false
       done
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> kill_conn t c ~cause:"read error"
+  | exception Unix.Unix_error _ -> kill_conn t c ~cause:"read_error"
 
 let handle_write t c =
   if c.connecting then begin
@@ -259,7 +258,7 @@ let handle_write t c =
         | None -> ())
     | Some _ ->
         Obs.incr t.c_connect_retries;
-        kill_conn t c ~cause:"connect failed"
+        kill_conn t c ~cause:"connect_failed"
   end;
   let continue = ref true in
   while !continue && (not c.dead) && not (Queue.is_empty c.outq) do
@@ -285,7 +284,7 @@ let handle_write t c =
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
         continue := false
     | exception Unix.Unix_error _ ->
-        kill_conn t c ~cause:"write error";
+        kill_conn t c ~cause:"write_error";
         continue := false
   done
 

@@ -15,22 +15,6 @@ module D = Iaccf_crypto.Digest32
    batch-atomic on its own), so a suffix that passes here cannot make the
    real skip-region adoption fail halfway with entries already appended. *)
 
-(* The exact set of pre-prepares [check_suffix] will signature-check:
-   checkpoint-kind batches inside the skip region. Callers with a pooled
-   verify stage prefetch these so the sequential walk below hits the
-   result cache instead of verifying inline one by one. *)
-let sigs_to_check ~cp_seqno entries =
-  List.filter_map
-    (function
-      | Entry.Pre_prepare pp
-        when pp.Message.seqno <= cp_seqno ->
-          (match pp.Message.kind with
-          | Batch.Checkpoint _ -> Some pp
-          | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ ->
-              None)
-      | _ -> None)
-    entries
-
 let check_suffix ~tree ~next_seqno ~cp_seqno ~verify_pp entries =
   let push e = if Entry.in_merkle_tree e then Tree.append tree (Entry.leaf_digest e) in
   let rec go expected = function

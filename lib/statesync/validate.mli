@@ -7,15 +7,6 @@
     halfway; one that fails is rejected with the tree untouched and the
     peer can be re-targeted. *)
 
-val sigs_to_check :
-  cp_seqno:int ->
-  Iaccf_ledger.Entry.t list ->
-  Iaccf_types.Message.pre_prepare list
-(** The pre-prepares whose signatures {!check_suffix} will verify
-    (checkpoint-kind batches at or below [cp_seqno]), in suffix order —
-    lets a caller with a batched verify pool warm its result cache before
-    the sequential walk. *)
-
 val check_suffix :
   tree:Iaccf_merkle.Tree.t ->
   next_seqno:int ->

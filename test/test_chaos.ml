@@ -29,10 +29,8 @@ let run ~label ~scenarios ~seeds =
 (* The smoke matrix must also be *deterministic*: the same cell run twice
    must produce the same oracle verdict and byte-identical metrics
    snapshots (the failure-reproducer contract depends on it). The
-   pooled-verify cell is checked too: domain scheduling varies between
-   runs, so this is the assertion that the verify pool's
-   submission-order callbacks keep simulation state — and every
-   deterministic metric — byte-identical under a fixed seed.
+   primary-crash cell is checked too, so the view-change path (new-view
+   and view-change signature checks included) stays under the assertion.
 
    This cell is also the regression guard for the socket-transport seam
    (lib/net): the simulator network now carries a gateway hook for
@@ -44,7 +42,7 @@ let run ~label ~scenarios ~seeds =
 let determinism_check () =
   let cells =
     List.hd Scenarios.smoke
-    :: (match Scenarios.find "pooled-verify" with Some sc -> [ sc ] | None -> [])
+    :: (match Scenarios.find "primary-crash" with Some sc -> [ sc ] | None -> [])
   in
   List.iter
     (fun sc ->

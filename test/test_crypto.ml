@@ -361,80 +361,7 @@ let test_nonce_derive_distinct () =
     (Nonce.reveal (Nonce.derive ~key:k ~view:0 ~seqno:1))
 
 
-(* --- Parverify --- *)
-
-let par_jobs n =
-  List.init n (fun i ->
-      let sk, pk = Schnorr.keypair_of_seed (Printf.sprintf "par-%d" i) in
-      let digest = Sha256.digest (string_of_int i) in
-      { Parverify.j_pk = pk; j_digest = digest; j_signature = Schnorr.sign sk digest })
-
-let test_parverify_accepts () =
-  let jobs = par_jobs 12 in
-  check Alcotest.bool "sequential" true (Parverify.verify_batch ~domains:1 jobs);
-  check Alcotest.bool "parallel" true (Parverify.verify_batch ~domains:3 jobs)
-
-let test_parverify_rejects_bad_job () =
-  let jobs = par_jobs 12 in
-  let bad =
-    List.mapi
-      (fun i j ->
-        if i = 7 then { j with Parverify.j_signature = String.make 64 'x' } else j)
-      jobs
-  in
-  check Alcotest.bool "batch fails" false (Parverify.verify_batch ~domains:3 bad);
-  let results = Parverify.verify_batch_results ~domains:3 bad in
-  check Alcotest.int "results in order" 12 (List.length results);
-  List.iteri
-    (fun i ok -> check Alcotest.bool (Printf.sprintf "job %d" i) (i <> 7) ok)
-    results
-
-let test_parverify_matches_sequential =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"parallel = sequential" ~count:5
-       QCheck.(int_range 0 20)
-       (fun n ->
-         let jobs = par_jobs n in
-         Parverify.verify_batch_results ~domains:1 jobs
-         = Parverify.verify_batch_results ~domains:4 jobs))
-
-(* Worker domains must survive raising tasks (they are process-global, so
-   one dead domain would shrink the pool for the rest of the run), a
-   raising task must read as failed verification, and batches after a
-   raising batch must still complete — the coordinator cannot hang on a
-   [remaining] count a dead path never decremented. *)
-let test_pool_survives_raising_tasks () =
-  ignore (Parverify.verify_batch ~domains:4 (par_jobs 4));
-  let workers_before = Parverify.worker_count () in
-  let jobs = par_jobs 6 in
-  for round = 0 to 4 do
-    let tasks =
-      List.mapi
-        (fun i j ->
-          match (round + i) mod 3 with
-          | 0 -> fun () -> Parverify.run_job j (* valid *)
-          | 1 ->
-              fun () ->
-                Parverify.run_job
-                  { j with Parverify.j_signature = String.make 64 'x' }
-              (* invalid *)
-          | _ -> fun () -> failwith "boom" (* raising *))
-        jobs
-    in
-    let results = Parverify.run_tasks ~domains:4 tasks in
-    List.iteri
-      (fun i ok ->
-        check Alcotest.bool
-          (Printf.sprintf "round %d task %d" round i)
-          ((round + i) mod 3 = 0)
-          ok)
-      results
-  done;
-  check Alcotest.int "no worker died" workers_before (Parverify.worker_count ());
-  check Alcotest.bool "pool still serves verify batches" true
-    (Parverify.verify_batch ~domains:4 (par_jobs 8))
-
-(* --- Vstage: the batched, pool-backed verify stage --- *)
+(* --- Vstage: interning, the third-use table threshold, verification --- *)
 
 let flip_bit s bit =
   let n = String.length s in
@@ -445,108 +372,69 @@ let flip_bit s bit =
       (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
       s
 
-(* The stage must agree with inline Schnorr.verify in both modes — on
-   valid signatures and on inputs with a random bit flipped in the public
-   key, the digest, or the signature — with callbacks in submission order. *)
-let prop_vstage_matches_inline_under_flips =
-  QCheck.Test.make ~name:"pooled/batched = inline under bit flips" ~count:15
+(* The stage must agree with Schnorr.verify on a fresh, untabled copy of
+   the key — on valid signatures and on inputs with a random bit flipped
+   in the public key, the digest, or the signature. Each key is used 1-5
+   times, so checks fall on both sides of the table threshold, and the
+   stage must have built exactly one table per key used at least 3 times
+   (a flipped key is a key of its own). *)
+let prop_vstage_matches_reference_under_flips =
+  QCheck.Test.make ~name:"verify = untabled Schnorr.verify" ~count:15
     QCheck.(
-      list_of_size (Gen.int_range 4 12) (triple (int_bound 5) (int_bound 3) (int_bound 511)))
-    (fun cases ->
-      let jobs =
-        List.map
-          (fun (kseed, target, bit) ->
-            let sk, pk = Schnorr.keypair_of_seed (Printf.sprintf "flip-%d" kseed) in
-            let digest = Sha256.digest (Printf.sprintf "m-%d" kseed) in
-            let signature = Schnorr.sign sk digest in
-            let pk, digest, signature =
-              match target with
-              | 0 -> (pk, digest, signature)
-              | 1 -> (
-                  (* A flipped key encoding may no longer be a group
-                     element; fall back to flipping the digest so the case
-                     still exercises a corrupted input. *)
-                  match
-                    Schnorr.public_key_of_bytes
-                      (flip_bit (Schnorr.public_key_to_bytes pk) bit)
-                  with
-                  | Some pk' -> (pk', digest, signature)
-                  | None -> (pk, flip_bit digest bit, signature))
-              | 2 -> (pk, flip_bit digest bit, signature)
-              | _ -> (pk, digest, flip_bit signature bit)
-            in
-            { Parverify.j_pk = pk; j_digest = digest; j_signature = signature })
+      list_of_size (Gen.int_range 1 4)
+        (list_of_size (Gen.int_range 1 5) (pair (int_bound 3) (int_bound 511))))
+    (fun keys ->
+      let cases =
+        List.concat
+          (List.mapi
+             (fun k uses ->
+               let sk, pk = Schnorr.keypair_of_seed (Printf.sprintf "flip-%d" k) in
+               List.mapi
+                 (fun u (target, bit) ->
+                   let digest = Sha256.digest (Printf.sprintf "m-%d-%d" k u) in
+                   let signature = Schnorr.sign sk digest in
+                   match target with
+                   | 0 -> (pk, digest, signature)
+                   | 1 -> (
+                       (* A flipped key encoding may no longer be a group
+                          element; fall back to flipping the digest so the
+                          case still exercises a corrupted input. *)
+                       match
+                         Schnorr.public_key_of_bytes
+                           (flip_bit (Schnorr.public_key_to_bytes pk) bit)
+                       with
+                       | Some pk' -> (pk', digest, signature)
+                       | None -> (pk, flip_bit digest bit, signature))
+                   | 2 -> (pk, flip_bit digest bit, signature)
+                   | _ -> (pk, digest, flip_bit signature bit))
+                 uses)
+             keys)
+      in
+      let reference (pk, digest, signature) =
+        match Schnorr.public_key_of_bytes (Schnorr.public_key_to_bytes pk) with
+        | Some fresh when not (Schnorr.has_table fresh) ->
+            Schnorr.verify fresh digest ~signature
+        | _ -> QCheck.Test.fail_report "reference key is not a fresh untabled copy"
+      in
+      let obs = Iaccf_obs.Obs.passive () in
+      let st = Vstage.create ~obs () in
+      let agree =
+        List.for_all
+          (fun ((pk, digest, signature) as case) ->
+            Vstage.verify st ~cls:"flip" ~principal:Profile.Client_key pk digest
+              ~signature
+            = reference case)
           cases
       in
-      let inline = List.map Parverify.run_job jobs in
-      let batched = Parverify.verify_batch_results ~domains:4 jobs in
-      let staged domains =
-        let st = Vstage.create ~domains () in
-        let out = ref [] in
-        List.iter
-          (fun j ->
-            Vstage.submit st ~cls:"flip" ~principal:Profile.Client_key
-              j.Parverify.j_pk j.Parverify.j_digest
-              ~signature:j.Parverify.j_signature (fun ok -> out := ok :: !out))
-          jobs;
-        Vstage.flush st;
-        List.rev !out
-      in
-      inline = batched && inline = staged 0 && inline = staged 4)
-
-let test_vstage_callback_order_and_cache () =
-  let sk, pk = Schnorr.keypair_of_seed "vstage" in
-  let items =
-    List.init 20 (fun i ->
-        let digest = Sha256.digest (string_of_int (i mod 6)) in
-        let signature =
-          if i mod 5 = 0 then String.make 64 '\x01' else Schnorr.sign sk digest
-        in
-        (digest, signature))
-  in
-  (* Two waves with a flush between, like the replica's flush-per-message
-     cadence: wave 2 repeats wave 1's (pk, digest, signature) keys, so its
-     submissions must hit the result cache in both modes. *)
-  let run domains =
-    let st = Vstage.create ~domains () in
-    let out = ref [] in
-    List.iteri
-      (fun i (digest, signature) ->
-        Vstage.submit st ~cls:"test" ~principal:Profile.Client_key pk digest
-          ~signature (fun ok -> out := (i, ok) :: !out);
-        if i = 9 then Vstage.flush st)
-      items;
-    Vstage.flush st;
-    (List.rev !out, Vstage.cache_hits st)
-  in
-  let inline, hits_inline = run 0 in
-  let pooled, hits_pooled = run 4 in
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.bool))
-    "pooled callbacks match inline, in submission order" inline pooled;
-  check Alcotest.bool "repeats hit the result cache" true
-    (hits_inline > 0 && hits_pooled > 0)
-
-let test_vstage_prefetch_and_register () =
-  let st = Vstage.create ~domains:4 () in
-  let sk, pk = Schnorr.keypair_of_seed "prefetch" in
-  let pk = Vstage.register st pk in
-  check Alcotest.bool "registered key has its table" true (Schnorr.has_table pk);
-  let items =
-    List.init 8 (fun i ->
-        let digest = Sha256.digest (Printf.sprintf "p-%d" i) in
-        (pk, digest, Schnorr.sign sk digest))
-  in
-  Vstage.prefetch st ~cls:"test" ~principal:Profile.Client_key items;
-  let misses_after_prefetch = Vstage.cache_misses st in
-  List.iter
-    (fun (pk, digest, signature) ->
-      check Alcotest.bool "prefetched verification" true
-        (Vstage.verify_now st ~cls:"test" ~principal:Profile.Client_key pk digest
-           ~signature))
-    items;
-  check Alcotest.int "bulk loop was all cache hits" misses_after_prefetch
-    (Vstage.cache_misses st)
+      let uses = Hashtbl.create 8 in
+      List.iter
+        (fun (pk, _, _) ->
+          let kb = Schnorr.public_key_to_bytes pk in
+          Hashtbl.replace uses kb (1 + Option.value (Hashtbl.find_opt uses kb) ~default:0))
+        cases;
+      let hot = Hashtbl.fold (fun _ n acc -> if n >= 3 then acc + 1 else acc) uses 0 in
+      agree
+      && Iaccf_obs.Obs.counter_value obs "crypto.keys.precomputed" = hot)
 
 let () =
   Alcotest.run "iaccf_crypto"
@@ -604,22 +492,7 @@ let () =
           Alcotest.test_case "precompute matches" `Quick
             test_schnorr_precompute_matches;
         ] );
-      ( "parverify",
-        [
-          Alcotest.test_case "accepts" `Quick test_parverify_accepts;
-          Alcotest.test_case "rejects bad job" `Quick test_parverify_rejects_bad_job;
-          test_parverify_matches_sequential;
-          Alcotest.test_case "pool survives raising tasks" `Quick
-            test_pool_survives_raising_tasks;
-        ] );
-      ( "vstage",
-        [
-          qtest prop_vstage_matches_inline_under_flips;
-          Alcotest.test_case "callback order + cache" `Quick
-            test_vstage_callback_order_and_cache;
-          Alcotest.test_case "prefetch + register" `Quick
-            test_vstage_prefetch_and_register;
-        ] );
+      ( "vstage", [ qtest prop_vstage_matches_reference_under_flips ] );
       ( "digest/nonce",
         [
           Alcotest.test_case "digest32" `Quick test_digest32;

@@ -296,32 +296,6 @@ let test_admission_reject_and_retry () =
     s.Gen.ls_committed;
   check Alcotest.int "nothing outstanding after drain" 0 s.Gen.ls_outstanding
 
-(* Same seed, pooled vs inline verification: identical admission and
-   commit accounting (the pool's callbacks fire in submission order). *)
-let test_pooled_vs_inline_counts () =
-  let run verify_domains =
-    let cluster, obs =
-      make_cluster
-        ~params:{ overload_params with verify_domains; admission_queue = 8 }
-        ~seed:9 ()
-    in
-    let gen =
-      Gen.create ~cluster ~sessions:64 ~seed:9
-        ~arrival:(Arrival.Poisson 300.0) ()
-    in
-    Gen.start gen ~duration_ms:250.0;
-    check Alcotest.bool "drained" true (Gen.drain gen ());
-    let s = Gen.stats gen in
-    [
-      s.Gen.ls_offered;
-      s.Gen.ls_committed;
-      s.Gen.ls_rejected;
-      Obs.counter_value obs "load.admitted";
-    ]
-  in
-  let inline = run 0 and pooled = run 4 in
-  check Alcotest.(list int) "pooled run matches inline run" inline pooled
-
 let () =
   Alcotest.run "iaccf_load"
     [
@@ -354,7 +328,5 @@ let () =
         [
           Alcotest.test_case "reject and retry" `Quick
             test_admission_reject_and_retry;
-          Alcotest.test_case "pooled vs inline counts" `Quick
-            test_pooled_vs_inline_counts;
         ] );
     ]

@@ -732,16 +732,27 @@ let test_half_open_connection () =
   done;
   check Alcotest.(list string) "traffic flows around the half-open conn"
     [ "alive" ] !frames;
-  (* abrupt close of the half-open conn is absorbed quietly *)
+  (* abrupt close of the half-open conn is absorbed quietly: both
+     connections end as plain end-of-stream, nothing was lost *)
   Unix.close half;
   Unix.close good;
-  for _ = 1 to 10 do
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while
+    Obs.counter_value obs "net.sock.closed.eof" < 2
+    && Unix.gettimeofday () < deadline
+  do
     Endpoint.poll ep ~timeout_ms:2.0
-  done
+  done;
+  check Alcotest.int "both closes counted as eof" 2
+    (Obs.counter_value obs "net.sock.closed.eof");
+  check Alcotest.int "no close counted as garbage" 0
+    (Obs.counter_value obs "net.sock.closed.garbage");
+  check Alcotest.int "no queued frame lost" 0
+    (Obs.counter_value obs "net.dropped.conn_lost")
 
-(* Peer killed mid-stream at the endpoint level: frames queued for (or
-   sent to) the dead peer are counted as peer_down, and the endpoint
-   carries on. *)
+(* Peer killed mid-stream at the endpoint level: the frame queued when
+   the connection dies is counted as conn_lost, later frames for the peer
+   as backoff drops while its redial waits, and the endpoint carries on. *)
 let test_peer_killed_endpoint_counts_drops () =
   with_temp_dir @@ fun dir ->
   let addr_a = Addr.Unix_sock (Filename.concat dir "a.sock") in
@@ -764,14 +775,19 @@ let test_peer_killed_endpoint_counts_drops () =
   Endpoint.close b;
   let deadline = Unix.gettimeofday () +. 5.0 in
   while
-    Obs.counter_value obs_a "net.dropped.peer_down" = 0
+    Obs.counter_value obs_a "net.dropped.backoff" = 0
     && Unix.gettimeofday () < deadline
   do
     Endpoint.send a ~dst:1 "into the void";
     Endpoint.poll a ~timeout_ms:2.0
   done;
-  check Alcotest.bool "drops counted as peer_down" true
-    (Obs.counter_value obs_a "net.dropped.peer_down" > 0)
+  let c name = Obs.counter_value obs_a name in
+  check Alcotest.int "connection to B closed once, at eof" 1 (c "net.sock.closed.eof");
+  check Alcotest.int "frame queued at the close lost" 1 (c "net.dropped.conn_lost");
+  check Alcotest.bool "later frames dropped in the dial backoff" true
+    (c "net.dropped.backoff" > 0);
+  check Alcotest.int "no queue overflow" 0 (c "net.dropped.queue_full");
+  check Alcotest.int "no unroutable frame" 0 (c "net.dropped.no_route")
 
 (* Protocol-level fault injection: a 4-replica fleet (in-process serve
    runtimes over real unix sockets), one replica killed mid-run; the
@@ -809,13 +825,14 @@ let test_replica_killed_survivors_progress () =
   Endpoint.close (Serve.endpoint victim);
   alive := List.filteri (fun i _ -> i < 3) serves;
   submit_and_wait "commits with one replica dead";
-  let survivor_drops =
-    List.fold_left
-      (fun acc s -> acc + Obs.counter_value (Serve.obs s) "net.dropped.peer_down")
-      0 !alive
+  let survivors name =
+    List.fold_left (fun acc s -> acc + Obs.counter_value (Serve.obs s) name) 0 !alive
   in
-  check Alcotest.bool "survivors counted drops to the dead peer" true
-    (survivor_drops > 0)
+  check Alcotest.bool "survivors saw the dead peer's connections close" true
+    (survivors "net.sock.closed.eof" > 0);
+  check Alcotest.bool "survivors dropped frames to it in the dial backoff" true
+    (survivors "net.dropped.backoff" > 0);
+  check Alcotest.int "no queue overflow" 0 (survivors "net.dropped.queue_full")
 
 let () =
   Alcotest.run "iaccf_net"
