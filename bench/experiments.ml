@@ -118,9 +118,9 @@ let fig4 ?(total = 240) () =
            ~label:(Printf.sprintf "IA-CCF-open r=%.0f/s" rate)
            ~rate ()))
     [ 50.0; 150.0; 300.0 ];
-  write_bench_json ~file:"BENCH_fig4.json" ~bench:"fig4"
+  Report.write_rows ~file:"BENCH_fig4.json" ~bench:"fig4"
     ~meta:[ ("total", string_of_int total) ]
-    (List.rev !acc)
+    (List.concat_map (rows_of_result ~bench:"fig4") (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: request latency under low load (WAN)                        *)
@@ -138,7 +138,8 @@ let table2 () =
     ia.rr_p99_latency_ms "2";
   Printf.printf "%-12s %9.1f ms %9.1f ms %14s\n" "HotStuff" hs.rr_avg_latency_ms
     hs.rr_p99_latency_ms "4.5";
-  write_bench_json ~file:"BENCH_table2.json" ~bench:"table2" [ ia; hs ]
+  Report.write_rows ~file:"BENCH_table2.json" ~bench:"table2"
+    (List.concat_map (rows_of_result ~bench:"table2") [ ia; hs ])
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5: throughput vs replica count (WAN)                            *)
@@ -161,9 +162,9 @@ let fig5 ?(total = 150) () =
       keep
         (run_hotstuff ~label:(lbl "HotStuff (WAN)") ~n ~latency:Latency.wan ~total ()))
     [ 4; 7; 10 ];
-  write_bench_json ~file:"BENCH_fig5.json" ~bench:"fig5"
+  Report.write_rows ~file:"BENCH_fig5.json" ~bench:"fig5"
     ~meta:[ ("total", string_of_int total) ]
-    (List.rev !acc)
+    (List.concat_map (rows_of_result ~bench:"fig5") (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 6: checkpoint interval x key-value store size                   *)
@@ -185,9 +186,9 @@ let fig6 ?(total = 200) () =
           acc := r :: !acc)
         [ 10; 50; 200 ])
     [ 100; 1000; 10000 ];
-  write_bench_json ~file:"BENCH_fig6.json" ~bench:"fig6"
+  Report.write_rows ~file:"BENCH_fig6.json" ~bench:"fig6"
     ~meta:[ ("total", string_of_int total) ]
-    (List.rev !acc)
+    (List.concat_map (rows_of_result ~bench:"fig6") (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 7: key-value store size sweep                                   *)
@@ -204,9 +205,9 @@ let fig7 ?(total = 200) () =
       print_result r;
       acc := r :: !acc)
     [ 10; 100; 1000; 10000; 50000 ];
-  write_bench_json ~file:"BENCH_fig7.json" ~bench:"fig7"
+  Report.write_rows ~file:"BENCH_fig7.json" ~bench:"fig7"
     ~meta:[ ("total", string_of_int total) ]
-    (List.rev !acc)
+    (List.concat_map (rows_of_result ~bench:"fig7") (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: breakdown of IA-CCF features                                *)
@@ -287,14 +288,14 @@ let table3 ?(total = 240) () =
   Printf.printf "%-28s %6d tx  %8.1f tx/s  (analytic fast path; %d signatures)\n%!"
     "Pompe (empty requests)" p.Iaccf_baselines.Pompe.r_commands
     p.Iaccf_baselines.Pompe.r_throughput p.Iaccf_baselines.Pompe.r_signatures;
-  write_bench_json ~file:"BENCH_table3.json" ~bench:"table3"
+  Report.write_rows ~file:"BENCH_table3.json" ~bench:"table3"
     ~meta:
       [
         ("total", string_of_int total);
         ("pompe_txs", string_of_int p.Iaccf_baselines.Pompe.r_commands);
         ("pompe_signatures", string_of_int p.Iaccf_baselines.Pompe.r_signatures);
       ]
-    (List.rev !acc)
+    (List.concat_map (rows_of_result ~bench:"table3") (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* §6.3: receipt validation cost                                        *)

@@ -303,55 +303,11 @@ let print_result ?(phases = false) r =
           name p50 p90 p99)
       r.rr_phases
 
-(* --- machine-readable results: BENCH_<name>.json ----------------------
-
-   Hand-rolled emitter (the toolchain ships no JSON library): flat
-   objects built from [run_result], so sweep scripts and CI can diff
-   bench output without scraping the human tables. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
-
-(* Printf %f renders nan/inf unquoted, which is not JSON. *)
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.4f" f else "null"
-
-let json_of_result r =
-  let phases =
-    List.map
-      (fun (name, p50, p90, p99) ->
-        Printf.sprintf "{\"name\":%s,\"p50_ms\":%s,\"p90_ms\":%s,\"p99_ms\":%s}"
-          (json_str name) (json_float p50) (json_float p90) (json_float p99))
-      r.rr_phases
-  in
-  Printf.sprintf
-    "{\"label\":%s,\"txs\":%d,\"wall_s\":%s,\"throughput_tx_s\":%s,\"avg_latency_ms\":%s,\"p50_latency_ms\":%s,\"p99_latency_ms\":%s,\"sigs_made\":%d,\"sigs_verified\":%d,\"phases\":[%s]}"
-    (json_str r.rr_label) r.rr_txs (json_float r.rr_wall_s)
-    (json_float r.rr_throughput)
-    (json_float r.rr_avg_latency_ms)
-    (json_float r.rr_p50_latency_ms)
-    (json_float r.rr_p99_latency_ms)
-    r.rr_sigs_made r.rr_sigs_verified
-    (String.concat "," phases)
-
 (* Flatten a [run_result] into the report layer's gated rows: counts are
    seed-deterministic (exact gate), virtual-clock latencies get the ms
-   tolerance gate, wall-clock-derived numbers are informational. Used by
-   the regress bench so every table row lands in the trajectory. *)
+   tolerance gate, wall-clock-derived numbers are informational. Every
+   bench that measures [run_result]s writes its BENCH_<name>.json from
+   these rows. *)
 let rows_of_result ~bench r =
   let open Iaccf_report.Report in
   let series = r.rr_label in
@@ -374,21 +330,3 @@ let rows_of_result ~bench r =
           row ~bench ~series ~metric:(name ^ ".p99_ms") ~gate:Ms p99;
         ])
       r.rr_phases
-
-let write_bench_json ~file ~bench ?(meta = []) results =
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  output_string oc "{\n";
-  Printf.fprintf oc "  \"bench\": %s,\n" (json_str bench);
-  List.iter
-    (fun (k, raw) -> Printf.fprintf oc "  %s: %s,\n" (json_str k) raw)
-    meta;
-  output_string oc "  \"results\": [\n";
-  let n = List.length results in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc "    %s%s\n" (json_of_result r)
-        (if i = n - 1 then "" else ","))
-    results;
-  output_string oc "  ]\n}\n";
-  Printf.eprintf "wrote %s\n%!" file

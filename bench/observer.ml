@@ -160,14 +160,16 @@ let () =
     Harness.print_result r;
     r
   in
-  Harness.write_bench_json ~file:"BENCH_observer.json" ~bench:"observer"
+  Iaccf_report.Report.write_rows ~file:"BENCH_observer.json" ~bench:"observer"
     ~meta:
       [
         ("replicas", "4");
         ("reads_per_observer", string_of_int reads_per_observer);
         ("readers_per_observer", string_of_int readers_per_observer);
         ( "note",
-          "\"throughput_tx_s is verified reads per second of virtual time; \
-           the write tier is idle during the read phase\"" );
+          "throughput_tx_s is verified reads per second of virtual time; the \
+           write tier is idle during the read phase" );
       ]
-    (results @ [ status ])
+    (List.concat_map
+       (Harness.rows_of_result ~bench:"observer")
+       (results @ [ status ]))

@@ -69,9 +69,9 @@ let () =
 
   (* Tracing produced balanced spans. *)
   if Obs.event_count obs = 0 then fail "tracing produced no events";
-  Harness.write_bench_json ~file:"BENCH_smoke.json" ~bench:"smoke"
+  Iaccf_report.Report.write_rows ~file:"BENCH_smoke.json" ~bench:"smoke"
     ~meta:[ ("trace_events", string_of_int (Obs.event_count obs)) ]
-    [ result ];
+    (Harness.rows_of_result ~bench:"smoke" result);
   Printf.printf
     "bench-smoke ok: %d tx, %d metric keys, %d trace events, pp->commit p50 %.2f ms\n"
     result.Harness.rr_txs (List.length pairs) (Obs.event_count obs)

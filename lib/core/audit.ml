@@ -217,57 +217,32 @@ let scan_ledger t ~responder ledger =
         Hashtbl.replace batches s { bi_pp = pp; bi_pp_index = pp_index; bi_txs = txs };
         max_seqno := max !max_seqno s;
         (* A vote that passes schedules the configuration change 2P later.
-           The recorded output is structural here; replay re-checks it. *)
-        List.iter
-          (fun (tx : Batch.tx_entry) ->
-            if
-              tx.Batch.request.Request.proc = "gov/vote"
-              && App.decode_output tx.Batch.result.Batch.output = Ok "passed"
-            then cfg_pending := None (* replaced below *))
-          txs;
+           The recorded output is structural here; replay re-checks it.
+           The installed configuration is in the args of the gov/propose
+           transaction the vote names, in this batch or an earlier one. *)
         List.iter
           (fun (tx : Batch.tx_entry) ->
             if
               tx.Batch.request.Request.proc = "gov/vote"
               && App.decode_output tx.Batch.result.Batch.output = Ok "passed"
             then begin
-              (* The installed configuration is found in the proposal args of
-                 an earlier gov/propose transaction; scan back for it. *)
-              let proposal_id =
-                match App.decode_output tx.Batch.result.Batch.output with
-                | Ok _ -> tx.Batch.request.Request.args
-                | Error _ -> ""
+              let proposal_id = tx.Batch.request.Request.args in
+              let proposes (tx' : Batch.tx_entry) =
+                tx'.Batch.request.Request.proc = "gov/propose"
+                && D.to_hex (D.of_string tx'.Batch.request.Request.args) = proposal_id
               in
-              let found = ref None in
-              Hashtbl.iter
-                (fun _ bi ->
-                  List.iter
-                    (fun (tx' : Batch.tx_entry) ->
-                      if
-                        tx'.Batch.request.Request.proc = "gov/propose"
-                        && D.to_hex (D.of_string tx'.Batch.request.Request.args)
-                           = proposal_id
-                      then begin
-                        match Config.deserialize tx'.Batch.request.Request.args with
-                        | exception _ -> ()
-                        | c -> found := Some c
-                      end)
-                    bi.bi_txs)
-                batches;
-              (* Include the current batch too (propose+vote same batch). *)
-              List.iter
-                (fun (tx' : Batch.tx_entry) ->
-                  if
-                    tx'.Batch.request.Request.proc = "gov/propose"
-                    && D.to_hex (D.of_string tx'.Batch.request.Request.args)
-                       = proposal_id
-                  then begin
-                    match Config.deserialize tx'.Batch.request.Request.args with
-                    | exception _ -> ()
-                    | c -> found := Some c
-                  end)
-                txs;
-              match !found with
+              let proposal =
+                Hashtbl.fold
+                  (fun _ bi acc ->
+                    if Option.is_none acc then List.find_opt proposes bi.bi_txs else acc)
+                  batches None
+              in
+              let config_of (tx' : Batch.tx_entry) =
+                match Config.deserialize tx'.Batch.request.Request.args with
+                | c -> Some c
+                | exception _ -> None
+              in
+              match Option.bind proposal config_of with
               | Some c -> cfg_pending := Some (s + (2 * t.pipeline), c)
               | None -> fail i "passed vote without a visible proposal"
             end)

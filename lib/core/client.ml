@@ -7,7 +7,6 @@ module Config = Iaccf_types.Config
 module Genesis = Iaccf_types.Genesis
 module Schnorr = Iaccf_crypto.Schnorr
 module D = Iaccf_crypto.Digest32
-module Bitmap = Iaccf_util.Bitmap
 module Obs = Iaccf_obs.Obs
 
 type outcome = {
@@ -117,21 +116,17 @@ let try_complete t p =
           if List.length backups >= quorum - 1 then begin
             let chosen = List.filteri (fun i _ -> i < quorum - 1) backups in
             let receipt =
-              {
-                Receipt.pp;
-                prep_bitmap = Bitmap.of_list (List.map fst chosen);
-                prepare_sigs =
-                  List.map (fun (_, r) -> r.Message.r_signature) chosen;
-                nonces = List.map (fun (_, r) -> r.Message.r_nonce) chosen;
-                subject =
-                  Receipt.Tx_subject
-                    {
-                      tx = x.Message.x_tx;
-                      leaf_index = x.Message.x_leaf_index;
-                      batch_size = x.Message.x_batch_size;
-                      path = x.Message.x_path;
-                    };
-              }
+              Receipt.make pp
+                (List.map
+                   (fun (id, r) -> (id, r.Message.r_signature, r.Message.r_nonce))
+                   chosen)
+                (Receipt.Tx_subject
+                   {
+                     tx = x.Message.x_tx;
+                     leaf_index = x.Message.x_leaf_index;
+                     batch_size = x.Message.x_batch_size;
+                     path = x.Message.x_path;
+                   })
             in
             let verdict =
               if t.verify_receipts then

@@ -11,7 +11,6 @@ module Ledger = Iaccf_ledger.Ledger
 module Entry = Iaccf_ledger.Entry
 module Store = Iaccf_kv.Store
 module Checkpoint = Iaccf_kv.Checkpoint
-module Tree = Iaccf_merkle.Tree
 
 type forged_batch = {
   fb_pp : Message.pre_prepare;
@@ -331,36 +330,20 @@ let add_view_change t =
 let make_receipt t ~seqno ~tx_position =
   let fb = Hashtbl.find t.batches seqno in
   let primary = fb.fb_pp.Message.primary in
-  let needed = quorum t - 1 in
   let chosen =
-    List.filteri (fun i _ -> i < needed)
+    List.filteri (fun i _ -> i < quorum t - 1)
       (List.filter (fun (p : Message.prepare) -> p.Message.p_replica <> primary) fb.fb_prepares)
   in
-  let subject =
-    match tx_position with
+  Receipt.make fb.fb_pp
+    (List.map
+       (fun (p : Message.prepare) ->
+         ( p.Message.p_replica,
+           p.Message.p_signature,
+           List.assoc p.Message.p_replica fb.fb_nonces ))
+       chosen)
+    (match tx_position with
     | None -> Receipt.Batch_subject
-    | Some i ->
-        let tree = Tree.create () in
-        List.iter (fun tx -> Tree.append tree (Batch.tx_leaf tx)) fb.fb_txs;
-        Receipt.Tx_subject
-          {
-            tx = List.nth fb.fb_txs i;
-            leaf_index = i;
-            batch_size = List.length fb.fb_txs;
-            path = Tree.path tree i;
-          }
-  in
-  {
-    Receipt.pp = fb.fb_pp;
-    prep_bitmap =
-      Bitmap.of_list (List.map (fun (p : Message.prepare) -> p.Message.p_replica) chosen);
-    prepare_sigs = List.map (fun (p : Message.prepare) -> p.Message.p_signature) chosen;
-    nonces =
-      List.map
-        (fun (p : Message.prepare) -> List.assoc p.Message.p_replica fb.fb_nonces)
-        chosen;
-    subject;
-  }
+    | Some i -> Receipt.tx_subject fb.fb_txs i)
 
 let tamper_tx_output r ~output =
   match r.Receipt.subject with

@@ -24,6 +24,29 @@ type t = {
   subject : subject;
 }
 
+let make pp backups subject =
+  let backups = List.sort (fun (a, _, _) (b, _, _) -> compare a b) backups in
+  {
+    pp;
+    prep_bitmap = Bitmap.of_list (List.map (fun (r, _, _) -> r) backups);
+    prepare_sigs = List.map (fun (_, s, _) -> s) backups;
+    nonces = List.map (fun (_, _, n) -> n) backups;
+    subject;
+  }
+
+let g_path txs =
+  let tree =
+    lazy
+      (let tree = Tree.create () in
+       List.iter (fun tx -> Tree.append tree (Batch.tx_leaf tx)) txs;
+       tree)
+  in
+  fun i -> Tree.path (Lazy.force tree) i
+
+let tx_subject txs =
+  let path = g_path txs and batch_size = List.length txs in
+  fun i -> Tx_subject { tx = List.nth txs i; leaf_index = i; batch_size; path = path i }
+
 let seqno t = t.pp.Message.seqno
 let view t = t.pp.Message.view
 

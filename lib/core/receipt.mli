@@ -29,6 +29,20 @@ type t = {
   subject : subject;
 }
 
+val make : Message.pre_prepare -> (int * string * string) list -> subject -> t
+(** The one constructor: [make pp backups subject] with [backups] the
+    chosen [(replica, prepare signature, nonce)] triples, in any order;
+    the receipt lists them by ascending replica id. *)
+
+val g_path : Batch.tx_entry list -> int -> D.t list
+(** [g_path txs i]: the Merkle path from leaf [i] to the batch's [g_root].
+    Partially applied to a batch, it builds the batch's tree once, on the
+    first path asked for. *)
+
+val tx_subject : Batch.tx_entry list -> int -> subject
+(** The subject for position [i] (which must exist) of a batch, with its
+    {!g_path}; partial application shares the tree the same way. *)
+
 val seqno : t -> int
 val view : t -> int
 

@@ -16,7 +16,6 @@ module D = Iaccf_crypto.Digest32
 module Nonce = Iaccf_crypto.Nonce
 module Hmac = Iaccf_crypto.Hmac
 module Bitmap = Iaccf_util.Bitmap
-module Tree = Iaccf_merkle.Tree
 module Rng = Iaccf_util.Rng
 module Obs = Iaccf_obs.Obs
 module Snapshot = Iaccf_statesync.Snapshot
@@ -33,12 +32,7 @@ type params = {
   vc_timeout_ms : float;
   variant : Variant.t;
   snapshot_interval : int;
-  admission_queue : int;
-      (* > 0 bounds the primary's pending-request queue: a fresh request
-         arriving while the queue holds at least this many entries is shed
-         with a Busy_msg BEFORE signature verification (backpressure costs
-         no crypto), counted under load.rejected. 0 (the default) admits
-         everything — byte-identical to the pre-admission replica. *)
+  admission_queue : int; (* > 0: shed fresh requests past this queue depth *)
 }
 
 let default_params =
@@ -222,24 +216,7 @@ type t = {
          stay valid across view changes (Alg. 2). *)
       (* during a reconfiguration, the outgoing configuration's replicas
          still receive protocol messages until they retire at s+2P (5.1) *)
-  (* Transaction-status table (observer/read tier). A locally committed
-     batch is only *stable* once a batch P past it commits: commit of s+P
-     proves a quorum prepared s+P, any later view-change quorum intersects
-     that prepare quorum in an honest replica, so the new-view rollback
-     target max(0, s_lp - P) can never reach back to s. Only stable
-     sequence numbers may be reported COMMITTED/INVALID — both terminal —
-     which is what makes the status monotone under view changes. *)
-  committed_views : (int, int) Hashtbl.t; (* seqno -> view at local commit *)
-  stable_views : (int, int) Hashtbl.t; (* append-only: seqno -> final view *)
-  mutable stable_upto : int; (* highest stabilized seqno *)
-  mutable hw_seqno : int; (* high-water next_seqno-1 ever reached *)
-  (* Read index (observer/read tier): which committed transaction last
-     wrote each key, plus per-batch write sets so an observer can hand a
-     reader the evidence to recompute the receipt-bound write-set hash. *)
-  tx_writes : (int, (string * Iaccf_kv.Store.write) list array) Hashtbl.t;
-  key_writer : (string, int * int) Hashtbl.t; (* key -> seqno, tx position *)
-  mutable last_exec_writes : (string * Iaccf_kv.Store.write) list list;
-      (* write sets of the batch execute_requests just ran, newest call *)
+  index : Status_index.t; (* transaction status and read index *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -277,13 +254,6 @@ let is_primary t = t.activated && primary_id t = t.rid
 let replica_ids t = List.map (fun r -> r.Config.replica_id) t.cfg.Config.replicas
 let in_config t = Config.replica t.cfg t.rid <> None
 let keep_ledger t = t.params.variant.Variant.keep_ledger
-
-let committed_prefix_length t =
-  if t.last_committed = 0 then 1
-  else
-    match Hashtbl.find_opt t.batch_ledger_end t.last_committed with
-    | Some n -> n
-    | None -> Ledger.length t.ledger
 
 let batch_end_length t seqno =
   if seqno = 0 then 1
@@ -326,11 +296,27 @@ let sub_tbl tbl key =
       Hashtbl.replace tbl key sub;
       sub
 
+(* The message stores the commit rule reads: prepares, and revealed
+   nonces by (view, seqno) and replica. *)
+let store_prepare t (p : Message.prepare) =
+  Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
+    p.Message.p_replica p
+
+let store_nonce t ~view ~seqno (r, n) = Hashtbl.replace (sub_tbl t.commits (view, seqno)) r n
+
+let checkpoint_due t s =
+  t.params.variant.Variant.enable_checkpoints && s mod t.params.checkpoint_interval = 0
+
 (* ------------------------------------------------------------------ *)
 (* Signing: real signatures, or HMAC authenticators for the macs-only  *)
 (* variant (Table 3 row f). PeerReview adds signatures per message.    *)
 (* Every operation is charged to the crypto profiler under the message *)
 (* class ([cls]) that demanded it.                                     *)
+
+let schnorr_sign t ~cls raw =
+  Obs.incr t.ctr.c_sigs_made;
+  Profile.time t.profile Profile.Sign ~cls Profile.Replica_key (fun () ->
+      Schnorr.sign t.sk raw)
 
 let sign_digest t ~cls d =
   if t.params.variant.Variant.macs_only then begin
@@ -338,11 +324,7 @@ let sign_digest t ~cls d =
     Profile.time t.profile Profile.Mac ~cls Profile.Replica_key (fun () ->
         Hmac.mac ~key:t.mac_key (D.to_raw d))
   end
-  else begin
-    Obs.incr t.ctr.c_sigs_made;
-    Profile.time t.profile Profile.Sign ~cls Profile.Replica_key (fun () ->
-        Schnorr.sign t.sk (D.to_raw d))
-  end
+  else schnorr_sign t ~cls (D.to_raw d)
 
 let verify_digest t ~cls ~replica d ~signature =
   if t.params.variant.Variant.macs_only then begin
@@ -395,6 +377,9 @@ let verify_nv_sig t (nv : Message.new_view) =
           ~primary:nv.Message.nv_primary)
        ~signature:nv.Message.nv_signature
 
+(* What the signed-commit ablation signs and checks. *)
+let commit_payload v s r = D.to_raw (D.of_string (Printf.sprintf "commit:%d:%d:%d" v s r))
+
 (* The paper's dominant cost: one client-key verification per request,
    unamortized by batching. *)
 let verify_request_sig t (req : Request.t) =
@@ -426,12 +411,8 @@ let sync_hooks t =
 (* Network plumbing                                                    *)
 
 let peerreview_extra_sign t payload =
-  if t.params.variant.Variant.peerreview then begin
-    Obs.incr t.ctr.c_sigs_made;
-    ignore
-      (Profile.time t.profile Profile.Sign ~cls:"peerreview" Profile.Replica_key
-         (fun () -> Schnorr.sign t.sk (D.to_raw (D.of_string payload))))
-  end
+  if t.params.variant.Variant.peerreview then
+    ignore (schnorr_sign t ~cls:"peerreview" (D.to_raw (D.of_string payload)))
 
 let send t ~dst msg =
   if t.running then begin
@@ -443,12 +424,23 @@ let fetch_ledger t ~dst offer =
   send t ~dst
     (Wire.Fetch_ledger { fl_from_len = Ledger.length t.ledger; fl_offer = offer })
 
+(* Fetch from [src] until caught up with it. *)
+let fetch_from t src offer =
+  t.fetch_target <- Some src;
+  fetch_ledger t ~dst:src offer
+
 let broadcast_replicas t msg =
   let recipients = List.sort_uniq compare (replica_ids t @ t.extra_recipients) in
   List.iter (fun rid -> if rid <> t.rid then send t ~dst:rid msg) recipients
 
 let send_to_client t pk msg =
   match t.client_address pk with None -> () | Some addr -> send t ~dst:addr msg
+
+(* Put a request into the pending pool (T). *)
+let admit t (req : Request.t) =
+  Hashtbl.replace t.requests (D.to_raw (Request.hash req)) req;
+  t.request_order <- Request.hash req :: t.request_order;
+  Obs.incr t.ctr.c_requests_received
 
 (* Admission queue depth (primary only: the queue under admission control
    is the primary's pending pool; backups' pools just mirror broadcasts).
@@ -459,6 +451,23 @@ let update_queue_gauge t =
 
 (* ------------------------------------------------------------------ *)
 (* Evidence (P_{s-P}, K_{s-P}, E_{s-P})                                *)
+
+(* The commit rule (§3.1, §3.3): a revealed nonce counts when it opens
+   its sender's commitment for this pre-prepare. The same rule decides
+   when a batch commits, which evidence is written P batches later, and
+   which signatures form a receipt. *)
+let opens nonce ~commitment =
+  match Nonce.of_revealed nonce with
+  | Some n -> Nonce.check ~commitment n
+  | None -> false
+
+(* The primary's revealed nonce, if it opens the pre-prepare's commitment. *)
+let primary_opening t rec_ =
+  let pp = rec_.br_pp in
+  let nonces = sub_tbl t.commits (pp.Message.view, pp.Message.seqno) in
+  match Hashtbl.find_opt nonces pp.Message.primary with
+  | Some n when opens n ~commitment:pp.Message.nonce_com -> Some n
+  | _ -> None
 
 (* Backups, ascending by id, whose prepare matches the batch's pre-prepare
    and whose revealed nonce opens that prepare's commitment. *)
@@ -471,45 +480,38 @@ let commit_candidates t rec_ =
       if r = rec_.br_pp.Message.primary || not (D.equal p.Message.p_pp_hash pph) then acc
       else
         match Hashtbl.find_opt nonces r with
-        | Some n when D.equal (D.of_string n) p.Message.p_nonce_com -> (r, p, n) :: acc
+        | Some n when opens n ~commitment:p.Message.p_nonce_com -> (r, p, n) :: acc
         | _ -> acc)
     (sub_tbl t.prepares (v, s))
     []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
+(* The backups evidence and receipts name: the first quorum-1 candidates. *)
+let quorum_backups t rec_ =
+  let needed = quorum t - 1 in
+  let candidates = commit_candidates t rec_ in
+  if List.length candidates < needed then None
+  else Some (List.filteri (fun i _ -> i < needed) candidates)
+
 (* Commitment evidence for the batch at [s_past]: the pre-prepare signer
-   plus the first quorum-1 backups (ascending id) that contributed both a
-   matching prepare and a nonce opening its commitment. *)
+   plus the quorum backups. *)
 let evidence_for t s_past =
   if s_past < 1 then Some ([], [], Bitmap.empty)
-  else begin
+  else
     match Hashtbl.find_opt t.records s_past with
     | None -> None
     | Some rec_ -> (
         let primary = rec_.br_pp.Message.primary in
-        match
-          Hashtbl.find_opt (sub_tbl t.commits (rec_.br_pp.Message.view, s_past)) primary
-        with
-        | Some pk_nonce
-          when Nonce.check ~commitment:rec_.br_pp.Message.nonce_com
-                 (Option.get (Nonce.of_revealed pk_nonce)) -> (
-            let candidates = commit_candidates t rec_ in
-            let needed = quorum t - 1 in
-            if List.length candidates < needed then None
-            else begin
-              let chosen = List.filteri (fun i _ -> i < needed) candidates in
-              let prepares = List.map (fun (_, p, _) -> p) chosen in
-              let nonce_list =
-                List.sort compare
-                  ((primary, pk_nonce) :: List.map (fun (r, _, n) -> (r, n)) chosen)
-              in
-              let bitmap =
-                Bitmap.of_list (primary :: List.map (fun (r, _, _) -> r) chosen)
-              in
-              Some (prepares, nonce_list, bitmap)
-            end)
-        | _ -> None)
-  end
+        match primary_opening t rec_ with
+        | None -> None
+        | Some pk_nonce ->
+            Option.map
+              (fun chosen ->
+                ( List.map (fun (_, p, _) -> p) chosen,
+                  List.sort compare
+                    ((primary, pk_nonce) :: List.map (fun (r, _, n) -> (r, n)) chosen),
+                  Bitmap.of_list (primary :: List.map (fun (r, _, _) -> r) chosen) ))
+              (quorum_backups t rec_))
 
 (* Reconstruct the exact evidence entries the primary committed to via its
    E_{s-P} bitmap, from this replica's own message stores. *)
@@ -527,23 +529,14 @@ let evidence_matching t s_past (bitmap : Bitmap.t) =
         else begin
           let preps = sub_tbl t.prepares (v, s_past) in
           let nonces = sub_tbl t.commits (v, s_past) in
-          let rec collect = function
-            | [] -> Some ([], [])
-            | r :: rest -> (
-                match collect rest with
-                | None -> None
-                | Some (ps, ns) -> (
-                    match Hashtbl.find_opt nonces r with
-                    | None -> None
-                    | Some n ->
-                        if r = primary then Some (ps, (r, n) :: ns)
-                        else begin
-                          match Hashtbl.find_opt preps r with
-                          | None -> None
-                          | Some p -> Some (p :: ps, (r, n) :: ns)
-                        end))
-          in
-          collect members
+          List.fold_right
+            (fun r acc ->
+              match (acc, Hashtbl.find_opt nonces r) with
+              | Some (ps, ns), Some n when r = primary -> Some (ps, (r, n) :: ns)
+              | Some (ps, ns), Some n ->
+                  Option.map (fun p -> (p :: ps, (r, n) :: ns)) (Hashtbl.find_opt preps r)
+              | _ -> None)
+            members (Some ([], []))
         end)
   end
 
@@ -575,67 +568,18 @@ let execute_requests t ~base_index reqs =
             })
           reqs
       in
-      t.last_exec_writes <- List.rev !writes_rev;
-      txs)
+      (txs, List.rev !writes_rev))
 
 (* ------------------------------------------------------------------ *)
-(* Transaction status (observer/read tier)                             *)
-
-let note_committed t s v = Hashtbl.replace t.committed_views s v
-
-(* Fold a stabilized-or-committed batch's writes into the key index, in
-   commit order (callers only invoke this with ascending seqnos, so plain
-   replace gives last-writer-wins). *)
-let index_batch_writes t s =
-  match Hashtbl.find_opt t.tx_writes s with
-  | None -> ()
-  | Some arr ->
-      Array.iteri
-        (fun i ws ->
-          List.iter (fun (k, _) -> Hashtbl.replace t.key_writer k (s, i)) ws)
-        arr
-
-(* Promote every sequence number at least P behind the committed horizon
-   into the append-only stable table. Entries are never removed: stability
-   is rollback-proof (see the field comment), so a COMMITTED or INVALID
-   answer derived from it can never flip. *)
-let advance_stable t =
-  let horizon = t.last_committed - t.params.pipeline in
-  while t.stable_upto < horizon do
-    let s = t.stable_upto + 1 in
-    (match Hashtbl.find_opt t.committed_views s with
-    | Some v -> Hashtbl.replace t.stable_views s v
-    | None -> ());
-    t.stable_upto <- s
-  done
+(* Transaction status and reads (Status_index)                         *)
 
 let tx_status t ~view ~seqno =
-  if t.seqno - 1 > t.hw_seqno then t.hw_seqno <- t.seqno - 1;
-  if seqno <= 0 then Status.Invalid
-  else begin
-    match Hashtbl.find_opt t.stable_views seqno with
-    | Some v -> if v = view then Status.Committed else Status.Invalid
-    | None ->
-        (* Not yet stable: even a locally committed batch inside the last
-           pipeline window could still be rolled back by a new-view and
-           re-proposed under a higher view, so the only safe non-terminal
-           answers are PENDING (we have seen the seqno) and UNKNOWN. *)
-        if
-          seqno <= t.stable_upto
-          || Hashtbl.mem t.records seqno
-          || seqno <= t.hw_seqno
-        then Status.Pending
-        else Status.Unknown
-  end
+  Status_index.reached t.index (t.seqno - 1);
+  Status_index.status t.index ~view ~seqno ~seen:(Hashtbl.mem t.records)
 
-let stable_committed t = t.stable_upto
-let last_write t key = Hashtbl.find_opt t.key_writer key
-
-let tx_write_set t ~seqno ~tx_position =
-  match Hashtbl.find_opt t.tx_writes seqno with
-  | Some arr when tx_position >= 0 && tx_position < Array.length arr ->
-      Some arr.(tx_position)
-  | _ -> None
+let stable_committed t = Status_index.stable_upto t.index
+let last_write t = Status_index.last_write t.index
+let tx_write_set t = Status_index.write_set t.index
 
 let append_ledger t entry = if keep_ledger t then ignore (Ledger.append t.ledger entry)
 let ledger_len t = if keep_ledger t then Ledger.length t.ledger else t.seqno * 4
@@ -682,10 +626,10 @@ let append_batch t pp txs =
     txs
 
 (* Record an executed batch: its record, where its entries end in the
-   ledger, and the write sets [execute_requests] just produced, so
-   [tx_writes] lines up with [records]. Re-executions (re-proposals,
-   state-transfer replay) overwrite with identical content. *)
-let add_record t pp ~batch_hashes ~reqs ~txs ~ev_prepares ~ev_nonces ~undo ~committed =
+   ledger, and the write sets its execution produced. Re-executions
+   (re-proposals, state-transfer replay) overwrite with identical content. *)
+let add_record t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo
+    ~committed =
   let rec_ =
     {
       br_pp = pp;
@@ -704,7 +648,7 @@ let add_record t pp ~batch_hashes ~reqs ~txs ~ev_prepares ~ev_nonces ~undo ~comm
   let s = pp.Message.seqno in
   Hashtbl.replace t.records s rec_;
   Hashtbl.replace t.batch_ledger_end s (ledger_len t);
-  Hashtbl.replace t.tx_writes s (Array.of_list t.last_exec_writes);
+  Status_index.record_writes t.index ~seqno:s writes;
   rec_
 
 let append_evidence_entries t ~s_past ev_prepares ev_nonces =
@@ -752,11 +696,7 @@ let post_execute_batch t (pp : Message.pre_prepare) txs =
         ()
   in
   (match t.phase with
-  | Normal ->
-      if
-        t.params.variant.Variant.enable_checkpoints
-        && s mod t.params.checkpoint_interval = 0
-      then take_checkpoint ()
+  | Normal -> if checkpoint_due t s then take_checkpoint ()
   | Ending _ | Starting _ -> ());
   (* Detect a passed referendum: the vote procedure installs the new
      configuration under the reserved key. *)
@@ -829,33 +769,19 @@ let seal_from_kind t (pp : Message.pre_prepare) =
 (* ------------------------------------------------------------------ *)
 (* Receipts and replies                                                *)
 
-let g_tree_of_txs txs =
-  let tree = Tree.create () in
-  List.iter (fun tx -> Tree.append tree (Batch.tx_leaf tx)) txs;
-  tree
-
 (* Receipt material (§3.3) for the transactions of a batch that satisfy
    [pick], in batch order. *)
 let replyxs rec_ pick =
-  let tree = lazy (g_tree_of_txs rec_.br_txs) in
-  let size = List.length rec_.br_txs in
-  List.concat
-    (List.mapi
-       (fun i (tx : Batch.tx_entry) ->
-         if not (pick tx) then []
+  let path = Receipt.g_path rec_.br_txs and size = List.length rec_.br_txs in
+  List.mapi (fun i tx -> (i, tx)) rec_.br_txs
+  |> List.filter_map (fun (i, (tx : Batch.tx_entry)) ->
+         if not (pick tx) then None
          else
-           [
+           Some
              ( tx,
                Wire.Replyx_msg
-                 {
-                   Message.x_pp = rec_.br_pp;
-                   x_tx = tx;
-                   x_leaf_index = i;
-                   x_batch_size = size;
-                   x_path = Tree.path (Lazy.force tree) i;
-                 } );
-           ])
-       rec_.br_txs)
+                 { Message.x_pp = rec_.br_pp; x_tx = tx; x_leaf_index = i;
+                   x_batch_size = size; x_path = path i } ))
 
 let designated_for t (tx : Batch.tx_entry) =
   let ids = replica_ids t in
@@ -866,15 +792,18 @@ let designated_for t (tx : Batch.tx_entry) =
 let own_signature_for t rec_ =
   let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
   if rec_.br_pp.Message.primary = t.rid then Some rec_.br_pp.Message.signature
-  else begin
-    match Hashtbl.find_opt (sub_tbl t.prepares (v, s)) t.rid with
-    | Some p -> Some p.Message.p_signature
-    | None -> None
-  end
+  else
+    Option.map
+      (fun (p : Message.prepare) -> p.Message.p_signature)
+      (Hashtbl.find_opt (sub_tbl t.prepares (v, s)) t.rid)
 
-let send_replies t rec_ =
+(* The one reply path. This replica's reply for the batch, its signature
+   on it with the nonce it revealed, goes to each client in [reply_to];
+   then the receipt material for each transaction [pick] selects goes to
+   [replyx_to], or else to that transaction's client. *)
+let send_replies t rec_ ~reply_to ~pick ?replyx_to () =
   let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
-  match (own_signature_for t rec_, Hashtbl.find_opt t.own_nonces (v, s)) with
+  (match (own_signature_for t rec_, Hashtbl.find_opt t.own_nonces (v, s)) with
   | Some signature, Some nonce ->
       let reply =
         Wire.Reply_msg
@@ -886,98 +815,71 @@ let send_replies t rec_ =
             r_nonce = nonce;
           }
       in
-      let clients = Hashtbl.create 4 in
-      List.iter
-        (fun (tx : Batch.tx_entry) ->
-          let pk = tx.Batch.request.Request.client_pk in
-          let key = Schnorr.public_key_to_bytes pk in
-          if not (Hashtbl.mem clients key) then begin
-            Hashtbl.add clients key ();
-            (* PeerReview signs a reply per transaction rather than relying
-               on the nonce scheme; model the extra signatures. *)
-            if t.params.variant.Variant.peerreview then
-              peerreview_extra_sign t ("reply" ^ key);
-            send_to_client t pk reply
-          end)
-        rec_.br_txs;
-      if t.params.variant.Variant.gen_receipts then
-        List.iter
-          (fun ((tx : Batch.tx_entry), m) ->
-            send_to_client t tx.Batch.request.Request.client_pk m)
-          (replyxs rec_ (fun tx -> designated_for t tx = t.rid))
-  | _ -> ()
+      List.iter (fun pk -> send_to_client t pk reply) reply_to
+  | _ -> ());
+  List.iter
+    (fun ((tx : Batch.tx_entry), m) ->
+      match replyx_to with
+      | Some dst -> send t ~dst m
+      | None -> send_to_client t tx.Batch.request.Request.client_pk m)
+    (replyxs rec_ pick)
+
+(* The batch's clients, each once, in batch order. *)
+let batch_clients rec_ =
+  let seen = Hashtbl.create 4 in
+  List.filter
+    (fun pk ->
+      let key = Schnorr.public_key_to_bytes pk in
+      let fresh = not (Hashtbl.mem seen key) in
+      if fresh then Hashtbl.add seen key ();
+      fresh)
+    (List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request.Request.client_pk) rec_.br_txs)
+
+let holds h (tx : Batch.tx_entry) = D.equal (Request.hash tx.Batch.request) h
+let committed_holding h rec_ = rec_.br_committed && List.exists (holds h) rec_.br_txs
 
 let build_receipt t ~seqno ~tx_position =
   match Hashtbl.find_opt t.records seqno with
-  | None -> None
   | Some rec_ when rec_.br_committed -> (
-      let candidates = commit_candidates t rec_ in
-      let needed = quorum t - 1 in
-      if List.length candidates < needed then None
-      else begin
-        let chosen = List.filteri (fun i _ -> i < needed) candidates in
-        let subject =
-          match tx_position with
-          | None -> Some Receipt.Batch_subject
-          | Some i ->
-              if i < 0 || i >= List.length rec_.br_txs then None
-              else begin
-                let tree = g_tree_of_txs rec_.br_txs in
-                Some
-                  (Receipt.Tx_subject
-                     {
-                       tx = List.nth rec_.br_txs i;
-                       leaf_index = i;
-                       batch_size = List.length rec_.br_txs;
-                       path = Tree.path tree i;
-                     })
-              end
-        in
-        match subject with
-        | None -> None
-        | Some subject ->
-            Some
-              {
-                Receipt.pp = rec_.br_pp;
-                prep_bitmap = Bitmap.of_list (List.map (fun (r, _, _) -> r) chosen);
-                prepare_sigs = List.map (fun (_, p, _) -> p.Message.p_signature) chosen;
-                nonces = List.map (fun (_, _, n) -> n) chosen;
-                subject;
-              }
-      end)
-  | Some _ -> None
+      let txs = rec_.br_txs in
+      match (quorum_backups t rec_, tx_position) with
+      | None, _ -> None
+      | Some _, Some i when i < 0 || i >= List.length txs -> None
+      | Some chosen, _ ->
+          Some
+            (Receipt.make rec_.br_pp
+               (List.map (fun (r, p, n) -> (r, p.Message.p_signature, n)) chosen)
+               (match tx_position with
+               | None -> Receipt.Batch_subject
+               | Some i -> Receipt.tx_subject txs i)))
+  | _ -> None
 
 let record_gov_receipts t rec_ =
-  let seqno = rec_.br_pp.Message.seqno in
+  let keep tx_position =
+    Option.iter
+      (fun r -> t.gov_receipts_rev <- r :: t.gov_receipts_rev)
+      (build_receipt t ~seqno:rec_.br_pp.Message.seqno ~tx_position)
+  in
   (match rec_.br_pp.Message.kind with
-  | Batch.End_of_config { phase; _ } when phase = t.params.pipeline -> (
-      match build_receipt t ~seqno ~tx_position:None with
-      | Some r -> t.gov_receipts_rev <- r :: t.gov_receipts_rev
-      | None -> ())
+  | Batch.End_of_config { phase; _ } when phase = t.params.pipeline -> keep None
   | Batch.End_of_config _ | Batch.Regular | Batch.Checkpoint _ | Batch.Start_of_config _ -> ());
   List.iteri
-    (fun i (tx : Batch.tx_entry) ->
-      if is_gov_request tx.Batch.request then begin
-        match build_receipt t ~seqno ~tx_position:(Some i) with
-        | Some r -> t.gov_receipts_rev <- r :: t.gov_receipts_rev
-        | None -> ()
-      end)
+    (fun i (tx : Batch.tx_entry) -> if is_gov_request tx.Batch.request then keep (Some i))
     rec_.br_txs
 
 (* ------------------------------------------------------------------ *)
 (* Batch packages (retransmission / state transfer)                    *)
 
 let batch_package t ~seqno =
-  match Hashtbl.find_opt t.records seqno with
-  | None -> None
-  | Some rec_ ->
-      Some
-        {
-          Wire.bp_pp = rec_.br_pp;
-          bp_requests = rec_.br_requests;
-          bp_ev_prepares = rec_.br_ev_prepares;
-          bp_ev_nonces = rec_.br_ev_nonces;
-        }
+  Option.map
+    (fun rec_ ->
+      {
+        Wire.bp_pp = rec_.br_pp;
+        bp_requests = rec_.br_requests;
+        bp_ev_prepares = rec_.br_ev_prepares;
+        bp_ev_nonces = rec_.br_ev_nonces;
+      })
+    (Hashtbl.find_opt t.records seqno)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol tracing: per-batch async spans (cat "batch", id = seqno).
@@ -1051,6 +953,43 @@ let trace_batch_cancelled t rec_ =
     Obs.span_end t.obs ~node:t.rid ~cat:"batch" ~name:"consensus" ~id ~args ()
   end
 
+(* This replica's nonce for (view, seqno), kept for its commit and
+   replies; returns the commitment its signed message carries. *)
+let own_nonce t ~view ~seqno =
+  let nonce = Nonce.derive ~key:t.nonce_key ~view ~seqno in
+  Hashtbl.replace t.own_nonces (view, seqno) (Nonce.reveal nonce);
+  Nonce.commit nonce
+
+(* Accept a batch this replica executed, as primary or backup: append it,
+   record it, open its trace spans and move to the next seqno. [batched]
+   are the requests the primary just took from its queue. *)
+let accept_batch t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo
+    ~batched =
+  append_batch t pp txs;
+  t.request_order <-
+    List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
+  update_queue_gauge t;
+  let rec_ =
+    add_record t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo
+      ~committed:false
+  in
+  trace_batch_begin t rec_;
+  (* Bridge the two flow identities: request flows are keyed by trace id,
+     batch phases by seqno. This instant (primary only, where batching
+     happens) lets the critical-path reconstructor hand a request off from
+     its queueing segment to its batch's consensus segments. *)
+  if Obs.tracing_enabled t.obs then
+    List.iter
+      (fun (r : Request.t) ->
+        Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.batched"
+          ~id:(Request.trace_id r)
+          ~args:[ ("seqno", string_of_int pp.Message.seqno) ]
+          ())
+      batched;
+  post_execute_batch t pp txs;
+  t.seqno <- pp.Message.seqno + 1;
+  rec_
+
 (* ------------------------------------------------------------------ *)
 (* Forward declarations for the mutually recursive protocol engine      *)
 
@@ -1091,22 +1030,26 @@ and on_prepared t rec_ =
       (* PeerReview — and the signed-commit ablation — sign commit
          messages; L-PBFT's nonce reveal does not (§3.1, Lemma 3). *)
       if t.params.variant.Variant.peerreview then peerreview_extra_sign t "commit";
-      if t.params.variant.Variant.sign_commits then begin
-        Obs.incr t.ctr.c_sigs_made;
-        ignore
-          (Profile.time t.profile Profile.Sign ~cls:"commit" Profile.Replica_key
-             (fun () ->
-               Schnorr.sign t.sk
-                 (D.to_raw
-                    (D.of_string (Printf.sprintf "commit:%d:%d:%d" v s t.rid)))))
-      end;
-      Hashtbl.replace (sub_tbl t.commits (v, s)) t.rid nonce;
+      if t.params.variant.Variant.sign_commits then
+        ignore (schnorr_sign t ~cls:"commit" (commit_payload v s t.rid));
+      store_nonce t ~view:v ~seqno:s (t.rid, nonce);
       if Obs.tracing_enabled t.obs then
         Obs.instant t.obs ~node:t.rid ~cat:"batch" ~name:"nonce.reveal"
           ~id:(string_of_int s) ();
       broadcast_replicas t (Wire.Commit_msg commit)
   | None -> ());
-  send_replies t rec_;
+  (* Each of the batch's clients gets the reply once; the designated
+     replica also sends each transaction's receipt material. PeerReview
+     signs a reply per client rather than relying on the nonce scheme;
+     model the extra signatures. *)
+  let clients = batch_clients rec_ in
+  if t.params.variant.Variant.peerreview then
+    List.iter
+      (fun pk -> peerreview_extra_sign t ("reply" ^ Schnorr.public_key_to_bytes pk))
+      clients;
+  send_replies t rec_ ~reply_to:clients
+    ~pick:(fun tx -> t.params.variant.Variant.gen_receipts && designated_for t tx = t.rid)
+    ();
   check_committed t
 
 and check_committed t =
@@ -1114,34 +1057,15 @@ and check_committed t =
   match Hashtbl.find_opt t.records q with
   | None -> ()
   | Some rec_ when rec_.br_prepared ->
-      let v = rec_.br_pp.Message.view in
-      let primary = rec_.br_pp.Message.primary in
-      let pph = Message.pp_hash rec_.br_pp in
-      let preps = sub_tbl t.prepares (v, q) in
-      let nonces = sub_tbl t.commits (v, q) in
-      let valid =
-        Hashtbl.fold
-          (fun r n acc ->
-            let commitment =
-              if r = primary then Some rec_.br_pp.Message.nonce_com
-              else begin
-                match Hashtbl.find_opt preps r with
-                | Some p when D.equal p.Message.p_pp_hash pph ->
-                    Some p.Message.p_nonce_com
-                | _ -> None
-              end
-            in
-            match commitment with
-            | Some c when D.equal (D.of_string n) c -> acc + 1
-            | _ -> acc)
-          nonces 0
+      let openings =
+        List.length (commit_candidates t rec_)
+        + if primary_opening t rec_ = None then 0 else 1
       in
-      if valid >= quorum t then begin
+      if openings >= quorum t then begin
         rec_.br_committed <- true;
         t.last_committed <- q;
-        note_committed t q v;
-        index_batch_writes t q;
-        advance_stable t;
+        Status_index.commit t.index ~seqno:q ~view:rec_.br_pp.Message.view
+          ~index_writes:true ~last_committed:q;
         t.stall_count <- 0;
         seal_from_kind t rec_.br_pp;
         Obs.incr t.ctr.c_batches_committed;
@@ -1198,11 +1122,7 @@ and plan_batch t s =
         Some (Batch.Start_of_config { phase = s - cp_seqno - 1 }, [])
       else None
   | Normal ->
-      if
-        t.params.variant.Variant.enable_checkpoints
-        && s mod t.params.checkpoint_interval = 0
-        && t.latest_cp_seqno >= 0
-      then begin
+      if checkpoint_due t s && t.latest_cp_seqno >= 0 then begin
         match Hashtbl.find_opt t.checkpoints t.latest_cp_seqno with
         | Some (_, digest) ->
             Some (Batch.Checkpoint { cp_seqno = t.latest_cp_seqno; cp_digest = digest }, [])
@@ -1244,7 +1164,7 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
   let undo = capture t in
   append_evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces;
   let base_index = ledger_len t + 1 in
-  let executed = execute_requests t ~base_index reqs in
+  let executed, writes = execute_requests t ~base_index reqs in
   let txs =
     (* Re-proposals after a view change keep the original entries so the
        batch's Merkle root (and every receipt bound to it) is unchanged. *)
@@ -1254,12 +1174,10 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
   in
   let g_root = Batch.g_root txs in
   let m_root = m_root_now t in
-  let nonce = Nonce.derive ~key:t.nonce_key ~view:v ~seqno:s in
-  Hashtbl.replace t.own_nonces (v, s) (Nonce.reveal nonce);
+  let nonce_com = own_nonce t ~view:v ~seqno:s in
   let payload =
-    Message.pre_prepare_payload ~view:v ~seqno:s ~m_root ~g_root
-      ~nonce_com:(Nonce.commit nonce) ~ev_bitmap ~gov_index:undo.u_gov_index
-      ~cp_digest:undo.u_dc ~kind ~primary:t.rid
+    Message.pre_prepare_payload ~view:v ~seqno:s ~m_root ~g_root ~nonce_com ~ev_bitmap
+      ~gov_index:undo.u_gov_index ~cp_digest:undo.u_dc ~kind ~primary:t.rid
   in
   let pp : Message.pre_prepare =
     {
@@ -1267,7 +1185,7 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
       seqno = s;
       m_root;
       g_root;
-      nonce_com = Nonce.commit nonce;
+      nonce_com;
       ev_bitmap;
       gov_index = undo.u_gov_index;
       cp_digest = undo.u_dc;
@@ -1276,29 +1194,10 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
       signature = sign_digest t ~cls:"pre_prepare" payload;
     }
   in
-  append_batch t pp txs;
-  t.request_order <-
-    List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
-  update_queue_gauge t;
   let rec_ =
-    add_record t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs
-      ~ev_prepares ~ev_nonces ~undo ~committed:false
+    accept_batch t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs ~writes
+      ~ev_prepares ~ev_nonces ~undo ~batched:reqs
   in
-  trace_batch_begin t rec_;
-  (* Bridge the two flow identities: request flows are keyed by trace id,
-     batch phases by seqno. This instant (primary only — batching happens
-     here) lets the critical-path reconstructor hand a request off from
-     its queueing segment to its batch's consensus segments. *)
-  if Obs.tracing_enabled t.obs then
-    List.iter
-      (fun (r : Request.t) ->
-        Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.batched"
-          ~id:(Request.trace_id r)
-          ~args:[ ("seqno", string_of_int s) ]
-          ())
-      reqs;
-  post_execute_batch t pp txs;
-  t.seqno <- s + 1;
   broadcast_replicas t (Wire.Pre_prepare_msg { pp; batch = rec_.br_batch_hashes });
   check_prepared t
 
@@ -1316,13 +1215,9 @@ and validate_kind t (pp : Message.pre_prepare) =
     end
   in
   match (pp.Message.kind, t.phase) with
-  | Batch.Regular, Normal ->
-      not
-        (t.params.variant.Variant.enable_checkpoints
-        && s mod t.params.checkpoint_interval = 0)
+  | Batch.Regular, Normal -> not (checkpoint_due t s)
   | Batch.Checkpoint { cp_seqno; cp_digest }, Normal ->
-      t.params.variant.Variant.enable_checkpoints
-      && s mod t.params.checkpoint_interval = 0
+      checkpoint_due t s
       && cp_seqno = t.latest_cp_seqno
       && cp_digest_matches cp_seqno cp_digest
   | Batch.End_of_config { phase; committed_root }, Ending { vote_seqno; committed_root = own_root; _ }
@@ -1380,7 +1275,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
                 | None -> assert false)
               batch_hashes
           in
-          let txs = execute_requests t ~base_index reqs in
+          let txs, writes = execute_requests t ~base_index reqs in
           (* A re-proposed batch must keep its original entries: if fresh
              execution diverges from the pre-prepare's g_root only in the
              assigned indices, adopt the archived entries for this root. *)
@@ -1414,34 +1309,26 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
             true
           end
           else begin
-            append_batch t pp txs;
-            t.request_order <-
-              List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
-            let nonce = Nonce.derive ~key:t.nonce_key ~view:v ~seqno:s in
-            Hashtbl.replace t.own_nonces (v, s) (Nonce.reveal nonce);
+            let nonce_com = own_nonce t ~view:v ~seqno:s in
             let pph = Message.pp_hash pp in
             let payload =
-              Message.prepare_payload ~view:v ~seqno:s ~replica:t.rid
-                ~nonce_com:(Nonce.commit nonce) ~pp_hash:pph
+              Message.prepare_payload ~view:v ~seqno:s ~replica:t.rid ~nonce_com
+                ~pp_hash:pph
             in
             let prepare =
               {
                 Message.p_view = v;
                 p_seqno = s;
                 p_replica = t.rid;
-                p_nonce_com = Nonce.commit nonce;
+                p_nonce_com = nonce_com;
                 p_pp_hash = pph;
                 p_signature = sign_digest t ~cls:"prepare" payload;
               }
             in
-            let rec_ =
-              add_record t pp ~batch_hashes ~reqs ~txs ~ev_prepares ~ev_nonces ~undo
-                ~committed:false
-            in
-            trace_batch_begin t rec_;
-            post_execute_batch t pp txs;
-            t.seqno <- s + 1;
-            Hashtbl.replace (sub_tbl t.prepares (v, s)) t.rid prepare;
+            ignore
+              (accept_batch t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces
+                 ~undo ~batched:[]);
+            store_prepare t prepare;
             broadcast_replicas t (Wire.Prepare_msg prepare);
             check_prepared t;
             true
@@ -1503,50 +1390,22 @@ and arm_batch_timer t =
            try_send_pre_prepares t))
   end
 
-(* A client retransmitting an already-executed request means the original
-   replies were lost: resend this replica's reply (and the replyx, from
-   whichever replica answers first — the designated one may be cut off)
-   so sustained message loss cannot strand a completed request forever. *)
-and resend_executed t (req : Request.t) =
-  let h = Request.hash req in
-  let exception Found in
-  try
-    Hashtbl.iter
-      (fun _ rec_ ->
-        if
-          rec_.br_committed
-          && List.exists
-               (fun (tx : Batch.tx_entry) ->
-                 D.equal (Request.hash tx.Batch.request) h)
-               rec_.br_txs
-        then begin
-          let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
-          (match (own_signature_for t rec_, Hashtbl.find_opt t.own_nonces (v, s)) with
-          | Some signature, Some nonce ->
-              send_to_client t req.Request.client_pk
-                (Wire.Reply_msg
-                   {
-                     Message.r_view = v;
-                     r_seqno = s;
-                     r_replica = t.rid;
-                     r_signature = signature;
-                     r_nonce = nonce;
-                   })
-          | _ -> ());
-          if t.params.variant.Variant.gen_receipts then
-            List.iter
-              (fun (_, m) -> send_to_client t req.Request.client_pk m)
-              (replyxs rec_ (fun (tx : Batch.tx_entry) ->
-                   D.equal (Request.hash tx.Batch.request) h));
-          raise Found
-        end)
-      t.records
-  with Found -> ()
-
 and on_request t (req : Request.t) =
   if t.running && t.activated then begin
     let h = D.to_raw (Request.hash req) in
-    if Hashtbl.mem t.executed_requests h then resend_executed t req
+    if Hashtbl.mem t.executed_requests h then begin
+      (* A client retransmitting an executed request lost the replies:
+         whichever replica it reaches answers with its reply and the
+         receipt material (the designated replica may be cut off), so
+         sustained loss cannot strand a completed request. *)
+      let h = Request.hash req in
+      match Seq.find (committed_holding h) (Hashtbl.to_seq_values t.records) with
+      | Some rec_ ->
+          send_replies t rec_ ~reply_to:[ req.Request.client_pk ]
+            ~pick:(fun tx -> t.params.variant.Variant.gen_receipts && holds h tx)
+            ()
+      | None -> ()
+    end
     else if
       (* Admission control (primary only): shed fresh requests while the
          pending queue sits at or above the watermark — before signature
@@ -1567,9 +1426,7 @@ and on_request t (req : Request.t) =
         (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = Request.hash req })
     end
     else if (not (Hashtbl.mem t.requests h)) && verify_request_sig t req then begin
-      Hashtbl.replace t.requests h req;
-      t.request_order <- Request.hash req :: t.request_order;
-      Obs.incr t.ctr.c_requests_received;
+      admit t req;
       if is_primary t then Obs.incr t.ctr.c_load_admitted;
       update_queue_gauge t;
       if Obs.tracing_enabled t.obs then
@@ -1585,13 +1442,15 @@ and on_prepare t (p : Message.prepare) =
   if t.running && t.activated && p.Message.p_replica <> t.rid && verify_prepare_sig t p
   then begin
     note_view_ahead t ~view:p.Message.p_view ~src:p.Message.p_replica;
-    Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
-      p.Message.p_replica p;
+    store_prepare t p;
     check_prepared t
   end
 
-and on_commit t (c : Message.commit) =
-  if t.running && t.activated && c.Message.c_replica <> t.rid then begin
+(* The network authenticates [src]: a commit is stored only under the
+   replica that sent it, so nobody can overwrite another's nonce. *)
+and on_commit t ~src (c : Message.commit) =
+  if t.running && t.activated && c.Message.c_replica <> t.rid && c.Message.c_replica = src
+  then begin
     (* Signed-commit ablation: pay the verification the nonce scheme saves.
        The result is discarded: it does not gate the commit bookkeeping
        below. Counted only when the key lookup succeeds — an unknown
@@ -1602,15 +1461,12 @@ and on_commit t (c : Message.commit) =
           Obs.incr t.ctr.c_sigs_verified;
           ignore
             (Vstage.verify t.vstage ~cls:"commit" ~principal:Profile.Replica_key pk
-               (D.to_raw
-                  (D.of_string
-                     (Printf.sprintf "commit:%d:%d:%d" c.Message.c_view
-                        c.Message.c_seqno c.Message.c_replica)))
+               (commit_payload c.Message.c_view c.Message.c_seqno c.Message.c_replica)
                ~signature:(String.make 64 '\000'))
       | None -> ()
     end;
-    Hashtbl.replace (sub_tbl t.commits (c.Message.c_view, c.Message.c_seqno))
-      c.Message.c_replica c.Message.c_nonce;
+    store_nonce t ~view:c.Message.c_view ~seqno:c.Message.c_seqno
+      (c.Message.c_replica, c.Message.c_nonce);
     check_committed t;
     try_send_pre_prepares t
   end
@@ -1623,7 +1479,7 @@ and rollback_to t target =
   (* Remember the highest seqno ever reached before forgetting records:
      the status table keeps answering PENDING (never back to UNKNOWN) for
      rolled-back ids awaiting re-proposal. *)
-  if top > t.hw_seqno then t.hw_seqno <- top;
+  Status_index.reached t.index top;
   if top > target then begin
     tally t "replica.rollback";
     (match Hashtbl.find_opt t.records (target + 1) with
@@ -1640,14 +1496,10 @@ and rollback_to t target =
             (fun (req : Request.t) ->
               let h = D.to_raw (Request.hash req) in
               Hashtbl.remove t.executed_requests h;
-              if not (Hashtbl.mem t.requests h) then begin
-                Hashtbl.replace t.requests h req;
-                t.request_order <- Request.hash req :: t.request_order;
-                (* Back in the pending pool: it will be proposed (and
-                   counted committed) again, so count the re-admission to
-                   keep requests_committed <= requests_received. *)
-                Obs.incr t.ctr.c_requests_received
-              end)
+              (* Back in the pending pool: it will be proposed (and
+                 counted committed) again, so count the re-admission to
+                 keep requests_committed <= requests_received. *)
+              if not (Hashtbl.mem t.requests h) then admit t req)
             rec_.br_requests;
           Hashtbl.remove t.records q;
           Hashtbl.remove t.batch_ledger_end q
@@ -1670,22 +1522,22 @@ and rollback_to t target =
     if t.last_committed > target then t.last_committed <- target
   end
 
+(* Roll back past batch [upto] and cut the ledger to the committed
+   prefix. *)
+and drop_uncommitted t ~upto =
+  rollback_to t upto;
+  if keep_ledger t then Ledger.truncate t.ledger (batch_end_length t t.last_committed)
+
 (* ------------------------------------------------------------------ *)
 (* View changes (Alg. 2)                                               *)
 
 and last_prepared_pps t =
   (* The P highest-seqno pre-prepares this replica ever prepared, surviving
      any roll-backs in between (Alg. 2 line 3). *)
-  let seqnos =
-    Hashtbl.fold (fun s _ acc -> s :: acc) t.prepared_pps []
-    |> List.sort (fun a b -> compare b a)
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | s :: rest -> Hashtbl.find t.prepared_pps s :: take (n - 1) rest
-  in
-  List.rev (take t.params.pipeline seqnos)
+  Hashtbl.fold (fun s pp acc -> (s, pp) :: acc) t.prepared_pps []
+  |> List.sort (fun (a, _) (b, _) -> compare b a)
+  |> List.filteri (fun i _ -> i < t.params.pipeline)
+  |> List.rev_map snd
 
 and send_view_change t v' =
   if t.running && t.activated && in_config t then begin
@@ -1729,6 +1581,22 @@ and on_view_change t (vc : Message.view_change) =
 
 (* The highest prepared pre-prepare across a view-change quorum, plus the
    pre-prepares for the P sequence numbers ending at it (best view wins). *)
+(* A new view's ledger is the canonical prefix up to [target], then the
+   view-change set (by replica id), then the new-view (Alg. 2). Roll back
+   to [target], drop any stale view-change entries past its last batch,
+   and append the set unless its digest differs from [expect]. Returns
+   the set's digest. *)
+and install_vc_set t ~target vcs ~expect =
+  rollback_to t target;
+  if keep_ledger t then Ledger.truncate t.ledger (batch_end_length t target);
+  let entry =
+    Entry.View_change_set
+      (List.sort (fun a b -> compare a.Message.vc_replica b.Message.vc_replica) vcs)
+  in
+  let h_vc = Entry.leaf_digest entry in
+  if Option.fold ~none:true ~some:(D.equal h_vc) expect then append_ledger t entry;
+  h_vc
+
 and summarize_view_changes vcs =
   let best = Hashtbl.create 8 in
   List.iter
@@ -1760,17 +1628,11 @@ and maybe_new_view t =
       let target = max 0 (s_lp - t.params.pipeline) in
       (* Find a replica that can supply anything we are missing. *)
       let reporter =
-        Hashtbl.fold
-          (fun _ (pp : Message.pre_prepare) acc ->
-            if pp.Message.seqno = s_lp then
-              List.find_opt
-                (fun (vc : Message.view_change) ->
-                  List.exists
-                    (fun p -> Message.pre_prepare_equal p pp)
-                    vc.Message.vc_last_prepared)
-                vcs
-            else acc)
-          best None
+        Option.bind (Hashtbl.find_opt best s_lp) (fun pp ->
+            List.find_opt
+              (fun (vc : Message.view_change) ->
+                List.exists (Message.pre_prepare_equal pp) vc.Message.vc_last_prepared)
+              vcs)
       in
       let content_of q =
         match (Hashtbl.find_opt t.records q, Hashtbl.find_opt best q) with
@@ -1805,13 +1667,7 @@ and maybe_new_view t =
           List.filter_map content_of
             (List.init (max 0 (s_lp - target)) (fun i -> target + 1 + i))
         in
-        rollback_to t target;
-        (* Drop stale view-change entries beyond the last batch: the new
-           view's ledger is canonical-prefix + [view-change set][new-view]. *)
-        if keep_ledger t then Ledger.truncate t.ledger (batch_end_length t target);
-        let entry = Entry.View_change_set vcs in
-        let h_vc = Entry.leaf_digest entry in
-        append_ledger t entry;
+        let h_vc = install_vc_set t ~target vcs ~expect:None in
         let m_root = m_root_now t in
         let bitmap =
           Bitmap.of_list (List.map (fun vc -> vc.Message.vc_replica) vcs)
@@ -1883,15 +1739,8 @@ and try_complete_new_view t =
       let reconcile () = refetch t ~upto:t.last_committed nv.Message.nv_primary in
       if t.last_committed < target then reconcile ()
       else begin
-        rollback_to t target;
-        if keep_ledger t then Ledger.truncate t.ledger (batch_end_length t target);
-        let vcs_sorted =
-          List.sort (fun a b -> compare a.Message.vc_replica b.Message.vc_replica) vcs
-        in
-        let entry = Entry.View_change_set vcs_sorted in
-        let h_vc = Entry.leaf_digest entry in
+        let h_vc = install_vc_set t ~target vcs ~expect:(Some nv.Message.nv_vc_hash) in
         if D.equal h_vc nv.Message.nv_vc_hash then begin
-          append_ledger t entry;
           let m_root = m_root_now t in
           if (not (keep_ledger t)) || D.equal m_root nv.Message.nv_m_root then begin
             t.pending_new_view <- None;
@@ -1927,23 +1776,14 @@ and on_batch_package t (bp : Wire.batch_package) =
       (fun (req : Request.t) ->
         let h = D.to_raw (Request.hash req) in
         if (not (Hashtbl.mem t.requests h)) && not (Hashtbl.mem t.executed_requests h)
-        then begin
-          Hashtbl.replace t.requests h req;
-          t.request_order <- Request.hash req :: t.request_order;
-          Obs.incr t.ctr.c_requests_received
-        end)
+        then admit t req)
       bp.Wire.bp_requests;
-    List.iter
-      (fun (p : Message.prepare) ->
-        Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
-          p.Message.p_replica p)
-      bp.Wire.bp_ev_prepares;
+    List.iter (store_prepare t) bp.Wire.bp_ev_prepares;
     let past = bp.Wire.bp_pp.Message.seqno - t.params.pipeline in
     (match Hashtbl.find_opt t.records past with
     | Some rec_ ->
-        let v = rec_.br_pp.Message.view in
         List.iter
-          (fun (r, n) -> Hashtbl.replace (sub_tbl t.commits (v, past)) r n)
+          (store_nonce t ~view:rec_.br_pp.Message.view ~seqno:past)
           bp.Wire.bp_ev_nonces;
         check_committed t
     | None -> ());
@@ -2033,17 +1873,9 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
         (if not skip_exec then
            match e with
            | Entry.Prepare_evidence { pe_prepares; _ } ->
-               List.iter
-                 (fun (p : Message.prepare) ->
-                   Hashtbl.replace
-                     (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
-                     p.Message.p_replica p)
-                 pe_prepares
+               List.iter (store_prepare t) pe_prepares
            | Entry.Nonce_evidence { ne_view; ne_seqno; ne_nonces } ->
-               List.iter
-                 (fun (r, n) ->
-                   Hashtbl.replace (sub_tbl t.commits (ne_view, ne_seqno)) r n)
-                 ne_nonces
+               List.iter (store_nonce t ~view:ne_view ~seqno:ne_seqno) ne_nonces
            | _ -> ());
         append_ledger t e)
       evidence;
@@ -2051,19 +1883,17 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
     (* Indices are adopted from the recorded entries (they are bound by
        the signed g_root and may be lower than the physical position if
        the batch was re-proposed after a view change). *)
-    let results_ok =
-      skip_exec
-      || same_results (execute_requests t ~base_index:(ledger_len t + 1) reqs) txs
+    let writes =
+      if skip_exec then Some []
+      else begin
+        let executed, writes = execute_requests t ~base_index:(ledger_len t + 1) reqs in
+        if same_results executed txs then Some writes else None
+      end
     in
-    if
-      (not results_ok)
-      || (not (D.equal (Batch.g_root txs) pp.Message.g_root))
-      || not (D.equal (m_root_now t) pp.Message.m_root)
-    then begin
-      restore t undo;
-      false
-    end
-    else begin
+    match writes with
+    | Some writes
+      when D.equal (Batch.g_root txs) pp.Message.g_root
+           && D.equal (m_root_now t) pp.Message.m_root ->
       if skip_exec then begin
         (* Adopt verbatim; the key-value store comes from the
            checkpoint, so there are no write sets to index. *)
@@ -2084,7 +1914,7 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
       else begin
         append_batch t pp txs;
         ignore
-          (add_record t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs
+          (add_record t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs ~writes
              ~ev_prepares:[] ~ev_nonces:[] ~undo ~committed:true);
         (match Hashtbl.find_opt t.prepared_pps s with
         | Some prev when prev.Message.view >= pp.Message.view -> ()
@@ -2095,11 +1925,12 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
       t.seqno <- s + 1;
       t.last_prepared <- max t.last_prepared s;
       t.last_committed <- max t.last_committed s;
-      note_committed t s pp.Message.view;
-      if not skip_exec then index_batch_writes t s;
-      advance_stable t;
+      Status_index.commit t.index ~seqno:s ~view:pp.Message.view
+        ~index_writes:(not skip_exec) ~last_committed:t.last_committed;
       true
-    end
+    | _ ->
+      restore t undo;
+      false
   end
 
 (* Apply a received ledger suffix batch by batch, adopting view changes
@@ -2169,8 +2000,7 @@ and on_snapshot_offer t ~src ~cp_seqno ~total ~bytes ~upto ~view =
     run_sync_actions t
       (SyncSession.on_offer t.sync_client (sync_hooks t) ~src ~cp_seqno ~total
          ~bytes ~upto ~view ~last_committed:t.last_committed ~rollback:(fun () ->
-           rollback_to t t.last_committed;
-           Ledger.truncate t.ledger (committed_prefix_length t);
+           drop_uncommitted t ~upto:t.last_committed;
            Ledger.length t.ledger))
 
 and run_sync_actions t actions =
@@ -2185,9 +2015,7 @@ and run_sync_actions t actions =
       | SyncSession.Request_suffix { peer; from_len } ->
           send t ~dst:peer
             (Wire.Fetch_ledger { fl_from_len = from_len; fl_offer = SyncSession.Never })
-      | SyncSession.Retarget peer ->
-          t.fetch_target <- Some peer;
-          fetch_ledger t ~dst:peer SyncSession.If_far
+      | SyncSession.Retarget peer -> fetch_from t peer SyncSession.If_far
       | SyncSession.Install i -> install_snapshot t i)
     actions
 
@@ -2265,51 +2093,46 @@ and progress_tick t =
 (* Drop everything after batch [upto] and fetch the ledger from [src]
    until caught up with it. *)
 and refetch t ~upto src =
-  rollback_to t upto;
-  if keep_ledger t then Ledger.truncate t.ledger (committed_prefix_length t);
-  t.fetch_target <- Some src;
-  fetch_ledger t ~dst:src SyncSession.If_far
+  drop_uncommitted t ~upto;
+  fetch_from t src SyncSession.If_far
 
 and progress_tick_active t =
-  begin
-    let working =
-      Hashtbl.length t.requests > 0
-      || t.last_committed < t.seqno - 1
-      || Hashtbl.length t.pending_pps > 0
-      || not t.ready
+  let working =
+    Hashtbl.length t.requests > 0
+    || t.last_committed < t.seqno - 1
+    || Hashtbl.length t.pending_pps > 0
+    || not t.ready
+  in
+  if working && t.last_committed = t.progress_marker then begin
+    t.stall_count <- t.stall_count + 1;
+    let has_gap =
+      Hashtbl.fold (fun s _ acc -> acc || s > t.seqno) t.pending_pps false
     in
-    if working && t.last_committed = t.progress_marker then begin
-      t.stall_count <- t.stall_count + 1;
-      let has_gap =
-        Hashtbl.fold (fun s _ acc -> acc || s > t.seqno) t.pending_pps false
-      in
-      (* First stall with a gap: likely just lost messages. Drop the
-         speculative suffix and bulk-fetch from the committed prefix; if
-         that does not restore progress by the next tick, suspect the
-         primary instead. Where the fleet has visibly moved to a later view
-         and the primary to fetch from would be ourselves, or where we
-         would escalate, catch up to that view instead. *)
-      let gap_fetch = has_gap && t.ready && t.stall_count <= 1 in
-      match view_ahead t with
-      | Some src when t.ready && not (gap_fetch && primary_id t <> t.rid) ->
-          (* The fleet moved to a view whose new-view we never received (we
-             were down when it went out). Our own view change would find
-             nobody to join it, so catch up from a replica in that view: the
-             New_view entries move us into the view through apply_entries.
-             Roll back P batches below our committed prefix first: every
-             later new view's rollback target is at or above that point, so
-             what remains is a prefix of the sender's ledger. *)
-          refetch t ~upto:(max 0 (t.last_committed - t.params.pipeline)) src
-      | _ when gap_fetch ->
-          rollback_to t t.last_committed;
-          if keep_ledger t then Ledger.truncate t.ledger (committed_prefix_length t);
-          fetch_ledger t ~dst:(primary_id t) SyncSession.If_far
-      | _ -> start_view_change t
-    end
-    else if not working then t.stall_count <- 0;
-    t.progress_marker <- t.last_committed;
-    arm_progress_timer t
+    (* First stall with a gap: likely just lost messages. Drop the
+       speculative suffix and bulk-fetch from the committed prefix; if
+       that does not restore progress by the next tick, suspect the
+       primary instead. Where the fleet has visibly moved to a later view
+       and the primary to fetch from would be ourselves, or where we
+       would escalate, catch up to that view instead. *)
+    let gap_fetch = has_gap && t.ready && t.stall_count <= 1 in
+    match view_ahead t with
+    | Some src when t.ready && not (gap_fetch && primary_id t <> t.rid) ->
+        (* The fleet moved to a view whose new-view we never received (we
+           were down when it went out). Our own view change would find
+           nobody to join it, so catch up from a replica in that view: the
+           New_view entries move us into the view through apply_entries.
+           Roll back P batches below our committed prefix first: every
+           later new view's rollback target is at or above that point, so
+           what remains is a prefix of the sender's ledger. *)
+        refetch t ~upto:(max 0 (t.last_committed - t.params.pipeline)) src
+    | _ when gap_fetch ->
+        drop_uncommitted t ~upto:t.last_committed;
+        fetch_ledger t ~dst:(primary_id t) SyncSession.If_far
+    | _ -> start_view_change t
   end
+  else if not working then t.stall_count <- 0;
+  t.progress_marker <- t.last_committed;
+  arm_progress_timer t
 
 and arm_progress_timer t =
   (* Exponential backoff under repeated stalls (as in PBFT) so competing
@@ -2329,13 +2152,8 @@ let on_message t ~src msg =
        | Wire.Ack_msg _ -> Obs.incr t.ctr.c_sigs_verified
        | _ ->
            Obs.incr t.ctr.c_sigs_verified;
-           Obs.incr t.ctr.c_sigs_made;
            let digest = D.of_string (Wire.describe msg) in
-           let signature =
-             Profile.time t.profile Profile.Sign ~cls:"peerreview_ack"
-               Profile.Replica_key (fun () ->
-                 Schnorr.sign t.sk (D.to_raw digest))
-           in
+           let signature = schnorr_sign t ~cls:"peerreview_ack" (D.to_raw digest) in
            Network.send t.network ~src:t.rid ~dst:src
              (Wire.Ack_msg { a_replica = t.rid; a_digest = digest; a_signature = signature })
      end);
@@ -2343,7 +2161,7 @@ let on_message t ~src msg =
     | Wire.Request_msg r -> on_request t r
     | Wire.Pre_prepare_msg { pp; batch } -> on_pre_prepare t pp batch
     | Wire.Prepare_msg p -> on_prepare t p
-    | Wire.Commit_msg c -> on_commit t c
+    | Wire.Commit_msg c -> on_commit t ~src c
     | Wire.View_change_msg vc -> on_view_change t vc
     | Wire.New_view_msg { nv; vcs } -> on_new_view t nv vcs
     | Wire.Fetch_missing { fm_seqno } -> (
@@ -2378,29 +2196,19 @@ let on_message t ~src msg =
     | Wire.Ledger_suffix_chunk { lc_from; lc_entries; lc_upto; lc_view } ->
         on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view
     | Wire.Replyx_request { rr_seqno; rr_tx_hash } ->
-        (* The client may not know which batch its transaction landed in;
-           check the hinted seqno first, then search by request hash. *)
-        let answer_from rec_ =
-          rec_.br_committed
-          &&
-          match
-            replyxs rec_ (fun (tx : Batch.tx_entry) ->
-                D.equal (Request.hash tx.Batch.request) rr_tx_hash)
-          with
-          | [] -> false
-          | answers ->
-              List.iter (fun (_, m) -> send t ~dst:src m) answers;
-              true
-        in
-        let found =
+        (* The client may not know which batch its transaction landed in:
+           the hinted seqno first, else every batch holding it. *)
+        let holding =
           match Hashtbl.find_opt t.records rr_seqno with
-          | Some rec_ -> answer_from rec_
-          | None -> false
+          | Some rec_ when committed_holding rr_tx_hash rec_ -> [ rec_ ]
+          | _ ->
+              List.of_seq
+                (Seq.filter (committed_holding rr_tx_hash) (Hashtbl.to_seq_values t.records))
         in
-        if not found then
-          Hashtbl.iter
-            (fun s rec_ -> if s <> rr_seqno then ignore (answer_from rec_))
-            t.records
+        List.iter
+          (fun rec_ ->
+            send_replies t rec_ ~reply_to:[] ~pick:(holds rr_tx_hash) ~replyx_to:src ())
+          holding
     | Wire.Gov_receipts_request { gr_from_index } ->
         let receipts =
           List.filter
@@ -2412,14 +2220,10 @@ let on_message t ~src msg =
         (* Status answers are cheap table lookups — no signatures, no
            consensus-path work — so replicas serve them directly; the
            observer tier serves the same queries off the quorum path. *)
+        let si_status = tx_status t ~view:sq_view ~seqno:sq_seqno in
+        let si_committed = stable_committed t in
         send t ~dst:src
-          (Wire.Status_info
-             {
-               si_view = sq_view;
-               si_seqno = sq_seqno;
-               si_status = tx_status t ~view:sq_view ~seqno:sq_seqno;
-               si_committed = t.stable_upto;
-             })
+          (Wire.Status_info { si_view = sq_view; si_seqno = sq_seqno; si_status; si_committed })
     | Wire.Gov_receipts_msg _ | Wire.Reply_msg _ | Wire.Replyx_msg _ -> ()
     | Wire.Ack_msg _ | Wire.Busy_msg _ -> ()
     | Wire.Status_info _ | Wire.Read_query _ | Wire.Read_answer _
@@ -2572,13 +2376,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       prepared_pps = Hashtbl.create 16;
       batch_ledger_end = Hashtbl.create 32;
       archived_content = Hashtbl.create 16;
-      committed_views = Hashtbl.create 64;
-      stable_views = Hashtbl.create 64;
-      stable_upto = 0;
-      hw_seqno = 0;
-      tx_writes = Hashtbl.create 64;
-      key_writer = Hashtbl.create 64;
-      last_exec_writes = [];
+      index = Status_index.create ~pipeline:params.pipeline;
     }
   in
   Hashtbl.replace t.checkpoints 0 (cp0, Checkpoint.digest cp0);
@@ -2612,17 +2410,8 @@ let preload_state t kvs =
   Store.preload t.store (Iaccf_kv.Hamt.of_list kvs)
 let inject_view_change t = start_view_change t
 
-let join t ~from =
-  if t.running then begin
-    t.fetch_target <- Some from;
-    fetch_ledger t ~dst:from SyncSession.If_far
-  end
-
-let join_snapshot t ~from =
-  if t.running then begin
-    t.fetch_target <- Some from;
-    fetch_ledger t ~dst:from SyncSession.Always
-  end
+let join t ~from = if t.running then fetch_from t from SyncSession.If_far
+let join_snapshot t ~from = if t.running then fetch_from t from SyncSession.Always
 
 let pruned_upto t = t.pruned_upto
 let syncing t = SyncSession.syncing t.sync_client

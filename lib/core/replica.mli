@@ -125,22 +125,14 @@ val checkpoint_at : t -> int -> Iaccf_kv.Checkpoint.t option
 (** The checkpoint taken at a given sequence number, if retained. *)
 
 val tx_status : t -> view:int -> seqno:int -> Status.t
-(** The status of transaction ID [view.seqno] (CCF's [GET /app/tx] shape).
-    COMMITTED and INVALID are terminal and only ever reported for the
-    {e stable} prefix — sequence numbers at least [pipeline] behind the
-    committed horizon, which no view-change rollback can reach (commit of
-    [s+P] proves a quorum prepared [s+P]; any view-change quorum intersects
-    that prepare quorum in an honest replica, so the new-view rollback
-    target [max 0 (s_lp - P)] is at least [s]). Everything else the replica
-    has seen is PENDING — even locally committed batches inside the last
-    pipeline window, which a new-view may still roll back and re-propose in
-    a higher view. Unseen sequence numbers are UNKNOWN. Consequently, for a
-    fixed ID the answer never moves between COMMITTED and INVALID in either
-    direction, and never regresses from PENDING to UNKNOWN. *)
+(** The status of transaction ID [view.seqno] (CCF's [GET /app/tx] shape),
+    by {!Status_index}'s stability rule: COMMITTED and INVALID only for
+    sequence numbers at least [pipeline] behind the committed horizon,
+    PENDING for anything else the replica has seen (even a locally
+    committed batch a new-view may still roll back), UNKNOWN otherwise. *)
 
 val stable_committed : t -> int
-(** The stable committed horizon: the highest seqno whose status can be
-    answered terminally (see {!tx_status}). *)
+(** The highest seqno whose status is answered terminally. *)
 
 val last_write : t -> string -> (int * int) option
 (** [(seqno, tx_position)] of the committed transaction that last wrote the

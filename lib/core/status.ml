@@ -1,6 +1,6 @@
 (* Transaction status (CCF's GET /app/tx shape): the answer to "what
    happened to transaction ID view.seqno?". The reporting rules live in
-   Replica.tx_status; the guarantee is that for any fixed ID a replica's
+   Status_index; the guarantee is that for any fixed ID a replica's
    answer never moves between Committed and Invalid in either direction —
    both are terminal. *)
 

@@ -4,13 +4,8 @@
    per-metric tolerance — the regression gate behind `iaccf bench-report`
    and the @bench-regress alias.
 
-   Two file schemas are understood:
-
-   - the "results" schema PR 5's harness writes (one object per
-     [run_result]: txs, latencies, signature counts, phase percentiles),
-     classified into gates by field name; and
-   - the explicit "rows" schema written by {!write_rows}, where every row
-     carries its own gate tag.
+   Every file uses the "rows/1" schema written by {!write_rows}: each row
+   names its series and metric and carries its own gate tag.
 
    Gate semantics:
    - [Exact]  — counts and sizes that are fully seed-deterministic
@@ -94,7 +89,7 @@ let write_rows ~file ~bench ?(meta = []) rows =
   output_string oc "  ]\n}\n"
 
 (* ------------------------------------------------------------------ *)
-(* Loading either schema                                               *)
+(* Loading                                                             *)
 
 exception Bad_file of string
 
@@ -118,7 +113,8 @@ let list_of = function
   | Json.Arr xs -> xs
   | j -> failf "expected an array, got %s" (Json.to_compact j)
 
-let rows_of_rows_schema ~bench j =
+let rows_of_json j =
+  let bench = str_of (member "bench" j) in
   List.map
     (fun r ->
       let gate_s = str_of (member "gate" r) in
@@ -133,45 +129,6 @@ let rows_of_rows_schema ~bench j =
         ~gate
         (num_of (member "value" r)))
     (list_of (member "rows" j))
-
-(* The legacy results schema: one object per run, fields classified into
-   gates by name. *)
-let rows_of_results_schema ~bench j =
-  List.concat_map
-    (fun r ->
-      let series = str_of (member "label" r) in
-      let field metric gate =
-        match Json.member metric r with
-        | Some v -> [ row ~bench ~series ~metric ~gate (num_of v) ]
-        | None -> []
-      in
-      field "txs" Exact @ field "sigs_made" Exact @ field "sigs_verified" Exact
-      @ field "avg_latency_ms" Ms @ field "p50_latency_ms" Ms
-      @ field "p99_latency_ms" Ms @ field "wall_s" Info
-      @ field "throughput_tx_s" Info
-      @ (match Json.member "phases" r with
-        | Some (Json.Arr phases) ->
-            List.concat_map
-              (fun p ->
-                let name = str_of (member "name" p) in
-                List.concat_map
-                  (fun pct ->
-                    match Json.member pct p with
-                    | Some v ->
-                        [ row ~bench ~series ~metric:(name ^ "." ^ pct) ~gate:Ms
-                            (num_of v) ]
-                    | None -> [])
-                  [ "p50_ms"; "p90_ms"; "p99_ms" ])
-              phases
-        | _ -> []))
-    (list_of (member "results" j))
-
-let rows_of_json j =
-  let bench = str_of (member "bench" j) in
-  match (Json.member "rows" j, Json.member "results" j) with
-  | Some _, _ -> rows_of_rows_schema ~bench j
-  | None, Some _ -> rows_of_results_schema ~bench j
-  | None, None -> failf "neither \"rows\" nor \"results\" present"
 
 let load_file file =
   match Json.parse_file file with

@@ -284,6 +284,115 @@ let test_rollback_across_checkpoint_boundary () =
     (Iaccf_kv.Hamt.find "counter"
        (Iaccf_kv.Store.map (Replica.store (Cluster.replica cluster 1))))
 
+(* Regression: a commit's nonce is stored only under the replica that
+   sent it. Replica 3 sends replica 1 commits that name the primary and
+   carry garbage nonces. They used to overwrite the primary's valid
+   nonces, so once the primary crashed, replica 1 (the next primary)
+   could not assemble the evidence for the batches P behind: a 5-byte
+   nonce raised, and a 32-byte one sent the fleet through view after
+   view. *)
+let test_spoofed_commit nonce () =
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  for _ = 1 to 10 do
+    ignore (submit_and_wait cluster client 1)
+  done;
+  Cluster.run cluster ~ms:100.0;
+  let net = Cluster.network cluster in
+  for s = 1 to Replica.last_committed (Cluster.replica cluster 1) do
+    Iaccf_sim.Network.send net ~src:3 ~dst:1
+      (Wire.Commit_msg
+         { Message.c_view = 0; c_seqno = s; c_replica = 0; c_nonce = nonce })
+  done;
+  Cluster.run cluster ~ms:100.0;
+  Replica.stop (Cluster.replica cluster 0);
+  let before = Client.completed client in
+  for _ = 1 to 5 do
+    Client.submit client ~proc:"counter/add" ~args:"1" ()
+  done;
+  let ok =
+    Cluster.run_until cluster ~timeout_ms:120_000.0 (fun () ->
+        Client.completed client = before + 5)
+  in
+  check Alcotest.bool "progress after the primary crash" true ok;
+  check Alcotest.int "one view change" 1
+    (List.fold_left
+       (fun acc id -> max acc (Replica.view (Cluster.replica cluster id)))
+       0 [ 1; 2; 3 ])
+
+(* Reply path: commit one transaction while recording what every replica
+   sends, and return the log, the client, the transaction and the replica
+   that sent its replyx (the designated one). *)
+let reply_world () =
+  let cluster = Cluster.make ~n:4 () in
+  let net = Cluster.network cluster in
+  let sent = ref [] in
+  List.iter
+    (fun id ->
+      Iaccf_sim.Network.set_intercept net id (fun ~dst msg ->
+          sent := (id, dst, msg) :: !sent;
+          [ (dst, msg) ]))
+    [ 0; 1; 2; 3 ];
+  let client = Cluster.add_client cluster () in
+  let tx =
+    match (List.hd (submit_and_wait cluster client 1)).Client.oc_receipt.Receipt.subject with
+    | Receipt.Tx_subject { tx; _ } -> tx
+    | Receipt.Batch_subject -> Alcotest.fail "expected a tx subject"
+  in
+  Cluster.run cluster ~ms:100.0;
+  let designated =
+    List.find_map
+      (function src, _, Wire.Replyx_msg _ -> Some src | _ -> None)
+      !sent
+    |> Option.get
+  in
+  (cluster, sent, client, tx, designated)
+
+(* What replica [id] sent to [dst] since the log was cleared, oldest first. *)
+let sent_by sent ~id ~dst =
+  List.rev !sent
+  |> List.filter_map (fun (src, d, msg) ->
+         if src = id && d = dst then Some msg else None)
+
+let is_replyx_for tx = function
+  | Wire.Replyx_msg x ->
+      D.equal
+        (Iaccf_types.Request.hash x.Message.x_tx.Iaccf_types.Batch.request)
+        (Iaccf_types.Request.hash tx.Iaccf_types.Batch.request)
+  | _ -> false
+
+let test_replyx_request_wrong_hint () =
+  let cluster, sent, client, tx, designated = reply_world () in
+  let other = (designated + 1) mod 4 in
+  let addr = Client.address client in
+  sent := [];
+  Iaccf_sim.Network.send (Cluster.network cluster) ~src:addr ~dst:other
+    (Wire.Replyx_request
+       {
+         rr_seqno = 1_000;
+         rr_tx_hash = Iaccf_types.Request.hash tx.Iaccf_types.Batch.request;
+       });
+  Cluster.run cluster ~ms:50.0;
+  match sent_by sent ~id:other ~dst:addr with
+  | [ m ] -> check Alcotest.bool "the replyx for the tx" true (is_replyx_for tx m)
+  | ms -> Alcotest.failf "expected one replyx, got %d messages" (List.length ms)
+
+let test_retransmit_gets_reply_material () =
+  let cluster, sent, client, tx, designated = reply_world () in
+  let other = (designated + 1) mod 4 in
+  let addr = Client.address client in
+  sent := [];
+  Iaccf_sim.Network.send (Cluster.network cluster) ~src:addr ~dst:other
+    (Wire.Request_msg tx.Iaccf_types.Batch.request);
+  Cluster.run cluster ~ms:50.0;
+  match sent_by sent ~id:other ~dst:addr with
+  | [ Wire.Reply_msg r; x ] ->
+      check Alcotest.int "reply from the replica asked" other r.Message.r_replica;
+      check Alcotest.bool "then the replyx" true (is_replyx_for tx x)
+  | ms ->
+      Alcotest.failf "expected a reply and a replyx, got %d messages"
+        (List.length ms)
+
 let test_nonreceipt_variant_runs () =
   let params =
     { Replica.default_params with variant = Variant.no_receipt }
@@ -336,6 +445,17 @@ let () =
           Alcotest.test_case "straggler catch-up" `Quick test_straggler_catches_up;
           Alcotest.test_case "rollback across checkpoint boundary" `Quick
             test_rollback_across_checkpoint_boundary;
+          Alcotest.test_case "spoofed commit, short nonce" `Quick
+            (test_spoofed_commit "short");
+          Alcotest.test_case "spoofed commit, 32-byte nonce" `Quick
+            (test_spoofed_commit (String.make 32 'x'));
+        ] );
+      ( "replies",
+        [
+          Alcotest.test_case "replyx request with a wrong hint" `Quick
+            test_replyx_request_wrong_hint;
+          Alcotest.test_case "retransmit to a non-designated replica" `Quick
+            test_retransmit_gets_reply_material;
         ] );
       ( "variants",
         [ Alcotest.test_case "no-receipt variant" `Quick test_nonreceipt_variant_runs ] );

@@ -48,6 +48,23 @@ let test_codec_roundtrip () =
   check Alcotest.bool "equal" true (Receipt.equal r r');
   check Alcotest.bool "still verifies" true (Result.is_ok (verify genesis r'))
 
+(* Receipt.make sorts the chosen backups by replica id, so the order a
+   caller collected them in does not reach the receipt's bytes. *)
+let test_make_sorts_backups () =
+  let genesis, r = make_receipt () in
+  let backups =
+    List.combine (Bitmap.to_list r.Receipt.prep_bitmap)
+      (List.combine r.Receipt.prepare_sigs r.Receipt.nonces)
+    |> List.map (fun (id, (sg, nonce)) -> (id, sg, nonce))
+  in
+  let sorted = Receipt.make r.Receipt.pp backups r.Receipt.subject in
+  let shuffled = Receipt.make r.Receipt.pp (List.rev backups) r.Receipt.subject in
+  check Alcotest.string "same bytes" (Receipt.serialize sorted)
+    (Receipt.serialize shuffled);
+  check Alcotest.string "same as the original" (Receipt.serialize r)
+    (Receipt.serialize shuffled);
+  check Alcotest.bool "verifies" true (Result.is_ok (verify genesis shuffled))
+
 let test_rejects_insufficient_quorum () =
   let genesis, r = make_receipt () in
   let backups = Bitmap.to_list r.Receipt.prep_bitmap in
@@ -202,6 +219,7 @@ let () =
         [
           Alcotest.test_case "valid" `Quick test_valid_receipt;
           Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
+          Alcotest.test_case "make sorts backups" `Quick test_make_sorts_backups;
           Alcotest.test_case "sub-quorum" `Quick test_rejects_insufficient_quorum;
           Alcotest.test_case "primary double-counted" `Quick
             test_rejects_primary_listed_as_backup;
