@@ -8,6 +8,7 @@ type behaviour =
   | Equivocate_pre_prepares
   | Tamper_replyx
   | Withhold_nonces
+  | Equivocate_nonces
   | Corrupt_view_changes
   | Mute
 
@@ -15,6 +16,7 @@ let behaviour_name = function
   | Equivocate_pre_prepares -> "equivocate-pre-prepares"
   | Tamper_replyx -> "tamper-replyx"
   | Withhold_nonces -> "withhold-nonces"
+  | Equivocate_nonces -> "equivocate-nonces"
   | Corrupt_view_changes -> "corrupt-view-changes"
   | Mute -> "mute"
 
@@ -51,10 +53,14 @@ let intercept ~sk ~client_base behaviour ~dst (msg : Wire.t) =
   | Tamper_replyx, Wire.Replyx_msg x when dst >= client_base ->
       [ (dst, Wire.Replyx_msg (tamper_replyx x)) ]
   | Withhold_nonces, (Wire.Commit_msg _ | Wire.Reply_msg _) -> []
+  | Equivocate_nonces, Wire.Commit_msg c when dst <> 0 ->
+      (* Replica 0 gets the real nonce; every other replica 32 bytes that
+         open nothing. *)
+      [ (dst, Wire.Commit_msg { c with Message.c_nonce = String.make 32 'z' }) ]
   | Corrupt_view_changes, Wire.View_change_msg vc ->
       [ (dst, Wire.View_change_msg { vc with Message.vc_signature = "corrupt" }) ]
   | Mute, _ -> []
   | ( ( Equivocate_pre_prepares | Tamper_replyx | Withhold_nonces
-      | Corrupt_view_changes ),
+      | Equivocate_nonces | Corrupt_view_changes ),
       _ ) ->
       [ (dst, msg) ]

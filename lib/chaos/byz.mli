@@ -17,6 +17,9 @@ type behaviour =
           clients (the receipt's Merkle path exposes it) *)
   | Withhold_nonces
       (** never reveal nonces: drop outgoing commit and reply messages *)
+  | Equivocate_nonces
+      (** reveal the real nonce to replica 0 and 32 bytes that open nothing
+          to every other replica *)
   | Corrupt_view_changes
       (** break the signature on every outgoing view-change message *)
   | Mute  (** drop every outbound message (a silent crash, seen from outside) *)

@@ -67,6 +67,13 @@ let nonce_withholder =
         (byzantine 3 Byz.Withhold_nonces);
     ]
 
+let nonce_equivocator =
+  live ~name:"nonce-equivocator" ~suite:Byzantine
+    [
+      at 0.0 "replica 1 reveals its real nonce only to replica 0"
+        (byzantine 1 Byz.Equivocate_nonces);
+    ]
+
 let corrupt_view_change =
   live ~name:"corrupt-view-change" ~suite:Byzantine
     [
@@ -588,6 +595,7 @@ let byzantine =
     equivocating_primary;
     tampered_replyx;
     nonce_withholder;
+    nonce_equivocator;
     corrupt_view_change;
     collusion_wrong_execution;
     collusion_history_rewrite;

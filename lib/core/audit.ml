@@ -209,10 +209,7 @@ let scan_ledger t ~responder ledger =
               fail i (Printf.sprintf "batch %d: minimum index violated" s);
             if not (Request.verify tx.Batch.request ~service:t.service) then
               fail i (Printf.sprintf "batch %d: invalid client signature" s);
-            if
-              String.length tx.Batch.request.Request.proc >= 4
-              && String.sub tx.Batch.request.Request.proc 0 4 = "gov/"
-            then gov_index := tx.Batch.index)
+            if Request.is_governance tx.Batch.request then gov_index := tx.Batch.index)
           txs;
         Hashtbl.replace batches s { bi_pp = pp; bi_pp_index = pp_index; bi_txs = txs };
         max_seqno := max !max_seqno s;
@@ -289,12 +286,7 @@ let scan_ledger t ~responder ledger =
             let seen = Hashtbl.create 8 in
             List.iter
               (fun (p : Message.prepare) ->
-                if p.Message.p_seqno <> pe_seqno || p.Message.p_view <> pe_view then
-                  fail i "prepare evidence for wrong slot";
-                if not (D.equal p.Message.p_pp_hash pph) then
-                  fail i "prepare evidence does not match pre-prepare";
-                if p.Message.p_replica = bi.bi_pp.Message.primary then
-                  fail i "primary listed in prepare evidence";
+                Option.iter (fail i) (Votes.prepare_fault bi.bi_pp ~pph p);
                 if Hashtbl.mem seen p.Message.p_replica then
                   fail i "duplicate prepare evidence";
                 Hashtbl.add seen p.Message.p_replica ();
@@ -312,24 +304,7 @@ let scan_ledger t ~responder ledger =
             | Some bi ->
                 let config = config_at ne_seqno in
                 List.iter
-                  (fun (r, nonce) ->
-                    let commitment =
-                      if r = bi.bi_pp.Message.primary then
-                        Some bi.bi_pp.Message.nonce_com
-                      else begin
-                        match
-                          List.find_opt
-                            (fun (p : Message.prepare) -> p.Message.p_replica = r)
-                            prepares
-                        with
-                        | Some p -> Some p.Message.p_nonce_com
-                        | None -> None
-                      end
-                    in
-                    match commitment with
-                    | Some c when D.equal (D.of_string nonce) c -> ()
-                    | Some _ -> fail i "nonce does not open its commitment"
-                    | None -> fail i "nonce from a replica without a prepare")
+                  (fun vote -> Option.iter (fail i) (Votes.nonce_fault bi.bi_pp prepares vote))
                   ne_nonces;
                 if List.length ne_nonces <> Config.quorum config then
                   fail i "nonce evidence quorum size wrong";

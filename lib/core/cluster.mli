@@ -53,7 +53,7 @@ val make :
     [n_members] members (default [n]), using the counter app plus any
     procedures of [app]. With [persist], every replica's ledger is backed
     by a durable segmented store under [persist.dir]/replica-<id> (the rest
-    of the config — segment size, fsync policy, cache — applies to each).
+    of the config — segment size, fsync policy — applies to each).
     Directories holding a previous run of the same service are restored:
     each replica replays its persisted ledger before participating (see
     {!Replica.create}).

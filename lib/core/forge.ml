@@ -12,12 +12,7 @@ module Entry = Iaccf_ledger.Entry
 module Store = Iaccf_kv.Store
 module Checkpoint = Iaccf_kv.Checkpoint
 
-type forged_batch = {
-  fb_pp : Message.pre_prepare;
-  fb_txs : Batch.tx_entry list;
-  fb_prepares : Message.prepare list; (* all colluders except primary *)
-  fb_nonces : (int * string) list; (* colluders, ascending *)
-}
+type forged_batch = { fb_pp : Message.pre_prepare; fb_txs : Batch.tx_entry list }
 
 type t = {
   genesis : Genesis.t;
@@ -29,6 +24,7 @@ type t = {
   store : Store.t;
   led : Ledger.t;
   batches : (int, forged_batch) Hashtbl.t;
+  votes : Votes.t; (* every colluder's prepare and nonce for each batch *)
   checkpoints : (int, Checkpoint.t) Hashtbl.t;
   mutable seqno : int; (* next *)
   mutable fview : int;
@@ -82,6 +78,7 @@ let create ~genesis ~sks ~app ~pipeline ~checkpoint_interval =
       store;
       led = Ledger.create genesis;
       batches = Hashtbl.create 32;
+      votes = Votes.create ~nonce_key:"forge";
       checkpoints = Hashtbl.create 8;
       seqno = 1;
       fview = 0;
@@ -98,27 +95,13 @@ let checkpoint_at t s = Hashtbl.find_opt t.checkpoints s
 let nonce_for t id ~seqno =
   Nonce.derive ~key:(Printf.sprintf "forge-%d" id) ~view:t.fview ~seqno
 
+(* The colluders all vote and are at least a quorum, so the one rule
+   always finds evidence and receipt backups. *)
 let evidence_for t s_past =
   if s_past < 1 then ([], [], Bitmap.empty)
-  else begin
-    let fb = Hashtbl.find t.batches s_past in
-    let chosen =
-      List.filteri (fun i _ -> i < quorum t) (List.map fst t.sks)
-    in
-    let primary = primary_id t in
-    let chosen =
-      if List.mem primary chosen then chosen
-      else primary :: List.filteri (fun i _ -> i < quorum t - 1) (List.filter (fun r -> r <> primary) (List.map fst t.sks))
-    in
-    let chosen = List.sort compare chosen in
-    let prepares =
-      List.filter
-        (fun (p : Message.prepare) -> List.mem p.Message.p_replica chosen)
-        fb.fb_prepares
-    in
-    let nonces = List.filter (fun (r, _) -> List.mem r chosen) fb.fb_nonces in
-    (prepares, nonces, Bitmap.of_list chosen)
-  end
+  else
+    Option.get
+      (Votes.evidence_for t.votes (Hashtbl.find t.batches s_past).fb_pp ~quorum:(quorum t))
 
 (* A complete ledger package (Appx. B.1): the ledger plus the message-box
    evidence for the tail batches whose evidence no later pre-prepare has
@@ -194,9 +177,7 @@ let append_batch t kind reqs execute_override =
   in
   List.iter
     (fun (tx : Batch.tx_entry) ->
-      let proc = tx.Batch.request.Request.proc in
-      if String.length proc >= 4 && String.sub proc 0 4 = "gov/" then
-        t.gov_index <- tx.Batch.index)
+      if Request.is_governance tx.Batch.request then t.gov_index <- tx.Batch.index)
     txs;
   let g_root = Batch.g_root txs in
   let m_root = Ledger.m_root t.led in
@@ -224,36 +205,30 @@ let append_batch t kind reqs execute_override =
   ignore (Ledger.append t.led (Entry.Pre_prepare pp));
   List.iter (fun tx -> ignore (Ledger.append t.led (Entry.Tx tx))) txs;
   let pph = Message.pp_hash pp in
-  let prepares =
-    List.filter_map
-      (fun (id, sk) ->
-        if id = primary then None
-        else begin
-          let nonce = nonce_for t id ~seqno:s in
-          let payload =
-            Message.prepare_payload ~view:t.fview ~seqno:s ~replica:id
-              ~nonce_com:(Nonce.commit nonce) ~pp_hash:pph
-          in
-          Some
-            {
-              Message.p_view = t.fview;
-              p_seqno = s;
-              p_replica = id;
-              p_nonce_com = Nonce.commit nonce;
-              p_pp_hash = pph;
-              p_signature = Schnorr.sign sk (D.to_raw payload);
-            }
-        end)
-      t.sks
-  in
-  let nonces =
-    List.map (fun (id, _) -> (id, Nonce.reveal (nonce_for t id ~seqno:s))) t.sks
-  in
+  List.iter
+    (fun (id, sk) ->
+      let nonce = nonce_for t id ~seqno:s in
+      Votes.add_nonce t.votes ~view:t.fview ~seqno:s (id, Nonce.reveal nonce);
+      if id <> primary then begin
+        let payload =
+          Message.prepare_payload ~view:t.fview ~seqno:s ~replica:id
+            ~nonce_com:(Nonce.commit nonce) ~pp_hash:pph
+        in
+        Votes.add_prepare t.votes
+          {
+            Message.p_view = t.fview;
+            p_seqno = s;
+            p_replica = id;
+            p_nonce_com = Nonce.commit nonce;
+            p_pp_hash = pph;
+            p_signature = Schnorr.sign sk (D.to_raw payload);
+          }
+      end)
+    t.sks;
   (match kind with
   | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
   | _ -> ());
-  Hashtbl.replace t.batches s
-    { fb_pp = pp; fb_txs = txs; fb_prepares = prepares; fb_nonces = nonces };
+  Hashtbl.replace t.batches s { fb_pp = pp; fb_txs = txs };
   if s mod t.checkpoint_interval = 0 then begin
     let cp = Checkpoint.make ~seqno:s (Store.map t.store) in
     Hashtbl.replace t.checkpoints s cp;
@@ -329,18 +304,10 @@ let add_view_change t =
 
 let make_receipt t ~seqno ~tx_position =
   let fb = Hashtbl.find t.batches seqno in
-  let primary = fb.fb_pp.Message.primary in
-  let chosen =
-    List.filteri (fun i _ -> i < quorum t - 1)
-      (List.filter (fun (p : Message.prepare) -> p.Message.p_replica <> primary) fb.fb_prepares)
-  in
   Receipt.make fb.fb_pp
     (List.map
-       (fun (p : Message.prepare) ->
-         ( p.Message.p_replica,
-           p.Message.p_signature,
-           List.assoc p.Message.p_replica fb.fb_nonces ))
-       chosen)
+       (fun (r, (p : Message.prepare), n) -> (r, p.Message.p_signature, n))
+       (Option.get (Votes.quorum_backups t.votes fb.fb_pp ~quorum:(quorum t))))
     (match tx_position with
     | None -> Receipt.Batch_subject
     | Some i -> Receipt.tx_subject fb.fb_txs i)

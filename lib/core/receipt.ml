@@ -3,6 +3,7 @@ module Batch = Iaccf_types.Batch
 module Config = Iaccf_types.Config
 module Request = Iaccf_types.Request
 module D = Iaccf_crypto.Digest32
+module Nonce = Iaccf_crypto.Nonce
 module Bitmap = Iaccf_util.Bitmap
 module Codec = Iaccf_util.Codec
 module Tree = Iaccf_merkle.Tree
@@ -85,6 +86,11 @@ let verify ~config ~service t =
   let* () = guard (List.for_all (fun r -> r < n) backups) "unknown replica id" in
   let* () = guard (1 + List.length backups >= quorum) "fewer than N-f signers" in
   let* () = guard (Message.verify_pre_prepare config pp) "invalid pre-prepare signature" in
+  let* () =
+    guard
+      (List.for_all (fun k -> Nonce.of_revealed k <> None) t.nonces)
+      "revealed nonce of the wrong size"
+  in
   let rec check_prepares rs sigs nonces =
     match (rs, sigs, nonces) with
     | [], [], [] -> Ok ()

@@ -56,7 +56,8 @@ val verify : config:Iaccf_types.Config.t -> service:D.t -> t -> (unit, string) r
 (** Alg. 3: reconstruct the pre-prepare and prepare messages, check the
     primary's identity and signature, each prepare signature under the
     reconstructed payload (nonce commitments recomputed from the revealed
-    nonces), quorum size, the Merkle path to [g_root], and — for transaction
+    nonces, each of which {!Iaccf_crypto.Nonce.of_revealed} must accept),
+    quorum size, the Merkle path to [g_root], and — for transaction
     subjects — the client signature and service binding of the request. *)
 
 val reconstruct_prepare : t -> replica:int -> nonce:string -> signature:string -> Message.prepare

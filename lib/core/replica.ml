@@ -13,7 +13,6 @@ module Schnorr = Iaccf_crypto.Schnorr
 module Profile = Iaccf_crypto.Profile
 module Vstage = Iaccf_crypto.Vstage
 module D = Iaccf_crypto.Digest32
-module Nonce = Iaccf_crypto.Nonce
 module Hmac = Iaccf_crypto.Hmac
 module Bitmap = Iaccf_util.Bitmap
 module Rng = Iaccf_util.Rng
@@ -146,7 +145,6 @@ type batch_record = {
 type t = {
   rid : int;
   sk : Schnorr.secret_key;
-  nonce_key : string;
   mac_key : string;
   genesis : Genesis.t;
   service : D.t;
@@ -179,9 +177,7 @@ type t = {
   mutable request_order : D.t list; (* request hashes, newest first *)
   executed_requests : (string, int) Hashtbl.t; (* hash -> ledger index *)
   records : (int, batch_record) Hashtbl.t;
-  prepares : (int * int, (int, Message.prepare) Hashtbl.t) Hashtbl.t;
-  commits : (int * int, (int, string) Hashtbl.t) Hashtbl.t;
-  own_nonces : (int * int, string) Hashtbl.t;
+  votes : Votes.t; (* prepares and revealed nonces, and the commit rule *)
   view_changes : (int, (int, Message.view_change) Hashtbl.t) Hashtbl.t;
   pending_pps : (int, Message.pre_prepare * D.t list) Hashtbl.t;
   checkpoints : (int, Checkpoint.t * D.t) Hashtbl.t;
@@ -295,14 +291,6 @@ let sub_tbl tbl key =
       let sub = Hashtbl.create 8 in
       Hashtbl.replace tbl key sub;
       sub
-
-(* The message stores the commit rule reads: prepares, and revealed
-   nonces by (view, seqno) and replica. *)
-let store_prepare t (p : Message.prepare) =
-  Hashtbl.replace (sub_tbl t.prepares (p.Message.p_view, p.Message.p_seqno))
-    p.Message.p_replica p
-
-let store_nonce t ~view ~seqno (r, n) = Hashtbl.replace (sub_tbl t.commits (view, seqno)) r n
 
 let checkpoint_due t s =
   t.params.variant.Variant.enable_checkpoints && s mod t.params.checkpoint_interval = 0
@@ -452,99 +440,23 @@ let update_queue_gauge t =
 (* ------------------------------------------------------------------ *)
 (* Evidence (P_{s-P}, K_{s-P}, E_{s-P})                                *)
 
-(* The commit rule (§3.1, §3.3): a revealed nonce counts when it opens
-   its sender's commitment for this pre-prepare. The same rule decides
-   when a batch commits, which evidence is written P batches later, and
-   which signatures form a receipt. *)
-let opens nonce ~commitment =
-  match Nonce.of_revealed nonce with
-  | Some n -> Nonce.check ~commitment n
-  | None -> false
+(* Commitment evidence for the batch at [s_past] (none before seqno 1):
+   the primary's selection, and a backup's match of the bitmap a
+   pre-prepare names. Both are the vote module's one rule. *)
+let past_pp t s_past = Option.map (fun rec_ -> rec_.br_pp) (Hashtbl.find_opt t.records s_past)
 
-(* The primary's revealed nonce, if it opens the pre-prepare's commitment. *)
-let primary_opening t rec_ =
-  let pp = rec_.br_pp in
-  let nonces = sub_tbl t.commits (pp.Message.view, pp.Message.seqno) in
-  match Hashtbl.find_opt nonces pp.Message.primary with
-  | Some n when opens n ~commitment:pp.Message.nonce_com -> Some n
-  | _ -> None
-
-(* Backups, ascending by id, whose prepare matches the batch's pre-prepare
-   and whose revealed nonce opens that prepare's commitment. *)
-let commit_candidates t rec_ =
-  let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
-  let pph = Message.pp_hash rec_.br_pp in
-  let nonces = sub_tbl t.commits (v, s) in
-  Hashtbl.fold
-    (fun r (p : Message.prepare) acc ->
-      if r = rec_.br_pp.Message.primary || not (D.equal p.Message.p_pp_hash pph) then acc
-      else
-        match Hashtbl.find_opt nonces r with
-        | Some n when opens n ~commitment:p.Message.p_nonce_com -> (r, p, n) :: acc
-        | _ -> acc)
-    (sub_tbl t.prepares (v, s))
-    []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
-(* The backups evidence and receipts name: the first quorum-1 candidates. *)
-let quorum_backups t rec_ =
-  let needed = quorum t - 1 in
-  let candidates = commit_candidates t rec_ in
-  if List.length candidates < needed then None
-  else Some (List.filteri (fun i _ -> i < needed) candidates)
-
-(* Commitment evidence for the batch at [s_past]: the pre-prepare signer
-   plus the quorum backups. *)
 let evidence_for t s_past =
   if s_past < 1 then Some ([], [], Bitmap.empty)
-  else
-    match Hashtbl.find_opt t.records s_past with
-    | None -> None
-    | Some rec_ -> (
-        let primary = rec_.br_pp.Message.primary in
-        match primary_opening t rec_ with
-        | None -> None
-        | Some pk_nonce ->
-            Option.map
-              (fun chosen ->
-                ( List.map (fun (_, p, _) -> p) chosen,
-                  List.sort compare
-                    ((primary, pk_nonce) :: List.map (fun (r, _, n) -> (r, n)) chosen),
-                  Bitmap.of_list (primary :: List.map (fun (r, _, _) -> r) chosen) ))
-              (quorum_backups t rec_))
+  else Option.bind (past_pp t s_past) (Votes.evidence_for t.votes ~quorum:(quorum t))
 
-(* Reconstruct the exact evidence entries the primary committed to via its
-   E_{s-P} bitmap, from this replica's own message stores. *)
-let evidence_matching t s_past (bitmap : Bitmap.t) =
-  if s_past < 1 then
-    if Bitmap.equal bitmap Bitmap.empty then Some ([], []) else None
-  else begin
-    match Hashtbl.find_opt t.records s_past with
-    | None -> None
-    | Some rec_ -> (
-        let v = rec_.br_pp.Message.view in
-        let primary = rec_.br_pp.Message.primary in
-        let members = Bitmap.to_list bitmap in
-        if List.length members <> quorum t || not (Bitmap.mem primary bitmap) then None
-        else begin
-          let preps = sub_tbl t.prepares (v, s_past) in
-          let nonces = sub_tbl t.commits (v, s_past) in
-          List.fold_right
-            (fun r acc ->
-              match (acc, Hashtbl.find_opt nonces r) with
-              | Some (ps, ns), Some n when r = primary -> Some (ps, (r, n) :: ns)
-              | Some (ps, ns), Some n ->
-                  Option.map (fun p -> (p :: ps, (r, n) :: ns)) (Hashtbl.find_opt preps r)
-              | _ -> None)
-            members (Some ([], []))
-        end)
-  end
+let evidence_matching t s_past bitmap =
+  if s_past < 1 then if Bitmap.equal bitmap Bitmap.empty then Some ([], []) else None
+  else
+    Option.bind (past_pp t s_past) (fun pp ->
+        Votes.evidence_matching t.votes pp ~quorum:(quorum t) bitmap)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
-
-let is_gov_request (req : Request.t) =
-  String.length req.Request.proc >= 4 && String.sub req.Request.proc 0 4 = "gov/"
 
 let execute_requests t ~base_index reqs =
   (* Apply cost lands in the profiler (wall clock), never in obs metrics:
@@ -680,7 +592,7 @@ let post_execute_batch t (pp : Message.pre_prepare) txs =
   (* Governance transactions move i_g. *)
   List.iter
     (fun (tx : Batch.tx_entry) ->
-      if is_gov_request tx.Batch.request then t.gov_index <- tx.Batch.index)
+      if Request.is_governance tx.Batch.request then t.gov_index <- tx.Batch.index)
     txs;
   (match pp.Message.kind with
   | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
@@ -795,7 +707,7 @@ let own_signature_for t rec_ =
   else
     Option.map
       (fun (p : Message.prepare) -> p.Message.p_signature)
-      (Hashtbl.find_opt (sub_tbl t.prepares (v, s)) t.rid)
+      (Votes.prepare_of t.votes ~view:v ~seqno:s t.rid)
 
 (* The one reply path. This replica's reply for the batch, its signature
    on it with the nonce it revealed, goes to each client in [reply_to];
@@ -803,7 +715,7 @@ let own_signature_for t rec_ =
    [replyx_to], or else to that transaction's client. *)
 let send_replies t rec_ ~reply_to ~pick ?replyx_to () =
   let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
-  (match (own_signature_for t rec_, Hashtbl.find_opt t.own_nonces (v, s)) with
+  (match (own_signature_for t rec_, Votes.own_nonce t.votes ~view:v ~seqno:s) with
   | Some signature, Some nonce ->
       let reply =
         Wire.Reply_msg
@@ -842,7 +754,7 @@ let build_receipt t ~seqno ~tx_position =
   match Hashtbl.find_opt t.records seqno with
   | Some rec_ when rec_.br_committed -> (
       let txs = rec_.br_txs in
-      match (quorum_backups t rec_, tx_position) with
+      match (Votes.quorum_backups t.votes rec_.br_pp ~quorum:(quorum t), tx_position) with
       | None, _ -> None
       | Some _, Some i when i < 0 || i >= List.length txs -> None
       | Some chosen, _ ->
@@ -864,7 +776,7 @@ let record_gov_receipts t rec_ =
   | Batch.End_of_config { phase; _ } when phase = t.params.pipeline -> keep None
   | Batch.End_of_config _ | Batch.Regular | Batch.Checkpoint _ | Batch.Start_of_config _ -> ());
   List.iteri
-    (fun i (tx : Batch.tx_entry) -> if is_gov_request tx.Batch.request then keep (Some i))
+    (fun i (tx : Batch.tx_entry) -> if Request.is_governance tx.Batch.request then keep (Some i))
     rec_.br_txs
 
 (* ------------------------------------------------------------------ *)
@@ -936,7 +848,7 @@ let trace_batch_committed t rec_ =
       ~args:[ ("txs", string_of_int (List.length rec_.br_txs)) ]
       ();
     if
-      List.exists (fun (tx : Batch.tx_entry) -> is_gov_request tx.Batch.request)
+      List.exists (fun (tx : Batch.tx_entry) -> Request.is_governance tx.Batch.request)
         rec_.br_txs
     then Obs.instant t.obs ~node:t.rid ~cat:"gov" ~name:"gov.batch" ~id ()
   end
@@ -952,13 +864,6 @@ let trace_batch_cancelled t rec_ =
       ~id ~args ();
     Obs.span_end t.obs ~node:t.rid ~cat:"batch" ~name:"consensus" ~id ~args ()
   end
-
-(* This replica's nonce for (view, seqno), kept for its commit and
-   replies; returns the commitment its signed message carries. *)
-let own_nonce t ~view ~seqno =
-  let nonce = Nonce.derive ~key:t.nonce_key ~view ~seqno in
-  Hashtbl.replace t.own_nonces (view, seqno) (Nonce.reveal nonce);
-  Nonce.commit nonce
 
 (* Accept a batch this replica executed, as primary or backup: append it,
    record it, open its trace spans and move to the next seqno. [batched]
@@ -998,18 +903,7 @@ let rec check_prepared t =
   match Hashtbl.find_opt t.records q with
   | None -> ()
   | Some rec_ ->
-      let v = rec_.br_pp.Message.view in
-      let pph = Message.pp_hash rec_.br_pp in
-      let preps = sub_tbl t.prepares (v, q) in
-      let matching =
-        Hashtbl.fold
-          (fun r (p : Message.prepare) acc ->
-            if r <> rec_.br_pp.Message.primary && D.equal p.Message.p_pp_hash pph then
-              acc + 1
-            else acc)
-          preps 0
-      in
-      if matching >= quorum t - 1 then begin
+      if Votes.prepared_count t.votes rec_.br_pp >= quorum t - 1 then begin
         rec_.br_prepared <- true;
         t.last_prepared <- q;
         trace_batch_prepared t rec_;
@@ -1022,7 +916,7 @@ let rec check_prepared t =
 
 and on_prepared t rec_ =
   let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
-  (match Hashtbl.find_opt t.own_nonces (v, s) with
+  (match Votes.own_nonce t.votes ~view:v ~seqno:s with
   | Some nonce ->
       let commit =
         { Message.c_view = v; c_seqno = s; c_replica = t.rid; c_nonce = nonce }
@@ -1032,7 +926,7 @@ and on_prepared t rec_ =
       if t.params.variant.Variant.peerreview then peerreview_extra_sign t "commit";
       if t.params.variant.Variant.sign_commits then
         ignore (schnorr_sign t ~cls:"commit" (commit_payload v s t.rid));
-      store_nonce t ~view:v ~seqno:s (t.rid, nonce);
+      Votes.add_nonce t.votes ~view:v ~seqno:s (t.rid, nonce);
       if Obs.tracing_enabled t.obs then
         Obs.instant t.obs ~node:t.rid ~cat:"batch" ~name:"nonce.reveal"
           ~id:(string_of_int s) ();
@@ -1057,11 +951,7 @@ and check_committed t =
   match Hashtbl.find_opt t.records q with
   | None -> ()
   | Some rec_ when rec_.br_prepared ->
-      let openings =
-        List.length (commit_candidates t rec_)
-        + if primary_opening t rec_ = None then 0 else 1
-      in
-      if openings >= quorum t then begin
+      if Votes.committed t.votes rec_.br_pp ~quorum:(quorum t) then begin
         rec_.br_committed <- true;
         t.last_committed <- q;
         Status_index.commit t.index ~seqno:q ~view:rec_.br_pp.Message.view
@@ -1149,7 +1039,7 @@ and plan_batch t s =
                     end
                     else if req.Request.min_index > base_index + List.length acc then
                       take acc n rest
-                    else if is_gov_request req then List.rev ((h, req) :: acc)
+                    else if Request.is_governance req then List.rev ((h, req) :: acc)
                     else take ((h, req) :: acc) (n - 1) rest
               end
         in
@@ -1174,7 +1064,7 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
   in
   let g_root = Batch.g_root txs in
   let m_root = m_root_now t in
-  let nonce_com = own_nonce t ~view:v ~seqno:s in
+  let nonce_com = Votes.commit_own t.votes ~view:v ~seqno:s in
   let payload =
     Message.pre_prepare_payload ~view:v ~seqno:s ~m_root ~g_root ~nonce_com ~ev_bitmap
       ~gov_index:undo.u_gov_index ~cp_digest:undo.u_dc ~kind ~primary:t.rid
@@ -1309,7 +1199,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
             true
           end
           else begin
-            let nonce_com = own_nonce t ~view:v ~seqno:s in
+            let nonce_com = Votes.commit_own t.votes ~view:v ~seqno:s in
             let pph = Message.pp_hash pp in
             let payload =
               Message.prepare_payload ~view:v ~seqno:s ~replica:t.rid ~nonce_com
@@ -1328,7 +1218,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
             ignore
               (accept_batch t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces
                  ~undo ~batched:[]);
-            store_prepare t prepare;
+            Votes.add_prepare t.votes prepare;
             broadcast_replicas t (Wire.Prepare_msg prepare);
             check_prepared t;
             true
@@ -1359,7 +1249,7 @@ and on_pre_prepare t (pp : Message.pre_prepare) batch =
       note_view_ahead t ~view:pp.Message.view ~src:pp.Message.primary;
       if
         pp.Message.view = t.view && t.ready && pp.Message.seqno = t.seqno
-        && not (Hashtbl.mem t.own_nonces (t.view, pp.Message.seqno))
+        && Votes.own_nonce t.votes ~view:t.view ~seqno:pp.Message.seqno = None
       then begin
         if process_pre_prepare t pp batch then () else
           Hashtbl.replace t.pending_pps pp.Message.seqno (pp, batch);
@@ -1442,7 +1332,7 @@ and on_prepare t (p : Message.prepare) =
   if t.running && t.activated && p.Message.p_replica <> t.rid && verify_prepare_sig t p
   then begin
     note_view_ahead t ~view:p.Message.p_view ~src:p.Message.p_replica;
-    store_prepare t p;
+    Votes.add_prepare t.votes p;
     check_prepared t
   end
 
@@ -1465,7 +1355,7 @@ and on_commit t ~src (c : Message.commit) =
                ~signature:(String.make 64 '\000'))
       | None -> ()
     end;
-    store_nonce t ~view:c.Message.c_view ~seqno:c.Message.c_seqno
+    Votes.add_nonce t.votes ~view:c.Message.c_view ~seqno:c.Message.c_seqno
       (c.Message.c_replica, c.Message.c_nonce);
     check_committed t;
     try_send_pre_prepares t
@@ -1778,12 +1668,12 @@ and on_batch_package t (bp : Wire.batch_package) =
         if (not (Hashtbl.mem t.requests h)) && not (Hashtbl.mem t.executed_requests h)
         then admit t req)
       bp.Wire.bp_requests;
-    List.iter (store_prepare t) bp.Wire.bp_ev_prepares;
+    List.iter (Votes.add_prepare t.votes) bp.Wire.bp_ev_prepares;
     let past = bp.Wire.bp_pp.Message.seqno - t.params.pipeline in
     (match Hashtbl.find_opt t.records past with
     | Some rec_ ->
         List.iter
-          (store_nonce t ~view:rec_.br_pp.Message.view ~seqno:past)
+          (Votes.add_nonce t.votes ~view:rec_.br_pp.Message.view ~seqno:past)
           bp.Wire.bp_ev_nonces;
         check_committed t
     | None -> ());
@@ -1873,9 +1763,9 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
         (if not skip_exec then
            match e with
            | Entry.Prepare_evidence { pe_prepares; _ } ->
-               List.iter (store_prepare t) pe_prepares
+               List.iter (Votes.add_prepare t.votes) pe_prepares
            | Entry.Nonce_evidence { ne_view; ne_seqno; ne_nonces } ->
-               List.iter (store_nonce t ~view:ne_view ~seqno:ne_seqno) ne_nonces
+               List.iter (Votes.add_nonce t.votes ~view:ne_view ~seqno:ne_seqno) ne_nonces
            | _ -> ());
         append_ledger t e)
       evidence;
@@ -1904,7 +1794,7 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
             Hashtbl.replace t.executed_requests
               (D.to_raw (Request.hash tx.Batch.request))
               tx.Batch.index;
-            if is_gov_request tx.Batch.request then t.gov_index <- tx.Batch.index)
+            if Request.is_governance tx.Batch.request then t.gov_index <- tx.Batch.index)
           txs;
         (match pp.Message.kind with
         | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
@@ -2316,11 +2206,11 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
   let store = Store.create () in
   let sync = SyncMetrics.make obs in
   let cp0 = Checkpoint.make ~seqno:0 (Store.map store) in
+  let votes = Votes.create ~nonce_key:(Rng.bytes rng 32) in
   let t =
     {
       rid = id;
       sk;
-      nonce_key = Rng.bytes rng 32;
       mac_key = "iaccf-shared-mac-key";
       genesis;
       service = Genesis.hash genesis;
@@ -2353,9 +2243,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       request_order = [];
       executed_requests = Hashtbl.create 64;
       records = Hashtbl.create 64;
-      prepares = Hashtbl.create 64;
-      commits = Hashtbl.create 64;
-      own_nonces = Hashtbl.create 64;
+      votes;
       view_changes = Hashtbl.create 8;
       pending_pps = Hashtbl.create 8;
       checkpoints = Hashtbl.create 8;

@@ -56,30 +56,14 @@ let pow_table table e =
 
 let pow_g e = pow_table g_table e
 
-(* Shamir's trick: one shared squaring chain for both exponents. *)
-let dual_pow_g a ~base b =
-  let base = reduce base in
-  let g_base = mul g base in
-  let nbits = max (Bignum.bit_length a) (Bignum.bit_length b) in
-  let acc = ref Bignum.one in
-  for i = nbits - 1 downto 0 do
-    acc := mul !acc !acc;
-    (match (Bignum.test_bit a i, Bignum.test_bit b i) with
-    | true, true -> acc := mul !acc g_base
-    | true, false -> acc := mul !acc g
-    | false, true -> acc := mul !acc base
-    | false, false -> ())
-  done;
-  !acc
-
 (* Straus shared-window multi-exponentiation: prod_i b_i^(e_i) with one
    squaring chain shared across all bases and 4-bit windows. Per base the
    precomputation is 15 multiplications (b^1..b^15); the scan then costs 4
    squarings per window plus at most one multiplication per base per
-   window. For the two-base verification product this beats the bit-by-bit
-   Shamir chain (dual_pow_g) by skipping ~1/4 of the multiplies, and the
-   advantage grows with the number of bases since the 256 squarings are
-   paid once, not per base. *)
+   window. For the two-base verification product this beats a bit-by-bit
+   Shamir chain by skipping ~1/4 of the multiplies, and the advantage
+   grows with the number of bases since the 256 squarings are paid once,
+   not per base. *)
 let multi_pow pairs =
   match pairs with
   | [] -> Bignum.one

@@ -37,10 +37,6 @@ val pow_table : Bignum.t array -> Bignum.t -> Bignum.t
 (** [pow_table t e] is [b^e mod p] for the base [t] was built from.
     [e] must be reduced mod {!n}. *)
 
-val dual_pow_g : Bignum.t -> base:Bignum.t -> Bignum.t -> Bignum.t
-(** [dual_pow_g a ~base b] is [g^a * base^b mod p] by simultaneous
-    (Shamir) exponentiation; used by verification of unknown keys. *)
-
 val multi_pow : (Bignum.t * Bignum.t) list -> Bignum.t
 (** [multi_pow [(b1, e1); ...]] is [prod bi^ei mod p] by Straus
     shared-window (4-bit) multi-exponentiation: the squaring chain is paid

@@ -10,3 +10,6 @@ let commit n = Digest32.of_string n
 let reveal n = n
 let of_revealed s = if String.length s = size then Some s else None
 let check ~commitment n = Digest32.equal (commit n) commitment
+
+let opens ~commitment s =
+  match of_revealed s with Some n -> check ~commitment n | None -> false

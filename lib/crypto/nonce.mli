@@ -27,3 +27,7 @@ val of_revealed : string -> t option
 
 val check : commitment:Digest32.t -> t -> bool
 (** [check ~commitment nonce] is [true] iff [commit nonce = commitment]. *)
+
+val opens : commitment:Digest32.t -> string -> bool
+(** A revealed string opens a commitment when {!of_revealed} accepts it
+    and it {!check}s: a preimage of another length never does. *)

@@ -101,16 +101,13 @@ let find_pre_prepare t ~seqno =
     t;
   !best
 
-let is_governance_proc proc =
-  String.length proc >= 4 && String.sub proc 0 4 = "gov/"
-
 let governance_indices t =
   let acc = ref [] in
   iteri
     (fun i entry ->
       match entry with
       | Entry.Genesis _ -> acc := i :: !acc
-      | Entry.Tx tx when is_governance_proc tx.Iaccf_types.Batch.request.Iaccf_types.Request.proc ->
+      | Entry.Tx tx when Iaccf_types.Request.is_governance tx.Iaccf_types.Batch.request ->
           acc := i :: !acc
       | _ -> ())
     t;

@@ -3,7 +3,6 @@ module Ledger = Iaccf_ledger.Ledger
 module Tree = Iaccf_merkle.Tree
 module Codec = Iaccf_util.Codec
 module Vec = Iaccf_util.Vec
-module Lru = Iaccf_util.Lru
 module D = Iaccf_crypto.Digest32
 module Obs = Iaccf_obs.Obs
 
@@ -17,11 +16,10 @@ type config = {
   dir : string;
   segment_bytes : int;
   fsync : fsync_policy;
-  cache_capacity : int;
 }
 
 let default_config ~dir =
-  { dir; segment_bytes = 1 lsl 20; fsync = Fsync_interval 64; cache_capacity = 256 }
+  { dir; segment_bytes = 1 lsl 20; fsync = Fsync_interval 64 }
 
 type recovery_info = {
   ri_segments : int;
@@ -49,7 +47,6 @@ type t = {
   mutable base : int; (* first on-disk entry index (> 0 after a prune) *)
   mutable base_msize : int; (* Merkle tree size covering [0, base) *)
   tree : Tree.t;
-  cache : (int, Entry.t) Lru.t;
   mutable tail_first : int;  (* first index of the open tail segment *)
   mutable tail_fd : Unix.file_descr option;
   mutable tail_size : int;
@@ -276,7 +273,6 @@ let open_store ?(readonly = false) ?obs ?(owner = 0) cfg =
       base;
       base_msize;
       tree;
-      cache = Lru.create ~capacity:cfg.cache_capacity;
       tail_first = 0;
       tail_fd = None;
       tail_size = 0;
@@ -380,7 +376,6 @@ let segments t = t.seg_count
 let disk_bytes t = t.disk
 let m_root t = Tree.root t.tree
 let m_size t = Tree.size t.tree
-let cache_stats t = (Lru.hits t.cache, Lru.misses t.cache)
 
 let check_open t op = if t.closed then invalid_arg ("Store." ^ op ^ ": store is closed")
 
@@ -425,7 +420,6 @@ let append t entry =
   let index = length t in
   append_slot t ~seg:t.tail_first ~off:t.tail_size ~len entry;
   t.tail_size <- t.tail_size + len;
-  Lru.put t.cache index entry;
   Obs.incr t.c_appends;
   Obs.add t.c_append_bytes len;
   if Obs.tracing_enabled t.obs then
@@ -448,26 +442,19 @@ let get t i =
   if i < t.base then
     fail "Store.get: entry %d was pruned (first retained entry %d); read it from \
           the audit package" i t.base;
-  match Lru.find t.cache i with
-  | Some e -> e
-  | None ->
-      let slot = Vec.get t.slots (i - t.base) in
-      let ic = open_in_bin (seg_path t slot.s_seg) in
-      let raw =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            seek_in ic slot.s_off;
-            really_input_string ic slot.s_len)
-      in
-      let entry =
-        match Frame.scan raw ~pos:0 with
-        | Frame.Frame { payload; _ } -> Entry.deserialize payload
-        | Frame.Torn { reason } -> fail "entry %d: frame damaged on disk (%s)" i reason
-        | Frame.End_of_input -> assert false
-      in
-      Lru.put t.cache i entry;
-      entry
+  let slot = Vec.get t.slots (i - t.base) in
+  let ic = open_in_bin (seg_path t slot.s_seg) in
+  let raw =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        seek_in ic slot.s_off;
+        really_input_string ic slot.s_len)
+  in
+  match Frame.scan raw ~pos:0 with
+  | Frame.Frame { payload; _ } -> Entry.deserialize payload
+  | Frame.Torn { reason } -> fail "entry %d: frame damaged on disk (%s)" i reason
+  | Frame.End_of_input -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Truncation (view-change rollback)                                   *)
@@ -488,7 +475,6 @@ let truncate t n =
     for i = n to length t - 1 do
       let s = Vec.get t.slots (i - t.base) in
       t.disk <- t.disk - s.s_len;
-      Lru.remove t.cache i;
       if
         s.s_seg <> last.s_seg
         && (i = n || (Vec.get t.slots (i - 1 - t.base)).s_seg <> s.s_seg)
@@ -583,7 +569,6 @@ let prune_before t upto =
     for i = t.base to cut - 1 do
       let s = Vec.get t.slots (i - t.base) in
       dropped_bytes := !dropped_bytes + s.s_len;
-      Lru.remove t.cache i;
       if i = t.base || (Vec.get t.slots (i - 1 - t.base)).s_seg <> s.s_seg then begin
         Sys.remove (seg_path t s.s_seg);
         t.seg_count <- t.seg_count - 1

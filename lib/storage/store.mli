@@ -28,11 +28,10 @@ type config = {
   dir : string;
   segment_bytes : int;  (** roll segments once they exceed this many bytes *)
   fsync : fsync_policy;
-  cache_capacity : int;  (** decoded-entry LRU slots for [get] *)
 }
 
 val default_config : dir:string -> config
-(** 1 MiB segments, [Fsync_interval 64], 256 cache slots. *)
+(** 1 MiB segments, [Fsync_interval 64]. *)
 
 type recovery_info = {
   ri_segments : int;  (** segment files found on open *)
@@ -77,7 +76,7 @@ val append : t -> Entry.t -> int
     configured fsync policy. *)
 
 val get : t -> int -> Entry.t
-(** Read (through the LRU cache) and decode the entry at an index. *)
+(** Read the entry at an index from its segment and decode it. *)
 
 val m_root : t -> D.t
 val m_size : t -> int
@@ -124,9 +123,6 @@ val close : t -> unit
 val crash : t -> unit
 (** Test hook: drop file descriptors {e without} syncing or updating the
     root-of-trust file, simulating a process kill. *)
-
-val cache_stats : t -> int * int
-(** [(hits, misses)] of the entry cache. *)
 
 val to_ledger : t -> Ledger.t
 (** Materialize the persisted entries as an in-memory ledger (recovery

@@ -72,6 +72,7 @@ let decode r =
 let serialize t = Codec.encode (fun w -> encode w t)
 let deserialize s = Codec.decode s decode
 let hash t = D.of_string (serialize t)
+let is_governance t = String.starts_with ~prefix:"gov/" t.proc
 
 (* Causal trace id: content-derived (a hash prefix), so every hop that
    holds the request — client, primary, backups — recovers the same id

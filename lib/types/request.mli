@@ -41,6 +41,10 @@ val make :
 val verify : t -> service:Iaccf_crypto.Digest32.t -> bool
 (** Signature valid and addressed to this service. *)
 
+val is_governance : t -> bool
+(** The request calls a built-in governance procedure (["gov/..."]): it
+    belongs to the governance sub-ledger (§5.2). *)
+
 val hash : t -> Iaccf_crypto.Digest32.t
 (** Request digest, the handle used in pre-prepare batch lists [B]. *)
 

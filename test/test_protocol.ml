@@ -320,6 +320,153 @@ let test_spoofed_commit nonce () =
        (fun acc id -> max acc (Replica.view (Cluster.replica cluster id)))
        0 [ 1; 2; 3 ])
 
+(* Replica 1 reveals its real nonce to the primary and 32 bytes that open
+   nothing to backups 2 and 3. The primary names replica 1 in the
+   evidence it writes P batches later. A backup that matched that bitmap
+   from whatever its store held would append the bad nonce, fail the
+   pre-prepare's m_root check and start view changes; under the commit
+   rule the bad nonce is missing evidence, fetched with the batch. *)
+let test_nonce_equivocation_keeps_view () =
+  let cluster = Cluster.make ~n:4 () in
+  Iaccf_sim.Network.set_intercept (Cluster.network cluster) 1 (fun ~dst msg ->
+      match msg with
+      | Wire.Commit_msg c when dst = 2 || dst = 3 ->
+          [ (dst, Wire.Commit_msg { c with Message.c_nonce = String.make 32 'z' }) ]
+      | _ -> [ (dst, msg) ]);
+  let client = Cluster.add_client cluster () in
+  for _ = 1 to 30 do
+    ignore (submit_and_wait cluster client 1)
+  done;
+  check Alcotest.int "all committed" 30 (Client.completed client);
+  List.iter
+    (fun r ->
+      check Alcotest.int (Printf.sprintf "replica %d in view 0" (Replica.id r)) 0
+        (Replica.view r))
+    (Cluster.replicas cluster);
+  check Alcotest.int "no execution rejects" 0
+    (Iaccf_obs.Obs.counter_value (Replica.obs (Cluster.replica cluster 0))
+       "replica.reject.exec")
+
+(* The vote module on its own: one slot, [n] replicas, each revealing a
+   nonce that opens, 32 wrong bytes, a short preimage of its commitment
+   (which a bare hash compare accepts), or nothing; a backup may also
+   lack a prepare. *)
+type vote = Opens | Wrong_bytes | Short_preimage | No_nonce | No_prepare
+
+let prop_votes =
+  QCheck.Test.make ~count:300
+    ~name:"selected evidence matches and audits; a nonce that does not open never counts"
+    QCheck.(pair (int_range 4 10) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let module Nonce = Iaccf_crypto.Nonce in
+      let module Bitmap = Iaccf_util.Bitmap in
+      let rng = Random.State.make [| seed |] in
+      let quorum = n - (((n + 2) / 3) - 1) in
+      let primary = Random.State.int rng n in
+      let ids = List.init n Fun.id in
+      let backups = List.filter (( <> ) primary) ids in
+      let kinds =
+        Array.init n (fun r ->
+            match Random.State.int rng 10 with
+            | 0 -> Wrong_bytes
+            | 1 -> Short_preimage
+            | 2 -> No_nonce
+            | 3 when r <> primary -> No_prepare
+            | _ -> Opens)
+      in
+      let commitment r =
+        match kinds.(r) with
+        | Short_preimage -> D.of_string "ab"
+        | _ -> Nonce.commit (Nonce.derive ~key:(string_of_int r) ~view:0 ~seqno:1)
+      in
+      let revealed r =
+        match kinds.(r) with
+        | Wrong_bytes -> String.make 32 'z'
+        | Short_preimage -> "ab"
+        | _ -> Nonce.reveal (Nonce.derive ~key:(string_of_int r) ~view:0 ~seqno:1)
+      in
+      let pp =
+        {
+          Message.view = 0;
+          seqno = 1;
+          m_root = D.zero;
+          g_root = D.zero;
+          nonce_com = commitment primary;
+          ev_bitmap = Bitmap.empty;
+          gov_index = 0;
+          cp_digest = D.zero;
+          kind = Iaccf_types.Batch.Regular;
+          primary;
+          signature = "";
+        }
+      in
+      let pph = Message.pp_hash pp in
+      let prepares =
+        List.filter_map
+          (fun r ->
+            if kinds.(r) = No_prepare then None
+            else
+              Some
+                {
+                  Message.p_view = 0;
+                  p_seqno = 1;
+                  p_replica = r;
+                  p_nonce_com = commitment r;
+                  p_pp_hash = pph;
+                  p_signature = "";
+                })
+          backups
+      in
+      let votes = Votes.create ~nonce_key:"own" in
+      List.iter (Votes.add_prepare votes) prepares;
+      List.iter
+        (fun r -> if kinds.(r) <> No_nonce then Votes.add_nonce votes ~view:0 ~seqno:1 (r, revealed r))
+        ids;
+      let opens r = kinds.(r) = Opens in
+      let good_backups = List.filter opens backups in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      if Votes.committed votes pp ~quorum <> (List.length (List.filter opens ids) >= quorum)
+      then fail "commit counted a vote that does not count";
+      (* The auditor refuses every bad nonce, including the short preimage
+         a bare hash compare accepts. *)
+      List.iter
+        (fun r ->
+          match kinds.(r) with
+          | (Wrong_bytes | Short_preimage)
+            when Votes.nonce_fault pp prepares (r, revealed r) = None ->
+              fail "the audit accepted replica %d's nonce" r
+          | _ -> ())
+        ids;
+      (match Votes.evidence_for votes pp ~quorum with
+      | None ->
+          if opens primary && List.length good_backups >= quorum - 1 then
+            fail "no evidence selected from %d opening backups" (List.length good_backups)
+      | Some (ps, ns, bitmap) ->
+          let expected =
+            primary :: List.filteri (fun i _ -> i < quorum - 1) good_backups
+          in
+          if Bitmap.to_list bitmap <> List.sort compare expected then
+            fail "selected the wrong replicas";
+          if List.exists (fun p -> Votes.prepare_fault pp ~pph p <> None) ps
+             || List.exists (fun v -> Votes.nonce_fault pp ps v <> None) ns
+          then fail "the audit refused the selected evidence";
+          if Votes.evidence_matching votes pp ~quorum bitmap <> Some (ps, ns) then
+            fail "the backup match differs from the selection");
+      (* A bitmap naming a backup whose vote does not count never matches. *)
+      List.iter
+        (fun b ->
+          if not (opens b) then begin
+            let others = List.filter (( <> ) b) backups in
+            let bitmap =
+              Bitmap.of_list
+                (primary :: b :: List.filteri (fun i _ -> i < quorum - 2) others)
+            in
+            if Votes.evidence_matching votes pp ~quorum bitmap <> None then
+              fail "matched replica %d's vote" b
+          end)
+        backups;
+      true)
+
 (* Reply path: commit one transaction while recording what every replica
    sends, and return the log, the client, the transaction and the replica
    that sent its replyx (the designated one). *)
@@ -449,6 +596,8 @@ let () =
             (test_spoofed_commit "short");
           Alcotest.test_case "spoofed commit, 32-byte nonce" `Quick
             (test_spoofed_commit (String.make 32 'x'));
+          Alcotest.test_case "nonce equivocation keeps the view" `Quick
+            test_nonce_equivocation_keeps_view;
         ] );
       ( "replies",
         [
@@ -459,4 +608,5 @@ let () =
         ] );
       ( "variants",
         [ Alcotest.test_case "no-receipt variant" `Quick test_nonreceipt_variant_runs ] );
+      ("votes", [ QCheck_alcotest.to_alcotest prop_votes ]);
     ]

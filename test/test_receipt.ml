@@ -98,6 +98,31 @@ let test_rejects_wrong_nonce () =
   let bad = { r with Receipt.nonces = List.map (fun _ -> String.make 32 'z') r.Receipt.nonces } in
   check Alcotest.bool "nonce opens commitment" true (Result.is_error (verify genesis bad))
 
+(* A backup that signs a prepare committing to the hash of a short string
+   and reveals that string: the signature checks, but the replicas never
+   count such a nonce, so neither may a receipt. *)
+let test_rejects_short_nonce_preimage () =
+  let cluster, genesis, forge = world () in
+  let s = Forge.add_batch forge [ request genesis "counter/add" "1" ] in
+  let r = Forge.make_receipt forge ~seqno:s ~tx_position:(Some 0) in
+  let pp = r.Receipt.pp in
+  let b = List.hd (Bitmap.to_list r.Receipt.prep_bitmap) in
+  let short = "ab" in
+  let payload =
+    Iaccf_types.Message.prepare_payload ~view:pp.Iaccf_types.Message.view
+      ~seqno:pp.Iaccf_types.Message.seqno ~replica:b ~nonce_com:(D.of_string short)
+      ~pp_hash:(Iaccf_types.Message.pp_hash pp)
+  in
+  let signature = Schnorr.sign (Cluster.replica_sk cluster b) (D.to_raw payload) in
+  let bad =
+    {
+      r with
+      Receipt.prepare_sigs = signature :: List.tl r.Receipt.prepare_sigs;
+      nonces = short :: List.tl r.Receipt.nonces;
+    }
+  in
+  check Alcotest.bool "short preimage refused" true (Result.is_error (verify genesis bad))
+
 let test_rejects_min_index_violation () =
   let _, genesis, forge = world () in
   (* A colluding quorum can order a request below its minimum index; the
@@ -224,6 +249,7 @@ let () =
           Alcotest.test_case "primary double-counted" `Quick
             test_rejects_primary_listed_as_backup;
           Alcotest.test_case "wrong nonce" `Quick test_rejects_wrong_nonce;
+          Alcotest.test_case "short nonce preimage" `Quick test_rejects_short_nonce_preimage;
           Alcotest.test_case "min-index violation" `Quick test_rejects_min_index_violation;
           Alcotest.test_case "foreign service" `Quick test_rejects_foreign_service;
           Alcotest.test_case "wrong config" `Quick test_rejects_wrong_config;

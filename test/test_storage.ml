@@ -142,9 +142,8 @@ let sample_entries n =
          if i mod 2 = 0 then sample_pp ~seqno:(i + 1) ()
          else tx_entry ~index:(i + 1) ~seqno:i ())
 
-let open_cfg ?readonly ?(segment_bytes = 1 lsl 20) ?(fsync = Store.No_fsync)
-    ?(cache_capacity = 256) dir =
-  Store.open_store ?readonly { Store.dir; segment_bytes; fsync; cache_capacity }
+let open_cfg ?readonly ?(segment_bytes = 1 lsl 20) ?(fsync = Store.No_fsync) dir =
+  Store.open_store ?readonly { Store.dir; segment_bytes; fsync }
 
 let fill store entries = List.iter (fun e -> ignore (Store.append store e)) entries
 
@@ -262,21 +261,6 @@ let test_truncate_durable () =
   Store.close s;
   let s = open_cfg ~segment_bytes:512 dir in
   check_contents s (keep @ [ extra ]);
-  Store.close s
-
-let test_entry_cache () =
-  let dir = fresh_dir () in
-  let entries = sample_entries 6 in
-  let s = open_cfg dir in
-  fill s entries;
-  Store.close s;
-  let s = open_cfg ~cache_capacity:4 dir in
-  for _ = 1 to 3 do
-    ignore (Store.get s 2)
-  done;
-  let hits, misses = Store.cache_stats s in
-  check Alcotest.bool "cache hits recorded" true (hits >= 2);
-  check Alcotest.bool "first read missed" true (misses >= 1);
   Store.close s
 
 (* --- Kill-after-N-appends crash matrix --- *)
@@ -681,7 +665,6 @@ let () =
           Alcotest.test_case "durable prefix protected" `Quick
             test_durable_prefix_protected;
           Alcotest.test_case "truncate durable" `Quick test_truncate_durable;
-          Alcotest.test_case "entry cache" `Quick test_entry_cache;
           Alcotest.test_case "attach divergence preserves store" `Quick
             test_attach_divergence_preserves_store;
           Alcotest.test_case "attach refuses rollback by default" `Quick
