@@ -1,10 +1,14 @@
-(* @crypto-bench: signature verification, inline vs tabled.
+(* @crypto-bench: signature verification, inline vs tabled, and the cost
+   of each primitive under it.
 
    One fixed job mix is verified twice: inline, with [Schnorr.verify] on
    untabled keys, and through [Vstage.verify], which interns each key and
    builds its fixed-base table on the key's third use (the replica's hot
    path). The tabled figure includes building the tables. Walls are
-   medians over alternating rounds.
+   medians over alternating rounds. The primitive rows time one field
+   multiply, [Group.pow_g], signing, verification with and without the
+   key's table, and building the table, each the median of [rounds]
+   loops.
 
    Writes BENCH_crypto.json through the report layer's row emitter:
    deterministic counts gate Exact, wall-clock throughputs are Info. Not
@@ -73,6 +77,38 @@ let rounds = 5
 
 let median xs = List.nth (List.sort Float.compare xs) (List.length xs / 2)
 
+(* Median seconds per call of [f] over [rounds] loops of [n] calls. *)
+let per_call n f =
+  median
+    (List.init rounds (fun _ ->
+         snd
+           (time (fun () ->
+                for _ = 1 to n do
+                  ignore (Sys.opaque_identity (f ()))
+                done))
+         /. float_of_int n))
+
+let primitives () =
+  let sk, pk = Schnorr.keypair_of_seed "bench-primitives" in
+  let pk_bytes = Schnorr.public_key_to_bytes pk in
+  let digest = Sha256.digest "bench-primitives" in
+  let signature = Schnorr.sign sk digest in
+  let e = Group.scalar_of_bytes digest in
+  let x = Group.pow_g e in
+  let fresh () = Option.get (Schnorr.public_key_of_bytes pk_bytes) in
+  let tabled = fresh () and untabled = fresh () in
+  Schnorr.precompute tabled;
+  [
+    ("field_mul_ns", 1e9 *. per_call 100_000 (fun () -> Group.mul x x));
+    ("pow_g_us", 1e6 *. per_call 2_000 (fun () -> Group.pow_g e));
+    ("sign_us", 1e6 *. per_call 1_000 (fun () -> Schnorr.sign sk digest));
+    ( "verify_tabled_us",
+      1e6 *. per_call 1_000 (fun () -> Schnorr.verify tabled digest ~signature) );
+    ( "verify_untabled_us",
+      1e6 *. per_call 500 (fun () -> Schnorr.verify untabled digest ~signature) );
+    ("precompute_us", 1e6 *. per_call 200 (fun () -> Schnorr.precompute (fresh ())));
+  ]
+
 let () =
   let results = List.init rounds (fun _ -> round ()) in
   let inline, precomputed, _, _ = List.hd results in
@@ -87,6 +123,8 @@ let () =
   Printf.printf "  tabled  %8.1f verifies/s  (%.3f s, %d tables built)\n"
     (verifies_s wall_tabled) wall_tabled precomputed;
   Printf.printf "  tabled vs inline speedup: %.2fx\n%!" speedup;
+  let primitives = primitives () in
+  List.iter (fun (metric, v) -> Printf.printf "  %-20s %10.3f\n" metric v) primitives;
   let bench = "crypto" in
   let series = Printf.sprintf "verify jobs=%d keys=%d" n_jobs n_keys in
   let exact metric v =
@@ -94,7 +132,7 @@ let () =
   in
   let info metric v = Report.row ~bench ~series ~metric ~gate:Report.Info v in
   Report.write_rows ~file:"BENCH_crypto.json" ~bench
-    [
+    ([
       exact "jobs" n_jobs;
       exact "valid" valid;
       exact "keys_precomputed" precomputed;
@@ -102,3 +140,6 @@ let () =
       info "tabled_verifies_s" (verifies_s wall_tabled);
       info "speedup_tabled_vs_inline" speedup;
     ]
+    @ List.map
+        (fun (metric, v) -> Report.row ~bench ~series:"primitives" ~metric ~gate:Report.Info v)
+        primitives)

@@ -1,113 +1,245 @@
-let p =
-  Bignum.sub (Bignum.shift_left Bignum.one 255) (Bignum.of_int 19)
+(* Fixed 11-limb arithmetic for the group mod p = 2^255 - 19 and its
+   exponents mod n = p - 1 = 2^255 - 20.
 
-let n = Bignum.sub p Bignum.one
-let g = Bignum.of_int 2
+   A number is 11 little-endian 24-bit limbs (264 bits) in an [int array].
+   A limb product is 48 bits and a column of eleven stays under 2^52, so
+   the schoolbook kernel never overflows a 63-bit int. Both moduli share
+   the kernel: the 22-limb product folds its top half down as
+   2^264 = 9728 (mod p), or 2^264 = 10240 (mod n). Kernel outputs are only
+   partly reduced (below about 2^264, every limb below 2^24 + 8), which
+   every kernel accepts as input; the full reduction happens once, at
+   encoding.
 
-let reduce x =
-  (* x mod (2^255 - 19): fold the high part down as hi*19 + lo until the
-     value fits in 255 bits, then a final conditional subtract. The fold
-     converges in two iterations for inputs up to 510 bits. *)
-  let x = ref x in
-  while Bignum.bit_length !x > 255 do
-    let hi = Bignum.shift_right !x 255 in
-    let lo = Bignum.mask_bits !x 255 in
-    x := Bignum.add (Bignum.mul_small hi 19) lo
+   Kernels write in place into a destination, with a 22-int scratch the
+   caller owns: nothing mutable is shared, so domains may sign and verify
+   in parallel. Values handed out are never written again. *)
+
+let nlimbs = 11
+let mask = 0xFFFFFF
+
+type elt = int array
+type scalar = int array
+type table = elt array
+
+let fold_p = 9728 (* 2^264 mod p *)
+let fold_n = 10240 (* 2^264 mod n *)
+let scratch () = Array.make 22 0
+
+(* The kernels index without bounds checks: [elt] and [scalar] are
+   abstract and always 11 limbs, and every scratch is 22. *)
+let ( .!() ) (a : int array) i = Array.unsafe_get a i [@@inline]
+let ( .!()<- ) (a : int array) i v = Array.unsafe_set a i v [@@inline]
+
+(* [tmp.(0..20)] holds the product's column sums. Carry them into 22
+   limbs, fold limbs 11..21 down by [f] = 2^264 mod m, and fold the carry
+   out of that once more; [dst] is only written here. *)
+let fold f tmp dst =
+  let c = ref 0 in
+  for k = 0 to 20 do
+    let v = tmp.!(k) + !c in
+    tmp.!(k) <- v land mask;
+    c := v lsr 24
   done;
-  while Bignum.compare !x p >= 0 do
-    x := Bignum.sub !x p
+  tmp.!(21) <- !c;
+  let c = ref 0 in
+  for i = 0 to 10 do
+    let v = tmp.!(i) + (f * tmp.!(i + 11)) + !c in
+    dst.!(i) <- v land mask;
+    c := v lsr 24
   done;
-  !x
+  let v = dst.!(0) + (f * !c) in
+  dst.!(0) <- v land mask;
+  dst.!(1) <- dst.!(1) + (v lsr 24)
 
-let mul a b = reduce (Bignum.mul a b)
+(* [dst] may alias [a] or [b]. One row per limb of [a], with [b] held in
+   registers. *)
+let mul_into f tmp dst a b =
+  let b0 = b.!(0) and b1 = b.!(1) and b2 = b.!(2) and b3 = b.!(3) and b4 = b.!(4)
+  and b5 = b.!(5) and b6 = b.!(6) and b7 = b.!(7) and b8 = b.!(8) and b9 = b.!(9)
+  and b10 = b.!(10) in
+  Array.fill tmp 0 21 0;
+  for i = 0 to 10 do
+    let ai = a.!(i) in
+    tmp.!(i) <- tmp.!(i) + (ai * b0);
+    tmp.!(i + 1) <- tmp.!(i + 1) + (ai * b1);
+    tmp.!(i + 2) <- tmp.!(i + 2) + (ai * b2);
+    tmp.!(i + 3) <- tmp.!(i + 3) + (ai * b3);
+    tmp.!(i + 4) <- tmp.!(i + 4) + (ai * b4);
+    tmp.!(i + 5) <- tmp.!(i + 5) + (ai * b5);
+    tmp.!(i + 6) <- tmp.!(i + 6) + (ai * b6);
+    tmp.!(i + 7) <- tmp.!(i + 7) + (ai * b7);
+    tmp.!(i + 8) <- tmp.!(i + 8) + (ai * b8);
+    tmp.!(i + 9) <- tmp.!(i + 9) + (ai * b9);
+    tmp.!(i + 10) <- tmp.!(i + 10) + (ai * b10)
+  done;
+  fold f tmp dst
 
+(* Squaring mod p: each cross product once, doubled. *)
+let sqr_into tmp dst a =
+  Array.fill tmp 0 21 0;
+  for i = 0 to 10 do
+    let ai = a.!(i) in
+    tmp.!(2 * i) <- tmp.!(2 * i) + (ai * ai);
+    let ai2 = 2 * ai in
+    for j = i + 1 to 10 do
+      tmp.!(i + j) <- tmp.!(i + j) + (ai2 * a.!(j))
+    done
+  done;
+  fold fold_p tmp dst
+
+(* Carry [x] in place and fold bit 255 and up back in, times [c]
+   (2^255 = c mod 2^255 - c). Returns whether anything was folded. *)
+let fold255 c x =
+  let carry = ref 0 in
+  for i = 0 to 9 do
+    let v = x.(i) + !carry in
+    x.(i) <- v land mask;
+    carry := v lsr 24
+  done;
+  let top = x.(10) + !carry in
+  x.(10) <- top land 0x7FFF;
+  x.(0) <- x.(0) + (c * (top lsr 15));
+  top > 0x7FFF
+
+(* The canonical residue mod 2^255 - c of any [x] below 2^265. Two folds
+   leave it below 2^255 with carried limbs; it is then at least the
+   modulus exactly when adding [c] reaches bit 255. *)
+let canonical c x =
+  let x = Array.copy x in
+  ignore (fold255 c x);
+  ignore (fold255 c x);
+  let y = Array.copy x in
+  y.(0) <- y.(0) + c;
+  if fold255 0 y then y else x
+
+(* 32 big-endian bytes: little-endian byte [k] is bits 8(k mod 3) of limb
+   k/3. *)
+let of_bytes32 s =
+  let x = Array.make nlimbs 0 in
+  for k = 0 to 31 do
+    x.(k / 3) <- x.(k / 3) lor (Char.code s.[31 - k] lsl (8 * (k mod 3)))
+  done;
+  x
+
+let to_bytes32 x =
+  String.init 32 (fun b ->
+      let k = 31 - b in
+      Char.chr ((x.(k / 3) lsr (8 * (k mod 3))) land 0xFF))
+
+let p_bytes = "\x7f" ^ String.make 30 '\xff' ^ "\xed"
+let n_bytes = "\x7f" ^ String.make 30 '\xff' ^ "\xec"
+let one = Array.init nlimbs (fun i -> if i = 0 then 1 else 0)
+let g = Array.init nlimbs (fun i -> if i = 0 then 2 else 0)
+
+let element_of_limbs limbs =
+  if Array.length limbs <> nlimbs || Array.exists (fun l -> l < 0 || l > mask) limbs
+  then invalid_arg "Group.element_of_limbs";
+  Array.copy limbs
+
+let mul a b =
+  let r = Array.make nlimbs 0 in
+  mul_into fold_p (scratch ()) r a b;
+  r
+
+let sqr a =
+  let r = Array.make nlimbs 0 in
+  sqr_into (scratch ()) r a;
+  r
+
+(* Exponents are canonical scalars (< 2^255): 64 4-bit digits. *)
+let digit e j = (e.(j / 6) lsr (4 * (j mod 6))) land 15
+let bit e i = (e.(i / 24) lsr (i mod 24)) land 1
+
+(* Left-to-right 4-bit fixed window: 15 multiplications for the window
+   table, then 4 squarings and at most one multiplication per digit. *)
 let pow b e =
-  let result = ref Bignum.one and base = ref (reduce b) in
-  let nbits = Bignum.bit_length e in
-  for i = 0 to nbits - 1 do
-    if Bignum.test_bit e i then result := mul !result !base;
-    if i < nbits - 1 then base := mul !base !base
+  let tmp = scratch () in
+  let w = Array.make 16 one in
+  for d = 1 to 15 do
+    w.(d) <- mul w.(d - 1) b
   done;
-  !result
-
-(* Fixed-base table: base^(2^i) for i in [0, 256). With the table in hand,
-   base^e costs only one multiplication per set exponent bit — the whole
-   squaring chain is precomputed — roughly halving exponentiation cost.
-   Tables are plain immutable-after-build arrays so domains can share them
-   without racing on a lazy. *)
-let make_table base =
-  let base = reduce base in
-  let table = Array.make 256 base in
-  for i = 1 to 255 do
-    table.(i) <- mul table.(i - 1) table.(i - 1)
-  done;
-  table
-
-let g_table = make_table g
-
-(* Exponents are always reduced mod n (< 2^255), so bit_length fits the
-   256-entry table. *)
-let pow_table table e =
-  let acc = ref Bignum.one in
-  for i = 0 to Bignum.bit_length e - 1 do
-    if Bignum.test_bit e i then acc := mul !acc table.(i)
-  done;
-  !acc
-
-let pow_g e = pow_table g_table e
-
-(* Straus shared-window multi-exponentiation: prod_i b_i^(e_i) with one
-   squaring chain shared across all bases and 4-bit windows. Per base the
-   precomputation is 15 multiplications (b^1..b^15); the scan then costs 4
-   squarings per window plus at most one multiplication per base per
-   window. For the two-base verification product this beats a bit-by-bit
-   Shamir chain by skipping ~1/4 of the multiplies, and the advantage
-   grows with the number of bases since the 256 squarings are paid once,
-   not per base. *)
-let multi_pow pairs =
-  match pairs with
-  | [] -> Bignum.one
-  | pairs ->
-      let w = 4 in
-      let tables =
-        List.map
-          (fun (b, e) ->
-            let b = reduce b in
-            let tbl = Array.make 16 Bignum.one in
-            for d = 1 to 15 do
-              tbl.(d) <- mul tbl.(d - 1) b
-            done;
-            (tbl, e))
-          pairs
-      in
-      let nbits =
-        List.fold_left (fun acc (_, e) -> max acc (Bignum.bit_length e)) 0 pairs
-      in
-      let nwin = (nbits + w - 1) / w in
-      let acc = ref Bignum.one in
-      for win = nwin - 1 downto 0 do
-        if win < nwin - 1 then
-          for _ = 1 to w do
-            acc := mul !acc !acc
-          done;
-        List.iter
-          (fun (tbl, e) ->
-            let d = ref 0 in
-            for bit = w - 1 downto 0 do
-              d := (!d lsl 1) lor (if Bignum.test_bit e ((win * w) + bit) then 1 else 0)
-            done;
-            if !d <> 0 then acc := mul !acc tbl.(!d))
-          tables
+  let acc = Array.copy one in
+  for j = 63 downto 0 do
+    if j < 63 then
+      for _ = 1 to 4 do
+        sqr_into tmp acc acc
       done;
-      !acc
+    let d = digit e j in
+    if d <> 0 then mul_into fold_p tmp acc acc w.(d)
+  done;
+  acc
 
-let scalar_of_bytes s = Bignum.rem (Bignum.of_bytes_be s) n
+(* The comb for g: [g_comb.(16j + d)] is g^(d * 16^j) for window j < 64
+   and digit 0 < d < 16, built once at start-up (960 multiplications).
+   [pow_g] then costs at most one multiplication per digit and no
+   squarings. Immutable after build, so domains share it freely. *)
+let g_comb =
+  let t = Array.make (64 * 16) one in
+  let base = ref g in
+  for j = 0 to 63 do
+    t.((16 * j) + 1) <- !base;
+    for d = 2 to 15 do
+      t.((16 * j) + d) <- mul t.((16 * j) + d - 1) !base
+    done;
+    base := mul t.((16 * j) + 15) !base
+  done;
+  t
+
+let pow_g e =
+  let tmp = scratch () and acc = Array.copy one in
+  for j = 0 to 63 do
+    let d = digit e j in
+    if d <> 0 then mul_into fold_p tmp acc acc g_comb.((16 * j) + d)
+  done;
+  acc
+
+(* Per-key binary table b^(2^i) for i < 255: 254 squarings to build, then
+   one multiplication per set exponent bit. *)
+let make_table b =
+  let t = Array.make 255 b in
+  for i = 1 to 254 do
+    t.(i) <- sqr t.(i - 1)
+  done;
+  t
+
+let pow_table t e =
+  let tmp = scratch () and acc = Array.copy one in
+  for i = 0 to 254 do
+    if bit e i = 1 then mul_into fold_p tmp acc acc t.(i)
+  done;
+  acc
 
 let element_of_bytes s =
-  if String.length s <> 32 then None
-  else begin
-    let v = Bignum.of_bytes_be s in
-    if Bignum.is_zero v || Bignum.compare v p >= 0 then None else Some v
-  end
+  if String.length s <> 32 || String.compare s p_bytes >= 0 || s = String.make 32 '\x00'
+  then None
+  else Some (of_bytes32 s)
 
-let element_to_bytes v = Bignum.to_bytes_be_fixed 32 v
+let element_to_bytes x = to_bytes32 (canonical 19 x)
+
+let scalar_one = one
+let scalar_is_zero e = Array.for_all (( = ) 0) e
+
+let scalar_of_bytes s =
+  if String.length s <> 32 then invalid_arg "Group.scalar_of_bytes: expected 32 bytes";
+  canonical 20 (of_bytes32 s)
+
+let scalar_of_canonical s =
+  if String.length s = 32 && String.compare s n_bytes < 0 then Some (of_bytes32 s) else None
+
+let scalar_to_bytes = to_bytes32
+
+let scalar_mul_add a b c =
+  let r = Array.make nlimbs 0 in
+  mul_into fold_n (scratch ()) r a b;
+  canonical 20 (Array.map2 ( + ) r c)
+
+(* n - e, with borrows; e = 0 maps to n, which [canonical] makes 0. *)
+let scalar_neg e =
+  let n = of_bytes32 n_bytes and borrow = ref 0 in
+  let r =
+    Array.init nlimbs (fun i ->
+        let v = n.(i) - e.(i) - !borrow in
+        borrow := if v < 0 then 1 else 0;
+        v land mask)
+  in
+  canonical 20 r

@@ -1,16 +1,16 @@
-type secret_key = { x : Bignum.t; seed : string; pk_bytes : string }
+type secret_key = { x : Group.scalar; seed : string; pk_bytes : string }
 
 (* [table] is the per-key fixed-base precomputation (y^(2^i)); built on
    demand for keys that verify repeatedly (replica keys, chatty clients).
-   The array is immutable after build, so concurrent readers are safe; a
-   racing rebuild just wastes 255 squarings. *)
-type public_key = { y : Bignum.t; y_bytes : string; mutable table : Bignum.t array option }
+   The table is immutable after build, so concurrent readers are safe; a
+   racing rebuild just wastes 254 squarings. *)
+type public_key = { y : Group.elt; y_bytes : string; mutable table : Group.table option }
 
 let signature_size = 64
 let pp_public_key ppf pk = Format.pp_print_string ppf (Iaccf_util.Hex.encode pk.y_bytes)
 let public_key_equal a b = String.equal a.y_bytes b.y_bytes
 
-let nonzero_scalar v = if Bignum.is_zero v then Bignum.one else v
+let nonzero_scalar v = if Group.scalar_is_zero v then Group.scalar_one else v
 
 let make_public x =
   let y = Group.pow_g x in
@@ -47,26 +47,27 @@ let sign sk digest =
   let r = Group.pow_g k in
   let r_bytes = Group.element_to_bytes r in
   let e = challenge r_bytes pk_bytes digest in
-  let s = Bignum.rem (Bignum.add k (Bignum.mul e sk.x)) Group.n in
-  Bignum.to_bytes_be_fixed 32 e ^ Bignum.to_bytes_be_fixed 32 s
+  let s = Group.scalar_mul_add e sk.x k in
+  Group.scalar_to_bytes e ^ Group.scalar_to_bytes s
 
 let verify pk digest ~signature =
   String.length digest = 32
   && String.length signature = 64
   &&
-  let e = Bignum.of_bytes_be (String.sub signature 0 32) in
-  let s = Bignum.of_bytes_be (String.sub signature 32 32) in
-  Bignum.compare e Group.n < 0
-  && Bignum.compare s Group.n < 0
-  &&
-  (* R' = g^s * y^(n-e); y^n = 1, so this inverts y^e without divisions.
-     Known keys use two fixed-base tables (no squarings at all); unknown
-     keys share one Straus window chain across both bases. *)
-  let ne = Bignum.sub Group.n e in
-  let r' =
-    match pk.table with
-    | Some table -> Group.mul (Group.pow_g s) (Group.pow_table table ne)
-    | None -> Group.multi_pow [ (Group.g, s); (pk.y, ne) ]
-  in
-  let e' = challenge (Group.element_to_bytes r') pk.y_bytes digest in
-  Bignum.equal e e'
+  let e_bytes = String.sub signature 0 32 in
+  match
+    (Group.scalar_of_canonical e_bytes, Group.scalar_of_canonical (String.sub signature 32 32))
+  with
+  | Some e, Some s ->
+      (* R' = g^s * y^(-e). Known keys use their table (no squarings);
+         others pay one 4-bit window chain for y. *)
+      let ne = Group.scalar_neg e in
+      let y_ne =
+        match pk.table with
+        | Some table -> Group.pow_table table ne
+        | None -> Group.pow pk.y ne
+      in
+      let r' = Group.mul (Group.pow_g s) y_ne in
+      String.equal e_bytes
+        (Group.scalar_to_bytes (challenge (Group.element_to_bytes r') pk.y_bytes digest))
+  | _ -> false

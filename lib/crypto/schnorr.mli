@@ -23,10 +23,11 @@ val public_key_to_bytes : public_key -> string
 val public_key_of_bytes : string -> public_key option
 
 val precompute : public_key -> unit
-(** Build the per-key fixed-base table (255 squarings, done once): later
-    [verify] calls against this key skip the whole squaring chain,
-    roughly 1.7x faster. Worth it for any key seen more than twice —
-    replica keys, repeat clients. Idempotent; safe to race. *)
+(** Build the per-key fixed-base table (254 squarings, done once, about
+    the cost of one untabled [verify]): later [verify] calls against this
+    key skip the whole squaring chain, roughly 1.7x faster. Worth it for
+    any key seen more than twice — replica keys, repeat clients.
+    Idempotent; safe to race. *)
 
 val has_table : public_key -> bool
 (** Whether [precompute] has run for this key. *)

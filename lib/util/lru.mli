@@ -1,8 +1,8 @@
 (** Bounded LRU cache.
 
-    Backs the storage layer's block cache: random [get]s over a segmented
-    on-disk ledger hit memory for the hot suffix without holding the whole
-    log. Capacity 0 disables caching entirely. *)
+    Backs the open-loop load generator's session keys ([Load.Session]):
+    the hot signing identities stay derived, and the rest are derived
+    again on demand. Capacity 0 disables caching entirely. *)
 
 type ('k, 'v) t
 

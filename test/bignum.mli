@@ -1,9 +1,9 @@
-(** Arbitrary-precision natural numbers.
+(** Arbitrary-precision natural numbers: the test oracle.
 
     Little-endian arrays of 24-bit limbs over native ints, so schoolbook
-    products and carry chains never overflow 63-bit arithmetic. This backs
-    the Schnorr signature group arithmetic ({!Group}); the container has no
-    [zarith], so the reproduction carries its own bignums. *)
+    products and carry chains never overflow 63-bit arithmetic. Slow and
+    allocating, but generic; the tests check {!Iaccf_crypto.Group}'s
+    fixed-limb field and scalar kernels against it. *)
 
 type t
 
@@ -42,7 +42,7 @@ val mask_bits : t -> int -> t
 
 val mod_pow : t -> t -> t -> t
 (** [mod_pow b e m] is [b^e mod m] by square-and-multiply with generic
-    division; a slow reference used by tests. {!Group} has the fast path. *)
+    division. *)
 
 val of_bytes_be : string -> t
 val to_bytes_be : t -> string

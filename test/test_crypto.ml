@@ -199,58 +199,194 @@ let prop_bignum_shift_mul =
       Bignum.equal (Bignum.shift_left a n)
         (Bignum.mul a (Bignum.mod_pow (bn 2) (bn n) (Bignum.shift_left Bignum.one 200))))
 
-(* --- Group --- *)
+(* --- Group: the fixed-limb kernels against the Bignum oracle --- *)
+
+let big_p = Bignum.sub (Bignum.shift_left Bignum.one 255) (bn 19)
+let big_n = Bignum.sub big_p Bignum.one
+let bytes32 = Bignum.to_bytes_be_fixed 32
+let limbs_of_big v =
+  Array.init 11 (fun i ->
+      Option.get (Bignum.to_int_opt (Bignum.mask_bits (Bignum.shift_right v (24 * i)) 24)))
+
+let big_of_limbs limbs =
+  Array.fold_right (fun l acc -> Bignum.add (Bignum.shift_left acc 24) (bn l)) limbs Bignum.zero
+
+(* The oracle's group: the pseudo-Mersenne fold (checked against
+   [Bignum.rem] below) and plain square-and-multiply. *)
+let oracle_reduce x =
+  let x = ref x in
+  while Bignum.bit_length !x > 255 do
+    x :=
+      Bignum.add (Bignum.mul_small (Bignum.shift_right !x 255) 19) (Bignum.mask_bits !x 255)
+  done;
+  if Bignum.compare !x big_p >= 0 then Bignum.sub !x big_p else !x
+
+let oracle_mul a b = oracle_reduce (Bignum.mul a b)
+
+let oracle_pow b e =
+  let acc = ref Bignum.one in
+  for i = Bignum.bit_length e - 1 downto 0 do
+    acc := oracle_mul !acc !acc;
+    if Bignum.test_bit e i then acc := oracle_mul !acc b
+  done;
+  !acc
+
+let elt_bytes x = Group.element_to_bytes x
+let sc_big v = Group.scalar_of_bytes (bytes32 v)
+let sc i = sc_big (bn i)
+
+let elt_testable =
+  Alcotest.testable
+    (fun ppf x -> Format.pp_print_string ppf (Hex.encode (elt_bytes x)))
+    (fun a b -> elt_bytes a = elt_bytes b)
+
+let big_elt v = Option.get (Group.element_of_bytes (bytes32 v))
+let all_ones = Bignum.sub (Bignum.shift_left Bignum.one 264) Bignum.one
+
+(* 0, 1, p-1, p, 2^255-1 and all-ones limbs (2^264-1): the kernel takes
+   unreduced inputs, so the edges past p matter too. The last edge has
+   full top and bottom limbs, so folding the top overflows the bottom. *)
+let field_edges =
+  [ Bignum.zero; Bignum.one; Bignum.sub big_p Bignum.one; big_p;
+    Bignum.sub (Bignum.shift_left Bignum.one 255) Bignum.one; all_ones;
+    big_of_limbs (Array.init 11 (fun i -> if i = 0 || i = 10 then 0xFFFFFF else 0)) ]
+
+let arb_limbs =
+  QCheck.make
+    ~print:(fun l -> Bignum.to_hex (big_of_limbs l))
+    QCheck.Gen.(
+      frequency
+        [ (1, map limbs_of_big (oneofl field_edges));
+          (3, array_size (return 11) (int_bound 0xFFFFFF)) ])
 
 let test_group_reduce_matches_rem () =
-  let x = Bignum.of_hex (String.concat "" (List.init 16 (fun _ -> "deadbeef"))) in
-  check bn_testable "reduce = rem" (Bignum.rem x Group.p) (Group.reduce x)
+  List.iter
+    (fun v ->
+      check Alcotest.string (Bignum.to_hex v) (bytes32 (Bignum.rem v big_p))
+        (elt_bytes (Group.element_of_limbs (limbs_of_big v))))
+    (Bignum.of_hex (String.concat "" (List.init 8 (fun _ -> "deadbeef"))) :: field_edges);
+  check Alcotest.string "oracle fold = rem" (bytes32 (Bignum.rem all_ones big_p))
+    (bytes32 (oracle_reduce all_ones))
+
+let prop_group_field_kernel =
+  QCheck.Test.make ~name:"field mul/sqr = oracle" ~count:200 (QCheck.pair arb_limbs arb_limbs)
+    (fun (la, lb) ->
+      let a = Group.element_of_limbs la and b = Group.element_of_limbs lb in
+      let ba = big_of_limbs la and bb = big_of_limbs lb in
+      let modp x = bytes32 (Bignum.rem x big_p) in
+      let ab = Group.mul a b and bab = Bignum.mul ba bb in
+      (* Kernel outputs are only partly reduced; feed them back in. *)
+      elt_bytes ab = modp bab
+      && elt_bytes (Group.sqr a) = modp (Bignum.mul ba ba)
+      && elt_bytes (Group.mul ab (Group.sqr ab)) = modp (Bignum.mul bab (Bignum.mul bab bab)))
+
+(* Scalars: 32 bytes reduced mod n, with the edges 0, 1, n-1, n, p,
+   2^255-1 and 2^256-1, and 2^24-1, whose negation borrows. *)
+let scalar_edges =
+  [ Bignum.zero; Bignum.one; bn 0xFFFFFF; Bignum.sub big_n Bignum.one; big_n; big_p;
+    Bignum.sub (Bignum.shift_left Bignum.one 255) Bignum.one;
+    Bignum.sub (Bignum.shift_left Bignum.one 256) Bignum.one ]
+
+let arb_bytes32 =
+  QCheck.make ~print:Hex.encode
+    QCheck.Gen.(
+      frequency
+        [ (1, map bytes32 (oneofl scalar_edges)); (3, string_size ~gen:char (return 32)) ])
+
+let prop_group_scalar_kernel =
+  QCheck.Test.make ~name:"scalar reduce/mul_add/neg = oracle" ~count:200
+    (QCheck.triple arb_bytes32 arb_bytes32 arb_bytes32)
+    (fun (ra, rb, rc) ->
+      let modn x = bytes32 (Bignum.rem x big_n) in
+      let a = Bignum.rem (Bignum.of_bytes_be ra) big_n
+      and b = Bignum.rem (Bignum.of_bytes_be rb) big_n
+      and c = Bignum.rem (Bignum.of_bytes_be rc) big_n in
+      let sa = Group.scalar_of_bytes ra
+      and sb = Group.scalar_of_bytes rb
+      and sc = Group.scalar_of_bytes rc in
+      Group.scalar_to_bytes sa = bytes32 a
+      && Group.scalar_to_bytes (Group.scalar_mul_add sa sb sc)
+         = modn (Bignum.add (Bignum.mul a b) c)
+      && Group.scalar_to_bytes (Group.scalar_neg sa) = modn (Bignum.sub big_n a)
+      && Group.scalar_is_zero sa = Bignum.is_zero a
+      && Option.map Group.scalar_to_bytes (Group.scalar_of_canonical ra)
+         = (if Bignum.compare (Bignum.of_bytes_be ra) big_n < 0 then Some ra else None))
 
 let test_group_pow_matches_mod_pow () =
   let b = bn 12345 and e = bn 6789 in
-  check bn_testable "pow = mod_pow" (Bignum.mod_pow b e Group.p) (Group.pow b e)
+  check Alcotest.string "pow = mod_pow" (bytes32 (Bignum.mod_pow b e big_p))
+    (elt_bytes (Group.pow (big_elt b) (sc 6789)));
+  let e = Bignum.sub big_n (bn 3) and b = Bignum.sub big_p (bn 2) in
+  check Alcotest.string "full width = oracle" (bytes32 (oracle_pow b e))
+    (elt_bytes (Group.pow (big_elt b) (sc_big e)))
 
 let test_group_fermat () =
-  (* g^n = 1 (mod p) since n = p - 1 and p is prime. *)
-  check bn_testable "g^(p-1) = 1" Bignum.one (Group.pow Group.g Group.n)
+  (* g^(p-2) * g = g^(p-1) = 1 (mod p), p prime. *)
+  check Alcotest.string "g^(p-1) = 1" (bytes32 Bignum.one)
+    (elt_bytes (Group.mul (Group.pow Group.g (Group.scalar_neg Group.scalar_one)) Group.g))
 
 let test_group_element_bytes () =
-  check Alcotest.(option string) "roundtrip" (Some (Group.element_to_bytes (bn 42)))
-    (Option.map Group.element_to_bytes (Group.element_of_bytes (Group.element_to_bytes (bn 42))));
+  check Alcotest.(option string) "roundtrip" (Some (bytes32 (bn 42)))
+    (Option.map elt_bytes (Group.element_of_bytes (bytes32 (bn 42))));
   check Alcotest.bool "rejects zero" true
     (Group.element_of_bytes (String.make 32 '\x00') = None);
+  check Alcotest.bool "accepts p-1" true
+    (Group.element_of_bytes (bytes32 (Bignum.sub big_p Bignum.one)) <> None);
+  check Alcotest.bool "rejects p" true (Group.element_of_bytes (bytes32 big_p) = None);
   check Alcotest.bool "rejects >= p" true
-    (Group.element_of_bytes (String.make 32 '\xff') = None)
+    (Group.element_of_bytes (String.make 32 '\xff') = None);
+  check Alcotest.bool "rejects short" true (Group.element_of_bytes "\x01" = None)
 
 let prop_group_pow_homomorphism =
   QCheck.Test.make ~name:"g^a * g^b = g^(a+b)" ~count:20
     QCheck.(pair (int_bound 100000) (int_bound 100000))
     (fun (a, b) ->
-      let lhs = Group.mul (Group.pow Group.g (bn a)) (Group.pow Group.g (bn b)) in
-      let rhs = Group.pow Group.g (bn (a + b)) in
-      Bignum.equal lhs rhs)
+      let lhs = Group.mul (Group.pow Group.g (sc a)) (Group.pow Group.g (sc b)) in
+      elt_bytes lhs = elt_bytes (Group.pow Group.g (sc (a + b)))
+      && elt_bytes lhs = elt_bytes (Group.pow_g (sc (a + b))))
 
 let test_group_table_pow () =
-  let base = bn 987654321 in
+  let base = big_elt (bn 987654321) in
   let table = Group.make_table base in
   List.iter
     (fun e ->
-      check bn_testable (Printf.sprintf "base^%d" e) (Group.pow base (bn e))
-        (Group.pow_table table (bn e)))
+      check elt_testable (Printf.sprintf "base^%d" e) (Group.pow base (sc e))
+        (Group.pow_table table (sc e)))
     [ 0; 1; 2; 255; 1 lsl 30 ];
   (* A full-width exponent exercises every table entry the value touches. *)
-  let e = Bignum.sub Group.n Bignum.one in
-  check bn_testable "base^(n-1)" (Group.pow base e) (Group.pow_table table e);
-  check bn_testable "g_table consistent" (Group.pow Group.g e) (Group.pow_g e)
+  let e = sc_big (Bignum.sub big_n Bignum.one) in
+  check elt_testable "base^(n-1)" (Group.pow base e) (Group.pow_table table e);
+  check elt_testable "comb for g" (Group.pow Group.g e) (Group.pow_g e)
 
-let prop_group_multi_pow =
-  QCheck.Test.make ~name:"multi_pow = product of pows" ~count:15
-    QCheck.(triple (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 100000))
-    (fun (a, b, c) ->
-      let y = Group.pow_g (bn c) in
-      let expect = Group.mul (Group.pow Group.g (bn a)) (Group.pow y (bn b)) in
-      Bignum.equal expect (Group.multi_pow [ (Group.g, bn a); (y, bn b) ]))
+(* The verification product g^s * y^(-e), both ways verify builds it,
+   against the oracle. *)
+let prop_group_verify_product =
+  QCheck.Test.make ~name:"pow_g * pow = oracle product" ~count:10
+    QCheck.(triple arb_bytes32 arb_bytes32 (int_range 2 1_000_000))
+    (fun (rs, re, c) ->
+      let s = Bignum.rem (Bignum.of_bytes_be rs) big_n
+      and e = Bignum.rem (Bignum.of_bytes_be re) big_n in
+      let y = oracle_pow (bn 2) (bn c) in
+      let expect =
+        bytes32 (oracle_mul (oracle_pow (bn 2) s) (oracle_pow y (Bignum.sub big_n e)))
+      in
+      let gy = Group.pow_g (Group.scalar_of_bytes rs)
+      and ne = Group.scalar_neg (Group.scalar_of_bytes re) in
+      elt_bytes (Group.mul gy (Group.pow (big_elt y) ne)) = expect
+      && elt_bytes (Group.mul gy (Group.pow_table (Group.make_table (big_elt y)) ne))
+         = expect)
 
 (* --- Schnorr --- *)
+
+let flip_bit s bit =
+  let n = String.length s in
+  if n = 0 then s
+  else
+    let i = bit / 8 mod n and b = bit mod 8 in
+    String.mapi
+      (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
+      s
+
 
 let test_schnorr_sign_verify () =
   let sk, pk = Schnorr.keypair_of_seed "replica-0" in
@@ -332,6 +468,144 @@ let test_schnorr_precompute_matches () =
   check Alcotest.bool "accepts" true untabled_ok;
   check Alcotest.bool "rejects" false untabled_bad
 
+(* Known answers from the generic-bignum implementation the fixed-limb
+   kernels replaced: (seed, public key, signature on sha256("kat-" ^ seed)).
+   Keys and signatures must stay byte-identical. *)
+let known_answers =
+  [
+    ( "",
+      "5295a556ab2b5cd8c6926deaee27a1ff9ec502b4bf547e369b12190b780a9056",
+      "09702c51def16fff508dd13dcc53d1c7ed2f9fbe5c712abab1f787f976d9ed15"
+      ^ "583b78a0845bcdda3ebfa0a93cea3198e63e9bc903c87829c3de9b9619ff2b1f" );
+    ( "replica-0",
+      "12b344d419b84dca3c2127fff95a35cd13fdb79a0ae3dd4016693a53a873b85d",
+      "6ab217240604e8123792b927737b5a62638b8cab6afef283769a6c245dbb2667"
+      ^ "352a41107dff1e3584feaf504a3984343abc8e0c2ad502cdedf35a17ec6f19f8" );
+    ( "replica-1",
+      "47e08096e12eb5ed76cc0b477f4c86152d50a1eac90c58e81f8fe27d54ec3f4f",
+      "2c926de3ed22f4cc474a17d4a4a40a0962b4f25a1a6508d22b7e62c6ea17221d"
+      ^ "71d0fc88561b26aacb872a7411573001d060c25c7f9931d317f1fa11bdd7cef6" );
+    ( "replica-2",
+      "62c599b49dba0611c43e4bd61de7ccb5dfaa6f256a3893a1243779e12e1fa73e",
+      "549381ffb23855a4f9e6aaf286300caca421ce3d2fee53b403203cf9f21fc3e4"
+      ^ "7c05278ae2837e2807c0ad8f3d2b280ddfcf9244029366e2c24d08d6e44ef85a" );
+    ( "replica-3",
+      "01e8d82c263af2c05cb14c6562bf107ab7d986bbaab8cd4885fa9678ceeac5c1",
+      "772d038ef5c07b30b3b9bf4e4642968c0e116c59b0b4c4377662615cefd026a5"
+      ^ "255fadb97de2b8c243ceabafde31795208f446cec10173b15e7b76032da2da3d" );
+    ( "client-0",
+      "35244af8bd2e4c47e140127b53639382488256167bc439245d393b38a9ce3ab9",
+      "10d6e10d4d0e7279f11cb5d70a765d35f7c3fc60ef4dfa2bf7fb6581637a0fad"
+      ^ "72d4e06de83bce25a99de1cdb917c73d4b8e50b96367b171fba4024f954ce4a3" );
+    ( "client-17",
+      "23c570073e79467746d71842cf7fc194682247ad5991c658d9c75d7d216135d6",
+      "66fa18cede94c4fadd5bbfe1688c7627c38a2592600e92f45bd963353fe7a67f"
+      ^ "6a0ed6e33a121e8a9267f7e336f16a0a68c2d557f118891c0fefcbe7ef6387f0" );
+    ( "\000\255 seed",
+      "10db377a017c2e34742c0d9c5bffc24c4e6736222ba8b23c8f5433ee8d9bf48a",
+      "38dc2504858f3f65e16ff9a8013ee9dd1b40c199e7893cf43a285b830b2d6b43"
+      ^ "7f80f286d379931ec834e6fc7416efebec507b2b2ebc7932171c6a73850f509e" );
+  ]
+
+let test_schnorr_known_answers () =
+  List.iter
+    (fun (seed, pk_hex, sig_hex) ->
+      let sk, pk = Schnorr.keypair_of_seed seed in
+      let digest = Sha256.digest ("kat-" ^ seed) in
+      check Alcotest.string ("pk " ^ String.escaped seed) pk_hex
+        (Hex.encode (Schnorr.public_key_to_bytes pk));
+      check Alcotest.string ("sig " ^ String.escaped seed) sig_hex
+        (Hex.encode (Schnorr.sign sk digest));
+      check Alcotest.bool "verifies" true
+        (Schnorr.verify pk digest ~signature:(Hex.decode sig_hex)))
+    known_answers
+
+(* The oracle's verify: R' = g^s * y^(n-e) on Bignum, then the challenge
+   compare, with e and s range-checked against n. *)
+let oracle_verify pk_bytes digest signature =
+  String.length signature = 64
+  &&
+  let e = Bignum.of_bytes_be (String.sub signature 0 32)
+  and s = Bignum.of_bytes_be (String.sub signature 32 32) in
+  Bignum.compare e big_n < 0
+  && Bignum.compare s big_n < 0
+  &&
+  let y = Bignum.of_bytes_be pk_bytes in
+  let r = oracle_mul (oracle_pow (bn 2) s) (oracle_pow y (Bignum.sub big_n e)) in
+  let e' =
+    Bignum.rem (Bignum.of_bytes_be (Sha256.digest_concat [ bytes32 r; pk_bytes; digest ])) big_n
+  in
+  Bignum.equal e e'
+
+let n_bytes = bytes32 big_n
+
+(* Each corruption of a valid (key, digest, signature), named. *)
+let corruptions =
+  [
+    ("valid", fun (_, d, sg) -> (None, d, sg));
+    ("e = 0", fun (_, d, sg) -> (None, d, String.make 32 '\x00' ^ String.sub sg 32 32));
+    ("e = n", fun (_, d, sg) -> (None, d, n_bytes ^ String.sub sg 32 32));
+    ("s = n", fun (_, d, sg) -> (None, d, String.sub sg 0 32 ^ n_bytes));
+    ("e flipped", fun (i, d, sg) -> (None, d, flip_bit sg (8 * (i mod 32))));
+    ("s flipped", fun (i, d, sg) -> (None, d, flip_bit sg (8 * (32 + (i mod 32)))));
+    ("wrong key", fun (_, d, sg) -> (Some "other key", d, sg));
+    ("wrong digest", fun (i, d, sg) -> (None, flip_bit d i, sg));
+  ]
+
+let prop_schnorr_verify_matches_oracle =
+  QCheck.Test.make ~name:"verify = oracle, tabled and untabled, corrupted" ~count:12
+    QCheck.(pair small_string (int_bound 255))
+    (fun (seed, i) ->
+      let sk, pk = Schnorr.keypair_of_seed seed in
+      let digest = Sha256.digest seed in
+      let signature = Schnorr.sign sk digest in
+      List.for_all
+        (fun (name, corrupt) ->
+          let other, d, sg = corrupt (i, digest, signature) in
+          let pk = match other with None -> pk | Some s -> snd (Schnorr.keypair_of_seed s) in
+          let kb = Schnorr.public_key_to_bytes pk in
+          let fresh () = Option.get (Schnorr.public_key_of_bytes kb) in
+          let tabled = fresh () in
+          Schnorr.precompute tabled;
+          let expect = oracle_verify kb d sg in
+          let got_untabled = Schnorr.verify (fresh ()) d ~signature:sg in
+          let got_tabled = Schnorr.verify tabled d ~signature:sg in
+          if got_untabled <> expect || got_tabled <> expect then
+            QCheck.Test.fail_reportf "%s: oracle %b, untabled %b, tabled %b" name expect
+              got_untabled got_tabled;
+          expect = (name = "valid"))
+        corruptions)
+
+(* Signing and verifying on two domains at once, on shared keys whose
+   tables the domains race to build, gives what a sequential run gives. *)
+let test_schnorr_parallel_domains () =
+  let keys = Array.init 4 (fun i -> Schnorr.keypair_of_seed (Printf.sprintf "dom-%d" i)) in
+  let job keys i =
+    let sk, pk = keys.(i mod 4) in
+    let digest = Sha256.digest (Printf.sprintf "dom-msg-%d" i) in
+    let signature = Schnorr.sign sk digest in
+    if i mod 3 = 0 then Schnorr.precompute pk;
+    ( signature,
+      Schnorr.verify pk digest ~signature,
+      Schnorr.verify pk digest ~signature:(flip_bit signature i) )
+  in
+  let run keys lo = List.init 24 (fun i -> job keys (lo + i)) in
+  let sequential =
+    let keys = Array.init 4 (fun i -> Schnorr.keypair_of_seed (Printf.sprintf "dom-%d" i)) in
+    run keys 0 @ run keys 24
+  in
+  let other = Domain.spawn (fun () -> run keys 24) in
+  let mine = run keys 0 in
+  let parallel = mine @ Domain.join other in
+  check Alcotest.int "same length" (List.length sequential) (List.length parallel);
+  List.iteri
+    (fun i ((sg, ok, bad), (sg', ok', bad')) ->
+      check Alcotest.string (Printf.sprintf "signature %d" i) (Hex.encode sg) (Hex.encode sg');
+      check Alcotest.(pair bool bool) (Printf.sprintf "verdicts %d" i) (ok, bad) (ok', bad'))
+    (List.combine sequential parallel);
+  check Alcotest.bool "valid accepted, flipped rejected" true
+    (List.for_all (fun (_, ok, bad) -> ok && not bad) sequential)
+
 (* --- Digest32 / Nonce --- *)
 
 let test_digest32 () =
@@ -362,15 +636,6 @@ let test_nonce_derive_distinct () =
 
 
 (* --- Vstage: interning, the third-use table threshold, verification --- *)
-
-let flip_bit s bit =
-  let n = String.length s in
-  if n = 0 then s
-  else
-    let i = bit / 8 mod n and b = bit mod 8 in
-    String.mapi
-      (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
-      s
 
 (* The stage must agree with Schnorr.verify on a fresh, untabled copy of
    the key — on valid signatures and on inputs with a random bit flipped
@@ -477,7 +742,9 @@ let () =
           Alcotest.test_case "element bytes" `Quick test_group_element_bytes;
           Alcotest.test_case "fixed-base table" `Quick test_group_table_pow;
           qtest prop_group_pow_homomorphism;
-          qtest prop_group_multi_pow;
+          qtest prop_group_verify_product;
+          qtest prop_group_field_kernel;
+          qtest prop_group_scalar_kernel;
         ] );
       ( "schnorr",
         [
@@ -491,6 +758,10 @@ let () =
           qtest prop_schnorr_cross_rejects;
           Alcotest.test_case "precompute matches" `Quick
             test_schnorr_precompute_matches;
+          Alcotest.test_case "known answers" `Quick test_schnorr_known_answers;
+          qtest prop_schnorr_verify_matches_oracle;
+          Alcotest.test_case "parallel domains = sequential" `Quick
+            test_schnorr_parallel_domains;
         ] );
       ( "vstage", [ qtest prop_vstage_matches_reference_under_flips ] );
       ( "digest/nonce",
