@@ -56,4 +56,4 @@ let () =
   | Ok () ->
       print_endline
         "audit: the post-view-change ledger is well-formed and consistent with all receipts"
-  | Error v -> Format.printf "audit: %a@." Audit.pp_verdict v
+  | Error v -> Format.kasprintf failwith "audit: %a" Audit.pp_verdict v

@@ -37,7 +37,7 @@ let () =
       | Ok () ->
           Format.printf "verified: %a (%d bytes)@." Receipt.pp_receipt r
             (Receipt.size_bytes r)
-      | Error e -> Format.printf "INVALID receipt: %s@." e)
+      | Error e -> failwith ("invalid receipt: " ^ e))
     !receipts;
 
   (* The ledger binds everything: an auditor can replay it from genesis. *)
@@ -53,4 +53,4 @@ let () =
       ~responder:0 ()
   with
   | Ok () -> print_endline "audit: ledger is consistent with all receipts"
-  | Error v -> Format.printf "audit: %a@." Audit.pp_verdict v
+  | Error v -> Format.kasprintf failwith "audit: %a" Audit.pp_verdict v

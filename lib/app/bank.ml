@@ -83,6 +83,11 @@ let balance (ctx : App.context) args =
   | Some b -> Ok (string_of_int b)
   | None -> Error "no such account"
 
+(* [bank/open] (args: initial balance) opens the caller's account;
+   [bank/deposit] (args: "owner-hex,amount") lets anyone deposit;
+   [bank/withdraw] (args: "amount") and [bank/transfer] (args:
+   "dst-hex,amount") act on the caller's own account only;
+   [bank/balance] (args: "owner-hex") is public. *)
 let procedures =
   [
     ("bank/open", open_account);

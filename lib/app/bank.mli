@@ -8,13 +8,6 @@
     part of the signed request, misexecution of an access-control check is
     caught by audit replay like any other fraud. *)
 
-val procedures : (string * Iaccf_core.App.procedure) list
-(** [bank/open] (args: initial balance) — opens the caller's account;
-    [bank/deposit] (args: ["owner-hex,amount"]) — anyone may deposit;
-    [bank/withdraw] (args: ["amount"]) — caller's own account only;
-    [bank/transfer] (args: ["dst-hex,amount"]) — from the caller's account;
-    [bank/balance] (args: ["owner-hex"]) — public. *)
-
 val app : unit -> Iaccf_core.App.t
 
 val owner_hex : Iaccf_crypto.Schnorr.public_key -> string

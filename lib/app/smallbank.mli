@@ -7,10 +7,6 @@
     are deterministic and reject overdrafts, so replay-based auditing can
     re-check every execution. *)
 
-val procedures : (string * Iaccf_core.App.procedure) list
-(** [sb/create], [sb/deposit], [sb/withdraw], [sb/transfer], [sb/balance],
-    [sb/amalgamate]. *)
-
 val app : unit -> Iaccf_core.App.t
 (** A fresh application with just the SmallBank procedures. *)
 

@@ -209,5 +209,4 @@ let submit c ~payload ~on_complete =
       (Propose { pr_id = id; pr_payload = payload; pr_client = c.cl_address })
   done
 
-let client_completed c = c.cl_completed
 let client_latencies c = List.rev c.cl_latencies

@@ -39,5 +39,4 @@ val client :
   client
 
 val submit : client -> payload:string -> on_complete:(latency_ms:float -> unit) -> unit
-val client_completed : client -> int
 val client_latencies : client -> float list

@@ -379,5 +379,4 @@ let submit c ~payload ~on_complete =
     Network.send c.cl_network ~src:c.cl_address ~dst (Cmd cmd)
   done
 
-let client_completed c = c.cl_completed
 let client_latencies c = List.rev c.cl_latencies

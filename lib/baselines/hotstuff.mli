@@ -55,5 +55,4 @@ val client :
 val submit : client -> payload:string -> on_complete:(latency_ms:float -> unit) -> unit
 (** Completion fires on [f+1] matching replies. *)
 
-val client_completed : client -> int
 val client_latencies : client -> float list

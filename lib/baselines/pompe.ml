@@ -8,8 +8,6 @@ type result = {
   r_signatures : int;
 }
 
-let nominal_latency_rtt = 6.0
-
 let run ~n ~commands ~batch =
   let f = ((n + 2) / 3) - 1 in
   let keys = Array.init n (fun i -> Schnorr.keypair_of_seed (Printf.sprintf "pompe-%d" i)) in

@@ -22,7 +22,3 @@ val run : n:int -> commands:int -> batch:int -> result
 (** Perform the per-command ordering signatures (2f+1 timestamp signatures
     and their verifications, amortized consensus signatures per batch) for
     [commands] empty commands on real crypto, and measure. *)
-
-val nominal_latency_rtt : float
-(** Network round trips to a client result on the fast path (ordering
-    round + consensus), ~6. *)

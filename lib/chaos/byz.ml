@@ -12,14 +12,6 @@ type behaviour =
   | Corrupt_view_changes
   | Mute
 
-let behaviour_name = function
-  | Equivocate_pre_prepares -> "equivocate-pre-prepares"
-  | Tamper_replyx -> "tamper-replyx"
-  | Withhold_nonces -> "withhold-nonces"
-  | Equivocate_nonces -> "equivocate-nonces"
-  | Corrupt_view_changes -> "corrupt-view-changes"
-  | Mute -> "mute"
-
 (* A validly signed pre-prepare for the same (view, seqno) committing to a
    different ledger root: real equivocation, not a broken signature. *)
 let equivocate_pp ~sk (pp : Message.pre_prepare) =

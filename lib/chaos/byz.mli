@@ -24,8 +24,6 @@ type behaviour =
       (** break the signature on every outgoing view-change message *)
   | Mute  (** drop every outbound message (a silent crash, seen from outside) *)
 
-val behaviour_name : behaviour -> string
-
 val intercept :
   sk:Iaccf_crypto.Schnorr.secret_key ->
   client_base:int ->

@@ -15,8 +15,6 @@ type result = {
   r_wall_s : float;
 }
 
-val ok : result -> bool
-
 val reproducer : result -> string
 (** The CLI line that re-runs exactly this cell. *)
 

@@ -81,8 +81,6 @@ let honest id ctx = Network.clear_intercept (Cluster.network ctx.cx_cluster) id
 let suspect_primary id ctx =
   Replica.inject_view_change (Cluster.replica ctx.cx_cluster id)
 
-let crash_all_storage ctx = Cluster.crash_storage ctx.cx_cluster
-
 (* --- workload helper (shared by the live harness and recovery scenarios) --- *)
 
 (* Submit [n] requests, paced so scripted faults land mid-stream, and return

@@ -81,8 +81,6 @@ val honest : int -> ctx -> unit
 val suspect_primary : int -> ctx -> unit
 (** Make a replica suspect the primary now. *)
 
-val crash_all_storage : ctx -> unit
-
 (** {1 Harnesses} *)
 
 val live :

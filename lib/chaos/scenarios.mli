@@ -22,9 +22,6 @@
       compaction followed by a stale replica's snapshot catch-up; after
       each the service must stay live, auditable, and linearizable. *)
 
-val core : Scenario.t list
-val byzantine : Scenario.t list
-val recovery : Scenario.t list
 val all : Scenario.t list
 
 val suite : Scenario.suite -> Scenario.t list

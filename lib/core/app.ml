@@ -114,6 +114,7 @@ let create procs =
   List.iter (fun (name, p) -> Hashtbl.add table name p) builtin;
   { procedures = table }
 
+(* User procedures and the built-in governance procedures. *)
 let find t name = Hashtbl.find_opt t.procedures name
 let output_ok s = "\x01" ^ s
 let output_error s = "\x00" ^ s

@@ -24,9 +24,6 @@ type t
 val create : (string * procedure) list -> t
 (** @raise Invalid_argument on duplicate names or reserved ["gov/"] names. *)
 
-val find : t -> string -> procedure option
-(** Looks up user procedures and the built-in governance procedures. *)
-
 val execute :
   t ->
   config:Iaccf_types.Config.t ->
@@ -58,5 +55,4 @@ val config_key : string
 val output_ok : string -> string
 (** Encode a successful output the way [execute] does. *)
 
-val output_error : string -> string
 val decode_output : string -> (string, string) result

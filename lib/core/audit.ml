@@ -7,7 +7,6 @@ module Ledger = Iaccf_ledger.Ledger
 module Entry = Iaccf_ledger.Entry
 module Checkpoint = Iaccf_kv.Checkpoint
 module Store = Iaccf_kv.Store
-module Hamt = Iaccf_kv.Hamt
 module Tree = Iaccf_merkle.Tree
 module Bitmap = Iaccf_util.Bitmap
 module D = Iaccf_crypto.Digest32
@@ -34,8 +33,7 @@ type t = {
   genesis : Genesis.t;
   service : D.t;
   app : App.t;
-  pipeline : int;
-  checkpoint_interval : int;
+  rule : Schedule.rule; (* the replay takes every checkpoint a replica may *)
   chain : Govchain.t;
 }
 
@@ -44,8 +42,7 @@ let create ~genesis ~app ~pipeline ~checkpoint_interval =
     genesis;
     service = Genesis.hash genesis;
     app;
-    pipeline;
-    checkpoint_interval;
+    rule = { Schedule.pipeline; interval = checkpoint_interval; checkpoints = true };
     chain = Govchain.create genesis ~pipeline;
   }
 
@@ -163,6 +160,7 @@ type scan = {
   sc_evidence : (int, Bitmap.t) Hashtbl.t; (* seqno -> evidence contributors *)
   sc_vc_sets : (int * Message.view_change list) list; (* ascending ledger order *)
   sc_max_seqno : int;
+  sc_timeline : Schedule.timeline; (* the configurations the passed votes install *)
 }
 
 exception Malformed of int * string
@@ -172,8 +170,7 @@ let scan_ledger t ~responder ledger =
   let batches : (int, batch_info) Hashtbl.t = Hashtbl.create 64 in
   let evidence = Hashtbl.create 64 in
   let vc_sets = ref [] in
-  let cfg = ref t.genesis.Genesis.initial_config in
-  let cfg_pending = ref None in (* (activation_seqno, config) *)
+  let timeline = ref (Schedule.timeline t.genesis.Genesis.initial_config) in
   let gov_index = ref 0 in
   let next_seqno = ref 1 in
   let max_seqno = ref 0 in
@@ -183,18 +180,7 @@ let scan_ledger t ~responder ledger =
   let pending_ne = ref None in
   let open_batch = ref None in (* (pp, ledger index, txs rev) *)
   let fail i reason = raise (Malformed (i, reason)) in
-  let config_at s =
-    match !cfg_pending with
-    | Some (activation, c) when s > activation -> c
-    | _ -> !cfg
-  in
-  let maybe_activate s =
-    match !cfg_pending with
-    | Some (activation, c) when s >= activation ->
-        cfg := c;
-        cfg_pending := None
-    | _ -> ()
-  in
+  let config_at s = Schedule.config_at !timeline s in
   let close_batch i =
     match !open_batch with
     | None -> ()
@@ -240,7 +226,8 @@ let scan_ledger t ~responder ledger =
                 | exception _ -> None
               in
               match Option.bind proposal config_of with
-              | Some c -> cfg_pending := Some (s + (2 * t.pipeline), c)
+              | Some c ->
+                  timeline := Schedule.extend !timeline ~pipeline:t.rule.pipeline ~vote_seqno:s c
               | None -> fail i "passed vote without a visible proposal"
             end)
           txs;
@@ -315,7 +302,6 @@ let scan_ledger t ~responder ledger =
         | _ -> fail i "nonce evidence without matching prepare evidence")
     | Entry.Pre_prepare pp ->
         let s = pp.Message.seqno in
-        maybe_activate s;
         let config = config_at s in
         if s <> !next_seqno then
           fail i (Printf.sprintf "unexpected sequence number %d (expected %d)" s !next_seqno);
@@ -325,7 +311,7 @@ let scan_ledger t ~responder ledger =
           fail i "pre-prepare m_root does not bind the ledger prefix";
         if pp.Message.gov_index <> !gov_index then
           fail i "pre-prepare gov_index incorrect";
-        (match (!pending_ne, s - t.pipeline) with
+        (match (!pending_ne, s - t.rule.pipeline) with
         | Some (es, bitmap), expected ->
             if es <> expected then fail i "evidence for the wrong batch";
             if not (Bitmap.equal bitmap pp.Message.ev_bitmap) then
@@ -363,7 +349,7 @@ let scan_ledger t ~responder ledger =
                 acc vc.Message.vc_last_prepared)
             0 vcs
         in
-        next_seqno := max 1 (s_lp - t.pipeline + 1)
+        next_seqno := max 1 (s_lp - t.rule.pipeline + 1)
     | Entry.New_view nv ->
         let config = config_at !next_seqno in
         if not (Message.verify_new_view config nv) then
@@ -390,6 +376,7 @@ let scan_ledger t ~responder ledger =
           sc_evidence = evidence;
           sc_vc_sets = List.rev !vc_sets;
           sc_max_seqno = !max_seqno;
+          sc_timeline = !timeline;
         }
   | exception Malformed (i, reason) ->
       Error
@@ -541,16 +528,10 @@ let verify_receipts_in_ledger t ~responder scan receipts =
 (* Replay (Alg. 4, replayLedger)                                       *)
 
 let replay_ledger t ~responder scan ~checkpoint =
-  let store, start_seqno, cfg0 =
+  let store, start_seqno =
     match checkpoint with
-    | None -> (Store.create (), 0, t.genesis.Genesis.initial_config)
-    | Some cp ->
-        let cfg =
-          match Hamt.find App.config_key cp.Checkpoint.state with
-          | Some bytes -> ( try Config.deserialize bytes with _ -> t.genesis.Genesis.initial_config)
-          | None -> t.genesis.Genesis.initial_config
-        in
-        (Store.of_map cp.Checkpoint.state, cp.Checkpoint.seqno, cfg)
+    | None -> (Store.create (), 0)
+    | Some cp -> (Store.of_map cp.Checkpoint.state, cp.Checkpoint.seqno)
   in
   (* When starting from a checkpoint, its digest must be recorded by some
      checkpoint transaction in the ledger. *)
@@ -583,8 +564,6 @@ let replay_ledger t ~responder scan ~checkpoint =
   |> function
   | Error _ as e -> e
   | Ok () ->
-      let cfg = ref cfg0 in
-      let cfg_pending = ref None in
       let replay_cps = Hashtbl.create 8 in
       let take_cp s =
         let cp = Checkpoint.make ~seqno:s (Store.map store) in
@@ -609,19 +588,15 @@ let replay_ledger t ~responder scan ~checkpoint =
                       })
                    Bitmap.empty)
           | Some bi -> (
-              (match !cfg_pending with
-              | Some (activation, c) when s > activation ->
-                  cfg := c;
-                  cfg_pending := None
-              | _ -> ());
               let exec_result =
                 if s <= start_seqno then Ok ()
                 else begin
+                  let config = Schedule.config_at scan.sc_timeline s in
                   let rec exec = function
                     | [] -> Ok ()
                     | (tx : Batch.tx_entry) :: rest ->
                         let output, wsh =
-                          App.execute t.app ~config:!cfg
+                          App.execute t.app ~config
                             ~caller:tx.Batch.request.Request.client_pk ~store
                             ~proc:tx.Batch.request.Request.proc
                             ~args:tx.Batch.request.Request.args
@@ -647,20 +622,6 @@ let replay_ledger t ~responder scan ~checkpoint =
               match exec_result with
               | Error _ as e -> e
               | Ok () -> (
-                  (* Track configuration changes driven by executed state. *)
-                  (if s > start_seqno then begin
-                     match Hamt.find App.config_key (Store.map store) with
-                     | Some bytes -> (
-                         match Config.deserialize bytes with
-                         | exception _ -> ()
-                         | c ->
-                             if
-                               c.Config.config_no > (!cfg).Config.config_no
-                               && !cfg_pending = None
-                             then cfg_pending := Some (s + (2 * t.pipeline), c)
-                         )
-                     | None -> ()
-                   end);
                   (* Checkpoint transactions must record digests this replay
                      reproduces. *)
                   let cp_check =
@@ -687,11 +648,8 @@ let replay_ledger t ~responder scan ~checkpoint =
                   | Ok () ->
                       if
                         s > start_seqno
-                        && (s mod t.checkpoint_interval = 0
-                           ||
-                           match !cfg_pending with
-                           | Some (activation, _) -> s = activation
-                           | None -> false)
+                        && (Schedule.checkpoint_due t.rule s
+                           || Schedule.activates scan.sc_timeline s)
                       then take_cp s;
                       go (s + 1)))
         end

@@ -31,7 +31,6 @@ type t = {
       (* base config; each replica persists under [dir]/replica-<id> *)
   members : member_identity list;
   mutable replicas : (int * Replica.t) list;
-  mutable clients : Client.t list;
   mutable next_client_addr : int;
   client_table : (string, int) Hashtbl.t; (* client pk bytes -> address *)
 }
@@ -177,7 +176,6 @@ let make ?(seed = 1) ?n_members ?(params = Replica.default_params)
       persist;
       members;
       replicas = [];
-      clients = [];
       next_client_addr = client_base;
       client_table = Hashtbl.create 8;
     }
@@ -202,7 +200,6 @@ let make ?(seed = 1) ?n_members ?(params = Replica.default_params)
 let sched t = t.sched
 let network t = t.network
 let obs t = t.obs
-let profile t = t.profile
 let genesis t = t.genesis
 let replicas t = List.map snd t.replicas
 let replica t id = List.assoc id t.replicas
@@ -246,7 +243,6 @@ let add_client t ?(verify_receipts = true) ?(sign_requests = true) () =
   Hashtbl.replace t.client_table
     (Schnorr.public_key_to_bytes (Client.public_key c))
     address;
-  t.clients <- c :: t.clients;
   c
 
 let add_member_client t (m : member_identity) =
@@ -262,10 +258,7 @@ let add_member_client t (m : member_identity) =
   Hashtbl.replace t.client_table
     (Iaccf_crypto.Schnorr.public_key_to_bytes (Client.public_key c))
     address;
-  t.clients <- c :: t.clients;
   c
-
-let clients t = List.rev t.clients
 
 let run t ~ms = Sched.run ~until:(Sched.now t.sched +. ms) t.sched
 
@@ -305,10 +298,3 @@ let spawn_replica t ~id =
   Replica.start r;
   t.replicas <- t.replicas @ [ (id, r) ];
   r
-
-let committed_everywhere t =
-  List.fold_left
-    (fun acc (_, r) ->
-      if Replica.active r then min acc (Replica.last_committed r) else acc)
-    max_int t.replicas
-  |> fun x -> if x = max_int then 0 else x

@@ -28,8 +28,6 @@ type member_identity = {
     {!make} uses, so a simulator cluster and a socket fleet with the same
     seed are the same logical service. *)
 
-val standalone_members : seed:int -> n_members:int -> member_identity list
-
 val standalone_genesis : ?n_members:int -> seed:int -> n:int -> unit -> Genesis.t
 (** @raise Invalid_argument if the derived configuration is invalid. *)
 
@@ -69,11 +67,6 @@ val network : t -> Wire.t Iaccf_sim.Network.t
 val obs : t -> Iaccf_obs.Obs.t
 (** The deployment's observability registry (the one passed to {!make},
     or the private passive one). *)
-
-val profile : t -> Iaccf_crypto.Profile.t
-(** The deployment's shared crypto cost profiler (the one passed to
-    {!make}, or the disabled default). One profiler aggregates across all
-    replicas, giving the service-wide Table-3 breakdown. *)
 
 val genesis : t -> Genesis.t
 val replicas : t -> Replica.t list
@@ -120,8 +113,6 @@ val add_member_client : t -> member_identity -> Client.t
 (** A client whose signing key is the member's key, for submitting
     governance transactions (propose/vote referenda, §5.1). *)
 
-val clients : t -> Client.t list
-
 val run : t -> ms:float -> unit
 (** Advance the simulation by [ms] virtual milliseconds. *)
 
@@ -142,6 +133,3 @@ val make_next_config :
 val spawn_replica : t -> id:int -> Replica.t
 (** Create (and start) a replica for a future configuration; it stays
     passive until {!Replica.join} and activation. *)
-
-val committed_everywhere : t -> int
-(** Minimum [last_committed] across active replicas. *)

@@ -19,8 +19,7 @@ type t = {
   cfg : Config.t;
   sks : (int * Schnorr.secret_key) list; (* ascending by id *)
   app : App.t;
-  pipeline : int;
-  checkpoint_interval : int;
+  rule : Schedule.rule; (* the replicas' checkpoint cadence *)
   store : Store.t;
   led : Ledger.t;
   batches : (int, forged_batch) Hashtbl.t;
@@ -42,8 +41,6 @@ let sk_of t id =
   | None ->
       invalid_arg
         (Printf.sprintf "Forge: replica %d is not among the colluders" id)
-
-let colluders t = List.map fst t.sks
 
 (* A quorum subset of keys suffices: the forged histories are signed only
    by the colluders, so audits of them can never blame an outsider. The
@@ -73,8 +70,7 @@ let create ~genesis ~sks ~app ~pipeline ~checkpoint_interval =
       cfg;
       sks;
       app;
-      pipeline;
-      checkpoint_interval;
+      rule = { Schedule.pipeline; interval = checkpoint_interval; checkpoints = true };
       store;
       led = Ledger.create genesis;
       batches = Hashtbl.create 32;
@@ -109,7 +105,7 @@ let evidence_for t s_past =
 let ledger t =
   let entries = List.map snd (Ledger.entries t.led ()) in
   let tail = ref [] in
-  for s = max 1 (t.seqno - t.pipeline) to t.seqno - 1 do
+  for s = max 1 (t.seqno - t.rule.pipeline) to t.seqno - 1 do
     match Hashtbl.find_opt t.batches s with
     | None -> ()
     | Some fb ->
@@ -128,15 +124,15 @@ let ledger t =
 let append_batch t kind reqs execute_override =
   let s = t.seqno in
   let primary = primary_id t in
-  let ev_prepares, ev_nonces, ev_bitmap = evidence_for t (s - t.pipeline) in
-  if s - t.pipeline >= 1 then begin
-    let past = Hashtbl.find t.batches (s - t.pipeline) in
+  let ev_prepares, ev_nonces, ev_bitmap = evidence_for t (s - t.rule.pipeline) in
+  if s - t.rule.pipeline >= 1 then begin
+    let past = Hashtbl.find t.batches (s - t.rule.pipeline) in
     ignore
       (Ledger.append t.led
          (Entry.Prepare_evidence
             {
               pe_view = past.fb_pp.Message.view;
-              pe_seqno = s - t.pipeline;
+              pe_seqno = s - t.rule.pipeline;
               pe_prepares = ev_prepares;
             }));
     ignore
@@ -144,7 +140,7 @@ let append_batch t kind reqs execute_override =
          (Entry.Nonce_evidence
             {
               ne_view = past.fb_pp.Message.view;
-              ne_seqno = s - t.pipeline;
+              ne_seqno = s - t.rule.pipeline;
               ne_nonces = ev_nonces;
             }))
   end;
@@ -229,7 +225,7 @@ let append_batch t kind reqs execute_override =
   | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
   | _ -> ());
   Hashtbl.replace t.batches s { fb_pp = pp; fb_txs = txs };
-  if s mod t.checkpoint_interval = 0 then begin
+  if Schedule.checkpoint_due t.rule s then begin
     let cp = Checkpoint.make ~seqno:s (Store.map t.store) in
     Hashtbl.replace t.checkpoints s cp;
     t.latest_cp <- s
@@ -238,7 +234,7 @@ let append_batch t kind reqs execute_override =
   s
 
 let maybe_checkpoint_batch t =
-  if t.seqno mod t.checkpoint_interval = 0 then begin
+  if Schedule.checkpoint_due t.rule t.seqno then begin
     let cp = Hashtbl.find t.checkpoints t.latest_cp in
     ignore
       (append_batch t

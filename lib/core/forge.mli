@@ -32,9 +32,6 @@ val create :
     primary to sign raise [Invalid_argument] if its key was not
     provided. *)
 
-val colluders : t -> int list
-(** The colluding replica ids, ascending. *)
-
 val add_batch :
   t ->
   ?execute_override:(Request.t -> int -> (string * D.t) option) ->

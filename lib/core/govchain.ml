@@ -9,9 +9,7 @@ type t = {
   gen : Genesis.t;
   service_hash : D.t;
   pipeline : int;
-  (* (activation_seqno, config): config is active for seqnos strictly
-     greater than activation_seqno; ascending. *)
-  mutable configs : (int * Config.t) list;
+  mutable configs : Schedule.timeline;
   mutable chain : Receipt.t list; (* newest first *)
   mutable last_gov_index : int;
   proposals : (string, Config.t) Hashtbl.t;
@@ -25,29 +23,18 @@ let create gen ~pipeline =
     gen;
     service_hash = Genesis.hash gen;
     pipeline;
-    configs = [ (0, gen.Genesis.initial_config) ];
+    configs = Schedule.timeline gen.Genesis.initial_config;
     chain = [];
     last_gov_index = 0;
     proposals = Hashtbl.create 4;
     eoc_receipts = Hashtbl.create 4;
   }
 
-let genesis t = t.gen
-let service t = t.service_hash
 let receipts t = List.rev t.chain
 let last_gov_index t = t.last_gov_index
 
-let config_for_seqno t s =
-  let rec go acc = function
-    | [] -> acc
-    | (activation, cfg) :: rest -> if s > activation then go cfg rest else acc
-  in
-  match t.configs with
-  | (_, first) :: rest -> go first rest
-  | [] -> assert false
-
-let latest_config t =
-  match List.rev t.configs with (_, cfg) :: _ -> cfg | [] -> assert false
+let config_for_seqno t s = Schedule.config_at t.configs s
+let latest_config t = Schedule.latest t.configs
 
 let verify_receipt t r =
   let config = config_for_seqno t (Receipt.seqno r) in
@@ -78,8 +65,9 @@ let add_receipt t r =
                 match Hashtbl.find_opt t.proposals req.Request.args with
                 | None -> Error "passed vote for an unknown proposal"
                 | Some new_config ->
-                    let activation = Receipt.seqno r + (2 * t.pipeline) in
-                    t.configs <- t.configs @ [ (activation, new_config) ];
+                    t.configs <-
+                      Schedule.extend t.configs ~pipeline:t.pipeline
+                        ~vote_seqno:(Receipt.seqno r) new_config;
                     Ok ())
             | _, _ -> Ok ())
         | Receipt.Batch_subject -> (

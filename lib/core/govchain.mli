@@ -23,8 +23,6 @@ val config_for_seqno : t -> int -> Iaccf_types.Config.t
 (** The configuration active for a batch at the given sequence number. *)
 
 val latest_config : t -> Iaccf_types.Config.t
-val genesis : t -> Iaccf_types.Genesis.t
-val service : t -> Iaccf_crypto.Digest32.t
 val receipts : t -> Receipt.t list
 val last_gov_index : t -> int
 (** Highest governance-transaction ledger index incorporated so far. *)

@@ -60,10 +60,6 @@ val verify : config:Iaccf_types.Config.t -> service:D.t -> t -> (unit, string) r
     quorum size, the Merkle path to [g_root], and — for transaction
     subjects — the client signature and service binding of the request. *)
 
-val reconstruct_prepare : t -> replica:int -> nonce:string -> signature:string -> Message.prepare
-(** The prepare message a verifier reconstructs for a contributing backup;
-    exposed for auditors that compare receipts against ledgers. *)
-
 val encode : Iaccf_util.Codec.W.t -> t -> unit
 val decode : Iaccf_util.Codec.R.t -> t
 val serialize : t -> string

@@ -111,11 +111,6 @@ let make_phase_hists obs =
     h_prepared_to_commit = Obs.histogram obs "lat.prepared_to_commit_ms";
   }
 
-type reconfig_phase =
-  | Normal
-  | Ending of { vote_seqno : int; new_config : Config.t; committed_root : D.t }
-  | Starting of { cp_seqno : int; last_start : int }
-
 (* What executing a batch changes outside its own record, captured before
    it runs so that an aborted execution or a rollback can restore it. *)
 type undo = {
@@ -123,7 +118,7 @@ type undo = {
   u_kv : int;
   u_gov_index : int;
   u_dc : D.t;
-  u_phase : reconfig_phase;
+  u_phase : Schedule.phase;
   u_cfg : Config.t;
 }
 
@@ -159,6 +154,7 @@ type t = {
   vstage : Vstage.t; (* signature verification with per-key tables *)
   ctr : counters;
   ph : phase_hists;
+  rule : Schedule.rule; (* checkpoint and reconfiguration schedule *)
   mutable cfg : Config.t;
   mutable view : int;
   mutable seqno : int; (* s: next sequence number to assign/accept *)
@@ -169,7 +165,7 @@ type t = {
   mutable last_committed : int;
   mutable gov_index : int;
   mutable current_dc : D.t;
-  mutable phase : reconfig_phase;
+  mutable phase : Schedule.phase;
   store : Store.t;
   ledger : Ledger.t;
   storage : Iaccf_storage.Store.t option;  (* durable ledger backend *)
@@ -193,6 +189,8 @@ type t = {
   mutable batch_timer_armed : bool;
   mutable pending_new_view : (Message.new_view * Message.view_change list) option;
   mutable fetch_target : int option; (* replica we are fetching state from *)
+  (* During a reconfiguration, the outgoing configuration's replicas
+     still receive protocol messages until the new one has started (5.1). *)
   mutable extra_recipients : int list;
   mutable stall_count : int; (* consecutive no-progress timer ticks *)
   (* The highest view above ours that signed consensus messages came from,
@@ -210,8 +208,6 @@ type t = {
          re-proposed in a later view keeps its original transaction entries
          (and hence ledger indices and g_root), as required for receipts to
          stay valid across view changes (Alg. 2). *)
-      (* during a reconfiguration, the outgoing configuration's replicas
-         still receive protocol messages until they retire at s+2P (5.1) *)
   index : Status_index.t; (* transaction status and read index *)
 }
 
@@ -223,7 +219,6 @@ let storage t = t.storage
 let config t = t.cfg
 let view t = t.view
 let next_seqno t = t.seqno
-let last_prepared t = t.last_prepared
 let last_committed t = t.last_committed
 let ledger t = t.ledger
 let store t = t.store
@@ -240,7 +235,6 @@ let stats t =
     view_changes = Obs.value t.ctr.c_view_changes;
     checkpoints_taken = Obs.value t.ctr.c_checkpoints_taken;
   }
-let gov_index t = t.gov_index
 let pending_requests t = Hashtbl.length t.requests
 let gov_receipts t = List.rev t.gov_receipts_rev
 let active t = t.activated && t.running
@@ -292,8 +286,11 @@ let sub_tbl tbl key =
       Hashtbl.replace tbl key sub;
       sub
 
-let checkpoint_due t s =
-  t.params.variant.Variant.enable_checkpoints && s mod t.params.checkpoint_interval = 0
+(* What seqno [s] must carry under the schedule (Schedule.slot). *)
+let slot t s =
+  Schedule.slot t.rule t.phase ~latest_cp:t.latest_cp_seqno
+    ~digest:(fun cp -> Option.map snd (Hashtbl.find_opt t.checkpoints cp))
+    s
 
 (* ------------------------------------------------------------------ *)
 (* Signing: real signatures, or HMAC authenticators for the macs-only  *)
@@ -607,30 +604,25 @@ let post_execute_batch t (pp : Message.pre_prepare) txs =
         ~args:[ ("seqno", string_of_int s) ]
         ()
   in
-  (match t.phase with
-  | Normal -> if checkpoint_due t s then take_checkpoint ()
-  | Ending _ | Starting _ -> ());
-  (* Detect a passed referendum: the vote procedure installs the new
-     configuration under the reserved key. *)
-  (match (t.phase, stored_config t) with
-  | Normal, Some new_config ->
-      t.extra_recipients <- replica_ids t;
-      t.phase <- Ending { vote_seqno = s; new_config; committed_root = m_root_now t }
-  | (Normal | Ending _ | Starting _), _ -> ());
-  (* Configuration activation at vote_seqno + 2P. *)
-  (match t.phase with
-  | Ending { vote_seqno; new_config; _ }
-    when s = vote_seqno + (2 * t.params.pipeline) ->
-      t.cfg <- new_config;
-      take_checkpoint ();
-      t.phase <- Starting { cp_seqno = s; last_start = s + 1 + t.params.pipeline };
-      if not (in_config t) then t.activated <- false
-  | Ending _ | Starting _ | Normal -> ());
-  match t.phase with
-  | Starting { last_start; _ } when s = last_start ->
-      t.phase <- Normal;
-      t.extra_recipients <- []
-  | Starting _ | Ending _ | Normal -> ()
+  let step =
+    Schedule.step t.rule t.phase s ~passed:(fun () ->
+        (* The vote procedure installs a passed configuration under the
+           reserved key. *)
+        Option.map (fun c -> (c, m_root_now t)) (stored_config t))
+  in
+  (match (t.phase, step.Schedule.next) with
+  | Schedule.Normal, Schedule.Ending _ -> t.extra_recipients <- replica_ids t
+  | (Schedule.Ending _ | Schedule.Starting _), Schedule.Normal -> t.extra_recipients <- []
+  | _ -> ());
+  Option.iter (fun c -> t.cfg <- c) step.Schedule.activate;
+  if step.Schedule.checkpoint then take_checkpoint ();
+  t.phase <- step.Schedule.next
+
+(* A replica the new configuration leaves out keeps voting until it has
+   committed the activation batch, whose nonce it must reveal. *)
+let retire_if_handed_over t =
+  if (not (in_config t)) && Schedule.handed_over t.phase ~last_committed:t.last_committed
+  then t.activated <- false
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint sealing and durable snapshots (state sync)               *)
@@ -962,6 +954,7 @@ and check_committed t =
         Obs.add t.ctr.c_requests_committed (List.length rec_.br_txs);
         trace_batch_committed t rec_;
         record_gov_receipts t rec_;
+        retire_if_handed_over t;
         prune_old_state t;
         try_send_pre_prepares t;
         check_committed t
@@ -997,56 +990,37 @@ and try_send_pre_prepares t =
   end
 
 and plan_batch t s =
-  match t.phase with
-  | Ending { vote_seqno; committed_root; _ } ->
-      if s <= vote_seqno + (2 * t.params.pipeline) then
-        Some (Batch.End_of_config { phase = s - vote_seqno; committed_root }, [])
-      else None (* activation happens in post_execute of batch 2P *)
-  | Starting { cp_seqno; last_start } ->
-      if s = cp_seqno + 1 then begin
-        match Hashtbl.find_opt t.checkpoints cp_seqno with
-        | Some (_, digest) -> Some (Batch.Checkpoint { cp_seqno; cp_digest = digest }, [])
-        | None -> None
-      end
-      else if s <= last_start then
-        Some (Batch.Start_of_config { phase = s - cp_seqno - 1 }, [])
-      else None
-  | Normal ->
-      if checkpoint_due t s && t.latest_cp_seqno >= 0 then begin
-        match Hashtbl.find_opt t.checkpoints t.latest_cp_seqno with
-        | Some (_, digest) ->
-            Some (Batch.Checkpoint { cp_seqno = t.latest_cp_seqno; cp_digest = digest }, [])
-        | None -> None
-      end
-      else begin
-        (* Collect a batch from T, oldest first, honoring minimum indices,
-           skipping executed duplicates, cutting after a governance tx. *)
-        let base_index = ledger_len t + 3 in
-        (* evidence(2) + pp(1) would place the first tx there when evidence
-           exists; recomputed precisely in emit_batch. This estimate only
-           gates min_index; emit_batch re-checks. *)
-        let rec take acc n = function
-          | [] -> List.rev acc
-          | h :: rest ->
-              if n = 0 then List.rev acc
-              else begin
-                match Hashtbl.find_opt t.requests h with
-                | None -> take acc n rest
-                | Some req ->
-                    if Hashtbl.mem t.executed_requests h then begin
-                      Hashtbl.remove t.requests h;
-                      take acc n rest
-                    end
-                    else if req.Request.min_index > base_index + List.length acc then
-                      take acc n rest
-                    else if Request.is_governance req then List.rev ((h, req) :: acc)
-                    else take ((h, req) :: acc) (n - 1) rest
-              end
-        in
-        let order = List.rev t.request_order in
-        let chosen = take [] t.params.max_batch (List.map D.to_raw order) in
-        if chosen = [] then None else Some (Batch.Regular, List.map snd chosen)
-      end
+  match slot t s with
+  | Schedule.Closed -> None
+  | Schedule.Fixed kind -> Some (kind, [])
+  | Schedule.Regular ->
+      (* Collect a batch from T, oldest first, honoring minimum indices,
+         skipping executed duplicates, cutting after a governance tx. *)
+      let base_index = ledger_len t + 3 in
+      (* evidence(2) + pp(1) would place the first tx there when evidence
+         exists; recomputed precisely in emit_batch. This estimate only
+         gates min_index; emit_batch re-checks. *)
+      let rec take acc n = function
+        | [] -> List.rev acc
+        | h :: rest ->
+            if n = 0 then List.rev acc
+            else begin
+              match Hashtbl.find_opt t.requests h with
+              | None -> take acc n rest
+              | Some req ->
+                  if Hashtbl.mem t.executed_requests h then begin
+                    Hashtbl.remove t.requests h;
+                    take acc n rest
+                  end
+                  else if req.Request.min_index > base_index + List.length acc then
+                    take acc n rest
+                  else if Request.is_governance req then List.rev ((h, req) :: acc)
+                  else take ((h, req) :: acc) (n - 1) rest
+            end
+      in
+      let order = List.rev t.request_order in
+      let chosen = take [] t.params.max_batch (List.map D.to_raw order) in
+      if chosen = [] then None else Some (Batch.Regular, List.map snd chosen)
 
 and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
   let s = t.seqno in
@@ -1094,36 +1068,6 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
 (* ------------------------------------------------------------------ *)
 (* Backup processing of pre-prepares (Alg. 1, line 15)                 *)
 
-and validate_kind t (pp : Message.pre_prepare) =
-  let s = pp.Message.seqno in
-  let cp_digest_matches cp_seqno digest =
-    if not t.params.variant.Variant.enable_checkpoints then true
-    else begin
-      match Hashtbl.find_opt t.checkpoints cp_seqno with
-      | Some (_, own) -> D.equal own digest
-      | None -> false
-    end
-  in
-  match (pp.Message.kind, t.phase) with
-  | Batch.Regular, Normal -> not (checkpoint_due t s)
-  | Batch.Checkpoint { cp_seqno; cp_digest }, Normal ->
-      checkpoint_due t s
-      && cp_seqno = t.latest_cp_seqno
-      && cp_digest_matches cp_seqno cp_digest
-  | Batch.End_of_config { phase; committed_root }, Ending { vote_seqno; committed_root = own_root; _ }
-    ->
-      phase = s - vote_seqno
-      && phase >= 1
-      && phase <= 2 * t.params.pipeline
-      && ((not (keep_ledger t)) || D.equal committed_root own_root)
-  | Batch.Checkpoint { cp_seqno; cp_digest }, Starting { cp_seqno = base; _ } ->
-      s = base + 1 && cp_seqno = base && cp_digest_matches cp_seqno cp_digest
-  | Batch.Start_of_config { phase }, Starting { cp_seqno = base; last_start } ->
-      s > base + 1 && s <= last_start && phase = s - base - 1
-  | ( (Batch.Regular | Batch.Checkpoint _ | Batch.End_of_config _ | Batch.Start_of_config _),
-      (Normal | Ending _ | Starting _) ) ->
-      false
-
 (* Returns true when the pp was consumed (accepted or definitively
    rejected); false when it should stay buffered. *)
 and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
@@ -1148,7 +1092,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
         send t ~dst:pp.Message.primary (Wire.Fetch_missing { fm_seqno = s });
         false
     | Some (ev_prepares, ev_nonces) ->
-        if not (validate_kind t pp) then begin
+        if not (Schedule.accepts (slot t s) pp.Message.kind) then begin
           tally t "replica.reject.kind";
           true (* reject; suspicion via timer *)
         end
@@ -1399,7 +1343,7 @@ and rollback_to t target =
        speculative: keeping them leaves latest_cp_seqno pointing past the
        committed prefix, and the next checkpoint-interval batch would seal
        a snapshot that peers which never executed the suffix cannot
-       validate (validate_kind pins cp_seqno = latest_cp_seqno on both
+       validate (the schedule pins cp_seqno = latest_cp_seqno on both
        sides) — no quorum ever forms and the view-change backoff turns the
        boundary into a livelock. Drop them; re-execution retakes them. *)
     Hashtbl.iter
@@ -1701,7 +1645,6 @@ and served_ledger t =
     batch_end = Hashtbl.find_opt t.batch_ledger_end;
     retained = Hashtbl.find_opt t.checkpoints;
     dir = storage_dir t;
-    chunk_bytes = Network.chunk_bytes t.network;
   }
 
 (* The one catch-up request: a snapshot offer or a suffix extent, as the
@@ -1817,6 +1760,7 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
       t.last_committed <- max t.last_committed s;
       Status_index.commit t.index ~seqno:s ~view:pp.Message.view
         ~index_writes:(not skip_exec) ~last_committed:t.last_committed;
+      retire_if_handed_over t;
       true
     | _ ->
       restore t undo;
@@ -2225,6 +2169,12 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       vstage;
       ctr = make_counters obs id;
       ph = make_phase_hists obs;
+      rule =
+        {
+          Schedule.pipeline = params.pipeline;
+          interval = params.checkpoint_interval;
+          checkpoints = params.variant.Variant.enable_checkpoints;
+        };
       cfg;
       view = 0;
       seqno = 1;
@@ -2235,7 +2185,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       last_committed = 0;
       gov_index = 0;
       current_dc = Checkpoint.digest cp0;
-      phase = Normal;
+      phase = Schedule.Normal;
       store;
       ledger = Ledger.create genesis;
       storage;
@@ -2300,9 +2250,6 @@ let inject_view_change t = start_view_change t
 
 let join t ~from = if t.running then fetch_from t from SyncSession.If_far
 let join_snapshot t ~from = if t.running then fetch_from t from SyncSession.Always
-
-let pruned_upto t = t.pruned_upto
-let syncing t = SyncSession.syncing t.sync_client
 
 (* Ledger compaction: drop the durable prefix behind the newest sealed,
    durably-snapshotted checkpoint. The in-memory ledger keeps the full

@@ -103,10 +103,8 @@ val stop : t -> unit
 val id : t -> int
 val config : t -> Config.t
 val view : t -> int
-val is_primary : t -> bool
 val active : t -> bool
 val next_seqno : t -> int
-val last_prepared : t -> int
 val last_committed : t -> int
 val ledger : t -> Iaccf_ledger.Ledger.t
 val storage : t -> Iaccf_storage.Store.t option
@@ -118,7 +116,6 @@ val stats : t -> stats
     replica. *)
 
 val obs : t -> Iaccf_obs.Obs.t
-val gov_index : t -> int
 val pending_requests : t -> int
 
 val checkpoint_at : t -> int -> Iaccf_kv.Checkpoint.t option
@@ -159,9 +156,6 @@ val build_receipt : t -> seqno:int -> tx_position:int option -> Receipt.t option
 val gov_receipts : t -> Receipt.t list
 (** Receipts of the governance sub-ledger, ascending (§5.2). *)
 
-val batch_package : t -> seqno:int -> Wire.batch_package option
-(** State-transfer package for a stored batch. *)
-
 val preload_state : t -> (string * string) list -> unit
 (** Install application state that is modelled as part of the genesis
     (bench setup); must be called before any batch executes. *)
@@ -192,13 +186,6 @@ val prune : t -> int
     and [iaccf audit --package] over the exported package still covers the
     dropped prefix.
     @raise Invalid_argument without [storage]. *)
-
-val pruned_upto : t -> int
-(** Ledger length pruned from this replica's own durable store (0 when
-    nothing was pruned). *)
-
-val syncing : t -> bool
-(** Whether a snapshot catch-up session is currently in flight. *)
 
 val store_version : t -> int
 (** Transactions executed locally (resets on checkpoint installation);

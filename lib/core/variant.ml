@@ -22,9 +22,3 @@ let full =
 let no_receipt = { full with gen_receipts = false }
 let peer_review = { full with peerreview = true }
 let signed_commits = { full with sign_commits = true }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "variant{receipts=%b;cp=%b;client_sigs=%b;macs=%b;ledger=%b;pr=%b;signed_commits=%b}"
-    t.gen_receipts t.enable_checkpoints t.verify_client_sigs t.macs_only
-    t.keep_ledger t.peerreview t.sign_commits

@@ -26,5 +26,3 @@ val peer_review : t
 
 val signed_commits : t
 (** The naive two-signature design (ablation). *)
-
-val pp : Format.formatter -> t -> unit

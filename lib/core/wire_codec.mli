@@ -7,9 +7,6 @@
     they never crash or over-read. Tag numbers are wire format: append
     variants, never renumber. *)
 
-val encode_msg : Iaccf_util.Codec.W.t -> Wire.t -> unit
-val decode_msg : Iaccf_util.Codec.R.t -> Wire.t
-
 val serialize : Wire.t -> string
 
 val deserialize : string -> Wire.t

@@ -7,7 +7,6 @@ let of_raw s =
   if String.length s <> size then invalid_arg "Digest32.of_raw: expected 32 bytes";
   s
 
-let concat ds = Sha256.digest_concat ds
 let to_raw d = d
 let to_hex = Iaccf_util.Hex.encode
 
@@ -16,7 +15,6 @@ let of_hex h =
   of_raw s
 
 let equal = String.equal
-let compare = String.compare
 let pp ppf d = Format.pp_print_string ppf (String.sub (to_hex d) 0 8)
 let pp_full ppf d = Format.pp_print_string ppf (to_hex d)
 let zero = String.make size '\x00'

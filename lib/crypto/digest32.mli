@@ -9,14 +9,10 @@ val of_string : string -> t
 val of_raw : string -> t
 (** Adopt an existing 32-byte digest. @raise Invalid_argument otherwise. *)
 
-val concat : t list -> t
-(** Digest of the concatenation of raw digests. *)
-
 val to_raw : t -> string
 val to_hex : t -> string
 val of_hex : string -> t
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints the first 8 hex characters, enough to identify values in traces. *)
 

@@ -9,8 +9,6 @@
 type t = private string
 (** A 32-byte nonce. *)
 
-val size : int
-
 val generate : Iaccf_util.Rng.t -> t
 (** Fresh random nonce. *)
 

@@ -6,8 +6,6 @@ type secret_key = { x : Group.scalar; seed : string; pk_bytes : string }
    racing rebuild just wastes 254 squarings. *)
 type public_key = { y : Group.elt; y_bytes : string; mutable table : Group.table option }
 
-let signature_size = 64
-let pp_public_key ppf pk = Format.pp_print_string ppf (Iaccf_util.Hex.encode pk.y_bytes)
 let public_key_equal a b = String.equal a.y_bytes b.y_bytes
 
 let nonzero_scalar v = if Group.scalar_is_zero v then Group.scalar_one else v

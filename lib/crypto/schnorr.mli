@@ -9,7 +9,6 @@
 type secret_key
 type public_key
 
-val pp_public_key : Format.formatter -> public_key -> unit
 val public_key_equal : public_key -> public_key -> bool
 
 val keypair_of_seed : string -> secret_key * public_key
@@ -39,6 +38,3 @@ val sign : secret_key -> string -> string
 val verify : public_key -> string -> signature:string -> bool
 (** [verify pk digest ~signature] checks a 64-byte signature on a 32-byte
     digest; malformed inputs verify as [false]. *)
-
-val signature_size : int
-(** 64. *)

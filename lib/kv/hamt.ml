@@ -46,7 +46,6 @@ let rec find_node h k node depth =
       else find_node h k children.(popcount_below bitmap i) (depth + 1)
 
 let find k t = find_node (hash_key k) k t.root 0
-let mem k t = Option.is_some (find k t)
 
 (* Insert both entries below a fresh branch; they are known distinct. *)
 let rec join depth h1 e1 h2 e2 =

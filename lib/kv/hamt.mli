@@ -10,7 +10,6 @@ val empty : t
 val is_empty : t -> bool
 val cardinal : t -> int
 val find : string -> t -> string option
-val mem : string -> t -> bool
 val add : string -> string -> t -> t
 val remove : string -> t -> t
 

@@ -45,11 +45,6 @@ let of_entries entries =
       t
   | _ -> invalid_arg "Ledger.of_entries: first entry must be the genesis"
 
-let genesis t =
-  match (Vec.get t.slots 0).entry with
-  | Entry.Genesis g -> g
-  | _ -> assert false
-
 let length t = Vec.length t.slots
 let get t i = (Vec.get t.slots i).entry
 let append = push

@@ -36,7 +36,6 @@ val of_entries : Entry.t list -> t
 (** Rebuild a ledger (e.g. a received fragment treated as a full ledger
     prefix) from raw entries. *)
 
-val genesis : t -> Iaccf_types.Genesis.t
 val length : t -> int
 val get : t -> int -> Entry.t
 val append : t -> Entry.t -> int

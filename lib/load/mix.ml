@@ -4,7 +4,6 @@ type t = { next : unit -> string * string }
 
 let next t = t.next ()
 let noop = { next = (fun () -> ("noop", "")) }
-let constant ~proc ~args = { next = (fun () -> (proc, args)) }
 
 let smallbank ~rng ~accounts ?(theta = 0.99) () =
   let zipf = Zipf.create ~theta ~n:accounts () in

@@ -11,9 +11,6 @@ val noop : t
 (** Every arrival is a [noop] — pure protocol load with a trivially
     linearizable history (the chaos oracle's lincheck stays closed). *)
 
-val constant : proc:string -> args:string -> t
-(** Every arrival invokes the same procedure. *)
-
 val smallbank :
   rng:Iaccf_util.Rng.t -> accounts:int -> ?theta:float -> unit -> t
 (** The SmallBank 5-way mix with Zipfian account skew (default [theta]

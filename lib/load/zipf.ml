@@ -25,9 +25,6 @@ let create ?(theta = 0.99) ~n () =
     { n; theta; cum }
   end
 
-let n t = t.n
-let theta t = t.theta
-
 let sample t rng =
   if t.theta = 0.0 then Rng.int rng t.n
   else begin

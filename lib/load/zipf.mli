@@ -12,9 +12,6 @@ val create : ?theta:float -> n:int -> unit -> t
 (** [n] ranks, default [theta] 0.99 (the YCSB constant).
     @raise Invalid_argument if [n <= 0] or [theta < 0]. *)
 
-val n : t -> int
-val theta : t -> float
-
 val sample : t -> Iaccf_util.Rng.t -> int
 (** A rank in [\[0, n)]; lower ranks are hotter for [theta > 0]. *)
 

@@ -40,7 +40,6 @@ let append t d =
     else continue := false
   done
 
-let append_data t s = append t (D.of_string s)
 let leaf t i = Vec.get t.leaves i
 
 let truncate t n =

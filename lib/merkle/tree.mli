@@ -25,9 +25,6 @@ val empty_root : Iaccf_crypto.Digest32.t
 val size : t -> int
 val append : t -> Iaccf_crypto.Digest32.t -> unit
 
-val append_data : t -> string -> unit
-(** [append_data t s] appends the leaf digest of raw data [s]. *)
-
 val root : t -> Iaccf_crypto.Digest32.t
 
 val leaf : t -> int -> Iaccf_crypto.Digest32.t

@@ -23,9 +23,6 @@ let of_string s =
               | _ -> Error (Printf.sprintf "address %S: bad port %S" s port)))
       | _ -> Error (Printf.sprintf "address %S: unknown scheme %S" s scheme))
 
-let of_string_exn s =
-  match of_string s with Ok a -> a | Error e -> invalid_arg e
-
 let sockaddr = function
   | Unix_sock path -> Unix.ADDR_UNIX path
   | Tcp (host, port) ->

@@ -5,9 +5,6 @@ type t = Unix_sock of string | Tcp of string * int
 val to_string : t -> string
 val of_string : string -> (t, string) result
 
-val of_string_exn : string -> t
-(** @raise Invalid_argument on a malformed address. *)
-
 val sockaddr : t -> Unix.sockaddr
 (** Resolve to a [Unix.sockaddr] (TCP hostnames resolved here).
     @raise Invalid_argument if the host cannot be resolved. *)

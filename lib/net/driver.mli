@@ -28,9 +28,6 @@ val obs : harness -> Iaccf_obs.Obs.t
 val clients : harness -> Iaccf_core.Client.t array
 (** The signing clients, for callers that drive their own workload. *)
 
-val latencies : harness -> float list
-(** All clients' completion latencies (ms), end-to-end. *)
-
 type result = {
   r_total : int;
   r_completed : int;

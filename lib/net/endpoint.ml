@@ -205,11 +205,6 @@ let send t ~dst payload =
 
 let learn_route t ~src c = Hashtbl.replace t.routes src c
 
-let connected t id =
-  match Hashtbl.find_opt t.peers id with
-  | Some { p_conn = Some c; _ } -> not c.connecting && not c.dead
-  | _ -> false
-
 let pending_out t =
   List.fold_left (fun acc c -> acc + Queue.length c.outq) 0 t.conns
 

@@ -49,12 +49,6 @@ val learn_route : t -> src:int -> conn -> unit
 val poll : t -> timeout_ms:float -> unit
 (** One event-loop turn: dial due peers, select, accept, read, write. *)
 
-val connected : t -> int -> bool
-(** Whether the connection to a manifest peer is established. *)
-
-val pending_out : t -> int
-(** Frames queued but not yet fully written, across all connections. *)
-
 val drain : t -> timeout_ms:float -> unit
 (** Poll until all queued output is flushed or the timeout elapses. *)
 

@@ -6,8 +6,6 @@
     or an implausible length the frame boundaries are unrecoverable and
     the connection must be dropped. *)
 
-val header_bytes : int
-
 val max_payload_bytes : int
 (** 16 MiB: protocol messages, not bulk segments. *)
 
@@ -26,6 +24,3 @@ val feed : t -> string -> unit
 val next : t -> [ `Frame of string | `Need_more | `Corrupt of string ]
 (** Extract the next complete frame. After [`Corrupt] the decoder state
     is meaningless: close the connection. *)
-
-val buffered : t -> int
-(** Bytes currently buffered (diagnostics). *)

@@ -6,6 +6,7 @@
 
 type child = { ch_id : int; ch_pid : int; ch_log : string }
 
+(* Start one child with stdout/stderr redirected to [log]; its pid. *)
 let spawn ~argv ~log =
   let log_fd =
     Unix.openfile log [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644
@@ -53,12 +54,6 @@ let wait_ready ?(timeout_ms = 10_000.0) (manifest : Manifest.t) =
         end
   in
   go manifest.Manifest.replicas
-
-let alive pid =
-  match Unix.waitpid [ Unix.WNOHANG ] pid with
-  | 0, _ -> true
-  | _ -> false
-  | exception Unix.Unix_error (ECHILD, _, _) -> false
 
 let kill_quiet pid signal = try Unix.kill pid signal with Unix.Unix_error _ -> ()
 

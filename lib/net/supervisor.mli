@@ -4,10 +4,6 @@
 
 type child = { ch_id : int; ch_pid : int; ch_log : string }
 
-val spawn : argv:string array -> log:string -> int
-(** Start one child with stdout/stderr redirected to [log]; returns its
-    pid. *)
-
 val spawn_fleet :
   manifest:Manifest.t -> serve_argv:(id:int -> string array) -> child list
 (** One child per manifest replica, logging to
@@ -17,9 +13,6 @@ val spawn_fleet :
 val wait_ready : ?timeout_ms:float -> Manifest.t -> bool
 (** Poll until every replica's listen socket accepts a connection;
     [false] on timeout (default 10 s). *)
-
-val alive : int -> bool
-(** Whether a spawned pid is still running (non-blocking reap). *)
 
 val shutdown : ?grace_ms:float -> child list -> (int * Unix.process_status) list
 (** SIGTERM each child, wait up to [grace_ms] (default 3 s) for clean

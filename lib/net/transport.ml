@@ -21,8 +21,6 @@ module Wire = Iaccf_core.Wire
 module Request = Iaccf_types.Request
 
 type t = {
-  network : Wire.t Network.t;
-  endpoint : Endpoint.t;
   obs : Obs.t;
   c_garbage : Obs.counter;
   mutable on_request : src:int -> Request.t -> unit;
@@ -34,8 +32,6 @@ let attach ?obs ~network ~endpoint () =
   let obs = match obs with Some o -> o | None -> Obs.passive () in
   let t =
     {
-      network;
-      endpoint;
       obs;
       c_garbage = Obs.counter obs "net.dropped.garbage";
       on_request = (fun ~src:_ _ -> ());
@@ -59,6 +55,3 @@ let attach ?obs ~network ~endpoint () =
              framing is still sound. *)
           Obs.incr t.c_garbage);
   t
-
-let network t = t.network
-let endpoint t = t.endpoint

@@ -24,6 +24,3 @@ val set_on_request : t -> (src:int -> Iaccf_types.Request.t -> unit) -> unit
 (** Observe inbound client requests before injection — the serve runtime
     uses this to bind client public keys to their network addresses, so
     replica replies route back over the learned connection. *)
-
-val network : t -> Iaccf_core.Wire.t Iaccf_sim.Network.t
-val endpoint : t -> Endpoint.t

@@ -24,12 +24,16 @@ module Histogram = struct
     mutable h_sorted : float array option; (* cache, invalidated on observe *)
   }
 
+  (* Log-spaced latency buckets in milliseconds. *)
   let default_buckets =
     [|
       0.05; 0.1; 0.2; 0.5; 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0;
       500.0; 1000.0; 2000.0; 5000.0;
     |]
 
+  (* Samples retained before reservoir sampling: bucket counts, count,
+     sum, min and max stay exact above it; percentiles come from a uniform
+     sample of the stream. *)
   let default_cap = 8192
 
   let create ?(buckets = default_buckets) ?(cap = default_cap) ?(active = true)
@@ -96,7 +100,6 @@ module Histogram = struct
 
   let count h = h.h_count
   let retained h = Vec.length h.h_samples
-  let cap h = h.h_cap
   let sum h = h.h_sum
   let mean h = if count h = 0 then 0.0 else h.h_sum /. float_of_int (count h)
   let min_value h = h.h_min
@@ -177,7 +180,6 @@ let create ?(metrics = true) ?(tracing = true) ?(clock = fun () -> 0.0) () =
   }
 
 let passive () = create ~metrics:false ~tracing:false ()
-let metrics_enabled t = t.metrics
 let tracing_enabled t = t.tracing
 let set_clock t clock = t.clock <- clock
 let now t = t.clock ()
@@ -212,7 +214,6 @@ let set_gauge g v =
   g.g_value <- v;
   if v > g.g_max then g.g_max <- v
 
-let gauge_value g = g.g_value
 let gauge_max g = g.g_max
 
 let gauge_max_value t name =

@@ -43,7 +43,6 @@ val passive : unit -> t
     marks and traces are no-ops. The default for every instrumented
     component, so uninstrumented callers keep their accessors working. *)
 
-val metrics_enabled : t -> bool
 val tracing_enabled : t -> bool
 
 val set_clock : t -> (unit -> float) -> unit
@@ -66,7 +65,6 @@ val counter_value : t -> string -> int
 
 val gauge : t -> string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val gauge_max : gauge -> float
 (** High-watermark: the largest value ever set on the gauge (0. if never
@@ -80,14 +78,6 @@ val gauge_max_value : t -> string -> float
 
 module Histogram : sig
   type h
-
-  val default_buckets : float array
-  (** Log-spaced latency buckets in milliseconds, 0.05 .. 5000. *)
-
-  val default_cap : int
-  (** Samples retained per histogram before reservoir sampling kicks in
-      (8192). Bucket counts, count, sum, min and max stay exact above the
-      cap; percentiles come from a uniform sample of the stream. *)
 
   val create : ?buckets:float array -> ?cap:int -> ?active:bool -> unit -> h
   (** A standalone histogram (always active unless [~active:false]);
@@ -106,9 +96,7 @@ module Histogram : sig
   val retained : h -> int
   (** Raw samples currently held ([min count cap]). *)
 
-  val cap : h -> int
   val sum : h -> float
-  val mean : h -> float
   val min_value : h -> float
   (** [0.] when empty. *)
 
@@ -212,13 +200,6 @@ val write_metrics : t -> string -> unit
 val parse_snapshot : string -> (string * string) list
 (** Parse {!snapshot_string} output back into pairs.
     @raise Failure on a malformed line. *)
-
-val write_trace_jsonl : t -> out_channel -> unit
-(** One JSON object per event per line. *)
-
-val write_trace_chrome : t -> out_channel -> unit
-(** Chrome [trace_event] JSON (async b/e spans + instants + process-name
-    metadata), loadable in chrome://tracing and Perfetto. *)
 
 val write_trace_file : t -> string -> unit
 (** Write the trace to a file: JSONL if the name ends in [.jsonl],

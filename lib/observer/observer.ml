@@ -17,7 +17,6 @@ let default_base = 9000
 
 type t = {
   addr : int;
-  source : int;
   inner : Replica.t;
   network : Wire.t Network.t;
   obs : Obs.t;
@@ -29,7 +28,6 @@ type t = {
 }
 
 let address t = t.addr
-let source t = t.source
 let replica t = t.inner
 let synced_upto t = Replica.last_committed t.inner
 let stop_tailing t = Replica.stop t.inner
@@ -119,6 +117,12 @@ let handle t ~src msg =
   | Wire.Audit_query { aq_index } -> serve_audit t ~src ~index:aq_index
   | msg -> Replica.dispatch t.inner ~src msg
 
+(* An observer at network address [addr] tailing replica [source]. With
+   [snapshot] it bootstraps from the source's newest sealed snapshot
+   instead of replaying the whole ledger; keys last written before the
+   snapshot horizon are then served without verification evidence (their
+   writer never executed locally; counted in
+   observer.<addr>.reads_unindexed). *)
 let create ~addr ~source ~genesis ~app ~params ~sched ~network ~rng ?obs
     ?(snapshot = false) () =
   let obs = match obs with Some o -> o | None -> Obs.passive () in
@@ -136,7 +140,6 @@ let create ~addr ~source ~genesis ~app ~params ~sched ~network ~rng ?obs
   let t =
     {
       addr;
-      source;
       inner;
       network;
       obs;

@@ -32,32 +32,11 @@ val default_base : int
 
 type t
 
-val create :
-  addr:int ->
-  source:int ->
-  genesis:Iaccf_types.Genesis.t ->
-  app:App.t ->
-  params:Replica.params ->
-  sched:Iaccf_sim.Sched.t ->
-  network:Wire.t Iaccf_sim.Network.t ->
-  rng:Iaccf_util.Rng.t ->
-  ?obs:Iaccf_obs.Obs.t ->
-  ?snapshot:bool ->
-  unit ->
-  t
-(** Create an observer at network address [addr] tailing replica
-    [source]. With [snapshot:true] it bootstraps from the source's newest
-    sealed snapshot ({!Replica.join_snapshot}) instead of replaying the
-    whole ledger; keys last written before the snapshot horizon are then
-    served without verification evidence (their writer never executed
-    locally — counted in [observer.<addr>.reads_unindexed]). *)
-
 val spawn : Cluster.t -> addr:int -> ?source:int -> ?snapshot:bool -> unit -> t
 (** [create] with everything taken from a cluster (genesis, app, params,
     scheduler, network, a forked RNG, the shared obs registry). *)
 
 val address : t -> int
-val source : t -> int
 
 val replica : t -> Replica.t
 (** The inner passive replica (its ledger, store, and status table are

@@ -69,8 +69,6 @@ type t = {
   mutable waiting_gov : bool;
 }
 
-let address t = t.addr
-let govchain t = t.chain
 let verified_reads t = t.verified
 let failed_verifications t = t.failed
 let stale_detected t = t.stale_detected

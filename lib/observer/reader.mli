@@ -46,9 +46,6 @@ val create :
   unit ->
   t
 
-val address : t -> int
-val govchain : t -> Govchain.t
-
 val read :
   t -> observer:int -> key:string -> ?min_index:int -> (read_result -> unit) -> unit
 (** Ask an observer for a key. [min_index] is the freshness floor —

@@ -27,7 +27,6 @@ type 'msg t = {
      run), the send path is byte-identical to before the hook existed:
      the branch tests only [None]. *)
   mutable gateway : (src:int -> dst:int -> 'msg -> unit) option;
-  mutable chunk_bytes : int; (* per-message payload budget for state sync *)
   mutable cuts : (int * int) list; (* unordered pairs with severed links *)
   mutable oneway_cuts : (int * int) list; (* directed (src, dst) cuts *)
   (* Tallies live in the obs registry (instance-scoped); the accessors
@@ -55,7 +54,6 @@ let create ~sched ~latency ?drop_rng ?obs () =
     drop_probability = 0.0;
     flow_of = None;
     gateway = None;
-    chunk_bytes = 64 * 1024;
     cuts = [];
     oneway_cuts = [];
     c_sent = Obs.counter obs "net.sent";
@@ -75,7 +73,6 @@ let register t id handler = Hashtbl.replace t.handlers id handler
 let unregister t id = Hashtbl.remove t.handlers id
 let set_intercept t src f = Hashtbl.replace t.intercepts src f
 let clear_intercept t src = Hashtbl.remove t.intercepts src
-let intercepted t src = Hashtbl.mem t.intercepts src
 
 let cut t a b =
   List.exists (fun (x, y) -> (x = a && y = b) || (x = b && y = a)) t.cuts
@@ -178,8 +175,6 @@ let send t ~src ~dst msg =
 let broadcast t ~src ~dsts msg = List.iter (fun dst -> send t ~src ~dst msg) dsts
 
 let set_gateway t gw = t.gateway <- Some gw
-let clear_gateway t = t.gateway <- None
-let registered t id = Hashtbl.mem t.handlers id
 
 (* Deliver a frame that arrived from another process. Scheduled rather
    than called directly so handler effects interleave with timers exactly
@@ -197,11 +192,6 @@ let inject t ~src ~dst msg =
              Obs.incr t.c_delivered;
              handler ~src msg))
 
-let chunk_bytes t = t.chunk_bytes
-
-let set_chunk_bytes t n =
-  if n < 1 then invalid_arg "Network.set_chunk_bytes: must be positive";
-  t.chunk_bytes <- n
 
 let set_drop_probability t p =
   if p > 0.0 && t.drop_rng = None then

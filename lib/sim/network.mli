@@ -57,11 +57,6 @@ val set_gateway : 'msg t -> (src:int -> dst:int -> 'msg -> unit) -> unit
 (** Divert sends to unregistered destinations into the given callback
     (the socket backend's transmit path) instead of dropping them. *)
 
-val clear_gateway : 'msg t -> unit
-
-val registered : 'msg t -> int -> bool
-(** Whether a node id has a locally registered handler. *)
-
 val inject : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Deliver a message that arrived from another process: scheduled at the
     current instant so the handler runs inside the event loop like any
@@ -86,17 +81,8 @@ val set_intercept : 'msg t -> int -> (dst:int -> 'msg -> (int * 'msg) list) -> u
 
 val clear_intercept : 'msg t -> int -> unit
 
-val intercepted : 'msg t -> int -> bool
-
 val set_drop_probability : 'msg t -> float -> unit
 (** Uniform drop probability in [0,1]; requires [drop_rng]. *)
-
-val chunk_bytes : 'msg t -> int
-(** Per-message payload budget for bulk transfers (state sync snapshot
-    chunks and ledger suffix extents). Default 64 KiB. *)
-
-val set_chunk_bytes : 'msg t -> int -> unit
-(** @raise Invalid_argument if not positive. *)
 
 val partition : 'msg t -> int list -> int list -> unit
 (** Cut links between the two groups (both directions). *)

@@ -32,8 +32,10 @@ type ledger = {
   batch_end : int -> int option;
   retained : int -> (Checkpoint.t * D.t) option;
   dir : string option;
-  chunk_bytes : int;
 }
+
+(* Per-message payload budget for snapshot chunks and ledger extents. *)
+let chunk_bytes = 64 * 1024
 
 type reply = Offer of { cp_seqno : int; total : int; bytes : int } | Extent of Entry.t list
 
@@ -92,7 +94,7 @@ let extent l ~from_len =
     else begin
       let e = l.entry i in
       let sz = Entry.size_bytes e in
-      if acc <> [] && bytes + sz > l.chunk_bytes then List.rev acc
+      if acc <> [] && bytes + sz > chunk_bytes then List.rev acc
       else take (i + 1) (bytes + sz) (e :: acc)
     end
   in
@@ -116,7 +118,7 @@ let answer t l offer ~from_len ~pruned_upto ~interval =
         (Offer
            {
              cp_seqno;
-             total = Chunk.count ~chunk_bytes:l.chunk_bytes payload;
+             total = Chunk.count ~chunk_bytes:chunk_bytes payload;
              bytes = String.length payload;
            })
   | None ->
@@ -127,7 +129,7 @@ let chunk t l ~cp_seqno ~index =
   match snapshot t l cp_seqno with
   | None -> None
   | Some payload ->
-      let chunks = Chunk.split ~chunk_bytes:l.chunk_bytes payload in
+      let chunks = Chunk.split ~chunk_bytes:chunk_bytes payload in
       if index >= 0 && index < List.length chunks then
         Some (List.length chunks, List.nth chunks index)
       else None

@@ -25,7 +25,6 @@ type ledger = {
   retained : int -> (Iaccf_kv.Checkpoint.t * Iaccf_crypto.Digest32.t) option;
       (** an in-memory checkpoint and its digest *)
   dir : string option;  (** where durable snapshots live *)
-  chunk_bytes : int;  (** per-message payload budget *)
 }
 
 type reply =

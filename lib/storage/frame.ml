@@ -2,6 +2,7 @@ module Codec = Iaccf_util.Codec
 module Crc32 = Iaccf_util.Crc32
 
 let header_bytes = 8
+(* A larger length field is corruption to the scanner. *)
 let max_payload_bytes = 64 * 1024 * 1024
 
 let encode payload =
@@ -9,8 +10,6 @@ let encode payload =
       Codec.W.u32 w (String.length payload);
       Codec.W.u32 w (Crc32.digest payload);
       Codec.W.raw w payload)
-
-let frame_bytes payload = header_bytes + String.length payload
 
 type scan_result =
   | Frame of { payload : string; next : int }

@@ -8,15 +8,8 @@
 val header_bytes : int
 (** 8: the fixed [length | crc] prefix. *)
 
-val max_payload_bytes : int
-(** Hard upper bound on a single frame's payload (64 MiB); anything larger
-    in a length field is treated as corruption by the scanner. *)
-
 val encode : string -> string
 (** Frame a payload for appending to a segment. *)
-
-val frame_bytes : string -> int
-(** Total on-disk size of the frame for a payload. *)
 
 type scan_result =
   | Frame of { payload : string; next : int }

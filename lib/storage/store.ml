@@ -375,7 +375,6 @@ let package_path t = audit_package_path t.cfg.dir
 let segments t = t.seg_count
 let disk_bytes t = t.disk
 let m_root t = Tree.root t.tree
-let m_size t = Tree.size t.tree
 
 let check_open t op = if t.closed then invalid_arg ("Store." ^ op ^ ": store is closed")
 

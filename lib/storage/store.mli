@@ -79,7 +79,6 @@ val get : t -> int -> Entry.t
 (** Read the entry at an index from its segment and decode it. *)
 
 val m_root : t -> D.t
-val m_size : t -> int
 
 val truncate : t -> int -> unit
 (** Drop all entries at indices [>= n] (view-change rollback of an

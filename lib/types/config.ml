@@ -122,9 +122,4 @@ let decode r =
 
 let serialize t = Codec.encode (fun w -> encode w t)
 let deserialize s = Codec.decode s decode
-let digest t = D.of_string (serialize t)
 let equal a b = String.equal (serialize a) (serialize b)
-
-let pp ppf t =
-  Format.fprintf ppf "config#%d{N=%d;members=%d;threshold=%d}" t.config_no
-    (n_replicas t) (List.length t.members) t.vote_threshold

@@ -43,7 +43,6 @@ val primary_of_view : t -> int -> int
 
 val replica : t -> int -> replica_info option
 val replica_pk : t -> int -> Iaccf_crypto.Schnorr.public_key option
-val member : t -> string -> member option
 val operator_of_replica : t -> int -> string option
 val is_member_pk : t -> Iaccf_crypto.Schnorr.public_key -> bool
 
@@ -59,6 +58,4 @@ val encode : Iaccf_util.Codec.W.t -> t -> unit
 val decode : Iaccf_util.Codec.R.t -> t
 val serialize : t -> string
 val deserialize : string -> t
-val digest : t -> Iaccf_crypto.Digest32.t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -79,7 +79,3 @@ let is_governance t = String.starts_with ~prefix:"gov/" t.proc
    without any wire-format change. Collisions would need two distinct
    requests sharing 48 bits of SHA-256, which the trace tests bound. *)
 let trace_id t = String.sub (D.to_hex (hash t)) 0 12
-
-let pp ppf t =
-  Format.fprintf ppf "request{%s;client_seq=%d;min_i=%d}" t.proc t.client_seqno
-    t.min_index

@@ -58,4 +58,3 @@ val encode : Iaccf_util.Codec.W.t -> t -> unit
 val decode : Iaccf_util.Codec.R.t -> t
 val serialize : t -> string
 val deserialize : string -> t
-val pp : Format.formatter -> t -> unit

@@ -44,7 +44,6 @@ module R = struct
   type t = { src : string; mutable pos : int }
 
   let of_string src = { src; pos = 0 }
-  let pos r = r.pos
   let remaining r = String.length r.src - r.pos
 
   let need r n =

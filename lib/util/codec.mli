@@ -10,7 +10,6 @@
 module W : sig
   type t
 
-  val create : unit -> t
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit
@@ -31,7 +30,6 @@ module W : sig
       write into the same buffer. *)
 
   val option : t -> ('a -> unit) -> 'a option -> unit
-  val contents : t -> string
 end
 
 (** {1 Reader} *)
@@ -41,8 +39,6 @@ exception Decode_error of string
 module R : sig
   type t
 
-  val of_string : string -> t
-  val pos : t -> int
   val remaining : t -> int
   val u8 : t -> int
   val u16 : t -> int
@@ -54,8 +50,6 @@ module R : sig
   val list : t -> (t -> 'a) -> 'a list
   val option : t -> (t -> 'a) -> 'a option
 
-  val expect_end : t -> unit
-  (** @raise Decode_error if input bytes remain. *)
 end
 
 val encode : (W.t -> unit) -> string

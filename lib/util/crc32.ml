@@ -10,6 +10,7 @@ let table =
          done;
          !c))
 
+(* Streaming update: fold further bytes into a running checksum. *)
 let update crc s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.update";

@@ -9,6 +9,3 @@ val digest : string -> int
 
 val digest_sub : string -> pos:int -> len:int -> int
 (** CRC-32 of the [len] bytes of [s] starting at [pos]. *)
-
-val update : int -> string -> pos:int -> len:int -> int
-(** Streaming update: fold further bytes into a running checksum. *)

@@ -12,8 +12,6 @@ type ('k, 'v) t = {
   tbl : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option; (* most recent *)
   mutable tail : ('k, 'v) node option; (* least recent *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~capacity =
@@ -23,12 +21,7 @@ let create ~capacity =
     tbl = Hashtbl.create (max 16 capacity);
     head = None;
     tail = None;
-    hits = 0;
-    misses = 0;
   }
-
-let capacity t = t.cap
-let length t = Hashtbl.length t.tbl
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
@@ -43,21 +36,11 @@ let push_front t n =
 
 let find t k =
   match Hashtbl.find_opt t.tbl k with
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+  | None -> None
   | Some n ->
-      t.hits <- t.hits + 1;
       unlink t n;
       push_front t n;
       Some n.value
-
-let remove t k =
-  match Hashtbl.find_opt t.tbl k with
-  | None -> ()
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.tbl k
 
 let put t k v =
   if t.cap > 0 then begin
@@ -77,11 +60,3 @@ let put t k v =
           Hashtbl.remove t.tbl lru.key
       | None -> assert false
   end
-
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None
-
-let hits t = t.hits
-let misses t = t.misses

@@ -11,7 +11,6 @@ let next t =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let int64 = next
 let split t = { state = next t }
 
 let int t bound =
@@ -22,8 +21,6 @@ let int t bound =
 let float t bound =
   let x = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (x /. 9007199254740992.0)
-
-let bool t = Int64.logand (next t) 1L = 1L
 
 let bytes t n =
   let b = Bytes.create n in

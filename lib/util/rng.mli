@@ -15,13 +15,9 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
     [bound <= 0]. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
 val bytes : t -> int -> string
 val pick : t -> 'a list -> 'a
 val shuffle : t -> 'a list -> 'a list

@@ -2,7 +2,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 let length v = v.len
-let is_empty v = v.len = 0
 
 let get v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.get: index out of bounds";
@@ -53,8 +52,6 @@ let of_list l =
   let v = create () in
   List.iter (push v) l;
   v
-
-let map_to_list f v = List.init v.len (fun i -> f v.data.(i))
 
 let sub_list v pos len =
   if pos < 0 || len < 0 || pos + len > v.len then

@@ -7,7 +7,6 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
@@ -22,7 +21,6 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
-val map_to_list : ('a -> 'b) -> 'a t -> 'b list
 
 val sub_list : 'a t -> int -> int -> 'a list
 (** [sub_list v pos len] is the [len] elements starting at [pos] as a list. *)

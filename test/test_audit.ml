@@ -7,6 +7,7 @@ module Config = Iaccf_types.Config
 module Genesis = Iaccf_types.Genesis
 module Request = Iaccf_types.Request
 module Batch = Iaccf_types.Batch
+module Message = Iaccf_types.Message
 module Ledger = Iaccf_ledger.Ledger
 module Entry = Iaccf_ledger.Entry
 module Bitmap = Iaccf_util.Bitmap
@@ -309,6 +310,38 @@ let test_dropped_tx_breaks_g_root () =
 
 (* --- checkpoints --- *)
 
+(* The ledger of a cluster that removed replica 3, with the checkpoint
+   taken at the activation batch: replay starts mid-history, under the
+   configuration the scan derives from the passed vote. *)
+let reconfigured_at_activation () =
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  ignore (Govtest.submit cluster client "counter/add" "1");
+  let base = (Cluster.genesis cluster).Genesis.initial_config in
+  let next = Cluster.make_next_config cluster ~remove_replicas:[ 3 ] ~base () in
+  ignore (Govtest.pass_referendum cluster next);
+  check Alcotest.bool "reconfigured" true
+    (Govtest.wait_config cluster ~config_no:1 ~on:[ 0; 1; 2 ]);
+  ignore (Govtest.submit cluster client "counter/add" "2");
+  let params = Cluster.params cluster in
+  let r0 = Cluster.replica cluster 0 in
+  let activation = ref None in
+  Ledger.iteri
+    (fun _ e ->
+      match e with
+      | Entry.Pre_prepare { Message.kind = Batch.End_of_config { phase; _ }; seqno; _ }
+        when phase = 2 * params.Replica.pipeline ->
+          activation := Some seqno
+      | _ -> ())
+    (Replica.ledger r0);
+  let cp = Option.get (Replica.checkpoint_at r0 (Option.get !activation)) in
+  let auditor =
+    Audit.create ~genesis:(Cluster.genesis cluster)
+      ~app:(App.create Cluster.counter_app_procs)
+      ~pipeline:params.Replica.pipeline ~checkpoint_interval:params.Replica.checkpoint_interval
+  in
+  (auditor, Replica.ledger r0, cp)
+
 let test_audit_from_checkpoint () =
   let w = make_world () in
   let forge = make_forge ~checkpoint_interval:5 w in
@@ -321,12 +354,17 @@ let test_audit_from_checkpoint () =
     | None -> Alcotest.fail "no checkpoint at 10"
   in
   let auditor = make_auditor ~checkpoint_interval:5 w in
-  (match
-     Audit.audit auditor ~receipts:[] ~ledger:(Forge.ledger forge) ~checkpoint:cp
-       ~responder:0 ()
-   with
-  | Ok () -> ()
-  | Error v -> Alcotest.failf "checkpoint audit failed: %s" (Format.asprintf "%a" Audit.pp_verdict v));
+  List.iter
+    (fun (name, (auditor, ledger, cp)) ->
+      match Audit.audit auditor ~receipts:[] ~ledger ~checkpoint:cp ~responder:0 () with
+      | Ok () -> ()
+      | Error v ->
+          Alcotest.failf "%s: checkpoint audit failed: %s" name
+            (Format.asprintf "%a" Audit.pp_verdict v))
+    [
+      ("forged", (auditor, Forge.ledger forge, cp));
+      ("reconfigured", reconfigured_at_activation ());
+    ];
   (* A checkpoint whose digest the ledger never recorded is rejected. *)
   let bogus = Iaccf_kv.Checkpoint.make ~seqno:10 (Iaccf_kv.Hamt.of_list [ ("x", "y") ]) in
   match

@@ -3,70 +3,23 @@
    governance sub-ledger, and receipt verification across configurations. *)
 
 open Iaccf_core
+open Govtest
 module Config = Iaccf_types.Config
 module Genesis = Iaccf_types.Genesis
 module Batch = Iaccf_types.Batch
 module Message = Iaccf_types.Message
 module Ledger = Iaccf_ledger.Ledger
 module Entry = Iaccf_ledger.Entry
+module Request = Iaccf_types.Request
+module D = Iaccf_crypto.Digest32
 
 let check = Alcotest.check
-
-let submit_gov cluster client proc args =
-  let result = ref None in
-  Client.submit client ~proc ~args
-    ~on_complete:(fun oc -> result := Some oc)
-    ();
-  let ok = Cluster.run_until cluster (fun () -> !result <> None) in
-  if not ok then begin
-    let states =
-      String.concat " "
-        (List.map
-           (fun r ->
-             Printf.sprintf "[%d:act=%b v=%d s=%d lc=%d pend=%d]" (Replica.id r)
-               (Replica.active r) (Replica.view r) (Replica.next_seqno r)
-               (Replica.last_committed r) (Replica.pending_requests r))
-           (Cluster.replicas cluster))
-    in
-    Alcotest.failf "tx %s(%s) timed out (in-flight %d, failed-verify %d) %s" proc
-      args (Client.in_flight client) (Client.failed_verifications client) states
-  end;
-  Option.get !result
-
-(* Run a full referendum installing [next]; returns the proposal outcome. *)
-let pass_referendum cluster next =
-  let members = Cluster.members cluster in
-  let proposer = Cluster.add_member_client cluster (List.hd members) in
-  let oc = submit_gov cluster proposer "gov/propose" (Config.serialize next) in
-  let id =
-    match oc.Client.oc_output with
-    | Ok id -> id
-    | Error e -> Alcotest.failf "propose failed: %s" e
-  in
-  let threshold = 3 in
-  List.iteri
-    (fun i m ->
-      if i < threshold then begin
-        let voter = Cluster.add_member_client cluster m in
-        let oc = submit_gov cluster voter "gov/vote" id in
-        match oc.Client.oc_output with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "vote %d failed: %s" i e
-      end)
-    members;
-  id
-
-let wait_config cluster ~config_no ~on =
-  Cluster.run_until cluster ~timeout_ms:120_000.0 (fun () ->
-      List.for_all
-        (fun id -> (Replica.config (Cluster.replica cluster id)).Config.config_no = config_no)
-        on)
 
 let test_remove_replica () =
   let cluster = Cluster.make ~n:4 () in
   let client = Cluster.add_client cluster () in
   (* Some pre-referendum traffic. *)
-  ignore (submit_gov cluster client "counter/add" "5");
+  ignore (submit cluster client "counter/add" "5");
   let base = (Cluster.genesis cluster).Genesis.initial_config in
   let next = Cluster.make_next_config cluster ~remove_replicas:[ 3 ] ~base () in
   ignore (pass_referendum cluster next);
@@ -79,13 +32,13 @@ let test_remove_replica () =
   check Alcotest.bool "replica 3 retired" false
     (Replica.active (Cluster.replica cluster 3));
   (* Service keeps working in the new configuration. *)
-  let oc = submit_gov cluster client "counter/add" "7" in
+  let oc = submit cluster client "counter/add" "7" in
   check Alcotest.(result string string) "post-reconfig tx" (Ok "12") oc.Client.oc_output
 
 let test_add_replica () =
   let cluster = Cluster.make ~n:4 () in
   let client = Cluster.add_client cluster () in
-  ignore (submit_gov cluster client "counter/add" "1");
+  ignore (submit cluster client "counter/add" "1");
   (* Spawn the future replica now; it stays passive. *)
   let r4 = Cluster.spawn_replica cluster ~id:4 in
   check Alcotest.bool "not yet active" false (Replica.active r4);
@@ -113,18 +66,18 @@ let test_add_replica () =
   check Alcotest.int "new replica in config 1" 1
     (Replica.config r4).Config.config_no;
   (* And the service now needs 5-replica quorums; traffic still flows. *)
-  let oc = submit_gov cluster client "counter/add" "2" in
+  let oc = submit cluster client "counter/add" "2" in
   check Alcotest.(result string string) "post-add tx" (Ok "3") oc.Client.oc_output
 
 let test_ledger_records_config_batches () =
   let cluster = Cluster.make ~n:4 () in
   let client = Cluster.add_client cluster () in
-  ignore (submit_gov cluster client "counter/add" "1");
+  ignore (submit cluster client "counter/add" "1");
   let base = (Cluster.genesis cluster).Genesis.initial_config in
   let next = Cluster.make_next_config cluster ~remove_replicas:[ 3 ] ~base () in
   ignore (pass_referendum cluster next);
   ignore (wait_config cluster ~config_no:1 ~on:[ 0; 1; 2 ]);
-  ignore (submit_gov cluster client "counter/add" "1");
+  ignore (submit cluster client "counter/add" "1");
   let p = (Cluster.params cluster).Replica.pipeline in
   let eoc = ref 0 and soc = ref 0 and cps = ref 0 in
   Ledger.iteri
@@ -145,7 +98,7 @@ let test_ledger_records_config_batches () =
 let test_gov_receipts_collected () =
   let cluster = Cluster.make ~n:4 () in
   let client = Cluster.add_client cluster () in
-  ignore (submit_gov cluster client "counter/add" "1");
+  ignore (submit cluster client "counter/add" "1");
   let base = (Cluster.genesis cluster).Genesis.initial_config in
   let next = Cluster.make_next_config cluster ~remove_replicas:[ 3 ] ~base () in
   ignore (pass_referendum cluster next);
@@ -171,7 +124,7 @@ let test_gov_receipts_collected () =
 let test_client_verifies_across_reconfig () =
   let cluster = Cluster.make ~n:4 () in
   let client = Cluster.add_client cluster () in
-  ignore (submit_gov cluster client "counter/add" "1");
+  ignore (submit cluster client "counter/add" "1");
   let base = (Cluster.genesis cluster).Genesis.initial_config in
   let next = Cluster.make_next_config cluster ~remove_replicas:[ 3 ] ~base () in
   ignore (pass_referendum cluster next);
@@ -194,7 +147,7 @@ let test_non_member_cannot_govern () =
   let client = Cluster.add_client cluster () in
   let base = (Cluster.genesis cluster).Genesis.initial_config in
   let next = Cluster.make_next_config cluster ~remove_replicas:[ 3 ] ~base () in
-  let oc = submit_gov cluster client "gov/propose" (Config.serialize next) in
+  let oc = submit cluster client "gov/propose" (Config.serialize next) in
   check Alcotest.bool "rejected" true (Result.is_error oc.Client.oc_output)
 
 let test_vote_bookkeeping () =
@@ -204,14 +157,14 @@ let test_vote_bookkeeping () =
   let next = Cluster.make_next_config cluster ~remove_replicas:[ 3 ] ~base () in
   let m0 = Cluster.add_member_client cluster (List.nth members 0) in
   let m1 = Cluster.add_member_client cluster (List.nth members 1) in
-  let oc = submit_gov cluster m0 "gov/propose" (Config.serialize next) in
+  let oc = submit cluster m0 "gov/propose" (Config.serialize next) in
   let id = Result.get_ok oc.Client.oc_output in
   (* Double vote rejected; double proposal votes counted once. *)
-  let v1 = submit_gov cluster m1 "gov/vote" id in
+  let v1 = submit cluster m1 "gov/vote" id in
   check Alcotest.(result string string) "first vote" (Ok "voted:1/3") v1.Client.oc_output;
-  let v2 = submit_gov cluster m1 "gov/vote" id in
+  let v2 = submit cluster m1 "gov/vote" id in
   check Alcotest.bool "double vote rejected" true (Result.is_error v2.Client.oc_output);
-  let v3 = submit_gov cluster m1 "gov/vote" "no-such-proposal" in
+  let v3 = submit cluster m1 "gov/vote" "no-such-proposal" in
   check Alcotest.bool "unknown proposal rejected" true (Result.is_error v3.Client.oc_output)
 
 
@@ -220,7 +173,7 @@ let test_remove_primary () =
      changes (ids are stable, so view 0 of config 1 maps to replica 1). *)
   let cluster = Cluster.make ~n:4 () in
   let client = Cluster.add_client cluster () in
-  ignore (submit_gov cluster client "counter/add" "3");
+  ignore (submit cluster client "counter/add" "3");
   let base = (Cluster.genesis cluster).Genesis.initial_config in
   let next = Cluster.make_next_config cluster ~remove_replicas:[ 0 ] ~base () in
   ignore (pass_referendum cluster next);
@@ -230,9 +183,47 @@ let test_remove_primary () =
   check Alcotest.bool "old primary retired" false
     (Replica.active (Cluster.replica cluster 0));
   (* Service continues under the new primary set. *)
-  let oc = submit_gov cluster client "counter/add" "4" in
+  let oc = submit cluster client "counter/add" "4" in
   check Alcotest.(result string string) "tx under new primaries" (Ok "7")
     oc.Client.oc_output
+
+(* The seqno of the last start-of-configuration batch in a ledger. *)
+let last_start_seqno ledger ~pipeline =
+  let found = ref None in
+  Ledger.iteri
+    (fun _ e ->
+      match e with
+      | Entry.Pre_prepare { Message.kind = Batch.Start_of_config { phase }; seqno; _ }
+        when phase = pipeline ->
+          found := Some seqno
+      | _ -> ())
+    ledger;
+  !found
+
+let test_removed_primary_retires_after_commit () =
+  (* The old primary signs the activation batch; it must still prepare and
+     reveal its nonce for it, or the new primary finds no commitment
+     evidence for that batch and the survivors change view. *)
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  ignore (submit cluster client "counter/add" "3");
+  let base = (Cluster.genesis cluster).Genesis.initial_config in
+  let next = Cluster.make_next_config cluster ~remove_replicas:[ 0 ] ~base () in
+  ignore (pass_referendum cluster next);
+  let pipeline = (Cluster.params cluster).Replica.pipeline in
+  let survivors = List.map (Cluster.replica cluster) [ 1; 2; 3 ] in
+  let started r =
+    match last_start_seqno (Replica.ledger r) ~pipeline with
+    | Some s -> Replica.last_committed r >= s
+    | None -> false
+  in
+  let ok = Cluster.run_until cluster ~timeout_ms:120_000.0 (fun () -> List.for_all started survivors) in
+  check Alcotest.bool "start-of-configuration batches commit" true ok;
+  List.iter
+    (fun r -> check Alcotest.int (Printf.sprintf "replica %d in view 0" (Replica.id r)) 0 (Replica.view r))
+    survivors;
+  Cluster.run cluster ~ms:1000.0;
+  check Alcotest.bool "old primary retired" false (Replica.active (Cluster.replica cluster 0))
 
 let test_two_reconfigurations () =
   (* 4 -> 5 (add replica 4) -> 4 (remove replica 1): the governance
@@ -240,7 +231,7 @@ let test_two_reconfigurations () =
      verifies end-to-end. *)
   let cluster = Cluster.make ~n:4 () in
   let client = Cluster.add_client cluster () in
-  ignore (submit_gov cluster client "counter/add" "1");
+  ignore (submit cluster client "counter/add" "1");
   let r4 = Cluster.spawn_replica cluster ~id:4 in
   let base = (Cluster.genesis cluster).Genesis.initial_config in
   let cfg1 = Cluster.make_next_config cluster ~add_replicas:[ 4 ] ~base () in
@@ -262,11 +253,147 @@ let test_two_reconfigurations () =
     (Replica.active (Cluster.replica cluster 1));
   (* Fresh client: must chain receipts across BOTH reconfigurations. *)
   let fresh = Cluster.add_client cluster () in
-  let oc = submit_gov cluster fresh "counter/add" "10" in
+  let oc = submit cluster fresh "counter/add" "10" in
   check Alcotest.bool "tx verified" true (Result.is_ok oc.Client.oc_output);
   check Alcotest.int "fresh chain reaches config 2" 2
     (Govchain.latest_config (Client.govchain fresh)).Config.config_no;
   check Alcotest.int "no failed verifications" 0 (Client.failed_verifications fresh)
+
+(* --- the shared schedule ------------------------------------------------ *)
+
+(* One identity for every case: a 4-replica genesis, its members, and the
+   configuration that removes replica 3. *)
+let sched_cluster = lazy (Cluster.make ~n:4 ())
+
+(* A forged history whose batch at the returned seqno passes a referendum
+   installing [next]: the governance chain learns its configurations from
+   the propose and passed-vote receipts, as a client does. *)
+let govchain_after_vote ~pipeline ~interval ~padding next =
+  let cluster = Lazy.force sched_cluster in
+  let genesis = Cluster.genesis cluster in
+  let forge =
+    Forge.create ~genesis
+      ~sks:(List.init 4 (fun i -> (i, Cluster.replica_sk cluster i)))
+      ~app:(App.create Cluster.counter_app_procs) ~pipeline ~checkpoint_interval:interval
+  in
+  let service = Genesis.hash genesis in
+  let request ?(seqno = 0) (m : Cluster.member_identity) proc args =
+    Request.make ~sk:m.Cluster.mi_sk ~client_pk:m.Cluster.mi_pk ~service ~client_seqno:seqno
+      ~proc ~args ()
+  in
+  let members = Cluster.members cluster in
+  let m0 = List.hd members in
+  for i = 1 to padding do
+    ignore (Forge.add_batch forge [ request ~seqno:(100 + i) m0 "counter/add" "1" ])
+  done;
+  let proposal = Config.serialize next in
+  let id = D.to_hex (D.of_string proposal) in
+  let vote_seqno =
+    Forge.add_batch forge
+      (request m0 "gov/propose" proposal
+      :: List.filteri (fun i _ -> i < 3) (List.mapi (fun i m -> request ~seqno:(1 + i) m "gov/vote" id) members))
+  in
+  let chain = Govchain.create genesis ~pipeline in
+  List.iter
+    (fun tx_position ->
+      match
+        Govchain.add_receipt chain (Forge.make_receipt forge ~seqno:vote_seqno ~tx_position:(Some tx_position))
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "governance chain rejected a receipt: %s" e)
+    [ 0; 3 ];
+  (vote_seqno, chain)
+
+(* Every kind a faulty primary might put at seqno [s], around the right one. *)
+let candidate_kinds ~s ~vote_seqno ~latest_cp ~digest ~root =
+  let around x = [ x - 1; x; x + 1 ] in
+  let other = D.of_string "other" in
+  (Batch.Regular
+  :: List.concat_map
+       (fun cp_seqno ->
+         Batch.Checkpoint { cp_seqno; cp_digest = other }
+         :: Option.to_list
+              (Option.map (fun cp_digest -> Batch.Checkpoint { cp_seqno; cp_digest }) (digest cp_seqno)))
+       [ latest_cp; s - 1; s - 2; 0 ])
+  @ List.concat_map
+      (fun phase ->
+        [
+          Batch.End_of_config { phase; committed_root = root };
+          Batch.End_of_config { phase; committed_root = other };
+        ])
+      (around (s - vote_seqno))
+  @ List.map (fun phase -> Batch.Start_of_config { phase }) (around (s - latest_cp - 1))
+
+let prop_one_schedule =
+  QCheck.Test.make ~count:40 ~name:"primary, backup, auditor and govchain share one schedule"
+    QCheck.(quad (int_range 1 3) (int_range 1 8) (int_range 0 20) bool)
+    (fun (pipeline, gap, padding, checkpoints) ->
+      let interval = pipeline + gap in
+      let rule = { Schedule.pipeline; interval; checkpoints } in
+      let cluster = Lazy.force sched_cluster in
+      let c0 = (Cluster.genesis cluster).Genesis.initial_config in
+      let c1 = Cluster.make_next_config cluster ~remove_replicas:[ 3 ] ~base:c0 () in
+      let vote_seqno, chain = govchain_after_vote ~pipeline ~interval ~padding c1 in
+      let activation = Schedule.activation ~pipeline ~vote_seqno in
+      let timeline = Schedule.extend (Schedule.timeline c0) ~pipeline ~vote_seqno c1 in
+      let root = D.of_string "root after the vote" in
+      (* The replica: plan or check each seqno, then step past it. *)
+      let digests = Hashtbl.create 8 in
+      Hashtbl.replace digests 0 (D.of_string "cp 0");
+      let digest = Hashtbl.find_opt digests in
+      let phase = ref Schedule.Normal and latest_cp = ref 0 and cfg = ref c0 in
+      for s = 1 to activation + 1 + pipeline + interval do
+        let slot = Schedule.slot rule !phase ~latest_cp:!latest_cp ~digest s in
+        let planned =
+          match slot with
+          | Schedule.Regular -> Batch.Regular
+          | Schedule.Fixed kind -> kind
+          | Schedule.Closed -> QCheck.Test.fail_reportf "seqno %d closed" s
+        in
+        (* The paper's shape (§5.1): 2P end batches, the activation
+           checkpoint, P start batches; the interval elsewhere. *)
+        let expected =
+          if s > vote_seqno && s <= activation then
+            Batch.End_of_config { phase = s - vote_seqno; committed_root = root }
+          else if s = activation + 1 then
+            Batch.Checkpoint { cp_seqno = activation; cp_digest = Option.get (digest activation) }
+          else if s > activation + 1 && s <= activation + 1 + pipeline then
+            Batch.Start_of_config { phase = s - activation - 1 }
+          else if checkpoints && s mod interval = 0 then
+            Batch.Checkpoint { cp_seqno = !latest_cp; cp_digest = Option.get (digest !latest_cp) }
+          else Batch.Regular
+        in
+        if not (Batch.kind_equal planned expected) then
+          QCheck.Test.fail_reportf "seqno %d: planned %a, expected %a" s Batch.pp_kind planned
+            Batch.pp_kind expected;
+        List.iter
+          (fun kind ->
+            if Schedule.accepts slot kind <> Batch.kind_equal kind planned then
+              QCheck.Test.fail_reportf "seqno %d: backup %s %a" s
+                (if Schedule.accepts slot kind then "accepts" else "rejects")
+                Batch.pp_kind kind)
+          (candidate_kinds ~s ~vote_seqno ~latest_cp:!latest_cp ~digest ~root);
+        let config_no c = c.Config.config_no in
+        if
+          config_no (Schedule.config_at timeline s) <> config_no !cfg
+          || config_no (Govchain.config_for_seqno chain s) <> config_no !cfg
+        then
+          QCheck.Test.fail_reportf "seqno %d: replica runs config %d, timeline %d, govchain %d" s
+            (config_no !cfg)
+            (config_no (Schedule.config_at timeline s))
+            (config_no (Govchain.config_for_seqno chain s));
+        let step =
+          Schedule.step rule !phase s ~passed:(fun () ->
+              if s = vote_seqno then Some (c1, root) else None)
+        in
+        Option.iter (fun c -> cfg := c) step.Schedule.activate;
+        if step.Schedule.checkpoint then begin
+          Hashtbl.replace digests s (D.of_string (Printf.sprintf "cp %d" s));
+          latest_cp := s
+        end;
+        phase := step.Schedule.next
+      done;
+      Schedule.activates timeline activation && !phase = Schedule.Normal)
 
 let () =
   Alcotest.run "iaccf_governance"
@@ -278,6 +405,8 @@ let () =
           Alcotest.test_case "config batches in ledger" `Quick
             test_ledger_records_config_batches;
           Alcotest.test_case "remove primary" `Quick test_remove_primary;
+          Alcotest.test_case "removed primary retires after commit" `Quick
+            test_removed_primary_retires_after_commit;
           Alcotest.test_case "two reconfigurations" `Quick test_two_reconfigurations;
         ] );
       ( "governance sub-ledger",
@@ -286,6 +415,7 @@ let () =
           Alcotest.test_case "client verifies across reconfig" `Quick
             test_client_verifies_across_reconfig;
         ] );
+      ("schedule", [ QCheck_alcotest.to_alcotest prop_one_schedule ]);
       ( "voting",
         [
           Alcotest.test_case "non-member rejected" `Quick test_non_member_cannot_govern;
