@@ -171,7 +171,8 @@ type t = {
   storage : Iaccf_storage.Store.t option;  (* durable ledger backend *)
   requests : (string, Request.t) Hashtbl.t;
   mutable request_order : D.t list; (* request hashes, newest first *)
-  executed_requests : (string, int) Hashtbl.t; (* hash -> ledger index *)
+  executed_requests : (string, int * int) Hashtbl.t;
+      (* request hash -> (seqno, ledger index) of the batch that executed it *)
   records : (int, batch_record) Hashtbl.t;
   votes : Votes.t; (* prepares and revealed nonces, and the commit rule *)
   view_changes : (int, (int, Message.view_change) Hashtbl.t) Hashtbl.t;
@@ -270,9 +271,9 @@ let view_ahead t =
 
 (* Reason-coded tallies, registry-wide: why a pre-prepare was not executed
    on arrival (replica.reject.*: missing_requests and missing_evidence
-   fetch the batch package, kind and exec are refused; replica.pp.*:
-   buffered for a later seqno or view, or stale and dropped), and how
-   often executed batches were rolled back (replica.rollback). *)
+   fetch the batch package; kind, replayed_request and exec are refused;
+   replica.pp.*: buffered for a later seqno or view, or stale and dropped),
+   and how often executed batches were rolled back (replica.rollback). *)
 let tally t name = Obs.incr (Obs.counter t.obs name)
 
 let checkpoint_at t seqno =
@@ -530,7 +531,7 @@ let append_batch t pp txs =
   List.iter
     (fun (tx : Batch.tx_entry) ->
       let h = D.to_raw (Request.hash tx.Batch.request) in
-      Hashtbl.replace t.executed_requests h tx.Batch.index;
+      Hashtbl.replace t.executed_requests h (pp.Message.seqno, tx.Batch.index);
       Hashtbl.remove t.requests h)
     txs
 
@@ -582,18 +583,21 @@ let stored_config t =
       | exception _ -> None
       | c -> if c.Config.config_no > t.cfg.Config.config_no then Some c else None)
 
-(* Shared post-execution bookkeeping: d_C updates, checkpoints, governance
-   phase transitions, configuration activation (§5.1, §3.4). *)
-let post_execute_batch t (pp : Message.pre_prepare) txs =
-  let s = pp.Message.seqno in
-  (* Governance transactions move i_g. *)
+(* Governance transactions move i_g; a checkpoint batch moves d_C. *)
+let move_gov_index_and_dc t (pp : Message.pre_prepare) txs =
   List.iter
     (fun (tx : Batch.tx_entry) ->
       if Request.is_governance tx.Batch.request then t.gov_index <- tx.Batch.index)
     txs;
-  (match pp.Message.kind with
+  match pp.Message.kind with
   | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
-  | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ());
+  | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ()
+
+(* Shared post-execution bookkeeping: i_g and d_C, checkpoints, governance
+   phase transitions, configuration activation (§5.1, §3.4). *)
+let post_execute_batch t (pp : Message.pre_prepare) txs =
+  let s = pp.Message.seqno in
+  move_gov_index_and_dc t pp txs;
   let take_checkpoint () =
     let cp = Checkpoint.make ~seqno:s (Store.map t.store) in
     Hashtbl.replace t.checkpoints s (cp, Checkpoint.digest cp);
@@ -670,6 +674,14 @@ let seal_from_kind t (pp : Message.pre_prepare) =
       then maybe_write_snapshot t cp_seqno cp_digest
   | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ()
 
+(* Whether a batch names a request this replica already executed, or one
+   request twice. The pre-prepare's signature does not cover the hash list,
+   so a primary can replay an executed request in it. *)
+let replays_request t batch_hashes =
+  let raw = List.map D.to_raw batch_hashes in
+  List.exists (Hashtbl.mem t.executed_requests) raw
+  || List.compare_lengths (List.sort_uniq String.compare raw) raw <> 0
+
 (* ------------------------------------------------------------------ *)
 (* Receipts and replies                                                *)
 
@@ -739,8 +751,20 @@ let batch_clients rec_ =
       fresh)
     (List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request.Request.client_pk) rec_.br_txs)
 
-let holds h (tx : Batch.tx_entry) = D.equal (Request.hash tx.Batch.request) h
-let committed_holding h rec_ = rec_.br_committed && List.exists (holds h) rec_.br_txs
+(* Answer for an executed request, by its raw hash [h], from the batch
+   the executed-request index names: the reply, then the request's receipt
+   material when [receipts]. A batch not yet committed, or one adopted
+   from a checkpoint without a record, gets no answer. *)
+let answer_executed t h ~reply_to ~receipts ?replyx_to () =
+  match Hashtbl.find_opt t.executed_requests h with
+  | Some (seqno, index) -> (
+      match Hashtbl.find_opt t.records seqno with
+      | Some rec_ when rec_.br_committed ->
+          send_replies t rec_ ~reply_to ?replyx_to
+            ~pick:(fun tx -> receipts && tx.Batch.index = index)
+            ()
+      | _ -> ())
+  | None -> ()
 
 let build_receipt t ~seqno ~tx_position =
   match Hashtbl.find_opt t.records seqno with
@@ -1096,18 +1120,18 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
           tally t "replica.reject.kind";
           true (* reject; suspicion via timer *)
         end
+        else if replays_request t batch_hashes then begin
+          tally t "replica.reject.replayed_request";
+          true (* reject; suspicion via timer *)
+        end
         else begin
           let undo = capture t in
           append_evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares
             ev_nonces;
           let base_index = ledger_len t + 1 in
+          (* No hash is missing, executed or repeated: all are pending. *)
           let reqs =
-            List.map
-              (fun h ->
-                match Hashtbl.find_opt t.requests (D.to_raw h) with
-                | Some r -> r
-                | None -> assert false)
-              batch_hashes
+            List.map (fun h -> Hashtbl.find t.requests (D.to_raw h)) batch_hashes
           in
           let txs, writes = execute_requests t ~base_index reqs in
           (* A re-proposed batch must keep its original entries: if fresh
@@ -1226,20 +1250,15 @@ and arm_batch_timer t =
 
 and on_request t (req : Request.t) =
   if t.running && t.activated then begin
-    let h = D.to_raw (Request.hash req) in
-    if Hashtbl.mem t.executed_requests h then begin
+    let d = Request.hash req in
+    let h = D.to_raw d in
+    if Hashtbl.mem t.executed_requests h then
       (* A client retransmitting an executed request lost the replies:
          whichever replica it reaches answers with its reply and the
          receipt material (the designated replica may be cut off), so
          sustained loss cannot strand a completed request. *)
-      let h = Request.hash req in
-      match Seq.find (committed_holding h) (Hashtbl.to_seq_values t.records) with
-      | Some rec_ ->
-          send_replies t rec_ ~reply_to:[ req.Request.client_pk ]
-            ~pick:(fun tx -> t.params.variant.Variant.gen_receipts && holds h tx)
-            ()
-      | None -> ()
-    end
+      answer_executed t h ~reply_to:[ req.Request.client_pk ]
+        ~receipts:t.params.variant.Variant.gen_receipts ()
     else if
       (* Admission control (primary only): shed fresh requests while the
          pending queue sits at or above the watermark — before signature
@@ -1257,7 +1276,7 @@ and on_request t (req : Request.t) =
           ~args:[ ("proc", req.Request.proc) ]
           ();
       send_to_client t req.Request.client_pk
-        (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = Request.hash req })
+        (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = d })
     end
     else if (not (Hashtbl.mem t.requests h)) && verify_request_sig t req then begin
       admit t req;
@@ -1730,18 +1749,8 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
       if skip_exec then begin
         (* Adopt verbatim; the key-value store comes from the
            checkpoint, so there are no write sets to index. *)
-        append_ledger t (Entry.Pre_prepare pp);
-        List.iter
-          (fun (tx : Batch.tx_entry) ->
-            append_ledger t (Entry.Tx tx);
-            Hashtbl.replace t.executed_requests
-              (D.to_raw (Request.hash tx.Batch.request))
-              tx.Batch.index;
-            if Request.is_governance tx.Batch.request then t.gov_index <- tx.Batch.index)
-          txs;
-        (match pp.Message.kind with
-        | Batch.Checkpoint { cp_digest; _ } -> t.current_dc <- cp_digest
-        | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ());
+        append_batch t pp txs;
+        move_gov_index_and_dc t pp txs;
         Hashtbl.replace t.batch_ledger_end s (ledger_len t)
       end
       else begin
@@ -2029,20 +2038,11 @@ let on_message t ~src msg =
              ~index:sc_index sc_data)
     | Wire.Ledger_suffix_chunk { lc_from; lc_entries; lc_upto; lc_view } ->
         on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view
-    | Wire.Replyx_request { rr_seqno; rr_tx_hash } ->
-        (* The client may not know which batch its transaction landed in:
-           the hinted seqno first, else every batch holding it. *)
-        let holding =
-          match Hashtbl.find_opt t.records rr_seqno with
-          | Some rec_ when committed_holding rr_tx_hash rec_ -> [ rec_ ]
-          | _ ->
-              List.of_seq
-                (Seq.filter (committed_holding rr_tx_hash) (Hashtbl.to_seq_values t.records))
-        in
-        List.iter
-          (fun rec_ ->
-            send_replies t rec_ ~reply_to:[] ~pick:(holds rr_tx_hash) ~replyx_to:src ())
-          holding
+    | Wire.Replyx_request { rr_seqno = _; rr_tx_hash } ->
+        (* The client may not know which batch its transaction landed in;
+           the executed-request index does, so the seqno hint is unused. *)
+        answer_executed t (D.to_raw rr_tx_hash) ~reply_to:[] ~receipts:true
+          ~replyx_to:src ()
     | Wire.Gov_receipts_request { gr_from_index } ->
         let receipts =
           List.filter

@@ -347,6 +347,69 @@ let test_nonce_equivocation_keeps_view () =
     (Iaccf_obs.Obs.counter_value (Replica.obs (Cluster.replica cluster 0))
        "replica.reject.exec")
 
+let outcome_tx oc =
+  match oc.Client.oc_receipt.Receipt.subject with
+  | Receipt.Tx_subject { tx; _ } -> tx
+  | Receipt.Batch_subject -> Alcotest.fail "expected a tx subject"
+
+let request_hash (tx : Iaccf_types.Batch.tx_entry) =
+  Iaccf_types.Request.hash tx.Iaccf_types.Batch.request
+
+(* How often [r]'s ledger holds the request with hash [h]. *)
+let ledger_count r h =
+  let n = ref 0 in
+  Ledger.iteri
+    (fun _ e ->
+      match e with Entry.Tx tx when D.equal (request_hash tx) h -> incr n | _ -> ())
+    (Replica.ledger r);
+  !n
+
+(* Regression: the pre-prepare's signature does not cover its list of
+   request hashes. Primary 0 appends an executed request's hash to its
+   pre-prepares. A backup found the request neither pending nor missing,
+   and building the batch failed an assertion that escaped the run. Each
+   backup now rejects the batch as a replay, the progress timer changes
+   the view, and the next transaction commits once everywhere. *)
+let test_replayed_request_rejected () =
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  let replayed = request_hash (outcome_tx (List.hd (submit_and_wait cluster client 1))) in
+  Cluster.run cluster ~ms:100.0;
+  Iaccf_sim.Network.set_intercept (Cluster.network cluster) 0 (fun ~dst msg ->
+      match msg with
+      | Wire.Pre_prepare_msg { pp; batch } ->
+          [ (dst, Wire.Pre_prepare_msg { pp; batch = batch @ [ replayed ] }) ]
+      | _ -> [ (dst, msg) ]);
+  let second = request_hash (outcome_tx (List.hd (submit_and_wait cluster client 1))) in
+  Cluster.run cluster ~ms:200.0;
+  let replicas = Cluster.replicas cluster in
+  List.iter
+    (fun id ->
+      check Alcotest.bool (Printf.sprintf "replica %d rejected the replay" id) true
+        (Iaccf_obs.Obs.counter_value (Replica.obs (Cluster.replica cluster id))
+           "replica.reject.replayed_request"
+        >= 1))
+    [ 1; 2; 3 ];
+  let committed =
+    List.fold_left (fun acc r -> min acc (Replica.last_committed r)) max_int replicas
+  in
+  let last_pp r =
+    match Ledger.find_pre_prepare (Replica.ledger r) ~seqno:committed with
+    | Some (_, pp) -> D.to_hex (Message.pp_hash pp)
+    | None -> Alcotest.failf "replica %d lacks batch %d" (Replica.id r) committed
+  in
+  List.iter
+    (fun r ->
+      let id = Replica.id r in
+      check Alcotest.string
+        (Printf.sprintf "replica %d's committed prefix" id)
+        (last_pp (List.hd replicas)) (last_pp r);
+      check Alcotest.int (Printf.sprintf "replayed once in replica %d" id) 1
+        (ledger_count r replayed);
+      check Alcotest.int (Printf.sprintf "second once in replica %d" id) 1
+        (ledger_count r second))
+    replicas
+
 (* The vote module on its own: one slot, [n] replicas, each revealing a
    nonce that opens, 32 wrong bytes, a short preimage of its commitment
    (which a bare hash compare accepts), or nothing; a backup may also
@@ -481,11 +544,7 @@ let reply_world () =
           [ (dst, msg) ]))
     [ 0; 1; 2; 3 ];
   let client = Cluster.add_client cluster () in
-  let tx =
-    match (List.hd (submit_and_wait cluster client 1)).Client.oc_receipt.Receipt.subject with
-    | Receipt.Tx_subject { tx; _ } -> tx
-    | Receipt.Batch_subject -> Alcotest.fail "expected a tx subject"
-  in
+  let tx = outcome_tx (List.hd (submit_and_wait cluster client 1)) in
   Cluster.run cluster ~ms:100.0;
   let designated =
     List.find_map
@@ -539,6 +598,85 @@ let test_retransmit_gets_reply_material () =
   | ms ->
       Alcotest.failf "expected a reply and a replyx, got %d messages"
         (List.length ms)
+
+(* The executed-request index follows a request through a rollback.
+   Primary 0's pre-prepares reach only replica 3, which executes X at
+   seqno 2 and B at 3; X's request never reaches the next primary. While
+   B is executed but uncommitted, a retransmit gets no answer. After the
+   view change the new primary puts B at seqno 2, and replica 3 answers
+   a retransmit and a replyx request hinting the old seqno from seqno 2. *)
+let test_retransmit_after_rollback () =
+  let params = { Replica.default_params with max_batch = 1 } in
+  let cluster = Cluster.make ~n:4 ~params () in
+  let net = Cluster.network cluster in
+  let client = Cluster.add_client cluster () in
+  let addr = Client.address client in
+  ignore (submit_and_wait cluster client 1);
+  Cluster.run cluster ~ms:100.0;
+  let sent = ref [] in
+  Iaccf_sim.Network.set_intercept net 3 (fun ~dst msg ->
+      sent := (3, dst, msg) :: !sent;
+      [ (dst, msg) ]);
+  Iaccf_sim.Network.set_intercept net 0 (fun ~dst msg ->
+      match msg with
+      | Wire.Pre_prepare_msg _ when dst <> 3 -> []
+      | _ -> [ (dst, msg) ]);
+  let args_of (r : Iaccf_types.Request.t) = r.Iaccf_types.Request.args in
+  let hold_x = ref true in
+  Iaccf_sim.Network.set_intercept net addr (fun ~dst msg ->
+      match msg with
+      | Wire.Request_msg r when !hold_x && args_of r = "7" && (dst = 1 || dst = 2) -> []
+      | _ -> [ (dst, msg) ]);
+  let outcomes = ref [] in
+  List.iter
+    (fun args ->
+      Client.submit client ~proc:"counter/add" ~args
+        ~on_complete:(fun oc -> outcomes := oc :: !outcomes)
+        ();
+      Cluster.run cluster ~ms:20.0)
+    [ "7"; "8" ];
+  let r3 = Cluster.replica cluster 3 in
+  let b =
+    match Ledger.find_pre_prepare (Replica.ledger r3) ~seqno:3 with
+    | Some (i, _) -> (
+        match Ledger.get (Replica.ledger r3) (i + 1) with
+        | Entry.Tx tx when args_of tx.Iaccf_types.Batch.request = "8" -> tx
+        | _ -> Alcotest.fail "replica 3 did not execute B at seqno 3")
+    | None -> Alcotest.fail "replica 3 did not execute seqno 3"
+  in
+  let b_req = b.Iaccf_types.Batch.request in
+  sent := [];
+  Iaccf_sim.Network.send net ~src:addr ~dst:3 (Wire.Request_msg b_req);
+  Cluster.run cluster ~ms:20.0;
+  check Alcotest.int "B uncommitted" 1 (Replica.last_committed r3);
+  check Alcotest.int "no answer while uncommitted" 0
+    (List.length (sent_by sent ~id:3 ~dst:addr));
+  hold_x := false;
+  Replica.stop (Cluster.replica cluster 0);
+  let ok =
+    Cluster.run_until cluster ~timeout_ms:120_000.0 (fun () -> List.length !outcomes = 2)
+  in
+  check Alcotest.bool "both commit after the view change" true ok;
+  let b_oc =
+    List.find (fun oc -> D.equal (request_hash (outcome_tx oc)) (request_hash b)) !outcomes
+  in
+  check Alcotest.int "B's new seqno" 2 b_oc.Client.oc_receipt.Receipt.pp.Message.seqno;
+  Cluster.run cluster ~ms:100.0;
+  sent := [];
+  Iaccf_sim.Network.send net ~src:addr ~dst:3 (Wire.Request_msg b_req);
+  Iaccf_sim.Network.send net ~src:addr ~dst:3
+    (Wire.Replyx_request { rr_seqno = 3; rr_tx_hash = request_hash b });
+  Cluster.run cluster ~ms:50.0;
+  match sent_by sent ~id:3 ~dst:addr with
+  | [ Wire.Reply_msg r; (Wire.Replyx_msg x1 as m1); (Wire.Replyx_msg x2 as m2) ] ->
+      check Alcotest.int "reply seqno" 2 r.Message.r_seqno;
+      List.iter
+        (fun (x, m) ->
+          check Alcotest.int "replyx seqno" 2 x.Message.x_pp.Message.seqno;
+          check Alcotest.bool "the replyx for B" true (is_replyx_for b m))
+        [ (x1, m1); (x2, m2) ]
+  | ms ->
+      Alcotest.failf "expected a reply and two replyxs, got %d messages" (List.length ms)
 
 let test_nonreceipt_variant_runs () =
   let params =
@@ -598,6 +736,8 @@ let () =
             (test_spoofed_commit (String.make 32 'x'));
           Alcotest.test_case "nonce equivocation keeps the view" `Quick
             test_nonce_equivocation_keeps_view;
+          Alcotest.test_case "replayed request in a pre-prepare" `Quick
+            test_replayed_request_rejected;
         ] );
       ( "replies",
         [
@@ -605,6 +745,8 @@ let () =
             test_replyx_request_wrong_hint;
           Alcotest.test_case "retransmit to a non-designated replica" `Quick
             test_retransmit_gets_reply_material;
+          Alcotest.test_case "retransmit after a rollback" `Quick
+            test_retransmit_after_rollback;
         ] );
       ( "variants",
         [ Alcotest.test_case "no-receipt variant" `Quick test_nonreceipt_variant_runs ] );
