@@ -1,5 +1,8 @@
 module Message = Iaccf_types.Message
 module Batch = Iaccf_types.Batch
+module Ledger = Iaccf_ledger.Ledger
+module Entry = Iaccf_ledger.Entry
+module Bitmap = Iaccf_util.Bitmap
 module Schnorr = Iaccf_crypto.Schnorr
 module D = Iaccf_crypto.Digest32
 module Wire = Iaccf_core.Wire
@@ -10,6 +13,7 @@ type behaviour =
   | Withhold_nonces
   | Equivocate_nonces
   | Corrupt_view_changes
+  | Pad_new_view
   | Mute
 
 (* A validly signed pre-prepare for the same (view, seqno) committing to a
@@ -34,7 +38,33 @@ let tamper_replyx (x : Message.replyx) =
   let result = { tx.Batch.result with Batch.output = tx.Batch.result.Batch.output ^ "+tampered" } in
   { x with Message.x_tx = { tx with Batch.result = result } }
 
-let intercept ~sk ~client_base behaviour ~dst (msg : Wire.t) =
+(* A new view whose set is [vc], reporting nothing prepared, [quorum]
+   times, under the m_root an honest replica computes after rolling back
+   to genesis and appending the set. *)
+let padded_new_view ~sk ~genesis ~quorum (vc : Message.view_change) =
+  let sign d = Schnorr.sign sk (D.to_raw d) in
+  let view = vc.Message.vc_view and primary = vc.Message.vc_replica in
+  let vc_signature =
+    sign (Message.view_change_payload ~view ~replica:primary ~last_prepared:[])
+  in
+  let vcs = List.init quorum (fun _ -> { vc with Message.vc_last_prepared = []; vc_signature }) in
+  let entry = Entry.View_change_set vcs and ledger = Ledger.create genesis in
+  ignore (Ledger.append ledger entry);
+  let m_root = Ledger.m_root ledger and vc_hash = Entry.leaf_digest entry in
+  let vc_bitmap = Bitmap.of_list [ primary ] in
+  let nv =
+    {
+      Message.nv_view = view;
+      nv_m_root = m_root;
+      nv_vc_bitmap = vc_bitmap;
+      nv_vc_hash = vc_hash;
+      nv_primary = primary;
+      nv_signature = sign (Message.new_view_payload ~view ~m_root ~vc_bitmap ~vc_hash ~primary);
+    }
+  in
+  Wire.New_view_msg { nv; vcs }
+
+let intercept ~sk ~genesis ~client_base behaviour ~dst (msg : Wire.t) =
   match (behaviour, msg) with
   | Equivocate_pre_prepares, Wire.Pre_prepare_msg { pp; batch } ->
       (* Split the backups: odd destinations get a conflicting, validly
@@ -51,8 +81,11 @@ let intercept ~sk ~client_base behaviour ~dst (msg : Wire.t) =
       [ (dst, Wire.Commit_msg { c with Message.c_nonce = String.make 32 'z' }) ]
   | Corrupt_view_changes, Wire.View_change_msg vc ->
       [ (dst, Wire.View_change_msg { vc with Message.vc_signature = "corrupt" }) ]
+  | Pad_new_view, Wire.View_change_msg vc ->
+      let quorum = Iaccf_types.Config.quorum genesis.Iaccf_types.Genesis.initial_config in
+      [ (dst, padded_new_view ~sk ~genesis ~quorum vc) ]
   | Mute, _ -> []
   | ( ( Equivocate_pre_prepares | Tamper_replyx | Withhold_nonces
-      | Equivocate_nonces | Corrupt_view_changes ),
+      | Equivocate_nonces | Corrupt_view_changes | Pad_new_view ),
       _ ) ->
       [ (dst, msg) ]

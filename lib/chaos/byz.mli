@@ -22,14 +22,21 @@ type behaviour =
           to every other replica *)
   | Corrupt_view_changes
       (** break the signature on every outgoing view-change message *)
+  | Pad_new_view
+      (** turn every outgoing view change into a new view whose set is that
+          view change, reporting nothing prepared, repeated a quorum of
+          times: one sender counted as a quorum would roll every honest
+          replica back to genesis *)
   | Mute  (** drop every outbound message (a silent crash, seen from outside) *)
 
 val intercept :
   sk:Iaccf_crypto.Schnorr.secret_key ->
+  genesis:Iaccf_types.Genesis.t ->
   client_base:int ->
   behaviour ->
   dst:int ->
   Iaccf_core.Wire.t ->
   (int * Iaccf_core.Wire.t) list
 (** The network intercept implementing a behaviour for a replica holding
-    [sk]. [client_base] distinguishes client destinations from replicas. *)
+    [sk] in the service [genesis] starts. [client_base] distinguishes
+    client destinations from replicas. *)

@@ -74,7 +74,8 @@ let byzantine id behaviour ctx =
   Network.set_intercept
     (Cluster.network ctx.cx_cluster)
     id
-    (Byz.intercept ~sk ~client_base:Cluster.client_base behaviour)
+    (Byz.intercept ~sk ~genesis:(Cluster.genesis ctx.cx_cluster)
+       ~client_base:Cluster.client_base behaviour)
 
 let honest id ctx = Network.clear_intercept (Cluster.network ctx.cx_cluster) id
 

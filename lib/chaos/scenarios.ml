@@ -83,6 +83,14 @@ let corrupt_view_change =
       at 900.0 "again" (suspect_primary 3);
     ]
 
+let padded_new_view =
+  live ~name:"padded-new-view" ~suite:Byzantine
+    [
+      at 0.0 "replica 1 pads its new views with its own view change"
+        (byzantine 1 Byz.Pad_new_view);
+      at 100.0 "replica 1, the next primary, cries wolf" (suspect_primary 1);
+    ]
+
 (* --- byzantine suite, above threshold: a colluding quorum {0,1,2} forges
    evidence offline with its real keys; the audit must blame only them --- *)
 
@@ -597,6 +605,7 @@ let byzantine =
     nonce_withholder;
     nonce_equivocator;
     corrupt_view_change;
+    padded_new_view;
     collusion_wrong_execution;
     collusion_history_rewrite;
     collusion_viewchange_erasure;

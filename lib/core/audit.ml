@@ -324,42 +324,17 @@ let scan_ledger t ~responder ledger =
         open_batch := Some (pp, i, []);
         next_seqno := s + 1
     | Entry.View_change_set vcs ->
-        if vcs = [] then fail i "empty view-change set";
-        let v = (List.hd vcs).Message.vc_view in
         let config = config_at !next_seqno in
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun (vc : Message.view_change) ->
-            if vc.Message.vc_view <> v then fail i "mixed views in view-change set";
-            if Hashtbl.mem seen vc.Message.vc_replica then
-              fail i "duplicate view-change sender";
-            Hashtbl.add seen vc.Message.vc_replica ();
-            if not (Message.verify_view_change config vc) then
-              fail i "invalid view-change signature")
-          vcs;
-        if List.length vcs < Config.quorum config then
-          fail i "view-change set below quorum";
-        vc_sets := (v, vcs) :: !vc_sets;
-        (* The new primary resumes P batches before the last prepared. *)
-        let s_lp =
-          List.fold_left
-            (fun acc (vc : Message.view_change) ->
-              List.fold_left
-                (fun acc (pp : Message.pre_prepare) -> max acc pp.Message.seqno)
-                acc vc.Message.vc_last_prepared)
-            0 vcs
-        in
-        next_seqno := max 1 (s_lp - t.rule.pipeline + 1)
+        Option.iter (fail i)
+          (Newview.set_fault ~quorum:(Config.quorum config)
+             ~verify:(Message.verify_view_change config) vcs);
+        vc_sets := ((List.hd vcs).Message.vc_view, vcs) :: !vc_sets;
+        next_seqno := Newview.resume ~pipeline:t.rule.pipeline vcs + 1
     | Entry.New_view nv ->
-        let config = config_at !next_seqno in
-        if not (Message.verify_new_view config nv) then
+        if not (Message.verify_new_view (config_at !next_seqno) nv) then
           fail i "invalid new-view signature";
         (match !vc_sets with
-        | (v, vcs) :: _ ->
-            if v <> nv.Message.nv_view then fail i "new-view for wrong view";
-            let entry_digest = Entry.leaf_digest (Entry.View_change_set vcs) in
-            if not (D.equal entry_digest nv.Message.nv_vc_hash) then
-              fail i "new-view vc hash mismatch"
+        | (_, vcs) :: _ -> Option.iter (fail i) (Newview.names_fault nv vcs)
         | [] -> fail i "new-view without view changes");
         if not (D.equal nv.Message.nv_m_root (Tree.root tree)) then
           fail i "new-view m_root mismatch");

@@ -252,12 +252,17 @@ let on_message t ~src msg =
       | _ -> ())
   | Wire.Gov_receipts_msg rs ->
       t.waiting_gov <- false;
+      let before = Govchain.last_gov_index t.chain in
       (match Govchain.sync_from t.chain rs with
       | Ok () -> ()
       | Error _ ->
           t.failed_verifications <- t.failed_verifications + 1;
           Obs.incr t.c_failed);
-      Hashtbl.iter (fun _ p -> try_complete t p) t.pending
+      (* Only an answer that moved the chain can complete anything, else
+         the retry tick asks again: each answer re-asking all N replicas
+         would grow the traffic without bound. *)
+      if Govchain.last_gov_index t.chain > before then
+        Hashtbl.iter (fun _ p -> try_complete t p) t.pending
   | Wire.Request_msg _ | Wire.Pre_prepare_msg _ | Wire.Prepare_msg _
   | Wire.Commit_msg _ | Wire.View_change_msg _ | Wire.New_view_msg _
   | Wire.Fetch_missing _ | Wire.Batch_package_msg _ | Wire.Fetch_ledger _

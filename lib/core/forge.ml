@@ -270,32 +270,29 @@ let add_view_change t =
         })
       t.sks
   in
-  let entry = Entry.View_change_set vcs in
-  let h_vc = Entry.leaf_digest entry in
-  ignore (Ledger.append t.led entry);
+  ignore (Ledger.append t.led (Entry.View_change_set vcs));
   t.fview <- v';
   let primary = primary_id t in
   let m_root = Ledger.m_root t.led in
+  let vc_bitmap = Newview.senders vcs and vc_hash = Newview.digest vcs in
   let payload =
-    Message.new_view_payload ~view:v' ~m_root
-      ~vc_bitmap:(Bitmap.of_list (List.map fst t.sks))
-      ~vc_hash:h_vc ~primary
+    Message.new_view_payload ~view:v' ~m_root ~vc_bitmap ~vc_hash ~primary
   in
   let nv =
     {
       Message.nv_view = v';
       nv_m_root = m_root;
-      nv_vc_bitmap = Bitmap.of_list (List.map fst t.sks);
-      nv_vc_hash = h_vc;
+      nv_vc_bitmap = vc_bitmap;
+      nv_vc_hash = vc_hash;
       nv_primary = primary;
       nv_signature = Schnorr.sign (sk_of t primary) (D.to_raw payload);
     }
   in
   ignore (Ledger.append t.led (Entry.New_view nv));
-  (* Nothing was reported prepared: the rewrite restarts at seqno 1 but
-     must keep monotone ledger indices, which append_batch does since the
-     old entries remain in the file. *)
-  t.seqno <- 1;
+  (* Nothing was reported prepared, so the rewrite resumes at seqno 1; it
+     keeps monotone ledger indices, which append_batch does since the old
+     entries remain in the file. *)
+  t.seqno <- Newview.resume ~pipeline:t.rule.pipeline vcs + 1;
   Hashtbl.reset t.batches
 
 let make_receipt t ~seqno ~tx_position =

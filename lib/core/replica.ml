@@ -271,9 +271,10 @@ let view_ahead t =
 
 (* Reason-coded tallies, registry-wide: why a pre-prepare was not executed
    on arrival (replica.reject.*: missing_requests and missing_evidence
-   fetch the batch package; kind, replayed_request and exec are refused;
-   replica.pp.*: buffered for a later seqno or view, or stale and dropped),
-   and how often executed batches were rolled back (replica.rollback). *)
+   fetch the batch package; kind, gov_index, replayed_request and exec are
+   refused; replica.pp.*: buffered for a later seqno or view, or stale and
+   dropped), and how often executed batches were rolled back
+   (replica.rollback). *)
 let tally t name = Obs.incr (Obs.counter t.obs name)
 
 let checkpoint_at t seqno =
@@ -331,56 +332,28 @@ let verify_digest t ~cls ~replica d ~signature =
         Vstage.verify t.vstage ~cls ~principal:Profile.Replica_key pk
           (D.to_raw d) ~signature
 
-(* Structure checks come first (they cost nothing); only a well-formed
-   message pays for the signature math. *)
-let verify_pp_sig t (pp : Message.pre_prepare) =
-  pp.Message.primary = Config.primary_of_view t.cfg pp.Message.view
-  && verify_digest t ~cls:"pre_prepare" ~replica:pp.Message.primary
-       (Message.pp_hash pp) ~signature:pp.Message.signature
+(* Message's checks with this replica's signature check. Structure checks
+   come first (they cost nothing); only a well-formed message pays for the
+   signature math. *)
+let verify_pp_sig t = Message.verify_pre_prepare ~check:(verify_digest t ~cls:"pre_prepare") t.cfg
+let verify_prepare_sig t = Message.verify_prepare ~check:(verify_digest t ~cls:"prepare") t.cfg
 
-let verify_prepare_sig t (p : Message.prepare) =
-  let payload =
-    Message.prepare_payload ~view:p.Message.p_view ~seqno:p.Message.p_seqno
-      ~replica:p.Message.p_replica ~nonce_com:p.Message.p_nonce_com
-      ~pp_hash:p.Message.p_pp_hash
-  in
-  verify_digest t ~cls:"prepare" ~replica:p.Message.p_replica payload
-    ~signature:p.Message.p_signature
+let verify_vc_sig t =
+  Message.verify_view_change ~check:(verify_digest t ~cls:"view_change") t.cfg
 
-let verify_vc_sig t (vc : Message.view_change) =
-  let payload =
-    Message.view_change_payload ~view:vc.Message.vc_view
-      ~replica:vc.Message.vc_replica ~last_prepared:vc.Message.vc_last_prepared
-  in
-  verify_digest t ~cls:"view_change" ~replica:vc.Message.vc_replica payload
-    ~signature:vc.Message.vc_signature
-
-let verify_nv_sig t (nv : Message.new_view) =
-  nv.Message.nv_primary = Config.primary_of_view t.cfg nv.Message.nv_view
-  && verify_digest t ~cls:"new_view" ~replica:nv.Message.nv_primary
-       (Message.new_view_payload ~view:nv.Message.nv_view ~m_root:nv.Message.nv_m_root
-          ~vc_bitmap:nv.Message.nv_vc_bitmap ~vc_hash:nv.Message.nv_vc_hash
-          ~primary:nv.Message.nv_primary)
-       ~signature:nv.Message.nv_signature
+let verify_nv_sig t = Message.verify_new_view ~check:(verify_digest t ~cls:"new_view") t.cfg
 
 (* What the signed-commit ablation signs and checks. *)
-let commit_payload v s r = D.to_raw (D.of_string (Printf.sprintf "commit:%d:%d:%d" v s r))
+let commit_payload v s r = D.of_string (Printf.sprintf "commit:%d:%d:%d" v s r)
 
 (* The paper's dominant cost: one client-key verification per request,
    unamortized by batching. *)
 let verify_request_sig t (req : Request.t) =
-  if not t.params.variant.Variant.verify_client_sigs then true
-  else if not (D.equal req.Request.service t.service) then false
-  else begin
-    Obs.incr t.ctr.c_sigs_verified;
-    let payload =
-      Request.signing_payload ~proc:req.Request.proc ~args:req.Request.args
-        ~client_pk:req.Request.client_pk ~service:req.Request.service
-        ~min_index:req.Request.min_index ~client_seqno:req.Request.client_seqno
-    in
-    Vstage.verify t.vstage ~cls:"request" ~principal:Profile.Client_key
-      req.Request.client_pk (D.to_raw payload) ~signature:req.Request.signature
-  end
+  (not t.params.variant.Variant.verify_client_sigs)
+  || Request.verify req ~service:t.service ~check:(fun pk d ~signature ->
+         Obs.incr t.ctr.c_sigs_verified;
+         Vstage.verify t.vstage ~cls:"request" ~principal:Profile.Client_key pk
+           (D.to_raw d) ~signature)
 
 (* What a catch-up session needs from the replica to gate an install. *)
 let sync_hooks t =
@@ -941,7 +914,7 @@ and on_prepared t rec_ =
          messages; L-PBFT's nonce reveal does not (§3.1, Lemma 3). *)
       if t.params.variant.Variant.peerreview then peerreview_extra_sign t "commit";
       if t.params.variant.Variant.sign_commits then
-        ignore (schnorr_sign t ~cls:"commit" (commit_payload v s t.rid));
+        ignore (schnorr_sign t ~cls:"commit" (D.to_raw (commit_payload v s t.rid)));
       Votes.add_nonce t.votes ~view:v ~seqno:s (t.rid, nonce);
       if Obs.tracing_enabled t.obs then
         Obs.instant t.obs ~node:t.rid ~cat:"batch" ~name:"nonce.reveal"
@@ -1118,6 +1091,10 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
     | Some (ev_prepares, ev_nonces) ->
         if not (Schedule.accepts (slot t s) pp.Message.kind) then begin
           tally t "replica.reject.kind";
+          true (* reject; suspicion via timer *)
+        end
+        else if pp.Message.gov_index <> t.gov_index then begin
+          tally t "replica.reject.gov_index";
           true (* reject; suspicion via timer *)
         end
         else if replays_request t batch_hashes then begin
@@ -1306,18 +1283,12 @@ and on_commit t ~src (c : Message.commit) =
   then begin
     (* Signed-commit ablation: pay the verification the nonce scheme saves.
        The result is discarded: it does not gate the commit bookkeeping
-       below. Counted only when the key lookup succeeds — an unknown
-       replica id verifies nothing. *)
-    if t.params.variant.Variant.sign_commits then begin
-      match Config.replica_pk t.cfg c.Message.c_replica with
-      | Some pk ->
-          Obs.incr t.ctr.c_sigs_verified;
-          ignore
-            (Vstage.verify t.vstage ~cls:"commit" ~principal:Profile.Replica_key pk
-               (commit_payload c.Message.c_view c.Message.c_seqno c.Message.c_replica)
-               ~signature:(String.make 64 '\000'))
-      | None -> ()
-    end;
+       below. *)
+    if t.params.variant.Variant.sign_commits then
+      ignore
+        (verify_digest t ~cls:"commit" ~replica:c.Message.c_replica
+           (commit_payload c.Message.c_view c.Message.c_seqno c.Message.c_replica)
+           ~signature:(String.make 64 '\000'));
     Votes.add_nonce t.votes ~view:c.Message.c_view ~seqno:c.Message.c_seqno
       (c.Message.c_replica, c.Message.c_nonce);
     check_committed t;
@@ -1432,37 +1403,14 @@ and on_view_change t (vc : Message.view_change) =
     else maybe_new_view t
   end
 
-(* The highest prepared pre-prepare across a view-change quorum, plus the
-   pre-prepares for the P sequence numbers ending at it (best view wins). *)
 (* A new view's ledger is the canonical prefix up to [target], then the
-   view-change set (by replica id), then the new-view (Alg. 2). Roll back
-   to [target], drop any stale view-change entries past its last batch,
-   and append the set unless its digest differs from [expect]. Returns
-   the set's digest. *)
-and install_vc_set t ~target vcs ~expect =
+   view-change set, then the new-view (Alg. 2). Roll back to [target],
+   drop any stale view-change entries past its last batch, and append the
+   set. *)
+and install_vc_set t ~target vcs =
   rollback_to t target;
   if keep_ledger t then Ledger.truncate t.ledger (batch_end_length t target);
-  let entry =
-    Entry.View_change_set
-      (List.sort (fun a b -> compare a.Message.vc_replica b.Message.vc_replica) vcs)
-  in
-  let h_vc = Entry.leaf_digest entry in
-  if Option.fold ~none:true ~some:(D.equal h_vc) expect then append_ledger t entry;
-  h_vc
-
-and summarize_view_changes vcs =
-  let best = Hashtbl.create 8 in
-  List.iter
-    (fun (vc : Message.view_change) ->
-      List.iter
-        (fun (pp : Message.pre_prepare) ->
-          match Hashtbl.find_opt best pp.Message.seqno with
-          | Some (prev : Message.pre_prepare) when prev.Message.view >= pp.Message.view -> ()
-          | _ -> Hashtbl.replace best pp.Message.seqno pp)
-        vc.Message.vc_last_prepared)
-    vcs;
-  let s_lp = Hashtbl.fold (fun s _ acc -> max s acc) best 0 in
-  (s_lp, best)
+  append_ledger t (Entry.View_change_set vcs)
 
 and maybe_new_view t =
   if
@@ -1477,18 +1425,10 @@ and maybe_new_view t =
         |> List.sort (fun a b -> compare a.Message.vc_replica b.Message.vc_replica)
         |> List.filteri (fun i _ -> i < quorum t)
       in
-      let s_lp, best = summarize_view_changes vcs in
-      let target = max 0 (s_lp - t.params.pipeline) in
-      (* Find a replica that can supply anything we are missing. *)
-      let reporter =
-        Option.bind (Hashtbl.find_opt best s_lp) (fun pp ->
-            List.find_opt
-              (fun (vc : Message.view_change) ->
-                List.exists (Message.pre_prepare_equal pp) vc.Message.vc_last_prepared)
-              vcs)
-      in
+      let s_lp = Newview.last_prepared vcs in
+      let target = Newview.resume ~pipeline:t.params.pipeline vcs in
       let content_of q =
-        match (Hashtbl.find_opt t.records q, Hashtbl.find_opt best q) with
+        match (Hashtbl.find_opt t.records q, Newview.prepared_at vcs q) with
         | Some rec_, Some pp
           when D.equal rec_.br_pp.Message.g_root pp.Message.g_root ->
             Some (rec_.br_pp.Message.kind, rec_.br_requests, rec_.br_txs)
@@ -1499,44 +1439,38 @@ and maybe_new_view t =
             Hashtbl.find_opt t.archived_content (q, (pp.Message.g_root :> string))
         | None, None -> None
       in
-      let have q = content_of q <> None in
-      let all_present =
-        t.last_committed >= target
-        && List.for_all have
-             (List.init (max 0 (s_lp - target)) (fun i -> target + 1 + i))
-      in
-      if not all_present then begin
-        match reporter with
-        | Some vc ->
-            (* Our uncommitted prefix may diverge from the canonical chain:
-               drop it and fetch the committed entries from a replica that
-               prepared the high-water batch (Alg. 2). *)
-            refetch t ~upto:t.last_committed vc.Message.vc_replica
+      (* The batches to re-propose, saved before the roll back. *)
+      let contents = List.init (s_lp - target) (fun i -> content_of (target + 1 + i)) in
+      if t.last_committed < target || List.mem None contents then begin
+        (* Our uncommitted prefix may diverge from the canonical chain:
+           drop it and fetch the committed entries from a replica that
+           prepared the high-water batch (Alg. 2). *)
+        let reports pp (vc : Message.view_change) =
+          List.exists (Message.pre_prepare_equal pp) vc.Message.vc_last_prepared
+        in
+        match
+          Option.bind (Newview.prepared_at vcs s_lp) (fun pp -> List.find_opt (reports pp) vcs)
+        with
+        | Some vc -> refetch t ~upto:t.last_committed vc.Message.vc_replica
         | None -> ()
       end
       else begin
-        (* Save the content of the batches to re-propose, then roll back. *)
-        let saved =
-          List.filter_map content_of
-            (List.init (max 0 (s_lp - target)) (fun i -> target + 1 + i))
-        in
-        let h_vc = install_vc_set t ~target vcs ~expect:None in
-        let m_root = m_root_now t in
-        let bitmap =
-          Bitmap.of_list (List.map (fun vc -> vc.Message.vc_replica) vcs)
-        in
-        let payload =
-          Message.new_view_payload ~view:v' ~m_root ~vc_bitmap:bitmap ~vc_hash:h_vc
-            ~primary:t.rid
+        install_vc_set t ~target vcs;
+        let nv_m_root = m_root_now t in
+        let nv_vc_bitmap = Newview.senders vcs and nv_vc_hash = Newview.digest vcs in
+        let nv_signature =
+          sign_digest t ~cls:"new_view"
+            (Message.new_view_payload ~view:v' ~m_root:nv_m_root ~vc_bitmap:nv_vc_bitmap
+               ~vc_hash:nv_vc_hash ~primary:t.rid)
         in
         let nv =
           {
             Message.nv_view = v';
-            nv_m_root = m_root;
-            nv_vc_bitmap = bitmap;
-            nv_vc_hash = h_vc;
+            nv_m_root;
+            nv_vc_bitmap;
+            nv_vc_hash;
             nv_primary = t.rid;
-            nv_signature = sign_digest t ~cls:"new_view" payload;
+            nv_signature;
           }
         in
         append_ledger t (Entry.New_view nv);
@@ -1555,7 +1489,7 @@ and maybe_new_view t =
                 emit_batch t ~fixed_txs:txs ~kind ~reqs ~ev_prepares ~ev_nonces
                   ~ev_bitmap ()
             | None -> ())
-          saved;
+          (List.filter_map Fun.id contents);
         try_send_pre_prepares t
       end
     end
@@ -1566,12 +1500,9 @@ and on_new_view t (nv : Message.new_view) vcs =
     t.running && t.activated
     && nv.Message.nv_view >= t.view
     && nv.Message.nv_primary <> t.rid
-    && List.length vcs >= quorum t
-    && List.for_all (fun vc -> vc.Message.vc_view = nv.Message.nv_view) vcs
-    && verify_nv_sig t nv
-    (* Every bundled view-change signature is checked, even after one
-       fails: sigs_verified counts the whole quorum. *)
-    && List.fold_left (fun ok vc -> verify_vc_sig t vc && ok) true vcs
+    && Newview.new_view_fault ~quorum:(quorum t) ~verify:(verify_vc_sig t)
+         ~verify_nv:(verify_nv_sig t) nv vcs
+       = None
   then begin
     t.view <- nv.Message.nv_view;
     t.ready <- false;
@@ -1583,8 +1514,7 @@ and try_complete_new_view t =
   match t.pending_new_view with
   | None -> ()
   | Some (nv, vcs) ->
-      let s_lp, _ = summarize_view_changes vcs in
-      let target = max 0 (s_lp - t.params.pipeline) in
+      let target = Newview.resume ~pipeline:t.params.pipeline vcs in
       (* Our prefix diverges from the new view's canonical chain (we may
          have missed earlier view-change entries, or hold uncommitted
          batches the quorum never saw): drop back to the committed prefix
@@ -1592,30 +1522,25 @@ and try_complete_new_view t =
       let reconcile () = refetch t ~upto:t.last_committed nv.Message.nv_primary in
       if t.last_committed < target then reconcile ()
       else begin
-        let h_vc = install_vc_set t ~target vcs ~expect:(Some nv.Message.nv_vc_hash) in
-        if D.equal h_vc nv.Message.nv_vc_hash then begin
-          let m_root = m_root_now t in
-          if (not (keep_ledger t)) || D.equal m_root nv.Message.nv_m_root then begin
-            t.pending_new_view <- None;
-            append_ledger t (Entry.New_view nv);
-            t.ready <- true;
-            if Obs.tracing_enabled t.obs then
-              Obs.instant t.obs ~node:t.rid ~cat:"view" ~name:"new_view.adopted"
-                ~args:[ ("view", string_of_int nv.Message.nv_view) ]
-                ();
-            try_process_pending t;
-            (* Re-emitted pre-prepares may have been dropped before we
-               adopted the view; pull the next batch explicitly. *)
-            if not (Hashtbl.mem t.pending_pps t.seqno) then
-              send t ~dst:(primary_id t) (Wire.Fetch_missing { fm_seqno = t.seqno })
-          end
-          else begin
-            if keep_ledger t then
-              Ledger.truncate t.ledger (Ledger.length t.ledger - 1);
-            reconcile ()
-          end
+        install_vc_set t ~target vcs;
+        if (not (keep_ledger t)) || D.equal (m_root_now t) nv.Message.nv_m_root then begin
+          t.pending_new_view <- None;
+          append_ledger t (Entry.New_view nv);
+          t.ready <- true;
+          if Obs.tracing_enabled t.obs then
+            Obs.instant t.obs ~node:t.rid ~cat:"view" ~name:"new_view.adopted"
+              ~args:[ ("view", string_of_int nv.Message.nv_view) ]
+              ();
+          try_process_pending t;
+          (* Re-emitted pre-prepares may have been dropped before we
+             adopted the view; pull the next batch explicitly. *)
+          if not (Hashtbl.mem t.pending_pps t.seqno) then
+            send t ~dst:(primary_id t) (Wire.Fetch_missing { fm_seqno = t.seqno })
         end
-        else t.pending_new_view <- None
+        else begin
+          if keep_ledger t then Ledger.truncate t.ledger (Ledger.length t.ledger - 1);
+          reconcile ()
+        end
       end
 
 (* ------------------------------------------------------------------ *)
@@ -1776,30 +1701,42 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
       false
   end
 
+(* A new-view entry from a ledger extent follows the view-change set it
+   names, binds the ledger up to it, and carries its primary's signature;
+   the set was checked when it was appended. *)
+and ingests_new_view t (nv : Message.new_view) =
+  match Ledger.get t.ledger (Ledger.length t.ledger - 1) with
+  | Entry.View_change_set vcs ->
+      Newview.names_fault nv vcs = None
+      && D.equal (m_root_now t) nv.Message.nv_m_root
+      && verify_nv_sig t nv
+  | _ -> false
+
 (* Apply a received ledger suffix batch by batch, adopting view changes
-   along the way, until the first batch that does not check out. State
-   transfer thus reconstructs exactly the sender's ledger, including the
-   view-change and new-view entries that batch replay alone would miss. *)
+   along the way, until the first batch or view-change entry that does not
+   check out. State transfer thus reconstructs exactly the sender's ledger,
+   including the view-change and new-view entries that batch replay alone
+   would miss. *)
 and apply_entries t ?(skip_exec_upto = 0) entries =
   let rec go progressed = function
     | [] | Entry.Malformed _ :: _ -> progressed
     | Entry.Batch { evidence; pp; txs } :: rest ->
         if apply_batch t ~skip_exec_upto pp ~evidence txs then go true rest
         else progressed
-    | Entry.Protocol e :: rest -> (
+    | Entry.Protocol (Entry.View_change_set vcs as e) :: rest
+      when Newview.set_fault ~quorum:(quorum t) ~verify:(verify_vc_sig t) vcs = None ->
         append_ledger t e;
-        match e with
-        | Entry.View_change_set vcs ->
-            List.iter
-              (fun (vc : Message.view_change) ->
-                Hashtbl.replace (sub_tbl t.view_changes vc.Message.vc_view)
-                  vc.Message.vc_replica vc)
-              vcs;
-            go progressed rest
-        | Entry.New_view nv ->
-            if nv.Message.nv_view > t.view then t.view <- nv.Message.nv_view;
-            go true rest
-        | _ -> go progressed rest)
+        List.iter
+          (fun (vc : Message.view_change) ->
+            Hashtbl.replace (sub_tbl t.view_changes vc.Message.vc_view)
+              vc.Message.vc_replica vc)
+          vcs;
+        go progressed rest
+    | Entry.Protocol (Entry.New_view nv as e) :: rest when ingests_new_view t nv ->
+        append_ledger t e;
+        if nv.Message.nv_view > t.view then t.view <- nv.Message.nv_view;
+        go true rest
+    | Entry.Protocol _ :: _ -> progressed
   in
   go false (Entry.batches entries)
 

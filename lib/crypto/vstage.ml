@@ -1,4 +1,5 @@
-(* The one signature check every caller goes through.
+(* The replica's signature check (see vstage.mli for who else checks
+   signatures, and how).
 
    Keys seen repeatedly (replica keys, chatty clients) are interned and, on
    their third use, get a Group.make_table, after which each verification

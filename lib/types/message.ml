@@ -112,39 +112,39 @@ let new_view_payload ~view ~m_root ~vc_bitmap ~vc_hash ~primary =
          Codec.W.raw w (D.to_raw vc_hash);
          Codec.W.u64 w primary))
 
-let with_pk config id k =
-  match Config.replica_pk config id with None -> false | Some pk -> k pk
+type check = replica:int -> D.t -> signature:string -> bool
 
-let verify_pre_prepare config (pp : pre_prepare) =
+let schnorr_check config ~replica d ~signature =
+  match Config.replica_pk config replica with
+  | None -> false
+  | Some pk -> Schnorr.verify pk (D.to_raw d) ~signature
+
+let verify_pre_prepare ?check config (pp : pre_prepare) =
+  let check = Option.value check ~default:(schnorr_check config) in
   pp.primary = Config.primary_of_view config pp.view
-  && with_pk config pp.primary (fun pk ->
-         Schnorr.verify pk (D.to_raw (pp_hash pp)) ~signature:pp.signature)
+  && check ~replica:pp.primary (pp_hash pp) ~signature:pp.signature
 
-let verify_prepare config (p : prepare) =
-  with_pk config p.p_replica (fun pk ->
-      let payload =
-        prepare_payload ~view:p.p_view ~seqno:p.p_seqno ~replica:p.p_replica
-          ~nonce_com:p.p_nonce_com ~pp_hash:p.p_pp_hash
-      in
-      Schnorr.verify pk (D.to_raw payload) ~signature:p.p_signature)
+let verify_prepare ?check config (p : prepare) =
+  let check = Option.value check ~default:(schnorr_check config) in
+  check ~replica:p.p_replica
+    (prepare_payload ~view:p.p_view ~seqno:p.p_seqno ~replica:p.p_replica
+       ~nonce_com:p.p_nonce_com ~pp_hash:p.p_pp_hash)
+    ~signature:p.p_signature
 
-let verify_view_change config (vc : view_change) =
-  with_pk config vc.vc_replica (fun pk ->
-      let payload =
-        view_change_payload ~view:vc.vc_view ~replica:vc.vc_replica
-          ~last_prepared:vc.vc_last_prepared
-      in
-      Schnorr.verify pk (D.to_raw payload) ~signature:vc.vc_signature)
+let verify_view_change ?check config (vc : view_change) =
+  let check = Option.value check ~default:(schnorr_check config) in
+  check ~replica:vc.vc_replica
+    (view_change_payload ~view:vc.vc_view ~replica:vc.vc_replica
+       ~last_prepared:vc.vc_last_prepared)
+    ~signature:vc.vc_signature
 
-let verify_new_view config (nv : new_view) =
+let verify_new_view ?check config (nv : new_view) =
+  let check = Option.value check ~default:(schnorr_check config) in
   nv.nv_primary = Config.primary_of_view config nv.nv_view
-  && with_pk config nv.nv_primary (fun pk ->
-         let payload =
-           new_view_payload ~view:nv.nv_view ~m_root:nv.nv_m_root
-             ~vc_bitmap:nv.nv_vc_bitmap ~vc_hash:nv.nv_vc_hash
-             ~primary:nv.nv_primary
-         in
-         Schnorr.verify pk (D.to_raw payload) ~signature:nv.nv_signature)
+  && check ~replica:nv.nv_primary
+       (new_view_payload ~view:nv.nv_view ~m_root:nv.nv_m_root ~vc_bitmap:nv.nv_vc_bitmap
+          ~vc_hash:nv.nv_vc_hash ~primary:nv.nv_primary)
+       ~signature:nv.nv_signature
 
 let encode_pre_prepare w (pp : pre_prepare) =
   Codec.W.u64 w pp.view;

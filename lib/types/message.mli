@@ -88,14 +88,19 @@ val new_view_payload :
   view:int -> m_root:D.t -> vc_bitmap:Iaccf_util.Bitmap.t -> vc_hash:D.t ->
   primary:int -> D.t
 
-(** {1 Signature checks} *)
+(** {1 Signature checks}
 
-val verify_pre_prepare : Config.t -> pre_prepare -> bool
-(** Signature valid under the configured key of [primary = view mod N]. *)
+    Each derives the signing payload and asks [check] (default:
+    [Schnorr.verify] under the configured key) whether [replica] signed it. *)
 
-val verify_prepare : Config.t -> prepare -> bool
-val verify_view_change : Config.t -> view_change -> bool
-val verify_new_view : Config.t -> new_view -> bool
+type check = replica:int -> D.t -> signature:string -> bool
+
+val verify_pre_prepare : ?check:check -> Config.t -> pre_prepare -> bool
+(** Signed by the primary of [view mod N]; so is a new view. *)
+
+val verify_prepare : ?check:check -> Config.t -> prepare -> bool
+val verify_view_change : ?check:check -> Config.t -> view_change -> bool
+val verify_new_view : ?check:check -> Config.t -> new_view -> bool
 
 (** {1 Codecs} *)
 

@@ -37,14 +37,13 @@ let make ~sk ~client_pk ~service ?(min_index = 0) ?(client_seqno = 0) ~proc ~arg
     signature = Schnorr.sign sk (D.to_raw payload);
   }
 
-let verify t ~service =
+let verify ?(check = fun pk d ~signature -> Schnorr.verify pk (D.to_raw d) ~signature) t
+    ~service =
   D.equal t.service service
-  &&
-  let payload =
-    signing_payload ~proc:t.proc ~args:t.args ~client_pk:t.client_pk
-      ~service:t.service ~min_index:t.min_index ~client_seqno:t.client_seqno
-  in
-  Schnorr.verify t.client_pk (D.to_raw payload) ~signature:t.signature
+  && check t.client_pk
+       (signing_payload ~proc:t.proc ~args:t.args ~client_pk:t.client_pk
+          ~service:t.service ~min_index:t.min_index ~client_seqno:t.client_seqno)
+       ~signature:t.signature
 
 let encode w t =
   Codec.W.bytes w t.proc;

@@ -38,8 +38,14 @@ val make :
   unit ->
   t
 
-val verify : t -> service:Iaccf_crypto.Digest32.t -> bool
-(** Signature valid and addressed to this service. *)
+val verify :
+  ?check:
+    (Iaccf_crypto.Schnorr.public_key -> Iaccf_crypto.Digest32.t -> signature:string -> bool) ->
+  t ->
+  service:Iaccf_crypto.Digest32.t ->
+  bool
+(** Addressed to this service (checked first), and [check] (default
+    [Schnorr.verify]) accepts the signature over the signing payload. *)
 
 val is_governance : t -> bool
 (** The request calls a built-in governance procedure (["gov/..."]): it

@@ -7,6 +7,9 @@ module Message = Iaccf_types.Message
 module Ledger = Iaccf_ledger.Ledger
 module Entry = Iaccf_ledger.Entry
 module D = Iaccf_crypto.Digest32
+module Schnorr = Iaccf_crypto.Schnorr
+module Bitmap = Iaccf_util.Bitmap
+module Network = Iaccf_sim.Network
 
 let check = Alcotest.check
 
@@ -410,6 +413,272 @@ let test_replayed_request_rejected () =
         (ledger_count r second))
     replicas
 
+(* ------------------------------------------------------------------ *)
+(* Forged view changes, new views and pre-prepares from one replica     *)
+
+let honest = [ 0; 2; 3 ]
+
+(* Six transactions committed at every replica. *)
+let committed_world ?seed () =
+  let cluster = Cluster.make ?seed ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  ignore (submit_and_wait cluster client 6);
+  Cluster.run cluster ~ms:100.0;
+  (cluster, client)
+
+let counter r = Iaccf_kv.Hamt.find "counter" (Iaccf_kv.Store.map (Replica.store r))
+
+(* What a refused attack leaves an honest replica holding. *)
+let holding r =
+  Printf.sprintf "view %d, committed %d, ledger %d, counter %s" (Replica.view r)
+    (Replica.last_committed r)
+    (Ledger.length (Replica.ledger r))
+    (Option.value (counter r) ~default:"absent")
+
+let check_audits cluster r =
+  let params = Cluster.params cluster in
+  let auditor =
+    Audit.create ~genesis:(Cluster.genesis cluster)
+      ~app:(App.create Cluster.counter_app_procs)
+      ~pipeline:params.Replica.pipeline
+      ~checkpoint_interval:params.Replica.checkpoint_interval
+  in
+  let ledger = Replica.ledger r in
+  match Audit.audit auditor ~receipts:[] ~ledger ~responder:(Replica.id r) () with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "replica %d's ledger: %a" (Replica.id r) Audit.pp_verdict v
+
+(* Another transaction commits at every honest replica, and each ledger
+   audits clean. *)
+let keeps_committing cluster client =
+  let committed id = Replica.last_committed (Cluster.replica cluster id) in
+  let before = List.map committed honest in
+  ignore (submit_and_wait cluster client 1);
+  Cluster.run cluster ~ms:100.0;
+  List.iter2
+    (fun id lc ->
+      let r = Cluster.replica cluster id in
+      check Alcotest.bool (Printf.sprintf "replica %d commits" id) true
+        (Replica.last_committed r > lc);
+      check_audits cluster r)
+    honest before
+
+let sign_as cluster id d = Schnorr.sign (Cluster.replica_sk cluster id) (D.to_raw d)
+
+let signed_vc cluster ~view id =
+  {
+    Message.vc_view = view;
+    vc_replica = id;
+    vc_last_prepared = [];
+    vc_signature =
+      sign_as cluster id (Message.view_change_payload ~view ~replica:id ~last_prepared:[]);
+  }
+
+(* A new view from [primary] naming [vcs] (or the given digest and
+   bitmap), under the m_root an honest replica computes after rolling back
+   to genesis and appending the set. *)
+let signed_nv cluster ~view ~primary ?vc_hash ?vc_bitmap vcs =
+  let ledger = Ledger.create (Cluster.genesis cluster) in
+  let entry = Entry.View_change_set vcs in
+  ignore (Ledger.append ledger entry);
+  let m_root = Ledger.m_root ledger in
+  let vc_hash = Option.value vc_hash ~default:(Entry.leaf_digest entry) in
+  let vc_bitmap =
+    Option.value vc_bitmap
+      ~default:(Bitmap.of_list (List.map (fun vc -> vc.Message.vc_replica) vcs))
+  in
+  {
+    Message.nv_view = view;
+    nv_m_root = m_root;
+    nv_vc_bitmap = vc_bitmap;
+    nv_vc_hash = vc_hash;
+    nv_primary = primary;
+    nv_signature =
+      sign_as cluster primary
+        (Message.new_view_payload ~view ~m_root ~vc_bitmap ~vc_hash ~primary);
+  }
+
+let send_new_view cluster nv vcs =
+  List.iter
+    (fun dst ->
+      Network.send (Cluster.network cluster) ~src:1 ~dst (Wire.New_view_msg { nv; vcs }))
+    honest;
+  Cluster.run cluster ~ms:200.0
+
+(* Replica 1, the primary of view 1, sends a new view whose set is its own
+   view change three times, validly signed, reporting nothing prepared.
+   Counting the repeats as a quorum rolled every honest replica back to
+   genesis, past a batch the client holds receipts for. *)
+let test_padded_new_view_refused () =
+  let cluster, client = committed_world () in
+  let before = List.map (fun id -> holding (Cluster.replica cluster id)) honest in
+  let vc = signed_vc cluster ~view:1 1 in
+  let vcs = [ vc; vc; vc ] in
+  send_new_view cluster (signed_nv cluster ~view:1 ~primary:1 vcs) vcs;
+  List.iter2
+    (fun id b ->
+      check Alcotest.string (Printf.sprintf "replica %d holds" id) b
+        (holding (Cluster.replica cluster id)))
+    honest before;
+  keeps_committing cluster client
+
+(* Replica 1 sends replica 2 an unsolicited ledger extent holding one
+   new-view entry for view 9 with a garbage signature. Replica 2 appended
+   it unchecked, moved to view 9 and stopped committing, and its ledger
+   failed the audit. *)
+let test_forged_new_view_entry_refused () =
+  let cluster, client = committed_world () in
+  let r2 = Cluster.replica cluster 2 in
+  let before = holding r2 in
+  let len = Ledger.length (Replica.ledger r2) in
+  let nv =
+    {
+      Message.nv_view = 9;
+      nv_m_root = Ledger.m_root (Replica.ledger r2);
+      nv_vc_bitmap = Bitmap.empty;
+      nv_vc_hash = D.zero;
+      nv_primary = 1;
+      nv_signature = "garbage";
+    }
+  in
+  Network.send (Cluster.network cluster) ~src:1 ~dst:2
+    (Wire.Ledger_suffix_chunk
+       { lc_from = len; lc_entries = [ Entry.New_view nv ]; lc_upto = len + 1; lc_view = 9 });
+  Cluster.run cluster ~ms:100.0;
+  check Alcotest.string "replica 2 holds" before (holding r2);
+  keeps_committing cluster client
+
+(* Primary 0 re-signs its pre-prepares with a gov_index 7 too high. The
+   backups committed them, and their ledgers failed the audit; they now
+   refuse the batch, the progress timer changes the view, and the
+   transaction commits under the next primary. *)
+let test_wrong_gov_index_refused () =
+  let cluster = Cluster.make ~n:4 () in
+  Network.set_intercept (Cluster.network cluster) 0 (fun ~dst msg ->
+      match msg with
+      | Wire.Pre_prepare_msg { pp; batch } ->
+          let pp = { pp with Message.gov_index = pp.Message.gov_index + 7 } in
+          let pp = { pp with Message.signature = sign_as cluster 0 (Message.pp_hash pp) } in
+          [ (dst, Wire.Pre_prepare_msg { pp; batch }) ]
+      | _ -> [ (dst, msg) ]);
+  let client = Cluster.add_client cluster () in
+  Client.submit client ~proc:"counter/add" ~args:"1" ();
+  (* Bounded: a backup that accepts the batch sends the client a replyx
+     naming gov_index 7, and the parent client then stormed. *)
+  ignore
+    (Cluster.run_until cluster ~timeout_ms:10_000.0 (fun () ->
+         Client.completed client = 1
+         || Network.messages_sent (Cluster.network cluster) > 5_000));
+  check Alcotest.int "completed" 1 (Client.completed client);
+  Cluster.run cluster ~ms:100.0;
+  check Alcotest.bool "refused" true
+    (Iaccf_obs.Obs.counter_value (Cluster.obs cluster) "replica.reject.gov_index" >= 1);
+  List.iter (fun id -> check_audits cluster (Cluster.replica cluster id)) [ 1; 2; 3 ]
+
+(* Replica 0 rewrites its replyx messages to name gov_index 99 under a
+   pre-prepare it signs itself. The client asked every replica for
+   governance receipts, re-ran completion on each answer, asked again, and
+   each round multiplied the traffic by N: hundreds of thousands of
+   messages within milliseconds, and the request never completed. *)
+let test_governance_receipt_requests_bounded () =
+  let cluster = Cluster.make ~n:4 () in
+  let net = Cluster.network cluster in
+  let forged = ref 0 in
+  Network.set_intercept net 0 (fun ~dst msg ->
+      match msg with
+      | Wire.Replyx_msg x ->
+          incr forged;
+          let pp = { x.Message.x_pp with Message.gov_index = 99 } in
+          let pp = { pp with Message.signature = sign_as cluster 0 (Message.pp_hash pp) } in
+          [ (dst, Wire.Replyx_msg { x with Message.x_pp = pp }) ]
+      | _ -> [ (dst, msg) ]);
+  let client = Cluster.add_client cluster () in
+  let completed = ref 0 in
+  for i = 1 to 8 do
+    Client.submit client ~proc:"counter/add" ~args:(string_of_int i)
+      ~on_complete:(fun _ -> incr completed)
+      ()
+  done;
+  let bound = 2_000 in
+  ignore
+    (Cluster.run_until cluster ~timeout_ms:5_000.0 (fun () ->
+         !completed = 8 || Network.messages_sent net > bound));
+  check Alcotest.bool "replica 0 forged a replyx" true (!forged > 0);
+  check Alcotest.bool "messages bounded" true (Network.messages_sent net <= bound);
+  check Alcotest.int "all complete" 8 !completed
+
+(* The primary of view 1 sends one new view, mutated from a set of three
+   view changes that report nothing prepared. Unmutated, that set would
+   roll the honest replicas back to genesis; each mutation must be
+   refused before anything moves. *)
+type mutation =
+  | Repeated_sender
+  | Mixed_views
+  | Below_quorum
+  | Broken_signature
+  | Unsorted_senders
+  | Wrong_digest
+  | Wrong_bitmap
+
+let mutation_name = function
+  | Repeated_sender -> "repeated sender"
+  | Mixed_views -> "mixed views"
+  | Below_quorum -> "below quorum"
+  | Broken_signature -> "broken view-change signature"
+  | Unsorted_senders -> "unsorted senders"
+  | Wrong_digest -> "wrong digest"
+  | Wrong_bitmap -> "wrong bitmap"
+
+let prop_mutated_new_view =
+  let mutations =
+    [
+      Repeated_sender;
+      Mixed_views;
+      Below_quorum;
+      Broken_signature;
+      Unsorted_senders;
+      Wrong_digest;
+      Wrong_bitmap;
+    ]
+  in
+  QCheck.Test.make ~count:140 ~name:"a mutated new view leaves honest replicas intact"
+    QCheck.(
+      pair
+        (make ~print:mutation_name (Gen.oneofl mutations))
+        (make ~print:string_of_int (Gen.int_range 1 1000)))
+    (fun (mutation, seed) ->
+      let cluster, _ = committed_world ~seed () in
+      let prefix r =
+        List.init (Replica.last_committed r) (fun i ->
+            match Ledger.find_pre_prepare (Replica.ledger r) ~seqno:(i + 1) with
+            | Some (_, pp) -> D.to_hex (Message.pp_hash pp)
+            | None -> "missing")
+      in
+      let before = List.map (fun id -> prefix (Cluster.replica cluster id)) honest in
+      let vc = signed_vc cluster ~view:1 in
+      let set = [ vc 0; vc 1; vc 2 ] in
+      let vcs, vc_hash, vc_bitmap =
+        match mutation with
+        | Repeated_sender -> ([ vc 0; vc 1; vc 1 ], None, None)
+        | Mixed_views -> ([ vc 0; vc 1; signed_vc cluster ~view:2 2 ], None, None)
+        | Below_quorum -> ([ vc 0; vc 1 ], None, None)
+        | Broken_signature ->
+            let broken = { (vc 1) with Message.vc_signature = String.make 64 'x' } in
+            ([ vc 0; broken; vc 2 ], None, None)
+        | Unsorted_senders -> ([ vc 1; vc 0; vc 2 ], None, None)
+        | Wrong_digest -> (set, Some (D.of_string "another set"), None)
+        | Wrong_bitmap -> (set, None, Some (Bitmap.of_list [ 0; 1; 3 ]))
+      in
+      send_new_view cluster (signed_nv cluster ~view:1 ~primary:1 ?vc_hash ?vc_bitmap vcs) vcs;
+      List.iter2
+        (fun id b ->
+          let r = Cluster.replica cluster id in
+          if List.filteri (fun i _ -> i < List.length b) (prefix r) <> b then
+            QCheck.Test.fail_reportf "replica %d lost its committed prefix" id;
+          check_audits cluster r)
+        honest before;
+      true)
+
 (* The vote module on its own: one slot, [n] replicas, each revealing a
    nonce that opens, 32 wrong bytes, a short preimage of its commitment
    (which a bare hash compare accepts), or nothing; a backup may also
@@ -738,6 +1007,14 @@ let () =
             test_nonce_equivocation_keeps_view;
           Alcotest.test_case "replayed request in a pre-prepare" `Quick
             test_replayed_request_rejected;
+          Alcotest.test_case "padded new view" `Quick test_padded_new_view_refused;
+          Alcotest.test_case "forged new-view ledger entry" `Quick
+            test_forged_new_view_entry_refused;
+          Alcotest.test_case "pre-prepare with a wrong gov_index" `Quick
+            test_wrong_gov_index_refused;
+          Alcotest.test_case "governance receipt requests stay bounded" `Quick
+            test_governance_receipt_requests_bounded;
+          QCheck_alcotest.to_alcotest prop_mutated_new_view;
         ] );
       ( "replies",
         [
