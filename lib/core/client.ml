@@ -8,6 +8,7 @@ module Genesis = Iaccf_types.Genesis
 module Schnorr = Iaccf_crypto.Schnorr
 module D = Iaccf_crypto.Digest32
 module Obs = Iaccf_obs.Obs
+module Critical_path = Iaccf_obs.Critical_path
 
 type outcome = {
   oc_output : (string, string) result;
@@ -116,17 +117,10 @@ let try_complete t p =
           if List.length backups >= quorum - 1 then begin
             let chosen = List.filteri (fun i _ -> i < quorum - 1) backups in
             let receipt =
-              Receipt.make pp
+              Receipt.of_replyx x
                 (List.map
                    (fun (id, r) -> (id, r.Message.r_signature, r.Message.r_nonce))
                    chosen)
-                (Receipt.Tx_subject
-                   {
-                     tx = x.Message.x_tx;
-                     leaf_index = x.Message.x_leaf_index;
-                     batch_size = x.Message.x_batch_size;
-                     path = x.Message.x_path;
-                   })
             in
             let verdict =
               if t.verify_receipts then
@@ -144,25 +138,9 @@ let try_complete t p =
                 let latency = Sched.now t.sched -. p.p_sent_at in
                 t.latencies_rev <- latency :: t.latencies_rev;
                 Obs.Histogram.observe t.h_e2e latency;
-                (* Commit-to-receipt: measured against the mark the first
-                   committing replica stamped for this batch. *)
-                (match
-                   Obs.mark_lookup t.obs
-                     (Printf.sprintf "commit:%d" pp.Message.seqno)
-                 with
-                | Some t_commit ->
-                    Obs.Histogram.observe t.h_commit_receipt
-                      (Obs.now t.obs -. t_commit)
-                | None -> ());
-                if Obs.tracing_enabled t.obs then begin
-                  let id = Request.trace_id p.p_req in
-                  Obs.instant t.obs ~node:t.addr ~cat:"request"
-                    ~name:"receipt.issued" ~id
-                    ~args:[ ("seqno", string_of_int pp.Message.seqno) ]
-                    ();
-                  Obs.span_end t.obs ~node:t.addr ~cat:"request" ~name:"e2e" ~id
-                    ()
-                end;
+                Critical_path.receipt_issued t.obs t.h_commit_receipt ~node:t.addr
+                  ~id:(lazy (Request.trace_id p.p_req))
+                  ~seqno:pp.Message.seqno;
                 let output =
                   App.decode_output x.Message.x_tx.Batch.result.Batch.output
                 in
@@ -343,12 +321,8 @@ let submit t ~proc ~args ?on_complete () =
   in
   Hashtbl.replace t.pending (D.to_raw h) p;
   Obs.incr t.c_submitted;
-  if Obs.tracing_enabled t.obs then
-    (* The e2e span id IS the request's causal trace id: flow events and
-       the request.batched instant key off the same hash prefix. *)
-    Obs.span_begin t.obs ~node:t.addr ~cat:"request" ~name:"e2e"
-      ~id:(Request.trace_id req)
-      ~args:[ ("proc", proc) ]
-      ();
+  (* The span id IS the request's causal trace id: flow events and the
+     primary's batching instant key off the same hash prefix. *)
+  Critical_path.request_submitted t.obs ~node:t.addr ~id:(lazy (Request.trace_id req)) ~proc;
   broadcast t (Wire.Request_msg req);
   arm_retry t p

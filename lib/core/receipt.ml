@@ -48,6 +48,23 @@ let tx_subject txs =
   let path = g_path txs and batch_size = List.length txs in
   fun i -> Tx_subject { tx = List.nth txs i; leaf_index = i; batch_size; path = path i }
 
+let replyxs pp txs pick =
+  let path = g_path txs and size = List.length txs in
+  List.concat
+    (List.mapi
+       (fun i tx ->
+         if pick tx then
+           [ { Message.x_pp = pp; x_tx = tx; x_leaf_index = i; x_batch_size = size;
+               x_path = path i } ]
+         else [])
+       txs)
+
+let of_replyx (x : Message.replyx) backups =
+  make x.Message.x_pp backups
+    (Tx_subject
+       { tx = x.Message.x_tx; leaf_index = x.Message.x_leaf_index;
+         batch_size = x.Message.x_batch_size; path = x.Message.x_path })
+
 let seqno t = t.pp.Message.seqno
 let view t = t.pp.Message.view
 

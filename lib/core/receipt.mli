@@ -43,6 +43,19 @@ val tx_subject : Batch.tx_entry list -> int -> subject
 (** The subject for position [i] (which must exist) of a batch, with its
     {!g_path}; partial application shares the tree the same way. *)
 
+val replyxs :
+  Message.pre_prepare ->
+  Batch.tx_entry list ->
+  (Batch.tx_entry -> bool) ->
+  Message.replyx list
+(** [replyxs pp txs pick]: the receipt material (§3.3) a replica sends
+    for each transaction of the batch that [pick] selects, in batch
+    order; the batch's tree is built once. *)
+
+val of_replyx : Message.replyx -> (int * string * string) list -> t
+(** The client's side: a transaction receipt from a replyx and the chosen
+    backups, as for {!make}. *)
+
 val seqno : t -> int
 val view : t -> int
 

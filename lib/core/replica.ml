@@ -11,12 +11,11 @@ module Config = Iaccf_types.Config
 module Genesis = Iaccf_types.Genesis
 module Schnorr = Iaccf_crypto.Schnorr
 module Profile = Iaccf_crypto.Profile
-module Vstage = Iaccf_crypto.Vstage
 module D = Iaccf_crypto.Digest32
-module Hmac = Iaccf_crypto.Hmac
 module Bitmap = Iaccf_util.Bitmap
 module Rng = Iaccf_util.Rng
 module Obs = Iaccf_obs.Obs
+module Critical_path = Iaccf_obs.Critical_path
 module Snapshot = Iaccf_statesync.Snapshot
 module SyncSession = Iaccf_statesync.Session
 module SyncServer = Iaccf_statesync.Server
@@ -61,9 +60,6 @@ type stats = {
    "replica.<id>." prefix); [stats] snapshots them back into the record
    shape the callers always read. *)
 type counters = {
-  c_sigs_made : Obs.counter;
-  c_sigs_verified : Obs.counter;
-  c_macs_computed : Obs.counter;
   c_batches_committed : Obs.counter;
   c_txs_executed : Obs.counter;
   c_requests_committed : Obs.counter;
@@ -81,9 +77,6 @@ type counters = {
 let make_counters obs rid =
   let c name = Obs.counter obs (Printf.sprintf "replica.%d.%s" rid name) in
   {
-    c_sigs_made = c "sigs_made";
-    c_sigs_verified = c "sigs_verified";
-    c_macs_computed = c "macs_computed";
     c_batches_committed = c "batches_committed";
     c_txs_executed = c "txs_executed";
     c_requests_committed = c "requests_committed";
@@ -93,22 +86,6 @@ let make_counters obs rid =
     c_load_admitted = Obs.counter obs "load.admitted";
     c_load_rejected = Obs.counter obs "load.rejected";
     g_queue_depth = Obs.gauge obs "queue.depth";
-  }
-
-(* Per-phase latency histograms, shared across the registry (the primary
-   of each batch is the observer, so every batch is counted exactly once
-   cluster-wide). *)
-type phase_hists = {
-  h_pp_to_prepared : Obs.Histogram.h;
-  h_pp_to_commit : Obs.Histogram.h;
-  h_prepared_to_commit : Obs.Histogram.h;
-}
-
-let make_phase_hists obs =
-  {
-    h_pp_to_prepared = Obs.histogram obs "lat.preprepare_to_prepared_ms";
-    h_pp_to_commit = Obs.histogram obs "lat.preprepare_to_commit_ms";
-    h_prepared_to_commit = Obs.histogram obs "lat.prepared_to_commit_ms";
   }
 
 (* What executing a batch changes outside its own record, captured before
@@ -132,15 +109,12 @@ type batch_record = {
   br_undo : undo;
   mutable br_prepared : bool;
   mutable br_committed : bool;
-  (* Virtual-clock stamps for the phase latency histograms and spans. *)
-  mutable br_t_pp : float;
-  mutable br_t_prepared : float;
+  br_clock : Critical_path.batch; (* trace spans and phase latency stamps *)
 }
 
 type t = {
   rid : int;
-  sk : Schnorr.secret_key;
-  mac_key : string;
+  auth : Auth.t; (* signing, checks and the Table 3 ablations *)
   genesis : Genesis.t;
   service : D.t;
   app : App.t;
@@ -150,10 +124,9 @@ type t = {
   client_address : Schnorr.public_key -> int option;
   rng : Rng.t;
   obs : Obs.t;
-  profile : Profile.t; (* wall-clock sign/verify/apply cost accounting *)
-  vstage : Vstage.t; (* signature verification with per-key tables *)
+  profile : Profile.t; (* wall-clock apply cost accounting *)
   ctr : counters;
-  ph : phase_hists;
+  cp : Critical_path.recorder; (* batch spans and phase histograms *)
   rule : Schedule.rule; (* checkpoint and reconfiguration schedule *)
   mutable cfg : Config.t;
   mutable view : int;
@@ -227,9 +200,9 @@ let obs t = t.obs
 
 let stats t =
   {
-    signatures_made = Obs.value t.ctr.c_sigs_made;
-    signatures_verified = Obs.value t.ctr.c_sigs_verified;
-    macs_computed = Obs.value t.ctr.c_macs_computed;
+    signatures_made = Auth.signatures_made t.auth;
+    signatures_verified = Auth.signatures_verified t.auth;
+    macs_computed = Auth.macs_computed t.auth;
     batches_committed = Obs.value t.ctr.c_batches_committed;
     txs_executed = Obs.value t.ctr.c_txs_executed;
     txs_committed = Obs.value t.ctr.c_requests_committed;
@@ -244,7 +217,7 @@ let primary_id t = Config.primary_of_view t.cfg t.view
 let is_primary t = t.activated && primary_id t = t.rid
 let replica_ids t = List.map (fun r -> r.Config.replica_id) t.cfg.Config.replicas
 let in_config t = Config.replica t.cfg t.rid <> None
-let keep_ledger t = t.params.variant.Variant.keep_ledger
+let keep_ledger t = Auth.keep_ledger t.auth
 
 let batch_end_length t seqno =
   if seqno = 0 then 1
@@ -294,66 +267,14 @@ let slot t s =
     ~digest:(fun cp -> Option.map snd (Hashtbl.find_opt t.checkpoints cp))
     s
 
-(* ------------------------------------------------------------------ *)
-(* Signing: real signatures, or HMAC authenticators for the macs-only  *)
-(* variant (Table 3 row f). PeerReview adds signatures per message.    *)
-(* Every operation is charged to the crypto profiler under the message *)
-(* class ([cls]) that demanded it.                                     *)
-
-let schnorr_sign t ~cls raw =
-  Obs.incr t.ctr.c_sigs_made;
-  Profile.time t.profile Profile.Sign ~cls Profile.Replica_key (fun () ->
-      Schnorr.sign t.sk raw)
-
-let sign_digest t ~cls d =
-  if t.params.variant.Variant.macs_only then begin
-    Obs.incr t.ctr.c_macs_computed;
-    Profile.time t.profile Profile.Mac ~cls Profile.Replica_key (fun () ->
-        Hmac.mac ~key:t.mac_key (D.to_raw d))
-  end
-  else schnorr_sign t ~cls (D.to_raw d)
-
-let verify_digest t ~cls ~replica d ~signature =
-  if t.params.variant.Variant.macs_only then begin
-    (* No premature counting here: the MAC check needs no key lookup and
-       always runs, so the tally matches work done. *)
-    Obs.incr t.ctr.c_macs_computed;
-    Profile.time t.profile Profile.Mac ~cls Profile.Replica_key (fun () ->
-        Hmac.verify ~key:t.mac_key (D.to_raw d) ~mac:signature)
-  end
-  else
-    match Config.replica_pk t.cfg replica with
-    | None -> false
-    | Some pk ->
-        (* Count only after the key lookup succeeds: an unknown replica id
-           performs no verification and must not skew sigs_verified or the
-           profiler's Table-3 breakdown. *)
-        Obs.incr t.ctr.c_sigs_verified;
-        Vstage.verify t.vstage ~cls ~principal:Profile.Replica_key pk
-          (D.to_raw d) ~signature
-
-(* Message's checks with this replica's signature check. Structure checks
-   come first (they cost nothing); only a well-formed message pays for the
-   signature math. *)
-let verify_pp_sig t = Message.verify_pre_prepare ~check:(verify_digest t ~cls:"pre_prepare") t.cfg
-let verify_prepare_sig t = Message.verify_prepare ~check:(verify_digest t ~cls:"prepare") t.cfg
-
-let verify_vc_sig t =
-  Message.verify_view_change ~check:(verify_digest t ~cls:"view_change") t.cfg
-
-let verify_nv_sig t = Message.verify_new_view ~check:(verify_digest t ~cls:"new_view") t.cfg
-
-(* What the signed-commit ablation signs and checks. *)
-let commit_payload v s r = D.of_string (Printf.sprintf "commit:%d:%d:%d" v s r)
-
-(* The paper's dominant cost: one client-key verification per request,
-   unamortized by batching. *)
-let verify_request_sig t (req : Request.t) =
-  (not t.params.variant.Variant.verify_client_sigs)
-  || Request.verify req ~service:t.service ~check:(fun pk d ~signature ->
-         Obs.incr t.ctr.c_sigs_verified;
-         Vstage.verify t.vstage ~cls:"request" ~principal:Profile.Client_key pk
-           (D.to_raw d) ~signature)
+(* Message's checks with this replica's signature check (Auth). Structure
+   checks come first (they cost nothing); only a well-formed message pays
+   for the signature math. *)
+let check t cls = Auth.verify t.auth t.cfg ~cls
+let verify_pp_sig t = Message.verify_pre_prepare ~check:(check t "pre_prepare") t.cfg
+let verify_prepare_sig t = Message.verify_prepare ~check:(check t "prepare") t.cfg
+let verify_vc_sig t = Message.verify_view_change ~check:(check t "view_change") t.cfg
+let verify_nv_sig t = Message.verify_new_view ~check:(check t "new_view") t.cfg
 
 (* What a catch-up session needs from the replica to gate an install. *)
 let sync_hooks t =
@@ -369,13 +290,9 @@ let sync_hooks t =
 (* ------------------------------------------------------------------ *)
 (* Network plumbing                                                    *)
 
-let peerreview_extra_sign t payload =
-  if t.params.variant.Variant.peerreview then
-    ignore (schnorr_sign t ~cls:"peerreview" (D.to_raw (D.of_string payload)))
-
 let send t ~dst msg =
   if t.running then begin
-    peerreview_extra_sign t (Wire.describe msg);
+    Auth.sent t.auth msg;
     Network.send t.network ~src:t.rid ~dst msg
   end
 
@@ -467,6 +384,7 @@ let tx_write_set t = Status_index.write_set t.index
 let append_ledger t entry = if keep_ledger t then ignore (Ledger.append t.ledger entry)
 let ledger_len t = if keep_ledger t then Ledger.length t.ledger else t.seqno * 4
 let m_root_now t = if keep_ledger t then Ledger.m_root t.ledger else D.zero
+let truncate_ledger t n = if keep_ledger t then Ledger.truncate t.ledger n
 
 let capture t =
   {
@@ -479,7 +397,7 @@ let capture t =
   }
 
 let restore t u =
-  if keep_ledger t then Ledger.truncate t.ledger u.u_ledger;
+  truncate_ledger t u.u_ledger;
   Store.rollback t.store u.u_kv;
   t.gov_index <- u.u_gov_index;
   t.current_dc <- u.u_dc;
@@ -524,8 +442,7 @@ let add_record t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~un
       br_undo = undo;
       br_prepared = committed;
       br_committed = committed;
-      br_t_pp = 0.0;
-      br_t_prepared = 0.0;
+      br_clock = Critical_path.batch ~seqno:pp.Message.seqno ~primary:(pp.Message.primary = t.rid);
     }
   in
   let s = pp.Message.seqno in
@@ -576,10 +493,9 @@ let post_execute_batch t (pp : Message.pre_prepare) txs =
     Hashtbl.replace t.checkpoints s (cp, Checkpoint.digest cp);
     t.latest_cp_seqno <- s;
     Obs.incr t.ctr.c_checkpoints_taken;
-    if Obs.tracing_enabled t.obs then
-      Obs.instant t.obs ~node:t.rid ~cat:"checkpoint" ~name:"checkpoint"
-        ~args:[ ("seqno", string_of_int s) ]
-        ()
+    Obs.instant t.obs ~node:t.rid ~cat:"checkpoint" ~name:"checkpoint"
+      ~args:[ ("seqno", string_of_int s) ]
+      ()
   in
   let step =
     Schedule.step t.rule t.phase s ~passed:(fun () ->
@@ -625,15 +541,9 @@ let maybe_write_snapshot t cp_seqno cp_digest =
             let bytes = Snapshot.write ~dir cp in
             Snapshot.retain ~dir ~keep:2;
             Obs.incr t.sync.snapshots_written;
-            if Obs.tracing_enabled t.obs then
-              Obs.instant t.obs ~node:t.rid ~cat:"statesync"
-                ~name:"statesync.snapshot_write"
-                ~args:
-                  [
-                    ("cp_seqno", string_of_int cp_seqno);
-                    ("bytes", string_of_int bytes);
-                  ]
-                ()
+            Obs.instant t.obs ~node:t.rid ~cat:"statesync" ~name:"statesync.snapshot_write"
+              ~args:[ ("cp_seqno", string_of_int cp_seqno); ("bytes", string_of_int bytes) ]
+              ()
           with Unix.Unix_error _ | Sys_error _ -> ())
       | _ -> ())
   | _ -> ()
@@ -657,20 +567,6 @@ let replays_request t batch_hashes =
 
 (* ------------------------------------------------------------------ *)
 (* Receipts and replies                                                *)
-
-(* Receipt material (§3.3) for the transactions of a batch that satisfy
-   [pick], in batch order. *)
-let replyxs rec_ pick =
-  let path = Receipt.g_path rec_.br_txs and size = List.length rec_.br_txs in
-  List.mapi (fun i tx -> (i, tx)) rec_.br_txs
-  |> List.filter_map (fun (i, (tx : Batch.tx_entry)) ->
-         if not (pick tx) then None
-         else
-           Some
-             ( tx,
-               Wire.Replyx_msg
-                 { Message.x_pp = rec_.br_pp; x_tx = tx; x_leaf_index = i;
-                   x_batch_size = size; x_path = path i } ))
 
 let designated_for t (tx : Batch.tx_entry) =
   let ids = replica_ids t in
@@ -707,11 +603,11 @@ let send_replies t rec_ ~reply_to ~pick ?replyx_to () =
       List.iter (fun pk -> send_to_client t pk reply) reply_to
   | _ -> ());
   List.iter
-    (fun ((tx : Batch.tx_entry), m) ->
+    (fun (x : Message.replyx) ->
       match replyx_to with
-      | Some dst -> send t ~dst m
-      | None -> send_to_client t tx.Batch.request.Request.client_pk m)
-    (replyxs rec_ pick)
+      | Some dst -> send t ~dst (Wire.Replyx_msg x)
+      | None -> send_to_client t x.Message.x_tx.Batch.request.Request.client_pk (Wire.Replyx_msg x))
+    (Receipt.replyxs rec_.br_pp rec_.br_txs pick)
 
 (* The batch's clients, each once, in batch order. *)
 let batch_clients rec_ =
@@ -782,78 +678,6 @@ let batch_package t ~seqno =
       })
     (Hashtbl.find_opt t.records seqno)
 
-(* ------------------------------------------------------------------ *)
-(* Protocol tracing: per-batch async spans (cat "batch", id = seqno).
-   The outer "consensus" span covers pre-prepare acceptance to commit;
-   "phase.prepare" / "phase.commit" nest inside it. Begin events are only
-   emitted on successful pre-prepare acceptance (emit_batch or
-   process_pre_prepare), so every begin has a matching end: commit, or a
-   cancelled end when a view change rolls the batch back.                *)
-
-let batch_id rec_ = string_of_int rec_.br_pp.Message.seqno
-
-let trace_batch_begin t rec_ =
-  rec_.br_t_pp <- Obs.now t.obs;
-  if Obs.tracing_enabled t.obs then begin
-    let id = batch_id rec_ in
-    Obs.span_begin t.obs ~node:t.rid ~cat:"batch" ~name:"consensus" ~id
-      ~args:
-        [
-          ("view", string_of_int rec_.br_pp.Message.view);
-          ("txs", string_of_int (List.length rec_.br_txs));
-        ]
-      ();
-    Obs.span_begin t.obs ~node:t.rid ~cat:"batch" ~name:"phase.prepare" ~id ()
-  end
-
-let trace_batch_prepared t rec_ =
-  rec_.br_t_prepared <- Obs.now t.obs;
-  (* The batch's primary is the sole observer, so each batch lands in the
-     phase histograms exactly once cluster-wide. *)
-  if rec_.br_pp.Message.primary = t.rid then
-    Obs.Histogram.observe t.ph.h_pp_to_prepared
-      (rec_.br_t_prepared -. rec_.br_t_pp);
-  if Obs.tracing_enabled t.obs then begin
-    let id = batch_id rec_ in
-    Obs.span_end t.obs ~node:t.rid ~cat:"batch" ~name:"phase.prepare" ~id ();
-    Obs.span_begin t.obs ~node:t.rid ~cat:"batch" ~name:"phase.commit" ~id ()
-  end
-
-let trace_batch_committed t rec_ =
-  let s = rec_.br_pp.Message.seqno in
-  let now = Obs.now t.obs in
-  (* First committer cluster-wide stamps the mark; clients measure their
-     commit-to-receipt latency against it. *)
-  Obs.mark t.obs (Printf.sprintf "commit:%d" s);
-  if rec_.br_pp.Message.primary = t.rid then begin
-    Obs.Histogram.observe t.ph.h_pp_to_commit (now -. rec_.br_t_pp);
-    Obs.Histogram.observe t.ph.h_prepared_to_commit (now -. rec_.br_t_prepared)
-  end;
-  if Obs.tracing_enabled t.obs then begin
-    let id = batch_id rec_ in
-    Obs.span_end t.obs ~node:t.rid ~cat:"batch" ~name:"phase.commit" ~id ();
-    Obs.span_end t.obs ~node:t.rid ~cat:"batch" ~name:"consensus" ~id ();
-    Obs.instant t.obs ~node:t.rid ~cat:"batch" ~name:"batch.committed" ~id
-      ~args:[ ("txs", string_of_int (List.length rec_.br_txs)) ]
-      ();
-    if
-      List.exists (fun (tx : Batch.tx_entry) -> Request.is_governance tx.Batch.request)
-        rec_.br_txs
-    then Obs.instant t.obs ~node:t.rid ~cat:"gov" ~name:"gov.batch" ~id ()
-  end
-
-(* Close the open spans of a batch a view change rolls back. Batches
-   adopted already-committed (state transfer) never had begins. *)
-let trace_batch_cancelled t rec_ =
-  if Obs.tracing_enabled t.obs && not rec_.br_committed then begin
-    let id = batch_id rec_ in
-    let args = [ ("cancelled", "true") ] in
-    Obs.span_end t.obs ~node:t.rid ~cat:"batch"
-      ~name:(if rec_.br_prepared then "phase.commit" else "phase.prepare")
-      ~id ~args ();
-    Obs.span_end t.obs ~node:t.rid ~cat:"batch" ~name:"consensus" ~id ~args ()
-  end
-
 (* Accept a batch this replica executed, as primary or backup: append it,
    record it, open its trace spans and move to the next seqno. [batched]
    are the requests the primary just took from its queue. *)
@@ -867,19 +691,8 @@ let accept_batch t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~
     add_record t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo
       ~committed:false
   in
-  trace_batch_begin t rec_;
-  (* Bridge the two flow identities: request flows are keyed by trace id,
-     batch phases by seqno. This instant (primary only, where batching
-     happens) lets the critical-path reconstructor hand a request off from
-     its queueing segment to its batch's consensus segments. *)
-  if Obs.tracing_enabled t.obs then
-    List.iter
-      (fun (r : Request.t) ->
-        Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.batched"
-          ~id:(Request.trace_id r)
-          ~args:[ ("seqno", string_of_int pp.Message.seqno) ]
-          ())
-      batched;
+  Critical_path.batch_begin t.cp rec_.br_clock ~view:pp.Message.view ~txs:(List.length txs);
+  Critical_path.batched t.obs ~node:t.rid ~seqno:pp.Message.seqno Request.trace_id batched;
   post_execute_batch t pp txs;
   t.seqno <- pp.Message.seqno + 1;
   rec_
@@ -895,7 +708,7 @@ let rec check_prepared t =
       if Votes.prepared_count t.votes rec_.br_pp >= quorum t - 1 then begin
         rec_.br_prepared <- true;
         t.last_prepared <- q;
-        trace_batch_prepared t rec_;
+        Critical_path.batch_prepared t.cp rec_.br_clock;
         (match Hashtbl.find_opt t.prepared_pps q with
         | Some prev when prev.Message.view >= rec_.br_pp.Message.view -> ()
         | _ -> Hashtbl.replace t.prepared_pps q rec_.br_pp);
@@ -910,28 +723,17 @@ and on_prepared t rec_ =
       let commit =
         { Message.c_view = v; c_seqno = s; c_replica = t.rid; c_nonce = nonce }
       in
-      (* PeerReview — and the signed-commit ablation — sign commit
-         messages; L-PBFT's nonce reveal does not (§3.1, Lemma 3). *)
-      if t.params.variant.Variant.peerreview then peerreview_extra_sign t "commit";
-      if t.params.variant.Variant.sign_commits then
-        ignore (schnorr_sign t ~cls:"commit" (D.to_raw (commit_payload v s t.rid)));
+      Auth.commit_sent t.auth ~view:v ~seqno:s ~replica:t.rid;
       Votes.add_nonce t.votes ~view:v ~seqno:s (t.rid, nonce);
-      if Obs.tracing_enabled t.obs then
-        Obs.instant t.obs ~node:t.rid ~cat:"batch" ~name:"nonce.reveal"
-          ~id:(string_of_int s) ();
+      Obs.instant t.obs ~node:t.rid ~cat:"batch" ~name:"nonce.reveal" ~id:(string_of_int s) ();
       broadcast_replicas t (Wire.Commit_msg commit)
   | None -> ());
   (* Each of the batch's clients gets the reply once; the designated
-     replica also sends each transaction's receipt material. PeerReview
-     signs a reply per client rather than relying on the nonce scheme;
-     model the extra signatures. *)
+     replica also sends each transaction's receipt material. *)
   let clients = batch_clients rec_ in
-  if t.params.variant.Variant.peerreview then
-    List.iter
-      (fun pk -> peerreview_extra_sign t ("reply" ^ Schnorr.public_key_to_bytes pk))
-      clients;
+  Auth.replies_sent t.auth clients;
   send_replies t rec_ ~reply_to:clients
-    ~pick:(fun tx -> t.params.variant.Variant.gen_receipts && designated_for t tx = t.rid)
+    ~pick:(fun tx -> Auth.receipts t.auth && designated_for t tx = t.rid)
     ();
   check_committed t
 
@@ -949,7 +751,12 @@ and check_committed t =
         seal_from_kind t rec_.br_pp;
         Obs.incr t.ctr.c_batches_committed;
         Obs.add t.ctr.c_requests_committed (List.length rec_.br_txs);
-        trace_batch_committed t rec_;
+        Critical_path.batch_committed t.cp rec_.br_clock ~txs:(List.length rec_.br_txs)
+          ~governance:
+            (lazy
+              (List.exists
+                 (fun (tx : Batch.tx_entry) -> Request.is_governance tx.Batch.request)
+                 rec_.br_txs));
         record_gov_receipts t rec_;
         retire_if_handed_over t;
         prune_old_state t;
@@ -1052,7 +859,7 @@ and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
       cp_digest = undo.u_dc;
       kind;
       primary = t.rid;
-      signature = sign_digest t ~cls:"pre_prepare" payload;
+      signature = Auth.sign t.auth ~cls:"pre_prepare" payload;
     }
   in
   let rec_ =
@@ -1135,7 +942,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
           if
             (not min_index_ok)
             || (not (D.equal g_root pp.Message.g_root))
-            || (keep_ledger t && not (D.equal m_root pp.Message.m_root))
+            || not (D.equal m_root pp.Message.m_root)
           then begin
             (* Divergent execution or a lying primary: roll back (Alg. 1,
                line 23) and let the progress timer trigger a view change. *)
@@ -1157,7 +964,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
                 p_replica = t.rid;
                 p_nonce_com = nonce_com;
                 p_pp_hash = pph;
-                p_signature = sign_digest t ~cls:"prepare" payload;
+                p_signature = Auth.sign t.auth ~cls:"prepare" payload;
               }
             in
             ignore
@@ -1234,8 +1041,8 @@ and on_request t (req : Request.t) =
          whichever replica it reaches answers with its reply and the
          receipt material (the designated replica may be cut off), so
          sustained loss cannot strand a completed request. *)
-      answer_executed t h ~reply_to:[ req.Request.client_pk ]
-        ~receipts:t.params.variant.Variant.gen_receipts ()
+      answer_executed t h ~reply_to:[ req.Request.client_pk ] ~receipts:(Auth.receipts t.auth)
+        ()
     else if
       (* Admission control (primary only): shed fresh requests while the
          pending queue sits at or above the watermark — before signature
@@ -1248,21 +1055,20 @@ and on_request t (req : Request.t) =
     then begin
       Obs.incr t.ctr.c_load_rejected;
       update_queue_gauge t;
-      if Obs.tracing_enabled t.obs then
-        Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.rejected"
-          ~args:[ ("proc", req.Request.proc) ]
-          ();
+      Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.rejected"
+        ~args:[ ("proc", req.Request.proc) ]
+        ();
       send_to_client t req.Request.client_pk
         (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = d })
     end
-    else if (not (Hashtbl.mem t.requests h)) && verify_request_sig t req then begin
+    else if (not (Hashtbl.mem t.requests h)) && Auth.verify_request t.auth ~service:t.service req
+    then begin
       admit t req;
       if is_primary t then Obs.incr t.ctr.c_load_admitted;
       update_queue_gauge t;
-      if Obs.tracing_enabled t.obs then
-        Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.received"
-          ~args:[ ("proc", req.Request.proc) ]
-          ();
+      Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.received"
+        ~args:[ ("proc", req.Request.proc) ]
+        ();
       if is_primary t then arm_batch_timer t;
       try_process_pending t
     end
@@ -1281,14 +1087,7 @@ and on_prepare t (p : Message.prepare) =
 and on_commit t ~src (c : Message.commit) =
   if t.running && t.activated && c.Message.c_replica <> t.rid && c.Message.c_replica = src
   then begin
-    (* Signed-commit ablation: pay the verification the nonce scheme saves.
-       The result is discarded: it does not gate the commit bookkeeping
-       below. *)
-    if t.params.variant.Variant.sign_commits then
-      ignore
-        (verify_digest t ~cls:"commit" ~replica:c.Message.c_replica
-           (commit_payload c.Message.c_view c.Message.c_seqno c.Message.c_replica)
-           ~signature:(String.make 64 '\000'));
+    Auth.commit_received t.auth t.cfg c;
     Votes.add_nonce t.votes ~view:c.Message.c_view ~seqno:c.Message.c_seqno
       (c.Message.c_replica, c.Message.c_nonce);
     check_committed t;
@@ -1312,7 +1111,8 @@ and rollback_to t target =
     for q = target + 1 to top do
       match Hashtbl.find_opt t.records q with
       | Some rec_ ->
-          trace_batch_cancelled t rec_;
+          if not rec_.br_committed then
+            Critical_path.batch_cancelled t.cp rec_.br_clock ~prepared:rec_.br_prepared;
           Hashtbl.replace t.archived_content
             (q, (rec_.br_pp.Message.g_root :> string))
             (rec_.br_pp.Message.kind, rec_.br_requests, rec_.br_txs);
@@ -1350,7 +1150,7 @@ and rollback_to t target =
    prefix. *)
 and drop_uncommitted t ~upto =
   rollback_to t upto;
-  if keep_ledger t then Ledger.truncate t.ledger (batch_end_length t t.last_committed)
+  truncate_ledger t (batch_end_length t t.last_committed)
 
 (* ------------------------------------------------------------------ *)
 (* View changes (Alg. 2)                                               *)
@@ -1366,10 +1166,9 @@ and last_prepared_pps t =
 and send_view_change t v' =
   if t.running && t.activated && in_config t then begin
     Obs.incr t.ctr.c_view_changes;
-    if Obs.tracing_enabled t.obs then
-      Obs.instant t.obs ~node:t.rid ~cat:"view" ~name:"view_change"
-        ~args:[ ("view", string_of_int v') ]
-        ();
+    Obs.instant t.obs ~node:t.rid ~cat:"view" ~name:"view_change"
+      ~args:[ ("view", string_of_int v') ]
+      ();
     let pps = last_prepared_pps t in
     t.view <- v';
     t.ready <- false;
@@ -1381,7 +1180,7 @@ and send_view_change t v' =
         Message.vc_view = v';
         vc_replica = t.rid;
         vc_last_prepared = pps;
-        vc_signature = sign_digest t ~cls:"view_change" payload;
+        vc_signature = Auth.sign t.auth ~cls:"view_change" payload;
       }
     in
     Hashtbl.replace (sub_tbl t.view_changes v') t.rid vc;
@@ -1409,7 +1208,7 @@ and on_view_change t (vc : Message.view_change) =
    set. *)
 and install_vc_set t ~target vcs =
   rollback_to t target;
-  if keep_ledger t then Ledger.truncate t.ledger (batch_end_length t target);
+  truncate_ledger t (batch_end_length t target);
   append_ledger t (Entry.View_change_set vcs)
 
 and maybe_new_view t =
@@ -1459,7 +1258,7 @@ and maybe_new_view t =
         let nv_m_root = m_root_now t in
         let nv_vc_bitmap = Newview.senders vcs and nv_vc_hash = Newview.digest vcs in
         let nv_signature =
-          sign_digest t ~cls:"new_view"
+          Auth.sign t.auth ~cls:"new_view"
             (Message.new_view_payload ~view:v' ~m_root:nv_m_root ~vc_bitmap:nv_vc_bitmap
                ~vc_hash:nv_vc_hash ~primary:t.rid)
         in
@@ -1476,10 +1275,9 @@ and maybe_new_view t =
         append_ledger t (Entry.New_view nv);
         broadcast_replicas t (Wire.New_view_msg { nv; vcs });
         t.ready <- true;
-        if Obs.tracing_enabled t.obs then
-          Obs.instant t.obs ~node:t.rid ~cat:"view" ~name:"new_view"
-            ~args:[ ("view", string_of_int v') ]
-            ();
+        Obs.instant t.obs ~node:t.rid ~cat:"view" ~name:"new_view"
+          ~args:[ ("view", string_of_int v') ]
+          ();
         (* Re-propose the prepared batches in the new view (Alg. 2 line 17),
            then resume normal batching. *)
         List.iter
@@ -1523,14 +1321,13 @@ and try_complete_new_view t =
       if t.last_committed < target then reconcile ()
       else begin
         install_vc_set t ~target vcs;
-        if (not (keep_ledger t)) || D.equal (m_root_now t) nv.Message.nv_m_root then begin
+        if D.equal (m_root_now t) nv.Message.nv_m_root then begin
           t.pending_new_view <- None;
           append_ledger t (Entry.New_view nv);
           t.ready <- true;
-          if Obs.tracing_enabled t.obs then
-            Obs.instant t.obs ~node:t.rid ~cat:"view" ~name:"new_view.adopted"
-              ~args:[ ("view", string_of_int nv.Message.nv_view) ]
-              ();
+          Obs.instant t.obs ~node:t.rid ~cat:"view" ~name:"new_view.adopted"
+            ~args:[ ("view", string_of_int nv.Message.nv_view) ]
+            ();
           try_process_pending t;
           (* Re-emitted pre-prepares may have been dropped before we
              adopted the view; pull the next batch explicitly. *)
@@ -1538,7 +1335,7 @@ and try_complete_new_view t =
             send t ~dst:(primary_id t) (Wire.Fetch_missing { fm_seqno = t.seqno })
         end
         else begin
-          if keep_ledger t then Ledger.truncate t.ledger (Ledger.length t.ledger - 1);
+          truncate_ledger t (Ledger.length t.ledger - 1);
           reconcile ()
         end
       end
@@ -1810,14 +1607,9 @@ and install_snapshot t (i : SyncSession.install) =
   Obs.incr t.sync.installs;
   Obs.add t.sync.entries_skipped skipped;
   Obs.Histogram.observe t.sync.duration_ms (Obs.now t.obs -. i.started);
-  if Obs.tracing_enabled t.obs then
-    Obs.instant t.obs ~node:t.rid ~cat:"statesync" ~name:"statesync.install"
-      ~args:
-        [
-          ("cp_seqno", string_of_int cp_seqno);
-          ("entries_skipped", string_of_int skipped);
-        ]
-      ();
+  Obs.instant t.obs ~node:t.rid ~cat:"statesync" ~name:"statesync.install"
+    ~args:[ ("cp_seqno", string_of_int cp_seqno); ("entries_skipped", string_of_int skipped) ]
+    ();
   if Ledger.length t.ledger < i.upto then fetch_ledger t ~dst:i.peer SyncSession.Never;
   resume_after_catch_up t
 
@@ -1838,29 +1630,26 @@ and adopt_checkpoint t cp digest entries =
 (* ------------------------------------------------------------------ *)
 (* Progress timer: retransmission, then view change                    *)
 
-(* One trace instant per progress tick: where the replica stood. *)
-and tick_trace t =
-  if Obs.tracing_enabled t.obs then
-    Obs.instant t.obs ~node:t.rid ~cat:"replica" ~name:"replica.tick"
-      ~args:
-        [
-          ("view", string_of_int t.view);
-          ("seqno", string_of_int t.seqno);
-          ("last_committed", string_of_int t.last_committed);
-          ("last_prepared", string_of_int t.last_prepared);
-          ("stall", string_of_int t.stall_count);
-          ("ready", string_of_bool t.ready);
-          ("requests", string_of_int (Hashtbl.length t.requests));
-          ("pending", string_of_int (Hashtbl.length t.pending_pps));
-        ]
-      ()
-
 (* While a session is in flight, the ordinary stall and view-change
    escalation stays out of its way. A passive joiner keeps pulling state
    until our configuration includes us and we have caught up (§5.1). *)
 and progress_tick t =
   if t.running then begin
-    if t.activated then tick_trace t;
+    (* One trace instant per tick: where the replica stood. *)
+    if t.activated then
+      Obs.instant t.obs ~node:t.rid ~cat:"replica" ~name:"replica.tick"
+        ~args:
+          [
+            ("view", string_of_int t.view);
+            ("seqno", string_of_int t.seqno);
+            ("last_committed", string_of_int t.last_committed);
+            ("last_prepared", string_of_int t.last_prepared);
+            ("stall", string_of_int t.stall_count);
+            ("ready", string_of_bool t.ready);
+            ("requests", string_of_int (Hashtbl.length t.requests));
+            ("pending", string_of_int (Hashtbl.length t.pending_pps));
+          ]
+        ();
     run_sync_actions t (SyncSession.tick t.sync_client);
     if SyncSession.syncing t.sync_client then arm_progress_timer t
     else if t.activated then progress_tick_active t
@@ -1927,16 +1716,7 @@ and arm_progress_timer t =
 
 let on_message t ~src msg =
   if t.running then begin
-    (if t.params.variant.Variant.peerreview && src < Bitmap.max_replicas then begin
-       match msg with
-       | Wire.Ack_msg _ -> Obs.incr t.ctr.c_sigs_verified
-       | _ ->
-           Obs.incr t.ctr.c_sigs_verified;
-           let digest = D.of_string (Wire.describe msg) in
-           let signature = schnorr_sign t ~cls:"peerreview_ack" (D.to_raw digest) in
-           Network.send t.network ~src:t.rid ~dst:src
-             (Wire.Ack_msg { a_replica = t.rid; a_digest = digest; a_signature = signature })
-     end);
+    Option.iter (Network.send t.network ~src:t.rid ~dst:src) (Auth.ack t.auth ~self:t.rid ~src msg);
     (match msg with
     | Wire.Request_msg r -> on_request t r
     | Wire.Pre_prepare_msg { pp; batch } -> on_pre_prepare t pp batch
@@ -2013,19 +1793,10 @@ let dispatch = on_message
    a recovered store's entries through the same validation path as state
    transfer, so the key-value store, Merkle tree, and protocol bookkeeping
    are all re-derived from — and checked against — the durable ledger.
-   Returns [true] when a trailing suffix failed replay and the store must be
-   rolled back to the replayed prefix on attach.
-
-   Only a suffix with the exact shape a crashed append can leave behind —
-   evidence entries and at most one pre-prepare followed by (a prefix of)
-   its transactions — may be dropped. Anything else failing replay means
-   the persisted history itself is bad, and destroying it would hide the
-   evidence, so we refuse to open. *)
+   Whatever fails replay stays on disk for [Store.attach] to judge. *)
 let restore_from_storage t storage =
   let module S = Iaccf_storage.Store in
-  let n = S.length storage in
-  if n = 0 then false
-  else begin
+  if S.length storage > 0 then begin
     let all = S.history storage in
     (match all with
     | Entry.Genesis g :: _ ->
@@ -2043,36 +1814,13 @@ let restore_from_storage t storage =
       Option.bind (storage_dir t) (fun dir ->
           Snapshot.newest_sealed ~dir ~verify_pp:(verify_pp_sig t) entries)
     in
-    (match snapshot with
+    match snapshot with
     | Some (cp, digest) ->
         adopt_checkpoint t cp digest entries;
         Obs.incr t.sync.cold_snapshot_restore
     | None ->
         ignore (apply_entries t entries);
-        if n > 1 then Obs.incr t.sync.cold_genesis_replay);
-    let replayed = Ledger.length t.ledger in
-    if replayed >= n then false
-    else begin
-      let suffix = List.filteri (fun i _ -> i >= replayed - 1) entries in
-      let rec crash_shaped = function
-        | [] -> true
-        | (Entry.Prepare_evidence _ | Entry.Nonce_evidence _) :: rest ->
-            crash_shaped rest
-        | Entry.Pre_prepare _ :: rest ->
-            List.for_all (function Entry.Tx _ -> true | _ -> false) rest
-        | (Entry.Tx _ | Entry.Genesis _ | Entry.View_change_set _ | Entry.New_view _)
-          :: _ ->
-            false
-      in
-      if not (crash_shaped suffix) then
-        raise
-          (S.Storage_error
-             (Printf.sprintf
-                "persisted ledger fails replay at entry %d of %d; refusing to drop \
-                 persisted history"
-                replayed n));
-      true
-    end
+        if S.length storage > 1 then Obs.incr t.sync.cold_genesis_replay
   end
 
 let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
@@ -2083,7 +1831,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
   let obs = match obs with Some o -> o | None -> Obs.passive () in
   let profile = match profile with Some p -> p | None -> Profile.disabled in
   Obs.set_node_name obs id (Printf.sprintf "replica-%d" id);
-  let vstage = Vstage.create ~obs ~profile () in
+  let auth = Auth.create params.variant ~sk ~rid:id ~obs ~profile in
   let store = Store.create () in
   let sync = SyncMetrics.make obs in
   let cp0 = Checkpoint.make ~seqno:0 (Store.map store) in
@@ -2091,8 +1839,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
   let t =
     {
       rid = id;
-      sk;
-      mac_key = "iaccf-shared-mac-key";
+      auth;
       genesis;
       service = Genesis.hash genesis;
       app;
@@ -2103,14 +1850,13 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       rng;
       obs;
       profile;
-      vstage;
       ctr = make_counters obs id;
-      ph = make_phase_hists obs;
+      cp = Critical_path.recorder obs ~node:id;
       rule =
         {
           Schedule.pipeline = params.pipeline;
           interval = params.checkpoint_interval;
-          checkpoints = params.variant.Variant.enable_checkpoints;
+          checkpoints = Auth.checkpoints auth;
         };
       cfg;
       view = 0;
@@ -2161,10 +1907,9 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
         invalid_arg "Replica.create: storage requires the keep_ledger variant";
       (* Restore any persisted history first: the replica replays — and
          revalidates — the store's entries before the store becomes the
-         ledger's write-through backend, so attaching never truncates
-         anything but a proven crash artifact. *)
-      let rollback = restore_from_storage t s in
-      Iaccf_storage.Store.attach ~allow_rollback:rollback s t.ledger;
+         ledger's write-through backend. *)
+      restore_from_storage t s;
+      Iaccf_storage.Store.attach s t.ledger;
       t.pruned_upto <- Iaccf_storage.Store.pruned_before s
   | None -> ());
   Network.register network id (fun ~src msg -> on_message t ~src msg);

@@ -90,9 +90,10 @@ val create :
     store is a cold start: the replica first checks the persisted genesis
     names this service, then replays every entry through the state-transfer
     validation path (re-executing batches, rebuilding the key-value store,
-    checkpoints and dedup tables). At most a trailing partially-written
-    batch may be rolled back; any deeper replay failure raises
-    [Iaccf_storage.Store.Storage_error] rather than touching the store. *)
+    checkpoints and dedup tables). {!Iaccf_storage.Store.attach} then drops
+    at most a trailing partially-written batch; any deeper replay failure
+    raises [Iaccf_storage.Store.Storage_error] rather than touching the
+    store. *)
 
 val start : t -> unit
 (** Arm timers and begin participating. *)

@@ -5,7 +5,7 @@
    protocol demands; wall-clock crypto/apply cost lives in the crypto
    profiler (Iaccf_crypto.Profile) and overlays this breakdown.
 
-   Anchors, all recoverable from the standard instrumentation:
+   Anchors, all written by the emitters below:
      - client "request"/"e2e" span begin/end (id = request trace id)
      - replica "request.batched" instant, emitted when the primary packs
        the request into a batch (args carry the seqno)
@@ -18,6 +18,129 @@
      prepare batched -> prepared    pre-prepare fan-out + prepare quorum
      commit  prepared -> committed  nonce reveal round
      reply   committed -> receipt   replies + receipt assembly at client *)
+
+(* ------------------------------------------------------------------ *)
+(* Emitters: the only writers of the anchors [of_events] reads. Each    *)
+(* checks tracing before it builds its arguments, so an id is passed   *)
+(* lazily (a request's trace id hashes the request).                   *)
+
+(* The client's "e2e" span, opened when a request is submitted. *)
+let request_submitted obs ~node ~id ~proc =
+  if Obs.tracing_enabled obs then
+    Obs.span_begin obs ~node ~cat:"request" ~name:"e2e" ~id:(Lazy.force id)
+      ~args:[ ("proc", proc) ]
+      ()
+
+let commit_mark seqno = Printf.sprintf "commit:%d" seqno
+
+(* The client holds a verified receipt from batch [seqno]: its latency
+   from the batch's first commit goes to [h]. *)
+let receipt_issued obs h ~node ~id ~seqno =
+  Option.iter
+    (fun t_commit -> Obs.Histogram.observe h (Obs.now obs -. t_commit))
+    (Obs.mark_lookup obs (commit_mark seqno));
+  if Obs.tracing_enabled obs then begin
+    let id = Lazy.force id in
+    Obs.instant obs ~node ~cat:"request" ~name:"receipt.issued" ~id
+      ~args:[ ("seqno", string_of_int seqno) ]
+      ();
+    Obs.span_end obs ~node ~cat:"request" ~name:"e2e" ~id ()
+  end
+
+(* Bridges the two flow identities: request flows are keyed by trace id,
+   batch phases by seqno. The primary, where batching happens, hands each
+   request it packs into batch [seqno] off to that batch. *)
+let batched obs ~node ~seqno trace_id reqs =
+  if Obs.tracing_enabled obs then
+    List.iter
+      (fun r ->
+        Obs.instant obs ~node ~cat:"request" ~name:"request.batched" ~id:(trace_id r)
+          ~args:[ ("seqno", string_of_int seqno) ]
+          ())
+      reqs
+
+(* One replica's batch spans (cat "batch", id = seqno) and the phase
+   latency histograms. The outer "consensus" span covers pre-prepare
+   acceptance to commit; "phase.prepare" / "phase.commit" nest inside it.
+   Every begin gets an end: commit, or a cancelled end when a view change
+   rolls the batch back. *)
+type recorder = {
+  obs : Obs.t;
+  node : int;
+  (* Shared across the registry: the primary of each batch is the only
+     observer, so every batch is counted exactly once cluster-wide. *)
+  h_pp_to_prepared : Obs.Histogram.h;
+  h_pp_to_commit : Obs.Histogram.h;
+  h_prepared_to_commit : Obs.Histogram.h;
+}
+
+let recorder obs ~node =
+  {
+    obs;
+    node;
+    h_pp_to_prepared = Obs.histogram obs "lat.preprepare_to_prepared_ms";
+    h_pp_to_commit = Obs.histogram obs "lat.preprepare_to_commit_ms";
+    h_prepared_to_commit = Obs.histogram obs "lat.prepared_to_commit_ms";
+  }
+
+(* A batch's phase clock at one replica (virtual-clock stamps). [primary]:
+   this replica proposed the batch, and so observes its latencies. *)
+type batch = { seqno : int; primary : bool; mutable t_pp : float; mutable t_prepared : float }
+
+let batch ~seqno ~primary = { seqno; primary; t_pp = 0.0; t_prepared = 0.0 }
+
+let batch_begin r b ~view ~txs =
+  b.t_pp <- Obs.now r.obs;
+  if Obs.tracing_enabled r.obs then begin
+    let id = string_of_int b.seqno in
+    Obs.span_begin r.obs ~node:r.node ~cat:"batch" ~name:"consensus" ~id
+      ~args:[ ("view", string_of_int view); ("txs", string_of_int txs) ]
+      ();
+    Obs.span_begin r.obs ~node:r.node ~cat:"batch" ~name:"phase.prepare" ~id ()
+  end
+
+let batch_prepared r b =
+  b.t_prepared <- Obs.now r.obs;
+  if b.primary then Obs.Histogram.observe r.h_pp_to_prepared (b.t_prepared -. b.t_pp);
+  if Obs.tracing_enabled r.obs then begin
+    let id = string_of_int b.seqno in
+    Obs.span_end r.obs ~node:r.node ~cat:"batch" ~name:"phase.prepare" ~id ();
+    Obs.span_begin r.obs ~node:r.node ~cat:"batch" ~name:"phase.commit" ~id ()
+  end
+
+let batch_committed r b ~txs ~governance =
+  let now = Obs.now r.obs in
+  (* First committer cluster-wide stamps the mark; clients measure their
+     commit-to-receipt latency against it ([receipt_issued]). *)
+  Obs.mark r.obs (commit_mark b.seqno);
+  if b.primary then begin
+    Obs.Histogram.observe r.h_pp_to_commit (now -. b.t_pp);
+    Obs.Histogram.observe r.h_prepared_to_commit (now -. b.t_prepared)
+  end;
+  if Obs.tracing_enabled r.obs then begin
+    let id = string_of_int b.seqno in
+    Obs.span_end r.obs ~node:r.node ~cat:"batch" ~name:"phase.commit" ~id ();
+    Obs.span_end r.obs ~node:r.node ~cat:"batch" ~name:"consensus" ~id ();
+    Obs.instant r.obs ~node:r.node ~cat:"batch" ~name:"batch.committed" ~id
+      ~args:[ ("txs", string_of_int txs) ]
+      ();
+    if Lazy.force governance then
+      Obs.instant r.obs ~node:r.node ~cat:"gov" ~name:"gov.batch" ~id ()
+  end
+
+(* [prepared]: which phase span is open. *)
+let batch_cancelled r b ~prepared =
+  if Obs.tracing_enabled r.obs then begin
+    let id = string_of_int b.seqno in
+    let args = [ ("cancelled", "true") ] in
+    Obs.span_end r.obs ~node:r.node ~cat:"batch"
+      ~name:(if prepared then "phase.commit" else "phase.prepare")
+      ~id ~args ();
+    Obs.span_end r.obs ~node:r.node ~cat:"batch" ~name:"consensus" ~id ~args ()
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Reconstruction                                                      *)
 
 type segments = {
   cp_id : string; (* request trace id *)

@@ -1,6 +1,5 @@
 module Entry = Iaccf_ledger.Entry
 module Message = Iaccf_types.Message
-module Batch = Iaccf_types.Batch
 module Checkpoint = Iaccf_kv.Checkpoint
 module D = Iaccf_crypto.Digest32
 module Obs = Iaccf_obs.Obs
@@ -100,17 +99,6 @@ let abort t s ~verify_failed reason =
   | Some r -> [ Retarget r ]
   | None -> ( match others with r :: _ -> [ Retarget r ] | [] -> [])
 
-let sealing_batch s =
-  List.find_map
-    (function
-      | Entry.Pre_prepare pp -> (
-          match pp.Message.kind with
-          | Batch.Checkpoint { cp_seqno; cp_digest } when cp_seqno = s.cp_seqno ->
-              Some (pp, cp_digest)
-          | _ -> None)
-      | _ -> None)
-    (List.rev s.suffix_rev)
-
 (* The install gate, in order: the snapshot is assembled; the buffered
    suffix reaches a checkpoint batch for the offered seqno; the bytes
    decode to that checkpoint and reproduce the digest the batch seals;
@@ -122,7 +110,8 @@ let try_install t s =
   | None -> []
   | Some payload -> (
       let fail reason = abort t s ~verify_failed:true reason in
-      match sealing_batch s with
+      let entries = List.rev s.suffix_rev in
+      match Snapshot.sealing_batch ~cp_seqno:s.cp_seqno entries with
       | None ->
           (* The sealing batch is past the buffered suffix; wait unless the
              peer claims we already have everything. *)
@@ -137,7 +126,6 @@ let try_install t s =
               fail "snapshot is for a different checkpoint"
           | cp -> (
               let digest = Checkpoint.digest cp in
-              let entries = List.rev s.suffix_rev in
               if not (D.equal digest sealed_digest) then
                 fail "snapshot digest does not match the sealed digest"
               else if not (s.hooks.verify_pp seal_pp) then

@@ -84,20 +84,24 @@ let retain ~dir ~keep =
     (fun i s -> if i >= keep then try Sys.remove (path ~dir s) with Sys_error _ -> ())
     (list ~dir)
 
+let sealing_batch ~cp_seqno entries =
+  List.find_map
+    (function
+      | Iaccf_ledger.Entry.Pre_prepare pp -> (
+          match pp.Iaccf_types.Message.kind with
+          | Iaccf_types.Batch.Checkpoint { cp_seqno = cs; cp_digest } when cs = cp_seqno ->
+              Some (pp, cp_digest)
+          | _ -> None)
+      | _ -> None)
+    entries
+
 let newest_sealed ~dir ~verify_pp entries =
-  let sealed cp_seqno digest = function
-    | Iaccf_ledger.Entry.Pre_prepare pp -> (
-        match pp.Iaccf_types.Message.kind with
-        | Iaccf_types.Batch.Checkpoint { cp_seqno = cs; cp_digest } ->
-            cs = cp_seqno && Iaccf_crypto.Digest32.equal cp_digest digest && verify_pp pp
-        | _ -> false)
-    | _ -> false
-  in
   List.find_map
     (fun cp_seqno ->
-      match load ~dir cp_seqno with
-      | None -> None
-      | Some cp ->
+      match (load ~dir cp_seqno, sealing_batch ~cp_seqno entries) with
+      | Some cp, Some (pp, sealed) ->
           let digest = Checkpoint.digest cp in
-          if List.exists (sealed cp_seqno digest) entries then Some (cp, digest) else None)
+          if Iaccf_crypto.Digest32.equal digest sealed && verify_pp pp then Some (cp, digest)
+          else None
+      | _ -> None)
     (list ~dir)

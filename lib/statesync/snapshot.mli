@@ -29,6 +29,13 @@ val list : dir:string -> int list
 val retain : dir:string -> keep:int -> unit
 (** Delete all but the newest [keep] snapshot files. *)
 
+val sealing_batch :
+  cp_seqno:int ->
+  Iaccf_ledger.Entry.t list ->
+  (Iaccf_types.Message.pre_prepare * Iaccf_crypto.Digest32.t) option
+(** The first checkpoint batch among the entries that seals [cp_seqno],
+    with the digest it seals. Its signature is not checked. *)
+
 val newest_sealed :
   dir:string ->
   verify_pp:(Iaccf_types.Message.pre_prepare -> bool) ->

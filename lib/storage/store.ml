@@ -630,7 +630,16 @@ let history t =
   List.filteri (fun i _ -> i < t.base) (package_entries t ~what:"history")
   @ List.init (length t - t.base) (fun i -> get t (t.base + i))
 
-let attach ?(allow_rollback = false) t ledger =
+(* The surplus a crashed append can leave behind a replayed prefix:
+   evidence entries, then at most one pre-prepare followed by (a prefix
+   of) its transactions. *)
+let rec crash_shaped = function
+  | [] -> true
+  | (Entry.Prepare_evidence _ | Entry.Nonce_evidence _) :: rest -> crash_shaped rest
+  | Entry.Pre_prepare _ :: rest -> List.for_all (function Entry.Tx _ -> true | _ -> false) rest
+  | (Entry.Tx _ | Entry.Genesis _ | Entry.View_change_set _ | Entry.New_view _) :: _ -> false
+
+let attach t ledger =
   check_rw t "attach";
   let ll = Ledger.length ledger in
   let sl = length t in
@@ -646,12 +655,12 @@ let attach ?(allow_rollback = false) t ledger =
   then fail "attach: persisted prefix diverges from the ledger (common prefix %d)" common;
   if sl > ll then begin
     (* Shrinking the store drops entries that may have been durably synced.
-       That is only legitimate when the caller has already established the
-       suffix is an uncommitted crash artifact (cold-start replay). *)
-    if not allow_rollback then
+       Only a crash artifact may go; anything else means the persisted
+       history itself is bad, and destroying it would hide the evidence. *)
+    if not (crash_shaped (List.init (sl - ll) (fun i -> get t (ll + i)))) then
       fail
-        "attach: store holds %d entries but the ledger only %d; refusing to drop \
-         persisted history (recover via Replica cold-start or a fresh directory)"
+        "attach: store holds %d entries but the ledger only %d, and the surplus is \
+         not a crashed append; refusing to drop persisted history"
         sl ll;
     truncate t ll
   end;

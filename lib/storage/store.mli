@@ -135,21 +135,21 @@ val history : t -> Entry.t list
     history exactly as an unpruned one.
     @raise Storage_error if the package is missing or too short. *)
 
-val attach : ?allow_rollback:bool -> t -> Ledger.t -> unit
+val attach : t -> Ledger.t -> unit
 (** Make the store the write-through backend of a ledger. The Merkle roots
     over the shared prefix are verified {e before} anything destructive
     happens; only then is the store backfilled with any ledger suffix it is
     missing, and the {!Ledger.sink} installed (the sink checks that store
     and ledger indices stay aligned on every append).
 
-    A store {e longer} than the ledger is refused by default — synced
-    history is never silently dropped. Pass [~allow_rollback:true] only
-    when the suffix has already been established to be an uncommitted
-    crash artifact (the replica cold-start replay does this); the store is
-    then truncated to the ledger's length after the prefix check passes.
+    A store {e longer} than the ledger is truncated to the ledger's length
+    only when the surplus has the shape a crashed append leaves: evidence
+    entries, then at most one pre-prepare followed by a prefix of its
+    transactions. Any other surplus is refused with the store untouched —
+    synced history is never silently dropped.
 
     If the durable append inside the sink fails (e.g. disk full), the
     exception propagates with the in-memory ledger one entry ahead of the
     store; the store must be treated as failed from that point on.
     @raise Storage_error if the shared prefix diverges, or on a refused
-    rollback. *)
+    surplus. *)

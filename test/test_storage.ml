@@ -323,11 +323,11 @@ let test_attach_divergence_preserves_store () =
   let s = open_cfg dir in
   fill s entries;
   Store.sync s;
-  (* A ledger of a different service: even with rollback explicitly allowed,
-     attach must detect the diverging prefix before touching the store. *)
+  (* A ledger of a different service: attach must detect the diverging
+     prefix before touching the store. *)
   let other = Ledger.create (make_genesis "x") in
   check Alcotest.bool "diverging attach rejected" true
-    (match Store.attach ~allow_rollback:true s other with
+    (match Store.attach s other with
     | () -> false
     | exception Store.Storage_error _ -> true);
   check_contents s entries;
@@ -342,17 +342,20 @@ let test_attach_refuses_rollback_by_default () =
   let s = open_cfg dir in
   fill s entries;
   Store.sync s;
-  let prefix = List.filteri (fun i _ -> i < 6) entries in
-  let shorter = Ledger.of_entries prefix in
-  (* Same service, shorter ledger: silently dropping synced history is
-     refused unless the caller has vouched for the rollback. *)
-  check Alcotest.bool "default attach refuses to shrink the store" true
-    (match Store.attach s shorter with
+  let prefix n = List.filteri (fun i _ -> i < n) entries in
+  (* Same service, shorter ledger, and a surplus no crashed append leaves
+     (it starts with a transaction and holds two pre-prepares): silently
+     dropping synced history is refused with the store untouched. *)
+  check Alcotest.bool "attach refuses a surplus that is not a crash artifact" true
+    (match Store.attach s (Ledger.of_entries (prefix 6)) with
     | () -> false
     | exception Store.Storage_error _ -> true);
   check_contents s entries;
-  Store.attach ~allow_rollback:true s shorter;
-  check_contents s prefix;
+  (* One pre-prepare and its transaction past the ledger: the shape a
+     crashed append leaves, dropped on attach. *)
+  let shorter = Ledger.of_entries (prefix 9) in
+  Store.attach s shorter;
+  check_contents s (prefix 9);
   (* The sink is live and index-checked: appends flow through. *)
   ignore (Ledger.append shorter (sample_pp ~seqno:42 ()));
   check Alcotest.int "sink write-through" (Ledger.length shorter) (Store.length s);
