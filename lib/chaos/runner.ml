@@ -15,13 +15,31 @@ let reproducer r =
   Printf.sprintf "iaccf chaos --suite %s --scenario %s --seeds %d..%d" r.r_suite
     r.r_scenario r.r_seed r.r_seed
 
+(* The cell's view changes, by why each started: every view change a
+   replica starts counts one replica.vc.cause.<cause>. *)
+let view_changes r =
+  let causes =
+    List.filter_map
+      (fun (k, v) ->
+        match String.split_on_char '.' k with
+        | [ "replica"; "vc"; "cause"; c ] -> Some (c, int_of_string v)
+        | _ -> None)
+      r.r_metrics
+  in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 causes in
+  if causes = [] then Printf.sprintf "vc=%d" total
+  else
+    Printf.sprintf "vc=%d (%s)" total
+      (String.concat " " (List.map (fun (c, n) -> Printf.sprintf "%s=%d" c n) causes))
+
 let describe r =
   match r.r_verdict.Oracle.vd_result with
   | Ok summary ->
-      Printf.sprintf "PASS %-32s seed=%-4d %s" r.r_scenario r.r_seed summary
+      Printf.sprintf "PASS %-32s seed=%-4d %s, %s" r.r_scenario r.r_seed summary
+        (view_changes r)
   | Error violation ->
-      Printf.sprintf "FAIL %-32s seed=%-4d %s\n  reproduce: %s" r.r_scenario
-        r.r_seed violation (reproducer r)
+      Printf.sprintf "FAIL %-32s seed=%-4d %s, %s\n  reproduce: %s" r.r_scenario
+        r.r_seed violation (view_changes r) (reproducer r)
 
 (* --- scratch directories (package exports, durable stores) --- *)
 

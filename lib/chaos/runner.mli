@@ -19,7 +19,8 @@ val reproducer : result -> string
 (** The CLI line that re-runs exactly this cell. *)
 
 val describe : result -> string
-(** One PASS/FAIL report line; failures carry the reproducer. *)
+(** One PASS/FAIL report line with the cell's view-change total and its
+    [replica.vc.cause.*] histogram; failures carry the reproducer. *)
 
 val run_one : Scenario.t -> seed:int -> result
 

@@ -181,18 +181,12 @@ let rec arm_retry t p =
               cannot revive a request the replicas never admitted (or
               dropped). Always retransmit the request — replicas dedup by
               hash and resend the reply material if it already executed —
-              and additionally ask for the receipt of whichever batch the
-              replies hint at. *)
-           let seqnos =
-             Hashtbl.fold (fun k tbl acc ->
-                 if Hashtbl.length tbl > 0 then k :: acc else acc)
-               p.p_replies []
-           in
-           (match (p.p_replyx, seqnos) with
-           | None, (_, s) :: _ ->
-               broadcast t
-                 (Wire.Replyx_request { rr_seqno = s; rr_tx_hash = p.p_hash })
-           | _ -> ());
+              and, while replies wait for their receipt material,
+              additionally ask for it. *)
+           if
+             p.p_replyx = None
+             && Hashtbl.fold (fun _ tbl acc -> acc || Hashtbl.length tbl > 0) p.p_replies false
+           then broadcast t (Wire.Replyx_request { rr_tx_hash = p.p_hash });
            broadcast t (Wire.Request_msg p.p_req);
            try_complete t p;
            arm_retry t p

@@ -90,7 +90,6 @@ let guard cond msg = if cond then Ok () else Error msg
 
 let verify ~config ~service t =
   let pp = t.pp in
-  let n = Config.n_replicas config in
   let quorum = Config.quorum config in
   let backups = Bitmap.to_list t.prep_bitmap in
   let* () =
@@ -100,7 +99,9 @@ let verify ~config ~service t =
       "bitmap and signature list lengths disagree"
   in
   let* () = guard (not (Bitmap.mem pp.Message.primary t.prep_bitmap)) "primary listed as backup" in
-  let* () = guard (List.for_all (fun r -> r < n) backups) "unknown replica id" in
+  let* () =
+    guard (List.for_all (fun r -> Config.replica config r <> None) backups) "unknown replica id"
+  in
   let* () = guard (1 + List.length backups >= quorum) "fewer than N-f signers" in
   let* () = guard (Message.verify_pre_prepare config pp) "invalid pre-prepare signature" in
   let* () =

@@ -989,7 +989,8 @@ and try_process_pending t =
       else if pp.Message.view > t.view then ()
         (* Keep: it may become processable once we adopt that view. *)
       else if process_pre_prepare t pp batch then begin
-        Hashtbl.remove t.pending_pps t.seqno;
+        (* Processing moves t.seqno on: remove the entry just consumed. *)
+        Hashtbl.remove t.pending_pps pp.Message.seqno;
         try_process_pending t
       end
   | _ -> ()
@@ -1163,11 +1164,15 @@ and last_prepared_pps t =
   |> List.filteri (fun i _ -> i < t.params.pipeline)
   |> List.rev_map snd
 
-and send_view_change t v' =
+(* [cause] says why, as replica.vc.cause.<cause>: "join" (f+1 view
+   changes for a higher view), "stall", "gap_fetch_failed",
+   "new_view_timeout" or "injected". *)
+and send_view_change t ~cause v' =
   if t.running && t.activated && in_config t then begin
     Obs.incr t.ctr.c_view_changes;
+    tally t ("replica.vc.cause." ^ cause);
     Obs.instant t.obs ~node:t.rid ~cat:"view" ~name:"view_change"
-      ~args:[ ("view", string_of_int v') ]
+      ~args:[ ("view", string_of_int v'); ("cause", cause) ]
       ();
     let pps = last_prepared_pps t in
     t.view <- v';
@@ -1188,7 +1193,7 @@ and send_view_change t v' =
     maybe_new_view t
   end
 
-and start_view_change t = send_view_change t (t.view + 1)
+and start_view_change t ~cause = send_view_change t ~cause (t.view + 1)
 
 and on_view_change t (vc : Message.view_change) =
   if t.running && t.activated && vc.Message.vc_view >= t.view && verify_vc_sig t vc
@@ -1198,7 +1203,7 @@ and on_view_change t (vc : Message.view_change) =
     if
       vc.Message.vc_view > t.view
       && Hashtbl.length (sub_tbl t.view_changes vc.Message.vc_view) > Config.f t.cfg
-    then send_view_change t vc.Message.vc_view
+    then send_view_change t ~cause:"join" vc.Message.vc_view
     else maybe_new_view t
   end
 
@@ -1697,7 +1702,12 @@ and progress_tick_active t =
     | _ when gap_fetch ->
         drop_uncommitted t ~upto:t.last_committed;
         fetch_ledger t ~dst:(primary_id t) SyncSession.If_far
-    | _ -> start_view_change t
+    | _ ->
+        start_view_change t
+          ~cause:
+            (if not t.ready then "new_view_timeout"
+             else if has_gap then "gap_fetch_failed"
+             else "stall")
   end
   else if not working then t.stall_count <- 0;
   t.progress_marker <- t.last_committed;
@@ -1755,9 +1765,9 @@ let on_message t ~src msg =
              ~index:sc_index sc_data)
     | Wire.Ledger_suffix_chunk { lc_from; lc_entries; lc_upto; lc_view } ->
         on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view
-    | Wire.Replyx_request { rr_seqno = _; rr_tx_hash } ->
+    | Wire.Replyx_request { rr_tx_hash } ->
         (* The client may not know which batch its transaction landed in;
-           the executed-request index does, so the seqno hint is unused. *)
+           the executed-request index does. *)
         answer_executed t (D.to_raw rr_tx_hash) ~reply_to:[] ~receipts:true
           ~replyx_to:src ()
     | Wire.Gov_receipts_request { gr_from_index } ->
@@ -1928,7 +1938,7 @@ let store_version t = Store.version t.store
 let preload_state t kvs =
   if t.seqno <> 1 then invalid_arg "Replica.preload_state: already executing";
   Store.preload t.store (Iaccf_kv.Hamt.of_list kvs)
-let inject_view_change t = start_view_change t
+let inject_view_change t = start_view_change t ~cause:"injected"
 
 let join t ~from = if t.running then fetch_from t from SyncSession.If_far
 let join_snapshot t ~from = if t.running then fetch_from t from SyncSession.Always

@@ -45,7 +45,7 @@ type t =
       lc_upto : int;  (* sender's safe ledger length *)
       lc_view : int;
     }
-  | Replyx_request of { rr_seqno : int; rr_tx_hash : D.t }
+  | Replyx_request of { rr_tx_hash : D.t }
   | Gov_receipts_request of { gr_from_index : int }
   | Gov_receipts_msg of Receipt.t list
   | Ack_msg of { a_replica : int; a_digest : D.t; a_signature : string }
@@ -154,7 +154,7 @@ let describe = function
   | Ledger_suffix_chunk { lc_from; lc_entries; _ } ->
       Printf.sprintf "ledger-suffix(from=%d,%d entries)" lc_from
         (List.length lc_entries)
-  | Replyx_request { rr_seqno; _ } -> Printf.sprintf "replyx-request(s=%d)" rr_seqno
+  | Replyx_request _ -> "replyx-request"
   | Gov_receipts_request { gr_from_index } -> Printf.sprintf "gov-receipts-request(from=%d)" gr_from_index
   | Gov_receipts_msg rs -> Printf.sprintf "gov-receipts(%d)" (List.length rs)
   | Ack_msg { a_replica; _ } -> Printf.sprintf "ack(r=%d)" a_replica

@@ -57,7 +57,7 @@ type t =
       lc_upto : int;  (** sender's safe ledger length *)
       lc_view : int;
     }  (** one bounded extent of the ledger (view changes included) *)
-  | Replyx_request of { rr_seqno : int; rr_tx_hash : D.t }
+  | Replyx_request of { rr_tx_hash : D.t }
       (** client asks any replica for the receipt material of a committed
           transaction (designated-replica failover, §3.3) *)
   | Gov_receipts_request of { gr_from_index : int }

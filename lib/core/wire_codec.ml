@@ -138,9 +138,7 @@ let encode_msg w (msg : Wire.t) =
       W.list w (Entry.encode w) lc_entries;
       W.u64 w lc_upto;
       W.u64 w lc_view
-  | Replyx_request { rr_seqno; rr_tx_hash } ->
-      W.u64 w rr_seqno;
-      encode_digest w rr_tx_hash
+  | Replyx_request { rr_tx_hash } -> encode_digest w rr_tx_hash
   | Gov_receipts_request { gr_from_index } -> W.u64 w gr_from_index
   | Gov_receipts_msg rs -> W.list w (Receipt.encode w) rs
   | Ack_msg { a_replica; a_digest; a_signature } ->
@@ -236,10 +234,7 @@ let decode_msg r : Wire.t =
       let lc_upto = R.u64 r in
       let lc_view = R.u64 r in
       Ledger_suffix_chunk { lc_from; lc_entries; lc_upto; lc_view }
-  | 17 ->
-      let rr_seqno = R.u64 r in
-      let rr_tx_hash = decode_digest r in
-      Replyx_request { rr_seqno; rr_tx_hash }
+  | 17 -> Replyx_request { rr_tx_hash = decode_digest r }
   | 18 -> Gov_receipts_request { gr_from_index = R.u64 r }
   | 19 -> Gov_receipts_msg (R.list r Receipt.decode)
   | 20 ->

@@ -161,7 +161,7 @@ let samples : Wire.t list =
         lc_upto = 40;
         lc_view = 3;
       };
-    Replyx_request { rr_seqno = 17; rr_tx_hash = d "txh" };
+    Replyx_request { rr_tx_hash = d "txh" };
     Gov_receipts_request { gr_from_index = 2 };
     Gov_receipts_msg
       [ sample_receipt; { sample_receipt with Receipt.subject = Batch_subject } ];
@@ -482,9 +482,7 @@ let gen_msg : Wire.t Gen.t =
         Gen.small_nat
         (Gen.list_size (Gen.int_bound 3) gen_entry)
         (Gen.pair Gen.small_nat Gen.small_nat);
-      Gen.map2
-        (fun s h -> Wire.Replyx_request { rr_seqno = s; rr_tx_hash = h })
-        Gen.small_nat gen_digest;
+      Gen.map (fun h -> Wire.Replyx_request { rr_tx_hash = h }) gen_digest;
       Gen.map (fun i -> Wire.Gov_receipts_request { gr_from_index = i })
         Gen.small_nat;
       Gen.map (fun rs -> Wire.Gov_receipts_msg rs)

@@ -620,6 +620,27 @@ type mutation =
   | Wrong_digest
   | Wrong_bitmap
 
+(* A backup the client's request never reached fetches the batch from the
+   primary and buffers the pre-prepare meanwhile. Once processed, that
+   pre-prepare must leave the pending set: a stale entry reads as stalled
+   work on every progress tick and starts view changes against a healthy
+   primary. *)
+let test_lost_request_keeps_view () =
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  Iaccf_sim.Network.set_intercept (Cluster.network cluster) (Client.address client)
+    (fun ~dst msg ->
+      match msg with Wire.Request_msg _ when dst = 3 -> [] | _ -> [ (dst, msg) ]);
+  Client.submit client ~proc:"counter/add" ~args:"1" ();
+  Cluster.run cluster ~ms:5_000.0;
+  check Alcotest.int "committed" 1 (Client.completed client);
+  List.iter
+    (fun r ->
+      check Alcotest.int
+        (Printf.sprintf "replica %d view changes" (Replica.id r))
+        0 (Replica.stats r).Replica.view_changes)
+    (Cluster.replicas cluster)
+
 let mutation_name = function
   | Repeated_sender -> "repeated sender"
   | Mixed_views -> "mixed views"
@@ -836,17 +857,16 @@ let is_replyx_for tx = function
         (Iaccf_types.Request.hash tx.Iaccf_types.Batch.request)
   | _ -> false
 
-let test_replyx_request_wrong_hint () =
+(* A replica that is not the designated one answers a replyx request from
+   the executed-request index. *)
+let test_replyx_request_non_designated () =
   let cluster, sent, client, tx, designated = reply_world () in
   let other = (designated + 1) mod 4 in
   let addr = Client.address client in
   sent := [];
   Iaccf_sim.Network.send (Cluster.network cluster) ~src:addr ~dst:other
     (Wire.Replyx_request
-       {
-         rr_seqno = 1_000;
-         rr_tx_hash = Iaccf_types.Request.hash tx.Iaccf_types.Batch.request;
-       });
+       { rr_tx_hash = Iaccf_types.Request.hash tx.Iaccf_types.Batch.request });
   Cluster.run cluster ~ms:50.0;
   match sent_by sent ~id:other ~dst:addr with
   | [ m ] -> check Alcotest.bool "the replyx for the tx" true (is_replyx_for tx m)
@@ -873,7 +893,7 @@ let test_retransmit_gets_reply_material () =
    seqno 2 and B at 3; X's request never reaches the next primary. While
    B is executed but uncommitted, a retransmit gets no answer. After the
    view change the new primary puts B at seqno 2, and replica 3 answers
-   a retransmit and a replyx request hinting the old seqno from seqno 2. *)
+   a retransmit and a replyx request from seqno 2. *)
 let test_retransmit_after_rollback () =
   let params = { Replica.default_params with max_batch = 1 } in
   let cluster = Cluster.make ~n:4 ~params () in
@@ -934,18 +954,24 @@ let test_retransmit_after_rollback () =
   sent := [];
   Iaccf_sim.Network.send net ~src:addr ~dst:3 (Wire.Request_msg b_req);
   Iaccf_sim.Network.send net ~src:addr ~dst:3
-    (Wire.Replyx_request { rr_seqno = 3; rr_tx_hash = request_hash b });
+    (Wire.Replyx_request { rr_tx_hash = request_hash b });
   Cluster.run cluster ~ms:50.0;
-  match sent_by sent ~id:3 ~dst:addr with
-  | [ Wire.Reply_msg r; (Wire.Replyx_msg x1 as m1); (Wire.Replyx_msg x2 as m2) ] ->
+  (* The two answers may interleave: match the messages in any order. *)
+  let answers = sent_by sent ~id:3 ~dst:addr in
+  let replies, replyxs =
+    List.partition (function Wire.Reply_msg _ -> true | _ -> false) answers
+  in
+  match (replies, replyxs) with
+  | [ Wire.Reply_msg r ], [ (Wire.Replyx_msg x1 as m1); (Wire.Replyx_msg x2 as m2) ] ->
       check Alcotest.int "reply seqno" 2 r.Message.r_seqno;
       List.iter
         (fun (x, m) ->
           check Alcotest.int "replyx seqno" 2 x.Message.x_pp.Message.seqno;
           check Alcotest.bool "the replyx for B" true (is_replyx_for b m))
         [ (x1, m1); (x2, m2) ]
-  | ms ->
-      Alcotest.failf "expected a reply and two replyxs, got %d messages" (List.length ms)
+  | _ ->
+      Alcotest.failf "expected a reply and two replyxs, got %d messages"
+        (List.length answers)
 
 let test_nonreceipt_variant_runs () =
   let params =
@@ -1014,12 +1040,14 @@ let () =
             test_wrong_gov_index_refused;
           Alcotest.test_case "governance receipt requests stay bounded" `Quick
             test_governance_receipt_requests_bounded;
+          Alcotest.test_case "a lost request keeps the view" `Quick
+            test_lost_request_keeps_view;
           QCheck_alcotest.to_alcotest prop_mutated_new_view;
         ] );
       ( "replies",
         [
-          Alcotest.test_case "replyx request with a wrong hint" `Quick
-            test_replyx_request_wrong_hint;
+          Alcotest.test_case "replyx request to another replica" `Quick
+            test_replyx_request_non_designated;
           Alcotest.test_case "retransmit to a non-designated replica" `Quick
             test_retransmit_gets_reply_material;
           Alcotest.test_case "retransmit after a rollback" `Quick

@@ -150,6 +150,30 @@ let test_rejects_wrong_config () =
   check Alcotest.bool "wrong keys" true
     (Result.is_error (Receipt.verify ~config:other_cfg ~service:(Genesis.hash genesis) r))
 
+(* Replica ids need not be 0..n-1: once replica 0 is removed, the
+   configuration holds {1,2,3}, and a receipt signed by 1, 2 and 3 must
+   verify under it. *)
+let test_sparse_replica_ids () =
+  let cluster = Cluster.make ~n:4 () in
+  let cfg = (Cluster.genesis cluster).Genesis.initial_config in
+  let cfg =
+    {
+      cfg with
+      Config.replicas =
+        List.filter (fun r -> r.Config.replica_id <> 0) cfg.Config.replicas;
+    }
+  in
+  let genesis = Genesis.make cfg in
+  let forge =
+    Forge.create ~genesis
+      ~sks:(List.map (fun i -> (i, Cluster.replica_sk cluster i)) [ 1; 2; 3 ])
+      ~app:(App.create Cluster.counter_app_procs) ~pipeline:2 ~checkpoint_interval:1000
+  in
+  let s = Forge.add_batch forge [ request genesis "counter/add" "1" ] in
+  let r = Forge.make_receipt forge ~seqno:s ~tx_position:(Some 0) in
+  check Alcotest.(list int) "signers" [ 1; 2; 3 ] (Bitmap.to_list (Receipt.signers r));
+  check Alcotest.(result unit string) "verifies" (Ok ()) (verify genesis r)
+
 let test_batch_subject_receipt () =
   let _, genesis, forge = world () in
   ignore (Forge.add_batch forge [ request genesis "counter/add" "1" ]);
@@ -254,6 +278,7 @@ let () =
           Alcotest.test_case "foreign service" `Quick test_rejects_foreign_service;
           Alcotest.test_case "wrong config" `Quick test_rejects_wrong_config;
           Alcotest.test_case "batch subject" `Quick test_batch_subject_receipt;
+          Alcotest.test_case "sparse replica ids" `Quick test_sparse_replica_ids;
         ] );
       ( "govchain",
         [
