@@ -85,11 +85,13 @@ let preload_accounts cluster ~accounts ~initial_balance =
   List.iter (fun r -> Replica.preload_state r kvs) (Cluster.replicas cluster)
 
 (* Closed-loop driver: [concurrency] operations in flight; every completion
-   submits the next until [total] have completed. *)
+   submits the next until [total] have completed. [inspect] sees the
+   cluster once the run is over. *)
 let run_iaccf ?(label = "IA-CCF") ?(n = 4) ?(variant = Variant.full)
     ?(latency = Latency.dedicated_cluster) ?(accounts = 100) ?(total = 300)
     ?(concurrency = 64) ?(pipeline = 2) ?(checkpoint_interval = 50)
-    ?(max_batch = 100) ?(empty_requests = false) ?(seed = 42) ?obs () =
+    ?(max_batch = 100) ?(empty_requests = false) ?(seed = 42) ?obs
+    ?(inspect = ignore) () =
   let params =
     {
       Replica.pipeline;
@@ -169,6 +171,7 @@ let run_iaccf ?(label = "IA-CCF") ?(n = 4) ?(variant = Variant.full)
   in
   let wall = Unix.gettimeofday () -. wall_start in
   if not ok then Printf.eprintf "warning: %s finished only %d/%d\n%!" label !completed total;
+  inspect cluster;
   let sigs_made, sigs_verified =
     List.fold_left
       (fun (sm, sv) r ->

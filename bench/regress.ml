@@ -5,7 +5,8 @@
    Three miniature benches ride the same code paths as the full suite:
 
    - smallbank: closed-loop SmallBank load through Harness.run_iaccf, in
-     the full, no-receipt and signed-commit-ablation variants;
+     the full, no-receipt and signed-commit-ablation variants, plus the
+     heap words replica 0's key-value store retains after the full run;
    - statesync: one chunked catch-up of a joining replica (the
      @statesync-bench path at its smallest size);
    - chaos: the identity-intercept equivalence run from @chaos-overhead;
@@ -37,15 +38,29 @@ let fail fmt =
 
 (* --- smallbank: three variants through the shared harness ------------- *)
 
-let smallbank_results () =
+let smallbank_rows () =
+  let bench = "regress_smallbank" in
   let total = 60 and concurrency = 16 and accounts = 20 in
-  [
-    run_iaccf ~label:"full" ~total ~concurrency ~accounts ();
-    run_iaccf ~label:"no_receipt" ~variant:Variant.no_receipt ~total ~concurrency
-      ~accounts ();
-    run_iaccf ~label:"signed_commits" ~variant:Variant.signed_commits ~total
-      ~concurrency ~accounts ();
-  ]
+  (* The store keeps only its current map: any per-transaction history
+     would grow this exact count. *)
+  let kv_words = ref 0 in
+  let inspect cluster =
+    kv_words := Obj.reachable_words (Obj.repr (Replica.store (Cluster.replica cluster 0)))
+  in
+  let results =
+    [
+      run_iaccf ~label:"full" ~total ~concurrency ~accounts ~inspect ();
+      run_iaccf ~label:"no_receipt" ~variant:Variant.no_receipt ~total ~concurrency
+        ~accounts ();
+      run_iaccf ~label:"signed_commits" ~variant:Variant.signed_commits ~total
+        ~concurrency ~accounts ();
+    ]
+  in
+  List.concat_map (rows_of_result ~bench) results
+  @ [
+      Report.row ~bench ~series:"full" ~metric:"kv_words" ~gate:Report.Exact
+        (float_of_int !kv_words);
+    ]
 
 (* --- statesync: smallest catch-up run (mirrors bench/statesync.ml,
    whose module has a toplevel main and so cannot be linked here) ------- *)
@@ -269,8 +284,7 @@ let emit ~dir =
   let path f = Filename.concat dir f in
   Report.write_rows
     ~file:(path "BENCH_regress_smallbank.json")
-    ~bench:"regress_smallbank"
-    (List.concat_map (rows_of_result ~bench:"regress_smallbank") (smallbank_results ()));
+    ~bench:"regress_smallbank" (smallbank_rows ());
   Report.write_rows
     ~file:(path "BENCH_regress_statesync.json")
     ~bench:"regress_statesync" (statesync_rows ());

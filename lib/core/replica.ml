@@ -89,10 +89,11 @@ let make_counters obs rid =
   }
 
 (* What executing a batch changes outside its own record, captured before
-   it runs so that an aborted execution or a rollback can restore it. *)
+   it runs so that an aborted execution or a rollback can restore it. The
+   key-value state is the persistent map the batch started from. *)
 type undo = {
   u_ledger : int;
-  u_kv : int;
+  u_kv : Iaccf_kv.Hamt.t;
   u_gov_index : int;
   u_dc : D.t;
   u_phase : Schedule.phase;
@@ -389,7 +390,7 @@ let truncate_ledger t n = if keep_ledger t then Ledger.truncate t.ledger n
 let capture t =
   {
     u_ledger = ledger_len t;
-    u_kv = Store.version t.store;
+    u_kv = Store.map t.store;
     u_gov_index = t.gov_index;
     u_dc = t.current_dc;
     u_phase = t.phase;
@@ -398,7 +399,7 @@ let capture t =
 
 let restore t u =
   truncate_ledger t u.u_ledger;
-  Store.rollback t.store u.u_kv;
+  Store.reset_to t.store u.u_kv;
   t.gov_index <- u.u_gov_index;
   t.current_dc <- u.u_dc;
   t.phase <- u.u_phase;
@@ -451,17 +452,60 @@ let add_record t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~un
   Status_index.record_writes t.index ~seqno:s writes;
   rec_
 
-let append_evidence_entries t ~s_past ev_prepares ev_nonces =
-  if s_past >= 1 then begin
-    match Hashtbl.find_opt t.records s_past with
-    | None -> ()
-    | Some rec_ ->
-        let v = rec_.br_pp.Message.view in
-        append_ledger t
-          (Entry.Prepare_evidence { pe_view = v; pe_seqno = s_past; pe_prepares = ev_prepares });
-        append_ledger t
-          (Entry.Nonce_evidence { ne_view = v; ne_seqno = s_past; ne_nonces = ev_nonces })
-  end
+(* The ledger entries recording batch [s_past]'s prepares and nonces. *)
+let evidence_entries t ~s_past ev_prepares ev_nonces =
+  match Hashtbl.find_opt t.records s_past with
+  | None -> []
+  | Some rec_ ->
+      let v = rec_.br_pp.Message.view in
+      [
+        Entry.Prepare_evidence { pe_view = v; pe_seqno = s_past; pe_prepares = ev_prepares };
+        Entry.Nonce_evidence { ne_view = v; ne_seqno = s_past; ne_nonces = ev_nonces };
+      ]
+
+(* How a batch's transaction entries come about: by executing its
+   requests, or by adopting recorded entries unexecuted (catch-up below an
+   installed checkpoint). *)
+type exec = Execute of Request.t list * original | Adopt of Batch.tx_entry list
+
+(* The entries an executed batch keeps when execution reproduces their
+   results. A re-proposal after a view change prefers its original
+   entries, whose indices fresh execution would not reproduce; a recorded
+   ledger extent requires its own. *)
+and original = Fresh | Prefer of Batch.tx_entry list | Require of Batch.tx_entry list
+
+(* Every batch runs through here, whoever proposed it: capture the undo,
+   append the evidence entries, then produce the transaction entries. It
+   is a fault when execution does not reproduce [Require]d entries, or
+   when a batch received in a pre-prepare ([against]) puts a request
+   below its minimum index or misses the pre-prepare's roots: the undo is
+   restored and the result is [None]. *)
+let run_batch t ?against ~evidence exec =
+  let undo = capture t in
+  List.iter (append_ledger t) evidence;
+  let entries =
+    match exec with
+    | Adopt txs -> Some (txs, [])
+    | Execute (reqs, original) -> (
+        let executed, writes = execute_requests t ~base_index:(ledger_len t + 1) reqs in
+        match original with
+        | (Prefer txs | Require txs) when same_results txs executed -> Some (txs, writes)
+        | Require _ -> None
+        | Prefer _ | Fresh -> Some (executed, writes))
+  in
+  let fits (pp : Message.pre_prepare) txs =
+    List.for_all
+      (fun (tx : Batch.tx_entry) -> tx.Batch.request.Request.min_index <= tx.Batch.index)
+      txs
+    && D.equal (Batch.g_root txs) pp.Message.g_root
+    && D.equal (m_root_now t) pp.Message.m_root
+  in
+  match (entries, against) with
+  | Some (txs, writes), None -> Some (undo, txs, writes)
+  | Some (txs, writes), Some pp when fits pp txs -> Some (undo, txs, writes)
+  | _ ->
+      restore t undo;
+      None
 
 (* The configuration the key-value store records under the reserved key,
    when it is newer than ours. *)
@@ -826,48 +870,43 @@ and plan_batch t s =
       let chosen = take [] t.params.max_batch (List.map D.to_raw order) in
       if chosen = [] then None else Some (Batch.Regular, List.map snd chosen)
 
-and emit_batch t ?fixed_txs ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
+(* Re-proposals after a view change [Prefer] the batch's original entries
+   so that its Merkle root, and every receipt bound to it, stays the same. *)
+and emit_batch t ?(original = Fresh) ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bitmap () =
   let s = t.seqno in
   let v = t.view in
-  let undo = capture t in
-  append_evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces;
-  let base_index = ledger_len t + 1 in
-  let executed, writes = execute_requests t ~base_index reqs in
-  let txs =
-    (* Re-proposals after a view change keep the original entries so the
-       batch's Merkle root (and every receipt bound to it) is unchanged. *)
-    match fixed_txs with
-    | Some original when same_results original executed -> original
-    | Some _ | None -> executed
-  in
-  let g_root = Batch.g_root txs in
-  let m_root = m_root_now t in
-  let nonce_com = Votes.commit_own t.votes ~view:v ~seqno:s in
-  let payload =
-    Message.pre_prepare_payload ~view:v ~seqno:s ~m_root ~g_root ~nonce_com ~ev_bitmap
-      ~gov_index:undo.u_gov_index ~cp_digest:undo.u_dc ~kind ~primary:t.rid
-  in
-  let pp : Message.pre_prepare =
-    {
-      Message.view = v;
-      seqno = s;
-      m_root;
-      g_root;
-      nonce_com;
-      ev_bitmap;
-      gov_index = undo.u_gov_index;
-      cp_digest = undo.u_dc;
-      kind;
-      primary = t.rid;
-      signature = Auth.sign t.auth ~cls:"pre_prepare" payload;
-    }
-  in
-  let rec_ =
-    accept_batch t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs ~writes
-      ~ev_prepares ~ev_nonces ~undo ~batched:reqs
-  in
-  broadcast_replicas t (Wire.Pre_prepare_msg { pp; batch = rec_.br_batch_hashes });
-  check_prepared t
+  let evidence = evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces in
+  Option.iter
+    (fun (undo, txs, writes) ->
+      let g_root = Batch.g_root txs in
+      let m_root = m_root_now t in
+      let nonce_com = Votes.commit_own t.votes ~view:v ~seqno:s in
+      let payload =
+        Message.pre_prepare_payload ~view:v ~seqno:s ~m_root ~g_root ~nonce_com ~ev_bitmap
+          ~gov_index:undo.u_gov_index ~cp_digest:undo.u_dc ~kind ~primary:t.rid
+      in
+      let pp : Message.pre_prepare =
+        {
+          Message.view = v;
+          seqno = s;
+          m_root;
+          g_root;
+          nonce_com;
+          ev_bitmap;
+          gov_index = undo.u_gov_index;
+          cp_digest = undo.u_dc;
+          kind;
+          primary = t.rid;
+          signature = Auth.sign t.auth ~cls:"pre_prepare" payload;
+        }
+      in
+      let rec_ =
+        accept_batch t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs ~writes
+          ~ev_prepares ~ev_nonces ~undo ~batched:reqs
+      in
+      broadcast_replicas t (Wire.Pre_prepare_msg { pp; batch = rec_.br_batch_hashes });
+      check_prepared t)
+    (run_batch t ~evidence (Execute (reqs, original)))
 
 (* ------------------------------------------------------------------ *)
 (* Backup processing of pre-prepares (Alg. 1, line 15)                 *)
@@ -909,72 +948,49 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
           true (* reject; suspicion via timer *)
         end
         else begin
-          let undo = capture t in
-          append_evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares
-            ev_nonces;
-          let base_index = ledger_len t + 1 in
+          let evidence =
+            evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces
+          in
           (* No hash is missing, executed or repeated: all are pending. *)
           let reqs =
             List.map (fun h -> Hashtbl.find t.requests (D.to_raw h)) batch_hashes
           in
-          let txs, writes = execute_requests t ~base_index reqs in
-          (* A re-proposed batch must keep its original entries: if fresh
-             execution diverges from the pre-prepare's g_root only in the
-             assigned indices, adopt the archived entries for this root. *)
-          let txs =
-            if D.equal (Batch.g_root txs) pp.Message.g_root then txs
-            else begin
-              match
-                Hashtbl.find_opt t.archived_content (s, (pp.Message.g_root :> string))
-              with
-              | Some (_, _, original) when same_results original txs -> original
-              | _ -> txs
-            end
+          (* A re-proposed batch keeps the entries archived for its root. *)
+          let original =
+            match Hashtbl.find_opt t.archived_content (s, (pp.Message.g_root :> string)) with
+            | Some (_, _, txs) -> Prefer txs
+            | None -> Fresh
           in
-          let g_root = Batch.g_root txs in
-          let m_root = m_root_now t in
-          let min_index_ok =
-            List.for_all
-              (fun (tx : Batch.tx_entry) ->
-                tx.Batch.request.Request.min_index <= tx.Batch.index)
-              txs
-          in
-          if
-            (not min_index_ok)
-            || (not (D.equal g_root pp.Message.g_root))
-            || not (D.equal m_root pp.Message.m_root)
-          then begin
-            (* Divergent execution or a lying primary: roll back (Alg. 1,
-               line 23) and let the progress timer trigger a view change. *)
-            tally t "replica.reject.exec";
-            restore t undo;
-            true
-          end
-          else begin
-            let nonce_com = Votes.commit_own t.votes ~view:v ~seqno:s in
-            let pph = Message.pp_hash pp in
-            let payload =
-              Message.prepare_payload ~view:v ~seqno:s ~replica:t.rid ~nonce_com
-                ~pp_hash:pph
-            in
-            let prepare =
-              {
-                Message.p_view = v;
-                p_seqno = s;
-                p_replica = t.rid;
-                p_nonce_com = nonce_com;
-                p_pp_hash = pph;
-                p_signature = Auth.sign t.auth ~cls:"prepare" payload;
-              }
-            in
-            ignore
-              (accept_batch t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces
-                 ~undo ~batched:[]);
-            Votes.add_prepare t.votes prepare;
-            broadcast_replicas t (Wire.Prepare_msg prepare);
-            check_prepared t;
-            true
-          end
+          match run_batch t ~against:pp ~evidence (Execute (reqs, original)) with
+          | None ->
+              (* Divergent execution or a lying primary: rolled back (Alg. 1,
+                 line 23); the progress timer triggers a view change. *)
+              tally t "replica.reject.exec";
+              true
+          | Some (undo, txs, writes) ->
+              let nonce_com = Votes.commit_own t.votes ~view:v ~seqno:s in
+              let pph = Message.pp_hash pp in
+              let payload =
+                Message.prepare_payload ~view:v ~seqno:s ~replica:t.rid ~nonce_com
+                  ~pp_hash:pph
+              in
+              let prepare =
+                {
+                  Message.p_view = v;
+                  p_seqno = s;
+                  p_replica = t.rid;
+                  p_nonce_com = nonce_com;
+                  p_pp_hash = pph;
+                  p_signature = Auth.sign t.auth ~cls:"prepare" payload;
+                }
+              in
+              ignore
+                (accept_batch t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces
+                   ~undo ~batched:[]);
+              Votes.add_prepare t.votes prepare;
+              broadcast_replicas t (Wire.Prepare_msg prepare);
+              check_prepared t;
+              true
         end
   end
 
@@ -1289,7 +1305,7 @@ and maybe_new_view t =
           (fun (kind, reqs, txs) ->
             match evidence_for t (t.seqno - t.params.pipeline) with
             | Some (ev_prepares, ev_nonces, ev_bitmap) ->
-                emit_batch t ~fixed_txs:txs ~kind ~reqs ~ev_prepares ~ev_nonces
+                emit_batch t ~original:(Prefer txs) ~kind ~reqs ~ev_prepares ~ev_nonces
                   ~ev_bitmap ()
             | None -> ())
           (List.filter_map Fun.id contents);
@@ -1425,9 +1441,10 @@ and on_fetch_ledger t ~src ~from_len ~offer =
   end
 
 (* Apply one batch of a received or recovered ledger extent: append its
-   evidence verbatim, re-execute it checking roots and recorded results
-   (or, up to [skip_exec_upto], adopt it without execution), and commit
-   it. [false], with nothing changed, if it does not check out. *)
+   evidence verbatim, re-execute it keeping the recorded entries (or, up
+   to [skip_exec_upto], adopt them without execution), check it against
+   its pre-prepare, and commit it. [false], with nothing changed, if it
+   does not check out. *)
 and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
   let s = pp.Message.seqno in
   (* Checkpoint-based bootstrap (§3.4): entries up to the installed
@@ -1443,64 +1460,49 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
   in
   if s <> t.seqno || not sig_ok then false
   else begin
-    let undo = capture t in
-    (* Evidence entries preceding this pp go in verbatim; a batch we
-       execute also feeds them to the message stores, so later
-       evidence assembly works. *)
-    List.iter
-      (fun e ->
-        (if not skip_exec then
-           match e with
-           | Entry.Prepare_evidence { pe_prepares; _ } ->
-               List.iter (Votes.add_prepare t.votes) pe_prepares
-           | Entry.Nonce_evidence { ne_view; ne_seqno; ne_nonces } ->
-               List.iter (Votes.add_nonce t.votes ~view:ne_view ~seqno:ne_seqno) ne_nonces
-           | _ -> ());
-        append_ledger t e)
-      evidence;
-    let reqs = List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request) txs in
+    (* A batch we execute feeds its evidence to the message stores, so
+       later evidence assembly works. *)
+    if not skip_exec then
+      List.iter
+        (function
+          | Entry.Prepare_evidence { pe_prepares; _ } ->
+              List.iter (Votes.add_prepare t.votes) pe_prepares
+          | Entry.Nonce_evidence { ne_view; ne_seqno; ne_nonces } ->
+              List.iter (Votes.add_nonce t.votes ~view:ne_view ~seqno:ne_seqno) ne_nonces
+          | _ -> ())
+        evidence;
     (* Indices are adopted from the recorded entries (they are bound by
        the signed g_root and may be lower than the physical position if
        the batch was re-proposed after a view change). *)
-    let writes =
-      if skip_exec then Some []
-      else begin
-        let executed, writes = execute_requests t ~base_index:(ledger_len t + 1) reqs in
-        if same_results executed txs then Some writes else None
-      end
-    in
-    match writes with
-    | Some writes
-      when D.equal (Batch.g_root txs) pp.Message.g_root
-           && D.equal (m_root_now t) pp.Message.m_root ->
-      if skip_exec then begin
-        (* Adopt verbatim; the key-value store comes from the
-           checkpoint, so there are no write sets to index. *)
+    let reqs = List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request) txs in
+    let exec = if skip_exec then Adopt txs else Execute (reqs, Require txs) in
+    match run_batch t ~against:pp ~evidence exec with
+    | None -> false
+    | Some (undo, txs, writes) ->
         append_batch t pp txs;
-        move_gov_index_and_dc t pp txs;
-        Hashtbl.replace t.batch_ledger_end s (ledger_len t)
-      end
-      else begin
-        append_batch t pp txs;
-        ignore
-          (add_record t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs ~writes
-             ~ev_prepares:[] ~ev_nonces:[] ~undo ~committed:true);
-        (match Hashtbl.find_opt t.prepared_pps s with
-        | Some prev when prev.Message.view >= pp.Message.view -> ()
-        | _ -> Hashtbl.replace t.prepared_pps s pp);
-        post_execute_batch t pp txs
-      end;
-      seal_from_kind t pp;
-      t.seqno <- s + 1;
-      t.last_prepared <- max t.last_prepared s;
-      t.last_committed <- max t.last_committed s;
-      Status_index.commit t.index ~seqno:s ~view:pp.Message.view
-        ~index_writes:(not skip_exec) ~last_committed:t.last_committed;
-      retire_if_handed_over t;
-      true
-    | _ ->
-      restore t undo;
-      false
+        if skip_exec then begin
+          (* The key-value store comes from the checkpoint, so there are
+             no write sets to index. *)
+          move_gov_index_and_dc t pp txs;
+          Hashtbl.replace t.batch_ledger_end s (ledger_len t)
+        end
+        else begin
+          ignore
+            (add_record t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs ~writes
+               ~ev_prepares:[] ~ev_nonces:[] ~undo ~committed:true);
+          (match Hashtbl.find_opt t.prepared_pps s with
+          | Some prev when prev.Message.view >= pp.Message.view -> ()
+          | _ -> Hashtbl.replace t.prepared_pps s pp);
+          post_execute_batch t pp txs
+        end;
+        seal_from_kind t pp;
+        t.seqno <- s + 1;
+        t.last_prepared <- max t.last_prepared s;
+        t.last_committed <- max t.last_committed s;
+        Status_index.commit t.index ~seqno:s ~view:pp.Message.view
+          ~index_writes:(not skip_exec) ~last_committed:t.last_committed;
+        retire_if_handed_over t;
+        true
   end
 
 (* A new-view entry from a ledger extent follows the view-change set it
@@ -1933,11 +1935,10 @@ let start t =
 
 let stop t = t.running <- false
 
-let store_version t = Store.version t.store
-
 let preload_state t kvs =
   if t.seqno <> 1 then invalid_arg "Replica.preload_state: already executing";
-  Store.preload t.store (Iaccf_kv.Hamt.of_list kvs)
+  Store.reset_to t.store (Iaccf_kv.Hamt.of_list kvs)
+
 let inject_view_change t = start_view_change t ~cause:"injected"
 
 let join t ~from = if t.running then fetch_from t from SyncSession.If_far

@@ -187,7 +187,3 @@ val prune : t -> int
     and [iaccf audit --package] over the exported package still covers the
     dropped prefix.
     @raise Invalid_argument without [storage]. *)
-
-val store_version : t -> int
-(** Transactions executed locally (resets on checkpoint installation);
-    lets tests confirm a snapshot join skipped re-execution. *)

@@ -1,8 +1,8 @@
 (** Persistent hash-array-mapped trie from string keys to string values.
 
-    Stands in for CCF's CHAMP map [58]: immutable (snapshots are O(1), which
-    gives the roll-back log its cheap per-transaction snapshots), with
-    32-way branching and log32-time access. *)
+    Stands in for CCF's CHAMP map [58]: immutable (a snapshot is the value
+    itself, so undoing a batch is putting back the map it started from),
+    with 32-way branching and log32-time access. *)
 
 type t
 

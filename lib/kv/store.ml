@@ -1,36 +1,29 @@
 module D = Iaccf_crypto.Digest32
 module Codec = Iaccf_util.Codec
 
-type t = {
-  mutable current : Hamt.t;
-  mutable version : int;
-  mutable log : (int * Hamt.t) list; (* committed (version, pre-state), newest first *)
-  mutable open_tx : bool;
-}
+type t = { mutable current : Hamt.t; mutable open_tx : bool }
 
 type write = Put of string | Delete
 
 type tx = {
   store : t;
-  base : Hamt.t;
   mutable working : Hamt.t;
   mutable writes : (string * write) list; (* newest first, may repeat keys *)
   mutable live : bool;
 }
 
-let create () = { current = Hamt.empty; version = 0; log = []; open_tx = false }
-let of_map m = { current = m; version = 0; log = []; open_tx = false }
+let of_map m = { current = m; open_tx = false }
+let create () = of_map Hamt.empty
 let map t = t.current
-let version t = t.version
 
-let preload t m =
-  if t.version <> 0 || t.open_tx then invalid_arg "Store.preload: already in use";
+let reset_to t m =
+  if t.open_tx then invalid_arg "Store.reset_to: transaction open";
   t.current <- m
 
 let begin_tx store =
   if store.open_tx then invalid_arg "Store.begin_tx: transaction already open";
   store.open_tx <- true;
-  { store; base = store.current; working = store.current; writes = []; live = true }
+  { store; working = store.current; writes = []; live = true }
 
 let check_live tx = if not tx.live then invalid_arg "Store: transaction is closed"
 
@@ -79,9 +72,7 @@ let commit_with_writes tx =
   tx.live <- false;
   let store = tx.store in
   store.open_tx <- false;
-  store.log <- (store.version, tx.base) :: store.log;
   store.current <- tx.working;
-  store.version <- store.version + 1;
   let writes = normalize_writes tx.writes in
   (write_set_hash writes, writes)
 
@@ -91,33 +82,6 @@ let abort tx =
   check_live tx;
   tx.live <- false;
   tx.store.open_tx <- false
-
-let reset_to t m =
-  if t.open_tx then invalid_arg "Store.reset_to: transaction open";
-  t.current <- m;
-  t.version <- 0;
-  t.log <- []
-
-let rollback t target =
-  if t.open_tx then invalid_arg "Store.rollback: transaction open";
-  if target > t.version then invalid_arg "Store.rollback: version in the future";
-  if target = t.version then ()
-  else begin
-    match List.find_opt (fun (v, _) -> v = target) t.log with
-    | None -> invalid_arg "Store.rollback: version pruned"
-    | Some (_, state) ->
-        t.current <- state;
-        t.version <- target;
-        t.log <- List.filter (fun (v, _) -> v < target) t.log
-  end
-
-let prune_rollback_log t ~keep =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  t.log <- take keep t.log
 
 let state_digest t =
   let ctx = Iaccf_crypto.Sha256.init () in

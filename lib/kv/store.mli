@@ -1,13 +1,12 @@
-(** Strictly-serializable transactional key-value store with per-transaction
-    roll-back (§2 of the paper).
+(** Strictly-serializable transactional key-value store (§2 of the paper).
 
-    Transactions execute one at a time against the current map; each commit
-    records a snapshot plus the transaction's write set, so any suffix of
-    committed transactions can be rolled back (needed when a speculatively
-    executed batch fails to prepare, Appx. A, Lemma 1). The write-set hash is
-    part of the result [o] stored in the ledger, letting auditors compare
-    replayed execution against recorded execution without replaying the
-    reads. *)
+    Transactions execute one at a time against the current map, a
+    persistent {!Hamt.t}. The store keeps no history: a caller that may
+    have to undo work (a speculatively executed batch that fails to
+    prepare, Appx. A, Lemma 1) holds on to the {!map} it started from and
+    puts it back with {!reset_to}. The write-set hash is part of the
+    result [o] stored in the ledger, letting auditors compare replayed
+    execution against recorded execution without replaying the reads. *)
 
 type t
 
@@ -24,13 +23,10 @@ val of_map : Hamt.t -> t
 val map : t -> Hamt.t
 (** Current committed state. *)
 
-val version : t -> int
-(** Number of committed transactions since creation / last [reset]. *)
-
-val preload : t -> Hamt.t -> unit
-(** Replace the state wholesale before any transaction has committed —
-    bench/test setup that models app state present at genesis.
-    @raise Invalid_argument once transactions have run. *)
+val reset_to : t -> Hamt.t -> unit
+(** Replace the state wholesale: app state present at genesis, an
+    installed checkpoint, or the map a batch started from when the batch
+    is undone. @raise Invalid_argument while a transaction is open. *)
 
 val begin_tx : t -> tx
 (** @raise Invalid_argument if a transaction is already open. *)
@@ -58,18 +54,6 @@ val write_set_hash : (string * write) list -> Iaccf_crypto.Digest32.t
     (normalized first). *)
 
 val abort : tx -> unit
-
-val reset_to : t -> Hamt.t -> unit
-(** Replace the state wholesale (checkpoint installation during replica
-    bootstrap); discards the roll-back log and resets the version to 0. *)
-
-val rollback : t -> int -> unit
-(** [rollback t version] restores the state as of the given committed
-    version. @raise Invalid_argument if the version is ahead of the present
-    or has been pruned. *)
-
-val prune_rollback_log : t -> keep:int -> unit
-(** Drop roll-back ability for all but the last [keep] versions. *)
 
 val state_digest : t -> Iaccf_crypto.Digest32.t
 (** Canonical digest of the full committed state (sorted fold), used for

@@ -84,7 +84,8 @@ let decode r =
 
 let serialize t = Codec.encode (fun w -> encode w t)
 let deserialize s = Codec.decode s decode
-let leaf_digest t = D.of_string (serialize t)
+let leaf_of_serialized = D.of_string
+let leaf_digest t = leaf_of_serialized (serialize t)
 let size_bytes t = String.length (serialize t)
 
 let pp ppf = function

@@ -38,6 +38,10 @@ val deserialize : string -> t
 val leaf_digest : t -> Iaccf_crypto.Digest32.t
 (** Digest of the serialized entry; the M-leaf for M-bound entries. *)
 
+val leaf_of_serialized : string -> Iaccf_crypto.Digest32.t
+(** {!leaf_digest} from the entry's {!serialize}d bytes, for a caller that
+    already holds them. *)
+
 val size_bytes : t -> int
 (** Serialized size; reported in the Table 1 bench. *)
 

@@ -20,8 +20,9 @@ type t = {
 let set_sink t sink = t.sink <- sink
 
 let push t entry =
-  let bytes = Entry.size_bytes entry in
-  if Entry.in_merkle_tree entry then Tree.append t.tree (Entry.leaf_digest entry);
+  let raw = Entry.serialize entry in
+  let bytes = String.length raw in
+  if Entry.in_merkle_tree entry then Tree.append t.tree (Entry.leaf_of_serialized raw);
   Vec.push t.slots { entry; m_size_after = Tree.size t.tree; bytes };
   t.byte_total <- t.byte_total + bytes;
   let index = Vec.length t.slots - 1 in

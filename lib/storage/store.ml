@@ -172,8 +172,9 @@ let decode_prune s =
 (* ------------------------------------------------------------------ *)
 (* Open + recovery                                                     *)
 
-let append_slot t ~seg ~off ~len entry =
-  if Entry.in_merkle_tree entry then Tree.append t.tree (Entry.leaf_digest entry);
+(* [payload] is the entry's serialized bytes, the preimage of its leaf. *)
+let append_slot t ~seg ~off ~len ~payload entry =
+  if Entry.in_merkle_tree entry then Tree.append t.tree (Entry.leaf_of_serialized payload);
   Vec.push t.slots { s_seg = seg; s_off = off; s_len = len; s_msize = Tree.size t.tree };
   t.disk <- t.disk + len
 
@@ -215,7 +216,7 @@ let scan_segment t ~seg ~tail data =
     | Frame.Frame { payload; next } -> (
         match Entry.deserialize payload with
         | entry ->
-            append_slot t ~seg ~off ~len:(next - off) entry;
+            append_slot t ~seg ~off ~len:(next - off) ~payload entry;
             go next
         | exception Codec.Decode_error m ->
             if tail then (off, total - off)
@@ -410,14 +411,15 @@ let roll_segment t =
 
 let append t entry =
   check_rw t "append";
-  let frame = Frame.encode (Entry.serialize entry) in
+  let payload = Entry.serialize entry in
+  let frame = Frame.encode payload in
   let len = String.length frame in
   if t.tail_fd = None || (t.tail_size > 0 && t.tail_size + len > t.cfg.segment_bytes)
   then roll_segment t;
   let fd = Option.get t.tail_fd in
   write_all fd frame;
   let index = length t in
-  append_slot t ~seg:t.tail_first ~off:t.tail_size ~len entry;
+  append_slot t ~seg:t.tail_first ~off:t.tail_size ~len ~payload entry;
   t.tail_size <- t.tail_size + len;
   Obs.incr t.c_appends;
   Obs.add t.c_append_bytes len;

@@ -121,15 +121,14 @@ let test_store_tx_commit () =
   Store.put tx "bob" "50";
   let _ = Store.commit tx in
   check Alcotest.(option string) "committed" (Some "100") (Hamt.find "alice" (Store.map s));
-  check Alcotest.int "version" 1 (Store.version s)
+  check Alcotest.(option string) "both writes" (Some "50") (Hamt.find "bob" (Store.map s))
 
 let test_store_tx_abort () =
   let s = Store.create () in
   let tx = Store.begin_tx s in
   Store.put tx "alice" "100";
   Store.abort tx;
-  check Alcotest.bool "not committed" true (Hamt.is_empty (Store.map s));
-  check Alcotest.int "version" 0 (Store.version s)
+  check Alcotest.bool "not committed" true (Hamt.is_empty (Store.map s))
 
 let test_store_reads_own_writes () =
   let s = Store.create () in
@@ -148,34 +147,86 @@ let test_store_single_open_tx () =
       ignore (Store.begin_tx s));
   Store.abort tx
 
-let test_store_rollback () =
-  let s = Store.create () in
-  let run k v =
-    let tx = Store.begin_tx s in
-    Store.put tx k v;
-    ignore (Store.commit tx)
-  in
-  run "a" "1";
-  run "b" "2";
-  run "c" "3";
-  Store.rollback s 1;
-  check Alcotest.(option string) "a kept" (Some "1") (Hamt.find "a" (Store.map s));
-  check Alcotest.(option string) "b rolled back" None (Hamt.find "b" (Store.map s));
-  check Alcotest.int "version" 1 (Store.version s);
-  (* Re-execute from there. *)
-  run "b" "2'";
-  check Alcotest.(option string) "re-executed" (Some "2'") (Hamt.find "b" (Store.map s))
+(* Undo by value: committing, aborting and putting back a map captured
+   earlier leaves the state a fresh store reaches by replaying only the
+   transactions that survived. *)
+type store_op =
+  | Commit of (string * string option) list (* [None] deletes the key *)
+  | Abort of (string * string option) list
+  | Capture
+  | Undo of int (* back to a captured map, picked modulo the count *)
 
-let test_store_rollback_errors () =
-  let s = Store.create () in
-  Alcotest.check_raises "future" (Invalid_argument "Store.rollback: version in the future")
-    (fun () -> Store.rollback s 5);
+let show_op =
+  let writes ws =
+    String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ Option.value v ~default:"-") ws)
+  in
+  function
+  | Commit ws -> "commit[" ^ writes ws ^ "]"
+  | Abort ws -> "abort[" ^ writes ws ^ "]"
+  | Capture -> "capture"
+  | Undo i -> Printf.sprintf "undo %d" i
+
+let arb_store_ops =
+  let open QCheck.Gen in
+  let write =
+    pair (map (Printf.sprintf "k%d") (int_bound 7)) (opt (map string_of_int (int_bound 99)))
+  in
+  let writes = list_size (int_range 1 4) write in
+  let op =
+    frequency
+      [
+        (4, map (fun ws -> Commit ws) writes);
+        (1, map (fun ws -> Abort ws) writes);
+        (1, return Capture);
+        (1, map (fun i -> Undo i) (int_bound 20));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat ", " (List.map show_op ops))
+    (list_size (int_bound 60) op)
+
+let run_writes s ws ~commit =
   let tx = Store.begin_tx s in
-  Store.put tx "x" "1";
-  ignore (Store.commit tx);
-  Store.prune_rollback_log s ~keep:0;
-  Alcotest.check_raises "pruned" (Invalid_argument "Store.rollback: version pruned")
-    (fun () -> Store.rollback s 0)
+  List.iter
+    (fun (k, v) -> match v with Some v -> Store.put tx k v | None -> Store.delete tx k)
+    ws;
+  if commit then ignore (Store.commit tx) else Store.abort tx
+
+let prop_undo_by_value =
+  QCheck.Test.make ~name:"undo to a captured map" ~count:300 arb_store_ops (fun ops ->
+      let s = Store.create () in
+      (* Committed transactions still in effect, newest first, and each
+         captured map with the transactions in effect when it was taken. *)
+      let surviving = ref [] and captured = ref [] in
+      List.iter
+        (function
+          | Commit ws ->
+              run_writes s ws ~commit:true;
+              surviving := ws :: !surviving
+          | Abort ws -> run_writes s ws ~commit:false
+          | Capture -> captured := (Store.map s, !surviving) :: !captured
+          | Undo i -> (
+              match !captured with
+              | [] -> ()
+              | l ->
+                  let m, txs = List.nth l (i mod List.length l) in
+                  Store.reset_to s m;
+                  surviving := txs))
+        ops;
+      let replay = Store.create () in
+      List.iter (fun ws -> run_writes replay ws ~commit:true) (List.rev !surviving);
+      Hamt.equal (Store.map s) (Store.map replay)
+      && D.equal (Store.state_digest s) (Store.state_digest replay))
+
+(* The store holds the current map and nothing else: overwriting one key
+   10,000 times leaves a one-key map, not every intermediate one. *)
+let test_store_retains_no_history () =
+  let s = Store.create () in
+  for i = 1 to 10_000 do
+    run_writes s [ ("k", Some (string_of_int i)) ] ~commit:true
+  done;
+  let words = Obj.reachable_words (Obj.repr s) in
+  check Alcotest.bool (Printf.sprintf "%d words reachable" words) true (words < 64)
 
 let test_write_set_hash_deterministic () =
   let run () =
@@ -259,8 +310,8 @@ let () =
           Alcotest.test_case "abort" `Quick test_store_tx_abort;
           Alcotest.test_case "reads own writes" `Quick test_store_reads_own_writes;
           Alcotest.test_case "single open tx" `Quick test_store_single_open_tx;
-          Alcotest.test_case "rollback" `Quick test_store_rollback;
-          Alcotest.test_case "rollback errors" `Quick test_store_rollback_errors;
+          qtest prop_undo_by_value;
+          Alcotest.test_case "retains no history" `Quick test_store_retains_no_history;
           Alcotest.test_case "write-set hash deterministic" `Quick
             test_write_set_hash_deterministic;
           Alcotest.test_case "write-set hash differs" `Quick test_write_set_hash_differs;

@@ -10,6 +10,8 @@ module D = Iaccf_crypto.Digest32
 module Schnorr = Iaccf_crypto.Schnorr
 module Bitmap = Iaccf_util.Bitmap
 module Network = Iaccf_sim.Network
+module Request = Iaccf_types.Request
+module Genesis = Iaccf_types.Genesis
 
 let check = Alcotest.check
 
@@ -548,6 +550,40 @@ let test_forged_new_view_entry_refused () =
   check Alcotest.string "replica 2 holds" before (holding r2);
   keeps_committing cluster client
 
+(* Replica 1 sends replica 2 an unsolicited ledger extent whose batch has
+   correct roots and the view-0 primary's signature, but executes a
+   request below its minimum index. Backups and the auditor refuse such a
+   batch; catch-up adopted it, and replica 2 committed a batch no other
+   replica holds. *)
+let test_min_index_extent_refused () =
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  let r2 = Cluster.replica cluster 2 in
+  let before = holding r2 in
+  let genesis = Cluster.genesis cluster in
+  let params = Cluster.params cluster in
+  let forge =
+    Forge.create ~genesis
+      ~sks:(List.init 4 (fun i -> (i, Cluster.replica_sk cluster i)))
+      ~app:(App.create Cluster.counter_app_procs)
+      ~pipeline:params.Replica.pipeline
+      ~checkpoint_interval:params.Replica.checkpoint_interval
+  in
+  let sk, client_pk = Schnorr.keypair_of_seed "min-index-client" in
+  let req =
+    Request.make ~sk ~client_pk ~service:(Genesis.hash genesis) ~min_index:1000
+      ~client_seqno:0 ~proc:"counter/add" ~args:"5" ()
+  in
+  ignore (Forge.add_batch forge [ req ]);
+  let entries = List.map snd (Ledger.entries (Forge.ledger forge) ~from:1 ()) in
+  let upto = 1 + List.length entries in
+  Network.send (Cluster.network cluster) ~src:1 ~dst:2
+    (Wire.Ledger_suffix_chunk
+       { lc_from = 1; lc_entries = entries; lc_upto = upto; lc_view = 0 });
+  Cluster.run cluster ~ms:100.0;
+  check Alcotest.string "replica 2 holds" before (holding r2);
+  keeps_committing cluster client
+
 (* Primary 0 re-signs its pre-prepares with a gov_index 7 too high. The
    backups committed them, and their ledgers failed the audit; they now
    refuse the batch, the progress timer changes the view, and the
@@ -1036,6 +1072,8 @@ let () =
           Alcotest.test_case "padded new view" `Quick test_padded_new_view_refused;
           Alcotest.test_case "forged new-view ledger entry" `Quick
             test_forged_new_view_entry_refused;
+          Alcotest.test_case "catch-up batch below its min index" `Quick
+            test_min_index_extent_refused;
           Alcotest.test_case "pre-prepare with a wrong gov_index" `Quick
             test_wrong_gov_index_refused;
           Alcotest.test_case "governance receipt requests stay bounded" `Quick
