@@ -20,7 +20,6 @@ type outcome = {
 
 type pending = {
   p_req : Request.t;
-  p_hash : D.t;
   p_sent_at : float;
   (* (view, seqno) -> replica -> reply *)
   p_replies : (int * int, (int, Message.reply) Hashtbl.t) Hashtbl.t;
@@ -130,7 +129,7 @@ let try_complete t p =
             match verdict with
             | Ok () ->
                 p.p_done <- true;
-                Hashtbl.remove t.pending (D.to_raw p.p_hash);
+                Hashtbl.remove t.pending (D.to_raw (Request.hash p.p_req));
                 t.completed <- t.completed + 1;
                 Obs.incr t.c_completed;
                 let idx = x.Message.x_tx.Batch.index in
@@ -173,7 +172,7 @@ let try_complete t p =
 let rec arm_retry t p =
   ignore
     (Sched.schedule t.sched ~delay:t.retry_ms (fun () ->
-         if (not p.p_done) && Hashtbl.mem t.pending (D.to_raw p.p_hash) then begin
+         if (not p.p_done) && Hashtbl.mem t.pending (D.to_raw (Request.hash p.p_req)) then begin
            p.p_retries <- p.p_retries + 1;
            Obs.incr (Obs.counter t.obs "client.retries");
            (* A reply names a batch, not a request, so buffered replies may
@@ -186,7 +185,7 @@ let rec arm_retry t p =
            if
              p.p_replyx = None
              && Hashtbl.fold (fun _ tbl acc -> acc || Hashtbl.length tbl > 0) p.p_replies false
-           then broadcast t (Wire.Replyx_request { rr_tx_hash = p.p_hash });
+           then broadcast t (Wire.Replyx_request { rr_tx_hash = Request.hash p.p_req });
            broadcast t (Wire.Request_msg p.p_req);
            try_complete t p;
            arm_retry t p
@@ -289,22 +288,13 @@ let submit t ~proc ~args ?on_complete () =
       Request.make ~sk:t.sk ~client_pk:t.pk ~service:t.service ~min_index:t.min_idx
         ~client_seqno:t.next_client_seqno ~proc ~args ()
     else
-      {
-        Request.proc;
-        args;
-        client_pk = t.pk;
-        service = t.service;
-        min_index = t.min_idx;
-        client_seqno = t.next_client_seqno;
-        signature = "";
-      }
+      Request.of_fields ~client_pk:t.pk ~service:t.service ~min_index:t.min_idx
+        ~client_seqno:t.next_client_seqno ~proc ~args ()
   in
   t.next_client_seqno <- t.next_client_seqno + 1;
-  let h = Request.hash req in
   let p =
     {
       p_req = req;
-      p_hash = h;
       p_sent_at = Sched.now t.sched;
       p_replies = Hashtbl.create 4;
       p_replyx = None;
@@ -313,7 +303,7 @@ let submit t ~proc ~args ?on_complete () =
       p_callback = on_complete;
     }
   in
-  Hashtbl.replace t.pending (D.to_raw h) p;
+  Hashtbl.replace t.pending (D.to_raw (Request.hash req)) p;
   Obs.incr t.c_submitted;
   (* The span id IS the request's causal trace id: flow events and the
      primary's batching instant key off the same hash prefix. *)

@@ -35,12 +35,9 @@ let make pp backups subject =
     subject;
   }
 
-let g_path txs =
+let g_path ?g_tree txs =
   let tree =
-    lazy
-      (let tree = Tree.create () in
-       List.iter (fun tx -> Tree.append tree (Batch.tx_leaf tx)) txs;
-       tree)
+    match g_tree with Some tree -> Lazy.from_val tree | None -> lazy (Batch.g_tree txs)
   in
   fun i -> Tree.path (Lazy.force tree) i
 
@@ -48,8 +45,8 @@ let tx_subject txs =
   let path = g_path txs and batch_size = List.length txs in
   fun i -> Tx_subject { tx = List.nth txs i; leaf_index = i; batch_size; path = path i }
 
-let replyxs pp txs pick =
-  let path = g_path txs and size = List.length txs in
+let replyxs ?g_tree pp txs pick =
+  let path = g_path ?g_tree txs and size = List.length txs in
   List.concat
     (List.mapi
        (fun i tx ->

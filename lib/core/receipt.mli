@@ -34,23 +34,26 @@ val make : Message.pre_prepare -> (int * string * string) list -> subject -> t
     chosen [(replica, prepare signature, nonce)] triples, in any order;
     the receipt lists them by ascending replica id. *)
 
-val g_path : Batch.tx_entry list -> int -> D.t list
-(** [g_path txs i]: the Merkle path from leaf [i] to the batch's [g_root].
-    Partially applied to a batch, it builds the batch's tree once, on the
-    first path asked for. *)
+val g_path : ?g_tree:Iaccf_merkle.Tree.t -> Batch.tx_entry list -> int -> D.t list
+(** [g_path txs i]: the Merkle path from leaf [i] to the batch's [g_root],
+    read from [g_tree] (which must be [Batch.g_tree txs]) when given.
+    Otherwise, partially applied to a batch, it builds the batch's tree
+    once, on the first path asked for. *)
 
 val tx_subject : Batch.tx_entry list -> int -> subject
 (** The subject for position [i] (which must exist) of a batch, with its
     {!g_path}; partial application shares the tree the same way. *)
 
 val replyxs :
+  ?g_tree:Iaccf_merkle.Tree.t ->
   Message.pre_prepare ->
   Batch.tx_entry list ->
   (Batch.tx_entry -> bool) ->
   Message.replyx list
 (** [replyxs pp txs pick]: the receipt material (§3.3) a replica sends
     for each transaction of the batch that [pick] selects, in batch
-    order; the batch's tree is built once. *)
+    order. The paths come from [g_tree] when given (it must be
+    [Batch.g_tree txs]); otherwise the batch's tree is built once. *)
 
 val of_replyx : Message.replyx -> (int * string * string) list -> t
 (** The client's side: a transaction receipt from a replyx and the chosen

@@ -4,6 +4,7 @@ module Store = Iaccf_kv.Store
 module Checkpoint = Iaccf_kv.Checkpoint
 module Ledger = Iaccf_ledger.Ledger
 module Entry = Iaccf_ledger.Entry
+module Tree = Iaccf_merkle.Tree
 module Message = Iaccf_types.Message
 module Batch = Iaccf_types.Batch
 module Request = Iaccf_types.Request
@@ -102,12 +103,14 @@ type undo = {
 
 type batch_record = {
   br_pp : Message.pre_prepare;
-  br_batch_hashes : D.t list;
   br_requests : Request.t list;
   br_txs : Batch.tx_entry list;
   br_ev_prepares : Message.prepare list;
   br_ev_nonces : (int * string) list;
   br_undo : undo;
+  (* The batch's g-tree, built once when it ran, kept until its first
+     replies are sent. Catch-up records never hold one. *)
+  mutable br_g_tree : Tree.t option;
   mutable br_prepared : bool;
   mutable br_committed : bool;
   br_clock : Critical_path.batch; (* trace spans and phase latency stamps *)
@@ -212,6 +215,8 @@ let stats t =
   }
 let pending_requests t = Hashtbl.length t.requests
 let gov_receipts t = List.rev t.gov_receipts_rev
+let g_trees_held t =
+  Hashtbl.fold (fun _ rec_ n -> if Option.is_some rec_.br_g_tree then n + 1 else n) t.records 0
 let active t = t.activated && t.running
 let quorum t = Config.quorum t.cfg
 let primary_id t = Config.primary_of_view t.cfg t.view
@@ -430,17 +435,17 @@ let append_batch t pp txs =
 (* Record an executed batch: its record, where its entries end in the
    ledger, and the write sets its execution produced. Re-executions
    (re-proposals, state-transfer replay) overwrite with identical content. *)
-let add_record t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo
+let add_record t pp ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo
     ~committed =
   let rec_ =
     {
       br_pp = pp;
-      br_batch_hashes = batch_hashes;
       br_requests = reqs;
       br_txs = txs;
       br_ev_prepares = ev_prepares;
       br_ev_nonces = ev_nonces;
       br_undo = undo;
+      br_g_tree = None;
       br_prepared = committed;
       br_committed = committed;
       br_clock = Critical_path.batch ~seqno:pp.Message.seqno ~primary:(pp.Message.primary = t.rid);
@@ -475,11 +480,12 @@ type exec = Execute of Request.t list * original | Adopt of Batch.tx_entry list
 and original = Fresh | Prefer of Batch.tx_entry list | Require of Batch.tx_entry list
 
 (* Every batch runs through here, whoever proposed it: capture the undo,
-   append the evidence entries, then produce the transaction entries. It
-   is a fault when execution does not reproduce [Require]d entries, or
-   when a batch received in a pre-prepare ([against]) puts a request
-   below its minimum index or misses the pre-prepare's roots: the undo is
-   restored and the result is [None]. *)
+   append the evidence entries, then produce the transaction entries and
+   build their g-tree, once. It is a fault when execution does not
+   reproduce [Require]d entries, or when a batch received in a
+   pre-prepare ([against]) puts a request below its minimum index or
+   misses the pre-prepare's roots: the undo is restored and the result is
+   [None]. *)
 let run_batch t ?against ~evidence exec =
   let undo = capture t in
   List.iter (append_ledger t) evidence;
@@ -493,16 +499,18 @@ let run_batch t ?against ~evidence exec =
         | Require _ -> None
         | Prefer _ | Fresh -> Some (executed, writes))
   in
-  let fits (pp : Message.pre_prepare) txs =
+  let fits (pp : Message.pre_prepare) txs g_tree =
     List.for_all
       (fun (tx : Batch.tx_entry) -> tx.Batch.request.Request.min_index <= tx.Batch.index)
       txs
-    && D.equal (Batch.g_root txs) pp.Message.g_root
+    && D.equal (Tree.root g_tree) pp.Message.g_root
     && D.equal (m_root_now t) pp.Message.m_root
   in
+  let entries = Option.map (fun (txs, writes) -> (txs, writes, Batch.g_tree txs)) entries in
   match (entries, against) with
-  | Some (txs, writes), None -> Some (undo, txs, writes)
-  | Some (txs, writes), Some pp when fits pp txs -> Some (undo, txs, writes)
+  | Some (txs, writes, g_tree), None -> Some (undo, txs, writes, g_tree)
+  | Some (txs, writes, g_tree), Some pp when fits pp txs g_tree ->
+      Some (undo, txs, writes, g_tree)
   | _ ->
       restore t undo;
       None
@@ -630,7 +638,7 @@ let own_signature_for t rec_ =
    on it with the nonce it revealed, goes to each client in [reply_to];
    then the receipt material for each transaction [pick] selects goes to
    [replyx_to], or else to that transaction's client. *)
-let send_replies t rec_ ~reply_to ~pick ?replyx_to () =
+let send_replies t rec_ ?g_tree ~reply_to ~pick ?replyx_to () =
   let v = rec_.br_pp.Message.view and s = rec_.br_pp.Message.seqno in
   (match (own_signature_for t rec_, Votes.own_nonce t.votes ~view:v ~seqno:s) with
   | Some signature, Some nonce ->
@@ -651,7 +659,7 @@ let send_replies t rec_ ~reply_to ~pick ?replyx_to () =
       match replyx_to with
       | Some dst -> send t ~dst (Wire.Replyx_msg x)
       | None -> send_to_client t x.Message.x_tx.Batch.request.Request.client_pk (Wire.Replyx_msg x))
-    (Receipt.replyxs rec_.br_pp rec_.br_txs pick)
+    (Receipt.replyxs ?g_tree rec_.br_pp rec_.br_txs pick)
 
 (* The batch's clients, each once, in batch order. *)
 let batch_clients rec_ =
@@ -723,23 +731,22 @@ let batch_package t ~seqno =
     (Hashtbl.find_opt t.records seqno)
 
 (* Accept a batch this replica executed, as primary or backup: append it,
-   record it, open its trace spans and move to the next seqno. [batched]
-   are the requests the primary just took from its queue. *)
-let accept_batch t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo
-    ~batched =
+   record it with its g-tree, open its trace spans and move to the next
+   seqno. [batched] are the requests the primary just took from its
+   queue. *)
+let accept_batch t pp ~reqs ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo ~batched =
   append_batch t pp txs;
   t.request_order <-
     List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
   update_queue_gauge t;
   let rec_ =
-    add_record t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo
-      ~committed:false
+    add_record t pp ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo ~committed:false
   in
+  rec_.br_g_tree <- Some g_tree;
   Critical_path.batch_begin t.cp rec_.br_clock ~view:pp.Message.view ~txs:(List.length txs);
   Critical_path.batched t.obs ~node:t.rid ~seqno:pp.Message.seqno Request.trace_id batched;
   post_execute_batch t pp txs;
-  t.seqno <- pp.Message.seqno + 1;
-  rec_
+  t.seqno <- pp.Message.seqno + 1
 
 (* ------------------------------------------------------------------ *)
 (* Forward declarations for the mutually recursive protocol engine      *)
@@ -776,9 +783,10 @@ and on_prepared t rec_ =
      replica also sends each transaction's receipt material. *)
   let clients = batch_clients rec_ in
   Auth.replies_sent t.auth clients;
-  send_replies t rec_ ~reply_to:clients
+  send_replies t rec_ ?g_tree:rec_.br_g_tree ~reply_to:clients
     ~pick:(fun tx -> Auth.receipts t.auth && designated_for t tx = t.rid)
     ();
+  rec_.br_g_tree <- None;
   check_committed t
 
 and check_committed t =
@@ -877,8 +885,8 @@ and emit_batch t ?(original = Fresh) ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bit
   let v = t.view in
   let evidence = evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces in
   Option.iter
-    (fun (undo, txs, writes) ->
-      let g_root = Batch.g_root txs in
+    (fun (undo, txs, writes, g_tree) ->
+      let g_root = Tree.root g_tree in
       let m_root = m_root_now t in
       let nonce_com = Votes.commit_own t.votes ~view:v ~seqno:s in
       let payload =
@@ -900,11 +908,10 @@ and emit_batch t ?(original = Fresh) ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bit
           signature = Auth.sign t.auth ~cls:"pre_prepare" payload;
         }
       in
-      let rec_ =
-        accept_batch t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs ~writes
-          ~ev_prepares ~ev_nonces ~undo ~batched:reqs
-      in
-      broadcast_replicas t (Wire.Pre_prepare_msg { pp; batch = rec_.br_batch_hashes });
+      accept_batch t pp ~reqs ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo
+        ~batched:reqs;
+      broadcast_replicas t
+        (Wire.Pre_prepare_msg { pp; batch = List.map Request.hash reqs });
       check_prepared t)
     (run_batch t ~evidence (Execute (reqs, original)))
 
@@ -967,7 +974,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
                  line 23); the progress timer triggers a view change. *)
               tally t "replica.reject.exec";
               true
-          | Some (undo, txs, writes) ->
+          | Some (undo, txs, writes, g_tree) ->
               let nonce_com = Votes.commit_own t.votes ~view:v ~seqno:s in
               let pph = Message.pp_hash pp in
               let payload =
@@ -984,9 +991,8 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
                   p_signature = Auth.sign t.auth ~cls:"prepare" payload;
                 }
               in
-              ignore
-                (accept_batch t pp ~batch_hashes ~reqs ~txs ~writes ~ev_prepares ~ev_nonces
-                   ~undo ~batched:[]);
+              accept_batch t pp ~reqs ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo
+                ~batched:[];
               Votes.add_prepare t.votes prepare;
               broadcast_replicas t (Wire.Prepare_msg prepare);
               check_prepared t;
@@ -1478,7 +1484,7 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
     let exec = if skip_exec then Adopt txs else Execute (reqs, Require txs) in
     match run_batch t ~against:pp ~evidence exec with
     | None -> false
-    | Some (undo, txs, writes) ->
+    | Some (undo, txs, writes, _) ->
         append_batch t pp txs;
         if skip_exec then begin
           (* The key-value store comes from the checkpoint, so there are
@@ -1488,8 +1494,8 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
         end
         else begin
           ignore
-            (add_record t pp ~batch_hashes:(List.map Request.hash reqs) ~reqs ~txs ~writes
-               ~ev_prepares:[] ~ev_nonces:[] ~undo ~committed:true);
+            (add_record t pp ~reqs ~txs ~writes ~ev_prepares:[] ~ev_nonces:[] ~undo
+               ~committed:true);
           (match Hashtbl.find_opt t.prepared_pps s with
           | Some prev when prev.Message.view >= pp.Message.view -> ()
           | _ -> Hashtbl.replace t.prepared_pps s pp);

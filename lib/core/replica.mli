@@ -157,6 +157,10 @@ val build_receipt : t -> seqno:int -> tx_position:int option -> Receipt.t option
 val gov_receipts : t -> Receipt.t list
 (** Receipts of the governance sub-ledger, ascending (§5.2). *)
 
+val g_trees_held : t -> int
+(** Batch records still holding the g-tree built when the batch ran. A
+    record drops it once its first replies are sent. *)
+
 val preload_state : t -> (string * string) list -> unit
 (** Install application state that is modelled as part of the genesis
     (bench setup); must be called before any batch executes. *)

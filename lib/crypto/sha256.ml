@@ -40,6 +40,12 @@ let init () =
     w = Array.make 64 0;
   }
 
+(* Compressions finished on this domain, counted once per digest (the
+   padded length fixes them). Domain-local, not a global ref, so callers
+   hashing on other domains never race on it. *)
+let blocks_key = Domain.DLS.new_key (fun () -> ref 0)
+let blocks () = !(Domain.DLS.get blocks_key)
+
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
 let compress ctx =
@@ -111,6 +117,8 @@ let feed ctx s =
 
 let finalize ctx =
   let total_bits = ctx.total_len * 8 in
+  let counted = Domain.DLS.get blocks_key in
+  counted := !counted + ((ctx.total_len + 9 + 63) / 64);
   (* Append 0x80, pad with zeros to 56 mod 64, then 64-bit length. *)
   Bytes.set ctx.block ctx.block_len '\x80';
   ctx.block_len <- ctx.block_len + 1;

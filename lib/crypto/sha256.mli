@@ -17,3 +17,8 @@ val digest : string -> string
 val digest_concat : string list -> string
 (** [digest_concat parts] hashes the concatenation of [parts] without
     building the intermediate string. *)
+
+val blocks : unit -> int
+(** Compression-function calls that digests finalized on the calling
+    domain have made so far. Differences between two reads count the
+    hashing work in between, deterministically. *)

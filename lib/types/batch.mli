@@ -28,8 +28,12 @@ type tx_entry = {
 val tx_leaf : tx_entry -> Iaccf_crypto.Digest32.t
 (** Leaf digest of a [<t, i, o>] entry in [G]. *)
 
+val g_tree : tx_entry list -> Iaccf_merkle.Tree.t
+(** The per-batch tree [G] over the entries' leaves, in execution order.
+    A caller that needs both the root and receipt paths builds it once. *)
+
 val g_root : tx_entry list -> Iaccf_crypto.Digest32.t
-(** Root of the per-batch tree over the entries in execution order. *)
+(** [Tree.root (g_tree entries)]. *)
 
 val encode_kind : Iaccf_util.Codec.W.t -> kind -> unit
 val decode_kind : Iaccf_util.Codec.R.t -> kind

@@ -10,6 +10,7 @@ type t = {
   min_index : int;
   client_seqno : int;
   signature : string;
+  digest : D.t;
 }
 
 let signing_payload ~proc ~args ~client_pk ~service ~min_index ~client_seqno =
@@ -23,28 +24,7 @@ let signing_payload ~proc ~args ~client_pk ~service ~min_index ~client_seqno =
          Codec.W.u64 w min_index;
          Codec.W.u64 w client_seqno))
 
-let make ~sk ~client_pk ~service ?(min_index = 0) ?(client_seqno = 0) ~proc ~args () =
-  let payload =
-    signing_payload ~proc ~args ~client_pk ~service ~min_index ~client_seqno
-  in
-  {
-    proc;
-    args;
-    client_pk;
-    service;
-    min_index;
-    client_seqno;
-    signature = Schnorr.sign sk (D.to_raw payload);
-  }
-
-let verify ?(check = fun pk d ~signature -> Schnorr.verify pk (D.to_raw d) ~signature) t
-    ~service =
-  D.equal t.service service
-  && check t.client_pk
-       (signing_payload ~proc:t.proc ~args:t.args ~client_pk:t.client_pk
-          ~service:t.service ~min_index:t.min_index ~client_seqno:t.client_seqno)
-       ~signature:t.signature
-
+(* The wire form: every field but the digest, which is a function of it. *)
 let encode w t =
   Codec.W.bytes w t.proc;
   Codec.W.bytes w t.args;
@@ -53,6 +33,32 @@ let encode w t =
   Codec.W.u64 w t.min_index;
   Codec.W.u64 w t.client_seqno;
   Codec.W.bytes w t.signature
+
+let serialize t = Codec.encode (fun w -> encode w t)
+
+(* The only place a request is built: its digest is hashed here, once. *)
+let of_fields ~client_pk ~service ?(min_index = 0) ?(client_seqno = 0) ?(signature = "")
+    ~proc ~args () =
+  let t =
+    { proc; args; client_pk; service; min_index; client_seqno; signature; digest = D.zero }
+  in
+  { t with digest = D.of_string (serialize t) }
+
+let make ~sk ~client_pk ~service ?(min_index = 0) ?(client_seqno = 0) ~proc ~args () =
+  let payload =
+    signing_payload ~proc ~args ~client_pk ~service ~min_index ~client_seqno
+  in
+  of_fields ~client_pk ~service ~min_index ~client_seqno
+    ~signature:(Schnorr.sign sk (D.to_raw payload))
+    ~proc ~args ()
+
+let verify ?(check = fun pk d ~signature -> Schnorr.verify pk (D.to_raw d) ~signature) t
+    ~service =
+  D.equal t.service service
+  && check t.client_pk
+       (signing_payload ~proc:t.proc ~args:t.args ~client_pk:t.client_pk
+          ~service:t.service ~min_index:t.min_index ~client_seqno:t.client_seqno)
+       ~signature:t.signature
 
 let decode r =
   let proc = Codec.R.bytes r in
@@ -66,11 +72,10 @@ let decode r =
   let min_index = Codec.R.u64 r in
   let client_seqno = Codec.R.u64 r in
   let signature = Codec.R.bytes r in
-  { proc; args; client_pk; service; min_index; client_seqno; signature }
+  of_fields ~client_pk ~service ~min_index ~client_seqno ~signature ~proc ~args ()
 
-let serialize t = Codec.encode (fun w -> encode w t)
 let deserialize s = Codec.decode s decode
-let hash t = D.of_string (serialize t)
+let hash t = t.digest
 let is_governance t = String.starts_with ~prefix:"gov/" t.proc
 
 (* Causal trace id: content-derived (a hash prefix), so every hop that

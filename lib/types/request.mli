@@ -6,9 +6,14 @@
     which the request must not execute — clients set it above the largest
     index they have a receipt for, capturing real-time ordering dependencies
     (Appx. B, Theorem 2). [client_seqno] distinguishes retransmissions of
-    semantically identical requests. *)
+    semantically identical requests.
 
-type t = {
+    A request carries its own digest, hashed once when it is built or
+    decoded. The type is private, so every request comes from
+    {!make}, {!of_fields} or {!decode} and its digest always agrees with
+    its fields; the digest is never written on the wire. *)
+
+type t = private {
   proc : string;
   args : string;
   client_pk : Iaccf_crypto.Schnorr.public_key;
@@ -16,6 +21,7 @@ type t = {
   min_index : int;  (** m_i *)
   client_seqno : int;
   signature : string;
+  digest : Iaccf_crypto.Digest32.t;  (** H(t): the hash of {!serialize} *)
 }
 
 val signing_payload :
@@ -38,6 +44,20 @@ val make :
   unit ->
   t
 
+val of_fields :
+  client_pk:Iaccf_crypto.Schnorr.public_key ->
+  service:Iaccf_crypto.Digest32.t ->
+  ?min_index:int ->
+  ?client_seqno:int ->
+  ?signature:string ->
+  proc:string ->
+  args:string ->
+  unit ->
+  t
+(** A request with [signature] taken as given (default empty: the
+    unsigned requests of a client that does not sign). Nothing is
+    checked; {!verify} does that. *)
+
 val verify :
   ?check:
     (Iaccf_crypto.Schnorr.public_key -> Iaccf_crypto.Digest32.t -> signature:string -> bool) ->
@@ -52,7 +72,8 @@ val is_governance : t -> bool
     belongs to the governance sub-ledger (§5.2). *)
 
 val hash : t -> Iaccf_crypto.Digest32.t
-(** Request digest, the handle used in pre-prepare batch lists [B]. *)
+(** Request digest, the handle used in pre-prepare batch lists [B]: the
+    [digest] field, so it costs no hashing. *)
 
 val trace_id : t -> string
 (** Causal trace id: the first 12 hex chars of {!hash}. Content-derived, so

@@ -50,6 +50,20 @@ let test_many_transactions_sequential_counter () =
     "final counter" (Some "465")
     (Iaccf_kv.Hamt.find "counter" (Iaccf_kv.Store.map kv))
 
+(* A batch's g-tree lives from its execution to its first replies: a
+   committed run leaves no record holding one. *)
+let test_no_g_tree_retained () =
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  ignore (submit_and_wait cluster client 40);
+  Cluster.run cluster ~ms:200.0;
+  List.iter
+    (fun r ->
+      check Alcotest.int
+        (Printf.sprintf "replica %d holds no g-tree" (Replica.id r))
+        0 (Replica.g_trees_held r))
+    (Cluster.replicas cluster)
+
 let test_replicas_agree_on_ledger () =
   let cluster = Cluster.make ~n:4 () in
   let client = Cluster.add_client cluster () in
@@ -1052,6 +1066,7 @@ let () =
           Alcotest.test_case "multiple clients" `Quick test_multiple_clients;
           Alcotest.test_case "seven replicas" `Quick test_seven_replicas;
           Alcotest.test_case "min-index ordering" `Quick test_min_index_ordering;
+          Alcotest.test_case "no g-tree retained" `Quick test_no_g_tree_retained;
         ] );
       ( "faults",
         [

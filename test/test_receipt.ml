@@ -6,6 +6,7 @@ module Config = Iaccf_types.Config
 module Genesis = Iaccf_types.Genesis
 module Request = Iaccf_types.Request
 module Batch = Iaccf_types.Batch
+module Message = Iaccf_types.Message
 module Bitmap = Iaccf_util.Bitmap
 module D = Iaccf_crypto.Digest32
 module Schnorr = Iaccf_crypto.Schnorr
@@ -187,6 +188,36 @@ let test_batch_subject_receipt () =
 
 (* --- Govchain --- *)
 
+(* The replyxs a replica sends from the g-tree it kept are the ones a
+   rebuild produces, and each path reaches the batch's g_root. *)
+let prop_replyxs_from_kept_tree =
+  let genesis, r = make_receipt () in
+  let pp = r.Receipt.pp in
+  let tx i out =
+    {
+      Batch.request = request genesis ~client_seqno:i "counter/add" (string_of_int i);
+      index = 10 + i;
+      result = { Batch.output = out; write_set_hash = D.of_string out };
+    }
+  in
+  let bytes xs =
+    List.map (fun x -> Iaccf_util.Codec.encode (fun w -> Message.encode_replyx w x)) xs
+  in
+  QCheck.Test.make ~name:"replyxs from the kept g-tree = rebuild" ~count:50
+    QCheck.(pair (list_of_size Gen.(int_range 1 20) small_printable_string) int)
+    (fun (outputs, salt) ->
+      let txs = List.mapi tx outputs in
+      let pick (t : Batch.tx_entry) = (t.Batch.index + salt) mod 3 <> 0 in
+      let kept = Receipt.replyxs ~g_tree:(Batch.g_tree txs) pp txs pick in
+      let g_root = Batch.g_root txs in
+      bytes kept = bytes (Receipt.replyxs pp txs pick)
+      && List.for_all
+           (fun (x : Message.replyx) ->
+             Iaccf_merkle.Tree.verify_path ~leaf:(Batch.tx_leaf x.Message.x_tx)
+               ~index:x.Message.x_leaf_index ~size:x.Message.x_batch_size
+               ~path:x.Message.x_path ~root:g_root)
+           kept)
+
 let test_govchain_initial () =
   let _, genesis, _ = world () in
   let chain = Govchain.create genesis ~pipeline:2 in
@@ -279,6 +310,7 @@ let () =
           Alcotest.test_case "wrong config" `Quick test_rejects_wrong_config;
           Alcotest.test_case "batch subject" `Quick test_batch_subject_receipt;
           Alcotest.test_case "sparse replica ids" `Quick test_sparse_replica_ids;
+          QCheck_alcotest.to_alcotest prop_replyxs_from_kept_tree;
         ] );
       ( "govchain",
         [

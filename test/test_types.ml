@@ -135,7 +135,11 @@ let test_request_verify () =
   check Alcotest.bool "verifies" true (Request.verify r ~service);
   check Alcotest.bool "wrong service" false
     (Request.verify r ~service:(D.of_string "other"));
-  let tampered = { r with Request.args = "b" } in
+  (* The same signature on different arguments. *)
+  let tampered =
+    Request.of_fields ~client_pk:r.Request.client_pk ~service ~signature:r.Request.signature
+      ~proc:r.Request.proc ~args:"b" ()
+  in
   check Alcotest.bool "tampered args" false (Request.verify tampered ~service)
 
 let test_request_roundtrip () =
@@ -150,6 +154,26 @@ let test_request_hash_distinct () =
   let b = make_request ~client_seqno:1 () in
   check Alcotest.bool "distinct seqno, distinct hash" false
     (D.equal (Request.hash a) (Request.hash b))
+
+(* A request's carried digest is the hash of its serialization, however
+   it was built: signed, unsigned, or decoded from the wire. *)
+let prop_request_digest =
+  let sk, pk = Schnorr.keypair_of_seed "client" in
+  let build (how, proc, args, min_index, client_seqno) =
+    match how with
+    | 0 -> Request.make ~sk ~client_pk:pk ~service ~min_index ~client_seqno ~proc ~args ()
+    | 1 -> Request.of_fields ~client_pk:pk ~service ~min_index ~client_seqno ~proc ~args ()
+    | _ ->
+        Request.deserialize
+          (Request.serialize
+             (Request.make ~sk ~client_pk:pk ~service ~min_index ~client_seqno ~proc ~args ()))
+  in
+  QCheck.Test.make ~name:"request digest = hash of serialization" ~count:100
+    QCheck.(
+      tup5 (int_range 0 2) small_printable_string string small_nat small_nat)
+    (fun fields ->
+      let r = build fields in
+      D.equal (Request.hash r) (D.of_string (Request.serialize r)))
 
 (* --- Batch --- *)
 
@@ -330,6 +354,7 @@ let () =
           Alcotest.test_case "verify" `Quick test_request_verify;
           Alcotest.test_case "roundtrip" `Quick test_request_roundtrip;
           Alcotest.test_case "hash distinct" `Quick test_request_hash_distinct;
+          qtest prop_request_digest;
         ] );
       ( "batch",
         [
