@@ -6,8 +6,9 @@
 
    - smallbank: closed-loop SmallBank load through Harness.run_iaccf, in
      the full, no-receipt and signed-commit-ablation variants, plus the
-     heap words replica 0's key-value store retains after the full run
-     and the SHA-256 compressions the full run makes per transaction;
+     heap words replica 0's key-value store retains after the full run,
+     and the SHA-256 compressions and field multiplications the full run
+     makes per transaction;
    - statesync: one chunked catch-up of a joining replica (the
      @statesync-bench path at its smallest size);
    - chaos: the identity-intercept equivalence run from @chaos-overhead;
@@ -48,11 +49,17 @@ let smallbank_rows () =
   let inspect cluster =
     kv_words := Obj.reachable_words (Obj.repr (Replica.store (Cluster.replica cluster 0)))
   in
-  (* Compressions over the whole full run, set-up included: hashing done
-     again that a holder could have kept grows this exact count. *)
-  let blocks_before = Iaccf_crypto.Sha256.blocks () in
+  (* Compressions and field multiplications over the whole full run,
+     set-up included: hashing done again that a holder could have kept,
+     or an exponentiation that lost its table, grows these exact counts. *)
+  let blocks_before = Iaccf_crypto.Sha256.blocks ()
+  and muls_before = Iaccf_crypto.Group.muls () in
   let full = run_iaccf ~label:"full" ~total ~concurrency ~accounts ~inspect () in
-  let blocks = Iaccf_crypto.Sha256.blocks () - blocks_before in
+  let blocks = Iaccf_crypto.Sha256.blocks () - blocks_before
+  and muls = Iaccf_crypto.Group.muls () - muls_before in
+  (* Two decimals: distinct counts stay distinct (1/60 > 0.01) and the
+     value survives the baseline file's six significant digits. *)
+  let per_tx n = Float.round (100.0 *. float_of_int n /. float_of_int full.rr_txs) /. 100.0 in
   let results =
     [
       full;
@@ -66,10 +73,10 @@ let smallbank_rows () =
   @ [
       Report.row ~bench ~series:"full" ~metric:"kv_words" ~gate:Report.Exact
         (float_of_int !kv_words);
-      (* Two decimals: distinct counts stay distinct (1/60 > 0.01) and the
-         value survives the baseline file's six significant digits. *)
       Report.row ~bench ~series:"full" ~metric:"sha256_blocks_per_tx" ~gate:Report.Exact
-        (Float.round (100.0 *. float_of_int blocks /. float_of_int full.rr_txs) /. 100.0);
+        (per_tx blocks);
+      Report.row ~bench ~series:"full" ~metric:"field_muls_per_tx" ~gate:Report.Exact
+        (per_tx muls);
     ]
 
 (* --- statesync: smallest catch-up run (mirrors bench/statesync.ml,

@@ -10,6 +10,8 @@ module Store = Iaccf_kv.Store
 module Tree = Iaccf_merkle.Tree
 module Bitmap = Iaccf_util.Bitmap
 module D = Iaccf_crypto.Digest32
+module Vstage = Iaccf_crypto.Vstage
+module Profile = Iaccf_crypto.Profile
 
 type upom =
   | Invalid_receipt of { ir_receipt : Receipt.t; ir_reason : string }
@@ -35,6 +37,7 @@ type t = {
   app : App.t;
   rule : Schedule.rule; (* the replay takes every checkpoint a replica may *)
   chain : Govchain.t;
+  vstage : Vstage.t; (* interns the keys a package names again and again *)
 }
 
 let create ~genesis ~app ~pipeline ~checkpoint_interval =
@@ -44,7 +47,22 @@ let create ~genesis ~app ~pipeline ~checkpoint_interval =
     app;
     rule = { Schedule.pipeline; interval = checkpoint_interval; checkpoints = true };
     chain = Govchain.create genesis ~pipeline;
+    vstage = Vstage.create ();
   }
+
+(* The ledger's signature checks, through the auditor's own stage: a
+   decoded package holds a fresh key value per message, so without
+   interning no key would ever earn a table. *)
+let check t config ~cls : Message.check =
+ fun ~replica d ~signature ->
+  match Config.replica_pk config replica with
+  | None -> false
+  | Some pk ->
+      Vstage.verify t.vstage ~cls ~principal:Profile.Replica_key pk (D.to_raw d) ~signature
+
+let request_check t pk d ~signature =
+  Vstage.verify t.vstage ~cls:"request" ~principal:Profile.Client_key pk (D.to_raw d)
+    ~signature
 
 (* ------------------------------------------------------------------ *)
 (* Verdict assembly                                                    *)
@@ -193,7 +211,8 @@ let scan_ledger t ~responder ledger =
           (fun (tx : Batch.tx_entry) ->
             if tx.Batch.request.Request.min_index > tx.Batch.index then
               fail i (Printf.sprintf "batch %d: minimum index violated" s);
-            if not (Request.verify tx.Batch.request ~service:t.service) then
+            if not (Request.verify tx.Batch.request ~service:t.service ~check:(request_check t))
+            then
               fail i (Printf.sprintf "batch %d: invalid client signature" s);
             if Request.is_governance tx.Batch.request then gov_index := tx.Batch.index)
           txs;
@@ -277,7 +296,8 @@ let scan_ledger t ~responder ledger =
                 if Hashtbl.mem seen p.Message.p_replica then
                   fail i "duplicate prepare evidence";
                 Hashtbl.add seen p.Message.p_replica ();
-                if not (Message.verify_prepare config p) then
+                if not (Message.verify_prepare ~check:(check t config ~cls:"prepare") config p)
+                then
                   fail i "invalid prepare evidence signature")
               pe_prepares;
             if List.length pe_prepares <> Config.quorum config - 1 then
@@ -305,7 +325,8 @@ let scan_ledger t ~responder ledger =
         let config = config_at s in
         if s <> !next_seqno then
           fail i (Printf.sprintf "unexpected sequence number %d (expected %d)" s !next_seqno);
-        if not (Message.verify_pre_prepare config pp) then
+        if not (Message.verify_pre_prepare ~check:(check t config ~cls:"pre_prepare") config pp)
+        then
           fail i "invalid pre-prepare signature";
         if not (D.equal pp.Message.m_root (Tree.root tree)) then
           fail i "pre-prepare m_root does not bind the ledger prefix";
@@ -327,11 +348,13 @@ let scan_ledger t ~responder ledger =
         let config = config_at !next_seqno in
         Option.iter (fail i)
           (Newview.set_fault ~quorum:(Config.quorum config)
-             ~verify:(Message.verify_view_change config) vcs);
+             ~verify:(Message.verify_view_change ~check:(check t config ~cls:"view_change") config)
+             vcs);
         vc_sets := ((List.hd vcs).Message.vc_view, vcs) :: !vc_sets;
         next_seqno := Newview.resume ~pipeline:t.rule.pipeline vcs + 1
     | Entry.New_view nv ->
-        if not (Message.verify_new_view (config_at !next_seqno) nv) then
+        let config = config_at !next_seqno in
+        if not (Message.verify_new_view ~check:(check t config ~cls:"new_view") config nv) then
           fail i "invalid new-view signature";
         (match !vc_sets with
         | (_, vcs) :: _ -> Option.iter (fail i) (Newview.names_fault nv vcs)

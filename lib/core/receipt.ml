@@ -72,13 +72,13 @@ let index t =
 
 let signers t = Bitmap.add t.pp.Message.primary t.prep_bitmap
 
-let reconstruct_prepare t ~replica ~nonce ~signature =
+let reconstruct_prepare t ~pph ~replica ~nonce ~signature =
   {
     Message.p_view = t.pp.Message.view;
     p_seqno = t.pp.Message.seqno;
     p_replica = replica;
     p_nonce_com = D.of_string nonce;
-    p_pp_hash = Message.pp_hash t.pp;
+    p_pp_hash = pph;
     p_signature = signature;
   }
 
@@ -100,7 +100,10 @@ let verify ~config ~service t =
     guard (List.for_all (fun r -> Config.replica config r <> None) backups) "unknown replica id"
   in
   let* () = guard (1 + List.length backups >= quorum) "fewer than N-f signers" in
-  let* () = guard (Message.verify_pre_prepare config pp) "invalid pre-prepare signature" in
+  (* One hash of the pre-prepare serves its signature and every backup's
+     prepare. *)
+  let pph = Message.pp_hash pp in
+  let* () = guard (Message.verify_pre_prepare ~pph config pp) "invalid pre-prepare signature" in
   let* () =
     guard
       (List.for_all (fun k -> Nonce.of_revealed k <> None) t.nonces)
@@ -110,7 +113,7 @@ let verify ~config ~service t =
     match (rs, sigs, nonces) with
     | [], [], [] -> Ok ()
     | r :: rs, s :: sigs, k :: nonces ->
-        let prepare = reconstruct_prepare t ~replica:r ~nonce:k ~signature:s in
+        let prepare = reconstruct_prepare t ~pph ~replica:r ~nonce:k ~signature:s in
         if Message.verify_prepare config prepare then check_prepares rs sigs nonces
         else Error (Printf.sprintf "invalid prepare signature from replica %d" r)
     | _ -> Error "length mismatch"

@@ -19,7 +19,7 @@ let mask = 0xFFFFFF
 
 type elt = int array
 type scalar = int array
-type table = elt array
+type table = int array (* 256 packed entries; see [make_table] *)
 
 let fold_p = 9728 (* 2^264 mod p *)
 let fold_n = 10240 (* 2^264 mod n *)
@@ -132,81 +132,173 @@ let one = Array.init nlimbs (fun i -> if i = 0 then 1 else 0)
 let g = Array.init nlimbs (fun i -> if i = 0 then 2 else 0)
 
 let element_of_limbs limbs =
-  if Array.length limbs <> nlimbs || Array.exists (fun l -> l < 0 || l > mask) limbs
+  if Array.length limbs <> nlimbs || Array.exists (fun l -> l < 0 || l > mask + 8) limbs
   then invalid_arg "Group.element_of_limbs";
   Array.copy limbs
+
+(* Field multiplies and squarings finished on this domain, counted once
+   per operation, not per kernel call. Domain-local, like
+   [Sha256.blocks], so domains signing in parallel never race on it. *)
+let muls_key = Domain.DLS.new_key (fun () -> ref 0)
+let muls () = !(Domain.DLS.get muls_key)
+
+let count n =
+  let counted = Domain.DLS.get muls_key in
+  counted := !counted + n
 
 let mul a b =
   let r = Array.make nlimbs 0 in
   mul_into fold_p (scratch ()) r a b;
+  count 1;
   r
 
 let sqr a =
   let r = Array.make nlimbs 0 in
   sqr_into (scratch ()) r a;
+  count 1;
   r
 
 (* Exponents are canonical scalars (< 2^255): 64 4-bit digits. *)
 let digit e j = (e.(j / 6) lsr (4 * (j mod 6))) land 15
-let bit e i = (e.(i / 24) lsr (i mod 24)) land 1
 
 (* Left-to-right 4-bit fixed window: 15 multiplications for the window
    table, then 4 squarings and at most one multiplication per digit. *)
 let pow b e =
-  let tmp = scratch () in
+  let tmp = scratch () and n = ref 0 in
   let w = Array.make 16 one in
   for d = 1 to 15 do
     w.(d) <- mul w.(d - 1) b
   done;
   let acc = Array.copy one in
   for j = 63 downto 0 do
-    if j < 63 then
+    if j < 63 then begin
       for _ = 1 to 4 do
         sqr_into tmp acc acc
       done;
+      n := !n + 4
+    end;
     let d = digit e j in
-    if d <> 0 then mul_into fold_p tmp acc acc w.(d)
+    if d <> 0 then begin
+      mul_into fold_p tmp acc acc w.(d);
+      incr n
+    end
   done;
+  count !n;
   acc
 
-(* The comb for g: [g_comb.(16j + d)] is g^(d * 16^j) for window j < 64
-   and digit 0 < d < 16, built once at start-up (960 multiplications).
-   [pow_g] then costs at most one multiplication per digit and no
-   squarings. Immutable after build, so domains share it freely. *)
-let g_comb =
-  let t = Array.make (64 * 16) one in
-  let base = ref g in
-  for j = 0 to 63 do
-    t.((16 * j) + 1) <- !base;
-    for d = 2 to 15 do
-      t.((16 * j) + d) <- mul t.((16 * j) + d - 1) !base
-    done;
-    base := mul t.((16 * j) + 15) !base
-  done;
-  t
+(* The Lim-Lee comb (Lim and Lee, "More Flexible Exponentiation with
+   Precomputation", CRYPTO '94), 8 rows of 32 bits. A scalar e is read as
+   rows e_i of 32 bits, e = sum e_i 2^(32i); its column j is the 8-bit
+   number whose bit i is bit j of row i. The table for b holds at c in
+   1..255 the product of b^(2^(32i)) over the set bits i of c, so
+   b^e = prod_j T[column j]^(2^j): left to right, 31 squarings and at
+   most 32 multiplications. Immutable after build, so domains share a
+   table freely; readers unpack an entry into their own scratch. *)
+let rows = 8
+let cols = 32
 
-let pow_g e =
-  let tmp = scratch () and acc = Array.copy one in
-  for j = 0 to 63 do
-    let d = digit e j in
-    if d <> 0 then mul_into fold_p tmp acc acc g_comb.((16 * j) + d)
-  done;
-  acc
+(* An entry is packed two limbs a word, 31 bits each (partly reduced
+   limbs reach 25 bits): 6 words instead of 11, so a table is 12 KiB
+   and g's and a key's fit in a core's L1 cache together. Entry 0 is
+   never read. *)
+let entry = 6
+let m31 = (1 lsl 31) - 1
 
-(* Per-key binary table b^(2^i) for i < 255: 254 squarings to build, then
-   one multiplication per set exponent bit. *)
+let pack x t o =
+  for k = 0 to 4 do
+    t.!(o + k) <- x.!(2 * k) lor (x.!((2 * k) + 1) lsl 31)
+  done;
+  t.!(o + 5) <- x.!(10)
+
+let unpack t o x =
+  for k = 0 to 4 do
+    let w = t.!(o + k) in
+    x.!(2 * k) <- w land m31;
+    x.!((2 * k) + 1) <- w lsr 31
+  done;
+  x.!(10) <- t.!(o + 5)
+
 let make_table b =
-  let t = Array.make 255 b in
-  for i = 1 to 254 do
-    t.(i) <- sqr t.(i - 1)
+  let t = Array.make ((1 lsl rows) * entry) 0 and tmp = scratch () in
+  let base = Array.copy b and x = Array.make nlimbs 0 in
+  for i = 0 to rows - 1 do
+    if i > 0 then
+      for _ = 1 to cols do
+        sqr_into tmp base base
+      done;
+    let bit = 1 lsl i in
+    pack base t (entry * bit);
+    for c = bit + 1 to (2 * bit) - 1 do
+      unpack t (entry * (c - bit)) x;
+      mul_into fold_p tmp x x base;
+      pack x t (entry * c)
+    done
   done;
+  (* 7 rows of 32 squarings, and one multiplication per entry of two or
+     more set bits. *)
+  count (((rows - 1) * cols) + (1 lsl rows) - 1 - rows);
   t
+
+(* The rows of [e], so a column is eight shifts away. Row i starts at
+   bit 32i, which is bit 0, 8 or 16 of limb l, so limbs l and l+1 hold
+   all 32 of its bits. Bit 255 (row 7's top bit) is always 0 for a
+   canonical scalar. *)
+let rows_of e =
+  let r = Array.make rows 0 in
+  for i = 0 to rows - 1 do
+    let l = cols * i / 24 and s = cols * i mod 24 in
+    r.!(i) <- ((e.!(l) lsr s) lor (e.!(l + 1) lsl (24 - s))) land 0xFFFFFFFF
+  done;
+  r
+
+(* Column [j]: bit i is bit j of row i. *)
+let column r j =
+  let c = ref 0 in
+  for i = rows - 1 downto 0 do
+    c := (!c lsl 1) lor ((r.!(i) lsr j) land 1)
+  done;
+  !c
 
 let pow_table t e =
-  let tmp = scratch () and acc = Array.copy one in
-  for i = 0 to 254 do
-    if bit e i = 1 then mul_into fold_p tmp acc acc t.(i)
+  let tmp = scratch () and acc = Array.copy one and x = Array.make nlimbs 0 in
+  let n = ref (cols - 1) and e = rows_of e in
+  for j = cols - 1 downto 0 do
+    if j < cols - 1 then sqr_into tmp acc acc;
+    let c = column e j in
+    if c <> 0 then begin
+      unpack t (entry * c) x;
+      mul_into fold_p tmp acc acc x;
+      incr n
+    end
   done;
+  count !n;
+  acc
+
+(* g's comb, built once at start-up. *)
+let g_table = make_table g
+let pow_g e = pow_table g_table e
+
+(* g^a * t^b with one squaring chain for both combs: 31 squarings and at
+   most 64 multiplications. *)
+let pow_g_table a t b =
+  let tmp = scratch () and acc = Array.copy one and x = Array.make nlimbs 0 in
+  let n = ref (cols - 1) and a = rows_of a and b = rows_of b in
+  for j = cols - 1 downto 0 do
+    if j < cols - 1 then sqr_into tmp acc acc;
+    let c = column a j in
+    if c <> 0 then begin
+      unpack g_table (entry * c) x;
+      mul_into fold_p tmp acc acc x;
+      incr n
+    end;
+    let c = column b j in
+    if c <> 0 then begin
+      unpack t (entry * c) x;
+      mul_into fold_p tmp acc acc x;
+      incr n
+    end
+  done;
+  count !n;
   acc
 
 let element_of_bytes s =

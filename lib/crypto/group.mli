@@ -16,8 +16,9 @@ val g : elt
 (** The fixed generator (2). *)
 
 val element_of_limbs : int array -> elt
-(** The raw representation: 11 little-endian 24-bit limbs, not
-    necessarily below [p]; for tests of the kernel.
+(** The raw representation: 11 little-endian limbs, each below
+    [2^24 + 8] as the kernels leave them, so not necessarily below [p];
+    for tests of the kernel.
     @raise Invalid_argument on any other shape. *)
 
 val mul : elt -> elt -> elt
@@ -28,21 +29,33 @@ val sqr : elt -> elt
 
 val pow : elt -> scalar -> elt
 (** [pow b e] is [b^e mod p] by a 4-bit fixed window: 252 squarings and
-    at most 79 multiplications. *)
-
-val pow_g : scalar -> elt
-(** [pow_g e] is [g^e mod p] from a 4-bit comb built once at start-up: at
-    most 64 multiplications and no squarings (used by signing). *)
+    at most 79 multiplications. For bases without a {!table}. *)
 
 type table
+(** A Lim-Lee comb for one base: 8 rows of 32 bits, 256 entries. *)
 
 val make_table : elt -> table
-(** [make_table b] precomputes [b^(2^i)] for [i < 255] (254 squarings).
-    With the table, [pow_table] costs one multiplication per set exponent
-    bit and no squarings. *)
+(** [make_table b] builds the comb for [b]: 224 squarings and 247
+    multiplications. *)
 
 val pow_table : table -> scalar -> elt
-(** [pow_table t e] is [b^e mod p] for the base [t] was built from. *)
+(** [pow_table t e] is [b^e mod p] for the base [t] was built from: 31
+    squarings and at most 32 multiplications. *)
+
+val pow_g : scalar -> elt
+(** [pow_g e] is [g^e mod p], {!pow_table} on g's comb, built once at
+    start-up (used by signing and key generation). *)
+
+val pow_g_table : scalar -> table -> scalar -> elt
+(** [pow_g_table a t b] is [g^a * y^b mod p] for the base [y] of [t]. Both
+    combs share one squaring chain: 31 squarings and at most 64
+    multiplications (a tabled key's signature check). *)
+
+val muls : unit -> int
+(** Field multiplications and squarings finished on the calling domain
+    so far, every exponentiation and table build included. Differences
+    between two reads count the field work in between,
+    deterministically. *)
 
 val element_of_bytes : string -> elt option
 (** Decode a 32-byte big-endian element; [None] if out of range or zero. *)

@@ -1,9 +1,9 @@
 type secret_key = { x : Group.scalar; seed : string; pk_bytes : string }
 
-(* [table] is the per-key fixed-base precomputation (y^(2^i)); built on
-   demand for keys that verify repeatedly (replica keys, chatty clients).
-   The table is immutable after build, so concurrent readers are safe; a
-   racing rebuild just wastes 254 squarings. *)
+(* [table] is the key's comb (Group.make_table y); built on demand for
+   keys that verify repeatedly (replica keys, chatty clients). The table
+   is immutable after build, so concurrent readers are safe; a racing
+   rebuild just wastes one build. *)
 type public_key = { y : Group.elt; y_bytes : string; mutable table : Group.table option }
 
 let public_key_equal a b = String.equal a.y_bytes b.y_bytes
@@ -57,15 +57,14 @@ let verify pk digest ~signature =
     (Group.scalar_of_canonical e_bytes, Group.scalar_of_canonical (String.sub signature 32 32))
   with
   | Some e, Some s ->
-      (* R' = g^s * y^(-e). Known keys use their table (no squarings);
-         others pay one 4-bit window chain for y. *)
+      (* R' = g^s * y^(-e). A key with a table shares g's squaring chain
+         in one pass; others pay a 4-bit window chain for y. *)
       let ne = Group.scalar_neg e in
-      let y_ne =
+      let r' =
         match pk.table with
-        | Some table -> Group.pow_table table ne
-        | None -> Group.pow pk.y ne
+        | Some table -> Group.pow_g_table s table ne
+        | None -> Group.mul (Group.pow_g s) (Group.pow pk.y ne)
       in
-      let r' = Group.mul (Group.pow_g s) y_ne in
       String.equal e_bytes
         (Group.scalar_to_bytes (challenge (Group.element_to_bytes r') pk.y_bytes digest))
   | _ -> false

@@ -119,10 +119,12 @@ let schnorr_check config ~replica d ~signature =
   | None -> false
   | Some pk -> Schnorr.verify pk (D.to_raw d) ~signature
 
-let verify_pre_prepare ?check config (pp : pre_prepare) =
+let verify_pre_prepare ?check ?pph config (pp : pre_prepare) =
   let check = Option.value check ~default:(schnorr_check config) in
   pp.primary = Config.primary_of_view config pp.view
-  && check ~replica:pp.primary (pp_hash pp) ~signature:pp.signature
+  &&
+  let pph = match pph with Some h -> h | None -> pp_hash pp in
+  check ~replica:pp.primary pph ~signature:pp.signature
 
 let verify_prepare ?check config (p : prepare) =
   let check = Option.value check ~default:(schnorr_check config) in

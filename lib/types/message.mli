@@ -95,8 +95,10 @@ val new_view_payload :
 
 type check = replica:int -> D.t -> signature:string -> bool
 
-val verify_pre_prepare : ?check:check -> Config.t -> pre_prepare -> bool
-(** Signed by the primary of [view mod N]; so is a new view. *)
+val verify_pre_prepare : ?check:check -> ?pph:D.t -> Config.t -> pre_prepare -> bool
+(** Signed by the primary of [view mod N]; so is a new view. A caller
+    that already holds [pp_hash pp] passes it as [pph], and it is not
+    hashed again. *)
 
 val verify_prepare : ?check:check -> Config.t -> prepare -> bool
 val verify_view_change : ?check:check -> Config.t -> view_change -> bool

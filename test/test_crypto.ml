@@ -257,7 +257,12 @@ let arb_limbs =
     QCheck.Gen.(
       frequency
         [ (1, map limbs_of_big (oneofl field_edges));
-          (3, array_size (return 11) (int_bound 0xFFFFFF)) ])
+          (3, array_size (return 11) (int_bound 0xFFFFFF));
+          (* A kernel output's limb 1 can carry past 24 bits. *)
+          ( 1,
+            map
+              (fun l -> Array.mapi (fun i x -> if i = 1 then 0xFFFFFF + 7 else x) l)
+              (array_size (return 11) (int_bound 0xFFFFFF)) ) ])
 
 let test_group_reduce_matches_rem () =
   List.iter
@@ -345,18 +350,63 @@ let prop_group_pow_homomorphism =
       elt_bytes lhs = elt_bytes (Group.pow Group.g (sc (a + b)))
       && elt_bytes lhs = elt_bytes (Group.pow_g (sc (a + b))))
 
+(* Comb edges: 0, 1, n-1 (every column), 2^254 (only the top row's
+   bit 30), and scalars with one set column: all eight rows of column 5,
+   and column 31, whose row 7 bit (bit 255) no canonical scalar sets. *)
+let comb_edges =
+  let column j rows =
+    List.fold_left
+      (fun acc i -> Bignum.add acc (Bignum.shift_left Bignum.one ((32 * i) + j)))
+      Bignum.zero rows
+  in
+  [ Bignum.zero; Bignum.one; Bignum.sub big_n Bignum.one;
+    Bignum.shift_left Bignum.one 254;
+    column 5 [ 0; 1; 2; 3; 4; 5; 6; 7 ]; column 31 [ 0; 1; 2; 3; 4; 5; 6 ] ]
+
 let test_group_table_pow () =
-  let base = big_elt (bn 987654321) in
+  let b = bn 987654321 in
+  let base = big_elt b in
   let table = Group.make_table base in
   List.iter
     (fun e ->
       check elt_testable (Printf.sprintf "base^%d" e) (Group.pow base (sc e))
         (Group.pow_table table (sc e)))
     [ 0; 1; 2; 255; 1 lsl 30 ];
-  (* A full-width exponent exercises every table entry the value touches. *)
-  let e = sc_big (Bignum.sub big_n Bignum.one) in
-  check elt_testable "base^(n-1)" (Group.pow base e) (Group.pow_table table e);
-  check elt_testable "comb for g" (Group.pow Group.g e) (Group.pow_g e)
+  List.iter
+    (fun e ->
+      let x = sc_big e and name = Bignum.to_hex e in
+      check Alcotest.string ("pow_table " ^ name) (bytes32 (oracle_pow b e))
+        (elt_bytes (Group.pow_table table x));
+      check Alcotest.string ("pow_g " ^ name) (bytes32 (oracle_pow (bn 2) e))
+        (elt_bytes (Group.pow_g x));
+      List.iter
+        (fun e' ->
+          check Alcotest.string
+            (Printf.sprintf "pow_g_table %s %s" name (Bignum.to_hex e'))
+            (bytes32 (oracle_mul (oracle_pow (bn 2) e) (oracle_pow b e')))
+            (elt_bytes (Group.pow_g_table x table (sc_big e'))))
+        comb_edges)
+    comb_edges
+
+(* The multiply count is exact: a table build is 224 squarings and 247
+   multiplications; an exponentiation is 31 squarings and one
+   multiplication per nonzero column of each scalar. *)
+let test_group_muls () =
+  let counted f =
+    let before = Group.muls () in
+    let v = f () in
+    (Group.muls () - before, v)
+  in
+  let n1 = sc_big (Bignum.sub big_n Bignum.one) and zero = sc 0 in
+  let built, table = counted (fun () -> Group.make_table (big_elt (bn 987654321))) in
+  check Alcotest.int "make_table" (224 + 247) built;
+  check Alcotest.int "pow_table, every column" (31 + 32)
+    (fst (counted (fun () -> Group.pow_table table n1)));
+  check Alcotest.int "pow_g of 1" (31 + 1) (fst (counted (fun () -> Group.pow_g (sc 1))));
+  check Alcotest.int "pow_g_table, one side zero" (31 + 32)
+    (fst (counted (fun () -> Group.pow_g_table zero table n1)));
+  check Alcotest.int "pow_g_table, both sides" (31 + 64)
+    (fst (counted (fun () -> Group.pow_g_table n1 table n1)))
 
 (* The verification product g^s * y^(-e), both ways verify builds it,
    against the oracle. *)
@@ -370,11 +420,24 @@ let prop_group_verify_product =
       let expect =
         bytes32 (oracle_mul (oracle_pow (bn 2) s) (oracle_pow y (Bignum.sub big_n e)))
       in
-      let gy = Group.pow_g (Group.scalar_of_bytes rs)
-      and ne = Group.scalar_neg (Group.scalar_of_bytes re) in
-      elt_bytes (Group.mul gy (Group.pow (big_elt y) ne)) = expect
-      && elt_bytes (Group.mul gy (Group.pow_table (Group.make_table (big_elt y)) ne))
-         = expect)
+      let s = Group.scalar_of_bytes rs and ne = Group.scalar_neg (Group.scalar_of_bytes re) in
+      elt_bytes (Group.mul (Group.pow_g s) (Group.pow (big_elt y) ne)) = expect
+      && elt_bytes (Group.pow_g_table s (Group.make_table (big_elt y)) ne) = expect)
+
+(* The single pass over two combs, on any base the kernel accepts
+   (unreduced limbs included) and any scalars. *)
+let prop_group_pow_g_table =
+  QCheck.Test.make ~name:"pow_g_table = oracle g^x * b^y" ~count:50
+    (QCheck.triple arb_limbs arb_bytes32 arb_bytes32)
+    (fun (lb, rx, ry) ->
+      let b = big_of_limbs lb
+      and x = Bignum.rem (Bignum.of_bytes_be rx) big_n
+      and y = Bignum.rem (Bignum.of_bytes_be ry) big_n in
+      elt_bytes
+        (Group.pow_g_table (Group.scalar_of_bytes rx)
+           (Group.make_table (Group.element_of_limbs lb))
+           (Group.scalar_of_bytes ry))
+      = bytes32 (oracle_mul (oracle_pow (bn 2) x) (oracle_pow b y)))
 
 (* --- Schnorr --- *)
 
@@ -741,8 +804,10 @@ let () =
           Alcotest.test_case "fermat" `Quick test_group_fermat;
           Alcotest.test_case "element bytes" `Quick test_group_element_bytes;
           Alcotest.test_case "fixed-base table" `Quick test_group_table_pow;
+          Alcotest.test_case "multiply count" `Quick test_group_muls;
           qtest prop_group_pow_homomorphism;
           qtest prop_group_verify_product;
+          qtest prop_group_pow_g_table;
           qtest prop_group_field_kernel;
           qtest prop_group_scalar_kernel;
         ] );
