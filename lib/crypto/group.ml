@@ -259,17 +259,21 @@ let column r j =
   done;
   !c
 
+(* acc <- acc * T[c] unless c is 0; the multiplications done. *)
+let mul_entry tmp acc x t c =
+  if c = 0 then 0
+  else begin
+    unpack t (entry * c) x;
+    mul_into fold_p tmp acc acc x;
+    1
+  end
+
 let pow_table t e =
   let tmp = scratch () and acc = Array.copy one and x = Array.make nlimbs 0 in
   let n = ref (cols - 1) and e = rows_of e in
   for j = cols - 1 downto 0 do
     if j < cols - 1 then sqr_into tmp acc acc;
-    let c = column e j in
-    if c <> 0 then begin
-      unpack t (entry * c) x;
-      mul_into fold_p tmp acc acc x;
-      incr n
-    end
+    n := !n + mul_entry tmp acc x t (column e j)
   done;
   count !n;
   acc
@@ -285,18 +289,8 @@ let pow_g_table a t b =
   let n = ref (cols - 1) and a = rows_of a and b = rows_of b in
   for j = cols - 1 downto 0 do
     if j < cols - 1 then sqr_into tmp acc acc;
-    let c = column a j in
-    if c <> 0 then begin
-      unpack g_table (entry * c) x;
-      mul_into fold_p tmp acc acc x;
-      incr n
-    end;
-    let c = column b j in
-    if c <> 0 then begin
-      unpack t (entry * c) x;
-      mul_into fold_p tmp acc acc x;
-      incr n
-    end
+    n := !n + mul_entry tmp acc x g_table (column a j);
+    n := !n + mul_entry tmp acc x t (column b j)
   done;
   count !n;
   acc

@@ -23,9 +23,9 @@ val public_key_of_bytes : string -> public_key option
 
 val precompute : public_key -> unit
 (** Build the key's comb ({!Group.make_table}; done once, about the cost
-    of two untabled [verify] calls): later [verify] calls against this
-    key compute [g^s * y^(-e)] in one pass over both combs, about twice
-    as fast. Worth it for a key seen more than twice — replica keys,
+    of 1.2 untabled [verify] calls): later [verify] calls against this
+    key compute [g^s * y^(-e)] in one pass over both combs, about 2.7x
+    faster. Worth it for a key seen more than twice — replica keys,
     repeat clients. Idempotent; safe to race. *)
 
 val has_table : public_key -> bool

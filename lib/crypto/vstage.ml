@@ -1,10 +1,10 @@
-(* The replica's signature check (see vstage.mli for who else checks
-   signatures, and how).
+(* The replica's and the auditor's signature check (see vstage.mli for
+   who else checks signatures, and how).
 
    Keys seen repeatedly (replica keys, chatty clients) are interned and, on
    their third use, get a Group.make_table, after which each verification
-   skips its squaring chain entirely. Every check is charged to [Profile]
-   under its message class and principal.
+   shares g's squaring chain in one pass. Every check is charged to
+   [Profile] under its message class and principal.
 
    No result cache and no worker pool: neither paid on the benchmarks
    (DESIGN.md, crypto pipeline). *)
@@ -24,12 +24,13 @@ type t = {
 
 let max_interned = 4096
 
-(* Build the fixed-base table once a key has verified twice. The table
-   costs 254 squarings (~50 us, about one untabled verification) and
-   saves ~22 us on every later check (33 against 55 us on a 2-core x86-64
-   VM, bench/crypto.exe), so a key that comes back a third time repays it
-   within three more checks. Keys seen once or twice, such as cold
-   open-loop sessions, never pay for one. *)
+(* Build the key's comb once it has verified twice. The comb costs 224
+   squarings and 247 multiplications (89 us, about 1.2 untabled
+   verifications) and saves 48 us on every later check (28 against 76 us;
+   medians of 9 bench/crypto.exe runs on a 2-core x86-64 VM), so a key
+   that comes back a third time repays it within two more checks. Keys
+   seen once or twice, such as cold open-loop sessions, never pay for
+   one. *)
 let precompute_after = 2
 
 let create ?obs ?(profile = Profile.disabled) () =
