@@ -10,8 +10,8 @@ type t = {
   prepares : (slot, (int, Message.prepare) Hashtbl.t) Hashtbl.t;
   nonces : (slot, (int, string) Hashtbl.t) Hashtbl.t;
   own : (slot, string) Hashtbl.t;
-  pphs : (slot, Message.pre_prepare * D.t) Hashtbl.t;
-      (* the last pre-prepare the rule read for a slot, and its hash *)
+  mutable pph : (Message.pre_prepare * D.t) option;
+      (* the last pre-prepare the rule read, and its hash *)
 }
 
 let create ~nonce_key =
@@ -20,7 +20,7 @@ let create ~nonce_key =
     prepares = Hashtbl.create 64;
     nonces = Hashtbl.create 64;
     own = Hashtbl.create 64;
-    pphs = Hashtbl.create 64;
+    pph = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -79,13 +79,14 @@ let own_nonce t ~view ~seqno = Hashtbl.find_opt t.own (view, seqno)
 (* The rule, on the stores                                             *)
 
 (* The rule reads the same pre-prepare value on every count for a slot,
-   so its hash is kept until another value for the slot comes. *)
+   mostly one slot after another, so the last one's hash is kept; a
+   table per slot would grow with the ledger. *)
 let pp_hash t pp =
-  match Hashtbl.find_opt t.pphs (slot_of pp) with
+  match t.pph with
   | Some (pp', pph) when pp' == pp -> pph
   | _ ->
       let pph = Message.pp_hash pp in
-      Hashtbl.replace t.pphs (slot_of pp) (pp, pph);
+      t.pph <- Some (pp, pph);
       pph
 
 let fold_prepares t pp f acc =
