@@ -7,7 +7,8 @@
    path). The tabled figure includes building the tables. Walls are
    medians over alternating rounds. The primitive rows time one field
    multiply, [Group.pow_g], signing, verification with and without the
-   key's table, and building the table, each the median of [rounds]
+   key's table, building the table, and SHA-256 at 33, 65 and 1,000 bytes
+   (checked against known answers first), each the median of [rounds]
    loops.
 
    Writes BENCH_crypto.json through the report layer's row emitter:
@@ -88,6 +89,34 @@ let per_call n f =
                 done))
          /. float_of_int n))
 
+(* SHA-256 over runs of 'a': the two sizes the hot path hashes most (a
+   tagged 32-byte digest, two of them) and a long input for the per-byte
+   rate, each with its known answer. *)
+let sha256_inputs =
+  [
+    (33, "852785c805c77e71a22340a54e9d95933ed49121e7d2bf3c2d358854bc1359ea");
+    (65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0");
+    (1000, "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3");
+  ]
+
+let sha256_rows () =
+  List.iter
+    (fun (n, expect) ->
+      if Iaccf_util.Hex.encode (Sha256.digest (String.make n 'a')) <> expect then begin
+        Printf.eprintf "crypto-bench: SHA-256 of %d bytes diverged from its known answer\n" n;
+        exit 1
+      end)
+    sha256_inputs;
+  let ns n =
+    let s = String.make n 'a' in
+    1e9 *. per_call (2_000_000 / (n + 100)) (fun () -> Sha256.digest s)
+  in
+  [
+    ("sha256_33b_ns", ns 33);
+    ("sha256_65b_ns", ns 65);
+    ("sha256_ns_per_byte", ns 1000 /. 1000.0);
+  ]
+
 let primitives () =
   let sk, pk = Schnorr.keypair_of_seed "bench-primitives" in
   let pk_bytes = Schnorr.public_key_to_bytes pk in
@@ -108,6 +137,7 @@ let primitives () =
       1e6 *. per_call 500 (fun () -> Schnorr.verify untabled digest ~signature) );
     ("precompute_us", 1e6 *. per_call 200 (fun () -> Schnorr.precompute (fresh ())));
   ]
+  @ sha256_rows ()
 
 let () =
   let results = List.init rounds (fun _ -> round ()) in

@@ -1,18 +1,17 @@
 let block_size = 64
 
-let normalize_key key =
-  let key = if String.length key > block_size then Sha256.digest key else key in
-  let b = Bytes.make block_size '\x00' in
-  Bytes.blit_string key 0 b 0 (String.length key);
+(* [pad byte key] is the key, zero-filled to a block, xored with [byte]. *)
+let pad byte key =
+  let b = Bytes.make block_size (Char.chr byte) in
+  for i = 0 to String.length key - 1 do
+    Bytes.set b i (Char.chr (Char.code key.[i] lxor byte))
+  done;
   Bytes.unsafe_to_string b
 
-let xor_with pad key =
-  String.init block_size (fun i -> Char.chr (Char.code key.[i] lxor pad))
-
 let mac ~key msg =
-  let key = normalize_key key in
-  let inner = Sha256.digest_concat [ xor_with 0x36 key; msg ] in
-  Sha256.digest_concat [ xor_with 0x5c key; inner ]
+  let key = if String.length key > block_size then Sha256.digest key else key in
+  let inner = Sha256.digest_concat [ pad 0x36 key; msg ] in
+  Sha256.digest_concat [ pad 0x5c key; inner ]
 
 let verify ~key msg ~mac:expected =
   let actual = mac ~key msg in

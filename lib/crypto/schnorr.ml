@@ -15,9 +15,9 @@ let make_public x =
   { y; y_bytes = Group.element_to_bytes y; table = None }
 
 let keypair_of_seed seed =
-  let x = nonzero_scalar (Group.scalar_of_bytes (Sha256.digest ("iaccf-sk" ^ seed))) in
+  let x = nonzero_scalar (Group.scalar_of_bytes (Sha256.digest_concat [ "iaccf-sk"; seed ])) in
   let pk = make_public x in
-  let sk = { x; seed = Sha256.digest ("iaccf-nonce-key" ^ seed); pk_bytes = pk.y_bytes } in
+  let sk = { x; seed = Sha256.digest_concat [ "iaccf-nonce-key"; seed ]; pk_bytes = pk.y_bytes } in
   (sk, pk)
 
 let public_key sk = make_public sk.x

@@ -1,7 +1,17 @@
 (** SHA-256 (FIPS 180-4), pure OCaml.
 
     Substitute for the EverCrypt SHA functions used by the paper's prototype;
-    tested against the NIST test vectors. *)
+    tested against the NIST test vectors and a straightforward oracle.
+
+    {b Per-domain scratch.} Every compression on a domain uses one shared
+    64-word message schedule, and {!digest} and {!digest_concat} reset and
+    reuse one shared context, so a one-shot digest allocates only its
+    32-byte result. This is safe because a digest never calls out while it
+    holds that scratch, and nothing else can run on the domain in between:
+    no systhreads exist in this program, and no signal handler or
+    finaliser in [lib/] hashes. Code that adds one of those must not hash
+    from it. Streaming contexts from {!init} hold their own state, so any
+    number may be live at once and interleave with one-shot digests. *)
 
 type ctx
 

@@ -41,18 +41,20 @@ let delete tx k =
   tx.working <- Hamt.remove k tx.working;
   tx.writes <- (k, Delete) :: tx.writes
 
+(* Last write per key wins; canonical order by key. The raw list is
+   newest-first and the sort is stable, so each key's run keeps that order
+   and its first entry is the key's final write. *)
 let normalize_writes writes =
-  (* Last write per key wins; canonical order by key. The raw list is
-     newest-first, so the first occurrence of a key is its final write. *)
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (k, w) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k w)
-    writes;
-  let entries = Hashtbl.fold (fun k w acc -> (k, w) :: acc) tbl [] in
-  List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2) entries
+  let rec first_of_runs = function
+    | [] -> []
+    | ((k, _) as x) :: rest -> x :: first_of_runs (drop_key k rest)
+  and drop_key k = function
+    | (k', _) :: rest when String.equal k k' -> drop_key k rest
+    | l -> l
+  in
+  first_of_runs (List.stable_sort (fun (k1, _) (k2, _) -> String.compare k1 k2) writes)
 
-let write_set_hash writes =
-  let entries = normalize_writes writes in
+let write_set_hash entries =
   let payload =
     Codec.encode (fun w ->
         Codec.W.list w

@@ -50,8 +50,9 @@ val normalize_writes : (string * write) list -> (string * write) list
     wins, sorted by key. Idempotent. *)
 
 val write_set_hash : (string * write) list -> Iaccf_crypto.Digest32.t
-(** The digest {!commit} returns, computed from an explicit write list
-    (normalized first). *)
+(** The digest {!commit} returns, computed from a write list that is
+    already normalized ({!normalize_writes}); the list is hashed as
+    given. *)
 
 val abort : tx -> unit
 

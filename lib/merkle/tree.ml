@@ -3,7 +3,7 @@ module Sha256 = Iaccf_crypto.Sha256
 module Vec = Iaccf_util.Vec
 
 let empty_root = D.of_string ""
-let leaf_hash d = D.of_raw (Sha256.digest ("\x00" ^ D.to_raw d))
+let leaf_hash d = D.of_raw (Sha256.digest_concat [ "\x00"; D.to_raw d ])
 let node_hash l r = D.of_raw (Sha256.digest_concat [ "\x01"; D.to_raw l; D.to_raw r ])
 
 (* Leaves are stored verbatim. levels.(0) holds the leaf hashes and

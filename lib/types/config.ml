@@ -24,7 +24,28 @@ let quorum t = n_replicas t - f t
 let replica_ids_sorted t =
   List.sort compare (List.map (fun r -> r.replica_id) t.replicas)
 
-let primary_of_view t view = List.nth (replica_ids_sorted t) (view mod n_replicas t)
+(* [n] plus how many replicas in the list have an id below [id]
+   ([~eq:false]), or at or below it ([~eq:true]). *)
+let rec count_ids ~eq id n = function
+  | [] -> n
+  | r :: rest ->
+      let hit = r.replica_id < id || (eq && r.replica_id = id) in
+      count_ids ~eq id (if hit then n + 1 else n) rest
+
+(* The id at position [pos] of the sorted ids is the one with at most
+   [pos] smaller ids and more than [pos] ids at or below it; "at most",
+   not "exactly", so that repeated ids, which [validate] refuses but an
+   unchecked configuration can hold, give what sorting gives. Counting
+   instead of sorting keeps this per-message call free of allocation. *)
+let rec nth_smallest t pos = function
+  | [] -> invalid_arg "Config.primary_of_view"
+  | r :: rest ->
+      let id = r.replica_id in
+      if count_ids ~eq:false id 0 t.replicas <= pos && pos < count_ids ~eq:true id 0 t.replicas
+      then id
+      else nth_smallest t pos rest
+
+let primary_of_view t view = nth_smallest t (view mod n_replicas t) t.replicas
 let replica t id = List.find_opt (fun r -> r.replica_id = id) t.replicas
 let replica_pk t id = Option.map (fun r -> r.replica_pk) (replica t id)
 let member t name = List.find_opt (fun m -> m.member_name = name) t.members

@@ -63,6 +63,86 @@ let prop_sha256_incremental_split =
       Sha256.feed ctx (String.sub s k (String.length s - k));
       Sha256.finalize ctx = Sha256.digest s)
 
+(* --- SHA-256 against the straightforward oracle (test/sha256_ref.ml) --- *)
+
+(* A message whose length sits on or next to a padding edge (55/56 bytes
+   leave one block, 63/64 and 119/120 straddle blocks) more often than
+   chance, cut at random points into the parts a caller feeds. *)
+let gen_split_message =
+  QCheck.Gen.(
+    let edge = oneofl [ 0; 1; 55; 56; 57; 63; 64; 65; 119; 120; 121; 127; 128 ] in
+    let len = frequency [ (3, edge); (2, int_bound 1_100) ] in
+    len >>= fun n ->
+    string_size ~gen:char (return n) >>= fun s ->
+    list_size (0 -- 4) (int_bound n) >|= fun cuts ->
+    let cuts = List.sort_uniq compare cuts in
+    let rec parts from = function
+      | [] -> [ String.sub s from (n - from) ]
+      | c :: rest -> String.sub s from (c - from) :: parts c rest
+    in
+    (s, parts 0 cuts))
+
+let prop_sha256_matches_oracle =
+  QCheck.Test.make ~name:"digest, digest_concat and feed = oracle" ~count:400
+    (QCheck.make
+       ~print:(fun (s, parts) ->
+         Printf.sprintf "len %d, parts %s" (String.length s)
+           (String.concat "+" (List.map (fun p -> string_of_int (String.length p)) parts)))
+       gen_split_message)
+    (fun (s, parts) ->
+      let expect = Sha256_ref.digest s in
+      let ctx = Sha256.init () in
+      List.iter (Sha256.feed ctx) parts;
+      Sha256.digest s = expect
+      && Sha256.digest_concat parts = expect
+      && Sha256.finalize ctx = expect)
+
+(* Two live streaming contexts fed in turn, with one-shot digests (which
+   reuse the domain's shared context) between their feeds. *)
+let test_sha256_interleaved_contexts () =
+  let a = String.init 300 (fun i -> Char.chr (i land 0xff))
+  and b = String.init 190 (fun i -> Char.chr ((7 * i) land 0xff)) in
+  let ca = Sha256.init () and cb = Sha256.init () in
+  let one_shots = ref [] in
+  let between i =
+    let m = String.make (i * 37) 'z' in
+    one_shots := (Sha256.digest m, Sha256.digest_concat [ m; "!" ], m) :: !one_shots
+  in
+  List.iteri
+    (fun i (pa, pb) ->
+      Sha256.feed ca (String.sub a pa 50);
+      between i;
+      Sha256.feed cb (String.sub b pb 38);
+      between (i + 1))
+    [ (0, 0); (50, 38); (100, 76); (150, 114); (200, 152) ];
+  Sha256.feed ca (String.sub a 250 50);
+  check Alcotest.string "context a" (Hex.encode (Sha256_ref.digest a))
+    (Hex.encode (Sha256.finalize ca));
+  check Alcotest.string "context b" (Hex.encode (Sha256_ref.digest b))
+    (Hex.encode (Sha256.finalize cb));
+  List.iter
+    (fun (d, dc, m) ->
+      check Alcotest.string "one-shot" (Sha256_ref.digest m) d;
+      check Alcotest.string "one-shot concat" (Sha256_ref.digest (m ^ "!")) dc)
+    !one_shots
+
+(* [blocks ()] moves by exactly the compressions the oracle makes. *)
+let test_sha256_block_count () =
+  List.iter
+    (fun n ->
+      let s = String.make n 'b' in
+      let before = Sha256.blocks () and ref_before = Sha256_ref.compressions () in
+      ignore (Sha256.digest s);
+      ignore (Sha256.digest_concat [ s; "" ]);
+      let ctx = Sha256.init () in
+      Sha256.feed ctx s;
+      ignore (Sha256.finalize ctx);
+      ignore (Sha256_ref.digest s);
+      check Alcotest.int (Printf.sprintf "%d bytes" n)
+        (3 * (Sha256_ref.compressions () - ref_before))
+        (Sha256.blocks () - before))
+    [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 1_000 ]
+
 (* --- HMAC-SHA256 against RFC 4231 vectors --- *)
 
 let test_hmac_rfc4231 () =
@@ -774,6 +854,9 @@ let () =
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           qtest prop_sha256_incremental_split;
+          qtest prop_sha256_matches_oracle;
+          Alcotest.test_case "interleaved contexts" `Quick test_sha256_interleaved_contexts;
+          Alcotest.test_case "block count = oracle" `Quick test_sha256_block_count;
         ] );
       ( "hmac",
         [

@@ -254,6 +254,43 @@ let test_write_set_hash_differs () =
   in
   check Alcotest.bool "different writes differ" false (D.equal (run "1") (run "2"))
 
+(* The first canonical form: one hash table per call, folded and sorted. *)
+let normalize_writes_by_table writes =
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun (k, w) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k w) writes;
+  List.sort
+    (fun (k1, _) (k2, _) -> String.compare k1 k2)
+    (Hashtbl.fold (fun k w acc -> (k, w) :: acc) tbl [])
+
+(* Random write lists, newest first, over a few keys so most repeat, with
+   deletes. Replayed oldest first through a transaction, they give the
+   write set and hash a commit returns. *)
+let prop_normalize_writes_matches_table =
+  let write =
+    QCheck.Gen.(
+      pair (oneofl [ ""; "a"; "b"; "ab"; "ba"; "c"; "k\000" ])
+        (frequency [ (3, map (fun v -> Store.Put v) small_string); (1, return Store.Delete) ]))
+  in
+  let print =
+    QCheck.Print.(
+      list (pair string (function Store.Put v -> "Put " ^ v | Store.Delete -> "Delete")))
+  in
+  QCheck.Test.make ~name:"normalize_writes = hash-table form" ~count:300
+    (QCheck.make ~print QCheck.Gen.(list_size (0 -- 24) write))
+    (fun writes ->
+      let expected = normalize_writes_by_table writes in
+      let s = Store.create () in
+      let tx = Store.begin_tx s in
+      List.iter
+        (fun (k, w) ->
+          match w with Store.Put v -> Store.put tx k v | Store.Delete -> Store.delete tx k)
+        (List.rev writes);
+      let hash, committed = Store.commit_with_writes tx in
+      Store.normalize_writes writes = expected
+      && committed = expected
+      && Store.normalize_writes expected = expected
+      && D.equal hash (Store.write_set_hash expected))
+
 let test_state_digest () =
   let s1 = Store.of_map (Hamt.of_list [ ("a", "1"); ("b", "2") ]) in
   let s2 = Store.of_map (Hamt.of_list [ ("b", "2"); ("a", "1") ]) in
@@ -315,6 +352,7 @@ let () =
           Alcotest.test_case "write-set hash deterministic" `Quick
             test_write_set_hash_deterministic;
           Alcotest.test_case "write-set hash differs" `Quick test_write_set_hash_differs;
+          qtest prop_normalize_writes_matches_table;
           Alcotest.test_case "state digest" `Quick test_state_digest;
         ] );
       ( "checkpoint",

@@ -71,6 +71,24 @@ let test_config_primary_rotation () =
   check Alcotest.int "view 2" 5 (Config.primary_of_view c 2);
   check Alcotest.int "view 3 wraps" 0 (Config.primary_of_view c 3)
 
+(* Sparse ids in any order (repeats too, though [validate] refuses them):
+   the counting [primary_of_view] picks what sorting and indexing picks. *)
+let prop_primary_of_view_sorted =
+  let base = make_config ~ids:[ 0 ] () in
+  let pk = snd (List.hd replica_keys) in
+  QCheck.Test.make ~name:"primary_of_view = nth of sorted ids" ~count:300
+    QCheck.(pair (list_of_size Gen.(1 -- 12) (int_bound 63)) (int_bound 1_000))
+    (fun (ids, view) ->
+      let replicas =
+        List.map
+          (fun id ->
+            { Config.replica_id = id; operator = "m0"; replica_pk = pk; endorsement = "" })
+          ids
+      in
+      let c = { base with Config.replicas } in
+      Config.primary_of_view c view
+      = List.nth (List.sort compare ids) (view mod List.length ids))
+
 let test_config_validate () =
   let ok = make_config () in
   check Alcotest.bool "valid" true (Result.is_ok (Config.validate ok));
@@ -340,6 +358,7 @@ let () =
         [
           Alcotest.test_case "fault thresholds" `Quick test_config_fault_thresholds;
           Alcotest.test_case "primary rotation" `Quick test_config_primary_rotation;
+          qtest prop_primary_of_view_sorted;
           Alcotest.test_case "validate" `Quick test_config_validate;
           Alcotest.test_case "roundtrip" `Quick test_config_roundtrip;
           Alcotest.test_case "lookups" `Quick test_config_lookups;
