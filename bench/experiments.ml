@@ -477,22 +477,6 @@ let audit_bench () =
 
 module Store = Iaccf_storage.Store
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
-let fresh_dir label =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "iaccf-bench-%s-%d" label (Unix.getpid ()))
-  in
-  rm_rf path;
-  path
-
 let storage_bench ?(appends = 2000) () =
   print_header
     "Storage: append throughput and recovery vs segment size x fsync policy";
@@ -529,10 +513,12 @@ let storage_bench ?(appends = 2000) () =
               fsync = policy;
             }
           in
+          (* Appends go through a ledger, the store's only writer. *)
           let store = Store.open_store cfg in
-          ignore (Store.append store pool.(0));
+          let ledger = Ledger.of_entries [ pool.(0) ] in
+          Store.attach store ledger;
           let t0 = Unix.gettimeofday () in
-          Array.iter (fun e -> ignore (Store.append store e)) entries;
+          Array.iter (fun e -> ignore (Ledger.append ledger e)) entries;
           Store.sync store;
           let append_s = Unix.gettimeofday () -. t0 in
           let bytes = Store.disk_bytes store in

@@ -27,6 +27,22 @@ type run_result = {
          (histogram name, p50, p90, p99); empty for the baselines *)
 }
 
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+
+let fresh_dir label =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "iaccf-bench-%s-%d" label (Unix.getpid ()))
+  in
+  rm_rf path;
+  path
+
 (* Nearest-rank percentile, shared with the runtime metrics so bench and
    [iaccf stats] agree on what "p99" means. *)
 let percentile p xs = Obs.Histogram.percentile_of_list p xs
@@ -90,7 +106,7 @@ let preload_accounts cluster ~accounts ~initial_balance =
 let run_iaccf ?(label = "IA-CCF") ?(n = 4) ?(variant = Variant.full)
     ?(latency = Latency.dedicated_cluster) ?(accounts = 100) ?(total = 300)
     ?(concurrency = 64) ?(pipeline = 2) ?(checkpoint_interval = 50)
-    ?(max_batch = 100) ?(empty_requests = false) ?(seed = 42) ?obs
+    ?(max_batch = 100) ?(empty_requests = false) ?(seed = 42) ?obs ?persist
     ?(inspect = ignore) () =
   let params =
     {
@@ -112,7 +128,7 @@ let run_iaccf ?(label = "IA-CCF") ?(n = 4) ?(variant = Variant.full)
     | None -> Obs.create ~metrics:true ~tracing:false ()
   in
   let cluster =
-    Cluster.make ~seed ~n ~params ~latency ~app:(Smallbank.app ()) ~obs ()
+    Cluster.make ~seed ~n ~params ~latency ~app:(Smallbank.app ()) ?persist ~obs ()
   in
   if accounts > 0 then preload_accounts cluster ~accounts ~initial_balance:10_000;
   let client =

@@ -8,7 +8,8 @@
      the full, no-receipt and signed-commit-ablation variants, plus the
      heap words replica 0's key-value store retains after the full run,
      and the SHA-256 compressions and field multiplications the full run
-     makes per transaction;
+     makes per transaction; then the full run again with every replica's
+     ledger persisted, for its compressions and storage appends and bytes;
    - statesync: one chunked catch-up of a joining replica (the
      @statesync-bench path at its smallest size);
    - chaos: the identity-intercept equivalence run from @chaos-overhead;
@@ -69,14 +70,37 @@ let smallbank_rows () =
         ~concurrency ~accounts ();
     ]
   in
+  (* The full run again with every replica's ledger on disk, under
+     No_fsync so no fsync timing can enter. A store that hashed what its
+     ledger already hashed would grow the compressions above the full
+     row's; all that may remain is the root each sync records (here, at
+     close). *)
+  let dir = fresh_dir "regress-persisted" in
+  let obs = Obs.create ~metrics:true ~tracing:false () in
+  let persist =
+    let module S = Iaccf_storage.Store in
+    { (S.default_config ~dir) with S.fsync = S.No_fsync }
+  in
+  let blocks_before = Iaccf_crypto.Sha256.blocks () in
+  let persisted =
+    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+        run_iaccf ~label:"persisted" ~total ~concurrency ~accounts ~obs ~persist
+          ~inspect:Cluster.close_storage ())
+  in
+  let persisted_blocks = Iaccf_crypto.Sha256.blocks () - blocks_before in
+  if persisted.rr_txs <> full.rr_txs then
+    fail "persisted run committed %d txs" persisted.rr_txs;
+  let exact series metric v = Report.row ~bench ~series ~metric ~gate:Report.Exact v in
   List.concat_map (rows_of_result ~bench) results
   @ [
-      Report.row ~bench ~series:"full" ~metric:"kv_words" ~gate:Report.Exact
-        (float_of_int !kv_words);
-      Report.row ~bench ~series:"full" ~metric:"sha256_blocks_per_tx" ~gate:Report.Exact
-        (per_tx blocks);
-      Report.row ~bench ~series:"full" ~metric:"field_muls_per_tx" ~gate:Report.Exact
-        (per_tx muls);
+      exact "full" "kv_words" (float_of_int !kv_words);
+      exact "full" "sha256_blocks_per_tx" (per_tx blocks);
+      exact "full" "field_muls_per_tx" (per_tx muls);
+      exact "persisted" "sha256_blocks_per_tx" (per_tx persisted_blocks);
+      exact "persisted" "storage_appends"
+        (float_of_int (Obs.counter_value obs "storage.appends"));
+      exact "persisted" "storage_bytes"
+        (float_of_int (Obs.counter_value obs "storage.append_bytes"));
     ]
 
 (* --- statesync: smallest catch-up run (mirrors bench/statesync.ml,

@@ -149,7 +149,6 @@ let make ?(seed = 1) ?n_members ?(params = Replica.default_params)
   let genesis = Genesis.make cfg0 in
   let sched = Sched.create () in
   Obs.set_clock obs (fun () -> Sched.now sched);
-  Profile.set_virt_clock profile (fun () -> Sched.now sched);
   let network =
     Network.create ~sched ~latency:(latency (Rng.split rng))
       ~drop_rng:(Rng.split rng) ~obs ()

@@ -28,20 +28,17 @@ let principal_to_string = function
   | Client_key -> "client"
   | Replica_key -> "replica"
 
-type cell = { mutable count : int; mutable wall_s : float; mutable virt_ms : float }
+type cell = { mutable count : int; mutable wall_s : float }
 
 type t = {
   enabled : bool;
   wall : unit -> float;
-  mutable virt : unit -> float;  (* virtual clock (simulation ms) *)
   cells : (op * string * principal, cell) Hashtbl.t;
   mutable started_at : float;
 }
 
-let create ?(enabled = true) ?(wall = Sys.time) ?(virt = fun () -> 0.0) () =
-  { enabled; wall; virt; cells = Hashtbl.create 32; started_at = wall () }
-
-let set_virt_clock t f = t.virt <- f
+let create ?(enabled = true) ?(wall = Sys.time) () =
+  { enabled; wall; cells = Hashtbl.create 32; started_at = wall () }
 
 let disabled = create ~enabled:false ~wall:(fun () -> 0.0) ()
 
@@ -51,24 +48,21 @@ let cell t key =
   match Hashtbl.find_opt t.cells key with
   | Some c -> c
   | None ->
-      let c = { count = 0; wall_s = 0.0; virt_ms = 0.0 } in
+      let c = { count = 0; wall_s = 0.0 } in
       Hashtbl.replace t.cells key c;
       c
 
-(* Record one operation: runs [f], charging its wall time — and any
-   virtual time that elapses, normally zero since simulated compute is
-   instantaneous — to (op, cls, principal). Disabled profilers run [f]
-   with zero overhead beyond the branch. *)
+(* Record one operation: runs [f], charging its wall time to
+   (op, cls, principal). Disabled profilers run [f] with zero overhead
+   beyond the branch. *)
 let time t op ~cls principal f =
   if not t.enabled then f ()
   else begin
     let t0 = t.wall () in
-    let v0 = t.virt () in
     let result = f () in
     let c = cell t (op, cls, principal) in
     c.count <- c.count + 1;
     c.wall_s <- c.wall_s +. (t.wall () -. t0);
-    c.virt_ms <- c.virt_ms +. (t.virt () -. v0);
     result
   end
 
@@ -78,7 +72,6 @@ type row = {
   r_principal : principal;
   r_count : int;
   r_wall_s : float;
-  r_virt_ms : float;
 }
 
 (* Rows sorted by wall time spent, descending; ties broken by key so the
@@ -87,7 +80,7 @@ let rows t =
   Hashtbl.fold
     (fun (op, cls, principal) c acc ->
       { r_op = op; r_cls = cls; r_principal = principal;
-        r_count = c.count; r_wall_s = c.wall_s; r_virt_ms = c.virt_ms }
+        r_count = c.count; r_wall_s = c.wall_s }
       :: acc)
     t.cells []
   |> List.sort (fun a b ->

@@ -6,7 +6,7 @@ module D = Iaccf_crypto.Digest32
 type slot = { entry : Entry.t; m_size_after : int; bytes : int }
 
 type sink = {
-  sink_append : int -> Entry.t -> unit;
+  sink_append : int -> string -> unit;
   sink_truncate : int -> unit;
 }
 
@@ -26,7 +26,7 @@ let push t entry =
   Vec.push t.slots { entry; m_size_after = Tree.size t.tree; bytes };
   t.byte_total <- t.byte_total + bytes;
   let index = Vec.length t.slots - 1 in
-  (match t.sink with Some s -> s.sink_append index entry | None -> ());
+  (match t.sink with Some s -> s.sink_append index raw | None -> ());
   index
 
 let create genesis =
@@ -52,11 +52,12 @@ let append = push
 let m_root t = Tree.root t.tree
 let m_size t = Tree.size t.tree
 let m_tree_copy t = Tree.copy t.tree
+let m_size_at t i = if i <= 0 then 0 else (Vec.get t.slots (i - 1)).m_size_after
 
 let truncate t n =
   if n < 1 then invalid_arg "Ledger.truncate: cannot drop the genesis";
   if n < Vec.length t.slots then begin
-    let m_size = (Vec.get t.slots (n - 1)).m_size_after in
+    let m_size = m_size_at t n in
     for i = n to Vec.length t.slots - 1 do
       t.byte_total <- t.byte_total - (Vec.get t.slots i).bytes
     done;
@@ -77,10 +78,9 @@ let entries t ?(from = 0) ?until () =
 let m_root_at t i =
   if i <= 0 then Tree.empty_root
   else begin
-    let m_size = (Vec.get t.slots (i - 1)).m_size_after in
     (* Recompute over a truncated copy: used by auditors, not the fast path. *)
     let tree = Tree.copy t.tree in
-    Tree.truncate tree m_size;
+    Tree.truncate tree (m_size_at t i);
     Tree.root tree
   end
 

@@ -9,7 +9,8 @@
 type t
 
 type sink = {
-  sink_append : int -> Entry.t -> unit;  (** called with the new index *)
+  sink_append : int -> string -> unit;
+      (** called with the new index and the entry's serialized bytes *)
   sink_truncate : int -> unit;  (** called with the new length *)
 }
 (** A write-through backend (e.g. the durable segmented store): notified
@@ -51,6 +52,9 @@ val truncate : t -> int -> unit
 val iteri : (int -> Entry.t -> unit) -> t -> unit
 val entries : t -> ?from:int -> ?until:int -> unit -> (int * Entry.t) list
 (** Inclusive [from], exclusive [until]; defaults cover the whole ledger. *)
+
+val m_size_at : t -> int -> int
+(** M's size over the first [i] ledger entries. *)
 
 val m_root_at : t -> int -> Iaccf_crypto.Digest32.t
 (** [m_root_at t i] is M's root over the M-bound entries among the first [i]

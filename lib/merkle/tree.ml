@@ -115,10 +115,24 @@ let verify_path ~leaf ~index ~size ~path ~root =
     match go index size path with None -> false | Some h -> D.equal h root
   end
 
-let root_of_leaves leaves =
-  let t = create () in
-  List.iter (append t) leaves;
-  root t
+(* Every level is built at its final length, [n lsr k] nodes at level k
+   (the invariant [append] keeps), instead of growing each from empty. *)
+let of_leaves ds =
+  let leaves = Array.of_list ds in
+  let n = Array.length leaves in
+  let rec above k lv =
+    if n lsr k = 0 then []
+    else
+      let up =
+        Vec.init (n lsr k) (fun i ->
+            node_hash (Vec.get lv (2 * i)) (Vec.get lv ((2 * i) + 1)))
+      in
+      up :: above (k + 1) up
+  in
+  let l0 = Vec.init n (fun i -> leaf_hash leaves.(i)) in
+  { leaves = Vec.init n (Array.get leaves); levels = Array.of_list (l0 :: above 1 l0) }
+
+let root_of_leaves leaves = root (of_leaves leaves)
 
 let copy t =
   { leaves = Vec.copy t.leaves; levels = Array.map Vec.copy t.levels }
@@ -140,34 +154,23 @@ let frontier t =
 
 let of_frontier ~size peaks =
   if size < 0 then invalid_arg "Merkle.Tree.of_frontier: negative size";
-  let t = create () in
   (* Pad leaves and every level to the lengths a size-[size] tree would
      have. The padding is never read: [append]'s cascade only ever looks
      at the last two nodes of a level (the peak, then post-resume nodes)
      and [subtree_root] resolves every complete aligned subtree from the
      cache, recursing only along the right spine, which is exactly the
      peak set. *)
-  for _ = 1 to size do
-    Vec.push t.leaves empty_root
-  done;
-  let k = ref 0 in
-  while size lsr !k > 0 do
-    let lv = level t !k in
-    for _ = 1 to size lsr !k do
-      Vec.push lv empty_root
-    done;
-    incr k
-  done;
-  let bits = ref [] in
-  let k = ref 0 in
-  while size lsr !k > 0 do
-    if size land (1 lsl !k) <> 0 then bits := !k :: !bits;
-    incr k
-  done;
+  let depth = Seq.length (Seq.take_while (fun k -> size lsr k > 0) (Seq.ints 0)) in
+  let pad n = Vec.init n (fun _ -> empty_root) in
+  let t =
+    { leaves = pad size; levels = Array.init (max 1 depth) (fun k -> pad (size lsr k)) }
+  in
+  (* The peaks' levels are the set bits of [size], highest first. *)
+  let bits = List.filter (fun k -> size land (1 lsl k) <> 0) (List.init depth Fun.id) in
   (try
      List.iter2
        (fun k d -> Vec.set t.levels.(k) ((size lsr k) - 1) d)
-       !bits peaks
+       (List.rev bits) peaks
    with Invalid_argument _ ->
      invalid_arg "Merkle.Tree.of_frontier: wrong number of peaks");
   t

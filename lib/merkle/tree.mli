@@ -52,8 +52,12 @@ val verify_path :
 val leaf_hash : Iaccf_crypto.Digest32.t -> Iaccf_crypto.Digest32.t
 val node_hash : Iaccf_crypto.Digest32.t -> Iaccf_crypto.Digest32.t -> Iaccf_crypto.Digest32.t
 
+val of_leaves : Iaccf_crypto.Digest32.t list -> t
+(** The tree [append] would build from these leaves in order, with every
+    level allocated once at its final length. *)
+
 val root_of_leaves : Iaccf_crypto.Digest32.t list -> Iaccf_crypto.Digest32.t
-(** Root of a tree over the given leaves, without building a [t]. *)
+(** [root (of_leaves leaves)]. *)
 
 val copy : t -> t
 

@@ -29,10 +29,9 @@ type recovery_info = {
   ri_root_verified : bool;
 }
 
-(* Where each entry lives: its segment (named by first index), the frame's
-   offset and on-disk length, and the Merkle tree size after it — the last
-   mirrors Ledger's slots so truncate can roll M back without re-reading. *)
-type slot = { s_seg : int; s_off : int; s_len : int; s_msize : int }
+(* Where each entry lives: its segment (named by first index) and the
+   frame's offset and on-disk length. *)
+type slot = { s_seg : int; s_off : int; s_len : int }
 
 type t = {
   cfg : config;
@@ -45,8 +44,10 @@ type t = {
   c_truncates : Obs.counter;
   slots : slot Vec.t; (* entries [base, base + length), in order *)
   mutable base : int; (* first on-disk entry index (> 0 after a prune) *)
-  mutable base_msize : int; (* Merkle tree size covering [0, base) *)
-  tree : Tree.t;
+  recovered_m : int * D.t; (* M's size and root over the entries found on open *)
+  mutable ledger : Ledger.t option;
+      (* the attached ledger: the one copy of M, and where [sync] takes the
+         root it records *)
   mutable tail_first : int;  (* first index of the open tail segment *)
   mutable tail_fd : Unix.file_descr option;
   mutable tail_size : int;
@@ -54,7 +55,7 @@ type t = {
   mutable disk : int;
   mutable unsynced : int;
   mutable closed : bool;
-  mutable recovered : recovery_info;
+  recovered : recovery_info;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -135,14 +136,6 @@ let write_file_atomic ~dir path data =
   Unix.rename tmp path;
   fsync_dir dir
 
-let write_root_file t =
-  let m_size = Tree.size t.tree in
-  let data =
-    encode_root ~length:(t.base + Vec.length t.slots) ~m_size
-      ~m_root:(Tree.root t.tree)
-  in
-  write_file_atomic ~dir:t.cfg.dir (root_path t.cfg.dir) data
-
 (* ------------------------------------------------------------------ *)
 (* Prune marker: which prefix was compacted away, and the Merkle tree
    frontier needed to resume M without the pruned leaves.              *)
@@ -172,43 +165,16 @@ let decode_prune s =
 (* ------------------------------------------------------------------ *)
 (* Open + recovery                                                     *)
 
-(* [payload] is the entry's serialized bytes, the preimage of its leaf. *)
-let append_slot t ~seg ~off ~len ~payload entry =
-  if Entry.in_merkle_tree entry then Tree.append t.tree (Entry.leaf_of_serialized payload);
-  Vec.push t.slots { s_seg = seg; s_off = off; s_len = len; s_msize = Tree.size t.tree };
-  t.disk <- t.disk + len
-
-(* Merkle tree size after entry [length - 1]. Only defined for
-   [length >= base]: anything shorter is inside the pruned prefix. *)
-let msize_at t length =
-  if length = 0 then 0
-  else if length = t.base then t.base_msize
-  else if length < t.base then
-    fail "length %d is inside the pruned prefix (first retained entry %d)" length t.base
-  else (Vec.get t.slots (length - 1 - t.base)).s_msize
-
-(* Root the recovered prefix at [length] using the recorded tree sizes. *)
-let m_root_at_length t length =
-  if length = 0 then Tree.empty_root
-  else begin
-    let m_size = msize_at t length in
-    if m_size = Tree.size t.tree then Tree.root t.tree
-    else begin
-      let tree = Tree.copy t.tree in
-      Tree.truncate tree m_size;
-      Tree.root tree
-    end
-  end
-
 let list_segments dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter_map parse_seg_name
   |> List.sort compare
 
-(* Scan one segment's bytes, appending recovered entries. [tail] enables
-   torn-frame truncation; interior damage is unrecoverable. Returns the
-   number of surviving bytes and the torn byte count (0 unless tail). *)
-let scan_segment t ~seg ~tail data =
+(* Scan one segment's bytes, passing each recovered entry and its frame's
+   offset, length and payload to [found]. [tail] enables torn-frame
+   truncation; interior damage is unrecoverable. Returns the number of
+   surviving bytes and the torn byte count (0 unless tail). *)
+let scan_segment ~seg ~tail ~found data =
   let total = String.length data in
   let rec go off =
     match Frame.scan data ~pos:off with
@@ -216,7 +182,7 @@ let scan_segment t ~seg ~tail data =
     | Frame.Frame { payload; next } -> (
         match Entry.deserialize payload with
         | entry ->
-            append_slot t ~seg ~off ~len:(next - off) ~payload entry;
+            found ~off ~len:(next - off) ~payload entry;
             go next
         | exception Codec.Decode_error m ->
             if tail then (off, total - off)
@@ -245,21 +211,100 @@ let open_store ?(readonly = false) ?obs ?(owner = 0) cfg =
   end
   else mkdir_p cfg.dir;
   let obs = match obs with Some o -> o | None -> Obs.passive () in
-  (* A prune marker means the prefix [0, base) was compacted away: resume
-     the binding tree M from its recorded frontier instead of replaying
-     leaves we no longer hold. *)
-  let base, base_msize, tree =
+  (* M is rebuilt here only to check the root-of-trust. A prune marker
+     means the prefix [0, base) was compacted away: M resumes from the
+     recorded frontier instead of leaves we no longer hold. *)
+  let base, tree =
     if Sys.file_exists (prune_path cfg.dir) then begin
       let base, base_msize, frontier = decode_prune (read_file (prune_path cfg.dir)) in
       if base < 1 || base_msize < 0 || base_msize > base then
         fail "prune marker claims base %d with tree size %d" base base_msize;
       match Tree.of_frontier ~size:base_msize frontier with
-      | tree -> (base, base_msize, tree)
+      | tree -> (base, tree)
       | exception Invalid_argument _ ->
           fail "prune marker frontier does not match tree size %d" base_msize
     end
-    else (0, 0, Tree.create ())
+    else (0, Tree.create ())
   in
+  let promised =
+    if Sys.file_exists (root_path cfg.dir) then
+      Some (decode_root (read_file (root_path cfg.dir)))
+    else None
+  in
+  let slots = Vec.create () and disk = ref 0 in
+  (* M's size and root once the scan reaches the promised length. *)
+  let at_promise = ref None in
+  let note () =
+    if Option.map (fun (l, _, _) -> l) promised = Some (base + Vec.length slots) then
+      at_promise := Some (Tree.size tree, Tree.root tree)
+  in
+  note ();
+  let found ~seg ~off ~len ~payload entry =
+    if Entry.in_merkle_tree entry then
+      Tree.append tree (Entry.leaf_of_serialized payload);
+    Vec.push slots { s_seg = seg; s_off = off; s_len = len };
+    disk := !disk + len;
+    note ()
+  in
+  let seg_path first = Filename.concat cfg.dir (seg_name first) in
+  let segs = list_segments cfg.dir in
+  (* Segments wholly behind the prune marker are leftovers of a crash
+     between marker write and unlink; their contents live on in the audit
+     package, so finish the unlink (read-only opens just skip them). *)
+  let stale, segs = List.partition (fun seg -> seg < base) segs in
+  if not readonly then List.iter (fun seg -> Sys.remove (seg_path seg)) stale;
+  let n_segs = List.length segs in
+  let torn_frames = ref 0 and torn_bytes = ref 0 in
+  List.iteri
+    (fun k seg ->
+      if seg <> base + Vec.length slots then
+        fail "segment %s: expected first index %d" (seg_name seg)
+          (base + Vec.length slots);
+      let tail = k = n_segs - 1 in
+      let data = read_file (seg_path seg) in
+      let survive, torn = scan_segment ~seg ~tail ~found:(found ~seg) data in
+      if torn > 0 then begin
+        incr torn_frames;
+        torn_bytes := !torn_bytes + torn;
+        (* Cut the damaged suffix so the file again ends on a frame edge.
+           A read-only open (offline audit) must leave the evidence
+           byte-identical, so it only skips the damaged bytes in memory. *)
+        if not readonly then begin
+          let fd = Unix.openfile (seg_path seg) [ Unix.O_WRONLY ] 0o644 in
+          Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+              Unix.LargeFile.ftruncate fd (Int64.of_int survive))
+        end
+      end)
+    segs;
+  (* A tail segment that lost every frame (crash during roll) is dropped. *)
+  let live_segs =
+    match Vec.last slots with
+    | None ->
+        if not readonly then List.iter (fun seg -> Sys.remove (seg_path seg)) segs;
+        []
+    | Some last ->
+        let live, dead = List.partition (fun seg -> seg <= last.s_seg) segs in
+        if not readonly then List.iter (fun seg -> Sys.remove (seg_path seg)) dead;
+        live
+  in
+  (* Check the recovered prefix against the durable root-of-trust. *)
+  let recovered = base + Vec.length slots in
+  (match promised with
+  | None -> ()
+  | Some (length, m_size, m_root) ->
+      if length > recovered then
+        fail "recovered %d entries but the root-of-trust covers %d: durable data lost"
+          recovered length;
+      if length < base then
+        fail "root-of-trust covers %d entries but the prune marker claims %d were \
+              compacted: marker cannot postdate the durable root"
+          length base;
+      let size, root = Option.get !at_promise in
+      if length > 0 && size <> m_size then
+        fail "root-of-trust tree size mismatch at length %d" length;
+      if not (D.equal root m_root) then
+        fail "recovered Merkle root does not match the root-of-trust at length %d"
+          length);
   let t =
     {
       cfg;
@@ -270,99 +315,31 @@ let open_store ?(readonly = false) ?obs ?(owner = 0) cfg =
       c_append_bytes = Obs.counter obs "storage.append_bytes";
       c_fsyncs = Obs.counter obs "storage.fsyncs";
       c_truncates = Obs.counter obs "storage.truncates";
-      slots = Vec.create ();
+      slots;
       base;
-      base_msize;
-      tree;
+      recovered_m = (Tree.size tree, Tree.root tree);
+      ledger = None;
       tail_first = 0;
       tail_fd = None;
       tail_size = 0;
-      seg_count = 0;
-      disk = 0;
+      seg_count = List.length live_segs;
+      disk = !disk;
       unsynced = 0;
       closed = false;
       recovered =
         {
-          ri_segments = 0;
-          ri_entries = 0;
-          ri_torn_frames = 0;
-          ri_torn_bytes = 0;
-          ri_root_verified = false;
+          ri_segments = n_segs;
+          ri_entries = Vec.length slots;
+          ri_torn_frames = !torn_frames;
+          ri_torn_bytes = !torn_bytes;
+          ri_root_verified = Option.is_some promised;
         };
     }
   in
-  let segs = list_segments cfg.dir in
-  (* Segments wholly behind the prune marker are leftovers of a crash
-     between marker write and unlink; their contents live on in the audit
-     package, so finish the unlink (read-only opens just skip them). *)
-  let stale, segs = List.partition (fun seg -> seg < t.base) segs in
-  if not readonly then List.iter (fun seg -> Sys.remove (seg_path t seg)) stale;
-  let n_segs = List.length segs in
-  let torn_frames = ref 0 and torn_bytes = ref 0 in
-  List.iteri
-    (fun k seg ->
-      if seg <> t.base + Vec.length t.slots then
-        fail "segment %s: expected first index %d" (seg_name seg)
-          (t.base + Vec.length t.slots);
-      let tail = k = n_segs - 1 in
-      let data = read_file (seg_path t seg) in
-      let survive, torn = scan_segment t ~seg ~tail data in
-      if torn > 0 then begin
-        incr torn_frames;
-        torn_bytes := !torn_bytes + torn;
-        (* Cut the damaged suffix so the file again ends on a frame edge.
-           A read-only open (offline audit) must leave the evidence
-           byte-identical, so it only skips the damaged bytes in memory. *)
-        if not readonly then begin
-          let fd = Unix.openfile (seg_path t seg) [ Unix.O_WRONLY ] 0o644 in
-          Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-              Unix.LargeFile.ftruncate fd (Int64.of_int survive))
-        end
-      end)
-    segs;
-  (* A tail segment that lost every frame (crash during roll) is dropped. *)
-  let live_segs =
-    match Vec.last t.slots with
-    | None ->
-        if not readonly then List.iter (fun seg -> Sys.remove (seg_path t seg)) segs;
-        []
-    | Some last ->
-        let live, dead = List.partition (fun seg -> seg <= last.s_seg) segs in
-        if not readonly then List.iter (fun seg -> Sys.remove (seg_path t seg)) dead;
-        live
-  in
-  t.seg_count <- List.length live_segs;
-  (* Check the recovered prefix against the durable root-of-trust. *)
-  let root_verified =
-    if Sys.file_exists (root_path cfg.dir) then begin
-      let length, m_size, m_root = decode_root (read_file (root_path cfg.dir)) in
-      if length > t.base + Vec.length t.slots then
-        fail "recovered %d entries but the root-of-trust covers %d: durable data lost"
-          (t.base + Vec.length t.slots) length;
-      if length < t.base then
-        fail "root-of-trust covers %d entries but the prune marker claims %d were \
-              compacted: marker cannot postdate the durable root"
-          length t.base;
-      if length > 0 && msize_at t length <> m_size then
-        fail "root-of-trust tree size mismatch at length %d" length;
-      if not (D.equal (m_root_at_length t length) m_root) then
-        fail "recovered Merkle root does not match the root-of-trust at length %d" length;
-      true
-    end
-    else false
-  in
-  (match Vec.last t.slots with
+  (match Vec.last slots with
   | Some last when not readonly ->
       open_tail_fd t ~first:last.s_seg ~size:(last.s_off + last.s_len)
   | Some _ | None -> ());
-  t.recovered <-
-    {
-      ri_segments = n_segs;
-      ri_entries = Vec.length t.slots;
-      ri_torn_frames = !torn_frames;
-      ri_torn_bytes = !torn_bytes;
-      ri_root_verified = root_verified;
-    };
   t
 
 (* ------------------------------------------------------------------ *)
@@ -375,7 +352,6 @@ let pruned_before t = t.base
 let package_path t = audit_package_path t.cfg.dir
 let segments t = t.seg_count
 let disk_bytes t = t.disk
-let m_root t = Tree.root t.tree
 
 let check_open t op = if t.closed then invalid_arg ("Store." ^ op ^ ": store is closed")
 
@@ -389,10 +365,20 @@ let check_rw t op =
 let sync t =
   check_rw t "sync";
   (match t.tail_fd with Some fd -> Unix.fsync fd | None -> ());
-  write_root_file t;
+  (* M's size and root over the store's own prefix. The attached ledger
+     runs ahead of the store only while [attach] backfills it. *)
+  let length = length t in
+  let m_size, m_root =
+    match t.ledger with
+    | None -> t.recovered_m
+    | Some l when Ledger.length l = length -> (Ledger.m_size l, Ledger.m_root l)
+    | Some l -> (Ledger.m_size_at l length, Ledger.m_root_at l length)
+  in
+  write_file_atomic ~dir:t.cfg.dir (root_path t.cfg.dir)
+    (encode_root ~length ~m_size ~m_root);
   Obs.incr t.c_fsyncs;
   Obs.instant t.obs ~node:t.owner ~cat:"storage" ~name:"storage.fsync"
-    ~args:[ ("entries", string_of_int (length t)) ]
+    ~args:[ ("entries", string_of_int length) ]
     ();
   t.unsynced <- 0
 
@@ -409,9 +395,9 @@ let roll_segment t =
   open_tail_fd t ~first:(length t) ~size:0;
   t.seg_count <- t.seg_count + 1
 
-let append t entry =
+(* [payload] is the entry as [Ledger] serialized it. *)
+let append t payload =
   check_rw t "append";
-  let payload = Entry.serialize entry in
   let frame = Frame.encode payload in
   let len = String.length frame in
   if t.tail_fd = None || (t.tail_size > 0 && t.tail_size + len > t.cfg.segment_bytes)
@@ -419,7 +405,8 @@ let append t entry =
   let fd = Option.get t.tail_fd in
   write_all fd frame;
   let index = length t in
-  append_slot t ~seg:t.tail_first ~off:t.tail_size ~len ~payload entry;
+  Vec.push t.slots { s_seg = t.tail_first; s_off = t.tail_size; s_len = len };
+  t.disk <- t.disk + len;
   t.tail_size <- t.tail_size + len;
   Obs.incr t.c_appends;
   Obs.add t.c_append_bytes len;
@@ -437,7 +424,7 @@ let append t entry =
 (* ------------------------------------------------------------------ *)
 (* Reads                                                               *)
 
-let get t i =
+let read_payload t i =
   check_open t "get";
   if i < 0 || i >= length t then invalid_arg "Store.get: index out of range";
   if i < t.base then
@@ -453,9 +440,11 @@ let get t i =
         really_input_string ic slot.s_len)
   in
   match Frame.scan raw ~pos:0 with
-  | Frame.Frame { payload; _ } -> Entry.deserialize payload
+  | Frame.Frame { payload; _ } -> payload
   | Frame.Torn { reason } -> fail "entry %d: frame damaged on disk (%s)" i reason
   | Frame.End_of_input -> assert false
+
+let get t i = Entry.deserialize (read_payload t i)
 
 (* ------------------------------------------------------------------ *)
 (* Truncation (view-change rollback)                                   *)
@@ -485,7 +474,6 @@ let truncate t n =
       end
     done;
     Vec.truncate t.slots (n - t.base);
-    Tree.truncate t.tree last.s_msize;
     (match t.tail_fd with Some fd -> Unix.close fd | None -> ());
     t.tail_fd <- None;
     let fd = Unix.openfile (seg_path t last.s_seg) [ Unix.O_WRONLY ] 0o644 in
@@ -502,13 +490,6 @@ let truncate t n =
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                          *)
 
-(* Drop whole segments strictly behind [upto], but only after the pruned
-   prefix is safe in the cumulative audit package: accountability evidence
-   must survive compaction, so the package always covers [0, max so far)
-   from genesis and is re-verified against the store's own Merkle history
-   before any unlink. Crash ordering: sync -> package -> prune marker ->
-   unlink; every intermediate state reopens correctly (a marker without
-   unlinks just finishes the unlink on open). *)
 (* The entries of the cumulative audit package, which must cover the
    pruned prefix. *)
 let package_entries t ~what =
@@ -525,8 +506,18 @@ let package_entries t ~what =
       what pkg_path t.base
   else []
 
+(* Drop whole segments strictly behind [upto], but only after the pruned
+   prefix is safe in the cumulative audit package: accountability evidence
+   must survive compaction, so the package always covers [0, max so far)
+   from genesis and is checked against the attached ledger's M before any
+   unlink. Crash ordering: sync -> package -> prune marker -> unlink; every
+   intermediate state reopens correctly (a marker without unlinks just
+   finishes the unlink on open). *)
 let prune_before t upto =
   check_rw t "prune_before";
+  let ledger =
+    match t.ledger with Some l -> l | None -> fail "prune_before: no ledger is attached"
+  in
   if upto < 1 || upto > length t then
     invalid_arg "Store.prune_before: index out of range";
   (* The cut lands on a segment boundary at or before [upto]; the open
@@ -548,16 +539,16 @@ let prune_before t upto =
         prev_entries @ List.init (pkg_end - prev_end) (fun i -> get t (prev_end + i))
       in
       let pkg = Package.of_entries entries in
-      if not (D.equal pkg.Package.pkg_m_root (m_root_at_length t pkg_end)) then
+      if not (D.equal pkg.Package.pkg_m_root (Ledger.m_root_at ledger pkg_end)) then
         fail
-          "prune_before: audit package would not reproduce the store's Merkle \
+          "prune_before: audit package would not reproduce the ledger's Merkle \
            root at %d (stale or foreign %s?)"
           pkg_end audit_package_name;
       Package.write_file pkg_path pkg
     end;
-    let cut_msize = msize_at t cut in
+    let cut_msize = Ledger.m_size_at ledger cut in
     let frontier =
-      let tree = Tree.copy t.tree in
+      let tree = Ledger.m_tree_copy ledger in
       Tree.truncate tree cut_msize;
       Tree.frontier tree
     in
@@ -581,7 +572,6 @@ let prune_before t upto =
     List.iter (Vec.push t.slots) live;
     t.disk <- t.disk - !dropped_bytes;
     t.base <- cut;
-    t.base_msize <- cut_msize;
     Obs.incr (Obs.counter t.obs "storage.prunes");
     Obs.add (Obs.counter t.obs "storage.pruned_entries") dropped;
     Obs.add (Obs.counter t.obs "storage.pruned_bytes") !dropped_bytes;
@@ -643,38 +633,45 @@ let rec crash_shaped = function
 
 let attach t ledger =
   check_rw t "attach";
+  if Option.is_some t.ledger then fail "attach: a ledger is already attached";
   let ll = Ledger.length ledger in
   let sl = length t in
   if ll < t.base then
     fail "attach: ledger holds %d entries but entries before %d were pruned" ll
       t.base;
-  (* Prove agreement on the shared prefix BEFORE any destructive step: a
-     mis-addressed or diverging ledger must never cost persisted history. *)
-  let common = min sl ll in
-  if
-    common > 0
-    && not (D.equal (m_root_at_length t common) (Ledger.m_root_at ledger common))
-  then fail "attach: persisted prefix diverges from the ledger (common prefix %d)" common;
-  if sl > ll then begin
-    (* Shrinking the store drops entries that may have been durably synced.
-       Only a crash artifact may go; anything else means the persisted
-       history itself is bad, and destroying it would hide the evidence. *)
-    if not (crash_shaped (List.init (sl - ll) (fun i -> get t (ll + i)))) then
-      fail
-        "attach: store holds %d entries but the ledger only %d, and the surplus is \
-         not a crashed append; refusing to drop persisted history"
-        sl ll;
-    truncate t ll
-  end;
-  for i = common to ll - 1 do
-    ignore (append t (Ledger.get ledger i))
+  (* Prove BEFORE any destructive step that the ledger's prefix, plus any
+     store surplus, reproduces the root recovered on open: a mis-addressed
+     or diverging ledger must never cost persisted history. *)
+  let surplus = List.init (max 0 (sl - ll)) (fun i -> read_payload t (ll + i)) in
+  let surplus_entries = List.map Entry.deserialize surplus in
+  let tree = Ledger.m_tree_copy ledger in
+  Tree.truncate tree (Ledger.m_size_at ledger (min sl ll));
+  List.iter2
+    (fun raw entry ->
+      if Entry.in_merkle_tree entry then Tree.append tree (Entry.leaf_of_serialized raw))
+    surplus surplus_entries;
+  if not (D.equal (Tree.root tree) (snd t.recovered_m)) then
+    fail "attach: persisted prefix diverges from the ledger (common prefix %d)"
+      (min sl ll);
+  (* Shrinking the store drops entries that may have been durably synced.
+     Only a crash artifact may go; anything else means the persisted
+     history itself is bad, and destroying it would hide the evidence. *)
+  if not (crash_shaped surplus_entries) then
+    fail
+      "attach: store holds %d entries but the ledger only %d, and the surplus is \
+       not a crashed append; refusing to drop persisted history"
+      sl ll;
+  t.ledger <- Some ledger;
+  if sl > ll then truncate t ll;
+  for i = sl to ll - 1 do
+    ignore (append t (Entry.serialize (Ledger.get ledger i)))
   done;
   Ledger.set_sink ledger
     (Some
        {
          Ledger.sink_append =
-           (fun i entry ->
-             let j = append t entry in
+           (fun i payload ->
+             let j = append t payload in
              (* The store must mirror the ledger index-for-index; drift means
                 the two histories no longer describe the same prefix. *)
              if i <> j then

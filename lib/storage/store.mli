@@ -1,14 +1,17 @@
 (** Durable segmented ledger store (§3, §4: the ledger as a shippable
     artifact).
 
-    Entries are appended as CRC-framed records (see {!Frame}) to fixed-size
-    segment files [segment-<first_index>.iaccf] under one directory, with an
-    in-memory offset index rebuilt on open. A separate root-of-trust file
-    [root.iaccf] records the Merkle root and length of the last synced
-    prefix; recovery scans the tail segment, truncates torn frames, replays
-    the surviving entries into the binding tree M, and refuses to open a
-    store whose durable root no longer matches — so a crash can only lose an
-    unsynced suffix, never silently corrupt history. *)
+    The store is the byte sink of one {!Ledger.t} (see {!attach}): it
+    frames the bytes the ledger serialized as CRC-framed records (see
+    {!Frame}) in fixed-size segment files [segment-<first_index>.iaccf]
+    under one directory, with an in-memory offset index rebuilt on open. It
+    keeps no Merkle tree of its own. A separate root-of-trust file
+    [root.iaccf] records the length, M size and M root of the last synced
+    prefix, as the ledger reports them. Recovery scans the segments,
+    truncates torn tail frames, rebuilds M once over the surviving entries
+    to check that file, and refuses to open a store whose durable root no
+    longer matches — so a crash can only lose an unsynced suffix, never
+    silently corrupt history. *)
 
 module Entry = Iaccf_ledger.Entry
 module Ledger = Iaccf_ledger.Ledger
@@ -47,7 +50,9 @@ val open_store :
   ?readonly:bool -> ?obs:Iaccf_obs.Obs.t -> ?owner:int -> config -> t
 (** Open (creating the directory if needed) and recover. Fresh directories
     start empty; existing ones are scanned, torn tail frames truncated, and
-    the rebuilt Merkle root checked against [root.iaccf].
+    the Merkle root rebuilt over the recovered entries checked against
+    [root.iaccf]. Only that rebuilt root is kept: {!attach} checks a
+    ledger against it.
 
     With [obs], appends, fsyncs and truncations are counted in that
     registry ([storage.appends], [storage.append_bytes], [storage.fsyncs],
@@ -57,7 +62,7 @@ val open_store :
 
     With [~readonly:true] (offline audit/export) the open performs {e no}
     on-disk mutation: torn tail frames are skipped in memory instead of
-    truncated, dead segments are not unlinked, and [append]/[truncate]/
+    truncated, dead segments are not unlinked, and [attach]/[prune_before]/
     [sync] raise [Storage_error]; [close] releases nothing destructive, so
     the directory stays byte-identical to the evidence that was found.
     @raise Storage_error as documented above. *)
@@ -71,21 +76,8 @@ val segments : t -> int
 val disk_bytes : t -> int
 (** Total framed bytes across live segments. *)
 
-val append : t -> Entry.t -> int
-(** Frame, write, and index one entry; returns its index. Applies the
-    configured fsync policy. *)
-
 val get : t -> int -> Entry.t
 (** Read the entry at an index from its segment and decode it. *)
-
-val m_root : t -> D.t
-
-val truncate : t -> int -> unit
-(** Drop all entries at indices [>= n] (view-change rollback of an
-    uncommitted suffix, mirroring {!Ledger.truncate}): later segment files
-    are unlinked, the cut segment is file-truncated, and the Merkle tree is
-    rolled back. @raise Invalid_argument if [n < 1].
-    @raise Storage_error if [n] is at or behind the pruned prefix. *)
 
 val prune_before : t -> int -> int
 (** [prune_before t upto] compacts the store: every whole segment strictly
@@ -95,17 +87,18 @@ val prune_before : t -> int -> int
     store directory — accountability evidence survives compaction, so
     [iaccf audit --package] over the export still replays the full history
     offline. The package always covers [0, upto) from genesis (it extends
-    any previous export) and is verified against the store's own Merkle
-    history before anything is unlinked. A durable prune marker records the
-    new base and the Merkle frontier so reopening resumes the binding tree
-    without the pruned leaves. Returns the number of entries dropped (0 if
-    no whole segment lies behind [upto]; the open tail segment is never
-    dropped). @raise Invalid_argument if [upto] is out of range. *)
+    any previous export) and is verified against the attached ledger's
+    Merkle root before anything is unlinked. A durable prune marker records
+    the new base and M's frontier there, so reopening checks the
+    root-of-trust without the pruned leaves. Returns the number of entries
+    dropped (0 if no whole segment lies behind [upto]; the open tail
+    segment is never dropped). @raise Invalid_argument if [upto] is out of
+    range. @raise Storage_error if no ledger is attached. *)
 
 val pruned_before : t -> int
 (** First entry index still on disk: [0] for an unpruned store, otherwise
-    the base set by the latest {!prune_before}. [get] below this index and
-    [truncate]/[to_ledger] into the pruned region raise. *)
+    the base set by the latest {!prune_before}. [get] below this index,
+    [to_ledger], and a ledger truncation into the pruned region raise. *)
 
 val package_path : t -> string
 (** Path of the cumulative audit package written by {!prune_before}
@@ -113,7 +106,9 @@ val package_path : t -> string
 
 val sync : t -> unit
 (** fsync the tail segment and atomically rewrite the root-of-trust file
-    to cover the full current length. *)
+    to cover the store's full current length, with M's size and root taken
+    from the attached ledger at that length (or, before {!attach}, the ones
+    recovered on open). *)
 
 val close : t -> unit
 (** [sync] then release file descriptors. The store must not be used
@@ -136,11 +131,13 @@ val history : t -> Entry.t list
     @raise Storage_error if the package is missing or too short. *)
 
 val attach : t -> Ledger.t -> unit
-(** Make the store the write-through backend of a ledger. The Merkle roots
-    over the shared prefix are verified {e before} anything destructive
-    happens; only then is the store backfilled with any ledger suffix it is
-    missing, and the {!Ledger.sink} installed (the sink checks that store
-    and ledger indices stay aligned on every append).
+(** Make the store the write-through backend of a ledger, once: from then
+    on the installed {!Ledger.sink} is the store's only writer. It frames
+    the bytes the ledger serialized, mirrors its truncations, and checks
+    that store and ledger indices stay aligned on every append. Before
+    anything destructive happens, the ledger's prefix plus any store
+    surplus must reproduce the Merkle root recovered on open; only then is
+    the store backfilled with any ledger suffix it is missing.
 
     A store {e longer} than the ledger is truncated to the ledger's length
     only when the surplus has the shape a crashed append leaves: evidence
@@ -151,5 +148,5 @@ val attach : t -> Ledger.t -> unit
     If the durable append inside the sink fails (e.g. disk full), the
     exception propagates with the in-memory ledger one entry ahead of the
     store; the store must be treated as failed from that point on.
-    @raise Storage_error if the shared prefix diverges, or on a refused
-    surplus. *)
+    @raise Storage_error if the shared prefix diverges, on a refused
+    surplus, or if a ledger is already attached. *)

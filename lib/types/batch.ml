@@ -56,10 +56,7 @@ let decode_tx_entry r =
 let serialize_tx_entry t = Codec.encode (fun w -> encode_tx_entry w t)
 let tx_leaf t = D.of_string (serialize_tx_entry t)
 
-let g_tree entries =
-  let tree = Iaccf_merkle.Tree.create () in
-  List.iter (fun tx -> Iaccf_merkle.Tree.append tree (tx_leaf tx)) entries;
-  tree
+let g_tree entries = Iaccf_merkle.Tree.of_leaves (List.map tx_leaf entries)
 
 let g_root entries = Iaccf_merkle.Tree.root (g_tree entries)
 

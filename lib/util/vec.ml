@@ -1,6 +1,7 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
+let init n f = { data = Array.init n f; len = n }
 let length v = v.len
 
 let get v i =

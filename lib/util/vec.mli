@@ -6,6 +6,7 @@
 type 'a t
 
 val create : unit -> 'a t
+val init : int -> (int -> 'a) -> 'a t (* capacity exactly [n] *)
 val length : 'a t -> int
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit

@@ -139,6 +139,34 @@ let prop_truncate_then_rebuild =
       Tree.truncate t k;
       D.equal (Tree.root t) (Tree.root (build k)))
 
+(* [of_leaves] sizes every level once; the tree must be the one [append]
+   builds, down to what later appends and truncations see. *)
+let prop_of_leaves_matches_append =
+  QCheck.Test.make ~name:"of_leaves = append-built" ~count:100
+    QCheck.(pair (int_range 0 300) (int_range 0 300))
+    (fun (n, k) ->
+      let a = build n and b = Tree.of_leaves (leaves n) in
+      let same () =
+        Tree.size a = Tree.size b
+        && D.equal (Tree.root a) (Tree.root b)
+        && List.equal D.equal (Tree.frontier a) (Tree.frontier b)
+        && List.for_all
+             (fun i -> List.equal D.equal (Tree.path a i) (Tree.path b i))
+             (List.init (Tree.size a) Fun.id)
+      in
+      let both f = f a; f b in
+      let built = same () in
+      (* A tree resumed from the frontier agrees on every later root. *)
+      let c = Tree.of_frontier ~size:n (Tree.frontier b) in
+      let resumed = D.equal (Tree.root c) (Tree.root a) in
+      both (fun t -> Tree.append t (d "later"));
+      Tree.append c (d "later");
+      let appended = same () && D.equal (Tree.root c) (Tree.root a) in
+      both (fun t -> Tree.truncate t (min k (n + 1)));
+      let truncated = same () in
+      both (fun t -> Tree.append t (d "after-truncate"));
+      built && resumed && appended && truncated && same ())
+
 let prop_path_wrong_sibling_fails =
   QCheck.Test.make ~name:"corrupted sibling fails" ~count:60
     QCheck.(pair (int_range 2 40) (int_range 0 1000))
@@ -172,5 +200,6 @@ let () =
           qtest prop_paths_verify;
           qtest prop_truncate_then_rebuild;
           qtest prop_path_wrong_sibling_fails;
+          qtest prop_of_leaves_matches_append;
         ] );
     ]

@@ -77,6 +77,10 @@ let segment_files dir =
   |> List.sort compare
   |> List.map (Filename.concat dir)
 
+let dir_snapshot dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
 let tail_segment dir = List.nth (segment_files dir) (List.length (segment_files dir) - 1)
 
 (* --- Sample entries (same shapes as the ledger tests) --- *)
@@ -145,8 +149,24 @@ let sample_entries n =
 let open_cfg ?readonly ?(segment_bytes = 1 lsl 20) ?(fsync = Store.No_fsync) dir =
   Store.open_store ?readonly { Store.dir; segment_bytes; fsync }
 
-let fill store entries = List.iter (fun e -> ignore (Store.append store e)) entries
+(* A store's only writer is the ledger it is attached to: [fill] attaches
+   a ledger holding the first entry and appends the rest through it. *)
+let fill store entries =
+  let ledger = Ledger.of_entries [ List.hd entries ] in
+  Store.attach store ledger;
+  List.iter (fun e -> ignore (Ledger.append ledger e)) (List.tl entries);
+  ledger
 
+(* Keep writing a reopened store through a ledger rebuilt from it. *)
+let resume store =
+  let ledger = Store.to_ledger store in
+  Store.attach store ledger;
+  ledger
+
+let append ledger e = ignore (Ledger.append ledger e)
+
+(* Byte-equal entries; every caller reaches here through a recovery or an
+   attach that checked the store's Merkle root. *)
 let check_contents store entries =
   check Alcotest.int "length" (List.length entries) (Store.length store);
   List.iteri
@@ -155,9 +175,7 @@ let check_contents store entries =
         (Printf.sprintf "entry %d" i)
         (Entry.serialize e)
         (Entry.serialize (Store.get store i)))
-    entries;
-  let ledger = Ledger.of_entries entries in
-  check digest_testable "merkle root" (Ledger.m_root ledger) (Store.m_root store)
+    entries
 
 (* --- Store basics --- *)
 
@@ -165,14 +183,13 @@ let test_fresh_append_reopen () =
   let dir = fresh_dir () in
   let entries = sample_entries 10 in
   let s = open_cfg dir in
-  fill s entries;
-  let root = Store.m_root s in
+  let root = Ledger.m_root (fill s entries) in
   Store.close s;
   let s = open_cfg dir in
   let ri = Store.recovery s in
   check Alcotest.bool "root-of-trust verified" true ri.Store.ri_root_verified;
   check Alcotest.int "no torn frames" 0 ri.Store.ri_torn_frames;
-  check digest_testable "root preserved" root (Store.m_root s);
+  check digest_testable "root preserved" root (Ledger.m_root (resume s));
   check_contents s entries;
   Store.close s
 
@@ -180,7 +197,7 @@ let test_segment_rolling () =
   let dir = fresh_dir () in
   let entries = sample_entries 40 in
   let s = open_cfg ~segment_bytes:512 dir in
-  fill s entries;
+  ignore (fill s entries);
   check Alcotest.bool
     (Printf.sprintf "rolled into several segments (got %d)" (Store.segments s))
     true
@@ -191,7 +208,7 @@ let test_segment_rolling () =
     (Store.segments s);
   check_contents s entries;
   (* The store keeps appending into the recovered tail. *)
-  ignore (Store.append s (sample_pp ~seqno:99 ()));
+  append (resume s) (sample_pp ~seqno:99 ());
   Store.close s;
   let s = open_cfg ~segment_bytes:512 dir in
   check_contents s (entries @ [ sample_pp ~seqno:99 () ]);
@@ -201,12 +218,12 @@ let test_torn_tail_truncated () =
   let dir = fresh_dir () in
   let entries = sample_entries 8 in
   let s = open_cfg dir in
-  fill s entries;
+  let ledger = fill s entries in
   Store.sync s;
   (* Two unsynced appends, then a kill mid-write: the last frame loses
      3 bytes. *)
-  ignore (Store.append s (sample_pp ~seqno:90 ()));
-  ignore (Store.append s (sample_pp ~seqno:91 ()));
+  append ledger (sample_pp ~seqno:90 ());
+  append ledger (sample_pp ~seqno:91 ());
   Store.crash s;
   chop_bytes (tail_segment dir) 3;
   let s = open_cfg dir in
@@ -220,7 +237,7 @@ let test_torn_tail_truncated () =
 let test_interior_corruption_rejected () =
   let dir = fresh_dir () in
   let s = open_cfg ~segment_bytes:512 dir in
-  fill s (sample_entries 40);
+  ignore (fill s (sample_entries 40));
   Store.close s;
   (* Damage in a non-tail segment is not a torn write; it must refuse to
      open rather than silently drop committed history. *)
@@ -233,7 +250,7 @@ let test_interior_corruption_rejected () =
 let test_durable_prefix_protected () =
   let dir = fresh_dir () in
   let s = open_cfg dir in
-  fill s (sample_entries 8);
+  ignore (fill s (sample_entries 8));
   Store.close s;
   (* Everything was synced; chopping into the tail now cuts below the
      root-of-trust, which recovery must detect. *)
@@ -247,8 +264,7 @@ let test_truncate_durable () =
   let dir = fresh_dir () in
   let entries = sample_entries 12 in
   let s = open_cfg ~segment_bytes:512 dir in
-  fill s entries;
-  Store.truncate s 5;
+  Ledger.truncate (fill s entries) 5;
   check Alcotest.int "in-memory truncated" 5 (Store.length s);
   Store.crash s;
   (* Truncation rewrote the root-of-trust before the crash, so reopening
@@ -257,10 +273,141 @@ let test_truncate_durable () =
   let keep = List.filteri (fun i _ -> i < 5) entries in
   check_contents s keep;
   let extra = sample_pp ~seqno:77 () in
-  ignore (Store.append s extra);
+  append (resume s) extra;
   Store.close s;
   let s = open_cfg ~segment_bytes:512 dir in
   check_contents s (keep @ [ extra ]);
+  Store.close s
+
+(* A durable ledger hashes exactly what an in-memory one does: the store
+   frames the bytes the ledger serialized and keeps no Merkle tree of its
+   own. Each side gets its own entries so nothing one run hashes is cached
+   for the other. *)
+let test_durable_ledger_hashes_once () =
+  let blocks_of f =
+    let before = Iaccf_crypto.Sha256.blocks () in
+    f ();
+    Iaccf_crypto.Sha256.blocks () - before
+  in
+  let push ledger entries () = List.iter (append ledger) (List.tl entries) in
+  let entries = sample_entries 40 in
+  let in_memory = blocks_of (push (Ledger.of_entries [ List.hd entries ]) entries) in
+  let entries = sample_entries 40 in
+  let s = open_cfg ~segment_bytes:512 (fresh_dir ()) in
+  let durable = blocks_of (push (fill s [ List.hd entries ]) entries) in
+  check Alcotest.int "SHA-256 compressions" in_memory durable;
+  Store.close s
+
+(* Two stores as long as each other but of different services: one's
+   root-of-trust must not verify the other's entries. *)
+let test_foreign_root_rejected () =
+  let dir = fresh_dir () and other = fresh_dir () in
+  let entries = sample_entries 8 in
+  let s = open_cfg dir in
+  ignore (fill s entries);
+  Store.close s;
+  let o = open_cfg other in
+  ignore (fill o (Entry.Genesis (make_genesis "x") :: List.tl entries));
+  Store.close o;
+  let root_file d = Filename.concat d "root.iaccf" in
+  write_file (root_file dir) (read_file (root_file other));
+  check Alcotest.bool "foreign root-of-trust rejected" true
+    (match open_cfg dir with
+    | (_ : Store.t) -> false
+    | exception Store.Storage_error _ -> true)
+
+(* --- Compaction --- *)
+
+let is_segment (f, _) = String.length f > 8 && String.sub f 0 8 = "segment-"
+
+let test_prune_reopen () =
+  let dir = fresh_dir () in
+  let entries = sample_entries 40 in
+  let s = open_cfg ~segment_bytes:512 dir in
+  ignore (fill s entries);
+  let dropped = Store.prune_before s 30 in
+  check Alcotest.bool "whole segments dropped" true (dropped > 0);
+  check Alcotest.int "base moved by the dropped entries" dropped (Store.pruned_before s);
+  Store.close s;
+  let s = open_cfg ~segment_bytes:512 dir in
+  check Alcotest.int "base survives reopen" dropped (Store.pruned_before s);
+  check Alcotest.bool "root-of-trust verified from the frontier" true
+    (Store.recovery s).Store.ri_root_verified;
+  check Alcotest.(list string) "history = the pre-prune entries"
+    (List.map Entry.serialize entries)
+    (List.map Entry.serialize (Store.history s));
+  check Alcotest.bool "get below the base raises" true
+    (match Store.get s (dropped - 1) with
+    | (_ : Entry.t) -> false
+    | exception Store.Storage_error _ -> true);
+  check Alcotest.bool "prune without a ledger refused" true
+    (match Store.prune_before s 35 with
+    | (_ : int) -> false
+    | exception Store.Storage_error _ -> true);
+  (* The full history re-attaches and the pruned store keeps growing. *)
+  let ledger = Ledger.of_entries (Store.history s) in
+  Store.attach s ledger;
+  append ledger (sample_pp ~seqno:500 ());
+  Store.close s;
+  let s = open_cfg ~segment_bytes:512 dir in
+  check Alcotest.bool "grown pruned store verifies" true
+    (Store.recovery s).Store.ri_root_verified;
+  check digest_testable "grown pruned store's root" (Ledger.m_root ledger)
+    (Ledger.m_root (Ledger.of_entries (Store.history s)));
+  Store.close s
+
+(* A crash after the prune marker is durable but before the unlinks
+   leaves the pre-prune segments beside the marker: reopening finishes the
+   unlink and recovers the same store. *)
+let test_prune_crash_before_unlink () =
+  let dir = fresh_dir () in
+  let entries = sample_entries 40 in
+  let s = open_cfg ~segment_bytes:512 dir in
+  ignore (fill s entries);
+  let before = dir_snapshot dir in
+  let dropped = Store.prune_before s 30 in
+  Store.close s;
+  let after = dir_snapshot dir in
+  let unlinked =
+    List.filter
+      (fun (f, _) -> not (List.mem_assoc f after))
+      (List.filter is_segment before)
+  in
+  check Alcotest.bool "prune unlinked segments" true (unlinked <> []);
+  let copy = fresh_dir () in
+  Unix.mkdir copy 0o755;
+  List.iter
+    (fun (f, data) -> write_file (Filename.concat copy f) data)
+    (after @ unlinked);
+  let s = open_cfg ~segment_bytes:512 copy in
+  check Alcotest.(list string) "stale segments unlinked on open"
+    (List.map fst (List.filter is_segment after))
+    (List.map fst (List.filter is_segment (dir_snapshot copy)));
+  check Alcotest.int "base" dropped (Store.pruned_before s);
+  check Alcotest.bool "root-of-trust verified" true
+    (Store.recovery s).Store.ri_root_verified;
+  check Alcotest.(list string) "history intact"
+    (List.map Entry.serialize entries)
+    (List.map Entry.serialize (Store.history s));
+  Store.close s
+
+(* A stale or foreign audit package must stop a prune before anything is
+   unlinked: the export would not reproduce the ledger's root. *)
+let test_prune_refuses_foreign_package () =
+  let dir = fresh_dir () in
+  let entries = sample_entries 40 in
+  let s = open_cfg ~segment_bytes:512 dir in
+  ignore (fill s entries);
+  let foreign = Entry.Genesis (make_genesis "x") :: List.tl entries in
+  Package.write_file (Store.package_path s)
+    (Package.of_entries (List.filteri (fun i _ -> i < 5) foreign));
+  let segments = segment_files dir in
+  check Alcotest.bool "foreign package refused" true
+    (match Store.prune_before s 30 with
+    | (_ : int) -> false
+    | exception Store.Storage_error _ -> true);
+  check Alcotest.(list string) "nothing unlinked" segments (segment_files dir);
+  check Alcotest.int "nothing pruned" 0 (Store.pruned_before s);
   Store.close s
 
 (* --- Kill-after-N-appends crash matrix --- *)
@@ -273,10 +420,11 @@ let crash_case ~total ~synced ~chop =
   let dir = fresh_dir () in
   let entries = sample_entries total in
   let s = open_cfg dir in
+  let ledger = fill s [ List.hd entries ] in
   let bytes_at_sync = ref 0 in
   List.iteri
     (fun i e ->
-      ignore (Store.append s e);
+      if i > 0 then append ledger e;
       if i = synced then begin
         Store.sync s;
         bytes_at_sync := Store.disk_bytes s
@@ -301,7 +449,7 @@ let crash_case ~total ~synced ~chop =
   check_contents s keep;
   (* The recovered store must accept appends and survive another cycle. *)
   let extra = sample_pp ~seqno:1000 () in
-  ignore (Store.append s extra);
+  append (resume s) extra;
   Store.close s;
   let s = open_cfg dir in
   check_contents s (keep @ [ extra ]);
@@ -321,15 +469,25 @@ let test_attach_divergence_preserves_store () =
   let dir = fresh_dir () in
   let entries = sample_entries 10 in
   let s = open_cfg dir in
-  fill s entries;
-  Store.sync s;
-  (* A ledger of a different service: attach must detect the diverging
-     prefix before touching the store. *)
-  let other = Ledger.create (make_genesis "x") in
-  check Alcotest.bool "diverging attach rejected" true
-    (match Store.attach s other with
-    | () -> false
-    | exception Store.Storage_error _ -> true);
+  ignore (fill s entries);
+  Store.close s;
+  let s = open_cfg dir in
+  (* Ledgers of a different service: attach must detect the diverging
+     prefix before touching the store, be the ledger shorter, as long, or
+     short by exactly the surplus a crashed append leaves. *)
+  let other = Entry.Genesis (make_genesis "x") :: List.tl entries in
+  List.iter
+    (fun (what, ledger) ->
+      check Alcotest.bool what true
+        (match Store.attach s ledger with
+        | () -> false
+        | exception Store.Storage_error _ -> true))
+    [
+      ("genesis-only ledger rejected", Ledger.create (make_genesis "x"));
+      ("ledger as long as the store rejected", Ledger.of_entries other);
+      ( "ledger short by a crash-shaped surplus rejected",
+        Ledger.of_entries (List.filteri (fun i _ -> i < 9) other) );
+    ];
   check_contents s entries;
   Store.close s;
   let s = open_cfg dir in
@@ -340,8 +498,9 @@ let test_attach_refuses_rollback_by_default () =
   let dir = fresh_dir () in
   let entries = sample_entries 10 in
   let s = open_cfg dir in
-  fill s entries;
-  Store.sync s;
+  ignore (fill s entries);
+  Store.close s;
+  let s = open_cfg dir in
   let prefix n = List.filteri (fun i _ -> i < n) entries in
   (* Same service, shorter ledger, and a surplus no crashed append leaves
      (it starts with a transaction and holds two pre-prepares): silently
@@ -357,25 +516,26 @@ let test_attach_refuses_rollback_by_default () =
   Store.attach s shorter;
   check_contents s (prefix 9);
   (* The sink is live and index-checked: appends flow through. *)
-  ignore (Ledger.append shorter (sample_pp ~seqno:42 ()));
+  append shorter (sample_pp ~seqno:42 ());
   check Alcotest.int "sink write-through" (Ledger.length shorter) (Store.length s);
-  check digest_testable "sink root tracks" (Ledger.m_root shorter) (Store.m_root s);
+  Store.close s;
+  let s = open_cfg dir in
+  check Alcotest.bool "root-of-trust verified" true
+    (Store.recovery s).Store.ri_root_verified;
+  check digest_testable "sink root tracks" (Ledger.m_root shorter)
+    (Ledger.m_root (resume s));
   Store.close s
 
 (* --- Read-only opens (offline audit must not mutate evidence) --- *)
-
-let dir_snapshot dir =
-  Sys.readdir dir |> Array.to_list |> List.sort compare
-  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
 
 let test_readonly_open_untouched () =
   let dir = fresh_dir () in
   let entries = sample_entries 8 in
   let s = open_cfg dir in
-  fill s entries;
+  let ledger = fill s entries in
   Store.sync s;
   (* One unsynced append, then a kill that tears the last frame. *)
-  ignore (Store.append s (sample_pp ~seqno:50 ()));
+  append ledger (sample_pp ~seqno:50 ());
   Store.crash s;
   chop_bytes (tail_segment dir) 2;
   let before = dir_snapshot dir in
@@ -384,9 +544,9 @@ let test_readonly_open_untouched () =
   check Alcotest.int "synced prefix readable" 9 (Store.length s);
   check Alcotest.int "torn frame observed" 1 ri.Store.ri_torn_frames;
   check Alcotest.bool "root-of-trust verified" true ri.Store.ri_root_verified;
-  check Alcotest.bool "appends refused" true
-    (match Store.append s (sample_pp ~seqno:51 ()) with
-    | (_ : int) -> false
+  check Alcotest.bool "writes refused" true
+    (match Store.attach s (Store.to_ledger s) with
+    | () -> false
     | exception Store.Storage_error _ -> true);
   let pkg = Package.of_entries (List.init (Store.length s) (Store.get s)) in
   check Alcotest.int "package built from read-only store" 9
@@ -447,8 +607,8 @@ let test_smallbank_persist_reopen () =
      ledger must match the in-memory one exactly. *)
   let s = open_cfg (Filename.concat dir "replica-0") in
   check Alcotest.int "reopened length" (Ledger.length ledger) (Store.length s);
-  check digest_testable "reopened merkle root" (Ledger.m_root ledger)
-    (Store.m_root s);
+  check Alcotest.bool "reopened root-of-trust verified" true
+    (Store.recovery s).Store.ri_root_verified;
   let rebuilt = Store.to_ledger s in
   check digest_testable "rebuilt ledger root" (Ledger.m_root ledger)
     (Ledger.m_root rebuilt);
@@ -485,12 +645,12 @@ let test_cluster_cold_restart () =
   check Alcotest.bool "history grew after restart" true (Ledger.length ledger2 > len1);
   check Alcotest.int "write-through continued" (Ledger.length ledger2)
     (Store.length live);
-  check digest_testable "store root tracks restarted ledger" (Ledger.m_root ledger2)
-    (Store.m_root live);
   Cluster.close_storage cluster2;
   let s = open_cfg (Filename.concat dir "replica-0") in
-  check digest_testable "full history reopens clean" (Ledger.m_root ledger2)
-    (Store.m_root s);
+  check Alcotest.bool "full history reopens clean" true
+    (Store.recovery s).Store.ri_root_verified;
+  check digest_testable "store root tracks restarted ledger" (Ledger.m_root ledger2)
+    (Ledger.m_root (Store.to_ledger s));
   Store.close s
 
 let test_restart_drops_partial_batch () =
@@ -505,8 +665,9 @@ let test_restart_drops_partial_batch () =
   (* A crash mid-batch: a pre-prepare and one of its transactions reach
      replica 0's disk without the rest of the batch. *)
   let s = open_cfg (Filename.concat dir "replica-0") in
-  ignore (Store.append s (sample_pp ~seqno:9999 ()));
-  ignore (Store.append s (tx_entry ~index:9999 ~seqno:9999 ()));
+  let ledger = resume s in
+  append ledger (sample_pp ~seqno:9999 ());
+  append ledger (tx_entry ~index:9999 ~seqno:9999 ());
   Store.close s;
   let cluster2 = Cluster.make ~seed:9 ~n:4 ~app:(Smallbank.app ()) ~persist () in
   let ledger2 = Replica.ledger (Cluster.replica cluster2 0) in
@@ -528,9 +689,10 @@ let test_restart_refuses_deep_damage () =
      rather than silently truncate what claims to be history. *)
   let s = open_cfg (Filename.concat dir "replica-0") in
   let before = Store.length s in
-  ignore (Store.append s (sample_pp ~seqno:9999 ()));
-  ignore (Store.append s (tx_entry ~index:9999 ~seqno:9999 ()));
-  ignore (Store.append s (sample_pp ~seqno:10000 ()));
+  let ledger = resume s in
+  append ledger (sample_pp ~seqno:9999 ());
+  append ledger (tx_entry ~index:9999 ~seqno:9999 ());
+  append ledger (sample_pp ~seqno:10000 ());
   Store.close s;
   check Alcotest.bool "deeply damaged store refused" true
     (match Cluster.make ~seed:13 ~n:4 ~app:(Smallbank.app ()) ~persist () with
@@ -582,7 +744,7 @@ let test_package_rejects_corruption () =
 let test_package_file_roundtrip_from_store () =
   let dir = fresh_dir () in
   let s = open_cfg dir in
-  fill s (sample_entries 9);
+  ignore (fill s (sample_entries 9));
   let pkg =
     Package.of_entries ~receipts:[ "r1" ]
       (List.init (Store.length s) (Store.get s))
@@ -674,6 +836,18 @@ let () =
             test_attach_refuses_rollback_by_default;
           Alcotest.test_case "read-only open leaves evidence untouched" `Quick
             test_readonly_open_untouched;
+          Alcotest.test_case "durable ledger hashes once" `Quick
+            test_durable_ledger_hashes_once;
+          Alcotest.test_case "foreign root-of-trust rejected" `Quick
+            test_foreign_root_rejected;
+        ] );
+      ( "prune",
+        [
+          Alcotest.test_case "prune and reopen" `Quick test_prune_reopen;
+          Alcotest.test_case "crash before the unlinks" `Quick
+            test_prune_crash_before_unlink;
+          Alcotest.test_case "foreign package refused" `Quick
+            test_prune_refuses_foreign_package;
         ] );
       ( "crash-matrix",
         [ Alcotest.test_case "kill after N appends" `Quick test_crash_matrix ] );
