@@ -7,8 +7,10 @@
    path). The tabled figure includes building the tables. Walls are
    medians over alternating rounds. The primitive rows time one field
    multiply, [Group.pow_g], signing, verification with and without the
-   key's table, building the table, and SHA-256 at 33, 65 and 1,000 bytes
-   (checked against known answers first), each the median of [rounds]
+   key's table, building the table, SHA-256 at 33, 65 and 1,000 bytes
+   (checked against known answers first), and a checkpoint digest over
+   SmallBank-shaped states of 2k, 20k and 200k keys (each checked first
+   against an explicitly sorted encoding), each the median of [rounds]
    loops.
 
    Writes BENCH_crypto.json through the report layer's row emitter:
@@ -117,6 +119,44 @@ let sha256_rows () =
     ("sha256_ns_per_byte", ns 1000 /. 1000.0);
   ]
 
+(* A SmallBank-shaped state: a checking and a savings balance per account. *)
+let smallbank_state ~keys =
+  List.concat_map
+    (fun id ->
+      [
+        (Printf.sprintf "sb/c/%d" id, string_of_int (1000 + (7 * id mod 9973)));
+        (Printf.sprintf "sb/s/%d" id, string_of_int (2000 + (3 * id mod 7919)));
+      ])
+    (List.init (keys / 2) Fun.id)
+
+(* The digest as defined: [u64 seqno], then every binding sorted by key
+   and encoded [u32 len ‖ key ‖ u32 len ‖ value]. *)
+let sorted_digest ~seqno kvs =
+  let module W = Iaccf_util.Codec.W in
+  Iaccf_util.Codec.encode (fun w ->
+      W.u64 w seqno;
+      List.iter
+        (fun (k, v) ->
+          W.bytes w k;
+          W.bytes w v)
+        (List.sort (fun (a, _) (b, _) -> String.compare a b) kvs))
+  |> Digest32.of_string
+
+let checkpoint_rows () =
+  List.map
+    (fun (label, keys, n) ->
+      let kvs = smallbank_state ~keys in
+      let cp = Iaccf_kv.Checkpoint.make ~seqno:50 (Iaccf_kv.State.of_list kvs) in
+      if not (Digest32.equal (Iaccf_kv.Checkpoint.digest cp) (sorted_digest ~seqno:50 kvs))
+      then begin
+        Printf.eprintf
+          "crypto-bench: checkpoint digest over %d keys diverged from the sorted encoding\n" keys;
+        exit 1
+      end;
+      ( "checkpoint_digest_us_" ^ label,
+        1e6 *. per_call n (fun () -> Iaccf_kv.Checkpoint.digest cp) ))
+    [ ("2k", 2_000, 200); ("20k", 20_000, 20); ("200k", 200_000, 2) ]
+
 let primitives () =
   let sk, pk = Schnorr.keypair_of_seed "bench-primitives" in
   let pk_bytes = Schnorr.public_key_to_bytes pk in
@@ -137,7 +177,7 @@ let primitives () =
       1e6 *. per_call 500 (fun () -> Schnorr.verify untabled digest ~signature) );
     ("precompute_us", 1e6 *. per_call 200 (fun () -> Schnorr.precompute (fresh ())));
   ]
-  @ sha256_rows ()
+  @ sha256_rows () @ checkpoint_rows ()
 
 let () =
   let results = List.init rounds (fun _ -> round ()) in
@@ -154,7 +194,7 @@ let () =
     (verifies_s wall_tabled) wall_tabled precomputed;
   Printf.printf "  tabled vs inline speedup: %.2fx\n%!" speedup;
   let primitives = primitives () in
-  List.iter (fun (metric, v) -> Printf.printf "  %-20s %10.3f\n" metric v) primitives;
+  List.iter (fun (metric, v) -> Printf.printf "  %-26s %10.3f\n" metric v) primitives;
   let bench = "crypto" in
   let series = Printf.sprintf "verify jobs=%d keys=%d" n_jobs n_keys in
   let exact metric v =

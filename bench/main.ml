@@ -10,7 +10,7 @@ module Sha256 = Iaccf_crypto.Sha256
 module Schnorr = Iaccf_crypto.Schnorr
 module Hmac = Iaccf_crypto.Hmac
 module Tree = Iaccf_merkle.Tree
-module Hamt = Iaccf_kv.Hamt
+module State = Iaccf_kv.State
 module D = Iaccf_crypto.Digest32
 
 (* --- Bechamel micro suite: the primitive on each experiment's critical
@@ -31,8 +31,8 @@ let micro_tests () =
   let path = Tree.path tree 150 in
   let map =
     List.fold_left
-      (fun m i -> Hamt.add (Printf.sprintf "k%d" i) "v" m)
-      Hamt.empty
+      (fun m i -> State.add (Printf.sprintf "k%d" i) "v" m)
+      State.empty
       (List.init 10_000 Fun.id)
   in
   [
@@ -63,10 +63,10 @@ let micro_tests () =
                 ~leaf:(D.of_string "150")
                 ~index:150 ~size:300 ~path ~root)));
     (* Fig. 6/7: key-value store access at 10k keys. *)
-    Test.make ~name:"fig7:hamt-find-10k"
-      (Staged.stage (fun () -> ignore (Hamt.find "k5000" map)));
-    Test.make ~name:"fig6:hamt-add-10k"
-      (Staged.stage (fun () -> ignore (Hamt.add "fresh" "v" map)));
+    Test.make ~name:"fig7:kv-find-10k"
+      (Staged.stage (fun () -> ignore (State.find_opt "k5000" map)));
+    Test.make ~name:"fig6:kv-add-10k"
+      (Staged.stage (fun () -> ignore (State.add "fresh" "v" map)));
   ]
 
 let run_micro () =

@@ -39,7 +39,7 @@ let () =
   Printf.printf "service recovered: 5 more transactions committed in view %d\n"
     (Replica.view r1);
   Printf.printf "counter value: %s (= 1+2+...+15)\n"
-    (Option.get (Iaccf_kv.Hamt.find "counter" (Iaccf_kv.Store.map (Replica.store r1))));
+    (Option.get (Iaccf_kv.State.find_opt "counter" (Iaccf_kv.Store.map (Replica.store r1))));
 
   (* The surviving ledger still audits clean against every receipt,
      including across the view change. *)

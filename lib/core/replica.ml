@@ -94,7 +94,7 @@ let make_counters obs rid =
    key-value state is the persistent map the batch started from. *)
 type undo = {
   u_ledger : int;
-  u_kv : Iaccf_kv.Hamt.t;
+  u_kv : string Iaccf_kv.State.t;
   u_gov_index : int;
   u_dc : D.t;
   u_phase : Schedule.phase;
@@ -518,7 +518,7 @@ let run_batch t ?against ~evidence exec =
 (* The configuration the key-value store records under the reserved key,
    when it is newer than ours. *)
 let stored_config t =
-  match Iaccf_kv.Hamt.find App.config_key (Store.map t.store) with
+  match Iaccf_kv.State.find_opt App.config_key (Store.map t.store) with
   | None -> None
   | Some bytes -> (
       match Config.deserialize bytes with
@@ -1943,7 +1943,7 @@ let stop t = t.running <- false
 
 let preload_state t kvs =
   if t.seqno <> 1 then invalid_arg "Replica.preload_state: already executing";
-  Store.reset_to t.store (Iaccf_kv.Hamt.of_list kvs)
+  Store.reset_to t.store (Iaccf_kv.State.of_list kvs)
 
 let inject_view_change t = start_view_change t ~cause:"injected"
 

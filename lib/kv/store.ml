@@ -1,19 +1,19 @@
 module D = Iaccf_crypto.Digest32
 module Codec = Iaccf_util.Codec
 
-type t = { mutable current : Hamt.t; mutable open_tx : bool }
+type t = { mutable current : string State.t; mutable open_tx : bool }
 
 type write = Put of string | Delete
 
 type tx = {
   store : t;
-  mutable working : Hamt.t;
+  mutable working : string State.t;
   mutable writes : (string * write) list; (* newest first, may repeat keys *)
   mutable live : bool;
 }
 
 let of_map m = { current = m; open_tx = false }
-let create () = of_map Hamt.empty
+let create () = of_map State.empty
 let map t = t.current
 
 let reset_to t m =
@@ -29,16 +29,16 @@ let check_live tx = if not tx.live then invalid_arg "Store: transaction is close
 
 let get tx k =
   check_live tx;
-  Hamt.find k tx.working
+  State.find_opt k tx.working
 
 let put tx k v =
   check_live tx;
-  tx.working <- Hamt.add k v tx.working;
+  tx.working <- State.add k v tx.working;
   tx.writes <- (k, Put v) :: tx.writes
 
 let delete tx k =
   check_live tx;
-  tx.working <- Hamt.remove k tx.working;
+  tx.working <- State.remove k tx.working;
   tx.writes <- (k, Delete) :: tx.writes
 
 (* Last write per key wins; canonical order by key. The raw list is
@@ -84,14 +84,3 @@ let abort tx =
   check_live tx;
   tx.live <- false;
   tx.store.open_tx <- false
-
-let state_digest t =
-  let ctx = Iaccf_crypto.Sha256.init () in
-  Hamt.fold_sorted
-    (fun k v () ->
-      Iaccf_crypto.Sha256.feed ctx
-        (Codec.encode (fun w ->
-             Codec.W.bytes w k;
-             Codec.W.bytes w v)))
-    t.current ();
-  D.of_raw (Iaccf_crypto.Sha256.finalize ctx)

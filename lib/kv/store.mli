@@ -1,10 +1,11 @@
 (** Strictly-serializable transactional key-value store (§2 of the paper).
 
     Transactions execute one at a time against the current map, a
-    persistent {!Hamt.t}. The store keeps no history: a caller that may
-    have to undo work (a speculatively executed batch that fails to
-    prepare, Appx. A, Lemma 1) holds on to the {!map} it started from and
-    puts it back with {!reset_to}. The write-set hash is part of the
+    persistent {!State.t} kept in key order. The store keeps no history: a
+    caller that may have to undo work (a speculatively executed batch that
+    fails to prepare, Appx. A, Lemma 1) holds on to the {!map} it started
+    from and puts it back with {!reset_to}. The state's digest [d_C] is
+    {!Checkpoint.digest} over that map. The write-set hash is part of the
     result [o] stored in the ledger, letting auditors compare replayed
     execution against recorded execution without replaying the reads. *)
 
@@ -18,12 +19,12 @@ type write = Put of string | Delete
     key, or a tombstone. *)
 
 val create : unit -> t
-val of_map : Hamt.t -> t
+val of_map : string State.t -> t
 
-val map : t -> Hamt.t
+val map : t -> string State.t
 (** Current committed state. *)
 
-val reset_to : t -> Hamt.t -> unit
+val reset_to : t -> string State.t -> unit
 (** Replace the state wholesale: app state present at genesis, an
     installed checkpoint, or the map a batch started from when the batch
     is undone. @raise Invalid_argument while a transaction is open. *)
@@ -55,7 +56,3 @@ val write_set_hash : (string * write) list -> Iaccf_crypto.Digest32.t
     given. *)
 
 val abort : tx -> unit
-
-val state_digest : t -> Iaccf_crypto.Digest32.t
-(** Canonical digest of the full committed state (sorted fold), used for
-    checkpoints [d_C]. *)

@@ -5,7 +5,7 @@ module D = Iaccf_crypto.Digest32
 module Ledger = Iaccf_ledger.Ledger
 module Entry = Iaccf_ledger.Entry
 module Tree = Iaccf_merkle.Tree
-module Hamt = Iaccf_kv.Hamt
+module State = Iaccf_kv.State
 module Kv = Iaccf_kv.Store
 module Obs = Iaccf_obs.Obs
 open Iaccf_core
@@ -45,7 +45,7 @@ let serve_status t ~src ~view ~seqno =
 
 let serve_read t ~src ~key ~nonce =
   Obs.incr t.c_reads;
-  let value = Hamt.find key (Kv.map (Replica.store t.inner)) in
+  let value = State.find_opt key (Kv.map (Replica.store t.inner)) in
   let seqno, pos, write_set, receipt =
     match Replica.last_write t.inner key with
     | Some (seqno, pos) ->

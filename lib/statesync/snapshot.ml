@@ -1,5 +1,6 @@
 module Checkpoint = Iaccf_kv.Checkpoint
 module Frame = Iaccf_storage.Frame
+module Disk = Iaccf_storage.Disk
 
 let name cp_seqno = Printf.sprintf "snapshot-%016d.iaccf" cp_seqno
 let path ~dir cp_seqno = Filename.concat dir (name cp_seqno)
@@ -12,52 +13,19 @@ let parse_name n =
   | false -> None
   | exception _ -> None
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then go (off + Unix.write_substring fd s off (n - off))
-  in
-  go 0
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-(* tmp + fsync + rename: a crash mid-write must never leave a torn file at
-   the final name — the CRC frame would catch it, but a clean rename means
-   [load] never has to reason about partial snapshots at all. *)
+(* Crash-atomic: a torn file never appears at the final name. The CRC
+   frame would catch one, but then [load] never has to reason about
+   partial snapshots at all. *)
 let write ~dir cp =
   let data = Frame.encode (Checkpoint.serialize cp) in
-  let final = path ~dir cp.Checkpoint.seqno in
-  let tmp = final ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      write_all fd data;
-      Unix.fsync fd);
-  Unix.rename tmp final;
-  fsync_dir dir;
+  Disk.write_atomic (path ~dir cp.Checkpoint.seqno) data;
   String.length data
-
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-      Some
-        (Fun.protect
-           ~finally:(fun () -> close_in_noerr ic)
-           (fun () -> really_input_string ic (in_channel_length ic)))
-  | exception Sys_error _ -> None
 
 (* The CRC-checked serialized checkpoint, or None on any damage. *)
 let load_serialized ~dir cp_seqno =
-  match read_file (path ~dir cp_seqno) with
-  | None -> None
-  | Some raw -> (
+  match Disk.read_file (path ~dir cp_seqno) with
+  | exception Sys_error _ -> None
+  | raw -> (
       match Frame.scan raw ~pos:0 with
       | Frame.Frame { payload; next } when next = String.length raw -> Some payload
       | Frame.Frame _ | Frame.Torn _ | Frame.End_of_input -> None)

@@ -106,36 +106,11 @@ let deserialize s =
     fail "package entries do not reproduce the embedded Merkle root";
   t
 
-(* tmp + fsync + rename (like the store's root-of-trust file): a crash
-   mid-export must never leave a truncated package at the final name. *)
-let write_file path t =
-  let data = serialize t in
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let n = String.length data in
-      let rec go off =
-        if off < n then go (off + Unix.write_substring fd data off (n - off))
-      in
-      go 0;
-      Unix.fsync fd);
-  Unix.rename tmp path;
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | dfd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close dfd)
-        (fun () -> try Unix.fsync dfd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
+(* Crash-atomic: a crash mid-export must never leave a truncated package
+   at the final name. *)
+let write_file path t = Disk.write_atomic path (serialize t)
 
 let read_file path =
-  match open_in_bin path with
-  | ic ->
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      deserialize s
+  match Disk.read_file path with
+  | s -> deserialize s
   | exception Sys_error m -> fail "cannot read package: %s" m

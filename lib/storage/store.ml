@@ -59,7 +59,7 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Paths and raw file helpers                                          *)
+(* Paths                                                               *)
 
 let seg_name first = Printf.sprintf "segment-%016d.iaccf" first
 let seg_path t first = Filename.concat t.cfg.dir (seg_name first)
@@ -81,26 +81,6 @@ let rec mkdir_p dir =
     mkdir_p (Filename.dirname dir);
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then go (off + Unix.write_substring fd s off (n - off))
-  in
-  go 0
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-          try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Root-of-trust file: the durably promised (length, Merkle root)      *)
@@ -126,15 +106,6 @@ let decode_root s =
   with
   | v -> v
   | exception Codec.Decode_error m -> fail "corrupt root-of-trust file: %s" m
-
-let write_file_atomic ~dir path data =
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-      write_all fd data;
-      Unix.fsync fd);
-  Unix.rename tmp path;
-  fsync_dir dir
 
 (* ------------------------------------------------------------------ *)
 (* Prune marker: which prefix was compacted away, and the Merkle tree
@@ -216,7 +187,7 @@ let open_store ?(readonly = false) ?obs ?(owner = 0) cfg =
      recorded frontier instead of leaves we no longer hold. *)
   let base, tree =
     if Sys.file_exists (prune_path cfg.dir) then begin
-      let base, base_msize, frontier = decode_prune (read_file (prune_path cfg.dir)) in
+      let base, base_msize, frontier = decode_prune (Disk.read_file (prune_path cfg.dir)) in
       if base < 1 || base_msize < 0 || base_msize > base then
         fail "prune marker claims base %d with tree size %d" base base_msize;
       match Tree.of_frontier ~size:base_msize frontier with
@@ -228,7 +199,7 @@ let open_store ?(readonly = false) ?obs ?(owner = 0) cfg =
   in
   let promised =
     if Sys.file_exists (root_path cfg.dir) then
-      Some (decode_root (read_file (root_path cfg.dir)))
+      Some (decode_root (Disk.read_file (root_path cfg.dir)))
     else None
   in
   let slots = Vec.create () and disk = ref 0 in
@@ -261,7 +232,7 @@ let open_store ?(readonly = false) ?obs ?(owner = 0) cfg =
         fail "segment %s: expected first index %d" (seg_name seg)
           (base + Vec.length slots);
       let tail = k = n_segs - 1 in
-      let data = read_file (seg_path seg) in
+      let data = Disk.read_file (seg_path seg) in
       let survive, torn = scan_segment ~seg ~tail ~found:(found ~seg) data in
       if torn > 0 then begin
         incr torn_frames;
@@ -374,7 +345,7 @@ let sync t =
     | Some l when Ledger.length l = length -> (Ledger.m_size l, Ledger.m_root l)
     | Some l -> (Ledger.m_size_at l length, Ledger.m_root_at l length)
   in
-  write_file_atomic ~dir:t.cfg.dir (root_path t.cfg.dir)
+  Disk.write_atomic (root_path t.cfg.dir)
     (encode_root ~length ~m_size ~m_root);
   Obs.incr t.c_fsyncs;
   Obs.instant t.obs ~node:t.owner ~cat:"storage" ~name:"storage.fsync"
@@ -403,7 +374,7 @@ let append t payload =
   if t.tail_fd = None || (t.tail_size > 0 && t.tail_size + len > t.cfg.segment_bytes)
   then roll_segment t;
   let fd = Option.get t.tail_fd in
-  write_all fd frame;
+  Disk.write_all fd frame;
   let index = length t in
   Vec.push t.slots { s_seg = t.tail_first; s_off = t.tail_size; s_len = len };
   t.disk <- t.disk + len;
@@ -445,6 +416,27 @@ let read_payload t i =
   | Frame.End_of_input -> assert false
 
 let get t i = Entry.deserialize (read_payload t i)
+
+(* Entries [lo, hi) of the retained range, reading each segment file once:
+   its frames are walked with [Frame.scan], which checks each CRC, and each
+   frame must sit at its slot's offset with its slot's length. *)
+let read_range t lo hi =
+  let rec go i seg data acc =
+    if i >= hi then List.rev acc
+    else begin
+      let slot = Vec.get t.slots (i - t.base) in
+      let data = if slot.s_seg = seg then data else Disk.read_file (seg_path t slot.s_seg) in
+      if slot.s_off >= String.length data then
+        fail "entry %d: segment %s ends before its frame" i (seg_name slot.s_seg);
+      match Frame.scan data ~pos:slot.s_off with
+      | Frame.Frame { payload; next } when next = slot.s_off + slot.s_len ->
+          go (i + 1) slot.s_seg data (Entry.deserialize payload :: acc)
+      | Frame.Frame _ -> fail "entry %d: frame length on disk does not match the index" i
+      | Frame.Torn { reason } -> fail "entry %d: frame damaged on disk (%s)" i reason
+      | Frame.End_of_input -> assert false
+    end
+  in
+  go lo (-1) "" []
 
 (* ------------------------------------------------------------------ *)
 (* Truncation (view-change rollback)                                   *)
@@ -536,7 +528,7 @@ let prune_before t upto =
     let pkg_end = max prev_end upto in
     if pkg_end > prev_end then begin
       let entries =
-        prev_entries @ List.init (pkg_end - prev_end) (fun i -> get t (prev_end + i))
+        prev_entries @ read_range t prev_end pkg_end
       in
       let pkg = Package.of_entries entries in
       if not (D.equal pkg.Package.pkg_m_root (Ledger.m_root_at ledger pkg_end)) then
@@ -552,7 +544,7 @@ let prune_before t upto =
       Tree.truncate tree cut_msize;
       Tree.frontier tree
     in
-    write_file_atomic ~dir:t.cfg.dir (prune_path t.cfg.dir)
+    Disk.write_atomic (prune_path t.cfg.dir)
       (encode_prune ~base:cut ~base_msize:cut_msize ~frontier);
     (* The marker is durable: from here on a crash leaves at worst stale
        pre-cut segments, which open_store unlinks. *)
@@ -566,7 +558,7 @@ let prune_before t upto =
         t.seg_count <- t.seg_count - 1
       end
     done;
-    fsync_dir t.cfg.dir;
+    Disk.fsync_dir t.cfg.dir;
     let live = Vec.sub_list t.slots dropped (Vec.length t.slots - dropped) in
     Vec.truncate t.slots 0;
     List.iter (Vec.push t.slots) live;
@@ -615,12 +607,12 @@ let to_ledger t =
       "to_ledger: entries before %d were pruned; reconstruct the full history \
        from the audit package (%s)"
       t.base audit_package_name;
-  Ledger.of_entries (List.init (length t) (get t))
+  Ledger.of_entries (read_range t 0 (length t))
 
 let history t =
   check_open t "history";
   List.filteri (fun i _ -> i < t.base) (package_entries t ~what:"history")
-  @ List.init (length t - t.base) (fun i -> get t (t.base + i))
+  @ read_range t t.base (length t)
 
 (* The surplus a crashed append can leave behind a replayed prefix:
    evidence entries, then at most one pre-prepare followed by (a prefix

@@ -127,7 +127,9 @@ val history : t -> Entry.t list
 (** Every persisted entry from genesis on: on a pruned store, the pruned
     prefix comes from the audit package {!prune_before} exported. The
     package carries no extra authority; callers validate the combined
-    history exactly as an unpruned one.
+    history exactly as an unpruned one. Retained entries are read one
+    segment file at a time, each frame's CRC checked and its offset and
+    length matched against the index.
     @raise Storage_error if the package is missing or too short. *)
 
 val attach : t -> Ledger.t -> unit

@@ -366,7 +366,7 @@ let test_audit_from_checkpoint () =
       ("reconfigured", reconfigured_at_activation ());
     ];
   (* A checkpoint whose digest the ledger never recorded is rejected. *)
-  let bogus = Iaccf_kv.Checkpoint.make ~seqno:10 (Iaccf_kv.Hamt.of_list [ ("x", "y") ]) in
+  let bogus = Iaccf_kv.Checkpoint.make ~seqno:10 (Iaccf_kv.State.of_list [ ("x", "y") ]) in
   match
     Audit.audit auditor ~receipts:[] ~ledger:(Forge.ledger forge) ~checkpoint:bogus
       ~responder:0 ()

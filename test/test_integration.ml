@@ -42,7 +42,7 @@ let test_lossy_network () =
   check
     Alcotest.(option string)
     "state correct" (Some "210")
-    (Iaccf_kv.Hamt.find "counter" (Iaccf_kv.Store.map kv))
+    (Iaccf_kv.State.find_opt "counter" (Iaccf_kv.Store.map kv))
 
 let test_partition_heals () =
   let cluster = Cluster.make ~n:4 () in
@@ -317,8 +317,8 @@ let test_snapshot_bootstrap () =
   check
     Alcotest.(option string)
     "kv state matches"
-    (Iaccf_kv.Hamt.find "counter" (Iaccf_kv.Store.map (Replica.store r0)))
-    (Iaccf_kv.Hamt.find "counter" (Iaccf_kv.Store.map (Replica.store r4)));
+    (Iaccf_kv.State.find_opt "counter" (Iaccf_kv.Store.map (Replica.store r0)))
+    (Iaccf_kv.State.find_opt "counter" (Iaccf_kv.Store.map (Replica.store r4)));
   (* ...while having executed only the tail beyond the checkpoint. *)
   let executed r = (Replica.stats r).Replica.txs_executed in
   check Alcotest.bool
@@ -344,7 +344,7 @@ let test_snapshot_rejects_unrecorded_checkpoint () =
   (* seqno 7 is never a checkpoint (interval 10), so no committed batch can
      seal it and the serving replicas never answer chunk requests for it —
      the only bytes the joiner sees are the forged ones below. *)
-  let bogus = Iaccf_kv.Checkpoint.make ~seqno:7 (Iaccf_kv.Hamt.of_list [ ("evil", "1") ]) in
+  let bogus = Iaccf_kv.Checkpoint.make ~seqno:7 (Iaccf_kv.State.of_list [ ("evil", "1") ]) in
   let payload = Iaccf_kv.Checkpoint.serialize bogus in
   let chunks = Iaccf_statesync.Chunk.split ~chunk_bytes:4096 payload in
   let net = Cluster.network cluster in
@@ -373,7 +373,7 @@ let test_snapshot_rejects_unrecorded_checkpoint () =
   check Alcotest.bool "forged snapshot rejected at install" true
     (Iaccf_obs.Obs.counter_value (Replica.obs r5) "statesync.verify_fail" >= 1);
   check Alcotest.(option string) "forged state never installed" None
-    (Iaccf_kv.Hamt.find "evil" (Iaccf_kv.Store.map (Replica.store r5)))
+    (Iaccf_kv.State.find_opt "evil" (Iaccf_kv.Store.map (Replica.store r5)))
 
 
 let () =

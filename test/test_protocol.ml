@@ -48,7 +48,7 @@ let test_many_transactions_sequential_counter () =
   check
     Alcotest.(option string)
     "final counter" (Some "465")
-    (Iaccf_kv.Hamt.find "counter" (Iaccf_kv.Store.map kv))
+    (Iaccf_kv.State.find_opt "counter" (Iaccf_kv.Store.map kv))
 
 (* A batch's g-tree lives from its execution to its first replies: a
    committed run leaves no record holding one. *)
@@ -171,7 +171,7 @@ let test_multiple_clients () =
   check
     Alcotest.(option string)
     "final counter" (Some "30")
-    (Iaccf_kv.Hamt.find "counter" (Iaccf_kv.Store.map kv))
+    (Iaccf_kv.State.find_opt "counter" (Iaccf_kv.Store.map kv))
 
 let test_seven_replicas () =
   let cluster = Cluster.make ~n:7 () in
@@ -221,7 +221,7 @@ let test_view_change_preserves_committed_state () =
   check
     Alcotest.(option string)
     "counter survived view change" (Some "60")
-    (Iaccf_kv.Hamt.find "counter" (Iaccf_kv.Store.map kv))
+    (Iaccf_kv.State.find_opt "counter" (Iaccf_kv.Store.map kv))
 
 let test_straggler_catches_up () =
   let cluster = Cluster.make ~n:4 () in
@@ -300,7 +300,7 @@ let test_rollback_across_checkpoint_boundary () =
   check
     Alcotest.(option string)
     "counter consistent after recovery" (Some "15")
-    (Iaccf_kv.Hamt.find "counter"
+    (Iaccf_kv.State.find_opt "counter"
        (Iaccf_kv.Store.map (Replica.store (Cluster.replica cluster 1))))
 
 (* Regression: a commit's nonce is stored only under the replica that
@@ -442,7 +442,7 @@ let committed_world ?seed () =
   Cluster.run cluster ~ms:100.0;
   (cluster, client)
 
-let counter r = Iaccf_kv.Hamt.find "counter" (Iaccf_kv.Store.map (Replica.store r))
+let counter r = Iaccf_kv.State.find_opt "counter" (Iaccf_kv.Store.map (Replica.store r))
 
 (* What a refused attack leaves an honest replica holding. *)
 let holding r =

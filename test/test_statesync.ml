@@ -6,7 +6,7 @@
 
 open Iaccf_core
 module Checkpoint = Iaccf_kv.Checkpoint
-module Hamt = Iaccf_kv.Hamt
+module State = Iaccf_kv.State
 module Snapshot = Iaccf_statesync.Snapshot
 module Chunk = Iaccf_statesync.Chunk
 module Network = Iaccf_sim.Network
@@ -61,9 +61,9 @@ let prop_digest_order_independent =
   QCheck.Test.make ~name:"digest is insertion-order independent" ~count:50
     workload_gen (fun (n, seed) ->
       let kvs = workload (n, seed) in
-      let a = Checkpoint.make ~seqno:42 (Hamt.of_list kvs) in
-      let b = Checkpoint.make ~seqno:42 (Hamt.of_list (permute seed kvs)) in
-      let c = Checkpoint.make ~seqno:42 (Hamt.of_list (List.rev kvs)) in
+      let a = Checkpoint.make ~seqno:42 (State.of_list kvs) in
+      let b = Checkpoint.make ~seqno:42 (State.of_list (permute seed kvs)) in
+      let c = Checkpoint.make ~seqno:42 (State.of_list (List.rev kvs)) in
       D.equal (Checkpoint.digest a) (Checkpoint.digest b)
       && D.equal (Checkpoint.digest a) (Checkpoint.digest c))
 
@@ -71,18 +71,18 @@ let prop_serialize_roundtrip =
   QCheck.Test.make ~name:"serialize/deserialize round-trip" ~count:50
     workload_gen (fun (n, seed) ->
       let kvs = workload (n, seed) in
-      let cp = Checkpoint.make ~seqno:(seed mod 997) (Hamt.of_list kvs) in
+      let cp = Checkpoint.make ~seqno:(seed mod 997) (State.of_list kvs) in
       let cp' = Checkpoint.deserialize (Checkpoint.serialize cp) in
       cp'.Checkpoint.seqno = cp.Checkpoint.seqno
       && D.equal (Checkpoint.digest cp') (Checkpoint.digest cp)
       && List.for_all
-           (fun (k, v) -> Hamt.find k cp'.Checkpoint.state = Some v)
+           (fun (k, v) -> State.find_opt k cp'.Checkpoint.state = Some v)
            kvs)
 
 let prop_digest_binds_seqno =
   QCheck.Test.make ~name:"digest binds the sequence number" ~count:20
     workload_gen (fun (n, seed) ->
-      let state = Hamt.of_list (workload (n, seed)) in
+      let state = State.of_list (workload (n, seed)) in
       not
         (D.equal
            (Checkpoint.digest (Checkpoint.make ~seqno:1 state))
@@ -94,7 +94,7 @@ let prop_digest_binds_seqno =
 
 let cp_of_seqno seqno =
   Checkpoint.make ~seqno
-    (Hamt.of_list (List.init 20 (fun i -> (Printf.sprintf "k%d" i, string_of_int (seqno + i)))))
+    (State.of_list (List.init 20 (fun i -> (Printf.sprintf "k%d" i, string_of_int (seqno + i)))))
 
 let test_snapshot_roundtrip () =
   let dir = temp_dir () in
@@ -270,24 +270,24 @@ let verify_fails r =
 let test_install_rejects_wrong_digest () =
   (* Chunks assemble to a checkpoint for the right seqno but the wrong
      state: the digest sealed in the committed checkpoint batch must win. *)
-  let forged = Checkpoint.make ~seqno:10 (Hamt.of_list [ ("evil", "1") ]) in
+  let forged = Checkpoint.make ~seqno:10 (State.of_list [ ("evil", "1") ]) in
   let joiner =
     offer_forged_snapshot ~payload:(Checkpoint.serialize forged) ~cp_seqno:10
   in
   check Alcotest.bool "digest mismatch rejected" true (verify_fails joiner >= 1);
   check Alcotest.(option string) "forged state never installed" None
-    (Iaccf_kv.Hamt.find "evil" (Iaccf_kv.Store.map (Replica.store joiner)))
+    (Iaccf_kv.State.find_opt "evil" (Iaccf_kv.Store.map (Replica.store joiner)))
 
 let test_install_rejects_wrong_seqno () =
   (* The payload decodes cleanly but for a different checkpoint than the
      offer named: rejected before any state is touched. *)
-  let forged = Checkpoint.make ~seqno:9 (Hamt.of_list [ ("evil", "1") ]) in
+  let forged = Checkpoint.make ~seqno:9 (State.of_list [ ("evil", "1") ]) in
   let joiner =
     offer_forged_snapshot ~payload:(Checkpoint.serialize forged) ~cp_seqno:10
   in
   check Alcotest.bool "wrong-seqno snapshot rejected" true (verify_fails joiner >= 1);
   check Alcotest.(option string) "forged state never installed" None
-    (Iaccf_kv.Hamt.find "evil" (Iaccf_kv.Store.map (Replica.store joiner)))
+    (Iaccf_kv.State.find_opt "evil" (Iaccf_kv.Store.map (Replica.store joiner)))
 
 let test_install_rejects_garbage_bytes () =
   let joiner =
@@ -304,7 +304,7 @@ module Entry = Iaccf_ledger.Entry
 module Message = Iaccf_types.Message
 module Batch = Iaccf_types.Batch
 
-let session_cp = Checkpoint.make ~seqno:10 (Hamt.of_list (workload (8, 3)))
+let session_cp = Checkpoint.make ~seqno:10 (State.of_list (workload (8, 3)))
 let session_chunks = Chunk.split ~chunk_bytes:16 (Checkpoint.serialize session_cp)
 
 (* A pre-prepare whose batch seals [digest] as checkpoint 10. *)

@@ -410,6 +410,45 @@ let test_prune_refuses_foreign_package () =
   check Alcotest.int "nothing pruned" 0 (Store.pruned_before s);
   Store.close s
 
+(* [history] reads each segment file once and walks its frames. It must
+   give what [get] gives index by index, with the audit package's entries
+   below the base: on a multi-segment store, after a prune, and after a
+   torn tail was recovered. *)
+let test_history_matches_get () =
+  let dir = fresh_dir () in
+  let entries = sample_entries 60 in
+  let check_history what s expected =
+    let base = Store.pruned_before s in
+    let history = List.map Entry.serialize (Store.history s) in
+    check Alcotest.(list string) (what ^ ": history") (List.map Entry.serialize expected) history;
+    check Alcotest.(list string) (what ^ ": retained entries = get")
+      (List.init (Store.length s - base) (fun i -> Entry.serialize (Store.get s (base + i))))
+      (List.filteri (fun i _ -> i >= base) history)
+  in
+  let s = open_cfg ~segment_bytes:512 dir in
+  let ledger = fill s entries in
+  check Alcotest.bool "several segments" true (Store.segments s > 3);
+  check_history "multi-segment" s entries;
+  check digest_testable "to_ledger root" (Ledger.m_root ledger)
+    (Ledger.m_root (Store.to_ledger s));
+  check Alcotest.bool "pruned" true (Store.prune_before s 30 > 0);
+  check_history "pruned" s entries;
+  Store.sync s;
+  append ledger (sample_pp ~seqno:90 ());
+  append ledger (sample_pp ~seqno:91 ());
+  Store.crash s;
+  chop_bytes (tail_segment dir) 3;
+  let s = open_cfg ~segment_bytes:512 dir in
+  check Alcotest.int "torn frame truncated" 1 (Store.recovery s).Store.ri_torn_frames;
+  check_history "torn tail" s (entries @ [ sample_pp ~seqno:90 () ]);
+  (* A frame damaged after the open fails its CRC on the read. *)
+  flip_byte (List.hd (segment_files dir)) 20;
+  check Alcotest.bool "damaged frame refused" true
+    (match Store.history s with
+    | (_ : Entry.t list) -> false
+    | exception Store.Storage_error _ -> true);
+  Store.close s
+
 (* --- Kill-after-N-appends crash matrix --- *)
 
 (* Append [total] entries with [synced] of them made durable, kill the
@@ -846,6 +885,7 @@ let () =
           Alcotest.test_case "prune and reopen" `Quick test_prune_reopen;
           Alcotest.test_case "crash before the unlinks" `Quick
             test_prune_crash_before_unlink;
+          Alcotest.test_case "history = per-index get" `Quick test_history_matches_get;
           Alcotest.test_case "foreign package refused" `Quick
             test_prune_refuses_foreign_package;
         ] );
