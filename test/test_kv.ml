@@ -68,6 +68,56 @@ let test_state_many_keys () =
   check Alcotest.(option string) "even gone" None (State.find_opt "key-00042" m);
   check Alcotest.(option string) "odd kept" (Some "43") (State.find_opt "key-00043" m)
 
+(* Random add/remove sequences against an association-list model of a
+   map, which shares no code with [State]: bindings come out in
+   [String.compare] order and [find_opt] agrees on present and absent
+   keys. *)
+let apply_ops_state ops =
+  List.fold_left
+    (fun m -> function `Add (k, v) -> State.add k v m | `Remove k -> State.remove k m)
+    State.empty ops
+
+let apply_ops_model ops =
+  List.fold_left
+    (fun l -> function
+      | `Add (k, v) -> (k, v) :: List.remove_assoc k l
+      | `Remove k -> List.remove_assoc k l)
+    [] ops
+
+let arb_ops =
+  let open QCheck in
+  let key = Gen.map (Printf.sprintf "k%d") (Gen.int_bound 40) in
+  let op =
+    Gen.frequency
+      [
+        (3, Gen.map2 (fun k v -> `Add (k, Printf.sprintf "v%d" v)) key (Gen.int_bound 100));
+        (1, Gen.map (fun k -> `Remove k) key);
+      ]
+  in
+  make
+    ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function
+             | `Add (k, v) -> Printf.sprintf "+%s=%s" k v | `Remove k -> Printf.sprintf "-%s" k)
+           ops))
+    (Gen.list_size (Gen.int_range 0 200) op)
+
+let prop_state_matches_model =
+  QCheck.Test.make ~name:"HAMT matches Map oracle" ~count:200 arb_ops (fun ops ->
+      let m = apply_ops_state ops and l = apply_ops_model ops in
+      State.bindings m = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+      && State.cardinal m = List.length l)
+
+let prop_state_find_matches_model =
+  QCheck.Test.make ~name:"find matches Map oracle" ~count:200 arb_ops (fun ops ->
+      let m = apply_ops_state ops and l = apply_ops_model ops in
+      List.for_all
+        (fun i ->
+          let k = Printf.sprintf "k%d" i in
+          State.find_opt k m = List.assoc_opt k l)
+        (List.init 41 Fun.id))
+
 (* --- Store --- *)
 
 let test_store_tx_commit () =
@@ -394,6 +444,8 @@ let () =
           Alcotest.test_case "persistence" `Quick test_state_persistence;
           Alcotest.test_case "sorted fold" `Quick test_state_sorted_fold;
           Alcotest.test_case "many keys" `Quick test_state_many_keys;
+          qtest prop_state_matches_model;
+          qtest prop_state_find_matches_model;
         ] );
       ( "store",
         [
