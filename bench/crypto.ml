@@ -6,9 +6,11 @@
    builds its fixed-base table on the key's third use (the replica's hot
    path). The tabled figure includes building the tables. Walls are
    medians over alternating rounds. The primitive rows time one field
-   multiply, [Group.pow_g], signing, verification with and without the
-   key's table, building the table, SHA-256 at 33, 65 and 1,000 bytes
-   (checked against known answers first), and a checkpoint digest over
+   multiply, one squaring and an untabled [Group.pow] (the last two
+   checked against known answers first), [Group.pow_g], signing,
+   verification with and without the key's table, building the table,
+   SHA-256 at 33, 65 and 1,000 bytes (checked against known answers
+   first), and a checkpoint digest over
    SmallBank-shaped states of 2k, 20k and 200k keys (each checked first
    against an explicitly sorted encoding), each the median of [rounds]
    loops.
@@ -157,6 +159,21 @@ let checkpoint_rows () =
         1e6 *. per_call n (fun () -> Iaccf_kv.Checkpoint.digest cp) ))
     [ ("2k", 2_000, 200); ("20k", 20_000, 20); ("200k", 200_000, 2) ]
 
+(* x = g^e for e the digest of "bench-primitives" reduced mod n: the
+   known answers of x^2 and x^e (untabled [Group.pow], the cold-key path),
+   from an independent modular exponentiation. *)
+let field_known_answers x e =
+  List.iter
+    (fun (name, got, expect) ->
+      if Iaccf_util.Hex.encode (Group.element_to_bytes got) <> expect then begin
+        Printf.eprintf "crypto-bench: %s diverged from its known answer\n" name;
+        exit 1
+      end)
+    [
+      ("sqr", Group.sqr x, "718bbb8990123039be88dcf9f74443ccb11c5064c26af6e4c85a1a4724231733");
+      ("pow", Group.pow x e, "57fd799bca1e25d8eeefb0b822b7d6dabb50b9ec6f7ac522c75165fde7876274");
+    ]
+
 let primitives () =
   let sk, pk = Schnorr.keypair_of_seed "bench-primitives" in
   let pk_bytes = Schnorr.public_key_to_bytes pk in
@@ -164,11 +181,14 @@ let primitives () =
   let signature = Schnorr.sign sk digest in
   let e = Group.scalar_of_bytes digest in
   let x = Group.pow_g e in
+  field_known_answers x e;
   let fresh () = Option.get (Schnorr.public_key_of_bytes pk_bytes) in
   let tabled = fresh () and untabled = fresh () in
   Schnorr.precompute tabled;
   [
     ("field_mul_ns", 1e9 *. per_call 100_000 (fun () -> Group.mul x x));
+    ("field_sqr_ns", 1e9 *. per_call 100_000 (fun () -> Group.sqr x));
+    ("pow_us", 1e6 *. per_call 500 (fun () -> Group.pow x e));
     ("pow_g_us", 1e6 *. per_call 2_000 (fun () -> Group.pow_g e));
     ("sign_us", 1e6 *. per_call 1_000 (fun () -> Schnorr.sign sk digest));
     ( "verify_tabled_us",

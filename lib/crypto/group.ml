@@ -1,109 +1,127 @@
-(* Fixed 11-limb arithmetic for the group mod p = 2^255 - 19 and its
-   exponents mod n = p - 1 = 2^255 - 20.
+(* Arithmetic for the group mod p = 2^255 - 19 and its exponents mod
+   n = p - 1 = 2^255 - 20, in curve25519's radix-2^25.5 layout (Bernstein
+   et al., "High-speed high-security signatures", 2011). A number is 10
+   little-endian limbs in an [int array], limb i at bit ceil(25.5 i), 26
+   bits wide when i is even and 25 when odd: 255 bits, so one kernel folds
+   a product's high columns down by 2^255 = c (mod 2^255 - c), c = 19 for
+   p and 20 for n. Odd limbs sit half a bit above their radix slot, so a
+   product of two odd limbs counts twice.
 
-   A number is 11 little-endian 24-bit limbs (264 bits) in an [int array].
-   A limb product is 48 bits and a column of eleven stays under 2^52, so
-   the schoolbook kernel never overflows a 63-bit int. Both moduli share
-   the kernel: the 22-limb product folds its top half down as
-   2^264 = 9728 (mod p), or 2^264 = 10240 (mod n). Kernel outputs are only
-   partly reduced (below about 2^264, every limb below 2^24 + 8), which
-   every kernel accepts as input; the full reduction happens once, at
-   encoding.
+   Bounds. The kernels take limbs below 2^26 (even) or 2^25 (odd), limb 1
+   below 2^25 + 2^8. A column then sums ten products, each below 2^52
+   times at most 2c, and stays below 2^60, under OCaml's 2^62. Carries
+   are unsigned, so limbs stay non-negative; the carry chain leaves every
+   limb within its width but limb 1, which takes limb 0's last carry
+   (under 2^8) on top: exactly what the kernels accept. Outputs are thus
+   only partly reduced; the full reduction happens once, at encoding.
 
-   Kernels write in place into a destination, with a 22-int scratch the
-   caller owns: nothing mutable is shared, so domains may sign and verify
-   in parallel. Values handed out are never written again. *)
-
-let nlimbs = 11
-let mask = 0xFFFFFF
+   Kernels write in place into a destination, which may alias an input,
+   and keep their column sums in registers: nothing mutable is shared, so
+   domains may sign and verify in parallel. Values handed out are never
+   written again. *)
 
 type elt = int array
 type scalar = int array
 type table = int array (* 256 packed entries; see [make_table] *)
 
-let fold_p = 9728 (* 2^264 mod p *)
-let fold_n = 10240 (* 2^264 mod n *)
-let scratch () = Array.make 22 0
+let m25 = (1 lsl 25) - 1
+let m26 = (1 lsl 26) - 1
+let mask i = if i land 1 = 0 then m26 else m25
 
 (* The kernels index without bounds checks: [elt] and [scalar] are
-   abstract and always 11 limbs, and every scratch is 22. *)
+   abstract and always 10 limbs. *)
 let ( .!() ) (a : int array) i = Array.unsafe_get a i [@@inline]
 let ( .!()<- ) (a : int array) i v = Array.unsafe_set a i v [@@inline]
 
-(* [tmp.(0..20)] holds the product's column sums. Carry them into 22
-   limbs, fold limbs 11..21 down by [f] = 2^264 mod m, and fold the carry
-   out of that once more; [dst] is only written here. *)
-let fold f tmp dst =
-  let c = ref 0 in
-  for k = 0 to 20 do
-    let v = tmp.!(k) + !c in
-    tmp.!(k) <- v land mask;
-    c := v lsr 24
-  done;
-  tmp.!(21) <- !c;
-  let c = ref 0 in
-  for i = 0 to 10 do
-    let v = tmp.!(i) + (f * tmp.!(i + 11)) + !c in
-    dst.!(i) <- v land mask;
-    c := v lsr 24
-  done;
-  let v = dst.!(0) + (f * !c) in
-  dst.!(0) <- v land mask;
-  dst.!(1) <- dst.!(1) + (v lsr 24)
+(* Carry the column sums [h0..h9] into [dst], folding limb 9's carry
+   into limb 0 times [c], and limb 0's carry from that into limb 1. *)
+let carry c dst h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 =
+  let h1 = h1 + (h0 lsr 26) in
+  let h2 = h2 + (h1 lsr 25) in
+  let h3 = h3 + (h2 lsr 26) in
+  let h4 = h4 + (h3 lsr 25) in
+  let h5 = h5 + (h4 lsr 26) in
+  let h6 = h6 + (h5 lsr 25) in
+  let h7 = h7 + (h6 lsr 26) in
+  let h8 = h8 + (h7 lsr 25) in
+  let h9 = h9 + (h8 lsr 26) in
+  let h0 = (h0 land m26) + (c * (h9 lsr 25)) in
+  dst.!(0) <- h0 land m26;
+  dst.!(1) <- (h1 land m25) + (h0 lsr 26);
+  dst.!(2) <- h2 land m26; dst.!(3) <- h3 land m25;
+  dst.!(4) <- h4 land m26; dst.!(5) <- h5 land m25;
+  dst.!(6) <- h6 land m26; dst.!(7) <- h7 land m25;
+  dst.!(8) <- h8 land m26; dst.!(9) <- h9 land m25
+[@@inline]
 
-(* [dst] may alias [a] or [b]. One row per limb of [a], with [b] held in
-   registers. *)
-let mul_into f tmp dst a b =
-  let b0 = b.!(0) and b1 = b.!(1) and b2 = b.!(2) and b3 = b.!(3) and b4 = b.!(4)
-  and b5 = b.!(5) and b6 = b.!(6) and b7 = b.!(7) and b8 = b.!(8) and b9 = b.!(9)
-  and b10 = b.!(10) in
-  Array.fill tmp 0 21 0;
-  for i = 0 to 10 do
-    let ai = a.!(i) in
-    tmp.!(i) <- tmp.!(i) + (ai * b0);
-    tmp.!(i + 1) <- tmp.!(i + 1) + (ai * b1);
-    tmp.!(i + 2) <- tmp.!(i + 2) + (ai * b2);
-    tmp.!(i + 3) <- tmp.!(i + 3) + (ai * b3);
-    tmp.!(i + 4) <- tmp.!(i + 4) + (ai * b4);
-    tmp.!(i + 5) <- tmp.!(i + 5) + (ai * b5);
-    tmp.!(i + 6) <- tmp.!(i + 6) + (ai * b6);
-    tmp.!(i + 7) <- tmp.!(i + 7) + (ai * b7);
-    tmp.!(i + 8) <- tmp.!(i + 8) + (ai * b8);
-    tmp.!(i + 9) <- tmp.!(i + 9) + (ai * b9);
-    tmp.!(i + 10) <- tmp.!(i + 10) + (ai * b10)
-  done;
-  fold f tmp dst
+(* [dst] <- [f] * [g] mod 2^255 - [c]: 100 products. Each column sums
+   its products that wrap past 2^255 and multiplies them by [c] once, and
+   sums its odd-by-odd products and doubles them once. *)
+let mul_into c dst f g =
+  let f0 = f.!(0) and f1 = f.!(1) and f2 = f.!(2) and f3 = f.!(3) and f4 = f.!(4)
+  and f5 = f.!(5) and f6 = f.!(6) and f7 = f.!(7) and f8 = f.!(8) and f9 = f.!(9) in
+  let g0 = g.!(0) and g1 = g.!(1) and g2 = g.!(2) and g3 = g.!(3) and g4 = g.!(4)
+  and g5 = g.!(5) and g6 = g.!(6) and g7 = g.!(7) and g8 = g.!(8) and g9 = g.!(9) in
+  carry c dst
+    ((f0 * g0) + (c * ((2 * ((f1 * g9) + (f3 * g7) + (f5 * g5) + (f7 * g3) + (f9 * g1)))
+                      + (f2 * g8) + (f4 * g6) + (f6 * g4) + (f8 * g2))))
+    ((f0 * g1) + (f1 * g0)
+    + (c * ((f2 * g9) + (f3 * g8) + (f4 * g7) + (f5 * g6) + (f6 * g5) + (f7 * g4) + (f8 * g3)
+           + (f9 * g2))))
+    ((f0 * g2) + (2 * (f1 * g1)) + (f2 * g0)
+    + (c * ((2 * ((f3 * g9) + (f5 * g7) + (f7 * g5) + (f9 * g3))) + (f4 * g8) + (f6 * g6)
+           + (f8 * g4))))
+    ((f0 * g3) + (f1 * g2) + (f2 * g1) + (f3 * g0)
+    + (c * ((f4 * g9) + (f5 * g8) + (f6 * g7) + (f7 * g6) + (f8 * g5) + (f9 * g4))))
+    ((f0 * g4) + (2 * ((f1 * g3) + (f3 * g1))) + (f2 * g2) + (f4 * g0)
+    + (c * ((2 * ((f5 * g9) + (f7 * g7) + (f9 * g5))) + (f6 * g8) + (f8 * g6))))
+    ((f0 * g5) + (f1 * g4) + (f2 * g3) + (f3 * g2) + (f4 * g1) + (f5 * g0)
+    + (c * ((f6 * g9) + (f7 * g8) + (f8 * g7) + (f9 * g6))))
+    ((f0 * g6) + (2 * ((f1 * g5) + (f3 * g3) + (f5 * g1))) + (f2 * g4) + (f4 * g2) + (f6 * g0)
+    + (c * ((2 * ((f7 * g9) + (f9 * g7))) + (f8 * g8))))
+    ((f0 * g7) + (f1 * g6) + (f2 * g5) + (f3 * g4) + (f4 * g3) + (f5 * g2) + (f6 * g1) + (f7 * g0)
+    + (c * ((f8 * g9) + (f9 * g8))))
+    ((f0 * g8) + (2 * ((f1 * g7) + (f3 * g5) + (f5 * g3) + (f7 * g1))) + (f2 * g6) + (f4 * g4)
+    + (f6 * g2) + (f8 * g0) + (c * 2 * (f9 * g9)))
+    ((f0 * g9) + (f1 * g8) + (f2 * g7) + (f3 * g6) + (f4 * g5) + (f5 * g4) + (f6 * g3)
+    + (f7 * g2) + (f8 * g1) + (f9 * g0))
 
-(* Squaring mod p: each cross product once, doubled. *)
-let sqr_into tmp dst a =
-  Array.fill tmp 0 21 0;
-  for i = 0 to 10 do
-    let ai = a.!(i) in
-    tmp.!(2 * i) <- tmp.!(2 * i) + (ai * ai);
-    let ai2 = 2 * ai in
-    for j = i + 1 to 10 do
-      tmp.!(i + j) <- tmp.!(i + j) + (ai2 * a.!(j))
-    done
-  done;
-  fold fold_p tmp dst
+(* [dst] <- [f]^2 mod p: each cross product once, doubled, 55 products. *)
+let sqr_into dst f =
+  let f0 = f.!(0) and f1 = f.!(1) and f2 = f.!(2) and f3 = f.!(3) and f4 = f.!(4)
+  and f5 = f.!(5) and f6 = f.!(6) and f7 = f.!(7) and f8 = f.!(8) and f9 = f.!(9) in
+  let f0_2 = 2 * f0 and f1_2 = 2 * f1 and f2_2 = 2 * f2 and f3_2 = 2 * f3 and f4_2 = 2 * f4 in
+  let f5_2 = 2 * f5 and f6_2 = 2 * f6 and f7_2 = 2 * f7 and f5_38 = 38 * f5 and f6_19 = 19 * f6 in
+  let f7_38 = 38 * f7 and f8_19 = 19 * f8 and f9_38 = 38 * f9 in
+  carry 19 dst
+    ((f0 * f0) + (f1_2 * f9_38) + (f2_2 * f8_19) + (f3_2 * f7_38) + (f4_2 * f6_19) + (f5 * f5_38))
+    ((f0_2 * f1) + (f2 * f9_38) + (f3_2 * f8_19) + (f4 * f7_38) + (f5_2 * f6_19))
+    ((f0_2 * f2) + (f1_2 * f1) + (f3_2 * f9_38) + (f4_2 * f8_19) + (f5_2 * f7_38) + (f6 * f6_19))
+    ((f0_2 * f3) + (f1_2 * f2) + (f4 * f9_38) + (f5_2 * f8_19) + (f6 * f7_38))
+    ((f0_2 * f4) + (f1_2 * f3_2) + (f2 * f2) + (f5_2 * f9_38) + (f6_2 * f8_19) + (f7 * f7_38))
+    ((f0_2 * f5) + (f1_2 * f4) + (f2_2 * f3) + (f6 * f9_38) + (f7_2 * f8_19))
+    ((f0_2 * f6) + (f1_2 * f5_2) + (f2_2 * f4) + (f3_2 * f3) + (f7_2 * f9_38) + (f8 * f8_19))
+    ((f0_2 * f7) + (f1_2 * f6) + (f2_2 * f5) + (f3_2 * f4) + (f8 * f9_38))
+    ((f0_2 * f8) + (f1_2 * f7_2) + (f2_2 * f6) + (f3_2 * f5_2) + (f4 * f4) + (f9 * f9_38))
+    ((f0_2 * f9) + (f1_2 * f8) + (f2_2 * f7) + (f3_2 * f6) + (f4_2 * f5))
 
 (* Carry [x] in place and fold bit 255 and up back in, times [c]
    (2^255 = c mod 2^255 - c). Returns whether anything was folded. *)
 let fold255 c x =
   let carry = ref 0 in
-  for i = 0 to 9 do
+  for i = 0 to 8 do
     let v = x.(i) + !carry in
-    x.(i) <- v land mask;
-    carry := v lsr 24
+    x.(i) <- v land mask i;
+    carry := v lsr (26 - (i land 1))
   done;
-  let top = x.(10) + !carry in
-  x.(10) <- top land 0x7FFF;
-  x.(0) <- x.(0) + (c * (top lsr 15));
-  top > 0x7FFF
+  let top = x.(9) + !carry in
+  x.(9) <- top land m25;
+  x.(0) <- x.(0) + (c * (top lsr 25));
+  top > m25
 
-(* The canonical residue mod 2^255 - c of any [x] below 2^265. Two folds
-   leave it below 2^255 with carried limbs; it is then at least the
-   modulus exactly when adding [c] reaches bit 255. *)
+(* The canonical residue mod 2^255 - c of any [x] of limbs below 2^27.
+   Two folds leave it below 2^255 with carried limbs; it is then at least
+   the modulus exactly when adding [c] reaches bit 255. *)
 let canonical c x =
   let x = Array.copy x in
   ignore (fold255 c x);
@@ -112,28 +130,48 @@ let canonical c x =
   y.(0) <- y.(0) + c;
   if fold255 0 y then y else x
 
-(* 32 big-endian bytes: little-endian byte [k] is bits 8(k mod 3) of limb
-   k/3. *)
-let of_bytes32 s =
-  let x = Array.make nlimbs 0 in
-  for k = 0 to 31 do
-    x.(k / 3) <- x.(k / 3) lor (Char.code s.[31 - k] lsl (8 * (k mod 3)))
+(* The eight little-endian 32-bit words of carried limbs: a scalar's
+   comb rows and 4-bit digits, and an encoding's words. *)
+let words x =
+  let w = Array.make 8 0 and acc = ref 0 and n = ref 0 and k = ref 0 in
+  for i = 0 to 9 do
+    acc := !acc lor (x.!(i) lsl !n);
+    n := !n + 26 - (i land 1);
+    if !n >= 32 then begin
+      w.!(!k) <- !acc land 0xFFFFFFFF;
+      acc := !acc lsr 32;
+      n := !n - 32;
+      incr k
+    end
   done;
-  x
+  w.!(7) <- !acc;
+  w
+
+(* 32 big-endian bytes. The limb at bit o starts at bit o mod 8 of the
+   32-bit word whose low byte is byte o / 8 from the end, and ends within
+   it. Bit 255 folds in as 2^255 = 20 (mod n); elements never set it. *)
+let of_bytes32 s =
+  let w o = Int32.to_int (String.get_int32_be s (28 - (o / 8))) lsr (o land 7) in
+  [| (w 0 land m26) + (20 * (Char.code s.[0] lsr 7)); w 26 land m25; w 51 land m26;
+     w 77 land m25; w 102 land m26; w 128 land m25; w 153 land m26; w 179 land m25;
+     w 204 land m26; w 230 land m25 |]
 
 let to_bytes32 x =
-  String.init 32 (fun b ->
-      let k = 31 - b in
-      Char.chr ((x.(k / 3) lsr (8 * (k mod 3))) land 0xFF))
+  let w = words x and b = Bytes.create 32 in
+  for k = 0 to 7 do
+    Bytes.set_int32_be b (28 - (4 * k)) (Int32.of_int w.!(k))
+  done;
+  Bytes.unsafe_to_string b
 
 let p_bytes = "\x7f" ^ String.make 30 '\xff' ^ "\xed"
 let n_bytes = "\x7f" ^ String.make 30 '\xff' ^ "\xec"
-let one = Array.init nlimbs (fun i -> if i = 0 then 1 else 0)
-let g = Array.init nlimbs (fun i -> if i = 0 then 2 else 0)
+let one = Array.init 10 (fun i -> if i = 0 then 1 else 0)
+let g = Array.init 10 (fun i -> if i = 0 then 2 else 0)
 
 let element_of_limbs limbs =
-  if Array.length limbs <> nlimbs || Array.exists (fun l -> l < 0 || l > mask + 8) limbs
-  then invalid_arg "Group.element_of_limbs";
+  let ok i l = 0 <= l && l <= mask i + if i = 1 then 1 lsl 8 else 0 in
+  if Array.length limbs <> 10 || Array.mem false (Array.mapi ok limbs) then
+    invalid_arg "Group.element_of_limbs";
   Array.copy limbs
 
 (* Field multiplies and squarings finished on this domain, counted once
@@ -147,24 +185,22 @@ let count n =
   counted := !counted + n
 
 let mul a b =
-  let r = Array.make nlimbs 0 in
-  mul_into fold_p (scratch ()) r a b;
+  let r = Array.make 10 0 in
+  mul_into 19 r a b;
   count 1;
   r
 
 let sqr a =
-  let r = Array.make nlimbs 0 in
-  sqr_into (scratch ()) r a;
+  let r = Array.make 10 0 in
+  sqr_into r a;
   count 1;
   r
 
-(* Exponents are canonical scalars (< 2^255): 64 4-bit digits. *)
-let digit e j = (e.(j / 6) lsr (4 * (j mod 6))) land 15
-
 (* Left-to-right 4-bit fixed window: 15 multiplications for the window
-   table, then 4 squarings and at most one multiplication per digit. *)
+   table, then 4 squarings and at most one multiplication per digit. [e]
+   is a canonical scalar (< 2^255): 64 digits, eight to a word. *)
 let pow b e =
-  let tmp = scratch () and n = ref 0 in
+  let n = ref 0 and e = words e in
   let w = Array.make 16 one in
   for d = 1 to 15 do
     w.(d) <- mul w.(d - 1) b
@@ -173,13 +209,13 @@ let pow b e =
   for j = 63 downto 0 do
     if j < 63 then begin
       for _ = 1 to 4 do
-        sqr_into tmp acc acc
+        sqr_into acc acc
       done;
       n := !n + 4
     end;
-    let d = digit e j in
+    let d = (e.!(j / 8) lsr (4 * (j land 7))) land 15 in
     if d <> 0 then begin
-      mul_into fold_p tmp acc acc w.(d);
+      mul_into 19 acc acc w.(d);
       incr n
     end
   done;
@@ -197,40 +233,36 @@ let pow b e =
 let rows = 8
 let cols = 32
 
-(* An entry is packed two limbs a word, 31 bits each (partly reduced
-   limbs reach 25 bits): 6 words instead of 11, so a table is 12 KiB
-   and g's and a key's fit in a core's L1 cache together. Entry 0 is
-   never read. *)
-let entry = 6
-let m31 = (1 lsl 31) - 1
+(* An entry packs each even limb with the odd limb above it, 26 bits
+   apart: 5 words instead of 10, so a table is 10 KiB and g's and a
+   key's fit in a core's L1 cache together. Entry 0 is never read. *)
+let entry = 5
 
 let pack x t o =
   for k = 0 to 4 do
-    t.!(o + k) <- x.!(2 * k) lor (x.!((2 * k) + 1) lsl 31)
-  done;
-  t.!(o + 5) <- x.!(10)
+    t.!(o + k) <- x.!(2 * k) lor (x.!((2 * k) + 1) lsl 26)
+  done
 
 let unpack t o x =
   for k = 0 to 4 do
     let w = t.!(o + k) in
-    x.!(2 * k) <- w land m31;
-    x.!((2 * k) + 1) <- w lsr 31
-  done;
-  x.!(10) <- t.!(o + 5)
+    x.!(2 * k) <- w land m26;
+    x.!((2 * k) + 1) <- w lsr 26
+  done
 
 let make_table b =
-  let t = Array.make ((1 lsl rows) * entry) 0 and tmp = scratch () in
-  let base = Array.copy b and x = Array.make nlimbs 0 in
+  let t = Array.make ((1 lsl rows) * entry) 0 in
+  let base = Array.copy b and x = Array.make 10 0 in
   for i = 0 to rows - 1 do
     if i > 0 then
       for _ = 1 to cols do
-        sqr_into tmp base base
+        sqr_into base base
       done;
     let bit = 1 lsl i in
     pack base t (entry * bit);
     for c = bit + 1 to (2 * bit) - 1 do
       unpack t (entry * (c - bit)) x;
-      mul_into fold_p tmp x x base;
+      mul_into 19 x x base;
       pack x t (entry * c)
     done
   done;
@@ -239,19 +271,8 @@ let make_table b =
   count (((rows - 1) * cols) + (1 lsl rows) - 1 - rows);
   t
 
-(* The rows of [e], so a column is eight shifts away. Row i starts at
-   bit 32i, which is bit 0, 8 or 16 of limb l, so limbs l and l+1 hold
-   all 32 of its bits. Bit 255 (row 7's top bit) is always 0 for a
-   canonical scalar. *)
-let rows_of e =
-  let r = Array.make rows 0 in
-  for i = 0 to rows - 1 do
-    let l = cols * i / 24 and s = cols * i mod 24 in
-    r.!(i) <- ((e.!(l) lsr s) lor (e.!(l + 1) lsl (24 - s))) land 0xFFFFFFFF
-  done;
-  r
-
-(* Column [j]: bit i is bit j of row i. *)
+(* Column [j] of a scalar's rows, its words: bit i is bit j of row i.
+   Bit 255 (row 7's top bit) is always 0 for a canonical scalar. *)
 let column r j =
   let c = ref 0 in
   for i = rows - 1 downto 0 do
@@ -260,20 +281,20 @@ let column r j =
   !c
 
 (* acc <- acc * T[c] unless c is 0; the multiplications done. *)
-let mul_entry tmp acc x t c =
+let mul_entry acc x t c =
   if c = 0 then 0
   else begin
     unpack t (entry * c) x;
-    mul_into fold_p tmp acc acc x;
+    mul_into 19 acc acc x;
     1
   end
 
 let pow_table t e =
-  let tmp = scratch () and acc = Array.copy one and x = Array.make nlimbs 0 in
-  let n = ref (cols - 1) and e = rows_of e in
+  let acc = Array.copy one and x = Array.make 10 0 in
+  let n = ref (cols - 1) and e = words e in
   for j = cols - 1 downto 0 do
-    if j < cols - 1 then sqr_into tmp acc acc;
-    n := !n + mul_entry tmp acc x t (column e j)
+    if j < cols - 1 then sqr_into acc acc;
+    n := !n + mul_entry acc x t (column e j)
   done;
   count !n;
   acc
@@ -285,12 +306,12 @@ let pow_g e = pow_table g_table e
 (* g^a * t^b with one squaring chain for both combs: 31 squarings and at
    most 64 multiplications. *)
 let pow_g_table a t b =
-  let tmp = scratch () and acc = Array.copy one and x = Array.make nlimbs 0 in
-  let n = ref (cols - 1) and a = rows_of a and b = rows_of b in
+  let acc = Array.copy one and x = Array.make 10 0 in
+  let n = ref (cols - 1) and a = words a and b = words b in
   for j = cols - 1 downto 0 do
-    if j < cols - 1 then sqr_into tmp acc acc;
-    n := !n + mul_entry tmp acc x g_table (column a j);
-    n := !n + mul_entry tmp acc x t (column b j)
+    if j < cols - 1 then sqr_into acc acc;
+    n := !n + mul_entry acc x g_table (column a j);
+    n := !n + mul_entry acc x t (column b j)
   done;
   count !n;
   acc
@@ -315,17 +336,11 @@ let scalar_of_canonical s =
 let scalar_to_bytes = to_bytes32
 
 let scalar_mul_add a b c =
-  let r = Array.make nlimbs 0 in
-  mul_into fold_n (scratch ()) r a b;
+  let r = Array.make 10 0 in
+  mul_into 20 r a b;
   canonical 20 (Array.map2 ( + ) r c)
 
-(* n - e, with borrows; e = 0 maps to n, which [canonical] makes 0. *)
-let scalar_neg e =
-  let n = of_bytes32 n_bytes and borrow = ref 0 in
-  let r =
-    Array.init nlimbs (fun i ->
-        let v = n.(i) - e.(i) - !borrow in
-        borrow := if v < 0 then 1 else 0;
-        v land mask)
-  in
-  canonical 20 r
+(* 2n - e limb by limb: 2n = 2^256 - 40 as doubled limbs, each above any
+   canonical limb, so nothing borrows. [canonical] maps 2n to 0. *)
+let two_n = Array.init 10 (fun i -> 2 * (mask i - if i = 0 then 19 else 0))
+let scalar_neg e = canonical 20 (Array.map2 ( - ) two_n e)

@@ -2,7 +2,7 @@
 
     Elements live modulo the pseudo-Mersenne prime [p = 2^255 - 19];
     exponents (scalars) live modulo the group exponent [n = p - 1]. Both are
-    fixed 11-limb numbers sharing one in-place multiply kernel, which
+    10 radix-2^25.5 limbs sharing one straight-line multiply kernel, which
     reduces lazily and fully only at encoding. Simulation substitute for the
     paper's secp256k1: same 256-bit modular cost profile. *)
 
@@ -16,9 +16,9 @@ val g : elt
 (** The fixed generator (2). *)
 
 val element_of_limbs : int array -> elt
-(** The raw representation: 11 little-endian limbs, each below
-    [2^24 + 8] as the kernels leave them, so not necessarily below [p];
-    for tests of the kernel.
+(** The raw representation: 10 little-endian limbs of 26 and 25 bits
+    alternately, limb 1 up to [2^8 - 1] over as the kernels leave it, so
+    not necessarily below [p]; for tests of the kernel.
     @raise Invalid_argument on any other shape. *)
 
 val mul : elt -> elt -> elt

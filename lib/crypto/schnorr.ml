@@ -23,10 +23,11 @@ let keypair_of_seed seed =
 let public_key sk = make_public sk.x
 let public_key_to_bytes pk = pk.y_bytes
 
+(* [Group.element_of_bytes] takes only canonical encodings, such as [s]. *)
 let public_key_of_bytes s =
   match Group.element_of_bytes s with
   | None -> None
-  | Some y -> Some { y; y_bytes = Group.element_to_bytes y; table = None }
+  | Some y -> Some { y; y_bytes = s; table = None }
 
 let precompute pk =
   match pk.table with

@@ -23,10 +23,10 @@ val public_key_of_bytes : string -> public_key option
 
 val precompute : public_key -> unit
 (** Build the key's comb ({!Group.make_table}; done once, about the cost
-    of 1.2 untabled [verify] calls): later [verify] calls against this
-    key compute [g^s * y^(-e)] in one pass over both combs, about 2.7x
-    faster. Worth it for a key seen more than twice — replica keys,
-    repeat clients. Idempotent; safe to race. *)
+    of 1.9 untabled [verify] calls): later [verify] calls against this
+    key compute [g^s * y^(-e)] in one pass over both combs, about 2.5x
+    faster. Worth it for a key that verifies three more times or more —
+    replica keys, repeat clients. Idempotent; safe to race. *)
 
 val has_table : public_key -> bool
 (** Whether [precompute] has run for this key. *)

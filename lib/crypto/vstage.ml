@@ -24,13 +24,13 @@ type t = {
 
 let max_interned = 4096
 
-(* Build the key's comb once it has verified twice. The comb costs 224
-   squarings and 247 multiplications (89 us, about 1.2 untabled
-   verifications) and saves 48 us on every later check (28 against 76 us;
-   medians of 9 bench/crypto.exe runs on a 2-core x86-64 VM), so a key
-   that comes back a third time repays it within two more checks. Keys
-   seen once or twice, such as cold open-loop sessions, never pay for
-   one. *)
+(* Build the key's comb once it has verified twice. A comb (224
+   squarings, 247 multiplications) takes about 1.9 untabled checks' time,
+   an untabled check being mostly squarings at about 0.65 of a multiply,
+   and repays after about 3 later checks (medians of 10 bench/crypto.exe
+   runs on a 2-core x86-64 VM; 2.8 to 4.6). Keys seen once or twice, such
+   as cold open-loop sessions, never pay for one. The threshold stays:
+   moving it changes the exact field_muls_per_tx row. *)
 let precompute_after = 2
 
 let create ?obs ?(profile = Profile.disabled) () =

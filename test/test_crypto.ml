@@ -284,12 +284,20 @@ let prop_bignum_shift_mul =
 let big_p = Bignum.sub (Bignum.shift_left Bignum.one 255) (bn 19)
 let big_n = Bignum.sub big_p Bignum.one
 let bytes32 = Bignum.to_bytes_be_fixed 32
+
+(* The radix-2^25.5 layout: limb i at bit ceil(25.5 i), 26 bits wide
+   when i is even and 25 when odd. *)
+let limb_off i = ((51 * i) + 1) / 2
+let limb_width i = 26 - (i land 1)
+
 let limbs_of_big v =
-  Array.init 11 (fun i ->
-      Option.get (Bignum.to_int_opt (Bignum.mask_bits (Bignum.shift_right v (24 * i)) 24)))
+  Array.init 10 (fun i ->
+      Option.get
+        (Bignum.to_int_opt (Bignum.mask_bits (Bignum.shift_right v (limb_off i)) (limb_width i))))
 
 let big_of_limbs limbs =
-  Array.fold_right (fun l acc -> Bignum.add (Bignum.shift_left acc 24) (bn l)) limbs Bignum.zero
+  Array.fold_left Bignum.add Bignum.zero
+    (Array.mapi (fun i l -> Bignum.shift_left (bn l) (limb_off i)) limbs)
 
 (* The oracle's group: the pseudo-Mersenne fold (checked against
    [Bignum.rem] below) and plain square-and-multiply. *)
@@ -323,33 +331,46 @@ let elt_testable =
 let big_elt v = Option.get (Group.element_of_bytes (bytes32 v))
 let all_ones = Bignum.sub (Bignum.shift_left Bignum.one 264) Bignum.one
 
-(* 0, 1, p-1, p, 2^255-1 and all-ones limbs (2^264-1): the kernel takes
-   unreduced inputs, so the edges past p matter too. The last edge has
-   full top and bottom limbs, so folding the top overflows the bottom. *)
+(* The largest limbs the kernels take: every limb at its width, and limb
+   1 past 25 bits by the carry slack a kernel output may leave there
+   (under 2^8). *)
+let max_limbs = Array.init 10 (fun i -> (1 lsl limb_width i) - 1)
+let slack_limbs = Array.mapi (fun i l -> if i = 1 then l + 0xFF else l) max_limbs
+
+(* 0, 1, p-1, p, 2^255-1 (every limb at its maximum), the same with limb
+   1's slack, and full top and bottom limbs: the kernel takes unreduced
+   inputs, so the edges past p matter too. *)
 let field_edges =
-  [ Bignum.zero; Bignum.one; Bignum.sub big_p Bignum.one; big_p;
-    Bignum.sub (Bignum.shift_left Bignum.one 255) Bignum.one; all_ones;
-    big_of_limbs (Array.init 11 (fun i -> if i = 0 || i = 10 then 0xFFFFFF else 0)) ]
+  List.map limbs_of_big
+    [ Bignum.zero; Bignum.one; Bignum.sub big_p Bignum.one; big_p;
+      Bignum.sub (Bignum.shift_left Bignum.one 255) Bignum.one ]
+  @ [ slack_limbs; Array.mapi (fun i l -> if i = 0 || i = 9 then l else 0) max_limbs ]
 
 let arb_limbs =
+  let random =
+    QCheck.Gen.(
+      map Array.of_list (flatten_l (List.init 10 (fun i -> int_bound ((1 lsl limb_width i) - 1)))))
+  in
   QCheck.make
     ~print:(fun l -> Bignum.to_hex (big_of_limbs l))
     QCheck.Gen.(
       frequency
-        [ (1, map limbs_of_big (oneofl field_edges));
-          (3, array_size (return 11) (int_bound 0xFFFFFF));
-          (* A kernel output's limb 1 can carry past 24 bits. *)
+        [ (1, oneofl field_edges);
+          (3, random);
+          (* A kernel output's limb 1 can carry past 25 bits. *)
           ( 1,
-            map
-              (fun l -> Array.mapi (fun i x -> if i = 1 then 0xFFFFFF + 7 else x) l)
-              (array_size (return 11) (int_bound 0xFFFFFF)) ) ])
+            map2
+              (fun l s -> Array.mapi (fun i x -> if i = 1 then x + s else x) l)
+              random (int_bound 0xFF) ) ])
 
 let test_group_reduce_matches_rem () =
   List.iter
-    (fun v ->
+    (fun l ->
+      let v = big_of_limbs l in
       check Alcotest.string (Bignum.to_hex v) (bytes32 (Bignum.rem v big_p))
-        (elt_bytes (Group.element_of_limbs (limbs_of_big v))))
-    (Bignum.of_hex (String.concat "" (List.init 8 (fun _ -> "deadbeef"))) :: field_edges);
+        (elt_bytes (Group.element_of_limbs l)))
+    (limbs_of_big (Bignum.of_hex (String.concat "" (List.init 8 (fun _ -> "deadbeef"))))
+    :: field_edges);
   check Alcotest.string "oracle fold = rem" (bytes32 (Bignum.rem all_ones big_p))
     (bytes32 (oracle_reduce all_ones))
 
@@ -365,8 +386,29 @@ let prop_group_field_kernel =
       && elt_bytes (Group.sqr a) = modp (Bignum.mul ba ba)
       && elt_bytes (Group.mul ab (Group.sqr ab)) = modp (Bignum.mul bab (Bignum.mul bab bab)))
 
-(* Scalars: 32 bytes reduced mod n, with the edges 0, 1, n-1, n, p,
-   2^255-1 and 2^256-1, and 2^24-1, whose negation borrows. *)
+(* Kernel outputs fed back in for 1,000 steps, alternately multiplied
+   by [b] (on either side) and squared, from the largest limbs the kernels
+   take: an overflow or a dropped carry anywhere in the chain shows. *)
+let prop_group_field_chain =
+  QCheck.Test.make ~name:"field mul/sqr chain = oracle" ~count:5 arb_limbs (fun lb ->
+      let b = Group.element_of_limbs lb and bb = big_of_limbs lb in
+      let x = ref (Group.element_of_limbs slack_limbs) and bx = ref (big_of_limbs slack_limbs) in
+      let ok = ref true in
+      for i = 1 to 1000 do
+        if i land 1 = 1 then begin
+          x := if i land 3 = 1 then Group.mul !x b else Group.mul b !x;
+          bx := oracle_mul !bx bb
+        end
+        else begin
+          x := Group.sqr !x;
+          bx := oracle_mul !bx !bx
+        end;
+        ok := !ok && elt_bytes !x = bytes32 !bx
+      done;
+      !ok)
+
+(* Scalars: 32 bytes reduced mod n, with the edges 0, 1, 2^24-1, n-1, n,
+   p, 2^255-1 and 2^256-1 (bit 255 set). *)
 let scalar_edges =
   [ Bignum.zero; Bignum.one; bn 0xFFFFFF; Bignum.sub big_n Bignum.one; big_n; big_p;
     Bignum.sub (Bignum.shift_left Bignum.one 255) Bignum.one;
@@ -574,6 +616,27 @@ let test_schnorr_pk_bytes_roundtrip () =
   match Schnorr.public_key_of_bytes b with
   | None -> Alcotest.fail "roundtrip failed"
   | Some pk' -> check Alcotest.bool "equal" true (Schnorr.public_key_equal pk pk')
+
+(* A key decodes exactly when its 32 bytes are in [1, p), and encodes
+   back to the same bytes. *)
+let prop_schnorr_pk_bytes_range =
+  let edges =
+    [ Bignum.zero; Bignum.one; Bignum.sub big_p Bignum.one; big_p; Bignum.add big_p Bignum.one;
+      Bignum.sub (Bignum.shift_left Bignum.one 256) Bignum.one ]
+  in
+  QCheck.Test.make ~name:"pk bytes accepted exactly in [1, p)" ~count:300
+    (QCheck.make ~print:Hex.encode
+       QCheck.Gen.(
+         frequency
+           [ (1, map bytes32 (oneofl edges));
+             (3, string_size ~gen:char (return 32));
+             (1, map (fun s -> "\x7f\xff" ^ s) (string_size ~gen:char (return 30))) ]))
+    (fun b ->
+      let v = Bignum.of_bytes_be b in
+      let in_range = (not (Bignum.is_zero v)) && Bignum.compare v big_p < 0 in
+      match Schnorr.public_key_of_bytes b with
+      | None -> not in_range
+      | Some pk -> in_range && Schnorr.public_key_to_bytes pk = b)
 
 let prop_schnorr_roundtrip =
   QCheck.Test.make ~name:"sign/verify roundtrip" ~count:20 QCheck.string
@@ -892,6 +955,7 @@ let () =
           qtest prop_group_verify_product;
           qtest prop_group_pow_g_table;
           qtest prop_group_field_kernel;
+          qtest prop_group_field_chain;
           qtest prop_group_scalar_kernel;
         ] );
       ( "schnorr",
@@ -902,6 +966,7 @@ let () =
           Alcotest.test_case "tampered" `Quick test_schnorr_rejects_tampered_sig;
           Alcotest.test_case "deterministic" `Quick test_schnorr_deterministic;
           Alcotest.test_case "pk bytes" `Quick test_schnorr_pk_bytes_roundtrip;
+          qtest prop_schnorr_pk_bytes_range;
           qtest prop_schnorr_roundtrip;
           qtest prop_schnorr_cross_rejects;
           Alcotest.test_case "precompute matches" `Quick
