@@ -1,6 +1,7 @@
 module Sched = Iaccf_sim.Sched
 module Network = Iaccf_sim.Network
 module Store = Iaccf_kv.Store
+module Storage = Iaccf_storage.Store
 module Checkpoint = Iaccf_kv.Checkpoint
 module Ledger = Iaccf_ledger.Ledger
 module Entry = Iaccf_ledger.Entry
@@ -17,7 +18,6 @@ module Bitmap = Iaccf_util.Bitmap
 module Rng = Iaccf_util.Rng
 module Obs = Iaccf_obs.Obs
 module Critical_path = Iaccf_obs.Critical_path
-module Snapshot = Iaccf_statesync.Snapshot
 module SyncSession = Iaccf_statesync.Session
 module SyncServer = Iaccf_statesync.Server
 module SyncValidate = Iaccf_statesync.Validate
@@ -103,7 +103,6 @@ type undo = {
 
 type batch_record = {
   br_pp : Message.pre_prepare;
-  br_requests : Request.t list;
   br_txs : Batch.tx_entry list;
   br_ev_prepares : Message.prepare list;
   br_ev_nonces : (int * string) list;
@@ -145,7 +144,7 @@ type t = {
   mutable phase : Schedule.phase;
   store : Store.t;
   ledger : Ledger.t;
-  storage : Iaccf_storage.Store.t option;  (* durable ledger backend *)
+  storage : Storage.t option;  (* durable ledger backend *)
   requests : (string, Request.t) Hashtbl.t;
   mutable request_order : D.t list; (* request hashes, newest first *)
   executed_requests : (string, int * int) Hashtbl.t;
@@ -154,13 +153,10 @@ type t = {
   votes : Votes.t; (* prepares and revealed nonces, and the commit rule *)
   view_changes : (int, (int, Message.view_change) Hashtbl.t) Hashtbl.t;
   pending_pps : (int, Message.pre_prepare * D.t list) Hashtbl.t;
-  checkpoints : (int, Checkpoint.t * D.t) Hashtbl.t;
-  mutable latest_cp_seqno : int;
-  (* Catch-up (lib/statesync): the serving side, which owns the sealed
-     checkpoints, and the requesting side's session. *)
+  (* Catch-up (lib/statesync): the checkpoints' owner, which also serves
+     them, and the requesting side's session. *)
   server : SyncServer.t;
   sync_client : SyncSession.t;
-  mutable pruned_upto : int; (* ledger length pruned from our disk store *)
   sync : SyncMetrics.t;
   mutable gov_receipts_rev : Receipt.t list;
   mutable progress_marker : int;
@@ -181,7 +177,7 @@ type t = {
   batch_ledger_end : (int, int) Hashtbl.t;
       (* seqno -> ledger length right after the batch's entries; defines the
          canonical cut point when a view change rebuilds the suffix *)
-  archived_content : (int * string, Batch.kind * Request.t list * Batch.tx_entry list) Hashtbl.t;
+  archived_content : (int * string, Batch.kind * Batch.tx_entry list) Hashtbl.t;
       (* (seqno, raw g_root) -> batch content, stashed on rollback. A batch
          re-proposed in a later view keeps its original transaction entries
          (and hence ledger indices and g_root), as required for receipts to
@@ -225,6 +221,9 @@ let replica_ids t = List.map (fun r -> r.Config.replica_id) t.cfg.Config.replica
 let in_config t = Config.replica t.cfg t.rid <> None
 let keep_ledger t = Auth.keep_ledger t.auth
 
+(* A batch's requests are its entries' (the ones its g_root binds). *)
+let requests_of txs = List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request) txs
+
 let batch_end_length t seqno =
   if seqno = 0 then 1
   else
@@ -256,8 +255,7 @@ let view_ahead t =
    (replica.rollback). *)
 let tally t name = Obs.incr (Obs.counter t.obs name)
 
-let checkpoint_at t seqno =
-  Option.map fst (Hashtbl.find_opt t.checkpoints seqno)
+let checkpoint_at t seqno = SyncServer.checkpoint t.server seqno
 
 let sub_tbl tbl key =
   match Hashtbl.find_opt tbl key with
@@ -269,9 +267,8 @@ let sub_tbl tbl key =
 
 (* What seqno [s] must carry under the schedule (Schedule.slot). *)
 let slot t s =
-  Schedule.slot t.rule t.phase ~latest_cp:t.latest_cp_seqno
-    ~digest:(fun cp -> Option.map snd (Hashtbl.find_opt t.checkpoints cp))
-    s
+  Schedule.slot t.rule t.phase ~latest_cp:(SyncServer.latest t.server)
+    ~digest:(SyncServer.digest t.server) s
 
 (* Message's checks with this replica's signature check (Auth). Structure
    checks come first (they cost nothing); only a well-formed message pays
@@ -381,7 +378,7 @@ let execute_requests t ~base_index reqs =
 
 let tx_status t ~view ~seqno =
   Status_index.reached t.index (t.seqno - 1);
-  Status_index.status t.index ~view ~seqno ~seen:(Hashtbl.mem t.records)
+  Status_index.status t.index ~view ~seqno
 
 let stable_committed t = Status_index.stable_upto t.index
 let last_write t = Status_index.last_write t.index
@@ -435,12 +432,10 @@ let append_batch t pp txs =
 (* Record an executed batch: its record, where its entries end in the
    ledger, and the write sets its execution produced. Re-executions
    (re-proposals, state-transfer replay) overwrite with identical content. *)
-let add_record t pp ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo
-    ~committed =
+let add_record t pp ~txs ~writes ~ev_prepares ~ev_nonces ~undo ~committed =
   let rec_ =
     {
       br_pp = pp;
-      br_requests = reqs;
       br_txs = txs;
       br_ev_prepares = ev_prepares;
       br_ev_nonces = ev_nonces;
@@ -541,9 +536,7 @@ let post_execute_batch t (pp : Message.pre_prepare) txs =
   let s = pp.Message.seqno in
   move_gov_index_and_dc t pp txs;
   let take_checkpoint () =
-    let cp = Checkpoint.make ~seqno:s (Store.map t.store) in
-    Hashtbl.replace t.checkpoints s (cp, Checkpoint.digest cp);
-    t.latest_cp_seqno <- s;
+    SyncServer.take t.server (Checkpoint.make ~seqno:s (Store.map t.store));
     Obs.incr t.ctr.c_checkpoints_taken;
     Obs.instant t.obs ~node:t.rid ~cat:"checkpoint" ~name:"checkpoint"
       ~args:[ ("seqno", string_of_int s) ]
@@ -569,44 +562,14 @@ let retire_if_handed_over t =
   if (not (in_config t)) && Schedule.handed_over t.phase ~last_committed:t.last_committed
   then t.activated <- false
 
-(* ------------------------------------------------------------------ *)
-(* Checkpoint sealing and durable snapshots (state sync)               *)
-
-let storage_dir t =
-  Option.map
-    (fun s -> (Iaccf_storage.Store.config s).Iaccf_storage.Store.dir)
-    t.storage
-
-(* Persist the retained checkpoint whose digest just got sealed, so a
-   restart (ours) or a lagging peer (theirs) can start from it instead of
-   genesis. Only live sealing writes: during cold-start replay the files
-   are already on disk, and writing mid-restore would just slow it down. *)
-let maybe_write_snapshot t cp_seqno cp_digest =
-  match storage_dir t with
-  | Some dir
-    when t.running
-         && t.params.snapshot_interval > 0
-         && cp_seqno mod t.params.snapshot_interval = 0 -> (
-      match Hashtbl.find_opt t.checkpoints cp_seqno with
-      | Some (cp, d) when D.equal d cp_digest -> (
-          try
-            let bytes = Snapshot.write ~dir cp in
-            Snapshot.retain ~dir ~keep:2;
-            Obs.incr t.sync.snapshots_written;
-            Obs.instant t.obs ~node:t.rid ~cat:"statesync" ~name:"statesync.snapshot_write"
-              ~args:[ ("cp_seqno", string_of_int cp_seqno); ("bytes", string_of_int bytes) ]
-              ()
-          with Unix.Unix_error _ | Sys_error _ -> ())
-      | _ -> ())
-  | _ -> ()
-
-(* A committed checkpoint batch seals the digest it records; persist a
-   newly sealed checkpoint. *)
+(* A committed checkpoint batch seals the digest it records. Only live
+   sealing writes a snapshot file: during cold-start replay the files are
+   already on disk. *)
 let seal_from_kind t (pp : Message.pre_prepare) =
   match pp.Message.kind with
   | Batch.Checkpoint { cp_seqno; cp_digest } ->
-      if SyncServer.seal t.server ~cp_seqno ~cp_digest ~seal_seqno:pp.Message.seqno
-      then maybe_write_snapshot t cp_seqno cp_digest
+      SyncServer.seal t.server ~cp_seqno ~cp_digest ~seal_seqno:pp.Message.seqno
+        ~persist:t.running
   | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ()
 
 (* Whether a batch names a request this replica already executed, or one
@@ -724,7 +687,7 @@ let batch_package t ~seqno =
     (fun rec_ ->
       {
         Wire.bp_pp = rec_.br_pp;
-        bp_requests = rec_.br_requests;
+        bp_requests = requests_of rec_.br_txs;
         bp_ev_prepares = rec_.br_ev_prepares;
         bp_ev_nonces = rec_.br_ev_nonces;
       })
@@ -734,13 +697,13 @@ let batch_package t ~seqno =
    record it with its g-tree, open its trace spans and move to the next
    seqno. [batched] are the requests the primary just took from its
    queue. *)
-let accept_batch t pp ~reqs ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo ~batched =
+let accept_batch t pp ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo ~batched =
   append_batch t pp txs;
   t.request_order <-
     List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
   update_queue_gauge t;
   let rec_ =
-    add_record t pp ~reqs ~txs ~writes ~ev_prepares ~ev_nonces ~undo ~committed:false
+    add_record t pp ~txs ~writes ~ev_prepares ~ev_nonces ~undo ~committed:false
   in
   rec_.br_g_tree <- Some g_tree;
   Critical_path.batch_begin t.cp rec_.br_clock ~view:pp.Message.view ~txs:(List.length txs);
@@ -749,7 +712,11 @@ let accept_batch t pp ~reqs ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo ~
   t.seqno <- pp.Message.seqno + 1
 
 (* ------------------------------------------------------------------ *)
-(* Forward declarations for the mutually recursive protocol engine      *)
+(* Layer 1: the normal case (Alg. 1)                                  *)
+
+(* The protocol engine is five layers, each calling only the layers above
+   it: the normal case, roll-back, view changes, catch-up and the progress
+   timer. *)
 
 let rec check_prepared t =
   let q = t.last_prepared + 1 in
@@ -811,19 +778,11 @@ and check_committed t =
                  rec_.br_txs));
         record_gov_receipts t rec_;
         retire_if_handed_over t;
-        prune_old_state t;
+        SyncServer.retain t.server;
         try_send_pre_prepares t;
         check_committed t
       end
   | Some _ -> ()
-
-and prune_old_state t =
-  (* Keep recent checkpoints only; old rollback snapshots are not needed
-     once well below the committed prefix. *)
-  let keep_from = t.latest_cp_seqno - (3 * t.params.checkpoint_interval) in
-  Hashtbl.iter
-    (fun s _ -> if s < keep_from && s <> 0 then Hashtbl.remove t.checkpoints s)
-    (Hashtbl.copy t.checkpoints)
 
 (* Primary: emit as many batches as the pipeline allows (Alg. 1, line 4). *)
 and try_send_pre_prepares t =
@@ -908,15 +867,14 @@ and emit_batch t ?(original = Fresh) ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bit
           signature = Auth.sign t.auth ~cls:"pre_prepare" payload;
         }
       in
-      accept_batch t pp ~reqs ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo
-        ~batched:reqs;
+      accept_batch t pp ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo ~batched:reqs;
       broadcast_replicas t
         (Wire.Pre_prepare_msg { pp; batch = List.map Request.hash reqs });
       check_prepared t)
     (run_batch t ~evidence (Execute (reqs, original)))
 
 (* ------------------------------------------------------------------ *)
-(* Backup processing of pre-prepares (Alg. 1, line 15)                 *)
+(* Layer 1: backup processing of pre-prepares (Alg. 1, line 15)       *)
 
 (* Returns true when the pp was consumed (accepted or definitively
    rejected); false when it should stay buffered. *)
@@ -965,7 +923,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
           (* A re-proposed batch keeps the entries archived for its root. *)
           let original =
             match Hashtbl.find_opt t.archived_content (s, (pp.Message.g_root :> string)) with
-            | Some (_, _, txs) -> Prefer txs
+            | Some (_, txs) -> Prefer txs
             | None -> Fresh
           in
           match run_batch t ~against:pp ~evidence (Execute (reqs, original)) with
@@ -991,8 +949,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
                   p_signature = Auth.sign t.auth ~cls:"prepare" payload;
                 }
               in
-              accept_batch t pp ~reqs ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo
-                ~batched:[];
+              accept_batch t pp ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo ~batched:[];
               Votes.add_prepare t.votes prepare;
               broadcast_replicas t (Wire.Prepare_msg prepare);
               check_prepared t;
@@ -1044,7 +1001,7 @@ and on_pre_prepare t (pp : Message.pre_prepare) batch =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Requests, prepares, commits                                         *)
+(* Layer 1: requests, prepares, commits                               *)
 
 and arm_batch_timer t =
   if not t.batch_timer_armed then begin
@@ -1118,9 +1075,9 @@ and on_commit t ~src (c : Message.commit) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Roll-back (Appx. A, Lemma 1)                                        *)
+(* Layer 2: roll-back (Appx. A, Lemma 1)                              *)
 
-and rollback_to t target =
+let rollback_to t target =
   let top = t.seqno - 1 in
   (* Remember the highest seqno ever reached before forgetting records:
      the status table keeps answering PENDING (never back to UNKNOWN) for
@@ -1138,7 +1095,7 @@ and rollback_to t target =
             Critical_path.batch_cancelled t.cp rec_.br_clock ~prepared:rec_.br_prepared;
           Hashtbl.replace t.archived_content
             (q, (rec_.br_pp.Message.g_root :> string))
-            (rec_.br_pp.Message.kind, rec_.br_requests, rec_.br_txs);
+            (rec_.br_pp.Message.kind, rec_.br_txs);
           List.iter
             (fun (req : Request.t) ->
               let h = D.to_raw (Request.hash req) in
@@ -1147,23 +1104,12 @@ and rollback_to t target =
                  counted committed) again, so count the re-admission to
                  keep requests_committed <= requests_received. *)
               if not (Hashtbl.mem t.requests h) then admit t req)
-            rec_.br_requests;
+            (requests_of rec_.br_txs);
           Hashtbl.remove t.records q;
           Hashtbl.remove t.batch_ledger_end q
       | None -> Hashtbl.remove t.batch_ledger_end q
     done;
-    (* Checkpoints taken while executing the rolled-back suffix are
-       speculative: keeping them leaves latest_cp_seqno pointing past the
-       committed prefix, and the next checkpoint-interval batch would seal
-       a snapshot that peers which never executed the suffix cannot
-       validate (the schedule pins cp_seqno = latest_cp_seqno on both
-       sides) — no quorum ever forms and the view-change backoff turns the
-       boundary into a livelock. Drop them; re-execution retakes them. *)
-    Hashtbl.iter
-      (fun s _ -> if s > target then Hashtbl.remove t.checkpoints s)
-      (Hashtbl.copy t.checkpoints);
-    if t.latest_cp_seqno > target then
-      t.latest_cp_seqno <- Hashtbl.fold (fun s _ acc -> max s acc) t.checkpoints 0;
+    SyncServer.rollback t.server ~target;
     t.seqno <- target + 1;
     if t.last_prepared > target then t.last_prepared <- target;
     if t.last_committed > target then t.last_committed <- target
@@ -1171,14 +1117,20 @@ and rollback_to t target =
 
 (* Roll back past batch [upto] and cut the ledger to the committed
    prefix. *)
-and drop_uncommitted t ~upto =
+let drop_uncommitted t ~upto =
   rollback_to t upto;
   truncate_ledger t (batch_end_length t t.last_committed)
 
 (* ------------------------------------------------------------------ *)
-(* View changes (Alg. 2)                                               *)
+(* Layer 3: view changes (Alg. 2)                                     *)
 
-and last_prepared_pps t =
+(* Drop everything after batch [upto] and fetch the ledger from [src]
+   until caught up with it. *)
+let refetch t ~upto src =
+  drop_uncommitted t ~upto;
+  fetch_from t src SyncSession.If_far
+
+let rec last_prepared_pps t =
   (* The P highest-seqno pre-prepares this replica ever prepared, surviving
      any roll-backs in between (Alg. 2 line 3). *)
   Hashtbl.fold (fun s pp acc -> (s, pp) :: acc) t.prepared_pps []
@@ -1257,9 +1209,9 @@ and maybe_new_view t =
         match (Hashtbl.find_opt t.records q, Newview.prepared_at vcs q) with
         | Some rec_, Some pp
           when D.equal rec_.br_pp.Message.g_root pp.Message.g_root ->
-            Some (rec_.br_pp.Message.kind, rec_.br_requests, rec_.br_txs)
+            Some (rec_.br_pp.Message.kind, rec_.br_txs)
         | Some rec_, None when q <= t.last_committed ->
-            Some (rec_.br_pp.Message.kind, rec_.br_requests, rec_.br_txs)
+            Some (rec_.br_pp.Message.kind, rec_.br_txs)
         | Some _, None -> None
         | (Some _ | None), Some pp ->
             Hashtbl.find_opt t.archived_content (q, (pp.Message.g_root :> string))
@@ -1308,11 +1260,11 @@ and maybe_new_view t =
         (* Re-propose the prepared batches in the new view (Alg. 2 line 17),
            then resume normal batching. *)
         List.iter
-          (fun (kind, reqs, txs) ->
+          (fun (kind, txs) ->
             match evidence_for t (t.seqno - t.params.pipeline) with
             | Some (ev_prepares, ev_nonces, ev_bitmap) ->
-                emit_batch t ~original:(Prefer txs) ~kind ~reqs ~ev_prepares ~ev_nonces
-                  ~ev_bitmap ()
+                emit_batch t ~original:(Prefer txs) ~kind ~reqs:(requests_of txs) ~ev_prepares
+                  ~ev_nonces ~ev_bitmap ()
             | None -> ())
           (List.filter_map Fun.id contents);
         try_send_pre_prepares t
@@ -1368,9 +1320,9 @@ and try_complete_new_view t =
       end
 
 (* ------------------------------------------------------------------ *)
-(* State transfer                                                      *)
+(* Layer 4: catch-up (batch packages, ledger extents, snapshots)      *)
 
-and on_batch_package t (bp : Wire.batch_package) =
+let rec on_batch_package t (bp : Wire.batch_package) =
   if t.running && t.activated then begin
     (* Adopt the requests and evidence; the buffered pre-prepare (or this
        package applied directly if we are the one behind) can then proceed. *)
@@ -1411,8 +1363,6 @@ and served_ledger t =
     SyncServer.served;
     entry = Ledger.get t.ledger;
     batch_end = Hashtbl.find_opt t.batch_ledger_end;
-    retained = Hashtbl.find_opt t.checkpoints;
-    dir = storage_dir t;
   }
 
 (* The one catch-up request: a snapshot offer or a suffix extent, as the
@@ -1421,8 +1371,8 @@ and on_fetch_ledger t ~src ~from_len ~offer =
   if keep_ledger t then begin
     let l = served_ledger t in
     match
-      SyncServer.answer t.server l offer ~from_len ~pruned_upto:t.pruned_upto
-        ~interval:t.params.checkpoint_interval
+      SyncServer.answer t.server l offer ~from_len
+        ~pruned_upto:(Option.fold ~none:0 ~some:Storage.pruned_before t.storage)
     with
     | Some (SyncServer.Offer { cp_seqno; total; bytes }) ->
         send t ~dst:src
@@ -1480,7 +1430,7 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
     (* Indices are adopted from the recorded entries (they are bound by
        the signed g_root and may be lower than the physical position if
        the batch was re-proposed after a view change). *)
-    let reqs = List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request) txs in
+    let reqs = requests_of txs in
     let exec = if skip_exec then Adopt txs else Execute (reqs, Require txs) in
     match run_batch t ~against:pp ~evidence exec with
     | None -> false
@@ -1493,9 +1443,7 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
           Hashtbl.replace t.batch_ledger_end s (ledger_len t)
         end
         else begin
-          ignore
-            (add_record t pp ~reqs ~txs ~writes ~ev_prepares:[] ~ev_nonces:[] ~undo
-               ~committed:true);
+          ignore (add_record t pp ~txs ~writes ~ev_prepares:[] ~ev_nonces:[] ~undo ~committed:true);
           (match Hashtbl.find_opt t.prepared_pps s with
           | Some prev when prev.Message.view >= pp.Message.view -> ()
           | _ -> Hashtbl.replace t.prepared_pps s pp);
@@ -1612,8 +1560,8 @@ and run_sync_actions t actions =
 and install_snapshot t (i : SyncSession.install) =
   let cp_seqno = i.cp.Checkpoint.seqno in
   adopt_checkpoint t i.cp i.digest i.entries;
-  ignore
-    (SyncServer.seal t.server ~cp_seqno ~cp_digest:i.digest ~seal_seqno:i.seal_seqno);
+  SyncServer.seal t.server ~cp_seqno ~cp_digest:i.digest ~seal_seqno:i.seal_seqno
+    ~persist:false;
   if i.view > t.view && t.pending_new_view = None then t.view <- i.view;
   if in_config t && not t.activated then t.activated <- true;
   let skipped = max 0 (batch_end_length t cp_seqno - i.suffix_from) in
@@ -1636,17 +1584,15 @@ and adopt_checkpoint t cp digest entries =
   Store.reset_to t.store cp.Checkpoint.state;
   ignore (apply_entries t ~skip_exec_upto:cp_seqno entries);
   Option.iter (fun c -> t.cfg <- c) (stored_config t);
-  Hashtbl.replace t.checkpoints cp_seqno (cp, digest);
-  t.latest_cp_seqno <- max t.latest_cp_seqno cp_seqno
-
+  SyncServer.adopt t.server cp digest
 
 (* ------------------------------------------------------------------ *)
-(* Progress timer: retransmission, then view change                    *)
+(* Layer 5: the progress timer (retransmission, then view change)     *)
 
 (* While a session is in flight, the ordinary stall and view-change
    escalation stays out of its way. A passive joiner keeps pulling state
    until our configuration includes us and we have caught up (§5.1). *)
-and progress_tick t =
+let rec progress_tick t =
   if t.running then begin
     (* One trace instant per tick: where the replica stood. *)
     if t.activated then
@@ -1671,12 +1617,6 @@ and progress_tick t =
       arm_progress_timer t
     end
   end
-
-(* Drop everything after batch [upto] and fetch the ledger from [src]
-   until caught up with it. *)
-and refetch t ~upto src =
-  drop_uncommitted t ~upto;
-  fetch_from t src SyncSession.If_far
 
 and progress_tick_active t =
   let working =
@@ -1754,8 +1694,7 @@ let on_message t ~src msg =
           ~bytes:so_bytes ~upto:so_upto ~view:so_view
     | Wire.Fetch_snapshot_chunk { fc_cp_seqno; fc_index } -> (
         match
-          SyncServer.chunk t.server (served_ledger t) ~cp_seqno:fc_cp_seqno
-            ~index:fc_index
+          SyncServer.chunk t.server ~cp_seqno:fc_cp_seqno ~index:fc_index
         with
         | Some (total, data) ->
             send t ~dst:src
@@ -1813,32 +1752,27 @@ let dispatch = on_message
    are all re-derived from — and checked against — the durable ledger.
    Whatever fails replay stays on disk for [Store.attach] to judge. *)
 let restore_from_storage t storage =
-  let module S = Iaccf_storage.Store in
-  if S.length storage > 0 then begin
-    let all = S.history storage in
+  if Storage.length storage > 0 then begin
+    let all = Storage.history storage in
     (match all with
     | Entry.Genesis g :: _ ->
         if not (D.equal (Genesis.hash g) t.service) then
           raise
-            (S.Storage_error
+            (Storage.Storage_error
                "persisted store belongs to a different service (genesis mismatch)")
     | _ ->
-        raise (S.Storage_error "persisted store does not begin with a genesis entry"));
+        raise (Storage.Storage_error "persisted store does not begin with a genesis entry"));
     let entries = List.tl all in
     (* Resume from the newest durable snapshot whose digest a signed
        checkpoint batch in the durable history seals: install its state and
        adopt the prefix without re-execution, replaying only the suffix. *)
-    let snapshot =
-      Option.bind (storage_dir t) (fun dir ->
-          Snapshot.newest_sealed ~dir ~verify_pp:(verify_pp_sig t) entries)
-    in
-    match snapshot with
+    match SyncServer.restore_point t.server ~verify_pp:(verify_pp_sig t) entries with
     | Some (cp, digest) ->
         adopt_checkpoint t cp digest entries;
         Obs.incr t.sync.cold_snapshot_restore
     | None ->
         ignore (apply_entries t entries);
-        if S.length storage > 1 then Obs.incr t.sync.cold_genesis_replay
+        if Storage.length storage > 1 then Obs.incr t.sync.cold_genesis_replay
   end
 
 let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
@@ -1854,6 +1788,12 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
   let sync = SyncMetrics.make obs in
   let cp0 = Checkpoint.make ~seqno:0 (Store.map store) in
   let votes = Votes.create ~nonce_key:(Rng.bytes rng 32) in
+  let server =
+    SyncServer.create ~metrics:sync ~obs ~node:id ~interval:params.checkpoint_interval
+      ~snapshot_interval:params.snapshot_interval
+      ~dir:(Option.map (fun s -> (Storage.config s).Storage.dir) storage)
+  in
+  SyncServer.take server cp0;
   let t =
     {
       rid = id;
@@ -1897,10 +1837,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       votes;
       view_changes = Hashtbl.create 8;
       pending_pps = Hashtbl.create 8;
-      checkpoints = Hashtbl.create 8;
-      latest_cp_seqno = 0;
-      server = SyncServer.create ~metrics:sync;
-      pruned_upto = 0;
+      server;
       sync_client = SyncSession.create ~obs ~node:id ~metrics:sync;
       sync;
       gov_receipts_rev = [];
@@ -1918,7 +1855,6 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       index = Status_index.create ~pipeline:params.pipeline;
     }
   in
-  Hashtbl.replace t.checkpoints 0 (cp0, Checkpoint.digest cp0);
   (match storage with
   | Some s ->
       if not (keep_ledger t) then
@@ -1927,8 +1863,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
          revalidates — the store's entries before the store becomes the
          ledger's write-through backend. *)
       restore_from_storage t s;
-      Iaccf_storage.Store.attach s t.ledger;
-      t.pruned_upto <- Iaccf_storage.Store.pruned_before s
+      Storage.attach s t.ledger
   | None -> ());
   Network.register network id (fun ~src msg -> on_message t ~src msg);
   t
@@ -1957,25 +1892,8 @@ let join_snapshot t ~from = if t.running then fetch_from t from SyncSession.Alwa
 let prune t =
   match t.storage with
   | None -> invalid_arg "Replica.prune: no durable storage attached"
-  | Some storage -> (
-      let module S = Iaccf_storage.Store in
-      let dir = (S.config storage).S.dir in
-      let candidate =
-        Snapshot.list ~dir
-        |> List.find_opt (fun cp_seqno ->
-               Hashtbl.mem t.batch_ledger_end cp_seqno
-               &&
-               match (Snapshot.load ~dir cp_seqno, SyncServer.sealed t.server cp_seqno) with
-               | Some cp, Some d -> D.equal (Checkpoint.digest cp) d
-               | _ -> false)
-      in
-      match candidate with
-      | None -> 0
-      | Some cp_seqno ->
-          let cut = Hashtbl.find t.batch_ledger_end cp_seqno in
-          let dropped = S.prune_before storage cut in
-          if dropped > 0 then begin
-            t.pruned_upto <- S.pruned_before storage;
-            Obs.add t.sync.prune_entries dropped
-          end;
-          dropped)
+  | Some storage ->
+      let cut = SyncServer.prune_point t.server ~batch_end:(Hashtbl.find_opt t.batch_ledger_end) in
+      let dropped = Option.fold ~none:0 ~some:(Storage.prune_before storage) cut in
+      Obs.add t.sync.prune_entries dropped;
+      dropped

@@ -44,7 +44,7 @@ let commit t ~seqno ~view ~index_writes ~last_committed =
     t.stable_upto <- s
   done
 
-let status t ~view ~seqno ~seen =
+let status t ~view ~seqno =
   if seqno <= 0 then Status.Invalid
   else
     match Hashtbl.find_opt t.stable_views seqno with
@@ -52,8 +52,10 @@ let status t ~view ~seqno ~seen =
     | None ->
         (* Not yet stable: a locally committed batch inside the last
            pipeline window could still be rolled back and re-proposed in a
-           higher view, so only non-terminal answers are safe. *)
-        if seqno <= t.stable_upto || seen seqno || seqno <= t.hw_seqno then
+           higher view, so only non-terminal answers are safe. A seqno the
+           replica holds a batch record for is below its next seqno, which
+           it marks reached before asking, so [hw_seqno] covers it. *)
+        if seqno <= t.stable_upto || seqno <= t.hw_seqno then
           Status.Pending
         else Status.Unknown
 

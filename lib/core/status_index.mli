@@ -29,9 +29,9 @@ val commit :
     [last_committed] the new horizon. With [index_writes], the batch's
     recorded write sets become the keys' last writers. *)
 
-val status : t -> view:int -> seqno:int -> seen:(int -> bool) -> Status.t
+val status : t -> view:int -> seqno:int -> Status.t
 (** COMMITTED or INVALID for stable sequence numbers; PENDING for one the
-    replica has reached, holds ([seen]) or stabilised past; else UNKNOWN. *)
+    replica has reached or stabilised past; else UNKNOWN. *)
 
 val stable_upto : t -> int
 (** The highest stable sequence number. *)

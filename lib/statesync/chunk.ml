@@ -1,21 +1,15 @@
-let split ~chunk_bytes data =
-  if chunk_bytes < 1 then invalid_arg "Chunk.split: chunk_bytes < 1";
-  let n = String.length data in
-  if n = 0 then [ "" ]
-  else begin
-    let rec go off acc =
-      if off >= n then List.rev acc
-      else begin
-        let len = min chunk_bytes (n - off) in
-        go (off + len) (String.sub data off len :: acc)
-      end
-    in
-    go 0 []
-  end
-
 let count ~chunk_bytes data =
   if chunk_bytes < 1 then invalid_arg "Chunk.count: chunk_bytes < 1";
   max 1 ((String.length data + chunk_bytes - 1) / chunk_bytes)
+
+let nth ~chunk_bytes data i =
+  if i < 0 || i >= count ~chunk_bytes data then None
+  else
+    let off = i * chunk_bytes in
+    Some (String.sub data off (min chunk_bytes (String.length data - off)))
+
+let split ~chunk_bytes data =
+  List.init (count ~chunk_bytes data) (fun i -> Option.get (nth ~chunk_bytes data i))
 
 (* Reassembly of an out-of-order chunk stream. The assembler is purely
    mechanical: it enforces index bounds and the advertised total byte size,

@@ -11,7 +11,12 @@ val split : chunk_bytes:int -> string -> string list
     chunk so every transfer has at least one round. *)
 
 val count : chunk_bytes:int -> string -> int
-(** Number of chunks [split] would produce. *)
+(** Number of chunks [split] would produce.
+    @raise Invalid_argument if [chunk_bytes < 1]. *)
+
+val nth : chunk_bytes:int -> string -> int -> string option
+(** [List.nth_opt (split ~chunk_bytes data) i], sliced without splitting
+    the rest. *)
 
 type asm
 

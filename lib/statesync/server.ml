@@ -5,34 +5,102 @@ module Obs = Iaccf_obs.Obs
 
 type t = {
   metrics : Metrics.t;
+  obs : Obs.t;
+  node : int;
+  interval : int;  (* C: a checkpoint every C batches *)
+  snapshot_interval : int;  (* 0: no snapshot files *)
+  dir : string option;  (* where snapshot files live *)
+  taken : (int, Checkpoint.t * D.t) Hashtbl.t;  (* cp_seqno -> checkpoint, digest *)
+  mutable latest : int;  (* the latest checkpoint taken *)
   sealed : (int, D.t) Hashtbl.t;  (* cp_seqno -> sealed digest *)
   sealed_at : (int, int) Hashtbl.t;  (* cp_seqno -> seqno of the sealing batch *)
   mutable cache : (int * string) option;  (* the last snapshot served *)
 }
 
-let create ~metrics =
-  { metrics; sealed = Hashtbl.create 8; sealed_at = Hashtbl.create 8; cache = None }
+let create ~metrics ~obs ~node ~interval ~snapshot_interval ~dir =
+  { metrics; obs; node; interval; snapshot_interval; dir; taken = Hashtbl.create 8; latest = 0;
+    sealed = Hashtbl.create 8; sealed_at = Hashtbl.create 8; cache = None }
 
-let seal t ~cp_seqno ~cp_digest ~seal_seqno =
+let take t cp =
+  let s = cp.Checkpoint.seqno in
+  Hashtbl.replace t.taken s (cp, Checkpoint.digest cp);
+  t.latest <- s
+
+let adopt t cp digest =
+  let s = cp.Checkpoint.seqno in
+  Hashtbl.replace t.taken s (cp, digest);
+  t.latest <- max t.latest s
+
+let latest t = t.latest
+let checkpoint t s = Option.map fst (Hashtbl.find_opt t.taken s)
+let digest t s = Option.map snd (Hashtbl.find_opt t.taken s)
+
+(* Keep recent checkpoints only; old rollback snapshots are not needed
+   once well below the committed prefix. *)
+let retain t =
+  let keep_from = t.latest - (3 * t.interval) in
+  Hashtbl.filter_map_inplace
+    (fun s c -> if s < keep_from && s <> 0 then None else Some c)
+    t.taken
+
+(* Checkpoints taken while executing a rolled-back suffix are speculative:
+   keeping them leaves [latest] pointing past the committed prefix, and
+   the next checkpoint-interval batch would seal a snapshot that peers
+   which never executed the suffix cannot validate (the schedule pins
+   cp_seqno = latest on both sides) — no quorum ever forms and the
+   view-change backoff turns the boundary into a livelock. Drop them;
+   re-execution retakes them. *)
+let rollback t ~target =
+  Hashtbl.filter_map_inplace (fun s c -> if s > target then None else Some c) t.taken;
+  if t.latest > target then t.latest <- Hashtbl.fold (fun s _ acc -> max s acc) t.taken 0
+
+(* Persist the checkpoint whose digest just got sealed, so a restart
+   (ours) or a lagging peer (theirs) can start from it instead of
+   genesis. *)
+let write_snapshot t cp_seqno cp_digest =
+  match (t.dir, Hashtbl.find_opt t.taken cp_seqno) with
+  | Some dir, Some (cp, d)
+    when t.snapshot_interval > 0
+         && cp_seqno mod t.snapshot_interval = 0
+         && D.equal d cp_digest -> (
+      try
+        let bytes = Snapshot.write ~dir cp in
+        Snapshot.retain ~dir ~keep:2;
+        Obs.incr t.metrics.Metrics.snapshots_written;
+        Obs.instant t.obs ~node:t.node ~cat:"statesync" ~name:"statesync.snapshot_write"
+          ~args:[ ("cp_seqno", string_of_int cp_seqno); ("bytes", string_of_int bytes) ]
+          ()
+      with Unix.Unix_error _ | Sys_error _ -> ())
+  | _ -> ()
+
+let seal t ~cp_seqno ~cp_digest ~seal_seqno ~persist =
   (* Always refresh the seal position: a view change may have rolled the
      original sealing batch back, and a later batch re-sealed the same
      digest at a different seqno. *)
   Hashtbl.replace t.sealed_at cp_seqno seal_seqno;
   match Hashtbl.find_opt t.sealed cp_seqno with
-  | Some d when D.equal d cp_digest -> false
+  | Some d when D.equal d cp_digest -> ()
   | _ ->
       Hashtbl.replace t.sealed cp_seqno cp_digest;
-      true
+      if persist then write_snapshot t cp_seqno cp_digest
 
-let sealed t cp_seqno = Hashtbl.find_opt t.sealed cp_seqno
+let restore_point t ~verify_pp entries =
+  let trusted cp_seqno =
+    match Snapshot.sealing_batch ~cp_seqno entries with
+    | Some (pp, digest) when verify_pp pp -> Some digest
+    | _ -> None
+  in
+  Option.bind t.dir (fun dir -> Snapshot.newest ~dir ~trusted)
 
-type ledger = {
-  served : int;
-  entry : int -> Entry.t;
-  batch_end : int -> int option;
-  retained : int -> (Checkpoint.t * D.t) option;
-  dir : string option;
-}
+let prune_point t ~batch_end =
+  let trusted cp_seqno =
+    if batch_end cp_seqno = None then None else Hashtbl.find_opt t.sealed cp_seqno
+  in
+  match Option.bind t.dir (fun dir -> Snapshot.newest ~dir ~trusted) with
+  | Some (cp, _) -> batch_end cp.Checkpoint.seqno
+  | None -> None
+
+type ledger = { served : int; entry : int -> Entry.t; batch_end : int -> int option }
 
 (* Per-message payload budget for snapshot chunks and ledger extents. *)
 let chunk_bytes = 64 * 1024
@@ -40,31 +108,21 @@ let chunk_bytes = 64 * 1024
 type reply = Offer of { cp_seqno : int; total : int; bytes : int } | Extent of Entry.t list
 
 (* The serialized snapshot for a sealed checkpoint: from the retained
-   in-memory checkpoint, or re-read from the durable snapshot file. Either
-   way the bytes must reproduce the sealed digest before they are served. *)
-let snapshot t l cp_seqno =
+   checkpoint, or re-read from the durable snapshot file. Either way the
+   bytes must reproduce the sealed digest before they are served. *)
+let snapshot t cp_seqno =
   match Hashtbl.find_opt t.sealed cp_seqno with
   | None -> None
   | Some digest -> (
       match t.cache with
       | Some (s, data) when s = cp_seqno -> Some data
       | _ ->
-          let from_disk dir =
-            match Snapshot.load_serialized ~dir cp_seqno with
-            | None -> None
-            | Some payload -> (
-                match Checkpoint.deserialize payload with
-                | cp
-                  when cp.Checkpoint.seqno = cp_seqno
-                       && D.equal (Checkpoint.digest cp) digest ->
-                    Some payload
-                | _ -> None
-                | exception Iaccf_util.Codec.Decode_error _ -> None)
-          in
           let data =
-            match l.retained cp_seqno with
+            match Hashtbl.find_opt t.taken cp_seqno with
             | Some (cp, d) when D.equal d digest -> Some (Checkpoint.serialize cp)
-            | _ -> Option.bind l.dir from_disk
+            | _ ->
+                Option.bind t.dir (fun dir ->
+                    Option.map snd (Snapshot.load ~dir cp_seqno ~digest))
           in
           Option.iter (fun d -> t.cache <- Some (cp_seqno, d)) data;
           data)
@@ -83,7 +141,7 @@ let best_offer t l =
   Hashtbl.fold (fun s _ acc -> s :: acc) t.sealed []
   |> List.sort (fun a b -> compare b a)
   |> List.find_map (fun cp_seqno ->
-         match (snapshot t l cp_seqno, l.batch_end cp_seqno) with
+         match (snapshot t cp_seqno, l.batch_end cp_seqno) with
          | Some payload, Some cp_end when in_served_prefix cp_seqno ->
              Some (cp_seqno, cp_end, payload)
          | _ -> None)
@@ -100,14 +158,14 @@ let extent l ~from_len =
   in
   take from_len 0 []
 
-let answer t l offer ~from_len ~pruned_upto ~interval =
+let answer t l offer ~from_len ~pruned_upto =
   let offered =
     if from_len < 1 || offer = Session.Never then None
     else
       match best_offer t l with
       | Some (_, cp_end, _) as o
         when Session.should_offer offer ~from_len ~cp_end ~served:l.served ~pruned_upto
-               ~interval ->
+               ~interval:t.interval ->
           o
       | _ -> None
   in
@@ -118,18 +176,15 @@ let answer t l offer ~from_len ~pruned_upto ~interval =
         (Offer
            {
              cp_seqno;
-             total = Chunk.count ~chunk_bytes:chunk_bytes payload;
+             total = Chunk.count ~chunk_bytes payload;
              bytes = String.length payload;
            })
   | None ->
       if from_len >= 1 && l.served > from_len then Some (Extent (extent l ~from_len))
       else None
 
-let chunk t l ~cp_seqno ~index =
-  match snapshot t l cp_seqno with
-  | None -> None
-  | Some payload ->
-      let chunks = Chunk.split ~chunk_bytes:chunk_bytes payload in
-      if index >= 0 && index < List.length chunks then
-        Some (List.length chunks, List.nth chunks index)
-      else None
+let chunk t ~cp_seqno ~index =
+  Option.bind (snapshot t cp_seqno) (fun payload ->
+      Option.map
+        (fun data -> (Chunk.count ~chunk_bytes payload, data))
+        (Chunk.nth ~chunk_bytes payload index))

@@ -1,6 +1,7 @@
 module Checkpoint = Iaccf_kv.Checkpoint
 module Frame = Iaccf_storage.Frame
 module Disk = Iaccf_storage.Disk
+module D = Iaccf_crypto.Digest32
 
 let name cp_seqno = Printf.sprintf "snapshot-%016d.iaccf" cp_seqno
 let path ~dir cp_seqno = Filename.concat dir (name cp_seqno)
@@ -21,23 +22,20 @@ let write ~dir cp =
   Disk.write_atomic (path ~dir cp.Checkpoint.seqno) data;
   String.length data
 
-(* The CRC-checked serialized checkpoint, or None on any damage. *)
-let load_serialized ~dir cp_seqno =
+(* The one reader: the CRC frame, the decode, the file name's seqno and
+   the trusted digest must all hold, or the file counts as absent. *)
+let load ~dir cp_seqno ~digest =
   match Disk.read_file (path ~dir cp_seqno) with
   | exception Sys_error _ -> None
   | raw -> (
       match Frame.scan raw ~pos:0 with
-      | Frame.Frame { payload; next } when next = String.length raw -> Some payload
+      | Frame.Frame { payload; next } when next = String.length raw -> (
+          match Checkpoint.deserialize payload with
+          | cp when cp.Checkpoint.seqno = cp_seqno && D.equal (Checkpoint.digest cp) digest ->
+              Some (cp, payload)
+          | _ -> None
+          | exception Iaccf_util.Codec.Decode_error _ -> None)
       | Frame.Frame _ | Frame.Torn _ | Frame.End_of_input -> None)
-
-let load ~dir cp_seqno =
-  match load_serialized ~dir cp_seqno with
-  | None -> None
-  | Some payload -> (
-      match Checkpoint.deserialize payload with
-      | cp when cp.Checkpoint.seqno = cp_seqno -> Some cp
-      | _ -> None
-      | exception Iaccf_util.Codec.Decode_error _ -> None)
 
 let list ~dir =
   match Sys.readdir dir with
@@ -63,13 +61,9 @@ let sealing_batch ~cp_seqno entries =
       | _ -> None)
     entries
 
-let newest_sealed ~dir ~verify_pp entries =
+let newest ~dir ~trusted =
   List.find_map
     (fun cp_seqno ->
-      match (load ~dir cp_seqno, sealing_batch ~cp_seqno entries) with
-      | Some cp, Some (pp, sealed) ->
-          let digest = Checkpoint.digest cp in
-          if Iaccf_crypto.Digest32.equal digest sealed && verify_pp pp then Some (cp, digest)
-          else None
-      | _ -> None)
+      Option.bind (trusted cp_seqno) (fun digest ->
+          Option.map (fun (cp, _) -> (cp, digest)) (load ~dir cp_seqno ~digest)))
     (list ~dir)

@@ -100,16 +100,19 @@ let test_snapshot_roundtrip () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cp = cp_of_seqno 50 in
+  let digest = Checkpoint.digest cp in
   let bytes = Snapshot.write ~dir cp in
   check Alcotest.bool "file has content" true (bytes > 0);
-  (match Snapshot.load ~dir 50 with
+  (match Snapshot.load ~dir 50 ~digest with
   | None -> Alcotest.fail "snapshot did not load"
-  | Some cp' ->
+  | Some (cp', payload) ->
       check Alcotest.int "seqno" 50 cp'.Checkpoint.seqno;
-      check Alcotest.bool "digest" true
-        (D.equal (Checkpoint.digest cp) (Checkpoint.digest cp')));
-  check Alcotest.(option string) "missing seqno" None
-    (Option.map Checkpoint.serialize (Snapshot.load ~dir 60))
+      check Alcotest.bool "digest" true (D.equal digest (Checkpoint.digest cp'));
+      check Alcotest.string "served bytes" (Checkpoint.serialize cp) payload);
+  check Alcotest.bool "untrusted digest" true
+    (Snapshot.load ~dir 50 ~digest:(Checkpoint.digest (cp_of_seqno 60)) = None);
+  check Alcotest.bool "missing seqno" true
+    (Snapshot.load ~dir 60 ~digest:(Checkpoint.digest (cp_of_seqno 60)) = None)
 
 let test_snapshot_list_retain () =
   let dir = temp_dir () in
@@ -129,16 +132,22 @@ let test_snapshot_corruption_rejected () =
   ignore (Unix.lseek fd (len / 2) Unix.SEEK_SET);
   ignore (Unix.write_substring fd "\xff" 0 1);
   Unix.close fd;
-  check Alcotest.bool "corrupt snapshot rejected" true (Snapshot.load ~dir 50 = None)
+  check Alcotest.bool "corrupt snapshot rejected" true
+    (Snapshot.load ~dir 50 ~digest:(Checkpoint.digest (cp_of_seqno 50)) = None)
 
 let test_snapshot_renamed_rejected () =
   (* A snapshot file renamed to claim a different checkpoint must not
-     load: the embedded seqno is authoritative. *)
+     load, even against its own content's digest: the embedded seqno is
+     authoritative. *)
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   ignore (Snapshot.write ~dir (cp_of_seqno 50));
   Sys.rename (Snapshot.path ~dir 50) (Snapshot.path ~dir 100);
-  check Alcotest.bool "renamed snapshot rejected" true (Snapshot.load ~dir 100 = None)
+  List.iter
+    (fun s ->
+      check Alcotest.bool "renamed snapshot rejected" true
+        (Snapshot.load ~dir 100 ~digest:(Checkpoint.digest (cp_of_seqno s)) = None))
+    [ 50; 100 ]
 
 (* ------------------------------------------------------------------ *)
 (* Chunk assembly                                                      *)
@@ -157,6 +166,31 @@ let prop_chunk_roundtrip =
       let odd, even = List.partition (fun (i, _) -> i mod 2 = 1) indexed in
       List.iter (fun (i, c) -> ignore (Chunk.add asm ~index:i c)) (odd @ even);
       Chunk.assembled asm = Some data)
+
+(* Chunks cut by hand: full chunks, then the rest; an empty payload is one
+   empty chunk. *)
+let rec cut ~chunk_bytes data =
+  let n = String.length data in
+  if n <= chunk_bytes then [ data ]
+  else
+    String.sub data 0 chunk_bytes
+    :: cut ~chunk_bytes (String.sub data chunk_bytes (n - chunk_bytes))
+
+let prop_chunk_nth =
+  QCheck.Test.make ~name:"nth and count agree with split" ~count:200
+    QCheck.(
+      pair
+        (make ~print:Print.string
+           Gen.(oneof [ return ""; string_size (int_bound 3000) ]))
+        (int_range 1 700))
+    (fun (data, chunk_bytes) ->
+      let chunks = Chunk.split ~chunk_bytes data in
+      let n = List.length chunks in
+      chunks = cut ~chunk_bytes data
+      && Chunk.count ~chunk_bytes data = n
+      && List.for_all
+           (fun i -> Chunk.nth ~chunk_bytes data i = if i < 0 then None else List.nth_opt chunks i)
+           (List.init (n + 2) (fun i -> i - 1)))
 
 let test_chunk_tamper_detected () =
   (* The assembler is mechanical: a tampered chunk reassembles, and the
@@ -487,6 +521,134 @@ let test_offer_policy_on_cluster () =
       ("never", Session.Never, 1, "suffix");
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The checkpoints' owner, driven directly (no cluster)                *)
+(* ------------------------------------------------------------------ *)
+
+module Server = Iaccf_statesync.Server
+
+(* An owner taking a checkpoint every 10 batches, writing snapshot files
+   into [dir] every 20. *)
+let owner ?dir () =
+  let obs = Iaccf_obs.Obs.passive () in
+  let metrics = Iaccf_statesync.Metrics.make obs in
+  let t =
+    Server.create ~metrics ~obs ~node:0 ~interval:10 ~snapshot_interval:20 ~dir
+  in
+  Server.take t (cp_of_seqno 0);
+  (t, metrics)
+
+(* The checkpoints held at multiples of 10 up to 200. *)
+let held t =
+  List.filter (fun s -> Server.checkpoint t s <> None) (List.init 21 (fun i -> i * 10))
+
+(* Take the checkpoints at 10, 20, ... up to [top]. *)
+let take_upto t top =
+  List.iter (fun i -> Server.take t (cp_of_seqno ((i + 1) * 10))) (List.init (top / 10) Fun.id)
+
+let test_owner_retention () =
+  let t, _ = owner () in
+  take_upto t 50;
+  check Alcotest.(list int) "taking drops nothing" [ 0; 10; 20; 30; 40; 50 ] (held t);
+  Server.retain t;
+  check Alcotest.(list int) "3C below the latest, and 0" [ 0; 20; 30; 40; 50 ] (held t);
+  List.iter (fun s -> Server.take t (cp_of_seqno s)) [ 60; 70; 80; 90; 100 ];
+  Server.retain t;
+  check Alcotest.(list int) "window moves" [ 0; 70; 80; 90; 100 ] (held t);
+  check Alcotest.int "latest" 100 (Server.latest t);
+  check Alcotest.bool "digest kept" true
+    (Server.digest t 70 = Some (Checkpoint.digest (cp_of_seqno 70)))
+
+let test_owner_rollback () =
+  let t, _ = owner () in
+  take_upto t 40;
+  Server.rollback t ~target:25;
+  check Alcotest.(list int) "speculative checkpoints dropped" [ 0; 10; 20 ] (held t);
+  check Alcotest.int "latest recomputed" 20 (Server.latest t);
+  Server.rollback t ~target:30;
+  check Alcotest.int "a rollback above the latest keeps it" 20 (Server.latest t);
+  Server.rollback t ~target:5;
+  check Alcotest.(list int) "down to 0" [ 0 ] (held t);
+  check Alcotest.int "latest is 0" 0 (Server.latest t);
+  (* An adopted checkpoint raises the latest only when it is later. *)
+  let cp = cp_of_seqno 30 in
+  Server.adopt t cp (Checkpoint.digest cp);
+  check Alcotest.int "adopted" 30 (Server.latest t)
+
+let seal t ?(persist = true) ?digest s =
+  let cp_digest = Option.value digest ~default:(Checkpoint.digest (cp_of_seqno s)) in
+  Server.seal t ~cp_seqno:s ~cp_digest ~seal_seqno:(s + 10) ~persist
+
+let test_owner_snapshot_files () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let t, metrics = owner ~dir () in
+  let written () = Iaccf_obs.Obs.value metrics.Iaccf_statesync.Metrics.snapshots_written in
+  take_upto t 100;
+  seal t 10;
+  check Alcotest.(list int) "off the snapshot interval" [] (Snapshot.list ~dir);
+  seal t 20 ~persist:false;
+  check Alcotest.(list int) "not persisted" [] (Snapshot.list ~dir);
+  seal t 20;
+  check Alcotest.(list int) "sealed before: not new" [] (Snapshot.list ~dir);
+  seal t 40 ~digest:(D.of_string "other");
+  check Alcotest.(list int) "a digest the checkpoint does not have" [] (Snapshot.list ~dir);
+  seal t 60;
+  check Alcotest.(list int) "newly sealed" [ 60 ] (Snapshot.list ~dir);
+  seal t 80;
+  seal t 100;
+  check Alcotest.(list int) "two kept" [ 100; 80 ] (Snapshot.list ~dir);
+  check Alcotest.int "counted" 3 (written ())
+
+(* A checkpoint batch in the ledger sealing [digest] as checkpoint [s]. *)
+let seal_entry s digest =
+  Entry.Pre_prepare
+    {
+      (sealing_pp digest) with
+      seqno = s + 10;
+      kind = Batch.Checkpoint { cp_seqno = s; cp_digest = digest };
+    }
+
+let test_owner_restore_and_prune_points () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let t, _ = owner ~dir () in
+  take_upto t 60;
+  List.iter (seal t) [ 20; 40; 60 ];
+  check Alcotest.(list int) "files" [ 60; 40 ] (Snapshot.list ~dir);
+  let digest s = Checkpoint.digest (cp_of_seqno s) in
+  let entries = List.map (fun s -> seal_entry s (digest s)) [ 20; 40; 60 ] in
+  let restore ?(verify_pp = fun _ -> true) entries =
+    Option.map (fun (cp, _) -> cp.Checkpoint.seqno) (Server.restore_point t ~verify_pp entries)
+  in
+  (* The ledger length after a batch: 1000 + its seqno. *)
+  let prune ?(in_ledger = fun _ -> true) () =
+    Server.prune_point t ~batch_end:(fun s -> if in_ledger s then Some (1000 + s) else None)
+  in
+  check Alcotest.(option int) "restore from the newest" (Some 60) (restore entries);
+  check Alcotest.(option int) "prune behind the newest" (Some 1060) (prune ());
+  check Alcotest.(option int) "an unsigned seal vouches for nothing" (Some 40)
+    (restore ~verify_pp:(fun pp -> pp.Message.seqno <> 70) entries);
+  check Alcotest.(option int) "a seal for other bytes" (Some 40)
+    (restore (seal_entry 60 (D.of_string "other") :: entries));
+  check Alcotest.(option int) "no seal in the ledger" (Some 40)
+    (restore (List.filteri (fun i _ -> i < 2) entries));
+  check Alcotest.(option int) "sealing batch rolled out" (Some 1040)
+    (prune ~in_ledger:(fun s -> s <> 60) ());
+  (* A corrupt newest file: both skip to the next. *)
+  let file = Snapshot.path ~dir 60 in
+  let raw = Bytes.of_string (In_channel.with_open_bin file In_channel.input_all) in
+  let last = Bytes.length raw - 1 in
+  Bytes.set raw last (Char.chr (Char.code (Bytes.get raw last) lxor 0xff));
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc raw);
+  check Alcotest.(option int) "restore skips a corrupt file" (Some 40) (restore entries);
+  check Alcotest.(option int) "prune skips a corrupt file" (Some 1040) (prune ());
+  (* A file renamed to the newest seqno: nothing vouches for it. *)
+  Sys.remove file;
+  Sys.rename (Snapshot.path ~dir 40) file;
+  check Alcotest.(option int) "restore skips a renamed file" None (restore entries);
+  check Alcotest.(option int) "prune skips a renamed file" None (prune ())
+
 let () =
   Random.self_init ();
   Alcotest.run "iaccf_statesync"
@@ -507,6 +669,7 @@ let () =
       ( "chunks",
         [
           qtest prop_chunk_roundtrip;
+          qtest prop_chunk_nth;
           Alcotest.test_case "tampered chunk detected" `Quick test_chunk_tamper_detected;
           Alcotest.test_case "duplicates and bounds" `Quick test_chunk_duplicates_and_bounds;
         ] );
@@ -525,6 +688,14 @@ let () =
           Alcotest.test_case "second silent tick retargets" `Quick
             test_session_second_silent_tick_retargets;
           Alcotest.test_case "install gate" `Quick test_session_install_gate;
+        ] );
+      ( "checkpoint-owner",
+        [
+          Alcotest.test_case "retention window" `Quick test_owner_retention;
+          Alcotest.test_case "rollback" `Quick test_owner_rollback;
+          Alcotest.test_case "snapshot files" `Quick test_owner_snapshot_files;
+          Alcotest.test_case "restore and prune points" `Quick
+            test_owner_restore_and_prune_points;
         ] );
       ( "offer-policy",
         [
