@@ -209,7 +209,7 @@ let scan_ledger t ~responder ledger =
           fail i (Printf.sprintf "batch %d: transactions do not match g_root" s);
         List.iter
           (fun (tx : Batch.tx_entry) ->
-            if tx.Batch.request.Request.min_index > tx.Batch.index then
+            if not (Batch.placed tx) then
               fail i (Printf.sprintf "batch %d: minimum index violated" s);
             if not (Request.verify tx.Batch.request ~service:t.service ~check:(request_check t))
             then

@@ -46,7 +46,7 @@ let check ~app ~genesis ~receipts =
             | Error _ -> acc
             | Ok () -> (
                 match tx_of r with
-                | Some tx when tx.Batch.request.Request.min_index > tx.Batch.index ->
+                | Some tx when not (Batch.placed tx) ->
                     Error (Min_index_violation { v_receipt = r })
                 | Some _ | None -> Ok ()))
           (Ok ()) sorted

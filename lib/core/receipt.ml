@@ -128,7 +128,7 @@ let verify ~config ~service t =
         guard (Request.verify tx.Batch.request ~service) "invalid client request signature"
       in
       let* () =
-        guard (tx.Batch.request.Request.min_index <= tx.Batch.index)
+        guard (Batch.placed tx)
           "executed below its minimum index"
       in
       guard

@@ -145,10 +145,7 @@ type t = {
   store : Store.t;
   ledger : Ledger.t;
   storage : Storage.t option;  (* durable ledger backend *)
-  requests : (string, Request.t) Hashtbl.t;
-  mutable request_order : D.t list; (* request hashes, newest first *)
-  executed_requests : (string, int * int) Hashtbl.t;
-      (* request hash -> (seqno, ledger index) of the batch that executed it *)
+  pool : Pool.t; (* T, and where each executed request landed *)
   records : (int, batch_record) Hashtbl.t;
   votes : Votes.t; (* prepares and revealed nonces, and the commit rule *)
   view_changes : (int, (int, Message.view_change) Hashtbl.t) Hashtbl.t;
@@ -209,7 +206,7 @@ let stats t =
     view_changes = Obs.value t.ctr.c_view_changes;
     checkpoints_taken = Obs.value t.ctr.c_checkpoints_taken;
   }
-let pending_requests t = Hashtbl.length t.requests
+let pending_requests t = Pool.size t.pool
 let gov_receipts t = List.rev t.gov_receipts_rev
 let g_trees_held t =
   Hashtbl.fold (fun _ rec_ n -> if Option.is_some rec_.br_g_tree then n + 1 else n) t.records 0
@@ -279,6 +276,11 @@ let verify_prepare_sig t = Message.verify_prepare ~check:(check t "prepare") t.c
 let verify_vc_sig t = Message.verify_view_change ~check:(check t "view_change") t.cfg
 let verify_nv_sig t = Message.verify_new_view ~check:(check t "new_view") t.cfg
 
+(* Ledger entries: a view-change set justifies its view; a new view names
+   the set before it and is signed. *)
+let vc_set_ok t vcs = Newview.set_fault ~quorum:(quorum t) ~verify:(verify_vc_sig t) vcs = None
+let new_view_ok t vcs nv = Newview.names_fault nv vcs = None && verify_nv_sig t nv
+
 (* What a catch-up session needs from the replica to gate an install. *)
 let sync_hooks t =
   {
@@ -286,7 +288,8 @@ let sync_hooks t =
     check_suffix =
       (fun ~cp_seqno entries ->
         SyncValidate.check_suffix ~tree:(Ledger.m_tree_copy t.ledger)
-          ~next_seqno:t.seqno ~cp_seqno ~verify_pp:(verify_pp_sig t) entries);
+          ~next_seqno:t.seqno ~cp_seqno ~verify_pp:(verify_pp_sig t) ~vc_set:(vc_set_ok t)
+          ~new_view:(new_view_ok t) entries);
     peers = (fun () -> List.filter (fun r -> r <> t.rid) (replica_ids t));
   }
 
@@ -315,18 +318,15 @@ let broadcast_replicas t msg =
 let send_to_client t pk msg =
   match t.client_address pk with None -> () | Some addr -> send t ~dst:addr msg
 
-(* Put a request into the pending pool (T). *)
-let admit t (req : Request.t) =
-  Hashtbl.replace t.requests (D.to_raw (Request.hash req)) req;
-  t.request_order <- Request.hash req :: t.request_order;
-  Obs.incr t.ctr.c_requests_received
+(* Count a request the pending pool (T) took in. *)
+let received t admitted = if admitted then Obs.incr t.ctr.c_requests_received
 
 (* Admission queue depth (primary only: the queue under admission control
    is the primary's pending pool; backups' pools just mirror broadcasts).
    The gauge's high-watermark is the bench-facing peak depth. *)
 let update_queue_gauge t =
   if is_primary t then
-    Obs.set_gauge t.ctr.g_queue_depth (float_of_int (Hashtbl.length t.requests))
+    Obs.set_gauge t.ctr.g_queue_depth (float_of_int (Pool.size t.pool))
 
 (* ------------------------------------------------------------------ *)
 (* Evidence (P_{s-P}, K_{s-P}, E_{s-P})                                *)
@@ -424,9 +424,7 @@ let append_batch t pp txs =
   List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
   List.iter
     (fun (tx : Batch.tx_entry) ->
-      let h = D.to_raw (Request.hash tx.Batch.request) in
-      Hashtbl.replace t.executed_requests h (pp.Message.seqno, tx.Batch.index);
-      Hashtbl.remove t.requests h)
+      Pool.execute t.pool tx.Batch.request ~seqno:pp.Message.seqno ~index:tx.Batch.index)
     txs
 
 (* Record an executed batch: its record, where its entries end in the
@@ -495,9 +493,7 @@ let run_batch t ?against ~evidence exec =
         | Prefer _ | Fresh -> Some (executed, writes))
   in
   let fits (pp : Message.pre_prepare) txs g_tree =
-    List.for_all
-      (fun (tx : Batch.tx_entry) -> tx.Batch.request.Request.min_index <= tx.Batch.index)
-      txs
+    List.for_all Batch.placed txs
     && D.equal (Tree.root g_tree) pp.Message.g_root
     && D.equal (m_root_now t) pp.Message.m_root
   in
@@ -572,14 +568,6 @@ let seal_from_kind t (pp : Message.pre_prepare) =
         ~persist:t.running
   | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _ -> ()
 
-(* Whether a batch names a request this replica already executed, or one
-   request twice. The pre-prepare's signature does not cover the hash list,
-   so a primary can replay an executed request in it. *)
-let replays_request t batch_hashes =
-  let raw = List.map D.to_raw batch_hashes in
-  List.exists (Hashtbl.mem t.executed_requests) raw
-  || List.compare_lengths (List.sort_uniq String.compare raw) raw <> 0
-
 (* ------------------------------------------------------------------ *)
 (* Receipts and replies                                                *)
 
@@ -635,20 +623,17 @@ let batch_clients rec_ =
       fresh)
     (List.map (fun (tx : Batch.tx_entry) -> tx.Batch.request.Request.client_pk) rec_.br_txs)
 
-(* Answer for an executed request, by its raw hash [h], from the batch
-   the executed-request index names: the reply, then the request's receipt
-   material when [receipts]. A batch not yet committed, or one adopted
-   from a checkpoint without a record, gets no answer. *)
-let answer_executed t h ~reply_to ~receipts ?replyx_to () =
-  match Hashtbl.find_opt t.executed_requests h with
-  | Some (seqno, index) -> (
-      match Hashtbl.find_opt t.records seqno with
-      | Some rec_ when rec_.br_committed ->
-          send_replies t rec_ ~reply_to ?replyx_to
-            ~pick:(fun tx -> receipts && tx.Batch.index = index)
-            ()
-      | _ -> ())
-  | None -> ()
+(* Answer for a request executed at ([seqno], [index]): the batch's
+   reply, then the request's receipt material when [receipts]. A batch not
+   yet committed, or adopted from a checkpoint without a record, gets no
+   answer. *)
+let answer_executed t (seqno, index) ~reply_to ~receipts ?replyx_to () =
+  match Hashtbl.find_opt t.records seqno with
+  | Some rec_ when rec_.br_committed ->
+      send_replies t rec_ ~reply_to ?replyx_to
+        ~pick:(fun tx -> receipts && tx.Batch.index = index)
+        ()
+  | _ -> ()
 
 let build_receipt t ~seqno ~tx_position =
   match Hashtbl.find_opt t.records seqno with
@@ -693,14 +678,18 @@ let batch_package t ~seqno =
       })
     (Hashtbl.find_opt t.records seqno)
 
+(* Keep the highest-view pre-prepare prepared at its seqno. *)
+let note_prepared t (pp : Message.pre_prepare) =
+  match Hashtbl.find_opt t.prepared_pps pp.Message.seqno with
+  | Some prev when prev.Message.view >= pp.Message.view -> ()
+  | _ -> Hashtbl.replace t.prepared_pps pp.Message.seqno pp
+
 (* Accept a batch this replica executed, as primary or backup: append it,
    record it with its g-tree, open its trace spans and move to the next
    seqno. [batched] are the requests the primary just took from its
    queue. *)
 let accept_batch t pp ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo ~batched =
   append_batch t pp txs;
-  t.request_order <-
-    List.filter (fun h -> Hashtbl.mem t.requests (D.to_raw h)) t.request_order;
   update_queue_gauge t;
   let rec_ =
     add_record t pp ~txs ~writes ~ev_prepares ~ev_nonces ~undo ~committed:false
@@ -727,9 +716,7 @@ let rec check_prepared t =
         rec_.br_prepared <- true;
         t.last_prepared <- q;
         Critical_path.batch_prepared t.cp rec_.br_clock;
-        (match Hashtbl.find_opt t.prepared_pps q with
-        | Some prev when prev.Message.view >= rec_.br_pp.Message.view -> ()
-        | _ -> Hashtbl.replace t.prepared_pps q rec_.br_pp);
+        note_prepared t rec_.br_pp;
         on_prepared t rec_;
         check_prepared t
       end
@@ -808,34 +795,13 @@ and plan_batch t s =
   match slot t s with
   | Schedule.Closed -> None
   | Schedule.Fixed kind -> Some (kind, [])
-  | Schedule.Regular ->
-      (* Collect a batch from T, oldest first, honoring minimum indices,
-         skipping executed duplicates, cutting after a governance tx. *)
-      let base_index = ledger_len t + 3 in
-      (* evidence(2) + pp(1) would place the first tx there when evidence
-         exists; recomputed precisely in emit_batch. This estimate only
-         gates min_index; emit_batch re-checks. *)
-      let rec take acc n = function
-        | [] -> List.rev acc
-        | h :: rest ->
-            if n = 0 then List.rev acc
-            else begin
-              match Hashtbl.find_opt t.requests h with
-              | None -> take acc n rest
-              | Some req ->
-                  if Hashtbl.mem t.executed_requests h then begin
-                    Hashtbl.remove t.requests h;
-                    take acc n rest
-                  end
-                  else if req.Request.min_index > base_index + List.length acc then
-                    take acc n rest
-                  else if Request.is_governance req then List.rev ((h, req) :: acc)
-                  else take ((h, req) :: acc) (n - 1) rest
-            end
-      in
-      let order = List.rev t.request_order in
-      let chosen = take [] t.params.max_batch (List.map D.to_raw order) in
-      if chosen = [] then None else Some (Batch.Regular, List.map snd chosen)
+  | Schedule.Regular -> (
+      (* A batch from T. Evidence (2) and the pre-prepare (1) would place
+         its first transaction at [base_index] when evidence exists; this
+         estimate only gates minimum indices, and run_batch re-checks. *)
+      match Pool.take t.pool ~max:t.params.max_batch ~base_index:(ledger_len t + 3) with
+      | [] -> None
+      | reqs -> Some (Batch.Regular, reqs))
 
 (* Re-proposals after a view change [Prefer] the batch's original entries
    so that its Merkle root, and every receipt bound to it, stays the same. *)
@@ -881,81 +847,65 @@ and emit_batch t ?(original = Fresh) ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bit
 and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
   let s = pp.Message.seqno in
   let v = pp.Message.view in
-  let missing =
-    List.filter
-      (fun h ->
-        (not (Hashtbl.mem t.requests (D.to_raw h)))
-        && not (Hashtbl.mem t.executed_requests (D.to_raw h)))
-      batch_hashes
-  in
-  if missing <> [] then begin
+  if not (Pool.resolves t.pool batch_hashes) then begin
     tally t "replica.reject.missing_requests";
     send t ~dst:pp.Message.primary (Wire.Fetch_missing { fm_seqno = s });
     false
   end
-  else begin
+  else
     match evidence_matching t (s - t.params.pipeline) pp.Message.ev_bitmap with
     | None ->
         tally t "replica.reject.missing_evidence";
         send t ~dst:pp.Message.primary (Wire.Fetch_missing { fm_seqno = s });
         false
-    | Some (ev_prepares, ev_nonces) ->
-        if not (Schedule.accepts (slot t s) pp.Message.kind) then begin
-          tally t "replica.reject.kind";
+    | Some (ev_prepares, ev_nonces) -> (
+        let reject why =
+          tally t ("replica.reject." ^ why);
           true (* reject; suspicion via timer *)
-        end
-        else if pp.Message.gov_index <> t.gov_index then begin
-          tally t "replica.reject.gov_index";
-          true (* reject; suspicion via timer *)
-        end
-        else if replays_request t batch_hashes then begin
-          tally t "replica.reject.replayed_request";
-          true (* reject; suspicion via timer *)
-        end
-        else begin
-          let evidence =
-            evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces
-          in
-          (* No hash is missing, executed or repeated: all are pending. *)
-          let reqs =
-            List.map (fun h -> Hashtbl.find t.requests (D.to_raw h)) batch_hashes
-          in
-          (* A re-proposed batch keeps the entries archived for its root. *)
-          let original =
-            match Hashtbl.find_opt t.archived_content (s, (pp.Message.g_root :> string)) with
-            | Some (_, txs) -> Prefer txs
-            | None -> Fresh
-          in
-          match run_batch t ~against:pp ~evidence (Execute (reqs, original)) with
-          | None ->
-              (* Divergent execution or a lying primary: rolled back (Alg. 1,
-                 line 23); the progress timer triggers a view change. *)
-              tally t "replica.reject.exec";
-              true
-          | Some (undo, txs, writes, g_tree) ->
-              let nonce_com = Votes.commit_own t.votes ~view:v ~seqno:s in
-              let pph = Message.pp_hash pp in
-              let payload =
-                Message.prepare_payload ~view:v ~seqno:s ~replica:t.rid ~nonce_com
-                  ~pp_hash:pph
-              in
-              let prepare =
-                {
-                  Message.p_view = v;
-                  p_seqno = s;
-                  p_replica = t.rid;
-                  p_nonce_com = nonce_com;
-                  p_pp_hash = pph;
-                  p_signature = Auth.sign t.auth ~cls:"prepare" payload;
-                }
-              in
-              accept_batch t pp ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo ~batched:[];
-              Votes.add_prepare t.votes prepare;
-              broadcast_replicas t (Wire.Prepare_msg prepare);
-              check_prepared t;
-              true
-        end
-  end
+        in
+        (* The pre-prepare's signature does not cover the hash list, so a
+           primary can replay an executed request in it. *)
+        match Pool.batch t.pool batch_hashes with
+        | _ when not (Schedule.accepts (slot t s) pp.Message.kind) -> reject "kind"
+        | _ when pp.Message.gov_index <> t.gov_index -> reject "gov_index"
+        | None -> reject "replayed_request"
+        | Some reqs -> (
+            let evidence =
+              evidence_entries t ~s_past:(s - t.params.pipeline) ev_prepares ev_nonces
+            in
+            (* A re-proposed batch keeps the entries archived for its root. *)
+            let original =
+              match Hashtbl.find_opt t.archived_content (s, (pp.Message.g_root :> string)) with
+              | Some (_, txs) -> Prefer txs
+              | None -> Fresh
+            in
+            match run_batch t ~against:pp ~evidence (Execute (reqs, original)) with
+            | None ->
+                (* Divergent execution or a lying primary: rolled back (Alg. 1,
+                   line 23); the progress timer triggers a view change. *)
+                reject "exec"
+            | Some (undo, txs, writes, g_tree) ->
+                let nonce_com = Votes.commit_own t.votes ~view:v ~seqno:s in
+                let pph = Message.pp_hash pp in
+                let payload =
+                  Message.prepare_payload ~view:v ~seqno:s ~replica:t.rid ~nonce_com
+                    ~pp_hash:pph
+                in
+                let prepare =
+                  {
+                    Message.p_view = v;
+                    p_seqno = s;
+                    p_replica = t.rid;
+                    p_nonce_com = nonce_com;
+                    p_pp_hash = pph;
+                    p_signature = Auth.sign t.auth ~cls:"prepare" payload;
+                  }
+                in
+                accept_batch t pp ~txs ~writes ~g_tree ~ev_prepares ~ev_nonces ~undo ~batched:[];
+                Votes.add_prepare t.votes prepare;
+                broadcast_replicas t (Wire.Prepare_msg prepare);
+                check_prepared t;
+                true))
 
 and try_process_pending t =
   match Hashtbl.find_opt t.pending_pps t.seqno with
@@ -1015,43 +965,37 @@ and arm_batch_timer t =
 and on_request t (req : Request.t) =
   if t.running && t.activated then begin
     let d = Request.hash req in
-    let h = D.to_raw d in
-    if Hashtbl.mem t.executed_requests h then
-      (* A client retransmitting an executed request lost the replies:
-         whichever replica it reaches answers with its reply and the
-         receipt material (the designated replica may be cut off), so
-         sustained loss cannot strand a completed request. *)
-      answer_executed t h ~reply_to:[ req.Request.client_pk ] ~receipts:(Auth.receipts t.auth)
-        ()
-    else if
-      (* Admission control (primary only): shed fresh requests while the
-         pending queue sits at or above the watermark — before signature
-         verification, so backpressure costs no crypto. The Busy_msg names
-         the request so the shared retransmit path can retry it. *)
-      t.params.admission_queue > 0
-      && is_primary t
-      && Hashtbl.length t.requests >= t.params.admission_queue
-      && not (Hashtbl.mem t.requests h)
-    then begin
-      Obs.incr t.ctr.c_load_rejected;
-      update_queue_gauge t;
-      Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.rejected"
-        ~args:[ ("proc", req.Request.proc) ]
-        ();
-      send_to_client t req.Request.client_pk
-        (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = d })
-    end
-    else if (not (Hashtbl.mem t.requests h)) && Auth.verify_request t.auth ~service:t.service req
-    then begin
-      admit t req;
-      if is_primary t then Obs.incr t.ctr.c_load_admitted;
-      update_queue_gauge t;
-      Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.received"
-        ~args:[ ("proc", req.Request.proc) ]
-        ();
-      if is_primary t then arm_batch_timer t;
-      try_process_pending t
-    end
+    match Pool.executed_at t.pool d with
+    | Some at ->
+        (* A client retransmitting an executed request lost the replies:
+           whichever replica it reaches answers with its reply and the
+           receipt material (the designated replica may be cut off), so
+           sustained loss cannot strand a completed request. *)
+        answer_executed t at ~reply_to:[ req.Request.client_pk ]
+          ~receipts:(Auth.receipts t.auth) ()
+    | None when Pool.known t.pool d -> ()
+    (* Admission control (primary only): shed fresh requests while the
+       pending queue sits at or above the watermark — before signature
+       verification, so backpressure costs no crypto. The Busy_msg names
+       the request so the shared retransmit path can retry it. *)
+    | None
+      when t.params.admission_queue > 0 && is_primary t
+           && Pool.size t.pool >= t.params.admission_queue ->
+        Obs.incr t.ctr.c_load_rejected;
+        update_queue_gauge t;
+        Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.rejected"
+          ~args:[ ("proc", req.Request.proc) ] ();
+        send_to_client t req.Request.client_pk
+          (Wire.Busy_msg { b_replica = t.rid; b_tx_hash = d })
+    | None when Auth.verify_request t.auth ~service:t.service req ->
+        received t (Pool.admit t.pool req);
+        if is_primary t then Obs.incr t.ctr.c_load_admitted;
+        update_queue_gauge t;
+        Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.received"
+          ~args:[ ("proc", req.Request.proc) ] ();
+        if is_primary t then arm_batch_timer t;
+        try_process_pending t
+    | None -> ()
   end
 
 and on_prepare t (p : Message.prepare) =
@@ -1096,15 +1040,10 @@ let rollback_to t target =
           Hashtbl.replace t.archived_content
             (q, (rec_.br_pp.Message.g_root :> string))
             (rec_.br_pp.Message.kind, rec_.br_txs);
-          List.iter
-            (fun (req : Request.t) ->
-              let h = D.to_raw (Request.hash req) in
-              Hashtbl.remove t.executed_requests h;
-              (* Back in the pending pool: it will be proposed (and
-                 counted committed) again, so count the re-admission to
-                 keep requests_committed <= requests_received. *)
-              if not (Hashtbl.mem t.requests h) then admit t req)
-            (requests_of rec_.br_txs);
+          (* Back in the pending pool: it will be proposed (and counted
+             committed) again, so count the re-admission to keep
+             requests_committed <= requests_received. *)
+          List.iter (fun req -> received t (Pool.return t.pool req)) (requests_of rec_.br_txs);
           Hashtbl.remove t.records q;
           Hashtbl.remove t.batch_ledger_end q
       | None -> Hashtbl.remove t.batch_ledger_end q
@@ -1326,12 +1265,7 @@ let rec on_batch_package t (bp : Wire.batch_package) =
   if t.running && t.activated then begin
     (* Adopt the requests and evidence; the buffered pre-prepare (or this
        package applied directly if we are the one behind) can then proceed. *)
-    List.iter
-      (fun (req : Request.t) ->
-        let h = D.to_raw (Request.hash req) in
-        if (not (Hashtbl.mem t.requests h)) && not (Hashtbl.mem t.executed_requests h)
-        then admit t req)
-      bp.Wire.bp_requests;
+    List.iter (fun req -> received t (Pool.admit t.pool req)) bp.Wire.bp_requests;
     List.iter (Votes.add_prepare t.votes) bp.Wire.bp_ev_prepares;
     let past = bp.Wire.bp_pp.Message.seqno - t.params.pipeline in
     (match Hashtbl.find_opt t.records past with
@@ -1444,9 +1378,7 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
         end
         else begin
           ignore (add_record t pp ~txs ~writes ~ev_prepares:[] ~ev_nonces:[] ~undo ~committed:true);
-          (match Hashtbl.find_opt t.prepared_pps s with
-          | Some prev when prev.Message.view >= pp.Message.view -> ()
-          | _ -> Hashtbl.replace t.prepared_pps s pp);
+          note_prepared t pp;
           post_execute_batch t pp txs
         end;
         seal_from_kind t pp;
@@ -1460,14 +1392,12 @@ and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
   end
 
 (* A new-view entry from a ledger extent follows the view-change set it
-   names, binds the ledger up to it, and carries its primary's signature;
-   the set was checked when it was appended. *)
+   names and binds the ledger up to it; the set was checked when it was
+   appended. *)
 and ingests_new_view t (nv : Message.new_view) =
   match Ledger.get t.ledger (Ledger.length t.ledger - 1) with
   | Entry.View_change_set vcs ->
-      Newview.names_fault nv vcs = None
-      && D.equal (m_root_now t) nv.Message.nv_m_root
-      && verify_nv_sig t nv
+      D.equal (m_root_now t) nv.Message.nv_m_root && new_view_ok t vcs nv
   | _ -> false
 
 (* Apply a received ledger suffix batch by batch, adopting view changes
@@ -1481,8 +1411,7 @@ and apply_entries t ?(skip_exec_upto = 0) entries =
     | Entry.Batch { evidence; pp; txs } :: rest ->
         if apply_batch t ~skip_exec_upto pp ~evidence txs then go true rest
         else progressed
-    | Entry.Protocol (Entry.View_change_set vcs as e) :: rest
-      when Newview.set_fault ~quorum:(quorum t) ~verify:(verify_vc_sig t) vcs = None ->
+    | Entry.Protocol (Entry.View_change_set vcs as e) :: rest when vc_set_ok t vcs ->
         append_ledger t e;
         List.iter
           (fun (vc : Message.view_change) ->
@@ -1605,7 +1534,7 @@ let rec progress_tick t =
             ("last_prepared", string_of_int t.last_prepared);
             ("stall", string_of_int t.stall_count);
             ("ready", string_of_bool t.ready);
-            ("requests", string_of_int (Hashtbl.length t.requests));
+            ("requests", string_of_int (Pool.size t.pool));
             ("pending", string_of_int (Hashtbl.length t.pending_pps));
           ]
         ();
@@ -1620,7 +1549,7 @@ let rec progress_tick t =
 
 and progress_tick_active t =
   let working =
-    Hashtbl.length t.requests > 0
+    Pool.size t.pool > 0
     || t.last_committed < t.seqno - 1
     || Hashtbl.length t.pending_pps > 0
     || not t.ready
@@ -1714,9 +1643,10 @@ let on_message t ~src msg =
         on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view
     | Wire.Replyx_request { rr_tx_hash } ->
         (* The client may not know which batch its transaction landed in;
-           the executed-request index does. *)
-        answer_executed t (D.to_raw rr_tx_hash) ~reply_to:[] ~receipts:true
-          ~replyx_to:src ()
+           the pool does. *)
+        Option.iter
+          (fun at -> answer_executed t at ~reply_to:[] ~receipts:true ~replyx_to:src ())
+          (Pool.executed_at t.pool rr_tx_hash)
     | Wire.Gov_receipts_request { gr_from_index } ->
         let receipts =
           List.filter
@@ -1724,20 +1654,13 @@ let on_message t ~src msg =
             (gov_receipts t)
         in
         send t ~dst:src (Wire.Gov_receipts_msg receipts)
-    | Wire.Status_query { sq_view; sq_seqno } ->
-        (* Status answers are cheap table lookups — no signatures, no
-           consensus-path work — so replicas serve them directly; the
-           observer tier serves the same queries off the quorum path. *)
-        let si_status = tx_status t ~view:sq_view ~seqno:sq_seqno in
-        let si_committed = stable_committed t in
-        send t ~dst:src
-          (Wire.Status_info { si_view = sq_view; si_seqno = sq_seqno; si_status; si_committed })
     | Wire.Gov_receipts_msg _ | Wire.Reply_msg _ | Wire.Replyx_msg _ -> ()
     | Wire.Ack_msg _ | Wire.Busy_msg _ -> ()
-    | Wire.Status_info _ | Wire.Read_query _ | Wire.Read_answer _
+    | Wire.Status_query _ | Wire.Status_info _ | Wire.Read_query _ | Wire.Read_answer _
     | Wire.Audit_query _ | Wire.Audit_answer _ ->
-        (* Read/audit serving belongs to observers (Iaccf_observer);
-           replicas ignore these to keep the consensus path untouched. *)
+        (* Status, read and audit serving belongs to observers
+           (Iaccf_observer); replicas ignore these to keep the consensus
+           path untouched. *)
         ());
   end
 
@@ -1830,9 +1753,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       store;
       ledger = Ledger.create genesis;
       storage;
-      requests = Hashtbl.create 64;
-      request_order = [];
-      executed_requests = Hashtbl.create 64;
+      pool = Pool.create ();
       records = Hashtbl.create 64;
       votes;
       view_changes = Hashtbl.create 8;

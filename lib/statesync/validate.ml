@@ -4,20 +4,14 @@ module Batch = Iaccf_types.Batch
 module Tree = Iaccf_merkle.Tree
 module D = Iaccf_crypto.Digest32
 
-(* Dry-run of the replica's checkpoint-bootstrap adoption (the
-   [skip_exec_upto] path of state transfer): walk the candidate suffix
-   batch by batch, advancing a PRIVATE copy of the ledger tree M, and check
-   exactly what the destructive path would check — sequence-number
-   continuity, the signed [m_root] chain over evidence and protocol
-   entries, each batch's [g_root] over its recorded transactions, and the
-   primary signature on checkpoint batches. Validation stops at the first
-   batch past the checkpoint (those are re-executed, and re-execution is
-   batch-atomic on its own), so a suffix that passes here cannot make the
-   real skip-region adoption fail halfway with entries already appended. *)
+(* A dry run of the replica's checkpoint-bootstrap adoption (the
+   [skip_exec_upto] path of state transfer), on a private copy of the
+   ledger tree M; the checks are listed in validate.mli. *)
 
-let check_suffix ~tree ~next_seqno ~cp_seqno ~verify_pp entries =
+let check_suffix ~tree ~next_seqno ~cp_seqno ~verify_pp ~vc_set ~new_view entries =
   let push e = if Entry.in_merkle_tree e then Tree.append tree (Entry.leaf_digest e) in
-  let rec go expected = function
+  (* [vcs]: the view-change set just pushed, which a new view must name. *)
+  let rec go ?vcs expected = function
     | [] ->
         if expected <= cp_seqno then
           Error
@@ -25,9 +19,17 @@ let check_suffix ~tree ~next_seqno ~cp_seqno ~verify_pp entries =
                (expected - 1) cp_seqno)
         else Ok ()
     | Entry.Malformed m :: _ -> Error m
-    | Entry.Protocol e :: rest ->
-        push e;
-        go expected rest
+    | Entry.Protocol e :: rest -> (
+        match (e, vcs) with
+        | Entry.View_change_set set, _ when vc_set set ->
+            push e;
+            go ~vcs:set expected rest
+        | Entry.New_view nv, Some set
+          when D.equal (Tree.root tree) nv.Message.nv_m_root && new_view set nv ->
+            push e;
+            go expected rest
+        | Entry.New_view _, _ -> Error "new view refused"
+        | _ -> Error "view-change set refused")
     | Entry.Batch { pp; _ } :: _ when pp.Message.seqno > cp_seqno -> Ok ()
     | Entry.Batch { evidence; pp; txs } :: rest ->
         let s = pp.Message.seqno in
@@ -45,6 +47,8 @@ let check_suffix ~tree ~next_seqno ~cp_seqno ~verify_pp entries =
           if not (D.equal (Tree.root tree) pp.Message.m_root) then
             Error
               (Printf.sprintf "batch %d: ledger root diverges from the signed m_root" s)
+          else if not (List.for_all Batch.placed txs) then
+            Error (Printf.sprintf "batch %d: a transaction below its minimum index" s)
           else if not (D.equal (Batch.g_root txs) pp.Message.g_root) then
             Error
               (Printf.sprintf

@@ -55,6 +55,7 @@ let decode_tx_entry r =
 
 let serialize_tx_entry t = Codec.encode (fun w -> encode_tx_entry w t)
 let tx_leaf t = D.of_string (serialize_tx_entry t)
+let placed t = Request.may_execute_at t.request ~index:t.index
 
 let g_tree entries = Iaccf_merkle.Tree.of_leaves (List.map tx_leaf entries)
 

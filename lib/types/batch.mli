@@ -28,6 +28,9 @@ type tx_entry = {
 val tx_leaf : tx_entry -> Iaccf_crypto.Digest32.t
 (** Leaf digest of a [<t, i, o>] entry in [G]. *)
 
+val placed : tx_entry -> bool
+(** The request may take the entry's index ({!Request.may_execute_at}). *)
+
 val g_tree : tx_entry list -> Iaccf_merkle.Tree.t
 (** The per-batch tree [G] over the entries' leaves, in execution order.
     A caller that needs both the root and receipt paths builds it once. *)

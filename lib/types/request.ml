@@ -77,6 +77,7 @@ let decode r =
 let deserialize s = Codec.decode s decode
 let hash t = t.digest
 let is_governance t = String.starts_with ~prefix:"gov/" t.proc
+let may_execute_at t ~index = t.min_index <= index
 
 (* Causal trace id: content-derived (a hash prefix), so every hop that
    holds the request — client, primary, backups — recovers the same id

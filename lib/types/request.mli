@@ -71,6 +71,9 @@ val is_governance : t -> bool
 (** The request calls a built-in governance procedure (["gov/..."]): it
     belongs to the governance sub-ledger (§5.2). *)
 
+val may_execute_at : t -> index:int -> bool
+(** The request may take ledger index [index]: none below its [m_i]. *)
+
 val hash : t -> Iaccf_crypto.Digest32.t
 (** Request digest, the handle used in pre-prepare batch lists [B]: the
     [digest] field, so it costs no hashing. *)

@@ -1051,6 +1051,117 @@ let test_min_index_ordering () =
   check Alcotest.bool "indices increase" true (idx2 > idx1);
   check Alcotest.bool "min_index advanced" true (Client.min_index client > idx1)
 
+(* The request pool on its own, against a model: the pending requests as
+   a list, oldest first, and the executed ones with where they landed.
+   Eight requests, two of them governance, with minimum indices 0 to 6.
+   "Execute" of an unknown request is catch-up's adoption of a batch
+   whose requests never arrived. *)
+type pool_op =
+  | Admit of int
+  | Execute of int * int
+  | Return of int
+  | Take of int * int
+  | Lookup of int list
+
+let pool_universe =
+  let _, pk = Schnorr.keypair_of_seed "pool" in
+  Array.init 8 (fun i ->
+      Request.of_fields ~client_pk:pk ~service:D.zero ~min_index:(i mod 4 * 2) ~client_seqno:i
+        ~proc:(if i mod 3 = 2 then "gov/vote" else "counter/add")
+        ~args:"" ())
+
+let prop_pool =
+  let op =
+    QCheck.Gen.(
+      let req = int_bound 7 in
+      frequency
+        [
+          (4, map (fun i -> Admit i) req);
+          (3, map2 (fun i n -> Execute (i, n)) req (int_bound 50));
+          (2, map (fun i -> Return i) req);
+          (2, map2 (fun m b -> Take (1 + m, b)) (int_bound 4) (int_bound 8));
+          (2, map (fun l -> Lookup l) (list_size (int_range 1 3) req));
+        ])
+  in
+  let show = function
+    | Admit i -> Printf.sprintf "admit %d" i
+    | Execute (i, n) -> Printf.sprintf "execute %d at %d" i n
+    | Return i -> Printf.sprintf "return %d" i
+    | Take (m, b) -> Printf.sprintf "take max %d from %d" m b
+    | Lookup l -> "lookup " ^ String.concat "," (List.map string_of_int l)
+  in
+  QCheck.Test.make ~count:500 ~name:"pool = list model: disjoint, one place each, oldest first"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show ops))
+        Gen.(list_size (int_bound 40) op))
+    (fun ops ->
+      let module Pool = Iaccf_core.Pool in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let req i = pool_universe.(i) and h i = Request.hash pool_universe.(i) in
+      let ids = List.map (fun r -> r.Request.client_seqno) in
+      let pool = Pool.create () in
+      (* The model: pending ids oldest first, executed ids with (seqno, index). *)
+      let pending = ref [] and executed = ref [] in
+      let is_pending i = List.mem i !pending and is_executed i = List.mem_assoc i !executed in
+      let step = function
+        | Admit i ->
+            let fresh = not (is_pending i || is_executed i) in
+            if fresh then pending := !pending @ [ i ];
+            if Pool.admit pool (req i) <> fresh then fail "admit %d: wrong answer" i
+        | Execute (i, n) ->
+            pending := List.filter (( <> ) i) !pending;
+            executed := (i, (n / 10, n)) :: List.remove_assoc i !executed;
+            Pool.execute pool (req i) ~seqno:(n / 10) ~index:n
+        | Return i ->
+            let back = not (is_pending i) in
+            if back then begin
+              executed := List.remove_assoc i !executed;
+              pending := !pending @ [ i ]
+            end;
+            if Pool.return pool (req i) <> back then fail "return %d: wrong answer" i
+        | Take (max, base_index) ->
+            let rec model acc n = function
+              | i :: rest when n > 0 ->
+                  let r = req i in
+                  if r.Request.min_index > base_index + max - n then model acc n rest
+                  else if Request.is_governance r then List.rev (i :: acc)
+                  else model (i :: acc) (n - 1) rest
+              | _ -> List.rev acc
+            in
+            if ids (Pool.take pool ~max ~base_index) <> model [] max !pending then
+              fail "take %d from %d differs" max base_index
+        | Lookup l ->
+            let hs = List.map h l in
+            let known = List.for_all (fun i -> is_pending i || is_executed i) l in
+            let distinct = List.length (List.sort_uniq compare l) = List.length l in
+            let batch = if List.for_all is_pending l && distinct then Some l else None in
+            if Pool.resolves pool hs <> known then fail "resolves: wrong answer";
+            if Option.map ids (Pool.batch pool hs) <> batch then fail "batch: wrong answer";
+            (* Once every hash resolves, no batch is a replay. *)
+            let replays = List.exists is_executed l || not distinct in
+            if known && (batch = None) <> replays then fail "replay: wrong answer"
+      in
+      let invariants () =
+        if ids (Pool.pending pool) <> !pending then
+          fail "pending order differs";
+        if Pool.size pool <> List.length !pending then fail "size differs";
+        Array.iteri
+          (fun i _ ->
+            if Pool.executed_at pool (h i) <> List.assoc_opt i !executed then
+              fail "executed_at %d differs" i;
+            if Pool.known pool (h i) <> (is_pending i || is_executed i) then
+              fail "known %d differs" i;
+            if is_pending i && is_executed i then fail "model: %d both pending and executed" i)
+          pool_universe
+      in
+      List.iter
+        (fun op ->
+          step op;
+          invariants ())
+        ops;
+      true)
+
 let () =
   Alcotest.run "iaccf_protocol"
     [
@@ -1109,4 +1220,5 @@ let () =
       ( "variants",
         [ Alcotest.test_case "no-receipt variant" `Quick test_nonreceipt_variant_runs ] );
       ("votes", [ QCheck_alcotest.to_alcotest prop_votes ]);
+      ("pool", [ QCheck_alcotest.to_alcotest prop_pool ]);
     ]

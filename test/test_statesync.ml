@@ -649,6 +649,57 @@ let test_owner_restore_and_prune_points () =
   check Alcotest.(option int) "restore skips a renamed file" None (restore entries);
   check Alcotest.(option int) "prune skips a renamed file" None (prune ())
 
+(* The dry run refuses what the adoption refuses, on a real suffix: one
+   view change, so the ledger holds a view-change set and a new view, and
+   the checkpoint to adopt is the last committed batch after them. *)
+let test_check_suffix_protocol_entries () =
+  let module Validate = Iaccf_statesync.Validate in
+  let module Request = Iaccf_types.Request in
+  let module Batch = Iaccf_types.Batch in
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  check Alcotest.bool "before the view change" true (drive cluster client 5 ~timeout_ms:60_000.0);
+  List.iter Replica.inject_view_change (Cluster.replicas cluster);
+  check Alcotest.bool "after the view change" true (drive cluster client 5 ~timeout_ms:60_000.0);
+  let r = Cluster.replica cluster 1 in
+  let entries = List.map snd (Ledger.entries (Replica.ledger r) ~from:1 ()) in
+  check Alcotest.bool "the suffix holds a view-change set" true
+    (List.exists (function Entry.View_change_set _ -> true | _ -> false) entries);
+  let dry_run ?(vc_set = fun _ -> true) ?(new_view = fun _ _ -> true) entries =
+    Validate.check_suffix
+      ~tree:(Ledger.m_tree_copy (Ledger.create (Cluster.genesis cluster)))
+      ~next_seqno:1 ~cp_seqno:(Replica.last_committed r) ~verify_pp:(fun _ -> true) ~vc_set
+      ~new_view entries
+  in
+  let outcome = Alcotest.(result unit string) in
+  check outcome "accepted" (Ok ()) (dry_run entries);
+  check outcome "view-change set refused" (Error "view-change set refused")
+    (dry_run ~vc_set:(fun _ -> false) entries);
+  check outcome "new view refused" (Error "new view refused")
+    (dry_run ~new_view:(fun _ _ -> false) entries);
+  (* A transaction moved below its minimum index. *)
+  let lowered = ref None in
+  let entries =
+    List.map
+      (function
+        | Entry.Tx tx when !lowered = None ->
+            let q = tx.Batch.request in
+            let request =
+              Request.of_fields ~client_pk:q.Request.client_pk ~service:q.Request.service
+                ~min_index:(tx.Batch.index + 1) ~client_seqno:q.Request.client_seqno
+                ~signature:q.Request.signature ~proc:q.Request.proc ~args:q.Request.args ()
+            in
+            lowered := Some tx.Batch.index;
+            Entry.Tx { tx with Batch.request }
+        | e -> e)
+      entries
+  in
+  match dry_run entries with
+  | Error m ->
+      check Alcotest.bool "below its minimum index" true
+        (String.ends_with ~suffix:"a transaction below its minimum index" m)
+  | Ok () -> Alcotest.fail "a transaction below its minimum index passed"
+
 let () =
   Random.self_init ();
   Alcotest.run "iaccf_statesync"
@@ -688,6 +739,8 @@ let () =
           Alcotest.test_case "second silent tick retargets" `Quick
             test_session_second_silent_tick_retargets;
           Alcotest.test_case "install gate" `Quick test_session_install_gate;
+          Alcotest.test_case "suffix dry run checks protocol entries" `Quick
+            test_check_suffix_protocol_entries;
         ] );
       ( "checkpoint-owner",
         [
