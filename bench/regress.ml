@@ -10,6 +10,8 @@
      and the SHA-256 compressions and field multiplications the full run
      makes per transaction; then the full run again with every replica's
      ledger persisted, for its compressions and storage appends and bytes;
+   - audit: the field multiplies and compressions of an audit of a
+     SmallBank ledger whose accounts are created in the ledger;
    - statesync: one chunked catch-up of a joining replica (the
      @statesync-bench path at its smallest size);
    - chaos: the identity-intercept equivalence run from @chaos-overhead;
@@ -102,6 +104,56 @@ let smallbank_rows () =
       exact "persisted" "storage_bytes"
         (float_of_int (Obs.counter_value obs "storage.append_bytes"));
     ]
+
+(* --- audit: the exact work of an audit of a SmallBank ledger. The
+   harness's runs preload their accounts outside the ledger, so a replay
+   from genesis cannot reproduce them; this closed loop creates its
+   accounts by transaction instead. Replica 0's ledger is read back from
+   a package, so the audit starts from fresh key values and builds the
+   same combs on every run, at any width. ----------------------------- *)
+
+let audit_rows () =
+  let module Package = Iaccf_storage.Package in
+  let total = 60 and concurrency = 16 and accounts = 20 in
+  let cluster = Cluster.make ~seed:42 ~n:4 ~app:(Smallbank.app ()) () in
+  let client = Cluster.add_client cluster () in
+  let rng = Rng.create 43 in
+  let setup = Array.of_list (Smallbank.setup_ops ~accounts ~initial_balance:10_000) in
+  let _, completed =
+    Pump.closed_loop ~total ~concurrency
+      ~submit:(fun ~seq ~on_complete ->
+        let op = if seq <= accounts then setup.(seq - 1) else Smallbank.random_op rng ~accounts in
+        Client.submit client ~proc:op.Smallbank.op_proc ~args:op.Smallbank.op_args
+          ~on_complete:(fun _ -> on_complete ())
+          ())
+      ()
+  in
+  if not (Cluster.run_until cluster (fun () -> !completed >= total)) then
+    fail "audit workload stalled";
+  let params = Cluster.params cluster in
+  let pkg =
+    Package.deserialize
+      (Package.serialize (Package.of_ledger (Replica.ledger (Cluster.replica cluster 0))))
+  in
+  let auditor =
+    Audit.create ~genesis:(Package.genesis pkg) ~app:(Smallbank.app ())
+      ~pipeline:params.Replica.pipeline ~checkpoint_interval:params.Replica.checkpoint_interval
+  in
+  let muls = Iaccf_crypto.Group.muls () and blocks = Iaccf_crypto.Sha256.blocks () in
+  (match Audit.audit auditor ~receipts:[] ~ledger:(Package.to_ledger pkg) ~responder:0 () with
+  | Ok () -> ()
+  | Error v -> fail "audit of the SmallBank ledger: %s" (Format.asprintf "%a" Audit.pp_verdict v));
+  let muls = Iaccf_crypto.Group.muls () - muls
+  and blocks = Iaccf_crypto.Sha256.blocks () - blocks in
+  let per_tx n = Float.round (100.0 *. float_of_int n /. float_of_int total) /. 100.0 in
+  let exact metric v =
+    Report.row ~bench:"regress_smallbank" ~series:"audited" ~metric ~gate:Report.Exact v
+  in
+  [
+    exact "txs" (float_of_int total);
+    exact "audit_field_muls_per_tx" (per_tx muls);
+    exact "audit_sha256_blocks_per_tx" (per_tx blocks);
+  ]
 
 (* --- statesync: smallest catch-up run (mirrors bench/statesync.ml,
    whose module has a toplevel main and so cannot be linked here) ------- *)
@@ -325,7 +377,7 @@ let emit ~dir =
   let path f = Filename.concat dir f in
   Report.write_rows
     ~file:(path "BENCH_regress_smallbank.json")
-    ~bench:"regress_smallbank" (smallbank_rows ());
+    ~bench:"regress_smallbank" (smallbank_rows () @ audit_rows ());
   Report.write_rows
     ~file:(path "BENCH_regress_statesync.json")
     ~bench:"regress_statesync" (statesync_rows ());

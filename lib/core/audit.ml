@@ -10,8 +10,7 @@ module Store = Iaccf_kv.Store
 module Tree = Iaccf_merkle.Tree
 module Bitmap = Iaccf_util.Bitmap
 module D = Iaccf_crypto.Digest32
-module Vstage = Iaccf_crypto.Vstage
-module Profile = Iaccf_crypto.Profile
+module Sigbatch = Iaccf_crypto.Sigbatch
 
 type upom =
   | Invalid_receipt of { ir_receipt : Receipt.t; ir_reason : string }
@@ -37,7 +36,6 @@ type t = {
   app : App.t;
   rule : Schedule.rule; (* the replay takes every checkpoint a replica may *)
   chain : Govchain.t;
-  vstage : Vstage.t; (* interns the keys a package names again and again *)
 }
 
 let create ~genesis ~app ~pipeline ~checkpoint_interval =
@@ -47,22 +45,7 @@ let create ~genesis ~app ~pipeline ~checkpoint_interval =
     app;
     rule = { Schedule.pipeline; interval = checkpoint_interval; checkpoints = true };
     chain = Govchain.create genesis ~pipeline;
-    vstage = Vstage.create ();
   }
-
-(* The ledger's signature checks, through the auditor's own stage: a
-   decoded package holds a fresh key value per message, so without
-   interning no key would ever earn a table. *)
-let check t config ~cls : Message.check =
- fun ~replica d ~signature ->
-  match Config.replica_pk config replica with
-  | None -> false
-  | Some pk ->
-      Vstage.verify t.vstage ~cls ~principal:Profile.Replica_key pk (D.to_raw d) ~signature
-
-let request_check t pk d ~signature =
-  Vstage.verify t.vstage ~cls:"request" ~principal:Profile.Client_key pk (D.to_raw d)
-    ~signature
 
 (* ------------------------------------------------------------------ *)
 (* Verdict assembly                                                    *)
@@ -183,7 +166,29 @@ type scan = {
 
 exception Malformed of int * string
 
-let scan_ledger t ~responder ledger =
+(* The scan runs in two passes. The first makes every structural check
+   in ledger order and, where the one-pass scan would verify a signature,
+   queues a job tagged with the (ledger index, reason) that scan would
+   fail with. The second checks the jobs (Sigbatch). The first failure in
+   scan order is the verdict: a failing job if any, since every job was
+   queued before the structural fault that ended the first pass, else
+   that fault. A job that passes its structural part reports [true] to
+   the message's verify function, so the first pass goes on as the
+   one-pass scan would after a good signature. View-change sets and new
+   views are rare and still verified inline: [Newview.set_fault] checks
+   every signature of a set even after one fails. *)
+let scan_ledger ?width t ~responder ledger =
+  let jobs = Sigbatch.create () in
+  let defer_request tag pk d ~signature =
+    Sigbatch.add jobs pk (D.to_raw d) ~signature tag;
+    true
+  in
+  let defer config tag : Message.check =
+   fun ~replica d ~signature ->
+    match Config.replica_pk config replica with
+    | None -> false
+    | Some pk -> defer_request tag pk d ~signature
+  in
   let tree = Tree.create () in
   let batches : (int, batch_info) Hashtbl.t = Hashtbl.create 64 in
   let evidence = Hashtbl.create 64 in
@@ -207,13 +212,16 @@ let scan_ledger t ~responder ledger =
         let s = pp.Message.seqno in
         if not (D.equal (Batch.g_root txs) pp.Message.g_root) then
           fail i (Printf.sprintf "batch %d: transactions do not match g_root" s);
+        let bad_client_sig = (i, Printf.sprintf "batch %d: invalid client signature" s) in
         List.iter
           (fun (tx : Batch.tx_entry) ->
             if not (Batch.placed tx) then
               fail i (Printf.sprintf "batch %d: minimum index violated" s);
-            if not (Request.verify tx.Batch.request ~service:t.service ~check:(request_check t))
-            then
-              fail i (Printf.sprintf "batch %d: invalid client signature" s);
+            if
+              not
+                (Request.verify tx.Batch.request ~service:t.service
+                   ~check:(defer_request bad_client_sig))
+            then fail i (snd bad_client_sig);
             if Request.is_governance tx.Batch.request then gov_index := tx.Batch.index)
           txs;
         Hashtbl.replace batches s { bi_pp = pp; bi_pp_index = pp_index; bi_txs = txs };
@@ -289,6 +297,7 @@ let scan_ledger t ~responder ledger =
               fail i "evidence view does not match batch";
             let pph = Message.pp_hash bi.bi_pp in
             let config = config_at pe_seqno in
+            let check = defer config (i, "invalid prepare evidence signature") in
             let seen = Hashtbl.create 8 in
             List.iter
               (fun (p : Message.prepare) ->
@@ -296,8 +305,7 @@ let scan_ledger t ~responder ledger =
                 if Hashtbl.mem seen p.Message.p_replica then
                   fail i "duplicate prepare evidence";
                 Hashtbl.add seen p.Message.p_replica ();
-                if not (Message.verify_prepare ~check:(check t config ~cls:"prepare") config p)
-                then
+                if not (Message.verify_prepare ~check config p) then
                   fail i "invalid prepare evidence signature")
               pe_prepares;
             if List.length pe_prepares <> Config.quorum config - 1 then
@@ -325,9 +333,12 @@ let scan_ledger t ~responder ledger =
         let config = config_at s in
         if s <> !next_seqno then
           fail i (Printf.sprintf "unexpected sequence number %d (expected %d)" s !next_seqno);
-        if not (Message.verify_pre_prepare ~check:(check t config ~cls:"pre_prepare") config pp)
-        then
-          fail i "invalid pre-prepare signature";
+        if
+          not
+            (Message.verify_pre_prepare
+               ~check:(defer config (i, "invalid pre-prepare signature"))
+               config pp)
+        then fail i "invalid pre-prepare signature";
         if not (D.equal pp.Message.m_root (Tree.root tree)) then
           fail i "pre-prepare m_root does not bind the ledger prefix";
         if pp.Message.gov_index <> !gov_index then
@@ -348,13 +359,13 @@ let scan_ledger t ~responder ledger =
         let config = config_at !next_seqno in
         Option.iter (fail i)
           (Newview.set_fault ~quorum:(Config.quorum config)
-             ~verify:(Message.verify_view_change ~check:(check t config ~cls:"view_change") config)
+             ~verify:(Message.verify_view_change config)
              vcs);
         vc_sets := ((List.hd vcs).Message.vc_view, vcs) :: !vc_sets;
         next_seqno := Newview.resume ~pipeline:t.rule.pipeline vcs + 1
     | Entry.New_view nv ->
         let config = config_at !next_seqno in
-        if not (Message.verify_new_view ~check:(check t config ~cls:"new_view") config nv) then
+        if not (Message.verify_new_view config nv) then
           fail i "invalid new-view signature";
         (match !vc_sets with
         | (_, vcs) :: _ -> Option.iter (fail i) (Newview.names_fault nv vcs)
@@ -363,11 +374,26 @@ let scan_ledger t ~responder ledger =
           fail i "new-view m_root mismatch");
     if Entry.in_merkle_tree entry then Tree.append tree (Entry.leaf_digest entry)
   in
-  match
-    Ledger.iteri (fun i e -> scan_entry i e) ledger;
-    close_batch (Ledger.length ledger)
-  with
-  | () ->
+  let structural =
+    match
+      Ledger.iteri (fun i e -> scan_entry i e) ledger;
+      close_batch (Ledger.length ledger)
+    with
+    | () -> Ok ()
+    | exception Malformed (i, reason) -> Error (i, reason)
+  in
+  let bad_signature =
+    match width with
+    | None -> Sigbatch.first_failure jobs
+    | Some width -> Sigbatch.first_failure_at ~width jobs
+  in
+  match (bad_signature, structural) with
+  | Some (i, reason), _ | None, Error (i, reason) ->
+      Error
+        (verdict t ~seqno:1
+           (Malformed_ledger { ml_responder = responder; ml_reason = reason; ml_index = i })
+           Bitmap.empty)
+  | None, Ok () ->
       Ok
         {
           sc_batches = batches;
@@ -376,11 +402,6 @@ let scan_ledger t ~responder ledger =
           sc_max_seqno = !max_seqno;
           sc_timeline = !timeline;
         }
-  | exception Malformed (i, reason) ->
-      Error
-        (verdict t ~seqno:1
-           (Malformed_ledger { ml_responder = responder; ml_reason = reason; ml_index = i })
-           Bitmap.empty)
 
 
 (* ------------------------------------------------------------------ *)
@@ -562,10 +583,13 @@ let replay_ledger t ~responder scan ~checkpoint =
   |> function
   | Error _ as e -> e
   | Ok () ->
+      (* A checkpoint is digested only when a checkpoint transaction
+         names it; the map is immutable, so keeping it costs only what
+         later batches change, and forcing the digest lets it go. *)
       let replay_cps = Hashtbl.create 8 in
       let take_cp s =
-        let cp = Checkpoint.make ~seqno:s (Store.map store) in
-        Hashtbl.replace replay_cps s (Checkpoint.digest cp)
+        let map = Store.map store in
+        Hashtbl.replace replay_cps s (lazy (Checkpoint.digest (Checkpoint.make ~seqno:s map)))
       in
       if start_seqno = 0 then take_cp 0;
       let blame_batch s =
@@ -627,7 +651,7 @@ let replay_ledger t ~responder scan ~checkpoint =
                     | Batch.Checkpoint { cp_seqno; cp_digest }
                       when s > start_seqno && cp_seqno > start_seqno -> (
                         match Hashtbl.find_opt replay_cps cp_seqno with
-                        | Some own when D.equal own cp_digest -> Ok ()
+                        | Some own when D.equal (Lazy.force own) cp_digest -> Ok ()
                         | Some _ ->
                             Error
                               (verdict t ~seqno:s
@@ -657,16 +681,19 @@ let replay_ledger t ~responder scan ~checkpoint =
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
 
-let audit t ~receipts ~ledger ?checkpoint ~responder () =
+let audit_gen ?width t ~receipts ~ledger ?checkpoint ~responder () =
   match audit_receipts t receipts with
   | Error _ as e -> e
   | Ok () -> (
-      match scan_ledger t ~responder ledger with
+      match scan_ledger ?width t ~responder ledger with
       | Error _ as e -> e
       | Ok scan -> (
           match verify_receipts_in_ledger t ~responder scan receipts with
           | Error _ as e -> e
           | Ok () -> replay_ledger t ~responder scan ~checkpoint))
+
+let audit t = audit_gen t
+let audit_at_width ~width t = audit_gen ~width t
 
 let pp_upom ppf = function
   | Invalid_receipt { ir_reason; _ } -> Format.fprintf ppf "invalid-receipt(%s)" ir_reason

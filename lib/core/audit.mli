@@ -71,7 +71,24 @@ val audit :
 (** Run the full audit of the receipts against a ledger provided by
     [responder]. [Ok ()] means no misbehavior was detected. When a
     [checkpoint] is supplied, replay starts at its sequence number instead
-    of genesis (the checkpoint digest is verified against the ledger). *)
+    of genesis (the checkpoint digest is verified against the ledger).
+
+    The ledger's pre-prepare, prepare and client signatures are checked
+    in one batch after the structural scan, spread over as many domains
+    as the number of checks and the host's cores warrant; the verdict is
+    the one a scan checking each signature in place would give. *)
+
+val audit_at_width :
+  width:int ->
+  t ->
+  receipts:Receipt.t list ->
+  ledger:Ledger.t ->
+  ?checkpoint:Checkpoint.t ->
+  responder:int ->
+  unit ->
+  (unit, verdict) result
+(** {!audit} with the batched signature checks on exactly [width]
+    domains, for tests that compare widths. *)
 
 val pp_upom : Format.formatter -> upom -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

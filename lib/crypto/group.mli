@@ -57,6 +57,10 @@ val muls : unit -> int
     between two reads count the field work in between,
     deterministically. *)
 
+val add_muls : int -> unit
+(** [add_muls n] adds [n] to the calling domain's {!muls}: for work a
+    helper domain did on this domain's behalf. *)
+
 val element_of_bytes : string -> elt option
 (** Decode a 32-byte big-endian element; [None] if out of range or zero. *)
 

@@ -77,6 +77,10 @@ let scratch_key =
 
 let blocks () = (Domain.DLS.get scratch_key).blocks
 
+let add_blocks n =
+  let sc = Domain.DLS.get scratch_key in
+  sc.blocks <- sc.blocks + n
+
 (* The doubled word [x lor (x lsl 32)] of a masked [x] holds [rotr x n] in
    its bits [n .. n+31] for every [n < 32]. The results are unmasked: only
    their low 32 bits are right, and every caller adds them into a sum it

@@ -32,3 +32,7 @@ val blocks : unit -> int
 (** Compression-function calls that digests finalized on the calling
     domain have made so far. Differences between two reads count the
     hashing work in between, deterministically. *)
+
+val add_blocks : int -> unit
+(** [add_blocks n] adds [n] to the calling domain's {!blocks}: for
+    hashing a helper domain did on this domain's behalf. *)

@@ -1,13 +1,14 @@
-(* The replica's and the auditor's signature check (see vstage.mli for
-   who else checks signatures, and how).
+(* The replica's signature check (see vstage.mli for who else checks
+   signatures, and how).
 
    Keys seen repeatedly (replica keys, chatty clients) are interned and, on
    their third use, get a Group.make_table, after which each verification
    shares g's squaring chain in one pass. Every check is charged to
    [Profile] under its message class and principal.
 
-   No result cache and no worker pool: neither paid on the benchmarks
-   (DESIGN.md, crypto pipeline). *)
+   No result cache and no worker pool: neither paid on the replica's one
+   check per message (DESIGN.md, crypto pipeline). The auditor, which has
+   all of a package's checks at once, batches them in Sigbatch. *)
 
 module Obs = Iaccf_obs.Obs
 

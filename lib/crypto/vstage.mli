@@ -1,7 +1,8 @@
-(** The replica's and the auditor's signature check: each hands its own
-    stage's {!verify} to [Message.verify_*] and [Request.verify] as their
-    [check]. Receipts, clients and the observer's reader call the same
-    checks with their default, plain [Schnorr.verify].
+(** The replica's signature check: the replica hands its stage's
+    {!verify} to [Message.verify_*] and [Request.verify] as their
+    [check]. The auditor queues its checks in a {!Sigbatch} instead.
+    Receipts, clients and the observer's reader call the same checks with
+    their default, plain [Schnorr.verify].
 
     {!verify} interns the key, builds its fixed-base table
     ({!Schnorr.precompute}) on the key's third use, verifies, and charges

@@ -19,8 +19,8 @@ type t = {
 
 let set_sink t sink = t.sink <- sink
 
-let push t entry =
-  let raw = Entry.serialize entry in
+(* [raw] is [Entry.serialize entry]. *)
+let push_raw t entry raw =
   let bytes = String.length raw in
   if Entry.in_merkle_tree entry then Tree.append t.tree (Entry.leaf_of_serialized raw);
   Vec.push t.slots { entry; m_size_after = Tree.size t.tree; bytes };
@@ -29,22 +29,32 @@ let push t entry =
   (match t.sink with Some s -> s.sink_append index raw | None -> ());
   index
 
+let push t entry = push_raw t entry (Entry.serialize entry)
+
+let empty () = { slots = Vec.create (); tree = Tree.create (); byte_total = 0; sink = None }
+
 let create genesis =
-  let t =
-    { slots = Vec.create (); tree = Tree.create (); byte_total = 0; sink = None }
-  in
+  let t = empty () in
   ignore (push t (Entry.Genesis genesis));
   t
 
+let is_genesis = function Entry.Genesis _ -> true | _ -> false
+
 let of_entries entries =
-  match entries with
-  | Entry.Genesis _ :: _ ->
-      let t =
-        { slots = Vec.create (); tree = Tree.create (); byte_total = 0; sink = None }
-      in
-      List.iter (fun e -> ignore (push t e)) entries;
-      t
-  | _ -> invalid_arg "Ledger.of_entries: first entry must be the genesis"
+  (match entries with
+  | e :: _ when is_genesis e -> ()
+  | _ -> invalid_arg "Ledger.of_entries: first entry must be the genesis");
+  let t = empty () in
+  List.iter (fun e -> ignore (push t e)) entries;
+  t
+
+(* The leaves hash the bytes as given: no entry is serialized again. *)
+let of_serialized raws =
+  let t = empty () in
+  List.iter (fun raw -> ignore (push_raw t (Entry.deserialize raw) raw)) raws;
+  if Vec.length t.slots = 0 || not (is_genesis (Vec.get t.slots 0).entry) then
+    invalid_arg "Ledger.of_serialized: first entry must be the genesis";
+  t
 
 let length t = Vec.length t.slots
 let get t i = (Vec.get t.slots i).entry
@@ -117,7 +127,6 @@ let serialize t =
 
 let deserialize s =
   Codec.decode s (fun r ->
-      let raw = Codec.R.list r Codec.R.bytes in
-      of_entries (List.map Entry.deserialize raw))
+      of_serialized (Codec.R.list r Codec.R.bytes))
 
 let total_bytes t = t.byte_total

@@ -37,6 +37,13 @@ val of_entries : Entry.t list -> t
 (** Rebuild a ledger (e.g. a received fragment treated as a full ledger
     prefix) from raw entries. *)
 
+val of_serialized : string list -> t
+(** [of_serialized raws] is [of_entries (List.map Entry.deserialize raws)],
+    with each leaf hashed from its bytes in [raws] instead of from the
+    entry serialized again.
+    @raise Invalid_argument if the first entry is not the genesis;
+    [Codec.Decode_error] if an entry does not decode. *)
+
 val length : t -> int
 val get : t -> int -> Entry.t
 val append : t -> Entry.t -> int

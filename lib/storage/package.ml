@@ -15,6 +15,7 @@ type t = {
   pkg_receipts : string list;
   pkg_m_root : D.t;
   pkg_m_size : int;
+  pkg_ledger : Ledger.t option;
 }
 
 let magic = "IAPKG1\n"
@@ -27,6 +28,7 @@ let of_ledger ?checkpoint ?(receipts = []) ledger =
     pkg_receipts = receipts;
     pkg_m_root = Ledger.m_root ledger;
     pkg_m_size = Ledger.m_size ledger;
+    pkg_ledger = None;
   }
 
 let of_entries ?checkpoint ?(receipts = []) entries =
@@ -37,9 +39,11 @@ let of_entries ?checkpoint ?(receipts = []) entries =
     pkg_receipts = receipts;
     pkg_m_root = Ledger.m_root ledger;
     pkg_m_size = Ledger.m_size ledger;
+    pkg_ledger = Some ledger;
   }
 
-let to_ledger t = Ledger.of_entries t.pkg_entries
+let to_ledger t =
+  match t.pkg_ledger with Some ledger -> ledger | None -> Ledger.of_entries t.pkg_entries
 
 let genesis t =
   match t.pkg_entries with
@@ -82,8 +86,10 @@ let deserialize s =
       Codec.decode body (fun r ->
           let v = Codec.R.u8 r in
           if v <> version then raise (Codec.Decode_error "unsupported package version");
-          let pkg_entries =
-            Codec.R.list r Codec.R.bytes |> List.map Entry.deserialize
+          let ledger =
+            match Ledger.of_serialized (Codec.R.list r Codec.R.bytes) with
+            | ledger -> ledger
+            | exception Invalid_argument _ -> fail "package does not start with a genesis entry"
           in
           let pkg_checkpoint =
             Codec.R.option r Codec.R.bytes |> Option.map Checkpoint.deserialize
@@ -91,16 +97,19 @@ let deserialize s =
           let pkg_receipts = Codec.R.list r Codec.R.bytes in
           let pkg_m_root = D.of_raw (Codec.R.raw r D.size) in
           let pkg_m_size = Codec.R.u64 r in
-          { pkg_entries; pkg_checkpoint; pkg_receipts; pkg_m_root; pkg_m_size })
+          {
+            pkg_entries = List.map snd (Ledger.entries ledger ());
+            pkg_checkpoint;
+            pkg_receipts;
+            pkg_m_root;
+            pkg_m_size;
+            pkg_ledger = Some ledger;
+          })
     with Codec.Decode_error m -> fail "corrupt package: %s" m
   in
   (* The embedded root is the package's self-authenticating claim: the
      entries must reproduce it, or the bundle is rejected outright. *)
-  let ledger =
-    match t.pkg_entries with
-    | Entry.Genesis _ :: _ -> to_ledger t
-    | _ -> fail "package does not start with a genesis entry"
-  in
+  let ledger = to_ledger t in
   if Ledger.m_size ledger <> t.pkg_m_size then fail "package tree size mismatch";
   if not (D.equal (Ledger.m_root ledger) t.pkg_m_root) then
     fail "package entries do not reproduce the embedded Merkle root";

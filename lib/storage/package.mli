@@ -21,6 +21,9 @@ type t = {
   pkg_receipts : string list;  (** serialized [Receipt.t] blobs *)
   pkg_m_root : D.t;
   pkg_m_size : int;
+  pkg_ledger : Ledger.t option;
+      (** the ledger built from the entries when the package was decoded
+          or bundled by {!of_entries}; [None] from {!of_ledger} *)
 }
 
 val of_ledger :
@@ -34,7 +37,10 @@ val of_entries :
     dependency cycle between the two modules. *)
 
 val to_ledger : t -> Ledger.t
-(** Rebuild the in-memory ledger (root already verified on import). *)
+(** The in-memory ledger: [pkg_ledger] when there is one (its root was
+    checked on import, and every call returns that same ledger, so a
+    caller that appends to it must not call again), else rebuilt from the
+    entries. *)
 
 val genesis : t -> Iaccf_types.Genesis.t
 

@@ -705,6 +705,217 @@ let prop_corrupt_bytes_never_crash =
           | Ok () | Error _ -> true))
 
 
+
+(* --- verdicts of the batched signature checks --- *)
+
+(* A real cluster ledger with one view change in it: the cluster, and
+   replica 1's entries. *)
+let vc_ledger =
+  lazy
+    (let cluster = Cluster.make ~n:4 () in
+     let client = Cluster.add_client cluster () in
+     let drive n =
+       let done_ = ref 0 in
+       for i = 1 to n do
+         Client.submit client ~proc:"counter/add" ~args:(string_of_int i)
+           ~on_complete:(fun _ -> incr done_)
+           ()
+       done;
+       check Alcotest.bool "cluster ran" true
+         (Cluster.run_until cluster ~timeout_ms:60_000.0 (fun () -> !done_ = n))
+     in
+     for _ = 1 to 6 do drive 1 done;
+     List.iter Replica.inject_view_change (Cluster.replicas cluster);
+     for _ = 1 to 6 do drive 2 done;
+     Cluster.run cluster ~ms:100.0;
+     (cluster, List.map snd (Ledger.entries (Replica.ledger (Cluster.replica cluster 1)) ())))
+
+let flip s k = String.mapi (fun i c -> if i = k then Char.chr (Char.code c lxor 0x01) else c) s
+
+(* [entries] with the [nth] (from 0) of those that [f] rewrites
+   rewritten. *)
+let rewrite_nth ?(nth = 0) f entries =
+  let seen = ref (-1) in
+  let rewritten =
+    List.map
+      (fun e ->
+        match f e with
+        | Some e' ->
+            incr seen;
+            if !seen = nth then e' else e
+        | None -> e)
+      entries
+  in
+  if !seen < nth then Alcotest.fail "no entry to rewrite";
+  rewritten
+
+let bad_request_sig = function
+  | Entry.Tx tx ->
+      let r = tx.Batch.request in
+      let r' =
+        Request.of_fields ~client_pk:r.Request.client_pk ~service:r.Request.service
+          ~min_index:r.Request.min_index ~client_seqno:r.Request.client_seqno
+          ~signature:(flip r.Request.signature 40) ~proc:r.Request.proc ~args:r.Request.args ()
+      in
+      Some (Entry.Tx { tx with Batch.request = r' })
+  | _ -> None
+
+let bad_prepare_sig = function
+  | Entry.Prepare_evidence ({ pe_prepares = p :: rest; _ } as pe) ->
+      let p = { p with Message.p_signature = flip p.Message.p_signature 40 } in
+      Some (Entry.Prepare_evidence { pe with pe_prepares = p :: rest })
+  | _ -> None
+
+let bad_pre_prepare_sig = function
+  | Entry.Pre_prepare pp ->
+      Some (Entry.Pre_prepare { pp with Message.signature = flip pp.Message.signature 40 })
+  | _ -> None
+
+let bad_view_change_sig = function
+  | Entry.View_change_set (vc :: rest) ->
+      Some
+        (Entry.View_change_set
+           ({ vc with Message.vc_signature = flip vc.Message.vc_signature 40 } :: rest))
+  | _ -> None
+
+let bad_new_view_sig = function
+  | Entry.New_view nv ->
+      Some (Entry.New_view { nv with Message.nv_signature = flip nv.Message.nv_signature 40 })
+  | _ -> None
+
+(* A genesis entry anywhere but index 0 is a structural fault. *)
+let misplaced_genesis genesis = function
+  | Entry.Pre_prepare _ -> Some (Entry.Genesis genesis)
+  | _ -> None
+
+(* What a verdict pins: the uPoM's kind, its ledger index and reason, and
+   the blamed replicas. *)
+let verdict_summary = function
+  | Ok () -> "clean"
+  | Error (v : Audit.verdict) ->
+      let kind, index, reason =
+        match v.Audit.v_upom with
+        | Audit.Malformed_ledger { ml_index; ml_reason; _ } -> ("malformed", ml_index, ml_reason)
+        | Audit.Wrong_execution { we_index; we_reason; _ } ->
+            ("wrong-execution", we_index, we_reason)
+        | u -> (Format.asprintf "%a" Audit.pp_upom u, -1, "")
+      in
+      Printf.sprintf "%s@%d %s blaming [%s]" kind index reason
+        (String.concat "," (List.map string_of_int (Bitmap.to_list v.Audit.v_blamed_replicas)))
+
+let cluster_auditor () =
+  let cluster, _ = Lazy.force vc_ledger in
+  Audit.create ~genesis:(Cluster.genesis cluster) ~app:(App.create Cluster.counter_app_procs)
+    ~pipeline:(Cluster.params cluster).Replica.pipeline
+    ~checkpoint_interval:(Cluster.params cluster).Replica.checkpoint_interval
+
+(* A cluster's replicas only sign batches whose client signatures verify,
+   so a bad one that reaches the signature check needs a colluding
+   quorum: here, forged batches 1 to 4 with a bad client signature in
+   batch 3. *)
+let forged_bad_client_sig () =
+  let w = make_world () in
+  let forge = make_forge w in
+  for i = 1 to 4 do
+    let r = request w ~client_seqno:i "counter/add" "1" in
+    let r =
+      if i <> 3 then r
+      else
+        Request.of_fields ~client_pk:r.Request.client_pk ~service:r.Request.service
+          ~client_seqno:i ~signature:(flip r.Request.signature 40) ~proc:r.Request.proc
+          ~args:r.Request.args ()
+    in
+    ignore (Forge.add_batch forge [ r ])
+  done;
+  ((fun () -> make_auditor w), List.map snd (Ledger.entries (Forge.ledger forge) ()))
+
+(* Each case: its name, a fresh auditor, and the entries. *)
+let verdict_cases () =
+  let cluster, entries = Lazy.force vc_ledger in
+  let genesis = Cluster.genesis cluster in
+  let nth n f es = rewrite_nth ~nth:n f es in
+  let forged_auditor, forged = forged_bad_client_sig () in
+  List.map
+    (fun (name, es) -> (name, cluster_auditor, es))
+    [
+      ("honest", entries);
+      ("client request", nth 3 bad_request_sig entries);
+      ("prepare", nth 1 bad_prepare_sig entries);
+      ("pre-prepare", nth 2 bad_pre_prepare_sig entries);
+      ("view change", rewrite_nth bad_view_change_sig entries);
+      ("new view", rewrite_nth bad_new_view_sig entries);
+      ( "structural fault after a bad signature",
+        nth 5 (misplaced_genesis genesis) (nth 1 bad_prepare_sig entries) );
+      ( "structural fault before a bad signature",
+        nth 1 (misplaced_genesis genesis) (nth 4 bad_prepare_sig entries) );
+      ( "two bad signatures",
+        nth 1 bad_prepare_sig (nth 2 bad_pre_prepare_sig entries) );
+    ]
+  @ [ ("forged client request", forged_auditor, forged) ]
+
+(* The verdicts a scan that checks each signature in place gives these
+   cases. A flipped client signature in a real ledger breaks the batch's
+   g_root, which the scan checks first; a flipped pre-prepare or prepare
+   signature breaks the M root the next pre-prepare signed, a structural
+   fault after the bad signature. *)
+let pinned_verdicts =
+  [
+    ("honest", "clean");
+    ("client request", "malformed@13 batch 4: transactions do not match g_root blaming []");
+    ("prepare", "malformed@9 invalid prepare evidence signature blaming []");
+    ("pre-prepare", "malformed@7 invalid pre-prepare signature blaming []");
+    ("view change", "malformed@13 invalid view-change signature blaming []");
+    ("new view", "malformed@14 invalid new-view signature blaming []");
+    ( "structural fault after a bad signature",
+      "malformed@9 invalid prepare evidence signature blaming []" );
+    ( "structural fault before a bad signature",
+      "malformed@3 genesis entry not at index 0 blaming []" );
+    ("two bad signatures", "malformed@7 invalid pre-prepare signature blaming []");
+    ("forged client request", "malformed@9 batch 3: invalid client signature blaming []");
+  ]
+
+let test_verdicts_match_in_place_scan () =
+  List.iter
+    (fun (name, auditor, entries) ->
+      List.iter
+        (fun width ->
+          let got =
+            verdict_summary
+              (Audit.audit_at_width ~width (auditor ()) ~receipts:[]
+                 ~ledger:(Ledger.of_entries entries) ~responder:1 ())
+          in
+          check Alcotest.string
+            (Printf.sprintf "%s, width %d" name width)
+            (List.assoc name pinned_verdicts) got)
+        [ 1; 2 ])
+    (verdict_cases ())
+
+(* The field multiplies and compressions an audit makes do not depend
+   on the width: a helper domain's counts are folded into the caller's.
+   Each audit reads the ledger from a package, so it starts from fresh
+   key values and builds the same combs. *)
+let test_work_counts_same_at_any_width () =
+  let module Package = Iaccf_storage.Package in
+  let cluster, entries = Lazy.force vc_ledger in
+  let raw = Package.serialize (Package.of_entries entries) in
+  let counts width =
+    let pkg = Package.deserialize raw in
+    let auditor =
+      Audit.create ~genesis:(Package.genesis pkg) ~app:(App.create Cluster.counter_app_procs)
+        ~pipeline:(Cluster.params cluster).Replica.pipeline
+        ~checkpoint_interval:(Cluster.params cluster).Replica.checkpoint_interval
+    in
+    let muls = Iaccf_crypto.Group.muls () and blocks = Iaccf_crypto.Sha256.blocks () in
+    (match
+       Audit.audit_at_width ~width auditor ~receipts:[] ~ledger:(Package.to_ledger pkg)
+         ~responder:1 ()
+     with
+    | Ok () -> ()
+    | Error v -> Alcotest.failf "audit failed: %s" (Format.asprintf "%a" Audit.pp_verdict v));
+    (Iaccf_crypto.Group.muls () - muls, Iaccf_crypto.Sha256.blocks () - blocks)
+  in
+  check Alcotest.(pair int int) "field multiplies and compressions" (counts 1) (counts 2)
+
 (* --- liveness monitoring (§2 future-work defence) --- *)
 
 let test_liveness_watch_cleared_by_receipt () =
@@ -791,6 +1002,13 @@ let () =
             test_enforcer_rejects_wrong_config_upom;
           Alcotest.test_case "rejects inflated blame" `Quick
             test_enforcer_rejects_inflated_blame;
+        ] );
+      ( "signature batch",
+        [
+          Alcotest.test_case "verdicts match the in-place scan" `Quick
+            test_verdicts_match_in_place_scan;
+          Alcotest.test_case "work counts at any width" `Quick
+            test_work_counts_same_at_any_width;
         ] );
     ]
 

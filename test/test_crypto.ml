@@ -907,6 +907,63 @@ let prop_vstage_matches_reference_under_flips =
       agree
       && Iaccf_obs.Obs.counter_value obs "crypto.keys.precomputed" = hot)
 
+(* --- Sigbatch: the first failure in job order, at any width --- *)
+
+(* Jobs over up to 6 keys, each job with a fresh copy of its key (as a
+   decoded message has), about one in eight with a bit of its digest or
+   signature flipped. At widths 1 to 3 the batch must name the first job
+   that an untabled Schnorr.verify rejects. *)
+let prop_sigbatch_first_failure =
+  QCheck.Test.make ~name:"first failure = first rejected job, widths 1-3" ~count:10
+    QCheck.(list_of_size (Gen.int_range 1 90) (triple (int_bound 5) (int_bound 15) (int_bound 511)))
+    (fun spec ->
+      let keys = Array.init 6 (fun k -> Schnorr.keypair_of_seed (Printf.sprintf "batch-%d" k)) in
+      let copy pk = Option.get (Schnorr.public_key_of_bytes (Schnorr.public_key_to_bytes pk)) in
+      let jobs =
+        List.mapi
+          (fun i (k, fault, bit) ->
+            let sk, pk = keys.(k) in
+            let digest = Sha256.digest (Printf.sprintf "batch-m-%d" i) in
+            let signature = Schnorr.sign sk digest in
+            match fault with
+            | 0 -> (pk, flip_bit digest bit, signature)
+            | 1 -> (pk, digest, flip_bit signature bit)
+            | _ -> (pk, digest, signature))
+          spec
+      in
+      let want =
+        let rec first i = function
+          | [] -> None
+          | (pk, digest, signature) :: rest ->
+              if Schnorr.verify (copy pk) digest ~signature then first (i + 1) rest else Some i
+        in
+        first 0 jobs
+      in
+      List.for_all
+        (fun width ->
+          let b = Sigbatch.create () in
+          List.iteri (fun i (pk, digest, signature) -> Sigbatch.add b (copy pk) digest ~signature i) jobs;
+          Sigbatch.first_failure_at ~width b = want)
+        [ 1; 2; 3 ])
+
+(* A comb is built for a key used 4 times or more, on the first copy of
+   it, and not for one used 3 times. *)
+let test_sigbatch_combs () =
+  let job_list uses seed =
+    let sk, pk = Schnorr.keypair_of_seed seed in
+    List.init uses (fun i ->
+        let digest = Sha256.digest (Printf.sprintf "%s-%d" seed i) in
+        (Option.get (Schnorr.public_key_of_bytes (Schnorr.public_key_to_bytes pk)), digest,
+         Schnorr.sign sk digest))
+  in
+  let cold = job_list 3 "comb-cold" and hot = job_list 4 "comb-hot" in
+  let b = Sigbatch.create () in
+  List.iter (fun (pk, digest, signature) -> Sigbatch.add b pk digest ~signature ()) (cold @ hot);
+  check Alcotest.(option unit) "all verify" None (Sigbatch.first_failure b);
+  let first_key l = match l with (pk, _, _) :: _ -> pk | [] -> assert false in
+  check Alcotest.bool "3 uses: no comb" false (Schnorr.has_table (first_key cold));
+  check Alcotest.bool "4 uses: a comb" true (Schnorr.has_table (first_key hot))
+
 let () =
   Alcotest.run "iaccf_crypto"
     [
@@ -977,6 +1034,11 @@ let () =
             test_schnorr_parallel_domains;
         ] );
       ( "vstage", [ qtest prop_vstage_matches_reference_under_flips ] );
+      ( "sigbatch",
+        [
+          qtest prop_sigbatch_first_failure;
+          Alcotest.test_case "combs where they pay" `Quick test_sigbatch_combs;
+        ] );
       ( "digest/nonce",
         [
           Alcotest.test_case "digest32" `Quick test_digest32;

@@ -193,6 +193,46 @@ let prop_bitmap_roundtrip =
       let sorted = List.sort_uniq compare l in
       Bitmap.to_list (Bitmap.of_list l) = sorted)
 
+(* --- crc32 --- *)
+
+(* The byte-at-a-time reference the sliced loop must agree with. *)
+let crc32_bytewise s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_vectors () =
+  List.iter
+    (fun (s, want) -> Alcotest.(check int) (Printf.sprintf "crc32 %S" s) want (Crc32.digest s))
+    [
+      ("", 0);
+      ("a", 0xE8B7BE43);
+      ("123456789", 0xCBF43926);
+      ("The quick brown fox jumps over the lazy dog", 0x414FA339);
+      (String.make 32 '\xff', 0xFF6CAB0B);
+    ];
+  Alcotest.check_raises "out of range" (Invalid_argument "Crc32.update") (fun () ->
+      ignore (Crc32.digest_sub "abc" ~pos:2 ~len:2))
+
+let prop_crc32_matches_bytewise =
+  QCheck.Test.make ~name:"crc32 sliced = bytewise" ~count:500
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Crc32.digest_sub s ~pos ~len = crc32_bytewise s ~pos ~len)
+
 let () =
   Alcotest.run "iaccf_util"
     [
@@ -237,5 +277,10 @@ let () =
           Alcotest.test_case "encode" `Quick test_bitmap_encode;
           Alcotest.test_case "range" `Quick test_bitmap_range;
           qtest prop_bitmap_roundtrip;
+        ] );
+      ( "crc32",
+        [
+          Alcotest.test_case "vectors" `Quick test_crc32_vectors;
+          qtest prop_crc32_matches_bytewise;
         ] );
     ]
