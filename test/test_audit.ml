@@ -1003,7 +1003,7 @@ let () =
           Alcotest.test_case "rejects inflated blame" `Quick
             test_enforcer_rejects_inflated_blame;
         ] );
-      ( "signature batch",
+      ( "sig batch",
         [
           Alcotest.test_case "verdicts match the in-place scan" `Quick
             test_verdicts_match_in_place_scan;
