@@ -9,7 +9,8 @@
      heap words replica 0's key-value store retains after the full run,
      and the SHA-256 compressions and field multiplications the full run
      makes per transaction; then the full run again with every replica's
-     ledger persisted, for its compressions and storage appends and bytes;
+     ledger persisted, for its compressions, storage appends and bytes,
+     and syncs;
    - audit: the field multiplies and compressions of an audit of a
      SmallBank ledger whose accounts are created in the ledger;
    - statesync: one chunked catch-up of a joining replica (the
@@ -58,6 +59,9 @@ let smallbank_rows () =
   let blocks_before = Iaccf_crypto.Sha256.blocks ()
   and muls_before = Iaccf_crypto.Group.muls () in
   let full = run_iaccf ~label:"full" ~total ~concurrency ~accounts ~inspect () in
+  (* Checkpoint digests hash on the background worker and count here once
+     they finish, read or not: wait for them all. *)
+  Iaccf_util.Worker.drain ();
   let blocks = Iaccf_crypto.Sha256.blocks () - blocks_before
   and muls = Iaccf_crypto.Group.muls () - muls_before in
   (* Two decimals: distinct counts stay distinct (1/60 > 0.01) and the
@@ -89,6 +93,7 @@ let smallbank_rows () =
         run_iaccf ~label:"persisted" ~total ~concurrency ~accounts ~obs ~persist
           ~inspect:Cluster.close_storage ())
   in
+  Iaccf_util.Worker.drain ();
   let persisted_blocks = Iaccf_crypto.Sha256.blocks () - blocks_before in
   if persisted.rr_txs <> full.rr_txs then
     fail "persisted run committed %d txs" persisted.rr_txs;
@@ -103,6 +108,10 @@ let smallbank_rows () =
         (float_of_int (Obs.counter_value obs "storage.appends"));
       exact "persisted" "storage_bytes"
         (float_of_int (Obs.counter_value obs "storage.append_bytes"));
+      (* Every sync the stores made, counted when it is issued: a sync
+         issued twice moves it. *)
+      exact "persisted" "storage_fsyncs"
+        (float_of_int (Obs.counter_value obs "storage.fsyncs"));
     ]
 
 (* --- audit: the exact work of an audit of a SmallBank ledger. The

@@ -69,17 +69,30 @@ let init () =
 (* Per domain: the message schedule, the context the one-shot digests
    reuse, and the compressions finished here (counted once per digest;
    the padded length fixes them). Domain-local, so callers hashing on
-   other domains never race on any of it. *)
-type scratch = { w : int array; one : ctx; mutable blocks : int }
+   other domains never race on any of it. [credited] is the one field
+   another domain writes: the compressions of jobs counted here that ran
+   elsewhere ({!count_here}). *)
+type scratch = { w : int array; one : ctx; mutable blocks : int; credited : int Atomic.t }
 
 let scratch_key =
-  Domain.DLS.new_key (fun () -> { w = Array.make 64 0; one = init (); blocks = 0 })
+  Domain.DLS.new_key (fun () ->
+      { w = Array.make 64 0; one = init (); blocks = 0; credited = Atomic.make 0 })
 
-let blocks () = (Domain.DLS.get scratch_key).blocks
+let blocks () =
+  let sc = Domain.DLS.get scratch_key in
+  sc.blocks + Atomic.get sc.credited
 
 let add_blocks n =
   let sc = Domain.DLS.get scratch_key in
   sc.blocks <- sc.blocks + n
+
+let count_here f =
+  let home = Domain.DLS.get scratch_key in
+  fun () ->
+    let sc = Domain.DLS.get scratch_key in
+    let before = sc.blocks in
+    Fun.protect f ~finally:(fun () ->
+        ignore (Atomic.fetch_and_add home.credited (sc.blocks - before)))
 
 (* The doubled word [x lor (x lsl 32)] of a masked [x] holds [rotr x n] in
    its bits [n .. n+31] for every [n < 32]. The results are unmasked: only

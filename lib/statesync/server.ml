@@ -1,7 +1,9 @@
 module Entry = Iaccf_ledger.Entry
 module Checkpoint = Iaccf_kv.Checkpoint
 module D = Iaccf_crypto.Digest32
+module Sha256 = Iaccf_crypto.Sha256
 module Obs = Iaccf_obs.Obs
+module Worker = Iaccf_util.Worker
 
 type t = {
   metrics : Metrics.t;
@@ -10,7 +12,8 @@ type t = {
   interval : int;  (* C: a checkpoint every C batches *)
   snapshot_interval : int;  (* 0: no snapshot files *)
   dir : string option;  (* where snapshot files live *)
-  taken : (int, Checkpoint.t * D.t) Hashtbl.t;  (* cp_seqno -> checkpoint, digest *)
+  taken : (int, Checkpoint.t * D.t Worker.pending) Hashtbl.t;
+      (* cp_seqno -> checkpoint, digest (computed on the background worker) *)
   mutable latest : int;  (* the latest checkpoint taken *)
   sealed : (int, D.t) Hashtbl.t;  (* cp_seqno -> sealed digest *)
   sealed_at : (int, int) Hashtbl.t;  (* cp_seqno -> seqno of the sealing batch *)
@@ -21,19 +24,23 @@ let create ~metrics ~obs ~node ~interval ~snapshot_interval ~dir =
   { metrics; obs; node; interval; snapshot_interval; dir; taken = Hashtbl.create 8; latest = 0;
     sealed = Hashtbl.create 8; sealed_at = Hashtbl.create 8; cache = None }
 
+(* The digest's first reader is the checkpoint batch C batches later, so
+   it is hashed off the event loop; its compressions count here all the
+   same, read or not. *)
 let take t cp =
   let s = cp.Checkpoint.seqno in
-  Hashtbl.replace t.taken s (cp, Checkpoint.digest cp);
+  let digest = Worker.submit (Sha256.count_here (fun () -> Checkpoint.digest cp)) in
+  Hashtbl.replace t.taken s (cp, digest);
   t.latest <- s
 
 let adopt t cp digest =
   let s = cp.Checkpoint.seqno in
-  Hashtbl.replace t.taken s (cp, digest);
+  Hashtbl.replace t.taken s (cp, Worker.ready digest);
   t.latest <- max t.latest s
 
 let latest t = t.latest
 let checkpoint t s = Option.map fst (Hashtbl.find_opt t.taken s)
-let digest t s = Option.map snd (Hashtbl.find_opt t.taken s)
+let digest t s = Option.map (fun (_, d) -> Worker.await d) (Hashtbl.find_opt t.taken s)
 
 (* Keep recent checkpoints only; old rollback snapshots are not needed
    once well below the committed prefix. *)
@@ -62,7 +69,7 @@ let write_snapshot t cp_seqno cp_digest =
   | Some dir, Some (cp, d)
     when t.snapshot_interval > 0
          && cp_seqno mod t.snapshot_interval = 0
-         && D.equal d cp_digest -> (
+         && D.equal (Worker.await d) cp_digest -> (
       try
         let bytes = Snapshot.write ~dir cp in
         Snapshot.retain ~dir ~keep:2;
@@ -119,7 +126,7 @@ let snapshot t cp_seqno =
       | _ ->
           let data =
             match Hashtbl.find_opt t.taken cp_seqno with
-            | Some (cp, d) when D.equal d digest -> Some (Checkpoint.serialize cp)
+            | Some (cp, d) when D.equal (Worker.await d) digest -> Some (Checkpoint.serialize cp)
             | _ ->
                 Option.bind t.dir (fun dir ->
                     Option.map snd (Snapshot.load ~dir cp_seqno ~digest))

@@ -19,7 +19,11 @@ val create :
     [snapshot_interval] sequence numbers ([0], or no [dir]: none). *)
 
 val take : t -> Iaccf_kv.Checkpoint.t -> unit
-(** Keep a checkpoint just taken; it becomes the latest. *)
+(** Keep a checkpoint just taken; it becomes the latest. Its digest is
+    computed on the background worker ({!Iaccf_util.Worker}): {!digest},
+    {!seal}'s snapshot write and serving wait for it. Its compressions
+    count toward the caller's {!Iaccf_crypto.Sha256.blocks} even if the
+    checkpoint is dropped unread. *)
 
 val adopt : t -> Iaccf_kv.Checkpoint.t -> Iaccf_crypto.Digest32.t -> unit
 (** Keep an installed checkpoint with its verified digest. *)

@@ -69,21 +69,15 @@ let serialize t =
 
 let deserialize s =
   let mlen = String.length magic in
-  if String.length s < mlen + 4 then fail "package too short";
-  if String.sub s 0 mlen <> magic then fail "bad package magic";
-  let body =
-    try
-      Codec.decode (String.sub s mlen (String.length s - mlen)) (fun r ->
-          let crc = Codec.R.u32 r in
-          let body = Codec.R.raw r (Codec.R.remaining r) in
-          if Crc32.digest body <> crc then
-            raise (Codec.Decode_error "package checksum mismatch");
-          body)
-    with Codec.Decode_error m -> fail "corrupt package: %s" m
-  in
+  let body = mlen + 4 in
+  if String.length s < body then fail "package too short";
+  if not (String.starts_with ~prefix:magic s) then fail "bad package magic";
+  let crc = Int32.to_int (String.get_int32_be s mlen) land 0xFFFFFFFF in
+  if Crc32.digest_sub s ~pos:body ~len:(String.length s - body) <> crc then
+    fail "corrupt package: package checksum mismatch";
   let t =
     try
-      Codec.decode body (fun r ->
+      Codec.decode ~pos:body s (fun r ->
           let v = Codec.R.u8 r in
           if v <> version then raise (Codec.Decode_error "unsupported package version");
           let ledger =

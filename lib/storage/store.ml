@@ -5,6 +5,7 @@ module Codec = Iaccf_util.Codec
 module Vec = Iaccf_util.Vec
 module D = Iaccf_crypto.Digest32
 module Obs = Iaccf_obs.Obs
+module Worker = Iaccf_util.Worker
 
 exception Storage_error of string
 
@@ -54,6 +55,7 @@ type t = {
   mutable seg_count : int;
   mutable disk : int;
   mutable unsynced : int;
+  mutable syncing : unit Worker.pending option;  (* the interval sync in flight *)
   mutable closed : bool;
   recovered : recovery_info;
 }
@@ -296,6 +298,7 @@ let open_store ?(readonly = false) ?obs ?(owner = 0) cfg =
       seg_count = List.length live_segs;
       disk = !disk;
       unsynced = 0;
+      syncing = None;
       closed = false;
       recovered =
         {
@@ -333,11 +336,24 @@ let check_rw t op =
 (* ------------------------------------------------------------------ *)
 (* Append path                                                         *)
 
-let sync t =
-  check_rw t "sync";
-  (match t.tail_fd with Some fd -> Unix.fsync fd | None -> ());
-  (* M's size and root over the store's own prefix. The attached ledger
-     runs ahead of the store only while [attach] backfills it. *)
+(* Wait for the interval sync in flight, if any, and re-raise its
+   failure. Everything that closes the tail descriptor or writes another
+   file of the store calls this first, so the files on disk are the ones
+   the synchronous path would have left. *)
+let settle t =
+  match t.syncing with
+  | None -> ()
+  | Some p ->
+      t.syncing <- None;
+      Worker.await p
+
+(* A sync in two halves. [capture] runs on the caller: it takes the tail
+   descriptor and the root-of-trust record of the store's current length
+   with M's size and root there (the attached ledger runs ahead of the
+   store only while [attach] backfills it), and counts and traces the
+   sync. The half it returns makes it durable: the segment's fsync, then
+   the root file. *)
+let capture t =
   let length = length t in
   let m_size, m_root =
     match t.ledger with
@@ -345,15 +361,30 @@ let sync t =
     | Some l when Ledger.length l = length -> (Ledger.m_size l, Ledger.m_root l)
     | Some l -> (Ledger.m_size_at l length, Ledger.m_root_at l length)
   in
-  Disk.write_atomic (root_path t.cfg.dir)
-    (encode_root ~length ~m_size ~m_root);
   Obs.incr t.c_fsyncs;
   Obs.instant t.obs ~node:t.owner ~cat:"storage" ~name:"storage.fsync"
     ~args:[ ("entries", string_of_int length) ]
     ();
-  t.unsynced <- 0
+  t.unsynced <- 0;
+  let fd = t.tail_fd and path = root_path t.cfg.dir in
+  let record = encode_root ~length ~m_size ~m_root in
+  fun () ->
+    Option.iter Unix.fsync fd;
+    Disk.write_atomic path record
+
+let sync t =
+  check_rw t "sync";
+  settle t;
+  capture t ()
+
+(* The interval sync runs on the background worker: nothing reads its
+   result, and the next one waits for it. *)
+let sync_later t =
+  settle t;
+  t.syncing <- Some (Worker.submit (capture t))
 
 let roll_segment t =
+  settle t;
   (match t.tail_fd with
   | Some fd ->
       (* The finished segment is immutable from here on: make it durable
@@ -388,7 +419,7 @@ let append t payload =
   t.unsynced <- t.unsynced + 1;
   (match t.cfg.fsync with
   | Fsync_always -> sync t
-  | Fsync_interval n when t.unsynced >= n -> sync t
+  | Fsync_interval n when t.unsynced >= n -> sync_later t
   | Fsync_interval _ | No_fsync -> ());
   index
 
@@ -448,6 +479,7 @@ let truncate t n =
     fail "Store.truncate: cannot roll back to %d, entries before %d were pruned"
       n t.base;
   if n < length t then begin
+    settle t;
     Obs.incr t.c_truncates;
     Obs.instant t.obs ~node:t.owner ~cat:"storage" ~name:"storage.truncate"
       ~args:[ ("to", string_of_int n); ("from", string_of_int (length t)) ]
@@ -591,6 +623,7 @@ let close t =
 
 let crash t =
   if not t.closed then begin
+    settle t;
     (match t.tail_fd with Some fd -> Unix.close fd | None -> ());
     t.tail_fd <- None;
     t.closed <- true

@@ -25,7 +25,9 @@ exception Storage_error of string
 type fsync_policy =
   | No_fsync  (** durability only on explicit [sync] / [close] *)
   | Fsync_always  (** fsync + root-of-trust update after every append *)
-  | Fsync_interval of int  (** fsync + root update every [n] appends *)
+  | Fsync_interval of int
+      (** fsync + root update every [n] appends, written by the background
+          worker ({!Iaccf_util.Worker}) while appends go on; see {!sync} *)
 
 type config = {
   dir : string;
@@ -108,7 +110,10 @@ val sync : t -> unit
 (** fsync the tail segment and atomically rewrite the root-of-trust file
     to cover the store's full current length, with M's size and root taken
     from the attached ledger at that length (or, before {!attach}, the ones
-    recovered on open). *)
+    recovered on open). An interval sync in flight on the background
+    worker finishes first, as it does before a segment roll, a truncation,
+    {!prune_before}, {!close} and {!crash} touch the files; its failure is
+    re-raised there. *)
 
 val close : t -> unit
 (** [sync] then release file descriptors. The store must not be used
@@ -116,7 +121,8 @@ val close : t -> unit
 
 val crash : t -> unit
 (** Test hook: drop file descriptors {e without} syncing or updating the
-    root-of-trust file, simulating a process kill. *)
+    root-of-trust file, simulating a process kill right after the last
+    interval sync was written. *)
 
 val to_ledger : t -> Ledger.t
 (** Materialize the persisted entries as an in-memory ledger (recovery

@@ -43,7 +43,7 @@ end
 module R = struct
   type t = { src : string; mutable pos : int }
 
-  let of_string src = { src; pos = 0 }
+  let of_string src ~pos = { src; pos }
   let remaining r = String.length r.src - r.pos
 
   let need r n =
@@ -109,8 +109,9 @@ let encode f =
   f w;
   W.contents w
 
-let decode s f =
-  let r = R.of_string s in
+let decode ?(pos = 0) s f =
+  if pos < 0 || pos > String.length s then invalid_arg "Codec.decode";
+  let r = R.of_string s ~pos in
   let x = f r in
   R.expect_end r;
   x

@@ -55,6 +55,8 @@ end
 val encode : (W.t -> unit) -> string
 (** [encode f] runs [f] on a fresh writer and returns the bytes. *)
 
-val decode : string -> (R.t -> 'a) -> 'a
-(** [decode s f] decodes [s] entirely with [f].
-    @raise Decode_error on malformed or trailing input. *)
+val decode : ?pos:int -> string -> (R.t -> 'a) -> 'a
+(** [decode s f] decodes [s] entirely with [f]; with [~pos], the bytes of
+    [s] from [pos] on, without copying them.
+    @raise Decode_error on malformed or trailing input.
+    @raise Invalid_argument if [pos] is outside [0, String.length s]. *)

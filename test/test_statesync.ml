@@ -575,6 +575,28 @@ let test_owner_rollback () =
   Server.adopt t cp (Checkpoint.digest cp);
   check Alcotest.int "adopted" 30 (Server.latest t)
 
+(* A checkpoint's digest is hashed on the background worker; one that a
+   rollback drops before anyone reads it still counts its compressions. *)
+let test_owner_rollback_counts_digest () =
+  let t, _ = owner () in
+  let cp = cp_of_seqno 10 in
+  let blocks f =
+    Iaccf_util.Worker.drain ();
+    let before = Iaccf_crypto.Sha256.blocks () in
+    f ();
+    Iaccf_util.Worker.drain ();
+    Iaccf_crypto.Sha256.blocks () - before
+  in
+  let direct = blocks (fun () -> ignore (Checkpoint.digest cp)) in
+  let dropped =
+    blocks (fun () ->
+        Server.take t cp;
+        Server.rollback t ~target:5)
+  in
+  check Alcotest.(list int) "dropped" [ 0 ] (held t);
+  check Alcotest.bool "some hashing" true (direct > 0);
+  check Alcotest.int "compressions of the unread digest" direct dropped
+
 let seal t ?(persist = true) ?digest s =
   let cp_digest = Option.value digest ~default:(Checkpoint.digest (cp_of_seqno s)) in
   Server.seal t ~cp_seqno:s ~cp_digest ~seal_seqno:(s + 10) ~persist
@@ -746,6 +768,7 @@ let () =
         [
           Alcotest.test_case "retention window" `Quick test_owner_retention;
           Alcotest.test_case "rollback" `Quick test_owner_rollback;
+          Alcotest.test_case "unread digest counted" `Quick test_owner_rollback_counts_digest;
           Alcotest.test_case "snapshot files" `Quick test_owner_snapshot_files;
           Alcotest.test_case "restore and prune points" `Quick
             test_owner_restore_and_prune_points;

@@ -279,6 +279,77 @@ let test_truncate_durable () =
   check_contents s (keep @ [ extra ]);
   Store.close s
 
+(* --- Deferred syncs --- *)
+
+(* Interval syncs run on the background worker. After a crash, the store's
+   files, its length and its root must be what a synchronous sync every
+   4 appends leaves, with as many syncs counted. *)
+let test_deferred_syncs_match_sync () =
+  let entries = sample_entries 30 in
+  let run ~fsync ~after =
+    let dir = fresh_dir () in
+    let obs = Iaccf_obs.Obs.create ~metrics:true ~tracing:false () in
+    let s = Store.open_store ~obs { Store.dir; segment_bytes = 512; fsync } in
+    let ledger = fill s [ List.hd entries ] in
+    List.iter
+      (fun e ->
+        append ledger e;
+        after s)
+      (List.tl entries);
+    Store.crash s;
+    (dir, Iaccf_obs.Obs.counter_value obs "storage.fsyncs")
+  in
+  let deferred, deferred_syncs =
+    run ~fsync:(Store.Fsync_interval 4) ~after:(fun _ -> ())
+  in
+  let synced, synced_syncs =
+    run ~fsync:Store.No_fsync ~after:(fun s -> if Store.length s mod 4 = 0 then Store.sync s)
+  in
+  check Alcotest.int "syncs" synced_syncs deferred_syncs;
+  check
+    Alcotest.(list (pair string string))
+    "files" (dir_snapshot synced) (dir_snapshot deferred);
+  let reopen dir =
+    let s = open_cfg ~segment_bytes:512 dir in
+    check Alcotest.bool "root-of-trust verified" true (Store.recovery s).Store.ri_root_verified;
+    let root = Ledger.m_root (resume s) in
+    let length = Store.length s in
+    Store.close s;
+    (length, root)
+  in
+  let length, root = reopen synced in
+  let length', root' = reopen deferred in
+  check Alcotest.int "length" length length';
+  check digest_testable "root" root root'
+
+(* The append that reaches the interval hands its sync to the worker; a
+   truncation right behind it must still leave the root-of-trust at the
+   truncated length, or reopening would find durable data lost. *)
+let test_truncate_behind_deferred_sync () =
+  let dir = fresh_dir () in
+  let entries = sample_entries 15 in
+  let s = open_cfg ~fsync:(Store.Fsync_interval 4) dir in
+  Ledger.truncate (fill s entries) 6;
+  Store.crash s;
+  let s = open_cfg dir in
+  check Alcotest.bool "root-of-trust verified" true (Store.recovery s).Store.ri_root_verified;
+  check_contents s (List.filteri (fun i _ -> i < 6) entries);
+  Store.close s
+
+(* Once [close] returns, no sync of the store is left to write a file. *)
+let test_close_drains_syncs () =
+  let dir = fresh_dir () in
+  let entries = sample_entries 21 in
+  let s = open_cfg ~segment_bytes:512 ~fsync:(Store.Fsync_interval 2) dir in
+  ignore (fill s entries);
+  Store.close s;
+  let closed = dir_snapshot dir in
+  Iaccf_util.Worker.drain ();
+  check Alcotest.(list (pair string string)) "files" closed (dir_snapshot dir);
+  let s = open_cfg ~segment_bytes:512 dir in
+  check_contents s entries;
+  Store.close s
+
 (* A durable ledger hashes exactly what an in-memory one does: the store
    frames the bytes the ledger serialized and keeps no Merkle tree of its
    own. Each side gets its own entries so nothing one run hashes is cached
@@ -879,6 +950,14 @@ let () =
             test_durable_ledger_hashes_once;
           Alcotest.test_case "foreign root-of-trust rejected" `Quick
             test_foreign_root_rejected;
+        ] );
+      ( "deferred-sync",
+        [
+          Alcotest.test_case "crash = synchronous path" `Quick
+            test_deferred_syncs_match_sync;
+          Alcotest.test_case "truncate behind a sync" `Quick
+            test_truncate_behind_deferred_sync;
+          Alcotest.test_case "close drains the worker" `Quick test_close_drains_syncs;
         ] );
       ( "prune",
         [

@@ -111,6 +111,12 @@ let test_codec_trailing () =
   Alcotest.check_raises "trailing" (Codec.Decode_error "trailing bytes") (fun () ->
       Codec.decode "ab" (fun r -> ignore (Codec.R.u8 r)))
 
+let test_codec_offset () =
+  let s = "head" ^ Codec.encode (fun w -> Codec.W.bytes w "body") in
+  check Alcotest.string "from pos" "body" (Codec.decode ~pos:4 s Codec.R.bytes);
+  Alcotest.check_raises "pos past the end" (Invalid_argument "Codec.decode") (fun () ->
+      ignore (Codec.decode ~pos:(String.length s + 1) s Codec.R.bytes))
+
 let test_codec_truncated () =
   Alcotest.check_raises "eof" (Codec.Decode_error "unexpected end of input")
     (fun () -> Codec.decode "a" (fun r -> ignore (Codec.R.u32 r)))
@@ -233,6 +239,56 @@ let prop_crc32_matches_bytewise =
       let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
       Crc32.digest_sub s ~pos ~len = crc32_bytewise s ~pos ~len)
 
+let prop_crc32_range_is_substring =
+  QCheck.Test.make ~name:"crc32 range = crc32 of the substring" ~count:500
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Crc32.digest_sub s ~pos ~len = Crc32.digest (String.sub s pos len))
+
+let test_worker_fifo () =
+  let ran = ref [] in
+  let jobs = List.init 20 (fun i -> Worker.submit (fun () -> ran := i :: !ran; i * i)) in
+  Alcotest.(check (list int)) "results" (List.init 20 (fun i -> i * i)) (List.map Worker.await jobs);
+  Alcotest.(check (list int)) "run in submission order" (List.init 20 Fun.id) (List.rev !ran)
+
+let test_worker_exception () =
+  let failed = Worker.submit (fun () -> failwith "job failed") in
+  let after = Worker.submit (fun () -> 7) in
+  Alcotest.check_raises "re-raised at await" (Failure "job failed") (fun () ->
+      ignore (Worker.await failed));
+  Alcotest.check_raises "and again" (Failure "job failed") (fun () ->
+      ignore (Worker.await failed));
+  Alcotest.(check int) "the next job runs" 7 (Worker.await after)
+
+(* The worker ends after a quiet spell and a new one takes the next job. *)
+let test_worker_ends_when_idle () =
+  let on () = Worker.await (Worker.submit Domain.self) in
+  let first = on () in
+  Unix.sleepf 0.2;
+  Alcotest.(check bool) "a new worker after a quiet spell" false (first = on ())
+
+(* A job handed over with [Sha256.count_here] counts toward the caller's
+   compressions exactly once, whether its result is read or dropped. *)
+let test_worker_counts_hashing () =
+  let module Sha256 = Iaccf_crypto.Sha256 in
+  let data = String.make 10_000 'x' in
+  let blocks f =
+    Worker.drain ();
+    let before = Sha256.blocks () in
+    f ();
+    Worker.drain ();
+    Sha256.blocks () - before
+  in
+  let inline = blocks (fun () -> ignore (Sha256.digest data)) in
+  let job () = Worker.submit (Sha256.count_here (fun () -> Sha256.digest data)) in
+  let read = blocks (fun () -> ignore (Worker.await (job ()))) in
+  let dropped = blocks (fun () -> ignore (job ())) in
+  Alcotest.(check int) "read" inline read;
+  Alcotest.(check int) "dropped" inline dropped
+
 let () =
   Alcotest.run "iaccf_util"
     [
@@ -259,6 +315,7 @@ let () =
           Alcotest.test_case "compound" `Quick test_codec_compound;
           Alcotest.test_case "trailing" `Quick test_codec_trailing;
           Alcotest.test_case "truncated" `Quick test_codec_truncated;
+          Alcotest.test_case "offset" `Quick test_codec_offset;
           Alcotest.test_case "hostile list length" `Quick test_codec_bad_list_length;
           qtest prop_codec_u64_roundtrip;
           qtest prop_codec_bytes_roundtrip;
@@ -282,5 +339,13 @@ let () =
         [
           Alcotest.test_case "vectors" `Quick test_crc32_vectors;
           qtest prop_crc32_matches_bytewise;
+          qtest prop_crc32_range_is_substring;
+        ] );
+      ( "worker",
+        [
+          Alcotest.test_case "fifo" `Quick test_worker_fifo;
+          Alcotest.test_case "exception at await" `Quick test_worker_exception;
+          Alcotest.test_case "ends when idle" `Quick test_worker_ends_when_idle;
+          Alcotest.test_case "hashing counted once" `Quick test_worker_counts_hashing;
         ] );
     ]
