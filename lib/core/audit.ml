@@ -7,9 +7,10 @@ module Ledger = Iaccf_ledger.Ledger
 module Entry = Iaccf_ledger.Entry
 module Checkpoint = Iaccf_kv.Checkpoint
 module Store = Iaccf_kv.Store
-module Tree = Iaccf_merkle.Tree
 module Bitmap = Iaccf_util.Bitmap
+module Worker = Iaccf_util.Worker
 module D = Iaccf_crypto.Digest32
+module Sha256 = Iaccf_crypto.Sha256
 module Sigbatch = Iaccf_crypto.Sigbatch
 
 type upom =
@@ -166,19 +167,89 @@ type scan = {
 
 exception Malformed of int * string
 
-(* The scan runs in two passes. The first makes every structural check
-   in ledger order and, where the one-pass scan would verify a signature,
-   queues a job tagged with the (ledger index, reason) that scan would
-   fail with. The second checks the jobs (Sigbatch). The first failure in
-   scan order is the verdict: a failing job if any, since every job was
-   queued before the structural fault that ended the first pass, else
-   that fault. A job that passes its structural part reports [true] to
-   the message's verify function, so the first pass goes on as the
-   one-pass scan would after a good signature. View-change sets and new
-   views are rare and still verified inline: [Newview.set_fault] checks
-   every signature of a set even after one fails. *)
-let scan_ledger ?width t ~responder ledger =
-  let jobs = Sigbatch.create () in
+(* The configuration a transaction installs: for a passed vote, the one
+   in the args of the gov/propose transaction it names, looked up with
+   [proposal]; [Some None] for a passed vote whose proposal is not found
+   or does not decode. The recorded output is structural here; replay
+   re-checks it. *)
+let installs ~proposal (tx : Batch.tx_entry) =
+  if
+    tx.Batch.request.Request.proc = "gov/vote"
+    && App.decode_output tx.Batch.result.Batch.output = Ok "passed"
+  then
+    let config_of (tx' : Batch.tx_entry) =
+      match Config.deserialize tx'.Batch.request.Request.args with
+      | c -> Some c
+      | exception _ -> None
+    in
+    Some (Option.bind (proposal tx.Batch.request.Request.args) config_of)
+  else None
+
+let proposes proposal_id (tx : Batch.tx_entry) =
+  tx.Batch.request.Request.proc = "gov/propose"
+  && D.to_hex (D.of_string tx.Batch.request.Request.args) = proposal_id
+
+(* The key of every signature job [scan_ledger] queues, one per job, when
+   the scan completes: a client key per transaction, and the replica key
+   of each pre-prepare and prepare under the configuration the scan's
+   timeline gives its seqno. The timeline is rebuilt as the scan builds
+   it, from the votes of each batch as it closes. A vote may name any
+   proposal seen so far, a superset of the scan's effective batches, so
+   every configuration the scan installs is installed here at the same
+   point; a vote found only here fails the scan. *)
+let job_keys t ledger =
+  let keys = ref [] in
+  let timeline = ref (Schedule.timeline t.genesis.Genesis.initial_config) in
+  let proposals = ref [] in
+  let open_batch = ref None in (* seqno, txs rev *)
+  let replica s r =
+    Option.iter
+      (fun pk -> keys := pk :: !keys)
+      (Config.replica_pk (Schedule.config_at !timeline s) r)
+  in
+  let close_batch () =
+    Option.iter
+      (fun (s, txs_rev) ->
+        List.iter
+          (fun tx ->
+            match installs ~proposal:(fun id -> List.find_opt (proposes id) !proposals) tx with
+            | Some (Some c) ->
+                timeline := Schedule.extend !timeline ~pipeline:t.rule.pipeline ~vote_seqno:s c
+            | Some None | None -> ())
+          (List.rev txs_rev))
+      !open_batch;
+    open_batch := None
+  in
+  Ledger.iteri
+    (fun _ entry ->
+      match entry with
+      | Entry.Tx tx ->
+          keys := tx.Batch.request.Request.client_pk :: !keys;
+          if tx.Batch.request.Request.proc = "gov/propose" then proposals := tx :: !proposals;
+          Option.iter (fun (s, txs_rev) -> open_batch := Some (s, tx :: txs_rev)) !open_batch
+      | Entry.Pre_prepare pp ->
+          close_batch ();
+          replica pp.Message.seqno pp.Message.primary;
+          open_batch := Some (pp.Message.seqno, [])
+      | Entry.Prepare_evidence { pe_seqno; pe_prepares; _ } ->
+          close_batch ();
+          List.iter (fun (p : Message.prepare) -> replica pe_seqno p.Message.p_replica) pe_prepares
+      | Entry.Genesis _ | Entry.Nonce_evidence _ | Entry.View_change_set _ | Entry.New_view _ ->
+          close_batch ())
+    ledger;
+  !keys
+
+(* The scan makes every structural check in ledger order and, where a
+   scan checking signatures in place would verify one, queues a job in
+   [jobs] tagged with the (ledger index, reason) that scan would fail
+   with; helper domains check the jobs meanwhile (Sigbatch). A job that
+   passes its structural part reports [true] to the message's verify
+   function, so the scan goes on as the in-place scan would after a good
+   signature. The result is the scan, or the structural fault that ended
+   it. View-change sets and new views are rare and still verified inline:
+   [Newview.set_fault] checks every signature of a set even after one
+   fails. *)
+let scan_ledger t jobs ledger =
   let defer_request tag pk d ~signature =
     Sigbatch.add jobs pk (D.to_raw d) ~signature tag;
     true
@@ -189,7 +260,6 @@ let scan_ledger ?width t ~responder ledger =
     | None -> false
     | Some pk -> defer_request tag pk d ~signature
   in
-  let tree = Tree.create () in
   let batches : (int, batch_info) Hashtbl.t = Hashtbl.create 64 in
   let evidence = Hashtbl.create 64 in
   let vc_sets = ref [] in
@@ -227,36 +297,20 @@ let scan_ledger ?width t ~responder ledger =
         Hashtbl.replace batches s { bi_pp = pp; bi_pp_index = pp_index; bi_txs = txs };
         max_seqno := max !max_seqno s;
         (* A vote that passes schedules the configuration change 2P later.
-           The recorded output is structural here; replay re-checks it.
-           The installed configuration is in the args of the gov/propose
-           transaction the vote names, in this batch or an earlier one. *)
+           The proposal may be in this batch or an earlier one. *)
+        let proposal id =
+          Hashtbl.fold
+            (fun _ bi acc ->
+              if Option.is_none acc then List.find_opt (proposes id) bi.bi_txs else acc)
+            batches None
+        in
         List.iter
-          (fun (tx : Batch.tx_entry) ->
-            if
-              tx.Batch.request.Request.proc = "gov/vote"
-              && App.decode_output tx.Batch.result.Batch.output = Ok "passed"
-            then begin
-              let proposal_id = tx.Batch.request.Request.args in
-              let proposes (tx' : Batch.tx_entry) =
-                tx'.Batch.request.Request.proc = "gov/propose"
-                && D.to_hex (D.of_string tx'.Batch.request.Request.args) = proposal_id
-              in
-              let proposal =
-                Hashtbl.fold
-                  (fun _ bi acc ->
-                    if Option.is_none acc then List.find_opt proposes bi.bi_txs else acc)
-                  batches None
-              in
-              let config_of (tx' : Batch.tx_entry) =
-                match Config.deserialize tx'.Batch.request.Request.args with
-                | c -> Some c
-                | exception _ -> None
-              in
-              match Option.bind proposal config_of with
-              | Some c ->
-                  timeline := Schedule.extend !timeline ~pipeline:t.rule.pipeline ~vote_seqno:s c
-              | None -> fail i "passed vote without a visible proposal"
-            end)
+          (fun tx ->
+            match installs ~proposal tx with
+            | Some (Some c) ->
+                timeline := Schedule.extend !timeline ~pipeline:t.rule.pipeline ~vote_seqno:s c
+            | Some None -> fail i "passed vote without a visible proposal"
+            | None -> ())
           txs;
         open_batch := None
   in
@@ -339,7 +393,7 @@ let scan_ledger ?width t ~responder ledger =
                ~check:(defer config (i, "invalid pre-prepare signature"))
                config pp)
         then fail i "invalid pre-prepare signature";
-        if not (D.equal pp.Message.m_root (Tree.root tree)) then
+        if not (D.equal pp.Message.m_root (Ledger.m_root_at ledger i)) then
           fail i "pre-prepare m_root does not bind the ledger prefix";
         if pp.Message.gov_index <> !gov_index then
           fail i "pre-prepare gov_index incorrect";
@@ -370,30 +424,14 @@ let scan_ledger ?width t ~responder ledger =
         (match !vc_sets with
         | (_, vcs) :: _ -> Option.iter (fail i) (Newview.names_fault nv vcs)
         | [] -> fail i "new-view without view changes");
-        if not (D.equal nv.Message.nv_m_root (Tree.root tree)) then
-          fail i "new-view m_root mismatch");
-    if Entry.in_merkle_tree entry then Tree.append tree (Entry.leaf_digest entry)
+        if not (D.equal nv.Message.nv_m_root (Ledger.m_root_at ledger i)) then
+          fail i "new-view m_root mismatch")
   in
-  let structural =
-    match
-      Ledger.iteri (fun i e -> scan_entry i e) ledger;
-      close_batch (Ledger.length ledger)
-    with
-    | () -> Ok ()
-    | exception Malformed (i, reason) -> Error (i, reason)
-  in
-  let bad_signature =
-    match width with
-    | None -> Sigbatch.first_failure jobs
-    | Some width -> Sigbatch.first_failure_at ~width jobs
-  in
-  match (bad_signature, structural) with
-  | Some (i, reason), _ | None, Error (i, reason) ->
-      Error
-        (verdict t ~seqno:1
-           (Malformed_ledger { ml_responder = responder; ml_reason = reason; ml_index = i })
-           Bitmap.empty)
-  | None, Ok () ->
+  match
+    Ledger.iteri scan_entry ledger;
+    close_batch (Ledger.length ledger)
+  with
+  | () ->
       Ok
         {
           sc_batches = batches;
@@ -402,7 +440,7 @@ let scan_ledger ?width t ~responder ledger =
           sc_max_seqno = !max_seqno;
           sc_timeline = !timeline;
         }
-
+  | exception Malformed (i, reason) -> Error (i, reason)
 
 (* ------------------------------------------------------------------ *)
 (* Receipts vs ledger (Lemma 5)                                        *)
@@ -546,18 +584,19 @@ let verify_receipts_in_ledger t ~responder scan receipts =
 (* ------------------------------------------------------------------ *)
 (* Replay (Alg. 4, replayLedger)                                       *)
 
+(* [checkpoint] comes with its digest, hashed on the worker domain. *)
 let replay_ledger t ~responder scan ~checkpoint =
   let store, start_seqno =
     match checkpoint with
     | None -> (Store.create (), 0)
-    | Some cp -> (Store.of_map cp.Checkpoint.state, cp.Checkpoint.seqno)
+    | Some (cp, _) -> (Store.of_map cp.Checkpoint.state, cp.Checkpoint.seqno)
   in
   (* When starting from a checkpoint, its digest must be recorded by some
      checkpoint transaction in the ledger. *)
   (match checkpoint with
   | None -> Ok ()
-  | Some cp ->
-      let digest = Checkpoint.digest cp in
+  | Some (cp, digest) ->
+      let digest = Worker.await digest in
       let recorded =
         Hashtbl.fold
           (fun _ bi acc ->
@@ -681,19 +720,57 @@ let replay_ledger t ~responder scan ~checkpoint =
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
 
+(* The scan and the signature checks run as a pipeline: helper domains
+   check each job the scan queues while the scan goes on, and finish the
+   list while the caller checks the receipts against the ledger and
+   replays it. The start checkpoint's digest is hashed on the worker
+   domain meanwhile. The verdict is the first failure in scan order: a
+   failing job, else the structural fault that ended the scan, else the
+   receipts', else the replay's. So the receipt checks and the replay run
+   on every ledger whose scan completes, whatever the jobs hold, and the
+   work counts do not depend on timing; their verdict, or an exception
+   they raise, counts only when every job passed. *)
 let audit_gen ?width t ~receipts ~ledger ?checkpoint ~responder () =
   match audit_receipts t receipts with
   | Error _ as e -> e
   | Ok () -> (
-      match scan_ledger ?width t ~responder ledger with
-      | Error _ as e -> e
-      | Ok scan -> (
-          match verify_receipts_in_ledger t ~responder scan receipts with
-          | Error _ as e -> e
-          | Ok () -> replay_ledger t ~responder scan ~checkpoint))
+      let checkpoint =
+        Option.map
+          (fun cp -> (cp, Worker.submit (Sha256.count_here (fun () -> Checkpoint.digest cp))))
+          checkpoint
+      in
+      let jobs = Sigbatch.start ?width (job_keys t ledger) in
+      let malformed (i, reason) =
+        Error
+          (verdict t ~seqno:1
+             (Malformed_ledger { ml_responder = responder; ml_reason = reason; ml_index = i })
+             Bitmap.empty)
+      in
+      let rest () =
+        match scan_ledger t jobs ledger with
+        | Error fault -> malformed fault
+        | Ok scan -> (
+            Sigbatch.close jobs;
+            match verify_receipts_in_ledger t ~responder scan receipts with
+            | Error _ as e -> e
+            | Ok () -> replay_ledger t ~responder scan ~checkpoint)
+      in
+      let outcome =
+        match rest () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      (* The digest's compressions count here once it has finished. *)
+      Option.iter (fun (_, digest) -> ignore (Worker.await digest)) checkpoint;
+      match (Sigbatch.finish jobs, outcome) with
+      | Some fault, _ -> malformed fault
+      | None, Ok v -> v
+      | None, Error (e, bt) -> Printexc.raise_with_backtrace e bt)
 
 let audit t = audit_gen t
 let audit_at_width ~width t = audit_gen ~width t
+
+let plan_holds t ledger =
+  let jobs = Sigbatch.start ~width:1 (job_keys t ledger) in
+  Result.is_error (scan_ledger t jobs ledger) || Sigbatch.planned jobs
 
 let pp_upom ppf = function
   | Invalid_receipt { ir_reason; _ } -> Format.fprintf ppf "invalid-receipt(%s)" ir_reason

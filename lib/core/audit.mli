@@ -74,9 +74,11 @@ val audit :
     of genesis (the checkpoint digest is verified against the ledger).
 
     The ledger's pre-prepare, prepare and client signatures are checked
-    in one batch after the structural scan, spread over as many domains
-    as the number of checks and the host's cores warrant; the verdict is
-    the one a scan checking each signature in place would give. *)
+    on helper domains while the structural scan queues them and while
+    the caller checks the receipts against the ledger and replays it;
+    the caller joins in last. The domains number as many as the checks
+    and the host's cores warrant. The verdict is the one a scan checking
+    each signature in place, then replaying, would give. *)
 
 val audit_at_width :
   width:int ->
@@ -87,8 +89,14 @@ val audit_at_width :
   responder:int ->
   unit ->
   (unit, verdict) result
-(** {!audit} with the batched signature checks on exactly [width]
-    domains, for tests that compare widths. *)
+(** {!audit} with the signature checks on exactly [width] domains, for
+    tests that compare widths. *)
+
+val plan_holds : t -> Ledger.t -> bool
+(** Whether the signature checks a scan of [ledger] queues use each key
+    exactly as often as the plan counted from the ledger before the scan
+    began, whenever the scan completes. The combs are decided from the
+    plan; for tests. *)
 
 val pp_upom : Format.formatter -> upom -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

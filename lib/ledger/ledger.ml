@@ -85,14 +85,7 @@ let entries t ?(from = 0) ?until () =
   in
   go (until - 1) []
 
-let m_root_at t i =
-  if i <= 0 then Tree.empty_root
-  else begin
-    (* Recompute over a truncated copy: used by auditors, not the fast path. *)
-    let tree = Tree.copy t.tree in
-    Tree.truncate tree (m_size_at t i);
-    Tree.root tree
-  end
+let m_root_at t i = Tree.root_at t.tree (m_size_at t i)
 
 let find_pre_prepare t ~seqno =
   let best = ref None in

@@ -82,6 +82,12 @@ let rec subtree_root t lo len =
 
 let root t = if size t = 0 then empty_root else subtree_root t 0 (size t)
 
+(* The cached nodes of a prefix are the whole tree's, so its root folds
+   the same right spine a tree of [n] leaves would. *)
+let root_at t n =
+  if n < 0 || n > size t then invalid_arg "Merkle.Tree.root_at: size out of range";
+  if n = 0 then empty_root else subtree_root t 0 n
+
 let rec subtree_path t lo len i =
   if len = 1 then []
   else begin

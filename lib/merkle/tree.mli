@@ -27,6 +27,11 @@ val append : t -> Iaccf_crypto.Digest32.t -> unit
 
 val root : t -> Iaccf_crypto.Digest32.t
 
+val root_at : t -> int -> Iaccf_crypto.Digest32.t
+(** [root_at t n] is the root the tree had with its first [n] leaves, at
+    the cost of [root] on an [n]-leaf tree and without copying it.
+    @raise Invalid_argument unless [0 <= n <= size t]. *)
+
 val leaf : t -> int -> Iaccf_crypto.Digest32.t
 (** The i-th leaf digest (as appended, before leaf-hashing). *)
 

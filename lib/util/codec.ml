@@ -65,12 +65,13 @@ module R = struct
     let lo = u16 r in
     (hi lsl 16) lor lo
 
+  (* Above 2^62 - 1 the high word's top bits would be shifted out or
+     into the sign, and a second encoding would decode to the same int. *)
   let u64 r =
     let hi = u32 r in
     let lo = u32 r in
-    let x = (hi lsl 32) lor lo in
-    if x < 0 then raise (Decode_error "u64 out of OCaml int range");
-    x
+    if hi lsr 30 <> 0 then raise (Decode_error "u64 out of OCaml int range");
+    (hi lsl 32) lor lo
 
   let bool r =
     match u8 r with

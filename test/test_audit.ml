@@ -916,6 +916,167 @@ let test_work_counts_same_at_any_width () =
   in
   check Alcotest.(pair int int) "field multiplies and compressions" (counts 1) (counts 2)
 
+(* Forged batches of one request each, the [bad]th request (from 0) with
+   a flipped client signature and the [wrong]th batch (from 1) with a
+   forged result. *)
+let forged_entries ?bad ?wrong batches =
+  let w = make_world () in
+  let forge = make_forge w in
+  for i = 0 to batches - 1 do
+    let r = request w ~client_seqno:i "counter/add" "1" in
+    let r =
+      if Some i <> bad then r
+      else
+        Request.of_fields ~client_pk:r.Request.client_pk ~service:r.Request.service
+          ~client_seqno:i ~signature:(flip r.Request.signature 40) ~proc:r.Request.proc
+          ~args:r.Request.args ()
+    in
+    let execute_override _ _ =
+      if Some (i + 1) = wrong then Some (App.output_ok "fake", D.of_string "fake") else None
+    in
+    ignore (Forge.add_batch forge ~execute_override [ r ])
+  done;
+  List.map snd (Ledger.entries (Forge.ledger forge) ())
+
+(* The audit's verdict and work counts at [width], from a fresh package
+   (fresh key values, so every audit builds the same combs). *)
+let audit_package ~width raw =
+  let module Package = Iaccf_storage.Package in
+  let pkg = Package.deserialize raw in
+  let auditor =
+    Audit.create ~genesis:(Package.genesis pkg) ~app:(App.create Cluster.counter_app_procs)
+      ~pipeline:2 ~checkpoint_interval:100
+  in
+  let muls = Iaccf_crypto.Group.muls () and blocks = Iaccf_crypto.Sha256.blocks () in
+  let v =
+    Audit.audit_at_width ~width auditor ~receipts:[] ~ledger:(Package.to_ledger pkg)
+      ~responder:1 ()
+  in
+  (verdict_summary v, Iaccf_crypto.Group.muls () - muls, Iaccf_crypto.Sha256.blocks () - blocks)
+
+let package_of entries = Iaccf_storage.Package.(serialize (of_entries entries))
+
+(* Replay now runs while the signatures are checked, but a failing
+   signature still decides the verdict: batch 2 misexecutes, batch 3
+   carries a bad client signature, and the scan reaches neither fault. *)
+let test_signature_beats_replay () =
+  let raw = package_of (forged_entries ~bad:2 ~wrong:2 4) in
+  let wrong_only = package_of (forged_entries ~wrong:2 4) in
+  let kind (v, _, _) = List.hd (String.split_on_char '@' v) in
+  check Alcotest.string "replay alone finds the forged result" "wrong-execution"
+    (kind (audit_package ~width:1 wrong_only));
+  List.iter
+    (fun width ->
+      let v, _, _ = audit_package ~width raw in
+      check Alcotest.string
+        (Printf.sprintf "width %d" width)
+        "malformed@9 batch 3: invalid client signature blaming []" v)
+    [ 1; 2 ]
+
+(* The scan's job order over a ledger: each pre-prepare's job where it
+   stands, a batch's client jobs when the next non-transaction entry (or
+   the end) closes it, then that entry's prepares. A client job names its
+   request (from 0) and the index of the entry that closed its batch. *)
+type job = Pp of int | Prepare of int * int | Client of int * int
+
+let job_order entries =
+  let order = ref [] and open_txs = ref [] and txs_seen = ref 0 in
+  let close i =
+    order := List.rev_append (List.rev_map (fun r -> Client (r, i)) !open_txs) !order;
+    open_txs := []
+  in
+  List.iteri
+    (fun i e ->
+      match e with
+      | Entry.Tx _ ->
+          open_txs := !open_txs @ [ !txs_seen ];
+          incr txs_seen
+      | Entry.Pre_prepare _ ->
+          close i;
+          order := Pp i :: !order
+      | Entry.Prepare_evidence { pe_prepares; _ } ->
+          close i;
+          List.iteri (fun j _ -> order := Prepare (i, j) :: !order) pe_prepares
+      | _ -> close i)
+    entries;
+  close (List.length entries);
+  Array.of_list (List.rev !order)
+
+(* The verdict a failing job gives, in a ledger of one request per batch. *)
+let job_verdict = function
+  | Pp i -> Printf.sprintf "malformed@%d invalid pre-prepare signature blaming []" i
+  | Prepare (i, _) -> Printf.sprintf "malformed@%d invalid prepare evidence signature blaming []" i
+  | Client (r, i) ->
+      Printf.sprintf "malformed@%d batch %d: invalid client signature blaming []" i (r + 1)
+
+(* [batches] forged batches with job [k] made to fail. *)
+let bad_job_at ~batches k =
+  let honest = forged_entries batches in
+  let order = job_order honest in
+  let at i f = List.mapi (fun i' e -> if i' = i then Option.get (f e) else e) honest in
+  ( order.(k),
+    match order.(k) with
+    | Client (r, _) -> forged_entries ~bad:r batches
+    | Pp i -> at i bad_pre_prepare_sig
+    | Prepare (i, j) ->
+        at i (function
+          | Entry.Prepare_evidence ({ pe_prepares; _ } as pe) ->
+              let pe_prepares =
+                List.mapi
+                  (fun j' (p : Message.prepare) ->
+                    if j' = j then { p with Message.p_signature = flip p.Message.p_signature 40 }
+                    else p)
+                  pe_prepares
+              in
+              Some (Entry.Prepare_evidence { pe with pe_prepares })
+          | _ -> None) )
+
+(* One bad signature at each side of a 32-job chunk edge, at the list's
+   last job, and in a list shorter than a chunk: 50 audits at widths 2
+   and 3 each give the verdict and the work counts of one audit at
+   width 1. *)
+let test_chunk_edge_races () =
+  let cases =
+    [ ("job 31", 30, Some 31); ("job 32", 30, Some 32); ("job 33", 30, Some 33);
+      ("last job", 30, None); ("short list", 5, Some 7) ]
+  in
+  List.iter
+    (fun (name, batches, k) ->
+      let jobs = Array.length (job_order (forged_entries batches)) in
+      let k = Option.value k ~default:(jobs - 1) in
+      let job, entries = bad_job_at ~batches k in
+      if name = "short list" then check Alcotest.bool "shorter than a chunk" true (jobs < 32);
+      let raw = package_of entries in
+      let ((v, _, _) as want) = audit_package ~width:1 raw in
+      check Alcotest.string (name ^ ", width 1") (job_verdict job) v;
+      List.iter
+        (fun width ->
+          for run = 1 to 50 do
+            let got = audit_package ~width raw in
+            let show (v, muls, blocks) = Printf.sprintf "%s (%d muls, %d blocks)" v muls blocks in
+            if got <> want then
+              Alcotest.failf "%s, width %d, run %d: %s, want %s" name width run (show got)
+                (show want)
+          done)
+        [ 2; 3 ])
+    cases
+
+(* The keys the audit counts before the scan are the keys of the jobs
+   the scan queues, across a view change too. *)
+let test_plan_matches_jobs () =
+  let _, entries = Lazy.force vc_ledger in
+  let forged = forged_entries 12 in
+  List.iter
+    (fun (name, auditor, entries) ->
+      let ledger = Ledger.of_entries entries in
+      check Alcotest.string (name ^ " audits clean") "clean"
+        (verdict_summary (Audit.audit auditor ~receipts:[] ~ledger ~responder:1 ()));
+      check Alcotest.bool name true (Audit.plan_holds auditor ledger))
+    [
+      ("view-change ledger", cluster_auditor (), entries);
+      ("forged ledger", make_auditor (make_world ()), forged);
+    ]
+
 (* --- liveness monitoring (§2 future-work defence) --- *)
 
 let test_liveness_watch_cleared_by_receipt () =
@@ -1009,6 +1170,9 @@ let () =
             test_verdicts_match_in_place_scan;
           Alcotest.test_case "work counts at any width" `Quick
             test_work_counts_same_at_any_width;
+          Alcotest.test_case "signature beats replay" `Quick test_signature_beats_replay;
+          Alcotest.test_case "chunk-edge races" `Quick test_chunk_edge_races;
+          Alcotest.test_case "plan = queued jobs" `Quick test_plan_matches_jobs;
         ] );
     ]
 

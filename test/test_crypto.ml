@@ -941,28 +941,63 @@ let prop_sigbatch_first_failure =
       in
       List.for_all
         (fun width ->
-          let b = Sigbatch.create () in
+          let b = Sigbatch.start ~width (List.map (fun (pk, _, _) -> copy pk) jobs) in
           List.iteri (fun i (pk, digest, signature) -> Sigbatch.add b (copy pk) digest ~signature i) jobs;
-          Sigbatch.first_failure_at ~width b = want)
+          Sigbatch.planned b && Sigbatch.finish b = want)
         [ 1; 2; 3 ])
 
-(* A comb is built for a key used 4 times or more, on the first copy of
-   it, and not for one used 3 times. *)
+(* A comb is built for a key used 4 times or more, and not for one used 3
+   times: the batch makes exactly the multiplies of 3 untabled checks, one
+   comb and 4 tabled checks. *)
 let test_sigbatch_combs () =
+  let copy pk = Option.get (Schnorr.public_key_of_bytes (Schnorr.public_key_to_bytes pk)) in
   let job_list uses seed =
     let sk, pk = Schnorr.keypair_of_seed seed in
     List.init uses (fun i ->
         let digest = Sha256.digest (Printf.sprintf "%s-%d" seed i) in
-        (Option.get (Schnorr.public_key_of_bytes (Schnorr.public_key_to_bytes pk)), digest,
-         Schnorr.sign sk digest))
+        (copy pk, digest, Schnorr.sign sk digest))
   in
   let cold = job_list 3 "comb-cold" and hot = job_list 4 "comb-hot" in
-  let b = Sigbatch.create () in
+  let muls f =
+    let m = Group.muls () in
+    f ();
+    Group.muls () - m
+  in
+  let check_all pk jobs =
+    List.iter (fun (_, digest, signature) -> assert (Schnorr.verify pk digest ~signature)) jobs
+  in
+  let untabled =
+    muls (fun () -> List.iter (fun ((pk, _, _) as job) -> check_all (copy pk) [ job ]) cold)
+  in
+  let tabled =
+    match hot with
+    | (pk, _, _) :: _ ->
+        let pk = copy pk in
+        muls (fun () ->
+            Schnorr.precompute pk;
+            check_all pk hot)
+    | [] -> assert false
+  in
+  let b = Sigbatch.start ~width:1 (List.map (fun (pk, _, _) -> pk) (cold @ hot)) in
   List.iter (fun (pk, digest, signature) -> Sigbatch.add b pk digest ~signature ()) (cold @ hot);
-  check Alcotest.(option unit) "all verify" None (Sigbatch.first_failure b);
-  let first_key l = match l with (pk, _, _) :: _ -> pk | [] -> assert false in
-  check Alcotest.bool "3 uses: no comb" false (Schnorr.has_table (first_key cold));
-  check Alcotest.bool "4 uses: a comb" true (Schnorr.has_table (first_key hot))
+  let got = muls (fun () -> check Alcotest.(option unit) "all verify" None (Sigbatch.finish b)) in
+  check Alcotest.int "3 uses untabled, 4 uses tabled" (untabled + tabled) got
+
+(* [planned] holds only when the jobs used each key exactly as often as
+   the plan said. *)
+let test_sigbatch_plan () =
+  let sk, pk = Schnorr.keypair_of_seed "plan" and _, other = Schnorr.keypair_of_seed "plan-2" in
+  let digest = Sha256.digest "plan" in
+  let signature = Schnorr.sign sk digest in
+  let planned plan jobs =
+    let b = Sigbatch.start ~width:1 plan in
+    List.iter (fun pk -> Sigbatch.add b pk digest ~signature ()) jobs;
+    Sigbatch.planned b
+  in
+  check Alcotest.bool "as planned" true (planned [ pk; pk ] [ pk; pk ]);
+  check Alcotest.bool "one use short" false (planned [ pk; pk ] [ pk ]);
+  check Alcotest.bool "one use over" false (planned [ pk ] [ pk; pk ]);
+  check Alcotest.bool "unplanned key" false (planned [ pk ] [ pk; other ])
 
 let () =
   Alcotest.run "iaccf_crypto"
@@ -1038,6 +1073,7 @@ let () =
         [
           qtest prop_sigbatch_first_failure;
           Alcotest.test_case "combs where they pay" `Quick test_sigbatch_combs;
+          Alcotest.test_case "plan counts" `Quick test_sigbatch_plan;
         ] );
       ( "digest/nonce",
         [

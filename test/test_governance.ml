@@ -225,6 +225,53 @@ let test_removed_primary_retires_after_commit () =
   Cluster.run cluster ~ms:1000.0;
   check Alcotest.bool "old primary retired" false (Replica.active (Cluster.replica cluster 0))
 
+(* The audit decides its combs from the keys it counts in the ledger
+   before the scan. Those counts must be the scan's even where a vote
+   installs a configuration with a new replica key: replica 4 replaces
+   replica 1, and with replica 2 stopped every quorum of the new
+   configuration needs replica 4's prepare. The replacement keeps the
+   quorum size: replicas size the evidence of the old configuration's
+   last batches by the new quorum, which the audit rejects (a FOUND
+   line in CHANGES.md). *)
+let test_audit_plans_installed_keys () =
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  ignore (submit cluster client "counter/add" "1");
+  let r4 = Cluster.spawn_replica cluster ~id:4 in
+  let base = (Cluster.genesis cluster).Genesis.initial_config in
+  let cfg1 =
+    Cluster.make_next_config cluster ~add_replicas:[ 4 ] ~remove_replicas:[ 1 ] ~base ()
+  in
+  ignore (pass_referendum cluster cfg1);
+  check Alcotest.bool "config 1" true (wait_config cluster ~config_no:1 ~on:[ 0; 2; 3 ]);
+  Replica.join r4 ~from:0;
+  check Alcotest.bool "replica 4 joined" true
+    (Cluster.run_until cluster ~timeout_ms:120_000.0 (fun () -> Replica.active r4));
+  Replica.stop (Cluster.replica cluster 2);
+  for i = 2 to 6 do
+    ignore (submit cluster client "counter/add" (string_of_int i))
+  done;
+  let ledger = Replica.ledger (Cluster.replica cluster 0) in
+  let prepared_by_4 =
+    List.exists
+      (fun (_, e) ->
+        match e with
+        | Entry.Prepare_evidence { pe_prepares; _ } ->
+            List.exists (fun (p : Message.prepare) -> p.Message.p_replica = 4) pe_prepares
+        | _ -> false)
+      (Ledger.entries ledger ())
+  in
+  check Alcotest.bool "replica 4 signs prepare evidence" true prepared_by_4;
+  let auditor =
+    Audit.create ~genesis:(Cluster.genesis cluster) ~app:(App.create Cluster.counter_app_procs)
+      ~pipeline:(Cluster.params cluster).Replica.pipeline
+      ~checkpoint_interval:(Cluster.params cluster).Replica.checkpoint_interval
+  in
+  (match Audit.audit auditor ~receipts:[] ~ledger ~responder:0 () with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "audit: %a" Audit.pp_verdict v);
+  check Alcotest.bool "planned key uses = queued" true (Audit.plan_holds auditor ledger)
+
 let test_two_reconfigurations () =
   (* 4 -> 5 (add replica 4) -> 4 (remove replica 1): the governance
      sub-ledger chains two configuration changes and a fresh client still
@@ -408,6 +455,7 @@ let () =
           Alcotest.test_case "removed primary retires after commit" `Quick
             test_removed_primary_retires_after_commit;
           Alcotest.test_case "two reconfigurations" `Quick test_two_reconfigurations;
+          Alcotest.test_case "audit plans installed keys" `Quick test_audit_plans_installed_keys;
         ] );
       ( "governance sub-ledger",
         [

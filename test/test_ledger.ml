@@ -328,6 +328,35 @@ let test_entry_codec_rejects_corruption () =
   (* Trailing garbage after a valid encoding is not silently ignored. *)
   expect_decode_error "trailing bytes" (fun () -> Entry.deserialize (enc ^ "\x00"))
 
+(* Decoding is canonical: whatever bytes decode to an entry are that
+   entry's own encoding. The ledger hashes M's leaves from the bytes it
+   read, and the auditor checks signed roots against that tree, so two
+   encodings of one entry would give one entry two leaves. Seeded byte
+   rewrites of random entries of every variant; each rewrite that still
+   decodes must re-encode to itself. A u64 above max_int must be refused,
+   not decoded with its high bits dropped. *)
+let test_entry_decode_canonical () =
+  let rng = Rng.create 0xC0DE in
+  let accepted = ref 0 in
+  for i = 1 to 3000 do
+    let raw = Bytes.of_string (Entry.serialize (rng_entry rng)) in
+    for _ = 0 to Rng.int rng 2 do
+      Bytes.set raw (Rng.int rng (Bytes.length raw))
+        (Char.chr (Rng.pick rng [ Rng.int rng 256; 0x80; 0xff; 0x01; 0x00 ]))
+    done;
+    let raw = Bytes.to_string raw in
+    match Entry.deserialize raw with
+    | e ->
+        incr accepted;
+        check Alcotest.string (Printf.sprintf "rewrite %d re-encodes" i) raw (Entry.serialize e)
+    | exception Iaccf_util.Codec.Decode_error _ -> ()
+  done;
+  check Alcotest.bool "some rewrites decode" true (!accepted > 100);
+  let enc = Entry.serialize (sample_pp ~seqno:5 ()) in
+  (* The view is the u64 right after the tag. *)
+  let high_bit = String.mapi (fun i c -> if i = 1 then '\x80' else c) enc in
+  expect_decode_error "u64 above max_int" (fun () -> Entry.deserialize high_bit)
+
 let test_truncate_byte_accounting () =
   (* After truncate + re-append of the same suffix, byte_total must equal
      that of a ledger that never truncated. *)
@@ -368,6 +397,7 @@ let () =
             test_entry_codec_random_roundtrips;
           Alcotest.test_case "corrupt encodings rejected" `Quick
             test_entry_codec_rejects_corruption;
+          Alcotest.test_case "decode is canonical" `Quick test_entry_decode_canonical;
           Alcotest.test_case "truncate byte accounting" `Quick
             test_truncate_byte_accounting;
           Alcotest.test_case "of_entries genesis" `Quick test_of_entries_requires_genesis;

@@ -29,7 +29,18 @@ let digest_testable = Alcotest.testable D.pp_full D.equal
 
 (* --- Scratch directories --- *)
 
+(* Every directory a case asks for is removed when the case ends (see
+   [case] below), so a run leaves nothing in the temp directory. *)
 let dir_counter = ref 0
+let made_dirs = ref []
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
 
 let fresh_dir () =
   incr dir_counter;
@@ -38,16 +49,18 @@ let fresh_dir () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "iaccf-storage-test-%d-%d" (Unix.getpid ()) !dir_counter)
   in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   rm_rf d;
+  made_dirs := d :: !made_dirs;
   d
+
+(* A test case that removes its directories when it ends, pass or fail,
+   once no background sync can still write into them. *)
+let case name f =
+  Alcotest.test_case name `Quick (fun () ->
+      Fun.protect f ~finally:(fun () ->
+          Iaccf_util.Worker.drain ();
+          List.iter rm_rf !made_dirs;
+          made_dirs := []))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -932,63 +945,46 @@ let () =
     [
       ( "store",
         [
-          Alcotest.test_case "fresh append reopen" `Quick test_fresh_append_reopen;
-          Alcotest.test_case "segment rolling" `Quick test_segment_rolling;
-          Alcotest.test_case "torn tail truncated" `Quick test_torn_tail_truncated;
-          Alcotest.test_case "interior corruption rejected" `Quick
-            test_interior_corruption_rejected;
-          Alcotest.test_case "durable prefix protected" `Quick
-            test_durable_prefix_protected;
-          Alcotest.test_case "truncate durable" `Quick test_truncate_durable;
-          Alcotest.test_case "attach divergence preserves store" `Quick
-            test_attach_divergence_preserves_store;
-          Alcotest.test_case "attach refuses rollback by default" `Quick
+          case "fresh append reopen" test_fresh_append_reopen;
+          case "segment rolling" test_segment_rolling;
+          case "torn tail truncated" test_torn_tail_truncated;
+          case "interior corruption rejected" test_interior_corruption_rejected;
+          case "durable prefix protected" test_durable_prefix_protected;
+          case "truncate durable" test_truncate_durable;
+          case "attach divergence preserves store" test_attach_divergence_preserves_store;
+          case "attach refuses rollback by default"
             test_attach_refuses_rollback_by_default;
-          Alcotest.test_case "read-only open leaves evidence untouched" `Quick
-            test_readonly_open_untouched;
-          Alcotest.test_case "durable ledger hashes once" `Quick
-            test_durable_ledger_hashes_once;
-          Alcotest.test_case "foreign root-of-trust rejected" `Quick
-            test_foreign_root_rejected;
+          case "read-only open leaves evidence untouched" test_readonly_open_untouched;
+          case "durable ledger hashes once" test_durable_ledger_hashes_once;
+          case "foreign root-of-trust rejected" test_foreign_root_rejected;
         ] );
       ( "deferred-sync",
         [
-          Alcotest.test_case "crash = synchronous path" `Quick
-            test_deferred_syncs_match_sync;
-          Alcotest.test_case "truncate behind a sync" `Quick
-            test_truncate_behind_deferred_sync;
-          Alcotest.test_case "close drains the worker" `Quick test_close_drains_syncs;
+          case "crash = synchronous path" test_deferred_syncs_match_sync;
+          case "truncate behind a sync" test_truncate_behind_deferred_sync;
+          case "close drains the worker" test_close_drains_syncs;
         ] );
       ( "prune",
         [
-          Alcotest.test_case "prune and reopen" `Quick test_prune_reopen;
-          Alcotest.test_case "crash before the unlinks" `Quick
-            test_prune_crash_before_unlink;
-          Alcotest.test_case "history = per-index get" `Quick test_history_matches_get;
-          Alcotest.test_case "foreign package refused" `Quick
-            test_prune_refuses_foreign_package;
+          case "prune and reopen" test_prune_reopen;
+          case "crash before the unlinks" test_prune_crash_before_unlink;
+          case "history = per-index get" test_history_matches_get;
+          case "foreign package refused" test_prune_refuses_foreign_package;
         ] );
       ( "crash-matrix",
-        [ Alcotest.test_case "kill after N appends" `Quick test_crash_matrix ] );
+        [ case "kill after N appends" test_crash_matrix ] );
       ( "cluster-persistence",
         [
-          Alcotest.test_case "smallbank persist + reopen" `Quick
-            test_smallbank_persist_reopen;
-          Alcotest.test_case "cold restart replays the store" `Quick
-            test_cluster_cold_restart;
-          Alcotest.test_case "restart drops a trailing partial batch" `Quick
-            test_restart_drops_partial_batch;
-          Alcotest.test_case "restart refuses deep damage" `Quick
-            test_restart_refuses_deep_damage;
+          case "smallbank persist + reopen" test_smallbank_persist_reopen;
+          case "cold restart replays the store" test_cluster_cold_restart;
+          case "restart drops a trailing partial batch" test_restart_drops_partial_batch;
+          case "restart refuses deep damage" test_restart_refuses_deep_damage;
         ] );
       ( "package",
         [
-          Alcotest.test_case "roundtrip" `Quick test_package_roundtrip;
-          Alcotest.test_case "corruption rejected" `Quick
-            test_package_rejects_corruption;
-          Alcotest.test_case "file roundtrip from store" `Quick
-            test_package_file_roundtrip_from_store;
-          Alcotest.test_case "offline audit of a rewrite attack" `Quick
-            test_package_offline_audit;
+          case "roundtrip" test_package_roundtrip;
+          case "corruption rejected" test_package_rejects_corruption;
+          case "file roundtrip from store" test_package_file_roundtrip_from_store;
+          case "offline audit of a rewrite attack" test_package_offline_audit;
         ] );
     ]
