@@ -2,9 +2,10 @@
    of each primitive under it.
 
    One fixed job mix is verified twice: inline, with [Schnorr.verify] on
-   untabled keys, and through [Vstage.verify], which interns each key and
-   builds its fixed-base table on the key's third use (the replica's hot
-   path). The tabled figure includes building the tables. Walls are
+   untabled keys, and through [Sigcheck.verify], which interns each key
+   and builds its fixed-base table on the key's fourth use, where a comb
+   first pays (the replica's hot path). The tabled figure includes
+   building the tables. Walls are
    medians over alternating rounds. The primitive rows time one field
    multiply, one squaring and an untabled [Group.pow] (the last two
    checked against known answers first), [Group.pow_g], signing,
@@ -60,15 +61,11 @@ let round () =
         List.map (fun (pk, digest, signature) -> Schnorr.verify pk digest ~signature) jobs)
   in
   let obs = Obs.passive () in
-  let st = Vstage.create ~obs () in
+  let st = Sigcheck.create ~obs () in
   let tabled, wall_tabled =
     let jobs = make_jobs (make_keys ()) in
     time (fun () ->
-        List.map
-          (fun (pk, digest, signature) ->
-            Vstage.verify st ~cls:"bench" ~principal:Profile.Client_key pk digest
-              ~signature)
-          jobs)
+        List.map (fun (pk, digest, signature) -> Sigcheck.verify st pk digest ~signature) jobs)
   in
   if inline <> tabled then begin
     prerr_endline "crypto-bench: tabled verification diverged from inline";

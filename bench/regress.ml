@@ -10,13 +10,14 @@
      and the SHA-256 compressions and field multiplications the full run
      makes per transaction; then the full run again with every replica's
      ledger persisted, for its compressions, storage appends and bytes,
-     and syncs;
+     and syncs, and again under an interval sync policy, for its
+     compressions and syncs;
    - audit: the field multiplies and compressions of an audit of a
      SmallBank ledger whose accounts are created in the ledger;
    - statesync: one chunked catch-up of a joining replica (the
      @statesync-bench path at its smallest size);
    - chaos: the identity-intercept equivalence run from @chaos-overhead;
-   - crypto: the verify stage's results and its table threshold;
+   - crypto: the signature checker's results and its comb rule;
    - load: an open-loop on/off burst through the shared generator with
      admission control shedding at the primary (the @load-bench path at
      its smallest size).
@@ -97,6 +98,24 @@ let smallbank_rows () =
   let persisted_blocks = Iaccf_crypto.Sha256.blocks () - blocks_before in
   if persisted.rr_txs <> full.rr_txs then
     fail "persisted run committed %d txs" persisted.rr_txs;
+  (* Once more under an interval policy: every 16 appends a store
+     records M's root at its length and hands the fsync to the
+     background worker. *)
+  let dir = fresh_dir "regress-interval" in
+  let interval_obs = Obs.create ~metrics:true ~tracing:false () in
+  let persist =
+    let module S = Iaccf_storage.Store in
+    { (S.default_config ~dir) with S.fsync = S.Fsync_interval 16 }
+  in
+  let blocks_before = Iaccf_crypto.Sha256.blocks () in
+  let interval =
+    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+        run_iaccf ~label:"interval" ~total ~concurrency ~accounts ~obs:interval_obs ~persist
+          ~inspect:Cluster.close_storage ())
+  in
+  Iaccf_util.Worker.drain ();
+  let interval_blocks = Iaccf_crypto.Sha256.blocks () - blocks_before in
+  if interval.rr_txs <> full.rr_txs then fail "interval run committed %d txs" interval.rr_txs;
   let exact series metric v = Report.row ~bench ~series ~metric ~gate:Report.Exact v in
   List.concat_map (rows_of_result ~bench) results
   @ [
@@ -112,6 +131,9 @@ let smallbank_rows () =
          issued twice moves it. *)
       exact "persisted" "storage_fsyncs"
         (float_of_int (Obs.counter_value obs "storage.fsyncs"));
+      exact "interval" "sha256_blocks_per_tx" (per_tx interval_blocks);
+      exact "interval" "storage_fsyncs"
+        (float_of_int (Obs.counter_value interval_obs "storage.fsyncs"));
     ]
 
 (* --- audit: the exact work of an audit of a SmallBank ledger. The
@@ -258,13 +280,14 @@ let chaos_rows () =
     Report.row ~bench ~series ~metric:"virtual_ms" ~gate:Report.Exact vt_direct;
   ]
 
-(* --- crypto: the verify stage's table threshold, counts only (wall clock
+(* --- crypto: the signature checker's comb rule, counts only (wall clock
    lives in @crypto-bench) ------------------------------------------------ *)
 
 let crypto_rows () =
   let module Crypto = Iaccf_crypto in
   (* Key k signs k+1 messages, so the keys fall on both sides of the
-     third-use table threshold; every eighth signature is corrupted. *)
+     fourth use, where a comb first pays; every eighth signature is
+     corrupted. *)
   let n_keys = 6 in
   let keys =
     Array.init n_keys (fun i ->
@@ -283,13 +306,9 @@ let crypto_rows () =
            (pk, digest, signature))
   in
   let obs = Obs.passive () in
-  let st = Crypto.Vstage.create ~obs () in
+  let st = Crypto.Sigcheck.create ~obs () in
   let staged =
-    List.map
-      (fun (pk, digest, signature) ->
-        Crypto.Vstage.verify st ~cls:"regress" ~principal:Crypto.Profile.Client_key
-          pk digest ~signature)
-      jobs
+    List.map (fun (pk, digest, signature) -> Crypto.Sigcheck.verify st pk digest ~signature) jobs
   in
   (* The reference: fresh key values, never tabled. *)
   let inline =

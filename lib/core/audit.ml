@@ -11,7 +11,7 @@ module Bitmap = Iaccf_util.Bitmap
 module Worker = Iaccf_util.Worker
 module D = Iaccf_crypto.Digest32
 module Sha256 = Iaccf_crypto.Sha256
-module Sigbatch = Iaccf_crypto.Sigbatch
+module Sigcheck = Iaccf_crypto.Sigcheck
 
 type upom =
   | Invalid_receipt of { ir_receipt : Receipt.t; ir_reason : string }
@@ -167,82 +167,10 @@ type scan = {
 
 exception Malformed of int * string
 
-(* The configuration a transaction installs: for a passed vote, the one
-   in the args of the gov/propose transaction it names, looked up with
-   [proposal]; [Some None] for a passed vote whose proposal is not found
-   or does not decode. The recorded output is structural here; replay
-   re-checks it. *)
-let installs ~proposal (tx : Batch.tx_entry) =
-  if
-    tx.Batch.request.Request.proc = "gov/vote"
-    && App.decode_output tx.Batch.result.Batch.output = Ok "passed"
-  then
-    let config_of (tx' : Batch.tx_entry) =
-      match Config.deserialize tx'.Batch.request.Request.args with
-      | c -> Some c
-      | exception _ -> None
-    in
-    Some (Option.bind (proposal tx.Batch.request.Request.args) config_of)
-  else None
-
-let proposes proposal_id (tx : Batch.tx_entry) =
-  tx.Batch.request.Request.proc = "gov/propose"
-  && D.to_hex (D.of_string tx.Batch.request.Request.args) = proposal_id
-
-(* The key of every signature job [scan_ledger] queues, one per job, when
-   the scan completes: a client key per transaction, and the replica key
-   of each pre-prepare and prepare under the configuration the scan's
-   timeline gives its seqno. The timeline is rebuilt as the scan builds
-   it, from the votes of each batch as it closes. A vote may name any
-   proposal seen so far, a superset of the scan's effective batches, so
-   every configuration the scan installs is installed here at the same
-   point; a vote found only here fails the scan. *)
-let job_keys t ledger =
-  let keys = ref [] in
-  let timeline = ref (Schedule.timeline t.genesis.Genesis.initial_config) in
-  let proposals = ref [] in
-  let open_batch = ref None in (* seqno, txs rev *)
-  let replica s r =
-    Option.iter
-      (fun pk -> keys := pk :: !keys)
-      (Config.replica_pk (Schedule.config_at !timeline s) r)
-  in
-  let close_batch () =
-    Option.iter
-      (fun (s, txs_rev) ->
-        List.iter
-          (fun tx ->
-            match installs ~proposal:(fun id -> List.find_opt (proposes id) !proposals) tx with
-            | Some (Some c) ->
-                timeline := Schedule.extend !timeline ~pipeline:t.rule.pipeline ~vote_seqno:s c
-            | Some None | None -> ())
-          (List.rev txs_rev))
-      !open_batch;
-    open_batch := None
-  in
-  Ledger.iteri
-    (fun _ entry ->
-      match entry with
-      | Entry.Tx tx ->
-          keys := tx.Batch.request.Request.client_pk :: !keys;
-          if tx.Batch.request.Request.proc = "gov/propose" then proposals := tx :: !proposals;
-          Option.iter (fun (s, txs_rev) -> open_batch := Some (s, tx :: txs_rev)) !open_batch
-      | Entry.Pre_prepare pp ->
-          close_batch ();
-          replica pp.Message.seqno pp.Message.primary;
-          open_batch := Some (pp.Message.seqno, [])
-      | Entry.Prepare_evidence { pe_seqno; pe_prepares; _ } ->
-          close_batch ();
-          List.iter (fun (p : Message.prepare) -> replica pe_seqno p.Message.p_replica) pe_prepares
-      | Entry.Genesis _ | Entry.Nonce_evidence _ | Entry.View_change_set _ | Entry.New_view _ ->
-          close_batch ())
-    ledger;
-  !keys
-
 (* The scan makes every structural check in ledger order and, where a
    scan checking signatures in place would verify one, queues a job in
    [jobs] tagged with the (ledger index, reason) that scan would fail
-   with; helper domains check the jobs meanwhile (Sigbatch). A job that
+   with; helper domains check the jobs meanwhile (Sigcheck). A job that
    passes its structural part reports [true] to the message's verify
    function, so the scan goes on as the in-place scan would after a good
    signature. The result is the scan, or the structural fault that ended
@@ -251,7 +179,7 @@ let job_keys t ledger =
    fails. *)
 let scan_ledger t jobs ledger =
   let defer_request tag pk d ~signature =
-    Sigbatch.add jobs pk (D.to_raw d) ~signature tag;
+    Sigcheck.add jobs pk (D.to_raw d) ~signature tag;
     true
   in
   let defer config tag : Message.check =
@@ -297,20 +225,36 @@ let scan_ledger t jobs ledger =
         Hashtbl.replace batches s { bi_pp = pp; bi_pp_index = pp_index; bi_txs = txs };
         max_seqno := max !max_seqno s;
         (* A vote that passes schedules the configuration change 2P later.
-           The proposal may be in this batch or an earlier one. *)
-        let proposal id =
-          Hashtbl.fold
-            (fun _ bi acc ->
-              if Option.is_none acc then List.find_opt (proposes id) bi.bi_txs else acc)
-            batches None
-        in
+           The recorded output is structural here; replay re-checks it.
+           The installed configuration is in the args of the gov/propose
+           transaction the vote names, in this batch or an earlier one. *)
         List.iter
-          (fun tx ->
-            match installs ~proposal tx with
-            | Some (Some c) ->
-                timeline := Schedule.extend !timeline ~pipeline:t.rule.pipeline ~vote_seqno:s c
-            | Some None -> fail i "passed vote without a visible proposal"
-            | None -> ())
+          (fun (tx : Batch.tx_entry) ->
+            if
+              tx.Batch.request.Request.proc = "gov/vote"
+              && App.decode_output tx.Batch.result.Batch.output = Ok "passed"
+            then begin
+              let proposal_id = tx.Batch.request.Request.args in
+              let proposes (tx' : Batch.tx_entry) =
+                tx'.Batch.request.Request.proc = "gov/propose"
+                && D.to_hex (D.of_string tx'.Batch.request.Request.args) = proposal_id
+              in
+              let proposal =
+                Hashtbl.fold
+                  (fun _ bi acc ->
+                    if Option.is_none acc then List.find_opt proposes bi.bi_txs else acc)
+                  batches None
+              in
+              let config_of (tx' : Batch.tx_entry) =
+                match Config.deserialize tx'.Batch.request.Request.args with
+                | c -> Some c
+                | exception _ -> None
+              in
+              match Option.bind proposal config_of with
+              | Some c ->
+                  timeline := Schedule.extend !timeline ~pipeline:t.rule.pipeline ~vote_seqno:s c
+              | None -> fail i "passed vote without a visible proposal"
+            end)
           txs;
         open_batch := None
   in
@@ -739,7 +683,7 @@ let audit_gen ?width t ~receipts ~ledger ?checkpoint ~responder () =
           (fun cp -> (cp, Worker.submit (Sha256.count_here (fun () -> Checkpoint.digest cp))))
           checkpoint
       in
-      let jobs = Sigbatch.start ?width (job_keys t ledger) in
+      let jobs = Sigcheck.start ?width ~expected:(Ledger.length ledger) () in
       let malformed (i, reason) =
         Error
           (verdict t ~seqno:1
@@ -750,7 +694,7 @@ let audit_gen ?width t ~receipts ~ledger ?checkpoint ~responder () =
         match scan_ledger t jobs ledger with
         | Error fault -> malformed fault
         | Ok scan -> (
-            Sigbatch.close jobs;
+            Sigcheck.close jobs;
             match verify_receipts_in_ledger t ~responder scan receipts with
             | Error _ as e -> e
             | Ok () -> replay_ledger t ~responder scan ~checkpoint)
@@ -760,17 +704,13 @@ let audit_gen ?width t ~receipts ~ledger ?checkpoint ~responder () =
       in
       (* The digest's compressions count here once it has finished. *)
       Option.iter (fun (_, digest) -> ignore (Worker.await digest)) checkpoint;
-      match (Sigbatch.finish jobs, outcome) with
+      match (Sigcheck.finish jobs, outcome) with
       | Some fault, _ -> malformed fault
       | None, Ok v -> v
       | None, Error (e, bt) -> Printexc.raise_with_backtrace e bt)
 
 let audit t = audit_gen t
 let audit_at_width ~width t = audit_gen ~width t
-
-let plan_holds t ledger =
-  let jobs = Sigbatch.start ~width:1 (job_keys t ledger) in
-  Result.is_error (scan_ledger t jobs ledger) || Sigbatch.planned jobs
 
 let pp_upom ppf = function
   | Invalid_receipt { ir_reason; _ } -> Format.fprintf ppf "invalid-receipt(%s)" ir_reason

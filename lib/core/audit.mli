@@ -76,9 +76,12 @@ val audit :
     The ledger's pre-prepare, prepare and client signatures are checked
     on helper domains while the structural scan queues them and while
     the caller checks the receipts against the ledger and replays it;
-    the caller joins in last. The domains number as many as the checks
-    and the host's cores warrant. The verdict is the one a scan checking
-    each signature in place, then replaying, would give. *)
+    the caller joins in last. The domains number as many as the ledger's
+    length and the host's cores warrant. The scan interns each job's key
+    as it queues the job and builds a key's comb at the first job where
+    it pays ({!Iaccf_crypto.Sigcheck}), so the work does not depend on
+    the width. The verdict is the one a scan checking each signature in
+    place, then replaying, would give. *)
 
 val audit_at_width :
   width:int ->
@@ -91,12 +94,6 @@ val audit_at_width :
   (unit, verdict) result
 (** {!audit} with the signature checks on exactly [width] domains, for
     tests that compare widths. *)
-
-val plan_holds : t -> Ledger.t -> bool
-(** Whether the signature checks a scan of [ledger] queues use each key
-    exactly as often as the plan counted from the ledger before the scan
-    began, whenever the scan completes. The combs are decided from the
-    plan; for tests. *)
 
 val pp_upom : Format.formatter -> upom -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -1,6 +1,6 @@
 module Schnorr = Iaccf_crypto.Schnorr
 module Profile = Iaccf_crypto.Profile
-module Vstage = Iaccf_crypto.Vstage
+module Sigcheck = Iaccf_crypto.Sigcheck
 module D = Iaccf_crypto.Digest32
 module Hmac = Iaccf_crypto.Hmac
 module Obs = Iaccf_obs.Obs
@@ -14,7 +14,7 @@ type t = {
   sk : Schnorr.secret_key;
   mac_key : string;
   profile : Profile.t;
-  vstage : Vstage.t; (* signature verification with per-key tables *)
+  checker : Sigcheck.t; (* signature checks with per-key combs *)
   c_sigs_made : Obs.counter;
   c_sigs_verified : Obs.counter;
   c_macs_computed : Obs.counter;
@@ -27,7 +27,7 @@ let create variant ~sk ~rid ~obs ~profile =
     sk;
     mac_key = "iaccf-shared-mac-key";
     profile;
-    vstage = Vstage.create ~obs ~profile ();
+    checker = Sigcheck.create ~obs ();
     c_sigs_made = c "sigs_made";
     c_sigs_verified = c "sigs_verified";
     c_macs_computed = c "macs_computed";
@@ -44,6 +44,11 @@ let schnorr_sign a ~cls raw =
   Obs.incr a.c_sigs_made;
   Profile.time a.profile Profile.Sign ~cls Profile.Replica_key (fun () ->
       Schnorr.sign a.sk raw)
+
+let schnorr_verify a ~cls principal pk d ~signature =
+  Obs.incr a.c_sigs_verified;
+  Profile.time a.profile Profile.Verify ~cls principal (fun () ->
+      Sigcheck.verify a.checker pk (D.to_raw d) ~signature)
 
 let sign a ~cls d =
   if a.variant.Variant.macs_only then begin
@@ -68,18 +73,14 @@ let verify a cfg ~cls ~replica d ~signature =
         (* Count only after the key lookup succeeds: an unknown replica id
            performs no verification and must not skew sigs_verified or the
            profiler's Table-3 breakdown. *)
-        Obs.incr a.c_sigs_verified;
-        Vstage.verify a.vstage ~cls ~principal:Profile.Replica_key pk (D.to_raw d)
-          ~signature
+        schnorr_verify a ~cls Profile.Replica_key pk d ~signature
 
 (* The paper's dominant cost: one client-key verification per request,
    unamortized by batching. *)
 let verify_request a ~service (req : Request.t) =
   (not a.variant.Variant.verify_client_sigs)
-  || Request.verify req ~service ~check:(fun pk d ~signature ->
-         Obs.incr a.c_sigs_verified;
-         Vstage.verify a.vstage ~cls:"request" ~principal:Profile.Client_key pk
-           (D.to_raw d) ~signature)
+  || Request.verify req ~service
+       ~check:(schnorr_verify a ~cls:"request" Profile.Client_key)
 
 let peerreview a = a.variant.Variant.peerreview
 

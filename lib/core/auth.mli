@@ -6,10 +6,10 @@
     check client signatures (row e), the extra PeerReview and signed-commit
     crypto on send, commit, reply and receive, whether receipt material is
     sent (row b), and whether checkpoints (row c) and the ledger (row g)
-    are kept. It owns the signing key, the verification stage and the
-    [replica.<id>.sigs_made], [sigs_verified] and [macs_computed]
-    counters; every operation is charged to the profiler under the
-    message class that demanded it. *)
+    are kept. It owns the signing key, the signature checker
+    ({!Iaccf_crypto.Sigcheck}) and the [replica.<id>.sigs_made],
+    [sigs_verified] and [macs_computed] counters; every operation is
+    charged to the profiler under the message class that demanded it. *)
 
 module Schnorr = Iaccf_crypto.Schnorr
 module D = Iaccf_crypto.Digest32

@@ -248,8 +248,9 @@ let view_ahead t =
    on arrival (replica.reject.*: missing_requests and missing_evidence
    fetch the batch package; kind, gov_index, replayed_request and exec are
    refused; replica.pp.*: buffered for a later seqno or view, or stale and
-   dropped), and how often executed batches were rolled back
-   (replica.rollback). *)
+   dropped), how often executed batches were rolled back
+   (replica.rollback), and requests dropped for a client signature that
+   does not verify (replica.reject.request_signature). *)
 let tally t name = Obs.incr (Obs.counter t.obs name)
 
 let checkpoint_at t seqno = SyncServer.checkpoint t.server seqno
@@ -331,20 +332,25 @@ let update_queue_gauge t =
 (* ------------------------------------------------------------------ *)
 (* Evidence (P_{s-P}, K_{s-P}, E_{s-P})                                *)
 
+(* The quorum of the configuration a batch ran under. Its evidence and
+   its receipts are checked against that configuration, which a vote may
+   since have replaced with one of another size. *)
+let batch_quorum rec_ = Config.quorum rec_.br_undo.u_cfg
+
 (* Commitment evidence for the batch at [s_past] (none before seqno 1):
    the primary's selection, and a backup's match of the bitmap a
    pre-prepare names. Both are the vote module's one rule. *)
-let past_pp t s_past = Option.map (fun rec_ -> rec_.br_pp) (Hashtbl.find_opt t.records s_past)
-
 let evidence_for t s_past =
   if s_past < 1 then Some ([], [], Bitmap.empty)
-  else Option.bind (past_pp t s_past) (Votes.evidence_for t.votes ~quorum:(quorum t))
+  else
+    Option.bind (Hashtbl.find_opt t.records s_past) (fun rec_ ->
+        Votes.evidence_for t.votes rec_.br_pp ~quorum:(batch_quorum rec_))
 
 let evidence_matching t s_past bitmap =
   if s_past < 1 then if Bitmap.equal bitmap Bitmap.empty then Some ([], []) else None
   else
-    Option.bind (past_pp t s_past) (fun pp ->
-        Votes.evidence_matching t.votes pp ~quorum:(quorum t) bitmap)
+    Option.bind (Hashtbl.find_opt t.records s_past) (fun rec_ ->
+        Votes.evidence_matching t.votes rec_.br_pp ~quorum:(batch_quorum rec_) bitmap)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -639,7 +645,7 @@ let build_receipt t ~seqno ~tx_position =
   match Hashtbl.find_opt t.records seqno with
   | Some rec_ when rec_.br_committed -> (
       let txs = rec_.br_txs in
-      match (Votes.quorum_backups t.votes rec_.br_pp ~quorum:(quorum t), tx_position) with
+      match (Votes.quorum_backups t.votes rec_.br_pp ~quorum:(batch_quorum rec_), tx_position) with
       | None, _ -> None
       | Some _, Some i when i < 0 || i >= List.length txs -> None
       | Some chosen, _ ->
@@ -995,7 +1001,7 @@ and on_request t (req : Request.t) =
           ~args:[ ("proc", req.Request.proc) ] ();
         if is_primary t then arm_batch_timer t;
         try_process_pending t
-    | None -> ()
+    | None -> tally t "replica.reject.request_signature"
   end
 
 and on_prepare t (p : Message.prepare) =

@@ -939,7 +939,10 @@ let forged_entries ?bad ?wrong batches =
   List.map snd (Ledger.entries (Forge.ledger forge) ())
 
 (* The audit's verdict and work counts at [width], from a fresh package
-   (fresh key values, so every audit builds the same combs). *)
+   (fresh key values, so every audit builds the same combs). The genesis
+   checkpoint digests of the clusters built to forge the ledger hash on
+   the worker domain and count here when they finish, so they are waited
+   for before the counts are read. *)
 let audit_package ~width raw =
   let module Package = Iaccf_storage.Package in
   let pkg = Package.deserialize raw in
@@ -947,6 +950,7 @@ let audit_package ~width raw =
     Audit.create ~genesis:(Package.genesis pkg) ~app:(App.create Cluster.counter_app_procs)
       ~pipeline:2 ~checkpoint_interval:100
   in
+  Iaccf_util.Worker.drain ();
   let muls = Iaccf_crypto.Group.muls () and blocks = Iaccf_crypto.Sha256.blocks () in
   let v =
     Audit.audit_at_width ~width auditor ~receipts:[] ~ledger:(Package.to_ledger pkg)
@@ -1061,22 +1065,6 @@ let test_chunk_edge_races () =
         [ 2; 3 ])
     cases
 
-(* The keys the audit counts before the scan are the keys of the jobs
-   the scan queues, across a view change too. *)
-let test_plan_matches_jobs () =
-  let _, entries = Lazy.force vc_ledger in
-  let forged = forged_entries 12 in
-  List.iter
-    (fun (name, auditor, entries) ->
-      let ledger = Ledger.of_entries entries in
-      check Alcotest.string (name ^ " audits clean") "clean"
-        (verdict_summary (Audit.audit auditor ~receipts:[] ~ledger ~responder:1 ()));
-      check Alcotest.bool name true (Audit.plan_holds auditor ledger))
-    [
-      ("view-change ledger", cluster_auditor (), entries);
-      ("forged ledger", make_auditor (make_world ()), forged);
-    ]
-
 (* --- liveness monitoring (§2 future-work defence) --- *)
 
 let test_liveness_watch_cleared_by_receipt () =
@@ -1172,7 +1160,6 @@ let () =
             test_work_counts_same_at_any_width;
           Alcotest.test_case "signature beats replay" `Quick test_signature_beats_replay;
           Alcotest.test_case "chunk-edge races" `Quick test_chunk_edge_races;
-          Alcotest.test_case "plan = queued jobs" `Quick test_plan_matches_jobs;
         ] );
     ]
 

@@ -841,19 +841,19 @@ let test_nonce_derive_distinct () =
     (Nonce.reveal (Nonce.derive ~key:k ~view:0 ~seqno:1))
 
 
-(* --- Vstage: interning, the third-use table threshold, verification --- *)
+(* --- Sigcheck: one key table, combs at the use where they pay --- *)
 
-(* The stage must agree with Schnorr.verify on a fresh, untabled copy of
+(* Check-now must agree with Schnorr.verify on a fresh, untabled copy of
    the key — on valid signatures and on inputs with a random bit flipped
-   in the public key, the digest, or the signature. Each key is used 1-5
-   times, so checks fall on both sides of the table threshold, and the
-   stage must have built exactly one table per key used at least 3 times
-   (a flipped key is a key of its own). *)
-let prop_vstage_matches_reference_under_flips =
+   in the public key, the digest, or the signature. Each key is used 1-6
+   times, so checks fall on both sides of the comb rule, and the checker
+   must have built exactly one comb per key whose uses reach
+   [comb_pays] (a flipped key is a key of its own). *)
+let prop_verify_matches_reference_under_flips =
   QCheck.Test.make ~name:"verify = untabled Schnorr.verify" ~count:15
     QCheck.(
       list_of_size (Gen.int_range 1 4)
-        (list_of_size (Gen.int_range 1 5) (pair (int_bound 3) (int_bound 511))))
+        (list_of_size (Gen.int_range 1 6) (pair (int_bound 3) (int_bound 511))))
     (fun keys ->
       let cases =
         List.concat
@@ -888,13 +888,11 @@ let prop_vstage_matches_reference_under_flips =
         | _ -> QCheck.Test.fail_report "reference key is not a fresh untabled copy"
       in
       let obs = Iaccf_obs.Obs.passive () in
-      let st = Vstage.create ~obs () in
+      let st = Sigcheck.create ~obs () in
       let agree =
         List.for_all
           (fun ((pk, digest, signature) as case) ->
-            Vstage.verify st ~cls:"flip" ~principal:Profile.Client_key pk digest
-              ~signature
-            = reference case)
+            Sigcheck.verify st pk digest ~signature = reference case)
           cases
       in
       let uses = Hashtbl.create 8 in
@@ -903,17 +901,17 @@ let prop_vstage_matches_reference_under_flips =
           let kb = Schnorr.public_key_to_bytes pk in
           Hashtbl.replace uses kb (1 + Option.value (Hashtbl.find_opt uses kb) ~default:0))
         cases;
-      let hot = Hashtbl.fold (fun _ n acc -> if n >= 3 then acc + 1 else acc) uses 0 in
+      let hot =
+        Hashtbl.fold (fun _ n acc -> if Sigcheck.comb_pays n then acc + 1 else acc) uses 0
+      in
       agree
       && Iaccf_obs.Obs.counter_value obs "crypto.keys.precomputed" = hot)
 
-(* --- Sigbatch: the first failure in job order, at any width --- *)
-
 (* Jobs over up to 6 keys, each job with a fresh copy of its key (as a
    decoded message has), about one in eight with a bit of its digest or
-   signature flipped. At widths 1 to 3 the batch must name the first job
-   that an untabled Schnorr.verify rejects. *)
-let prop_sigbatch_first_failure =
+   signature flipped. At widths 1 to 3 the job list must name the first
+   job that an untabled Schnorr.verify rejects. *)
+let prop_jobs_first_failure =
   QCheck.Test.make ~name:"first failure = first rejected job, widths 1-3" ~count:10
     QCheck.(list_of_size (Gen.int_range 1 90) (triple (int_bound 5) (int_bound 15) (int_bound 511)))
     (fun spec ->
@@ -941,15 +939,21 @@ let prop_sigbatch_first_failure =
       in
       List.for_all
         (fun width ->
-          let b = Sigbatch.start ~width (List.map (fun (pk, _, _) -> copy pk) jobs) in
-          List.iteri (fun i (pk, digest, signature) -> Sigbatch.add b (copy pk) digest ~signature i) jobs;
-          Sigbatch.planned b && Sigbatch.finish b = want)
+          let b = Sigcheck.start ~width ~expected:(List.length jobs) () in
+          List.iteri
+            (fun i (pk, digest, signature) -> Sigcheck.add b (copy pk) digest ~signature i)
+            jobs;
+          Sigcheck.finish b = want)
         [ 1; 2; 3 ])
 
-(* A comb is built for a key used 4 times or more, and not for one used 3
-   times: the batch makes exactly the multiplies of 3 untabled checks, one
-   comb and 4 tabled checks. *)
-let test_sigbatch_combs () =
+(* A key used 3 times gets no comb; one used 6 times is checked untabled
+   3 times, then gets its comb and is checked tabled 3 times; 29 keys
+   used once are checked untabled. Both entry points make exactly those
+   multiplies, the job list at widths 1 and 2. The hot key's first 3 jobs
+   and the 29 others fill the first chunk, which is published, and the
+   caller pauses before queuing the rest, so a helper checks those 3
+   jobs before the comb is built. *)
+let test_combs_where_they_pay () =
   let copy pk = Option.get (Schnorr.public_key_of_bytes (Schnorr.public_key_to_bytes pk)) in
   let job_list uses seed =
     let sk, pk = Schnorr.keypair_of_seed seed in
@@ -957,7 +961,6 @@ let test_sigbatch_combs () =
         let digest = Sha256.digest (Printf.sprintf "%s-%d" seed i) in
         (copy pk, digest, Schnorr.sign sk digest))
   in
-  let cold = job_list 3 "comb-cold" and hot = job_list 4 "comb-hot" in
   let muls f =
     let m = Group.muls () in
     f ();
@@ -966,38 +969,45 @@ let test_sigbatch_combs () =
   let check_all pk jobs =
     List.iter (fun (_, digest, signature) -> assert (Schnorr.verify pk digest ~signature)) jobs
   in
-  let untabled =
-    muls (fun () -> List.iter (fun ((pk, _, _) as job) -> check_all (copy pk) [ job ]) cold)
+  let hot = job_list 6 "comb-hot" and cold = job_list 3 "comb-cold" in
+  let singles = List.init 29 (fun i -> List.hd (job_list 1 (Printf.sprintf "comb-single-%d" i))) in
+  let hot_first = List.filteri (fun i _ -> i < 3) hot
+  and hot_rest = List.filteri (fun i _ -> i >= 3) hot in
+  let untabled jobs =
+    muls (fun () -> List.iter (fun ((pk, _, _) as j) -> check_all (copy pk) [ j ]) jobs)
   in
-  let tabled =
-    match hot with
-    | (pk, _, _) :: _ ->
-        let pk = copy pk in
-        muls (fun () ->
-            Schnorr.precompute pk;
-            check_all pk hot)
-    | [] -> assert false
+  let tabled jobs =
+    let pk = match jobs with (pk, _, _) :: _ -> copy pk | [] -> assert false in
+    muls (fun () ->
+        Schnorr.precompute pk;
+        check_all pk jobs)
   in
-  let b = Sigbatch.start ~width:1 (List.map (fun (pk, _, _) -> pk) (cold @ hot)) in
-  List.iter (fun (pk, digest, signature) -> Sigbatch.add b pk digest ~signature ()) (cold @ hot);
-  let got = muls (fun () -> check Alcotest.(option unit) "all verify" None (Sigbatch.finish b)) in
-  check Alcotest.int "3 uses untabled, 4 uses tabled" (untabled + tabled) got
-
-(* [planned] holds only when the jobs used each key exactly as often as
-   the plan said. *)
-let test_sigbatch_plan () =
-  let sk, pk = Schnorr.keypair_of_seed "plan" and _, other = Schnorr.keypair_of_seed "plan-2" in
-  let digest = Sha256.digest "plan" in
-  let signature = Schnorr.sign sk digest in
-  let planned plan jobs =
-    let b = Sigbatch.start ~width:1 plan in
-    List.iter (fun pk -> Sigbatch.add b pk digest ~signature ()) jobs;
-    Sigbatch.planned b
-  in
-  check Alcotest.bool "as planned" true (planned [ pk; pk ] [ pk; pk ]);
-  check Alcotest.bool "one use short" false (planned [ pk; pk ] [ pk ]);
-  check Alcotest.bool "one use over" false (planned [ pk ] [ pk; pk ]);
-  check Alcotest.bool "unplanned key" false (planned [ pk ] [ pk; other ])
+  let want = untabled (hot_first @ singles @ cold) + tabled hot_rest in
+  check Alcotest.bool "a comb pays at 4 uses, not 3" true
+    (Sigcheck.comb_pays 4 && not (Sigcheck.comb_pays 3));
+  (* Fresh key values for each run: check-now tables the first it sees. *)
+  let fresh jobs = List.map (fun (pk, d, s) -> (copy pk, d, s)) jobs in
+  let st = Sigcheck.create () in
+  let jobs = fresh (hot_first @ singles @ cold @ hot_rest) in
+  check Alcotest.int "check now" want
+    (muls (fun () ->
+         List.iter
+           (fun (pk, digest, signature) -> assert (Sigcheck.verify st pk digest ~signature))
+           jobs));
+  List.iter
+    (fun width ->
+      let early = fresh (hot_first @ singles) and late = fresh (cold @ hot_rest) in
+      let b = Sigcheck.start ~width ~expected:41 () in
+      let add = List.iter (fun (pk, digest, signature) -> Sigcheck.add b pk digest ~signature ()) in
+      check Alcotest.int
+        (Printf.sprintf "job list, width %d" width)
+        want
+        (muls (fun () ->
+             add early;
+             Unix.sleepf 0.02;
+             add late;
+             check Alcotest.(option unit) "all verify" None (Sigcheck.finish b))))
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "iaccf_crypto"
@@ -1068,12 +1078,13 @@ let () =
           Alcotest.test_case "parallel domains = sequential" `Quick
             test_schnorr_parallel_domains;
         ] );
-      ( "vstage", [ qtest prop_vstage_matches_reference_under_flips ] );
+      (* Sigcheck's tests keep the group names of the two modules it
+         replaced, so their names print unchanged. *)
+      ( "vstage", [ qtest prop_verify_matches_reference_under_flips ] );
       ( "sigbatch",
         [
-          qtest prop_sigbatch_first_failure;
-          Alcotest.test_case "combs where they pay" `Quick test_sigbatch_combs;
-          Alcotest.test_case "plan counts" `Quick test_sigbatch_plan;
+          qtest prop_jobs_first_failure;
+          Alcotest.test_case "combs where they pay" `Quick test_combs_where_they_pay;
         ] );
       ( "digest/nonce",
         [

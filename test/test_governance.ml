@@ -225,14 +225,10 @@ let test_removed_primary_retires_after_commit () =
   Cluster.run cluster ~ms:1000.0;
   check Alcotest.bool "old primary retired" false (Replica.active (Cluster.replica cluster 0))
 
-(* The audit decides its combs from the keys it counts in the ledger
-   before the scan. Those counts must be the scan's even where a vote
-   installs a configuration with a new replica key: replica 4 replaces
-   replica 1, and with replica 2 stopped every quorum of the new
-   configuration needs replica 4's prepare. The replacement keeps the
-   quorum size: replicas size the evidence of the old configuration's
-   last batches by the new quorum, which the audit rejects (a FOUND
-   line in CHANGES.md). *)
+(* The audit checks prepares against keys that a vote installs during
+   the scan: replica 4 replaces replica 1, and with replica 2 stopped
+   every quorum of the new configuration needs replica 4's prepare. The
+   ledger audits clean at widths 1 and 2. *)
 let test_audit_plans_installed_keys () =
   let cluster = Cluster.make ~n:4 () in
   let client = Cluster.add_client cluster () in
@@ -267,10 +263,72 @@ let test_audit_plans_installed_keys () =
       ~pipeline:(Cluster.params cluster).Replica.pipeline
       ~checkpoint_interval:(Cluster.params cluster).Replica.checkpoint_interval
   in
-  (match Audit.audit auditor ~receipts:[] ~ledger ~responder:0 () with
+  List.iter
+    (fun width ->
+      match Audit.audit_at_width ~width auditor ~receipts:[] ~ledger ~responder:0 () with
+      | Ok () -> ()
+      | Error v -> Alcotest.failf "audit at width %d: %a" width Audit.pp_verdict v)
+    [ 1; 2 ]
+
+(* Adding replica 4 to four replicas raises the quorum from 3 to 4. The
+   evidence of configuration 0's last batches, recorded after the new
+   configuration is active, and the receipts of its batches must still
+   have configuration 0's size: replica 0's ledger audits clean, and
+   every batch of configuration 0 has a receipt that verifies. *)
+let test_quorum_change_keeps_batch_quorum () =
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  ignore (submit cluster client "counter/add" "1");
+  let r4 = Cluster.spawn_replica cluster ~id:4 in
+  let base = (Cluster.genesis cluster).Genesis.initial_config in
+  let next = Cluster.make_next_config cluster ~add_replicas:[ 4 ] ~base () in
+  check Alcotest.(pair int int) "quorum 3 -> 4" (3, 4) (Config.quorum base, Config.quorum next);
+  ignore (pass_referendum cluster next);
+  check Alcotest.bool "config 1" true (wait_config cluster ~config_no:1 ~on:[ 0; 1; 2; 3 ]);
+  Replica.join r4 ~from:0;
+  check Alcotest.bool "replica 4 joined" true
+    (Cluster.run_until cluster ~timeout_ms:120_000.0 (fun () -> Replica.active r4));
+  ignore (submit cluster client "counter/add" "2");
+  let r0 = Cluster.replica cluster 0 in
+  let pipeline = (Cluster.params cluster).Replica.pipeline in
+  let auditor =
+    Audit.create ~genesis:(Cluster.genesis cluster) ~app:(App.create Cluster.counter_app_procs)
+      ~pipeline ~checkpoint_interval:(Cluster.params cluster).Replica.checkpoint_interval
+  in
+  List.iter
+    (fun width ->
+      match
+        Audit.audit_at_width ~width auditor ~receipts:[] ~ledger:(Replica.ledger r0)
+          ~responder:0 ()
+      with
+      | Ok () -> ()
+      | Error v -> Alcotest.failf "audit at width %d: %a" width Audit.pp_verdict v)
+    [ 1; 2 ];
+  let chain = Govchain.create (Cluster.genesis cluster) ~pipeline in
+  (match Govchain.sync_from chain (Replica.gov_receipts r0) with
   | Ok () -> ()
-  | Error v -> Alcotest.failf "audit: %a" Audit.pp_verdict v);
-  check Alcotest.bool "planned key uses = queued" true (Audit.plan_holds auditor ledger)
+  | Error e -> Alcotest.failf "gov chain rejected: %s" e);
+  let old_batches =
+    List.filter
+      (fun s -> (Govchain.config_for_seqno chain s).Config.config_no = 0)
+      (List.init (Replica.last_committed r0) (fun s -> s + 1))
+  in
+  check Alcotest.bool "configuration 0 ran batches" true (old_batches <> []);
+  List.iter
+    (fun s ->
+      (* A transaction receipt, or a batch receipt for an empty batch. *)
+      let receipt =
+        match Replica.build_receipt r0 ~seqno:s ~tx_position:(Some 0) with
+        | Some r -> Some r
+        | None -> Replica.build_receipt r0 ~seqno:s ~tx_position:None
+      in
+      match receipt with
+      | None -> Alcotest.failf "no receipt for batch %d" s
+      | Some r -> (
+          match Govchain.verify_receipt chain r with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "receipt for batch %d: %s" s e))
+    old_batches
 
 let test_two_reconfigurations () =
   (* 4 -> 5 (add replica 4) -> 4 (remove replica 1): the governance
@@ -456,6 +514,8 @@ let () =
             test_removed_primary_retires_after_commit;
           Alcotest.test_case "two reconfigurations" `Quick test_two_reconfigurations;
           Alcotest.test_case "audit plans installed keys" `Quick test_audit_plans_installed_keys;
+          Alcotest.test_case "quorum change keeps batch quorum" `Quick
+            test_quorum_change_keeps_batch_quorum;
         ] );
       ( "governance sub-ledger",
         [

@@ -938,6 +938,48 @@ let test_retransmit_gets_reply_material () =
       Alcotest.failf "expected a reply and a replyx, got %d messages"
         (List.length ms)
 
+(* A request whose client signature does not verify is dropped with a
+   reason code at each replica it reaches: none admits it, and no
+   replica answers it. *)
+let test_bad_request_signature_counted () =
+  let cluster, sent, client, _, _ = reply_world () in
+  let addr = Client.address client in
+  let forwarded = ref 0 in
+  Network.set_intercept (Cluster.network cluster) addr (fun ~dst msg ->
+      match msg with
+      | Wire.Request_msg r ->
+          incr forwarded;
+          let flipped =
+            String.mapi
+              (fun i c -> if i = 10 then Char.chr (Char.code c lxor 4) else c)
+              r.Request.signature
+          in
+          [
+            ( dst,
+              Wire.Request_msg
+                (Request.of_fields ~client_pk:r.Request.client_pk ~service:r.Request.service
+                   ~min_index:r.Request.min_index ~client_seqno:r.Request.client_seqno
+                   ~signature:flipped ~proc:r.Request.proc ~args:r.Request.args ()) );
+          ]
+      | _ -> [ (dst, msg) ]);
+  let rejects () =
+    Iaccf_obs.Obs.counter_value (Cluster.obs cluster) "replica.reject.request_signature"
+  in
+  check Alcotest.int "no reject before" 0 (rejects ());
+  sent := [];
+  Client.submit client ~proc:"counter/add" ~args:"5" ~on_complete:(fun _ -> ()) ();
+  Cluster.run cluster ~ms:50.0;
+  check Alcotest.bool "the request was sent" true (!forwarded >= 1);
+  check Alcotest.int "one reject per request received" !forwarded (rejects ());
+  List.iter
+    (fun r ->
+      check Alcotest.int
+        (Printf.sprintf "replica %d admitted nothing" (Replica.id r))
+        0 (Replica.pending_requests r))
+    (Cluster.replicas cluster);
+  check Alcotest.int "no answer" 0
+    (List.length (List.concat_map (fun id -> sent_by sent ~id ~dst:addr) [ 0; 1; 2; 3 ]))
+
 (* The executed-request index follows a request through a rollback.
    Primary 0's pre-prepares reach only replica 3, which executes X at
    seqno 2 and B at 3; X's request never reaches the next primary. While
@@ -1216,6 +1258,8 @@ let () =
             test_retransmit_gets_reply_material;
           Alcotest.test_case "retransmit after a rollback" `Quick
             test_retransmit_after_rollback;
+          Alcotest.test_case "bad request signature counted" `Quick
+            test_bad_request_signature_counted;
         ] );
       ( "variants",
         [ Alcotest.test_case "no-receipt variant" `Quick test_nonreceipt_variant_runs ] );
