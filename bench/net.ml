@@ -45,6 +45,7 @@ let percentile p xs = Obs.Histogram.percentile_of_list p xs
 
 type run = {
   committed : int;
+  setup_s : float;  (* the untimed set-up transactions, wall clock *)
   wall_s : float;
   virtual_ms : float;  (* 0 for the socket run: its clock IS the wall *)
   latencies_ms : float list;  (* virtual for sim, wall for sockets *)
@@ -58,6 +59,7 @@ let run_sim () =
       ~app:(Smallbank.app ()) ()
   in
   let client = Cluster.add_client cluster () in
+  let setup0 = Unix.gettimeofday () in
   let setup = Smallbank.setup_ops ~accounts ~initial_balance:1_000 in
   let setup_done = ref 0 in
   let rec submit_setup = function
@@ -103,6 +105,7 @@ let run_sim () =
   end;
   {
     committed = !completed;
+    setup_s = wall0 -. setup0;
     wall_s = Unix.gettimeofday () -. wall0;
     virtual_ms = Sched.now (Cluster.sched cluster) -. v0;
     latencies_ms = Client.latencies_ms client;
@@ -146,6 +149,7 @@ let run_sockets () =
   | Ok r ->
       {
         committed = r.Driver.r_completed;
+        setup_s = r.Driver.r_setup_s;
         wall_s = r.Driver.r_wall_s;
         virtual_ms = 0.0;
         latencies_ms = r.Driver.r_latencies_ms;
@@ -172,15 +176,16 @@ let () =
   Printf.printf "=== net: single-process simulator baseline ===\n%!";
   let sim = run_sim () in
   Printf.printf
-    "  sim      %4d txs  %6.2fs wall  %7.0f tx/s wall  %8.1f virtual ms\n%!"
-    sim.committed sim.wall_s (tx_s sim) sim.virtual_ms;
+    "  sim      %4d txs  %6.2fs wall  %7.0f tx/s wall  %8.1f virtual ms  setup %.2fs\n%!"
+    sim.committed sim.wall_s (tx_s sim) sim.virtual_ms sim.setup_s;
   Printf.printf "=== net: 4-process socket fleet, same workload ===\n%!";
   let sock = run_sockets () in
   Printf.printf
-    "  sockets  %4d txs  %6.2fs wall  %7.0f tx/s wall  p50 %.1f ms  p99 %.1f ms\n%!"
+    "  sockets  %4d txs  %6.2fs wall  %7.0f tx/s wall  p50 %.1f ms  p99 %.1f ms  setup %.2fs\n%!"
     sock.committed sock.wall_s (tx_s sock)
     (percentile 0.50 sock.latencies_ms)
-    (percentile 0.99 sock.latencies_ms);
+    (percentile 0.99 sock.latencies_ms)
+    sock.setup_s;
   if sim.committed <> total || sock.committed <> total then begin
     Printf.eprintf "FAIL: expected %d committed on both transports (%d / %d)\n%!"
       total sim.committed sock.committed;

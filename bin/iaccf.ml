@@ -1143,10 +1143,10 @@ let cluster_cmd =
           r.Net_driver.r_tx_s;
         Printf.printf
           "  latency ms (wall): p50 %.1f  p90 %.1f  p99 %.1f  (%d samples, +%d \
-           setup txs untimed)\n"
+           setup txs untimed, set-up took %.2fs wall)\n"
           (p 0.50) (p 0.90) (p 0.99)
           (List.length r.Net_driver.r_latencies_ms)
-          r.Net_driver.r_setup);
+          r.Net_driver.r_setup r.Net_driver.r_setup_s);
     Printf.printf "transport:\n";
     transport_stat_line ~label:"driver" (fun k ->
         List.assoc_opt k driver_snapshot);

@@ -82,6 +82,14 @@ let verify_request a ~service (req : Request.t) =
   || Request.verify req ~service
        ~check:(schnorr_verify a ~cls:"request" Profile.Client_key)
 
+(* The same gates as [verify_request]; the check itself, the payload's
+   hashing included, runs on the background worker. *)
+let precheck_request a ~service (req : Request.t) =
+  if a.variant.Variant.verify_client_sigs && D.equal req.Request.service service then
+    Sigcheck.ahead a.checker req.Request.client_pk
+      (fun () -> D.to_raw (Request.signed_digest req))
+      ~signature:req.Request.signature
+
 let peerreview a = a.variant.Variant.peerreview
 
 let peerreview_sign a payload =

@@ -49,6 +49,13 @@ val verify : t -> Iaccf_types.Config.t -> cls:string -> Iaccf_types.Message.chec
 val verify_request : t -> service:D.t -> Iaccf_types.Request.t -> bool
 (** The client signature check, or [true] when row e skips it. *)
 
+val precheck_request : t -> service:D.t -> Iaccf_types.Request.t -> unit
+(** Starts {!verify_request}'s signature check on the background worker
+    ({!Iaccf_crypto.Sigcheck.ahead}), under the same gates: nothing when
+    row e skips the check or the request names another service. A later
+    {!verify_request} of the request uses it when it can. Counts and
+    profiles nothing. *)
+
 val sent : t -> Wire.t -> unit
 (** PeerReview signs every message it sends. *)
 

@@ -329,6 +329,11 @@ let update_queue_gauge t =
   if is_primary t then
     Obs.set_gauge t.ctr.g_queue_depth (float_of_int (Pool.size t.pool))
 
+(* Admission control (primary only): fresh requests are shed while the
+   pending queue sits at or above the watermark. *)
+let shedding t =
+  t.params.admission_queue > 0 && is_primary t && Pool.size t.pool >= t.params.admission_queue
+
 (* ------------------------------------------------------------------ *)
 (* Evidence (P_{s-P}, K_{s-P}, E_{s-P})                                *)
 
@@ -984,9 +989,7 @@ and on_request t (req : Request.t) =
        pending queue sits at or above the watermark — before signature
        verification, so backpressure costs no crypto. The Busy_msg names
        the request so the shared retransmit path can retry it. *)
-    | None
-      when t.params.admission_queue > 0 && is_primary t
-           && Pool.size t.pool >= t.params.admission_queue ->
+    | None when shedding t ->
         Obs.incr t.ctr.c_load_rejected;
         update_queue_gauge t;
         Obs.instant t.obs ~node:t.rid ~cat:"request" ~name:"request.rejected"
@@ -1672,6 +1675,18 @@ let on_message t ~src msg =
 
 let dispatch = on_message
 
+(* The arrival hook: a request that [on_request] would check, were it
+   delivered now, has its client signature checked ahead on the
+   background worker. Only the wall time of the check it stands in for
+   moves (see Sigcheck.ahead). *)
+let on_arrival t ~src:_ = function
+  | Wire.Request_msg req
+    when t.running && t.activated
+         && (not (Pool.known t.pool (Request.hash req)))
+         && not (shedding t) ->
+      Auth.precheck_request t.auth ~service:t.service req
+  | _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
@@ -1792,7 +1807,7 @@ let create ~id ~sk ~genesis ~app ~params ~sched ~network ~client_address ~rng
       restore_from_storage t s;
       Storage.attach s t.ledger
   | None -> ());
-  Network.register network id (fun ~src msg -> on_message t ~src msg);
+  Network.register network id ~arrival:(on_arrival t) (fun ~src msg -> on_message t ~src msg);
   t
 
 let start t =

@@ -1,5 +1,7 @@
 (* Signature checks against per-key combs: one key table, one comb rule,
    and two entry points, check-now and a job list (see sigcheck.mli).
+   Check-now can use a precheck that the background worker made ahead of
+   it (see the prechecks below).
 
    The job list grows while it is checked. The caller appends jobs and
    publishes them 32 at a time. Helper domains claim chunks from a shared
@@ -12,6 +14,7 @@
    which domain got there first. *)
 
 module Obs = Iaccf_obs.Obs
+module Worker = Iaccf_util.Worker
 
 (* Unit costs in microseconds, the medians in BENCH_crypto.json
    (bench/crypto.exe, 2-core x86-64 VM). A comb pays for a key once its
@@ -27,14 +30,35 @@ let max_keys = 4096
 
 type entry = { mutable key : Schnorr.public_key; mutable uses : int }
 
+(* A precheck's outcome: the key's encoding, the payload digest it
+   checked, whether the key value had its comb, the verdict, and the
+   check's own multiplies and compressions (not the payload's: the caller
+   hashes that itself). *)
+type outcome = { kb : string; digest : string; comb : bool; ok : bool; muls : int; blocks : int }
+
+(* A precheck moves from [Queued] to [Started] and [Done] on the worker,
+   or from [Queued] to [Taken] on the caller; [Done None] is void. *)
+type state = Queued | Started | Taken | Done of outcome option
+
+type precheck = { signature : string; state : state Atomic.t }
+
 type t = {
   keys : (string, entry) Hashtbl.t; (* by the key's encoding *)
   c_precomputed : Obs.counter;
+  prechecks : (string, precheck) Hashtbl.t; (* not yet used, by signature *)
+  order : precheck Queue.t; (* oldest first, used ones among them *)
 }
+
+let max_prechecks = 1024
 
 let create ?obs () =
   let obs = match obs with Some o -> o | None -> Obs.passive () in
-  { keys = Hashtbl.create 64; c_precomputed = Obs.counter obs "crypto.keys.precomputed" }
+  {
+    keys = Hashtbl.create 64;
+    c_precomputed = Obs.counter obs "crypto.keys.precomputed";
+    prechecks = Hashtbl.create 64;
+    order = Queue.create ();
+  }
 
 (* Counts a use of [pk]'s key and returns the key value to check it
    against. At the first use where a comb pays, [tabled] returns the
@@ -60,16 +84,103 @@ let use t pk ~tabled =
       end;
       e.key
 
+(* --- Prechecks ----------------------------------------------------------
+
+   [ahead] queues a check on the background worker against the key value
+   the table holds now, comb or no comb, and counts no use. The job claims
+   itself before it starts; the caller that finds it unclaimed claims it
+   instead and checks inline, so a use never waits behind the worker's
+   queue. A use that finds it started spins until it is done: the rest
+   of one check is shorter than a sleep and a wake-up. Tables only ever
+   gain a comb, so a key with none before and after the check had none
+   during it; a comb built meanwhile (by the event loop, on the interned
+   value) voids the outcome. *)
+
+(* The worker's side: the outcome, or [None] if a comb appeared meanwhile. *)
+let run_precheck key payload ~signature =
+  let digest = payload () in
+  let comb = Schnorr.has_table key in
+  let muls0 = Group.muls () and blocks0 = Sha256.blocks () in
+  let ok = Schnorr.verify key digest ~signature in
+  if Schnorr.has_table key <> comb then None
+  else
+    Some
+      {
+        kb = Schnorr.public_key_to_bytes key;
+        digest;
+        comb;
+        ok;
+        muls = Group.muls () - muls0;
+        blocks = Sha256.blocks () - blocks0;
+      }
+
+let ahead t pk payload ~signature =
+  if not (Hashtbl.mem t.prechecks signature) then begin
+    let kb = Schnorr.public_key_to_bytes pk in
+    let key = match Hashtbl.find_opt t.keys kb with Some e -> e.key | None -> pk in
+    let state = Atomic.make Queued in
+    ignore
+      (Worker.submit (fun () ->
+           if Atomic.compare_and_set state Queued Started then
+             (* A check that raises is void: the use checks inline, and
+                raises there. *)
+             Atomic.set state (Done (try run_precheck key payload ~signature with _ -> None))));
+    let p = { signature; state } in
+    if Queue.length t.order >= max_prechecks then begin
+      let old = Queue.pop t.order in
+      match Hashtbl.find_opt t.prechecks old.signature with
+      | Some q when q == old ->
+          Hashtbl.remove t.prechecks old.signature;
+          ignore (Atomic.compare_and_set old.state Queued Taken)
+      | _ -> ()
+    end;
+    Hashtbl.replace t.prechecks signature p;
+    Queue.push p t.order
+  end
+
+let prechecks t = Hashtbl.length t.prechecks
+
+(* The precheck for [signature], removed from the table: its outcome once
+   the worker has made it, or [None] when it had not started (it is taken
+   back) or its outcome is void. *)
+let take t signature =
+  match Hashtbl.find_opt t.prechecks signature with
+  | None -> None
+  | Some p ->
+      Hashtbl.remove t.prechecks signature;
+      if Atomic.compare_and_set p.state Queued Taken then None
+      else
+        let rec finished () =
+          match Atomic.get p.state with
+          | Done o -> o
+          | _ ->
+              Domain.cpu_relax ();
+              finished ()
+        in
+        finished ()
+
 (* Check-now tables the interned value in place: it is the first key
    value seen, such as the configuration's own, and whoever else checks
-   against that value gains the comb too. *)
+   against that value gains the comb too. A precheck stands in for the
+   check only where the check would have been the same one: same
+   signature, digest and key, and the key value now checked against has
+   a comb exactly when the precheck's had. *)
 let verify t pk digest ~signature =
+  let early = take t signature in
   let pk =
     use t pk ~tabled:(fun _ pk ->
         Schnorr.precompute pk;
         pk)
   in
-  Schnorr.verify pk digest ~signature
+  match early with
+  | Some o
+    when String.equal o.digest digest
+         && String.equal o.kb (Schnorr.public_key_to_bytes pk)
+         && o.comb = Schnorr.has_table pk ->
+      Group.add_muls o.muls;
+      Sha256.add_blocks o.blocks;
+      o.ok
+  | _ -> Schnorr.verify pk digest ~signature
 
 (* --- The job list ----------------------------------------------------- *)
 

@@ -11,7 +11,9 @@
     Two entry points apply the rule:
     - {!verify} checks now. The replica reaches it through [Auth], which
       counts and profiles each check; receipts, clients and the
-      observer's reader call [Schnorr.verify] directly.
+      observer's reader call [Schnorr.verify] directly. {!ahead} lets the
+      background worker make a check before {!verify} asks for it; the
+      verdict and the counts are those of checking now.
     - {!start}, {!add}, {!close} and {!finish} keep the auditor's job
       list, checked on helper domains while the caller goes on queuing.
       Jobs are published to the helpers 32 at a time, and a helper that
@@ -43,7 +45,37 @@ val verify : t -> Schnorr.public_key -> string -> signature:string -> bool
 (** [verify t pk digest ~signature] is [Schnorr.verify pk digest
     ~signature], counted as a use of [pk]'s key and checked against the
     key value interned for it, with its comb once it has one. The comb
-    is built on that value itself, the first one seen for the key. *)
+    is built on that value itself, the first one seen for the key.
+
+    When a precheck ({!ahead}) is held for [signature], it is removed and
+    its verdict is returned instead if it was the same check: same
+    digest, same key encoding, and the key value checked against now has
+    a comb exactly when the precheck's had. Its multiplies and
+    compressions are then added to the calling domain's {!Group.muls}
+    and {!Sha256.blocks}, so the counts are those of checking now. A
+    precheck the worker has not started is taken back and the check made
+    here, without waiting; one it has started is waited for. *)
+
+(** {1 Checks ahead of use} *)
+
+val ahead : t -> Schnorr.public_key -> (unit -> string) -> signature:string -> unit
+(** [ahead t pk payload ~signature] queues a precheck on the background
+    worker ({!Iaccf_util.Worker}): the worker computes [payload ()], the
+    digest, and checks [signature] over it against the key value the
+    table holds for [pk] now ([pk] itself if none), comb or no comb. It
+    counts no use, builds no comb, and counts nothing on the caller; a
+    later {!verify} of the same signature may use it. Nothing is queued
+    if a precheck for [signature] is already held. [payload] runs on
+    another domain: it must read only values nothing mutates. At most
+    {!max_prechecks} are held; past that the oldest is dropped, and taken
+    back from the worker if it has not started. *)
+
+val max_prechecks : int
+(** 1,024. *)
+
+val prechecks : t -> int
+(** Prechecks held: queued by {!ahead} and neither used by {!verify} nor
+    dropped. *)
 
 (** {1 The job list} *)
 

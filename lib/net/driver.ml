@@ -98,6 +98,7 @@ type result = {
   r_total : int;
   r_completed : int;
   r_setup : int;
+  r_setup_s : float;  (* set-up phase wall clock *)
   r_wall_s : float;  (* measured-phase wall clock, setup excluded *)
   r_tx_s : float;
   r_latencies_ms : float list;
@@ -115,7 +116,9 @@ let run_smallbank ?(concurrency = 16) ?(accounts = 20)
     ~seed () =
   let nclients = Array.length h.h_clients in
   if nclients = 0 then invalid_arg "Driver.run_smallbank: no clients";
-  (* setup: account creation, one at a time (kept off the measurement) *)
+  (* setup: account creation, one at a time (kept off the measurement,
+     timed on its own) *)
+  let t_setup = h.h_wall_ms () in
   let setup = Smallbank.setup_ops ~accounts ~initial_balance:1_000 in
   let setup_done = ref 0 in
   let rec submit_setup = function
@@ -138,6 +141,7 @@ let run_smallbank ?(concurrency = 16) ?(accounts = 20)
   else begin
     let rng = Rng.create seed in
     let t_start = h.h_wall_ms () in
+    let setup_s = (t_start -. t_setup) /. 1000.0 in
     let _submitted, completed =
       Pump.closed_loop ~total ~concurrency
         ~submit:(fun ~seq ~on_complete ->
@@ -161,6 +165,7 @@ let run_smallbank ?(concurrency = 16) ?(accounts = 20)
           r_total = total;
           r_completed = !completed;
           r_setup = n_setup;
+          r_setup_s = setup_s;
           r_wall_s = wall_s;
           r_tx_s = (if wall_s > 0.0 then float_of_int !completed /. wall_s else 0.0);
           r_latencies_ms = latencies h;

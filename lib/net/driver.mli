@@ -31,7 +31,9 @@ val clients : harness -> Iaccf_core.Client.t array
 type result = {
   r_total : int;
   r_completed : int;
-  r_setup : int;  (** setup transactions (excluded from timing) *)
+  r_setup : int;  (** setup transactions (excluded from [r_wall_s]) *)
+  r_setup_s : float;  (** set-up phase wall seconds: submitting the setup
+                          transactions until the last one completes *)
   r_wall_s : float;  (** measured-phase wall seconds *)
   r_tx_s : float;
   r_latencies_ms : float list;

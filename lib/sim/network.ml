@@ -7,6 +7,9 @@ type 'msg t = {
   drop_rng : Rng.t option;
   obs : Obs.t;
   handlers : (int, src:int -> 'msg -> unit) Hashtbl.t;
+  (* Arrival hooks: told of a delivery when it is scheduled, so a node
+     can start work on the message before its handler runs. *)
+  arrivals : (int, src:int -> 'msg -> unit) Hashtbl.t;
   (* Outbound interception (Byzantine wrappers): rewrites a source's
      message stream at the network boundary, below the latency/drop model. *)
   intercepts : (int, dst:int -> 'msg -> (int * 'msg) list) Hashtbl.t;
@@ -50,6 +53,7 @@ let create ~sched ~latency ?drop_rng ?obs () =
     drop_rng;
     obs;
     handlers = Hashtbl.create 16;
+    arrivals = Hashtbl.create 16;
     intercepts = Hashtbl.create 4;
     drop_probability = 0.0;
     flow_of = None;
@@ -69,8 +73,19 @@ let create ~sched ~latency ?drop_rng ?obs () =
 
 let set_flow_classifier t f = t.flow_of <- Some f
 
-let register t id handler = Hashtbl.replace t.handlers id handler
-let unregister t id = Hashtbl.remove t.handlers id
+let register ?arrival t id handler =
+  Hashtbl.replace t.handlers id handler;
+  match arrival with
+  | Some f -> Hashtbl.replace t.arrivals id f
+  | None -> Hashtbl.remove t.arrivals id
+
+let unregister t id =
+  Hashtbl.remove t.handlers id;
+  Hashtbl.remove t.arrivals id
+
+let arrive t ~src ~dst msg =
+  match Hashtbl.find_opt t.arrivals dst with Some f -> f ~src msg | None -> ()
+
 let set_intercept t src f = Hashtbl.replace t.intercepts src f
 let clear_intercept t src = Hashtbl.remove t.intercepts src
 
@@ -135,6 +150,7 @@ let raw_send t ~src ~dst msg =
             ()
       | None -> ());
       let delay = Latency.sample t.latency ~src ~dst in
+      arrive t ~src ~dst msg;
       ignore
         (Sched.schedule t.sched ~delay (fun () ->
              match Hashtbl.find_opt t.handlers dst with
@@ -182,6 +198,7 @@ let set_gateway t gw = t.gateway <- Some gw
    never re-entrantly under a socket read). *)
 let inject t ~src ~dst msg =
   Obs.incr t.c_gateway_in;
+  arrive t ~src ~dst msg;
   ignore
     (Sched.schedule t.sched ~delay:0.0 (fun () ->
          match Hashtbl.find_opt t.handlers dst with

@@ -32,10 +32,22 @@ val set_flow_classifier : 'msg t -> ('msg -> (string * string) option) -> unit
     the receiver (a delivery to an unregistered handler finishes with a
     [cancelled] marker); dropped messages emit neither. *)
 
-val register : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
-(** Attach a node's message handler. Re-registering replaces the handler. *)
+val register :
+  ?arrival:(src:int -> 'msg -> unit) -> 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
+(** Attach a node's message handler. Re-registering replaces the handler
+    and the arrival hook (none if [arrival] is absent).
+
+    [arrival] is told of each message for the node when its delivery is
+    scheduled: by a {!send} that passes the cut and loss draws, or by an
+    {!inject}. It runs on the sender's turn in the event loop, before the
+    handler gets the message, and never for a message that is cut, lost
+    or withheld by an intercept. It lets the node start work that only
+    the message decides (the replica prechecks a request's client
+    signature); it must not change anything the handler's outcome
+    depends on. *)
 
 val unregister : 'msg t -> int -> unit
+(** Remove the node's handler and its arrival hook. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Queue delivery; dropped silently if [dst] is unregistered, partitioned

@@ -52,13 +52,13 @@ let make ~sk ~client_pk ~service ?(min_index = 0) ?(client_seqno = 0) ~proc ~arg
     ~signature:(Schnorr.sign sk (D.to_raw payload))
     ~proc ~args ()
 
+let signed_digest t =
+  signing_payload ~proc:t.proc ~args:t.args ~client_pk:t.client_pk ~service:t.service
+    ~min_index:t.min_index ~client_seqno:t.client_seqno
+
 let verify ?(check = fun pk d ~signature -> Schnorr.verify pk (D.to_raw d) ~signature) t
     ~service =
-  D.equal t.service service
-  && check t.client_pk
-       (signing_payload ~proc:t.proc ~args:t.args ~client_pk:t.client_pk
-          ~service:t.service ~min_index:t.min_index ~client_seqno:t.client_seqno)
-       ~signature:t.signature
+  D.equal t.service service && check t.client_pk (signed_digest t) ~signature:t.signature
 
 let decode r =
   let proc = Codec.R.bytes r in

@@ -58,6 +58,10 @@ val of_fields :
     unsigned requests of a client that does not sign). Nothing is
     checked; {!verify} does that. *)
 
+val signed_digest : t -> Iaccf_crypto.Digest32.t
+(** {!signing_payload} of the request's fields: what its signature
+    signs. Hashed on each call. *)
+
 val verify :
   ?check:
     (Iaccf_crypto.Schnorr.public_key -> Iaccf_crypto.Digest32.t -> signature:string -> bool) ->

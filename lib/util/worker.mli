@@ -4,12 +4,15 @@
     that has stopped submitting runs on one domain again.
 
     It takes work off a replica's event loop that nothing reads until
-    later: a durable store's interval sync and a checkpoint's digest. A
-    domain, not a systhread, so CPU work runs beside the caller instead of
-    taking turns with it under the runtime lock. A job runs on another
-    domain: it must only touch values that nothing mutates until it is
-    awaited, and must not submit or await itself. Jobs still queued when
-    the program exits finish first. *)
+    later: a durable store's interval sync, a checkpoint's digest, and a
+    request's client-signature precheck ([Sigcheck.ahead]). Jobs run in
+    submission order, so an {!await} also waits for every job queued
+    before the one awaited: a sync's or a digest's await can queue behind
+    prechecks. A domain, not a systhread, so CPU work runs beside the
+    caller instead of taking turns with it under the runtime lock. A job
+    runs on another domain: it must only touch values that nothing
+    mutates until it is awaited, and must not submit or await itself.
+    Jobs still queued when the program exits finish first. *)
 
 type 'a pending
 (** A job's result, once it has run. *)

@@ -1009,6 +1009,145 @@ let test_combs_where_they_pay () =
              check Alcotest.(option unit) "all verify" None (Sigcheck.finish b))))
     [ 1; 2 ]
 
+(* --- Sigcheck.ahead: checks made on the worker before they are used --- *)
+
+module Worker = Iaccf_util.Worker
+
+(* The verdict, field multiplies and compressions of [f ()]. *)
+let counted f =
+  let m = Group.muls () and b = Sha256.blocks () in
+  let v = f () in
+  (v, Group.muls () - m, Sha256.blocks () - b)
+
+let copy_pk pk = Option.get (Schnorr.public_key_of_bytes (Schnorr.public_key_to_bytes pk))
+let ahead_case = Alcotest.(triple bool int int)
+
+(* Six uses of a key, good and bad signatures alternating, each one
+   prechecked and the worker drained before the use: every verdict and
+   count equals that of a second table that only checks now. The fourth
+   use builds the comb, so it is checked inline (its precheck had none)
+   and the fifth and sixth prechecks are tabled. *)
+let test_ahead_equals_check_now () =
+  let sk, pk = Schnorr.keypair_of_seed "ahead-eq" in
+  let pa = copy_pk pk and pb = copy_pk pk in
+  let a = Sigcheck.create () and b = Sigcheck.create () in
+  for i = 1 to 6 do
+    let digest = Sha256.digest (Printf.sprintf "ahead-eq-%d" i) in
+    let signature = Schnorr.sign sk digest in
+    let signature = if i mod 2 = 0 then flip_bit signature (3 * i) else signature in
+    Sigcheck.ahead a pa (fun () -> digest) ~signature;
+    Worker.drain ();
+    let got = counted (fun () -> Sigcheck.verify a pa digest ~signature) in
+    let want = counted (fun () -> Sigcheck.verify b pb digest ~signature) in
+    let v, _, _ = want in
+    check Alcotest.bool (Printf.sprintf "use %d verdict" i) (i mod 2 = 1) v;
+    check ahead_case (Printf.sprintf "use %d = check now" i) want got
+  done;
+  check Alcotest.int "none held" 0 (Sigcheck.prechecks a)
+
+(* A precheck of a good signature over one digest does not answer for
+   the same signature over another: the use checks afresh and rejects. *)
+let test_ahead_other_digest () =
+  let sk, pk = Schnorr.keypair_of_seed "ahead-digest" in
+  let signed = Sha256.digest "ahead-digest-signed" and other = Sha256.digest "ahead-digest-other" in
+  let signature = Schnorr.sign sk signed in
+  let a = Sigcheck.create () and b = Sigcheck.create () in
+  Sigcheck.ahead a (copy_pk pk) (fun () -> signed) ~signature;
+  Worker.drain ();
+  let ((v, _, _) as got) = counted (fun () -> Sigcheck.verify a (copy_pk pk) other ~signature) in
+  check Alcotest.bool "rejected" false v;
+  check ahead_case "= check now"
+    (counted (fun () -> Sigcheck.verify b (copy_pk pk) other ~signature))
+    got
+
+(* A key whose comb is built between the precheck and the use, by the
+   use's own comb rule or in place by another table holding the same key
+   value (as replicas sharing a client's key value do), is checked
+   inline with the comb: the counts are those of a tabled check. *)
+let test_ahead_comb_meanwhile () =
+  let sk, pk = Schnorr.keypair_of_seed "ahead-comb" in
+  let job i =
+    let digest = Sha256.digest (Printf.sprintf "ahead-comb-%d" i) in
+    (digest, Schnorr.sign sk digest)
+  in
+  let warm t pk uses =
+    for i = 1 to uses do
+      let d, s = job i in
+      assert (Sigcheck.verify t pk d ~signature:s)
+    done
+  in
+  (* By the rule: the fourth use builds the comb. *)
+  let pa = copy_pk pk and pb = copy_pk pk in
+  let a = Sigcheck.create () and b = Sigcheck.create () in
+  warm a pa 3;
+  warm b pb 3;
+  let d, signature = job 4 in
+  Sigcheck.ahead a pa (fun () -> d) ~signature;
+  Worker.drain ();
+  let want = counted (fun () -> Sigcheck.verify b pb d ~signature) in
+  check ahead_case "comb by the rule" want (counted (fun () -> Sigcheck.verify a pa d ~signature));
+  check Alcotest.bool "tabled" true (Schnorr.has_table pa);
+  (* In place, by another table, before the second use. *)
+  let shared = copy_pk pk in
+  let a = Sigcheck.create () in
+  warm a shared 1;
+  let d, signature = job 5 in
+  Sigcheck.ahead a shared (fun () -> d) ~signature;
+  Worker.drain ();
+  Schnorr.precompute shared;
+  let tabled = copy_pk pk in
+  Schnorr.precompute tabled;
+  let want = counted (fun () -> Schnorr.verify tabled d ~signature) in
+  check ahead_case "comb built in place" want
+    (counted (fun () -> Sigcheck.verify a shared d ~signature))
+
+(* A precheck queued behind a worker job that blocks is taken back and
+   checked on the caller: the use returns while the job still blocks. *)
+let test_ahead_taken_back () =
+  let sk, pk = Schnorr.keypair_of_seed "ahead-blocked" in
+  let digest = Sha256.digest "ahead-blocked" in
+  let signature = Schnorr.sign sk digest in
+  let a = Sigcheck.create () and b = Sigcheck.create () in
+  let released = Atomic.make false in
+  let blocker =
+    Worker.submit (fun () ->
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while (not (Atomic.get released)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done;
+        Atomic.get released)
+  in
+  Sigcheck.ahead a (copy_pk pk) (fun () -> digest) ~signature;
+  let got = counted (fun () -> Sigcheck.verify a (copy_pk pk) digest ~signature) in
+  Atomic.set released true;
+  check Alcotest.bool "used before the blocking job ended" true (Worker.await blocker);
+  check ahead_case "= check now"
+    (counted (fun () -> Sigcheck.verify b (copy_pk pk) digest ~signature))
+    got;
+  Worker.drain ()
+
+(* Prechecks nobody uses are dropped oldest first: never more than the
+   cap are held, and a dropped one is checked inline when it is used. *)
+let test_ahead_cap () =
+  let _, pk = Schnorr.keypair_of_seed "ahead-cap" in
+  let digest = Sha256.digest "ahead-cap" in
+  let a = Sigcheck.create () in
+  let n = Sigcheck.max_prechecks + 40 in
+  let sig_of i = Printf.sprintf "%064d" i in
+  let over = ref 0 in
+  for i = 1 to n do
+    Sigcheck.ahead a pk (fun () -> digest) ~signature:(sig_of i);
+    if Sigcheck.prechecks a > Sigcheck.max_prechecks then incr over
+  done;
+  check Alcotest.int "never over the cap" 0 !over;
+  check Alcotest.int "the cap is held" Sigcheck.max_prechecks (Sigcheck.prechecks a);
+  check Alcotest.bool "a dropped one is rejected" false
+    (Sigcheck.verify a pk digest ~signature:(sig_of 1));
+  check Alcotest.bool "a held one is rejected" false
+    (Sigcheck.verify a pk digest ~signature:(sig_of n));
+  check Alcotest.int "the used one is gone" (Sigcheck.max_prechecks - 1) (Sigcheck.prechecks a);
+  Worker.drain ()
+
 let () =
   Alcotest.run "iaccf_crypto"
     [
@@ -1085,6 +1224,14 @@ let () =
         [
           qtest prop_jobs_first_failure;
           Alcotest.test_case "combs where they pay" `Quick test_combs_where_they_pay;
+        ] );
+      ( "precheck",
+        [
+          Alcotest.test_case "= check now, good and bad" `Quick test_ahead_equals_check_now;
+          Alcotest.test_case "other digest checked afresh" `Quick test_ahead_other_digest;
+          Alcotest.test_case "comb built meanwhile" `Quick test_ahead_comb_meanwhile;
+          Alcotest.test_case "taken back behind a blocked worker" `Quick test_ahead_taken_back;
+          Alcotest.test_case "unused stay under the cap" `Quick test_ahead_cap;
         ] );
       ( "digest/nonce",
         [

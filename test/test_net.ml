@@ -26,6 +26,17 @@ module Endpoint = Iaccf_net.Endpoint
 module Manifest = Iaccf_net.Manifest
 module Serve = Iaccf_net.Serve
 module Driver = Iaccf_net.Driver
+module Supervisor = Iaccf_net.Supervisor
+
+(* Re-exec dispatch: [test_net.exe __serve MANIFEST ID] is one replica
+   process of the fleet the driver test spawns. *)
+let () =
+  if Array.length Sys.argv >= 4 && Sys.argv.(1) = "__serve" then begin
+    (match Manifest.load Sys.argv.(2) with
+    | Error e -> prerr_endline e
+    | Ok m -> ignore (Serve.main ~manifest:m ~id:(int_of_string Sys.argv.(3)) ()));
+    exit 0
+  end
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -832,6 +843,32 @@ let test_replica_killed_survivors_progress () =
     (survivors "net.dropped.backoff" > 0);
   check Alcotest.int "no queue overflow" 0 (survivors "net.dropped.queue_full")
 
+(* A four-process fleet driven through [run_smallbank]: the result times
+   the set-up phase apart from the drive, both inside the call. *)
+let test_run_smallbank_setup_time () =
+  with_temp_dir @@ fun dir ->
+  let m = Manifest.local ~seed:3 ~n:4 ~app:"smallbank" ~dir () in
+  let mfile = Filename.concat dir "manifest.json" in
+  Manifest.save m mfile;
+  let children =
+    Supervisor.spawn_fleet ~manifest:m ~serve_argv:(fun ~id ->
+        [| Sys.executable_name; "__serve"; mfile; string_of_int id |])
+  in
+  Fun.protect ~finally:(fun () -> ignore (Supervisor.shutdown children)) @@ fun () ->
+  check Alcotest.bool "fleet ready" true (Supervisor.wait_ready m);
+  let h = Driver.connect m in
+  let t0 = Unix.gettimeofday () in
+  let outcome = Driver.run_smallbank ~accounts:4 ~total:8 h ~seed:3 () in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Driver.close h;
+  match outcome with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+      check Alcotest.int "set-up transactions" 4 r.Driver.r_setup;
+      check Alcotest.bool "set-up timed" true (r.Driver.r_setup_s > 0.0);
+      check Alcotest.bool "set-up and drive inside the call" true
+        (r.Driver.r_setup_s +. r.Driver.r_wall_s <= elapsed)
+
 let () =
   Alcotest.run "iaccf_net"
     [
@@ -866,4 +903,6 @@ let () =
           Alcotest.test_case "replica killed: survivors progress" `Slow
             test_replica_killed_survivors_progress;
         ] );
+      ( "driver",
+        [ Alcotest.test_case "set-up phase timed" `Slow test_run_smallbank_setup_time ] );
     ]

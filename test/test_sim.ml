@@ -217,6 +217,63 @@ let test_network_heal_pair () =
   check Alcotest.bool "directed cut healed" true
     (List.mem (3, "now-through") !got)
 
+(* The arrival hook fires once per scheduled delivery, at send time and
+   before the handler runs, and once per inject; never for a cut, lost or
+   withheld send, for another node, or once the node is unregistered. *)
+let test_network_arrival_hook () =
+  let sched, net = make_net ~drop_rng:(Rng.create 5) () in
+  let events = ref [] in
+  let note e = events := e :: !events in
+  Network.register net 1
+    ~arrival:(fun ~src msg -> note (Printf.sprintf "arrive %d %s" src msg))
+    (fun ~src msg -> note (Printf.sprintf "deliver %d %s" src msg));
+  Network.register net 2 (fun ~src:_ _ -> ());
+  let arrivals () =
+    List.length (List.filter (fun e -> String.starts_with ~prefix:"arrive" e) !events)
+  in
+  Network.send net ~src:0 ~dst:1 "a";
+  check Alcotest.int "fires at send time" 1 (arrivals ());
+  Network.partition net [ 0 ] [ 1 ];
+  Network.send net ~src:0 ~dst:1 "cut";
+  Network.heal net;
+  Network.partition_oneway net [ 0 ] [ 1 ];
+  Network.send net ~src:0 ~dst:1 "cut-oneway";
+  Network.heal net;
+  Network.set_drop_probability net 1.0;
+  Network.send net ~src:0 ~dst:1 "lost";
+  Network.set_drop_probability net 0.0;
+  Network.set_intercept net 0 (fun ~dst msg ->
+      if msg = "withheld" then [] else [ (dst, msg); (dst, msg ^ "'") ]);
+  Network.send net ~src:0 ~dst:1 "withheld";
+  Network.send net ~src:0 ~dst:1 "dup";
+  Network.clear_intercept net 0;
+  Network.send net ~src:0 ~dst:2 "other node";
+  Network.inject net ~src:7 ~dst:1 "injected";
+  Sched.run sched;
+  check
+    Alcotest.(list string)
+    "each delivery's arrival first (an inject is due at once)"
+    [
+      "arrive 0 a";
+      "arrive 0 dup";
+      "arrive 0 dup'";
+      "arrive 7 injected";
+      "deliver 7 injected";
+      "deliver 0 a";
+      "deliver 0 dup";
+      "deliver 0 dup'";
+    ]
+    (List.rev !events);
+  Network.unregister net 1;
+  Network.send net ~src:0 ~dst:1 "after";
+  Network.inject net ~src:7 ~dst:1 "after";
+  Sched.run sched;
+  check Alcotest.int "none after unregister" 4 (arrivals ());
+  Network.register net 1 (fun ~src:_ _ -> ());
+  Network.send net ~src:0 ~dst:1 "re-registered";
+  Sched.run sched;
+  check Alcotest.int "none once registered without one" 4 (arrivals ())
+
 let test_network_intercept_accounting () =
   let sched, net = make_net () in
   let got = ref [] in
@@ -338,6 +395,7 @@ let () =
           Alcotest.test_case "heal pair" `Quick test_network_heal_pair;
           Alcotest.test_case "intercept accounting" `Quick
             test_network_intercept_accounting;
+          Alcotest.test_case "arrival hook" `Quick test_network_arrival_hook;
           Alcotest.test_case "conservation across drop kinds" `Quick
             test_network_conservation_all_kinds;
           Alcotest.test_case "drop requires rng" `Quick test_network_drop_requires_rng;
