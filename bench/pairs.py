@@ -10,8 +10,10 @@ runs first. For every end-to-end metric in the change's BENCHMARK.json it
 prints each side's median and quartiles, the parent's interquartile
 range, and the pairs the change won and lost (ties count for neither).
 With --claim METRIC it also says whether a gain in METRIC holds: the
-change wins at least nine tenths of the pairs and the medians differ, in
-the better direction, by more than the base's interquartile range.
+change wins at least nine tenths of the pairs, the medians differ, in
+the better direction, by more than the base's interquartile range, no
+more operations fail than at the base, and every change run is correct.
+If the gain does not hold, it says why.
 
 Each run's last stdout line is perfbench's JSON summary; a run that
 exits non-zero, reports "correct": false or fails operations is printed
@@ -79,7 +81,7 @@ def main():
 
     print("\n%s, seed %d, %d pairs (median [q1, q3]; won/lost by the change)" % (
         args.workload, args.seed, args.pairs))
-    verdict = None
+    reasons = []
     for m in metrics:
         name = m["name"]
         higher = m["better"] == "higher"
@@ -95,11 +97,23 @@ def main():
                   name, bmed, bq1, bq3, cmed, cq1, cq3, iqr, won, lost, m["unit"]))
         if name == args.claim:
             gain = (cmed - bmed) if higher else (bmed - cmed)
-            verdict = won * 10 >= 9 * args.pairs and gain > iqr
+            reasons = []
+            if won * 10 < 9 * args.pairs:
+                reasons.append("won %d of %d pairs" % (won, args.pairs))
+            if gain <= iqr:
+                reasons.append("median gain %.4f within the base IQR %.4f" % (gain, iqr))
     fails = [sum(r.get("failed", 0) for r in runs[s]) for s in ("base", "change")]
     print("  failed operations: base %d, change %d" % tuple(fails))
     if args.claim:
-        print("gain in %s: %s" % (args.claim, "holds" if verdict else "does not hold"))
+        if fails[1] > fails[0]:
+            reasons.append("more operations failed than at the base")
+        wrong = sum(1 for r in runs["change"] if not r.get("correct"))
+        if wrong:
+            reasons.append("%d change runs not correct" % wrong)
+        if reasons:
+            print("gain in %s: does not hold (%s)" % (args.claim, "; ".join(reasons)))
+        else:
+            print("gain in %s: holds" % args.claim)
 
 
 if __name__ == "__main__":

@@ -45,10 +45,12 @@ let schnorr_sign a ~cls raw =
   Profile.time a.profile Profile.Sign ~cls Profile.Replica_key (fun () ->
       Schnorr.sign a.sk raw)
 
+(* A precheck that stands in for the check is charged what the check
+   took on the worker, not the replica's wait for it. *)
 let schnorr_verify a ~cls principal pk d ~signature =
   Obs.incr a.c_sigs_verified;
-  Profile.time a.profile Profile.Verify ~cls principal (fun () ->
-      Sigcheck.verify a.checker pk (D.to_raw d) ~signature)
+  Profile.time_ahead a.profile Profile.Verify ~cls principal (fun () ->
+      Sigcheck.verify_timed a.checker pk (D.to_raw d) ~signature)
 
 let sign a ~cls d =
   if a.variant.Variant.macs_only then begin
@@ -86,7 +88,7 @@ let verify_request a ~service (req : Request.t) =
    hashing included, runs on the background worker. *)
 let precheck_request a ~service (req : Request.t) =
   if a.variant.Variant.verify_client_sigs && D.equal req.Request.service service then
-    Sigcheck.ahead a.checker req.Request.client_pk
+    Sigcheck.ahead ?clock:(Profile.clock a.profile) a.checker req.Request.client_pk
       (fun () -> D.to_raw (Request.signed_digest req))
       ~signature:req.Request.signature
 

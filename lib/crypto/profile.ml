@@ -52,19 +52,30 @@ let cell t key =
       Hashtbl.replace t.cells key c;
       c
 
+(* Record one operation that another domain may have made ahead of the
+   call: [f] returns the result and, when the work was made there, what
+   it took there on this profiler's clock. That is charged instead of
+   [f]'s own time, which was then only a wait for the result. *)
+let time_ahead t op ~cls principal f =
+  if not t.enabled then fst (f ())
+  else begin
+    let t0 = t.wall () in
+    let result, took = f () in
+    let c = cell t (op, cls, principal) in
+    c.count <- c.count + 1;
+    c.wall_s <- c.wall_s +. (match took with Some s -> s | None -> t.wall () -. t0);
+    result
+  end
+
 (* Record one operation: runs [f], charging its wall time to
    (op, cls, principal). Disabled profilers run [f] with zero overhead
    beyond the branch. *)
 let time t op ~cls principal f =
-  if not t.enabled then f ()
-  else begin
-    let t0 = t.wall () in
-    let result = f () in
-    let c = cell t (op, cls, principal) in
-    c.count <- c.count + 1;
-    c.wall_s <- c.wall_s +. (t.wall () -. t0);
-    result
-  end
+  if not t.enabled then f () else time_ahead t op ~cls principal (fun () -> (f (), None))
+
+(* The clock to time work made on another domain with, for [time_ahead];
+   [None] when the profiler is disabled. *)
+let clock t = if t.enabled then Some t.wall else None
 
 type row = {
   r_op : op;

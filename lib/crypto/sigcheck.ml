@@ -31,10 +31,19 @@ let max_keys = 4096
 type entry = { mutable key : Schnorr.public_key; mutable uses : int }
 
 (* A precheck's outcome: the key's encoding, the payload digest it
-   checked, whether the key value had its comb, the verdict, and the
-   check's own multiplies and compressions (not the payload's: the caller
-   hashes that itself). *)
-type outcome = { kb : string; digest : string; comb : bool; ok : bool; muls : int; blocks : int }
+   checked, whether the key value had its comb, the verdict, the check's
+   own multiplies and compressions (not the payload's: the caller hashes
+   that itself), and the time the check took on the clock [ahead] was
+   given, if any. *)
+type outcome = {
+  kb : string;
+  digest : string;
+  comb : bool;
+  ok : bool;
+  muls : int;
+  blocks : int;
+  took : float option;
+}
 
 (* A precheck moves from [Queued] to [Started] and [Done] on the worker,
    or from [Queued] to [Taken] on the caller; [Done None] is void. *)
@@ -97,11 +106,13 @@ let use t pk ~tabled =
    value) voids the outcome. *)
 
 (* The worker's side: the outcome, or [None] if a comb appeared meanwhile. *)
-let run_precheck key payload ~signature =
+let run_precheck ?clock key payload ~signature =
   let digest = payload () in
   let comb = Schnorr.has_table key in
   let muls0 = Group.muls () and blocks0 = Sha256.blocks () in
+  let t0 = match clock with Some c -> c () | None -> 0.0 in
   let ok = Schnorr.verify key digest ~signature in
+  let took = Option.map (fun c -> c () -. t0) clock in
   if Schnorr.has_table key <> comb then None
   else
     Some
@@ -112,9 +123,10 @@ let run_precheck key payload ~signature =
         ok;
         muls = Group.muls () - muls0;
         blocks = Sha256.blocks () - blocks0;
+        took;
       }
 
-let ahead t pk payload ~signature =
+let ahead ?clock t pk payload ~signature =
   if not (Hashtbl.mem t.prechecks signature) then begin
     let kb = Schnorr.public_key_to_bytes pk in
     let key = match Hashtbl.find_opt t.keys kb with Some e -> e.key | None -> pk in
@@ -124,7 +136,7 @@ let ahead t pk payload ~signature =
            if Atomic.compare_and_set state Queued Started then
              (* A check that raises is void: the use checks inline, and
                 raises there. *)
-             Atomic.set state (Done (try run_precheck key payload ~signature with _ -> None))));
+             Atomic.set state (Done (try run_precheck ?clock key payload ~signature with _ -> None))));
     let p = { signature; state } in
     if Queue.length t.order >= max_prechecks then begin
       let old = Queue.pop t.order in
@@ -165,7 +177,7 @@ let take t signature =
    check only where the check would have been the same one: same
    signature, digest and key, and the key value now checked against has
    a comb exactly when the precheck's had. *)
-let verify t pk digest ~signature =
+let verify_timed t pk digest ~signature =
   let early = take t signature in
   let pk =
     use t pk ~tabled:(fun _ pk ->
@@ -179,8 +191,10 @@ let verify t pk digest ~signature =
          && o.comb = Schnorr.has_table pk ->
       Group.add_muls o.muls;
       Sha256.add_blocks o.blocks;
-      o.ok
-  | _ -> Schnorr.verify pk digest ~signature
+      (o.ok, o.took)
+  | _ -> (Schnorr.verify pk digest ~signature, None)
+
+let verify t pk digest ~signature = fst (verify_timed t pk digest ~signature)
 
 (* --- The job list ----------------------------------------------------- *)
 

@@ -56,9 +56,15 @@ val verify : t -> Schnorr.public_key -> string -> signature:string -> bool
     precheck the worker has not started is taken back and the check made
     here, without waiting; one it has started is waited for. *)
 
+val verify_timed : t -> Schnorr.public_key -> string -> signature:string -> bool * float option
+(** [verify_timed] is {!verify}, with the time a precheck's own check
+    took on the worker when that precheck stood in and {!ahead} was
+    given a clock. A profiler charges that time, not the wait for it. *)
+
 (** {1 Checks ahead of use} *)
 
-val ahead : t -> Schnorr.public_key -> (unit -> string) -> signature:string -> unit
+val ahead :
+  ?clock:(unit -> float) -> t -> Schnorr.public_key -> (unit -> string) -> signature:string -> unit
 (** [ahead t pk payload ~signature] queues a precheck on the background
     worker ({!Iaccf_util.Worker}): the worker computes [payload ()], the
     digest, and checks [signature] over it against the key value the
@@ -68,7 +74,9 @@ val ahead : t -> Schnorr.public_key -> (unit -> string) -> signature:string -> u
     if a precheck for [signature] is already held. [payload] runs on
     another domain: it must read only values nothing mutates. At most
     {!max_prechecks} are held; past that the oldest is dropped, and taken
-    back from the worker if it has not started. *)
+    back from the worker if it has not started. [clock] (default: none)
+    times the check on the worker, for {!verify_timed}; the payload's
+    hashing is not timed. *)
 
 val max_prechecks : int
 (** 1,024. *)

@@ -83,9 +83,6 @@ let unregister t id =
   Hashtbl.remove t.handlers id;
   Hashtbl.remove t.arrivals id
 
-let arrive t ~src ~dst msg =
-  match Hashtbl.find_opt t.arrivals dst with Some f -> f ~src msg | None -> ()
-
 let set_intercept t src f = Hashtbl.replace t.intercepts src f
 let clear_intercept t src = Hashtbl.remove t.intercepts src
 
@@ -150,7 +147,7 @@ let raw_send t ~src ~dst msg =
             ()
       | None -> ());
       let delay = Latency.sample t.latency ~src ~dst in
-      arrive t ~src ~dst msg;
+      (match Hashtbl.find_opt t.arrivals dst with Some f -> f ~src msg | None -> ());
       ignore
         (Sched.schedule t.sched ~delay (fun () ->
              match Hashtbl.find_opt t.handlers dst with
@@ -198,7 +195,6 @@ let set_gateway t gw = t.gateway <- Some gw
    never re-entrantly under a socket read). *)
 let inject t ~src ~dst msg =
   Obs.incr t.c_gateway_in;
-  arrive t ~src ~dst msg;
   ignore
     (Sched.schedule t.sched ~delay:0.0 (fun () ->
          match Hashtbl.find_opt t.handlers dst with

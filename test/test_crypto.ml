@@ -1148,6 +1148,47 @@ let test_ahead_cap () =
   check Alcotest.int "the used one is gone" (Sigcheck.max_prechecks - 1) (Sigcheck.prechecks a);
   Worker.drain ()
 
+(* A precheck given a clock reports what its check took on the worker
+   when it stands in; one with no clock, or one that does not stand in,
+   reports nothing. The clock ticks once per read, so the check took one
+   tick. *)
+let test_ahead_timed () =
+  let sk, pk = Schnorr.keypair_of_seed "ahead-timed" in
+  let digest = Sha256.digest "ahead-timed" in
+  let signature = Schnorr.sign sk digest in
+  let ticks = Atomic.make 0 in
+  let clock () = float_of_int (Atomic.fetch_and_add ticks 1) in
+  let a = Sigcheck.create () in
+  let timed ?clock d =
+    Sigcheck.ahead ?clock a pk (fun () -> digest) ~signature;
+    Worker.drain ();
+    Sigcheck.verify_timed a pk d ~signature
+  in
+  check Alcotest.(pair bool (option (float 0.0))) "stood in" (true, Some 1.0) (timed ~clock digest);
+  check Alcotest.(pair bool (option (float 0.0))) "no clock" (true, None) (timed digest);
+  check
+    Alcotest.(pair bool (option (float 0.0)))
+    "another digest" (false, None)
+    (timed ~clock (Sha256.digest "ahead-timed-other"))
+
+(* [Profile.time_ahead] charges the time the work took elsewhere when
+   there is one, and the call's own time otherwise. *)
+let test_profile_time_ahead () =
+  let now = ref 0.0 in
+  let p = Profile.create ~wall:(fun () -> !now) () in
+  let call took =
+    Profile.time_ahead p Profile.Verify ~cls:"request" Profile.Client_key (fun () ->
+        now := !now +. 2.0;
+        ((), took))
+  in
+  call (Some 0.5);
+  call None;
+  match Profile.rows p with
+  | [ r ] ->
+      check Alcotest.int "count" 2 r.Profile.r_count;
+      check (Alcotest.float 1e-9) "wall" 2.5 r.Profile.r_wall_s
+  | rows -> Alcotest.failf "%d rows" (List.length rows)
+
 let () =
   Alcotest.run "iaccf_crypto"
     [
@@ -1232,6 +1273,8 @@ let () =
           Alcotest.test_case "comb built meanwhile" `Quick test_ahead_comb_meanwhile;
           Alcotest.test_case "taken back behind a blocked worker" `Quick test_ahead_taken_back;
           Alcotest.test_case "unused stay under the cap" `Quick test_ahead_cap;
+          Alcotest.test_case "timed on the worker" `Quick test_ahead_timed;
+          Alcotest.test_case "profile charges the worker's time" `Quick test_profile_time_ahead;
         ] );
       ( "digest/nonce",
         [

@@ -218,7 +218,7 @@ let test_network_heal_pair () =
     (List.mem (3, "now-through") !got)
 
 (* The arrival hook fires once per scheduled delivery, at send time and
-   before the handler runs, and once per inject; never for a cut, lost or
+   before the handler runs; never for an inject, for a cut, lost or
    withheld send, for another node, or once the node is unregistered. *)
 let test_network_arrival_hook () =
   let sched, net = make_net ~drop_rng:(Rng.create 5) () in
@@ -252,12 +252,11 @@ let test_network_arrival_hook () =
   Sched.run sched;
   check
     Alcotest.(list string)
-    "each delivery's arrival first (an inject is due at once)"
+    "each send's arrival first; an inject has none and is due at once"
     [
       "arrive 0 a";
       "arrive 0 dup";
       "arrive 0 dup'";
-      "arrive 7 injected";
       "deliver 7 injected";
       "deliver 0 a";
       "deliver 0 dup";
@@ -268,11 +267,11 @@ let test_network_arrival_hook () =
   Network.send net ~src:0 ~dst:1 "after";
   Network.inject net ~src:7 ~dst:1 "after";
   Sched.run sched;
-  check Alcotest.int "none after unregister" 4 (arrivals ());
+  check Alcotest.int "none after unregister" 3 (arrivals ());
   Network.register net 1 (fun ~src:_ _ -> ());
   Network.send net ~src:0 ~dst:1 "re-registered";
   Sched.run sched;
-  check Alcotest.int "none once registered without one" 4 (arrivals ())
+  check Alcotest.int "none once registered without one" 3 (arrivals ())
 
 let test_network_intercept_accounting () =
   let sched, net = make_net () in
