@@ -14,6 +14,8 @@
      compressions and syncs;
    - audit: the field multiplies and compressions of an audit of a
      SmallBank ledger whose accounts are created in the ledger;
+   - receipts: those of one receipt check of the same run through a
+     fresh governance chain and through one that has checked others;
    - statesync: one chunked catch-up of a joining replica (the
      @statesync-bench path at its smallest size);
    - chaos: the identity-intercept equivalence run from @chaos-overhead;
@@ -143,24 +145,35 @@ let smallbank_rows () =
    a package, so the audit starts from fresh key values and builds the
    same combs on every run, at any width. ----------------------------- *)
 
-let audit_rows () =
-  let module Package = Iaccf_storage.Package in
-  let total = 60 and concurrency = 16 and accounts = 20 in
+let audit_total = 60
+
+(* The closed loop: the cluster and its client's receipts, in completion
+   order. *)
+let audited_run () =
+  let total = audit_total and concurrency = 16 and accounts = 20 in
   let cluster = Cluster.make ~seed:42 ~n:4 ~app:(Smallbank.app ()) () in
   let client = Cluster.add_client cluster () in
   let rng = Rng.create 43 in
   let setup = Array.of_list (Smallbank.setup_ops ~accounts ~initial_balance:10_000) in
+  let receipts = ref [] in
   let _, completed =
     Pump.closed_loop ~total ~concurrency
       ~submit:(fun ~seq ~on_complete ->
         let op = if seq <= accounts then setup.(seq - 1) else Smallbank.random_op rng ~accounts in
         Client.submit client ~proc:op.Smallbank.op_proc ~args:op.Smallbank.op_args
-          ~on_complete:(fun _ -> on_complete ())
+          ~on_complete:(fun oc ->
+            receipts := oc.Client.oc_receipt :: !receipts;
+            on_complete ())
           ())
       ()
   in
   if not (Cluster.run_until cluster (fun () -> !completed >= total)) then
     fail "audit workload stalled";
+  (cluster, List.rev !receipts)
+
+let audit_rows (cluster, _) =
+  let module Package = Iaccf_storage.Package in
+  let total = audit_total in
   let params = Cluster.params cluster in
   let pkg =
     Package.deserialize
@@ -184,6 +197,49 @@ let audit_rows () =
     exact "txs" (float_of_int total);
     exact "audit_field_muls_per_tx" (per_tx muls);
     exact "audit_sha256_blocks_per_tx" (per_tx blocks);
+  ]
+
+(* --- receipts: the field multiplies and compressions of one receipt
+   check through a governance chain, first with a fresh chain, then with
+   one that has checked [warm] receipts before. The genesis and the
+   receipts are decoded from bytes, as a client in another process holds
+   them, so no comb a replica built in place is reused: a fresh chain
+   checks every signature untabled, and a warm one has tabled the keys
+   it used four times or more. ------------------------------------------ *)
+
+let receipt_rows (cluster, receipts) =
+  let warm = 20 in
+  let copy r = Receipt.deserialize (Receipt.serialize r) in
+  let chain () =
+    Govchain.create
+      Iaccf_types.Genesis.(deserialize (serialize (Cluster.genesis cluster)))
+      ~pipeline:(Cluster.params cluster).Replica.pipeline
+  in
+  let verify chain r =
+    match Govchain.verify_receipt chain r with
+    | Ok () -> ()
+    | Error e -> fail "receipt check: %s" e
+  in
+  let last = copy (List.nth receipts (List.length receipts - 1)) in
+  let counted chain =
+    Iaccf_util.Worker.drain ();
+    let muls = Iaccf_crypto.Group.muls () and blocks = Iaccf_crypto.Sha256.blocks () in
+    verify chain last;
+    (Iaccf_crypto.Group.muls () - muls, Iaccf_crypto.Sha256.blocks () - blocks)
+  in
+  let fresh_muls, fresh_blocks = counted (chain ()) in
+  let warmed = chain () in
+  List.iteri (fun i r -> if i < warm then verify warmed (copy r)) receipts;
+  let warm_muls, warm_blocks = counted warmed in
+  let exact series metric v =
+    Report.row ~bench:"regress_smallbank" ~series ~metric ~gate:Report.Exact (float_of_int v)
+  in
+  let warm_series = Printf.sprintf "receipt_warm_%d" warm in
+  [
+    exact "receipt_fresh" "field_muls_per_receipt" fresh_muls;
+    exact "receipt_fresh" "sha256_blocks_per_receipt" fresh_blocks;
+    exact warm_series "field_muls_per_receipt" warm_muls;
+    exact warm_series "sha256_blocks_per_receipt" warm_blocks;
   ]
 
 (* --- statesync: smallest catch-up run (mirrors bench/statesync.ml,
@@ -405,7 +461,11 @@ let emit ~dir =
   let path f = Filename.concat dir f in
   Report.write_rows
     ~file:(path "BENCH_regress_smallbank.json")
-    ~bench:"regress_smallbank" (smallbank_rows () @ audit_rows ());
+    ~bench:"regress_smallbank"
+    (let run = audited_run () in
+     let audited = audit_rows run in
+     let smallbank = smallbank_rows () in
+     smallbank @ audited @ receipt_rows run);
   Report.write_rows
     ~file:(path "BENCH_regress_statesync.json")
     ~bench:"regress_statesync" (statesync_rows ());

@@ -174,9 +174,8 @@ exception Malformed of int * string
    passes its structural part reports [true] to the message's verify
    function, so the scan goes on as the in-place scan would after a good
    signature. The result is the scan, or the structural fault that ended
-   it. View-change sets and new views are rare and still verified inline:
-   [Newview.set_fault] checks every signature of a set even after one
-   fails. *)
+   it. A view-change set queues a job per signature, all tagged with the
+   set's fault, as [Newview.set_fault] checks every signature of a set. *)
 let scan_ledger t jobs ledger =
   let defer_request tag pk d ~signature =
     Sigcheck.add jobs pk (D.to_raw d) ~signature tag;
@@ -303,7 +302,7 @@ let scan_ledger t jobs ledger =
                 if Hashtbl.mem seen p.Message.p_replica then
                   fail i "duplicate prepare evidence";
                 Hashtbl.add seen p.Message.p_replica ();
-                if not (Message.verify_prepare ~check config p) then
+                if not (Message.verify_prepare ~check p) then
                   fail i "invalid prepare evidence signature")
               pe_prepares;
             if List.length pe_prepares <> Config.quorum config - 1 then
@@ -355,16 +354,21 @@ let scan_ledger t jobs ledger =
         next_seqno := s + 1
     | Entry.View_change_set vcs ->
         let config = config_at !next_seqno in
+        let check = defer config (i, "invalid view-change signature") in
         Option.iter (fail i)
           (Newview.set_fault ~quorum:(Config.quorum config)
-             ~verify:(Message.verify_view_change config)
+             ~verify:(Message.verify_view_change ~check)
              vcs);
         vc_sets := ((List.hd vcs).Message.vc_view, vcs) :: !vc_sets;
         next_seqno := Newview.resume ~pipeline:t.rule.pipeline vcs + 1
     | Entry.New_view nv ->
         let config = config_at !next_seqno in
-        if not (Message.verify_new_view config nv) then
-          fail i "invalid new-view signature";
+        if
+          not
+            (Message.verify_new_view
+               ~check:(defer config (i, "invalid new-view signature"))
+               config nv)
+        then fail i "invalid new-view signature";
         (match !vc_sets with
         | (_, vcs) :: _ -> Option.iter (fail i) (Newview.names_fault nv vcs)
         | [] -> fail i "new-view without view changes");

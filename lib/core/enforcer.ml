@@ -64,16 +64,9 @@ let run_audit t ~receipts ~gov_receipts ~response ~responder =
       Audit.audit auditor ~receipts ~ledger:response.resp_ledger
         ?checkpoint:response.resp_checkpoint ~responder ()
 
-let operators_of t receipts replicas =
-  (* Map blamed replica ids to members using the newest receipt's config
-     known from the governance chain. *)
-  let auditor = fresh_auditor t in
-  let seqno =
-    match newest_receipt receipts with Some r -> Receipt.seqno r | None -> 1
-  in
-  ignore seqno;
+(* Blamed replica ids to their operators under the genesis configuration. *)
+let operators_of t replicas =
   let config = t.genesis.Genesis.initial_config in
-  ignore auditor;
   List.filter_map (fun r -> Config.operator_of_replica config r) replicas
   |> List.sort_uniq compare
 
@@ -89,7 +82,7 @@ let investigate t ~receipts ~gov_receipts ~provider =
       in
       match responses with
       | [] ->
-          let punished = operators_of t receipts signers in
+          let punished = operators_of t signers in
           punish t punished;
           Unresponsive_punished { replicas = signers; punished }
       | (responder, response) :: _ -> (

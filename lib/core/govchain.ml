@@ -4,11 +4,13 @@ module Message = Iaccf_types.Message
 module Batch = Iaccf_types.Batch
 module Request = Iaccf_types.Request
 module D = Iaccf_crypto.Digest32
+module Sigcheck = Iaccf_crypto.Sigcheck
 
 type t = {
   gen : Genesis.t;
   service_hash : D.t;
   pipeline : int;
+  sigs : Sigcheck.t; (* every receipt's signatures, one comb rule *)
   mutable configs : Schedule.timeline;
   mutable chain : Receipt.t list; (* newest first *)
   mutable last_gov_index : int;
@@ -23,6 +25,7 @@ let create gen ~pipeline =
     gen;
     service_hash = Genesis.hash gen;
     pipeline;
+    sigs = Sigcheck.create_private ();
     configs = Schedule.timeline gen.Genesis.initial_config;
     chain = [];
     last_gov_index = 0;
@@ -38,7 +41,7 @@ let latest_config t = Schedule.latest t.configs
 
 let verify_receipt t r =
   let config = config_for_seqno t (Receipt.seqno r) in
-  Receipt.verify ~config ~service:t.service_hash r
+  Receipt.verify ~checker:t.sigs ~config ~service:t.service_hash r
 
 let already_have t r = List.exists (Receipt.equal r) t.chain
 

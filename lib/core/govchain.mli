@@ -5,7 +5,14 @@
     incrementally from the genesis transaction. The chain determines which
     configuration (and hence which replica signing keys) was active at any
     sequence number, which is what receipt verification needs after
-    membership changes. *)
+    membership changes.
+
+    A chain holds one {!Iaccf_crypto.Sigcheck.create_private} key table,
+    and every receipt it checks, governance or application, goes through
+    it: a key gets its comb at its fourth use, on the chain's own copy,
+    so no key value a caller holds changes. A client, a reader, an
+    auditor and an enforcer's auditors each check receipts through their
+    chain. *)
 
 type t
 
@@ -29,7 +36,8 @@ val last_gov_index : t -> int
 
 val verify_receipt : t -> Receipt.t -> (unit, string) result
 (** Verify an application receipt under the configuration this chain
-    determines for its sequence number (extended validity, §5.2). *)
+    determines for its sequence number (extended validity, §5.2),
+    through the chain's key table. *)
 
 val sync_from : t -> Receipt.t list -> (unit, string) result
 (** Feed a batch of governance receipts (e.g. fetched from a replica),

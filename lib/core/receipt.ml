@@ -4,6 +4,7 @@ module Config = Iaccf_types.Config
 module Request = Iaccf_types.Request
 module D = Iaccf_crypto.Digest32
 module Nonce = Iaccf_crypto.Nonce
+module Sigcheck = Iaccf_crypto.Sigcheck
 module Bitmap = Iaccf_util.Bitmap
 module Codec = Iaccf_util.Codec
 module Tree = Iaccf_merkle.Tree
@@ -85,7 +86,9 @@ let reconstruct_prepare t ~pph ~replica ~nonce ~signature =
 let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e
 let guard cond msg = if cond then Ok () else Error msg
 
-let verify ~config ~service t =
+let verify ?checker ~config ~service t =
+  let sigs = match checker with Some c -> c | None -> Sigcheck.create_private () in
+  let check = Message.sigcheck sigs config in
   let pp = t.pp in
   let quorum = Config.quorum config in
   let backups = Bitmap.to_list t.prep_bitmap in
@@ -103,7 +106,9 @@ let verify ~config ~service t =
   (* One hash of the pre-prepare serves its signature and every backup's
      prepare. *)
   let pph = Message.pp_hash pp in
-  let* () = guard (Message.verify_pre_prepare ~pph config pp) "invalid pre-prepare signature" in
+  let* () =
+    guard (Message.verify_pre_prepare ~check ~pph config pp) "invalid pre-prepare signature"
+  in
   let* () =
     guard
       (List.for_all (fun k -> Nonce.of_revealed k <> None) t.nonces)
@@ -114,7 +119,7 @@ let verify ~config ~service t =
     | [], [], [] -> Ok ()
     | r :: rs, s :: sigs, k :: nonces ->
         let prepare = reconstruct_prepare t ~pph ~replica:r ~nonce:k ~signature:s in
-        if Message.verify_prepare config prepare then check_prepares rs sigs nonces
+        if Message.verify_prepare ~check prepare then check_prepares rs sigs nonces
         else Error (Printf.sprintf "invalid prepare signature from replica %d" r)
     | _ -> Error "length mismatch"
   in
@@ -125,7 +130,9 @@ let verify ~config ~service t =
       guard (D.equal pp.Message.g_root Tree.empty_root) "non-empty batch without subject"
   | Tx_subject { tx; leaf_index; batch_size; path } ->
       let* () =
-        guard (Request.verify tx.Batch.request ~service) "invalid client request signature"
+        guard
+          (Request.verify ~check:(Request.sigcheck sigs) tx.Batch.request ~service)
+          "invalid client request signature"
       in
       let* () =
         guard (Batch.placed tx)

@@ -68,13 +68,22 @@ val index : t -> int option
 val signers : t -> Iaccf_util.Bitmap.t
 (** Primary plus prepare signers: the replicas this receipt binds. *)
 
-val verify : config:Iaccf_types.Config.t -> service:D.t -> t -> (unit, string) result
+val verify :
+  ?checker:Iaccf_crypto.Sigcheck.t ->
+  config:Iaccf_types.Config.t ->
+  service:D.t ->
+  t ->
+  (unit, string) result
 (** Alg. 3: reconstruct the pre-prepare and prepare messages, check the
     primary's identity and signature, each prepare signature under the
     reconstructed payload (nonce commitments recomputed from the revealed
     nonces, each of which {!Iaccf_crypto.Nonce.of_revealed} must accept),
     quorum size, the Merkle path to [g_root], and — for transaction
-    subjects — the client signature and service binding of the request. *)
+    subjects — the client signature and service binding of the request.
+    Every signature is checked through [checker], a key table shared
+    across calls ({!Govchain} holds one); without it, through a fresh
+    table for this call, which uses each key at most once and so builds
+    no comb. *)
 
 val encode : Iaccf_util.Codec.W.t -> t -> unit
 val decode : Iaccf_util.Codec.R.t -> t

@@ -47,14 +47,14 @@ let default_params =
   }
 
 type stats = {
-  mutable signatures_made : int;
-  mutable signatures_verified : int;
-  mutable macs_computed : int;
-  mutable batches_committed : int;
-  mutable txs_executed : int;
-  mutable txs_committed : int;
-  mutable view_changes : int;
-  mutable checkpoints_taken : int;
+  signatures_made : int;
+  signatures_verified : int;
+  macs_computed : int;
+  batches_committed : int;
+  txs_executed : int;
+  txs_committed : int;
+  view_changes : int;
+  checkpoints_taken : int;
 }
 
 (* The tallies live as obs counters (instance-scoped, under the
@@ -273,8 +273,8 @@ let slot t s =
    for the signature math. *)
 let check t cls = Auth.verify t.auth t.cfg ~cls
 let verify_pp_sig t = Message.verify_pre_prepare ~check:(check t "pre_prepare") t.cfg
-let verify_prepare_sig t = Message.verify_prepare ~check:(check t "prepare") t.cfg
-let verify_vc_sig t = Message.verify_view_change ~check:(check t "view_change") t.cfg
+let verify_prepare_sig t = Message.verify_prepare ~check:(check t "prepare")
+let verify_vc_sig t = Message.verify_view_change ~check:(check t "view_change")
 let verify_nv_sig t = Message.verify_new_view ~check:(check t "new_view") t.cfg
 
 (* Ledger entries: a view-change set justifies its view; a new view names

@@ -37,14 +37,14 @@ type params = {
 val default_params : params
 
 type stats = {
-  mutable signatures_made : int;
-  mutable signatures_verified : int;
-  mutable macs_computed : int;
-  mutable batches_committed : int;
-  mutable txs_executed : int;
-  mutable txs_committed : int;
-  mutable view_changes : int;
-  mutable checkpoints_taken : int;
+  signatures_made : int;
+  signatures_verified : int;
+  macs_computed : int;
+  batches_committed : int;
+  txs_executed : int;
+  txs_committed : int;
+  view_changes : int;
+  checkpoints_taken : int;
 }
 
 type t

@@ -53,26 +53,38 @@ type precheck = { signature : string; state : state Atomic.t }
 
 type t = {
   keys : (string, entry) Hashtbl.t; (* by the key's encoding *)
-  c_precomputed : Obs.counter;
+  in_place : bool; (* combs on the interned values, or on copies *)
+  c_precomputed : Obs.counter option;
   prechecks : (string, precheck) Hashtbl.t; (* not yet used, by signature *)
   order : precheck Queue.t; (* oldest first, used ones among them *)
 }
 
 let max_prechecks = 1024
 
-let create ?obs () =
-  let obs = match obs with Some o -> o | None -> Obs.passive () in
+let make ~in_place ~size c_precomputed =
   {
-    keys = Hashtbl.create 64;
-    c_precomputed = Obs.counter obs "crypto.keys.precomputed";
-    prechecks = Hashtbl.create 64;
+    keys = Hashtbl.create size;
+    in_place;
+    c_precomputed;
+    prechecks = Hashtbl.create size;
     order = Queue.create ();
   }
 
+let create ?obs () =
+  make ~in_place:true ~size:64
+    (Option.map (fun o -> Obs.counter o "crypto.keys.precomputed") obs)
+
+(* A receipt checked without a shared table makes one of these per call,
+   so it starts small and counts nothing. *)
+let create_private () = make ~in_place:false ~size:8 None
+
 (* Counts a use of [pk]'s key and returns the key value to check it
-   against. At the first use where a comb pays, [tabled] returns the
-   interned value with a comb, and it replaces the interned one. *)
-let use t pk ~tabled =
+   against. At the first use where a comb pays, the interned value gets
+   the comb, or a copy of it does and replaces it. A copy leaves alone a
+   value that others check against: the caller's, or, in a job list, the
+   one helpers may be checking earlier jobs against, where whether those
+   checks are tabled must not depend on timing. *)
+let use t pk =
   let kb = Schnorr.public_key_to_bytes pk in
   let entry =
     match Hashtbl.find_opt t.keys kb with
@@ -88,8 +100,9 @@ let use t pk ~tabled =
   | Some e ->
       e.uses <- e.uses + 1;
       if comb_pays e.uses && not (Schnorr.has_table e.key) then begin
-        e.key <- tabled kb e.key;
-        Obs.incr t.c_precomputed
+        if not t.in_place then e.key <- Option.get (Schnorr.public_key_of_bytes kb);
+        Schnorr.precompute e.key;
+        Option.iter Obs.incr t.c_precomputed
       end;
       e.key
 
@@ -171,19 +184,12 @@ let take t signature =
         in
         finished ()
 
-(* Check-now tables the interned value in place: it is the first key
-   value seen, such as the configuration's own, and whoever else checks
-   against that value gains the comb too. A precheck stands in for the
-   check only where the check would have been the same one: same
-   signature, digest and key, and the key value now checked against has
-   a comb exactly when the precheck's had. *)
+(* A precheck stands in for the check only where the check would have
+   been the same one: same signature, digest and key, and the key value
+   now checked against has a comb exactly when the precheck's had. *)
 let verify_timed t pk digest ~signature =
   let early = take t signature in
-  let pk =
-    use t pk ~tabled:(fun _ pk ->
-        Schnorr.precompute pk;
-        pk)
-  in
+  let pk = use t pk in
   match early with
   | Some o
     when String.equal o.digest digest
@@ -268,7 +274,7 @@ let publish t ~closed =
 let start ?width ~expected () =
   let t =
     {
-      table = create ();
+      table = create_private ();
       lock = Mutex.create ();
       published = Condition.create ();
       jobs = [||];
@@ -295,15 +301,7 @@ let start ?width ~expected () =
   t
 
 let add t pk digest ~signature tag =
-  (* A copy gets the comb, not the interned value: helpers may be
-     checking earlier jobs against that value, and whether those checks
-     are tabled must not depend on timing. *)
-  let pk =
-    use t.table pk ~tabled:(fun kb _ ->
-        let copy = Option.get (Schnorr.public_key_of_bytes kb) in
-        Schnorr.precompute copy;
-        copy)
-  in
+  let pk = use t.table pk in
   let job = { pk; digest; signature; tag } in
   if t.n = Array.length t.jobs then begin
     (* Slots below [upto] are never written again, so a helper still

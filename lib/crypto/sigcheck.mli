@@ -6,14 +6,20 @@
     would be shared. It holds at most 4,096 keys; past that (a Byzantine
     peer minting keys) a new key is checked untabled and not counted. A
     key gets its comb ({!Schnorr.precompute}) at the first use where
-    {!comb_pays} holds of its uses so far: its fourth.
+    {!comb_pays} holds of its uses so far: its fourth. A table from
+    {!create} builds it in place on the first key value it saw for the
+    key; one from {!create_private}, and a job list's, on a copy.
 
-    Two entry points apply the rule:
+    Every signature check in the library outside the crypto and baseline
+    modules goes through a table. Two entry points apply the rule:
     - {!verify} checks now. The replica reaches it through [Auth], which
-      counts and profiles each check; receipts, clients and the
-      observer's reader call [Schnorr.verify] directly. {!ahead} lets the
-      background worker make a check before {!verify} asks for it; the
-      verdict and the counts are those of checking now.
+      counts and profiles each check. A receipt check reaches it through
+      the caller's table, or a table of its own: clients, the observer's
+      reader and the auditor's receipt checks pass their governance
+      chain's. Configuration endorsements use a table per validation.
+      {!ahead} lets the background worker make a check
+      before {!verify} asks for it; the verdict and the counts are those
+      of checking now.
     - {!start}, {!add}, {!close} and {!finish} keep the auditor's job
       list, checked on helper domains while the caller goes on queuing.
       Jobs are published to the helpers 32 at a time, and a helper that
@@ -38,14 +44,23 @@ type t
 (** A key table. *)
 
 val create : ?obs:Iaccf_obs.Obs.t -> unit -> t
-(** [obs] (default: a private passive registry) receives the
-    [crypto.keys.precomputed] counter, one per comb built. *)
+(** A table that builds each comb in place, on the key value it interned,
+    so whoever else checks against that value gains the comb too: the
+    replicas of one process share their configuration's combs this way.
+    [obs] (default: none) receives the [crypto.keys.precomputed]
+    counter, one per comb built. *)
+
+val create_private : unit -> t
+(** A table that builds each comb on a copy of the key, which replaces
+    the interned value in the table: it never changes a key value it was
+    given. A governance chain checks receipts through one, so a client
+    in the replicas' process never builds a comb a replica would have
+    built. *)
 
 val verify : t -> Schnorr.public_key -> string -> signature:string -> bool
 (** [verify t pk digest ~signature] is [Schnorr.verify pk digest
     ~signature], counted as a use of [pk]'s key and checked against the
-    key value interned for it, with its comb once it has one. The comb
-    is built on that value itself, the first one seen for the key.
+    key value interned for it, with its comb once it has one.
 
     When a precheck ({!ahead}) is held for [signature], it is removed and
     its verdict is returned instead if it was the same check: same

@@ -104,8 +104,14 @@ type result = {
   r_latencies_ms : float list;
 }
 
-let latencies h =
-  Array.to_list h.h_clients |> List.concat_map Client.latencies_ms
+let samples h = Array.map (fun c -> List.length (Client.latencies_ms c)) h.h_clients
+
+(* The latencies client [i] recorded after its first [skip.(i)]. *)
+let latencies_after h skip =
+  List.concat
+    (List.mapi
+       (fun i c -> List.filteri (fun j _ -> j >= skip.(i)) (Client.latencies_ms c))
+       (Array.to_list h.h_clients))
 
 (* Deterministic SmallBank load: setup the accounts through one client,
    then a closed-loop pump across all clients. The op stream is drawn
@@ -141,6 +147,7 @@ let run_smallbank ?(concurrency = 16) ?(accounts = 20)
   else begin
     let rng = Rng.create seed in
     let t_start = h.h_wall_ms () in
+    let untimed = samples h in
     let setup_s = (t_start -. t_setup) /. 1000.0 in
     let _submitted, completed =
       Pump.closed_loop ~total ~concurrency
@@ -168,6 +175,6 @@ let run_smallbank ?(concurrency = 16) ?(accounts = 20)
           r_setup_s = setup_s;
           r_wall_s = wall_s;
           r_tx_s = (if wall_s > 0.0 then float_of_int !completed /. wall_s else 0.0);
-          r_latencies_ms = latencies h;
+          r_latencies_ms = latencies_after h untimed;
         }
   end

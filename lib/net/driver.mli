@@ -37,6 +37,8 @@ type result = {
   r_wall_s : float;  (** measured-phase wall seconds *)
   r_tx_s : float;
   r_latencies_ms : float list;
+      (** one per timed transaction, oldest first per client; the
+          set-up transactions' are left out *)
 }
 
 val run_smallbank :

@@ -1,5 +1,6 @@
 module Codec = Iaccf_util.Codec
 module Schnorr = Iaccf_crypto.Schnorr
+module Sigcheck = Iaccf_crypto.Sigcheck
 module D = Iaccf_crypto.Digest32
 
 type member = { member_name : string; member_pk : Schnorr.public_key }
@@ -84,6 +85,7 @@ let validate t =
     match bad_operator with
     | Some r -> Error (Printf.sprintf "replica %d has unknown operator %s" r.replica_id r.operator)
     | None ->
+        let sigs = Sigcheck.create_private () in
         let bad_endorsement =
           List.find_opt
             (fun r ->
@@ -91,7 +93,7 @@ let validate t =
               | None -> true
               | Some m ->
                   not
-                    (Schnorr.verify m.member_pk
+                    (Sigcheck.verify sigs m.member_pk
                        (D.to_raw (endorsement_payload t ~replica_id:r.replica_id ~pk:r.replica_pk))
                        ~signature:r.endorsement))
             t.replicas

@@ -52,7 +52,8 @@ val endorsement_payload : t -> replica_id:int -> pk:Iaccf_crypto.Schnorr.public_
 
 val validate : t -> (unit, string) result
 (** Structural checks: dense replica ids, known operators, valid
-    endorsements, sane vote threshold. *)
+    endorsements, sane vote threshold. Endorsements are checked through
+    a {!Iaccf_crypto.Sigcheck} table of this call's own. *)
 
 val encode : Iaccf_util.Codec.W.t -> t -> unit
 val decode : Iaccf_util.Codec.R.t -> t

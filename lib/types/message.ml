@@ -1,6 +1,6 @@
 module Codec = Iaccf_util.Codec
 module Bitmap = Iaccf_util.Bitmap
-module Schnorr = Iaccf_crypto.Schnorr
+module Sigcheck = Iaccf_crypto.Sigcheck
 module D = Iaccf_crypto.Digest32
 
 type pre_prepare = {
@@ -114,34 +114,30 @@ let new_view_payload ~view ~m_root ~vc_bitmap ~vc_hash ~primary =
 
 type check = replica:int -> D.t -> signature:string -> bool
 
-let schnorr_check config ~replica d ~signature =
+let sigcheck sigs config ~replica d ~signature =
   match Config.replica_pk config replica with
   | None -> false
-  | Some pk -> Schnorr.verify pk (D.to_raw d) ~signature
+  | Some pk -> Sigcheck.verify sigs pk (D.to_raw d) ~signature
 
-let verify_pre_prepare ?check ?pph config (pp : pre_prepare) =
-  let check = Option.value check ~default:(schnorr_check config) in
+let verify_pre_prepare ~check ?pph config (pp : pre_prepare) =
   pp.primary = Config.primary_of_view config pp.view
   &&
   let pph = match pph with Some h -> h | None -> pp_hash pp in
   check ~replica:pp.primary pph ~signature:pp.signature
 
-let verify_prepare ?check config (p : prepare) =
-  let check = Option.value check ~default:(schnorr_check config) in
+let verify_prepare ~check (p : prepare) =
   check ~replica:p.p_replica
     (prepare_payload ~view:p.p_view ~seqno:p.p_seqno ~replica:p.p_replica
        ~nonce_com:p.p_nonce_com ~pp_hash:p.p_pp_hash)
     ~signature:p.p_signature
 
-let verify_view_change ?check config (vc : view_change) =
-  let check = Option.value check ~default:(schnorr_check config) in
+let verify_view_change ~check (vc : view_change) =
   check ~replica:vc.vc_replica
     (view_change_payload ~view:vc.vc_view ~replica:vc.vc_replica
        ~last_prepared:vc.vc_last_prepared)
     ~signature:vc.vc_signature
 
-let verify_new_view ?check config (nv : new_view) =
-  let check = Option.value check ~default:(schnorr_check config) in
+let verify_new_view ~check config (nv : new_view) =
   nv.nv_primary = Config.primary_of_view config nv.nv_view
   && check ~replica:nv.nv_primary
        (new_view_payload ~view:nv.nv_view ~m_root:nv.nv_m_root ~vc_bitmap:nv.nv_vc_bitmap

@@ -90,19 +90,26 @@ val new_view_payload :
 
 (** {1 Signature checks}
 
-    Each derives the signing payload and asks [check] (default:
-    [Schnorr.verify] under the configured key) whether [replica] signed it. *)
+    Each derives the signing payload and asks [check] whether [replica]
+    signed it. Every caller passes its check: the replica its [Auth]
+    path, the auditor its job list, receipts, clients and readers
+    {!sigcheck} over their key table. *)
 
 type check = replica:int -> D.t -> signature:string -> bool
 
-val verify_pre_prepare : ?check:check -> ?pph:D.t -> Config.t -> pre_prepare -> bool
+val sigcheck : Iaccf_crypto.Sigcheck.t -> Config.t -> check
+(** [sigcheck sigs config]: {!Iaccf_crypto.Sigcheck.verify} in [sigs]
+    under the key [config] lists for [replica]; false for a replica
+    [config] does not list. *)
+
+val verify_pre_prepare : check:check -> ?pph:D.t -> Config.t -> pre_prepare -> bool
 (** Signed by the primary of [view mod N]; so is a new view. A caller
     that already holds [pp_hash pp] passes it as [pph], and it is not
     hashed again. *)
 
-val verify_prepare : ?check:check -> Config.t -> prepare -> bool
-val verify_view_change : ?check:check -> Config.t -> view_change -> bool
-val verify_new_view : ?check:check -> Config.t -> new_view -> bool
+val verify_prepare : check:check -> prepare -> bool
+val verify_view_change : check:check -> view_change -> bool
+val verify_new_view : check:check -> Config.t -> new_view -> bool
 
 (** {1 Codecs} *)
 

@@ -1,5 +1,6 @@
 module Codec = Iaccf_util.Codec
 module Schnorr = Iaccf_crypto.Schnorr
+module Sigcheck = Iaccf_crypto.Sigcheck
 module D = Iaccf_crypto.Digest32
 
 type t = {
@@ -56,8 +57,11 @@ let signed_digest t =
   signing_payload ~proc:t.proc ~args:t.args ~client_pk:t.client_pk ~service:t.service
     ~min_index:t.min_index ~client_seqno:t.client_seqno
 
-let verify ?(check = fun pk d ~signature -> Schnorr.verify pk (D.to_raw d) ~signature) t
-    ~service =
+type check = Schnorr.public_key -> D.t -> signature:string -> bool
+
+let sigcheck sigs pk d ~signature = Sigcheck.verify sigs pk (D.to_raw d) ~signature
+
+let verify ~check t ~service =
   D.equal t.service service && check t.client_pk (signed_digest t) ~signature:t.signature
 
 let decode r =

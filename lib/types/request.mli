@@ -62,14 +62,17 @@ val signed_digest : t -> Iaccf_crypto.Digest32.t
 (** {!signing_payload} of the request's fields: what its signature
     signs. Hashed on each call. *)
 
-val verify :
-  ?check:
-    (Iaccf_crypto.Schnorr.public_key -> Iaccf_crypto.Digest32.t -> signature:string -> bool) ->
-  t ->
-  service:Iaccf_crypto.Digest32.t ->
-  bool
-(** Addressed to this service (checked first), and [check] (default
-    [Schnorr.verify]) accepts the signature over the signing payload. *)
+type check =
+  Iaccf_crypto.Schnorr.public_key -> Iaccf_crypto.Digest32.t -> signature:string -> bool
+(** Whether a signature over a digest is the key's. *)
+
+val sigcheck : Iaccf_crypto.Sigcheck.t -> check
+(** {!Iaccf_crypto.Sigcheck.verify} in a key table. *)
+
+val verify : check:check -> t -> service:Iaccf_crypto.Digest32.t -> bool
+(** Addressed to this service (checked first), and [check] accepts the
+    signature over the signing payload. The replica checks through its
+    [Auth] path, the auditor queues a job, receipts use {!sigcheck}. *)
 
 val is_governance : t -> bool
 (** The request calls a built-in governance procedure (["gov/..."]): it

@@ -850,6 +850,10 @@ let verdict_cases () =
         nth 1 (misplaced_genesis genesis) (nth 4 bad_prepare_sig entries) );
       ( "two bad signatures",
         nth 1 bad_prepare_sig (nth 2 bad_pre_prepare_sig entries) );
+      ( "structural fault after a bad view-change signature",
+        nth 5 (misplaced_genesis genesis) (rewrite_nth bad_view_change_sig entries) );
+      ( "structural fault after a bad new-view signature",
+        nth 5 (misplaced_genesis genesis) (rewrite_nth bad_new_view_sig entries) );
     ]
   @ [ ("forged client request", forged_auditor, forged) ]
 
@@ -857,7 +861,9 @@ let verdict_cases () =
    cases. A flipped client signature in a real ledger breaks the batch's
    g_root, which the scan checks first; a flipped pre-prepare or prepare
    signature breaks the M root the next pre-prepare signed, a structural
-   fault after the bad signature. *)
+   fault after the bad signature. View-change and new-view signatures are
+   queued as jobs too, so a structural fault after a bad one is reached,
+   and the bad signature must still decide. *)
 let pinned_verdicts =
   [
     ("honest", "clean");
@@ -871,6 +877,10 @@ let pinned_verdicts =
     ( "structural fault before a bad signature",
       "malformed@3 genesis entry not at index 0 blaming []" );
     ("two bad signatures", "malformed@7 invalid pre-prepare signature blaming []");
+    ( "structural fault after a bad view-change signature",
+      "malformed@13 invalid view-change signature blaming []" );
+    ( "structural fault after a bad new-view signature",
+      "malformed@14 invalid new-view signature blaming []" );
     ("forged client request", "malformed@9 batch 3: invalid client signature blaming []");
   ]
 

@@ -867,7 +867,9 @@ let test_run_smallbank_setup_time () =
       check Alcotest.int "set-up transactions" 4 r.Driver.r_setup;
       check Alcotest.bool "set-up timed" true (r.Driver.r_setup_s > 0.0);
       check Alcotest.bool "set-up and drive inside the call" true
-        (r.Driver.r_setup_s +. r.Driver.r_wall_s <= elapsed)
+        (r.Driver.r_setup_s +. r.Driver.r_wall_s <= elapsed);
+      check Alcotest.int "one latency per timed transaction" r.Driver.r_completed
+        (List.length r.Driver.r_latencies_ms)
 
 let () =
   Alcotest.run "iaccf_net"

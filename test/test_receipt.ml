@@ -10,6 +10,7 @@ module Message = Iaccf_types.Message
 module Bitmap = Iaccf_util.Bitmap
 module D = Iaccf_crypto.Digest32
 module Schnorr = Iaccf_crypto.Schnorr
+module Sigcheck = Iaccf_crypto.Sigcheck
 
 let check = Alcotest.check
 
@@ -33,8 +34,13 @@ let make_receipt ?(n = 4) () =
   let s = Forge.add_batch forge [ request genesis "counter/add" "1" ] in
   (genesis, Forge.make_receipt forge ~seqno:s ~tx_position:(Some 0))
 
+(* Every check here goes through one key table, as a client's does, so
+   the keys the tests share (seed-1 replicas, one client) get combs and
+   later cases check against them. *)
+let checker = Sigcheck.create_private ()
+
 let verify genesis r =
-  Receipt.verify ~config:genesis.Genesis.initial_config
+  Receipt.verify ~checker ~config:genesis.Genesis.initial_config
     ~service:(Genesis.hash genesis) r
 
 let test_valid_receipt () =
@@ -140,7 +146,7 @@ let test_rejects_foreign_service () =
   let other = Genesis.make ~label:"other" genesis.Genesis.initial_config in
   check Alcotest.bool "bound to service" true
     (Result.is_error
-       (Receipt.verify ~config:genesis.Genesis.initial_config
+       (Receipt.verify ~checker ~config:genesis.Genesis.initial_config
           ~service:(Genesis.hash other) r))
 
 let test_rejects_wrong_config () =
@@ -149,7 +155,8 @@ let test_rejects_wrong_config () =
   let other_cluster = Cluster.make ~seed:99 ~n:4 () in
   let other_cfg = (Cluster.genesis other_cluster).Genesis.initial_config in
   check Alcotest.bool "wrong keys" true
-    (Result.is_error (Receipt.verify ~config:other_cfg ~service:(Genesis.hash genesis) r))
+    (Result.is_error
+       (Receipt.verify ~checker ~config:other_cfg ~service:(Genesis.hash genesis) r))
 
 (* Replica ids need not be 0..n-1: once replica 0 is removed, the
    configuration holds {1,2,3}, and a receipt signed by 1, 2 and 3 must
@@ -185,6 +192,48 @@ let test_batch_subject_receipt () =
   let r = Forge.make_receipt forge ~seqno:s ~tx_position:None in
   check Alcotest.bool "batch receipt verifies" true (Result.is_ok (verify genesis r));
   check Alcotest.bool "no index" true (Receipt.index r = None)
+
+(* A shared table and a fresh one per call give the same verdicts; the
+   shared one makes later checks cheaper once its keys have combs, and
+   neither builds a comb on a key value it was given. The configuration
+   and the receipts are decoded from bytes, so no other table has
+   touched their keys. *)
+let test_shared_table () =
+  let _, genesis, forge = world () in
+  let genesis = Genesis.deserialize (Genesis.serialize genesis) in
+  let receipts =
+    List.init 6 (fun i ->
+        let s = Forge.add_batch forge [ request genesis ~client_seqno:i "counter/add" "1" ] in
+        Receipt.deserialize
+          (Receipt.serialize (Forge.make_receipt forge ~seqno:s ~tx_position:(Some 0))))
+  in
+  let tampered = Forge.tamper_tx_output (List.hd receipts) ~output:(App.output_ok "9") in
+  let config = genesis.Genesis.initial_config and service = Genesis.hash genesis in
+  let shared = Sigcheck.create_private () in
+  let muls f =
+    let m = Iaccf_crypto.Group.muls () in
+    let v = f () in
+    (v, Iaccf_crypto.Group.muls () - m)
+  in
+  let costs =
+    List.map
+      (fun r ->
+        let fresh = Receipt.verify ~config ~service r in
+        let got, cost = muls (fun () -> Receipt.verify ~checker:shared ~config ~service r) in
+        check Alcotest.(result unit string) "same verdict" fresh got;
+        check Alcotest.(result unit string) "verifies" (Ok ()) got;
+        cost)
+      receipts
+  in
+  check Alcotest.bool "tampered rejected through the shared table" true
+    (Result.is_error (Receipt.verify ~checker:shared ~config ~service tampered));
+  check Alcotest.bool "cheaper once tabled" true
+    (List.nth costs 5 < List.hd costs);
+  List.iter
+    (fun (r : Config.replica_info) ->
+      check Alcotest.bool "given key value left untabled" false
+        (Schnorr.has_table r.Config.replica_pk))
+    config.Config.replicas
 
 (* --- Govchain --- *)
 
@@ -310,6 +359,7 @@ let () =
           Alcotest.test_case "wrong config" `Quick test_rejects_wrong_config;
           Alcotest.test_case "batch subject" `Quick test_batch_subject_receipt;
           Alcotest.test_case "sparse replica ids" `Quick test_sparse_replica_ids;
+          Alcotest.test_case "shared key table" `Quick test_shared_table;
           QCheck_alcotest.to_alcotest prop_replyxs_from_kept_tree;
         ] );
       ( "govchain",

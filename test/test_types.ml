@@ -3,6 +3,7 @@
 
 open Iaccf_types
 module Schnorr = Iaccf_crypto.Schnorr
+module Sigcheck = Iaccf_crypto.Sigcheck
 module D = Iaccf_crypto.Digest32
 module Bitmap = Iaccf_util.Bitmap
 module Codec = Iaccf_util.Codec
@@ -148,24 +149,29 @@ let make_request ?(min_index = 0) ?(client_seqno = 0) () =
   Request.make ~sk ~client_pk:pk ~service ~min_index ~client_seqno ~proc:"p"
     ~args:"a" ()
 
+(* Requests are checked through a key table; each call here has a fresh
+   one, as a receipt checked without a shared table does. *)
+let verify_request r ~service =
+  Request.verify ~check:(Request.sigcheck (Sigcheck.create_private ())) r ~service
+
 let test_request_verify () =
   let r = make_request () in
-  check Alcotest.bool "verifies" true (Request.verify r ~service);
+  check Alcotest.bool "verifies" true (verify_request r ~service);
   check Alcotest.bool "wrong service" false
-    (Request.verify r ~service:(D.of_string "other"));
+    (verify_request r ~service:(D.of_string "other"));
   (* The same signature on different arguments. *)
   let tampered =
     Request.of_fields ~client_pk:r.Request.client_pk ~service ~signature:r.Request.signature
       ~proc:r.Request.proc ~args:"b" ()
   in
-  check Alcotest.bool "tampered args" false (Request.verify tampered ~service)
+  check Alcotest.bool "tampered args" false (verify_request tampered ~service)
 
 let test_request_roundtrip () =
   let r = make_request ~min_index:42 ~client_seqno:7 () in
   let r' = Request.deserialize (Request.serialize r) in
   check Alcotest.bool "hash stable" true (D.equal (Request.hash r) (Request.hash r'));
   check Alcotest.int "min_index" 42 r'.Request.min_index;
-  check Alcotest.bool "still verifies" true (Request.verify r' ~service)
+  check Alcotest.bool "still verifies" true (verify_request r' ~service)
 
 let test_request_hash_distinct () =
   let a = make_request ~client_seqno:0 () in
@@ -269,13 +275,14 @@ let sample_pp ?(view = 0) ?(seqno = 1) () =
 
 let test_pre_prepare_verify () =
   let c = make_config () in
+  let check_sig = Message.sigcheck (Sigcheck.create_private ()) c in
   let pp = sample_pp () in
-  check Alcotest.bool "verifies" true (Message.verify_pre_prepare c pp);
+  check Alcotest.bool "verifies" true (Message.verify_pre_prepare ~check:check_sig c pp);
   (* view 1's primary is replica 1, so replica 0's signature must fail. *)
   check Alcotest.bool "wrong view primary" false
-    (Message.verify_pre_prepare c { pp with Message.view = 1 });
+    (Message.verify_pre_prepare ~check:check_sig c { pp with Message.view = 1 });
   check Alcotest.bool "tampered root" false
-    (Message.verify_pre_prepare c { pp with Message.g_root = D.of_string "x" })
+    (Message.verify_pre_prepare ~check:check_sig c { pp with Message.g_root = D.of_string "x" })
 
 let test_pre_prepare_roundtrip () =
   let pp = sample_pp () in
@@ -286,7 +293,7 @@ let test_pre_prepare_roundtrip () =
     (D.equal (Message.pp_hash pp) (Message.pp_hash pp'))
 
 let test_prepare_verify_and_roundtrip () =
-  let c = make_config () in
+  let check_sig = Message.sigcheck (Sigcheck.create_private ()) (make_config ()) in
   let sk, _ = Schnorr.keypair_of_seed "r2" in
   let pp = sample_pp () in
   let payload =
@@ -303,12 +310,12 @@ let test_prepare_verify_and_roundtrip () =
       p_signature = Schnorr.sign sk (D.to_raw payload);
     }
   in
-  check Alcotest.bool "verifies" true (Message.verify_prepare c p);
+  check Alcotest.bool "verifies" true (Message.verify_prepare ~check:check_sig p);
   check Alcotest.bool "replica id is bound" false
-    (Message.verify_prepare c { p with Message.p_replica = 1 });
+    (Message.verify_prepare ~check:check_sig { p with Message.p_replica = 1 });
   let enc = Codec.encode (fun w -> Message.encode_prepare w p) in
   let p' = Codec.decode enc Message.decode_prepare in
-  check Alcotest.bool "roundtrip verifies" true (Message.verify_prepare c p')
+  check Alcotest.bool "roundtrip verifies" true (Message.verify_prepare ~check:check_sig p')
 
 let test_view_change_roundtrip () =
   let sk, _ = Schnorr.keypair_of_seed "r1" in
@@ -322,11 +329,11 @@ let test_view_change_roundtrip () =
       vc_signature = Schnorr.sign sk (D.to_raw payload);
     }
   in
-  let c = make_config () in
-  check Alcotest.bool "verifies" true (Message.verify_view_change c vc);
+  let check_sig = Message.sigcheck (Sigcheck.create_private ()) (make_config ()) in
+  check Alcotest.bool "verifies" true (Message.verify_view_change ~check:check_sig vc);
   let enc = Codec.encode (fun w -> Message.encode_view_change w vc) in
   let vc' = Codec.decode enc Message.decode_view_change in
-  check Alcotest.bool "roundtrip verifies" true (Message.verify_view_change c vc');
+  check Alcotest.bool "roundtrip verifies" true (Message.verify_view_change ~check:check_sig vc');
   check Alcotest.int "pps preserved" 2 (List.length vc'.Message.vc_last_prepared)
 
 let test_new_view_roundtrip () =
@@ -346,10 +353,11 @@ let test_new_view_roundtrip () =
     }
   in
   let c = make_config () in
-  check Alcotest.bool "verifies" true (Message.verify_new_view c nv);
+  let check_sig = Message.sigcheck (Sigcheck.create_private ()) c in
+  check Alcotest.bool "verifies" true (Message.verify_new_view ~check:check_sig c nv);
   let enc = Codec.encode (fun w -> Message.encode_new_view w nv) in
   check Alcotest.bool "roundtrip verifies" true
-    (Message.verify_new_view c (Codec.decode enc Message.decode_new_view))
+    (Message.verify_new_view ~check:check_sig c (Codec.decode enc Message.decode_new_view))
 
 let () =
   Alcotest.run "iaccf_types"
