@@ -276,13 +276,22 @@ let statesync_rows () =
   let target = Replica.last_committed r0 - params.Replica.checkpoint_interval in
   let entries = Ledger.length (Replica.ledger r0) in
   let joiner = Cluster.spawn_replica cluster ~id:4 in
+  let c name = Obs.counter_value obs name in
+  (* The join's signature checks and compressions, the whole cluster's
+     while the joiner catches up: a ledger extent checked twice on its
+     way in grows both. *)
+  Iaccf_util.Worker.drain ();
+  let sigs_before = c "replica.4.sigs_verified"
+  and blocks_before = Iaccf_crypto.Sha256.blocks () in
   Replica.join_snapshot joiner ~from:0;
   if
     not
       (Cluster.run_until cluster ~timeout_ms:10_000_000.0 (fun () ->
            Replica.last_committed joiner >= target))
   then fail "statesync joiner did not catch up";
-  let c name = Obs.counter_value obs name in
+  Iaccf_util.Worker.drain ();
+  let join_sigs = c "replica.4.sigs_verified" - sigs_before
+  and join_blocks = Iaccf_crypto.Sha256.blocks () - blocks_before in
   if c "statesync.installs" < 1 then fail "statesync installed no snapshot";
   let bench = "regress_statesync" in
   let series = Printf.sprintf "catchup txs=%d" txs in
@@ -294,6 +303,8 @@ let statesync_rows () =
     exact "snapshot_bytes" (c "statesync.bytes");
     exact "chunks" (c "statesync.chunks");
     exact "entries_skipped" (c "statesync.entries_skipped");
+    exact "join_sigs_verified" join_sigs;
+    exact "join_sha256_blocks" join_blocks;
   ]
 
 (* --- chaos: identity-intercept equivalence (mirrors
