@@ -282,15 +282,17 @@ let verify_nv_sig t = Message.verify_new_view ~check:(check t "new_view") t.cfg
 let vc_set_ok t vcs = Newview.set_fault ~quorum:(quorum t) ~verify:(verify_vc_sig t) vcs = None
 let new_view_ok t vcs nv = Newview.names_fault nv vcs = None && verify_nv_sig t nv
 
+(* The install gate: the one check of an extent adopted without
+   execution, live (a catch-up session) or cold (restore_from_storage). *)
+let check_extent t ~cp_seqno entries =
+  SyncValidate.check_suffix ~ledger:t.ledger ~next_seqno:t.seqno ~cp_seqno
+    ~verify_pp:(verify_pp_sig t) ~vc_set:(vc_set_ok t) ~new_view:(new_view_ok t) entries
+
 (* What a catch-up session needs from the replica to gate an install. *)
 let sync_hooks t =
   {
     SyncSession.verify_pp = verify_pp_sig t;
-    check_suffix =
-      (fun ~cp_seqno entries ->
-        SyncValidate.check_suffix ~tree:(Ledger.m_tree_copy t.ledger)
-          ~next_seqno:t.seqno ~cp_seqno ~verify_pp:(verify_pp_sig t) ~vc_set:(vc_set_ok t)
-          ~new_view:(new_view_ok t) entries);
+    check_suffix = check_extent t;
     peers = (fun () -> List.filter (fun r -> r <> t.rid) (replica_ids t));
   }
 
@@ -472,36 +474,28 @@ let evidence_entries t ~s_past ev_prepares ev_nonces =
         Entry.Nonce_evidence { ne_view = v; ne_seqno = s_past; ne_nonces = ev_nonces };
       ]
 
-(* How a batch's transaction entries come about: by executing its
-   requests, or by adopting recorded entries unexecuted (catch-up below an
-   installed checkpoint). *)
-type exec = Execute of Request.t list * original | Adopt of Batch.tx_entry list
-
 (* The entries an executed batch keeps when execution reproduces their
    results. A re-proposal after a view change prefers its original
    entries, whose indices fresh execution would not reproduce; a recorded
    ledger extent requires its own. *)
-and original = Fresh | Prefer of Batch.tx_entry list | Require of Batch.tx_entry list
+type original = Fresh | Prefer of Batch.tx_entry list | Require of Batch.tx_entry list
 
-(* Every batch runs through here, whoever proposed it: capture the undo,
-   append the evidence entries, then produce the transaction entries and
-   build their g-tree, once. It is a fault when execution does not
-   reproduce [Require]d entries, or when a batch received in a
-   pre-prepare ([against]) puts a request below its minimum index or
-   misses the pre-prepare's roots: the undo is restored and the result is
-   [None]. *)
-let run_batch t ?against ~evidence exec =
+(* Every executed batch runs through here, whoever proposed it: capture
+   the undo, append the evidence entries, then execute the requests and
+   build the g-tree of the transaction entries, once. It is a fault when
+   execution does not reproduce [Require]d entries, or when a batch
+   received in a pre-prepare ([against]) puts a request below its minimum
+   index or misses the pre-prepare's roots: the undo is restored and the
+   result is [None]. *)
+let run_batch t ?against ~evidence reqs original =
   let undo = capture t in
   List.iter (append_ledger t) evidence;
   let entries =
-    match exec with
-    | Adopt txs -> Some (txs, [])
-    | Execute (reqs, original) -> (
-        let executed, writes = execute_requests t ~base_index:(ledger_len t + 1) reqs in
-        match original with
-        | (Prefer txs | Require txs) when same_results txs executed -> Some (txs, writes)
-        | Require _ -> None
-        | Prefer _ | Fresh -> Some (executed, writes))
+    let executed, writes = execute_requests t ~base_index:(ledger_len t + 1) reqs in
+    match original with
+    | (Prefer txs | Require txs) when same_results txs executed -> Some (txs, writes)
+    | Require _ -> None
+    | Prefer _ | Fresh -> Some (executed, writes)
   in
   let fits (pp : Message.pre_prepare) txs g_tree =
     List.for_all Batch.placed txs
@@ -848,7 +842,7 @@ and emit_batch t ?(original = Fresh) ~kind ~reqs ~ev_prepares ~ev_nonces ~ev_bit
       broadcast_replicas t
         (Wire.Pre_prepare_msg { pp; batch = List.map Request.hash reqs });
       check_prepared t)
-    (run_batch t ~evidence (Execute (reqs, original)))
+    (run_batch t ~evidence reqs original)
 
 (* ------------------------------------------------------------------ *)
 (* Layer 1: backup processing of pre-prepares (Alg. 1, line 15)       *)
@@ -890,7 +884,7 @@ and process_pre_prepare t (pp : Message.pre_prepare) batch_hashes =
               | Some (_, txs) -> Prefer txs
               | None -> Fresh
             in
-            match run_batch t ~against:pp ~evidence (Execute (reqs, original)) with
+            match run_batch t ~against:pp ~evidence reqs original with
             | None ->
                 (* Divergent execution or a lying primary: rolled back (Alg. 1,
                    line 23); the progress timer triggers a view change. *)
@@ -1340,65 +1334,58 @@ and on_fetch_ledger t ~src ~from_len ~offer =
   end
 
 (* Apply one batch of a received or recovered ledger extent: append its
-   evidence verbatim, re-execute it keeping the recorded entries (or, up
-   to [skip_exec_upto], adopt them without execution), check it against
-   its pre-prepare, and commit it. [false], with nothing changed, if it
-   does not check out. *)
-and apply_batch t ~skip_exec_upto (pp : Message.pre_prepare) ~evidence txs =
+   evidence verbatim, re-execute it keeping the recorded entries, check it
+   against its pre-prepare, and commit it. [false], with nothing changed,
+   if it does not check out. *)
+and apply_batch t (pp : Message.pre_prepare) ~evidence txs =
   let s = pp.Message.seqno in
-  (* Checkpoint-based bootstrap (§3.4): entries up to the installed
-     checkpoint are adopted without re-execution; only checkpoint
-     batches' signatures are verified, plus the Merkle chain below. *)
-  let skip_exec = s <= skip_exec_upto in
-  let sig_ok =
-    match pp.Message.kind with
-    | Batch.Regular | Batch.End_of_config _ | Batch.Start_of_config _
-      when skip_exec ->
-        true
-    | _ -> verify_pp_sig t pp
-  in
-  if s <> t.seqno || not sig_ok then false
+  if s <> t.seqno || not (verify_pp_sig t pp) then false
   else begin
     (* A batch we execute feeds its evidence to the message stores, so
        later evidence assembly works. *)
-    if not skip_exec then
-      List.iter
-        (function
-          | Entry.Prepare_evidence { pe_prepares; _ } ->
-              List.iter (Votes.add_prepare t.votes) pe_prepares
-          | Entry.Nonce_evidence { ne_view; ne_seqno; ne_nonces } ->
-              List.iter (Votes.add_nonce t.votes ~view:ne_view ~seqno:ne_seqno) ne_nonces
-          | _ -> ())
-        evidence;
+    List.iter
+      (function
+        | Entry.Prepare_evidence { pe_prepares; _ } ->
+            List.iter (Votes.add_prepare t.votes) pe_prepares
+        | Entry.Nonce_evidence { ne_view; ne_seqno; ne_nonces } ->
+            List.iter (Votes.add_nonce t.votes ~view:ne_view ~seqno:ne_seqno) ne_nonces
+        | _ -> ())
+      evidence;
     (* Indices are adopted from the recorded entries (they are bound by
        the signed g_root and may be lower than the physical position if
        the batch was re-proposed after a view change). *)
-    let reqs = requests_of txs in
-    let exec = if skip_exec then Adopt txs else Execute (reqs, Require txs) in
-    match run_batch t ~against:pp ~evidence exec with
+    match run_batch t ~against:pp ~evidence (requests_of txs) (Require txs) with
     | None -> false
     | Some (undo, txs, writes, _) ->
         append_batch t pp txs;
-        if skip_exec then begin
-          (* The key-value store comes from the checkpoint, so there are
-             no write sets to index. *)
-          move_gov_index_and_dc t pp txs;
-          Hashtbl.replace t.batch_ledger_end s (ledger_len t)
-        end
-        else begin
-          ignore (add_record t pp ~txs ~writes ~ev_prepares:[] ~ev_nonces:[] ~undo ~committed:true);
-          note_prepared t pp;
-          post_execute_batch t pp txs
-        end;
-        seal_from_kind t pp;
-        t.seqno <- s + 1;
-        t.last_prepared <- max t.last_prepared s;
-        t.last_committed <- max t.last_committed s;
-        Status_index.commit t.index ~seqno:s ~view:pp.Message.view
-          ~index_writes:(not skip_exec) ~last_committed:t.last_committed;
-        retire_if_handed_over t;
+        ignore (add_record t pp ~txs ~writes ~ev_prepares:[] ~ev_nonces:[] ~undo ~committed:true);
+        note_prepared t pp;
+        post_execute_batch t pp txs;
+        commit_applied t pp ~index_writes:true;
         true
   end
+
+(* A batch of a ledger extent is in the ledger: it seals what it seals,
+   and this replica moves past it as committed. *)
+and commit_applied t (pp : Message.pre_prepare) ~index_writes =
+  let s = pp.Message.seqno in
+  seal_from_kind t pp;
+  t.seqno <- s + 1;
+  t.last_prepared <- max t.last_prepared s;
+  t.last_committed <- max t.last_committed s;
+  Status_index.commit t.index ~seqno:s ~view:pp.Message.view ~index_writes
+    ~last_committed:t.last_committed;
+  retire_if_handed_over t
+
+(* A view-change set or new view of a ledger extent, once appended. *)
+and note_protocol t = function
+  | Entry.View_change_set vcs ->
+      List.iter
+        (fun (vc : Message.view_change) ->
+          Hashtbl.replace (sub_tbl t.view_changes vc.Message.vc_view) vc.Message.vc_replica vc)
+        vcs
+  | Entry.New_view nv -> if nv.Message.nv_view > t.view then t.view <- nv.Message.nv_view
+  | _ -> ()
 
 (* A new-view entry from a ledger extent follows the view-change set it
    names and binds the ledger up to it; the set was checked when it was
@@ -1409,32 +1396,27 @@ and ingests_new_view t (nv : Message.new_view) =
       D.equal (m_root_now t) nv.Message.nv_m_root && new_view_ok t vcs nv
   | _ -> false
 
-(* Apply a received ledger suffix batch by batch, adopting view changes
-   along the way, until the first batch or view-change entry that does not
-   check out. State transfer thus reconstructs exactly the sender's ledger,
-   including the view-change and new-view entries that batch replay alone
-   would miss. *)
-and apply_entries t ?(skip_exec_upto = 0) entries =
+(* Apply a received ledger extent (grouped by Entry.batches) batch by
+   batch, adopting view changes along the way, until the first batch or
+   view-change entry that does not check out. State transfer thus
+   reconstructs exactly the sender's ledger, including the view-change and
+   new-view entries that batch replay alone would miss. *)
+and apply_items t items =
   let rec go progressed = function
     | [] | Entry.Malformed _ :: _ -> progressed
     | Entry.Batch { evidence; pp; txs } :: rest ->
-        if apply_batch t ~skip_exec_upto pp ~evidence txs then go true rest
-        else progressed
+        if apply_batch t pp ~evidence txs then go true rest else progressed
     | Entry.Protocol (Entry.View_change_set vcs as e) :: rest when vc_set_ok t vcs ->
         append_ledger t e;
-        List.iter
-          (fun (vc : Message.view_change) ->
-            Hashtbl.replace (sub_tbl t.view_changes vc.Message.vc_view)
-              vc.Message.vc_replica vc)
-          vcs;
+        note_protocol t e;
         go progressed rest
     | Entry.Protocol (Entry.New_view nv as e) :: rest when ingests_new_view t nv ->
         append_ledger t e;
-        if nv.Message.nv_view > t.view then t.view <- nv.Message.nv_view;
+        note_protocol t e;
         go true rest
     | Entry.Protocol _ :: _ -> progressed
   in
-  go false (Entry.batches entries)
+  go false items
 
 and on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view =
   if t.running && keep_ledger t then begin
@@ -1445,7 +1427,8 @@ and on_ledger_suffix_chunk t ~src ~lc_from ~lc_entries ~lc_upto ~lc_view =
     | Some actions -> run_sync_actions t actions
     | None ->
         (* Not for a session: incremental catch-up, applied as it arrives. *)
-        if lc_from = Ledger.length t.ledger && apply_entries t lc_entries then begin
+        if lc_from = Ledger.length t.ledger && apply_items t (Entry.batches lc_entries)
+        then begin
           if lc_view > t.view && t.pending_new_view = None then t.view <- lc_view;
           if in_config t && not t.activated then t.activated <- true;
           (match t.fetch_target with
@@ -1497,7 +1480,7 @@ and run_sync_actions t actions =
 
 and install_snapshot t (i : SyncSession.install) =
   let cp_seqno = i.cp.Checkpoint.seqno in
-  adopt_checkpoint t i.cp i.digest i.entries;
+  adopt_checkpoint t i.cp i.digest i.extent;
   SyncServer.seal t.server ~cp_seqno ~cp_digest:i.digest ~seal_seqno:i.seal_seqno
     ~persist:false;
   if i.view > t.view && t.pending_new_view = None then t.view <- i.view;
@@ -1513,14 +1496,28 @@ and install_snapshot t (i : SyncSession.install) =
   resume_after_catch_up t
 
 (* Checkpoint-based bootstrap (§3.4), from a peer or from disk: install
-   the checkpoint's state, adopt the entries up to it without
-   re-execution and replay the rest, read the configuration back from the
-   installed state, and record the checkpoint. Joining
-   mid-reconfiguration is not supported. *)
-and adopt_checkpoint t cp digest entries =
-  let cp_seqno = cp.Checkpoint.seqno in
+   the checkpoint's state, adopt the extent the install gate checked
+   (check_extent) as it stands, without re-execution or a second check,
+   execute the batches past it, read the configuration back from the
+   installed state, and record the checkpoint. The key-value store comes
+   from the checkpoint, so adopted batches have no write sets to index.
+   Joining mid-reconfiguration is not supported. *)
+and adopt_checkpoint t cp digest extent =
   Store.reset_to t.store cp.Checkpoint.state;
-  ignore (apply_entries t ~skip_exec_upto:cp_seqno entries);
+  let rest =
+    SyncValidate.adopt t.ledger extent (function
+      | Entry.Batch { evidence; pp; txs } ->
+          List.iter (append_ledger t) evidence;
+          append_batch t pp txs;
+          move_gov_index_and_dc t pp txs;
+          Hashtbl.replace t.batch_ledger_end pp.Message.seqno (ledger_len t);
+          commit_applied t pp ~index_writes:false
+      | Entry.Protocol e ->
+          append_ledger t e;
+          note_protocol t e
+      | Entry.Malformed _ -> ())
+  in
+  ignore (apply_items t rest);
   Option.iter (fun c -> t.cfg <- c) (stored_config t);
   SyncServer.adopt t.server cp digest
 
@@ -1580,7 +1577,7 @@ and progress_tick_active t =
         (* The fleet moved to a view whose new-view we never received (we
            were down when it went out). Our own view change would find
            nobody to join it, so catch up from a replica in that view: the
-           New_view entries move us into the view through apply_entries.
+           New_view entries move us into the view through apply_items.
            Roll back P batches below our committed prefix first: every
            later new view's rollback target is at or above that point, so
            what remains is a prefix of the sender's ledger. *)
@@ -1708,14 +1705,19 @@ let restore_from_storage t storage =
         raise (Storage.Storage_error "persisted store does not begin with a genesis entry"));
     let entries = List.tl all in
     (* Resume from the newest durable snapshot whose digest a signed
-       checkpoint batch in the durable history seals: install its state and
-       adopt the prefix without re-execution, replaying only the suffix. *)
-    match SyncServer.restore_point t.server ~verify_pp:(verify_pp_sig t) entries with
-    | Some (cp, digest) ->
-        adopt_checkpoint t cp digest entries;
+       checkpoint batch in the durable history seals, if the install gate
+       passes the history up to it: install its state and adopt that
+       extent without re-execution, replaying only the batches past it. *)
+    let gated (cp, digest) =
+      Result.to_option (check_extent t ~cp_seqno:cp.Checkpoint.seqno entries)
+      |> Option.map (fun extent -> (cp, digest, extent))
+    in
+    match Option.bind (SyncServer.restore_point t.server ~verify_pp:(verify_pp_sig t) entries) gated with
+    | Some (cp, digest, extent) ->
+        adopt_checkpoint t cp digest extent;
         Obs.incr t.sync.cold_snapshot_restore
     | None ->
-        ignore (apply_entries t entries);
+        ignore (apply_items t (Entry.batches entries));
         if Storage.length storage > 1 then Obs.incr t.sync.cold_genesis_replay
   end
 

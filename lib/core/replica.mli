@@ -87,10 +87,10 @@ val create :
     When [storage] is given it becomes the ledger's write-through durable
     backend: appends and view-change truncations reach disk in order
     (backfilling any prefix the store is missing on attach). A non-empty
-    store is a cold start: the replica first checks the persisted genesis
-    names this service, then replays every entry through the state-transfer
-    validation path (re-executing batches, rebuilding the key-value store,
-    checkpoints and dedup tables). {!Iaccf_storage.Store.attach} then drops
+    store is a cold start: the replica checks the persisted genesis names
+    this service, adopts the history up to the newest durable snapshot the
+    install gate passes (or none) and replays the rest through the
+    state-transfer validation path. {!Iaccf_storage.Store.attach} then drops
     at most a trailing partially-written batch; any deeper replay failure
     raises [Iaccf_storage.Store.Storage_error] rather than touching the
     store. *)

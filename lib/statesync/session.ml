@@ -21,14 +21,14 @@ let should_offer offer ~from_len ~cp_end ~served ~pruned_upto ~interval =
 
 type hooks = {
   verify_pp : Message.pre_prepare -> bool;
-  check_suffix : cp_seqno:int -> Entry.t list -> (unit, string) result;
+  check_suffix : cp_seqno:int -> Entry.t list -> (Validate.checked, string) result;
   peers : unit -> int list;
 }
 
 type install = {
   cp : Checkpoint.t;
   digest : D.t;
-  entries : Entry.t list;
+  extent : Validate.checked;
   seal_seqno : int;
   peer : int;
   upto : int;
@@ -102,9 +102,10 @@ let abort t s ~verify_failed reason =
 (* The install gate, in order: the snapshot is assembled; the buffered
    suffix reaches a checkpoint batch for the offered seqno; the bytes
    decode to that checkpoint and reproduce the digest the batch seals;
-   the batch is properly signed; and a side-effect-free dry run confirms
-   the suffix chains from the caller's committed prefix through the
-   checkpoint. Only then is the caller told to install. *)
+   the batch is properly signed; and the one extent check
+   (Validate.check_suffix) confirms the suffix chains from the caller's
+   committed prefix through the checkpoint. Only then is the caller told
+   to install what that check returned. *)
 let try_install t s =
   match Chunk.assembled s.asm with
   | None -> []
@@ -133,14 +134,14 @@ let try_install t s =
               else
                 match s.hooks.check_suffix ~cp_seqno:s.cp_seqno entries with
                 | Error reason -> fail reason
-                | Ok () ->
+                | Ok extent ->
                     t.current <- None;
                     [
                       Install
                         {
                           cp;
                           digest;
-                          entries;
+                          extent;
                           seal_seqno = seal_pp.Message.seqno;
                           peer = s.peer;
                           upto = s.upto;

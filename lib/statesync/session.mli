@@ -40,16 +40,16 @@ type hooks = {
   verify_pp : Iaccf_types.Message.pre_prepare -> bool;
       (** primary signature on a pre-prepare *)
   check_suffix :
-    cp_seqno:int -> Iaccf_ledger.Entry.t list -> (unit, string) result;
-      (** side-effect-free dry run of the adoption
-          ({!Validate.check_suffix} against a copy of the caller's tree) *)
+    cp_seqno:int -> Iaccf_ledger.Entry.t list -> (Validate.checked, string) result;
+      (** {!Validate.check_suffix} of the buffered suffix against the
+          caller's ledger, which it leaves untouched *)
   peers : unit -> int list;  (** replicas other than the caller *)
 }
 
 type install = {
   cp : Iaccf_kv.Checkpoint.t;
   digest : Iaccf_crypto.Digest32.t;  (** the sealed digest [cp] reproduces *)
-  entries : Iaccf_ledger.Entry.t list;  (** the suffix from [suffix_from] *)
+  extent : Validate.checked;  (** the suffix from [suffix_from], as checked *)
   seal_seqno : int;  (** the checkpoint batch that seals [digest] *)
   peer : int;
   upto : int;  (** the peer's advertised safe ledger length *)

@@ -1,37 +1,44 @@
 module Entry = Iaccf_ledger.Entry
+module Ledger = Iaccf_ledger.Ledger
 module Message = Iaccf_types.Message
 module Batch = Iaccf_types.Batch
 module Tree = Iaccf_merkle.Tree
 module D = Iaccf_crypto.Digest32
 
-(* A dry run of the replica's checkpoint-bootstrap adoption (the
-   [skip_exec_upto] path of state transfer), on a private copy of the
-   ledger tree M; the checks are listed in validate.mli. *)
+type checked = {
+  from : int;  (* the ledger length the extent was checked at *)
+  extent : Entry.item list;
+  rest : Entry.item list;
+}
 
-let check_suffix ~tree ~next_seqno ~cp_seqno ~verify_pp ~vc_set ~new_view entries =
+(* The checks are listed in validate.mli. *)
+let check_suffix ~ledger ~next_seqno ~cp_seqno ~verify_pp ~vc_set ~new_view entries =
+  let from = Ledger.length ledger and tree = Ledger.m_tree_copy ledger in
   let push e = if Entry.in_merkle_tree e then Tree.append tree (Entry.leaf_digest e) in
+  let checked extent rest = Ok { from; extent = List.rev extent; rest } in
   (* [vcs]: the view-change set just pushed, which a new view must name. *)
-  let rec go ?vcs expected = function
+  let rec go ?vcs extent expected = function
     | [] ->
         if expected <= cp_seqno then
           Error
             (Printf.sprintf "suffix ends at batch %d, before the checkpoint at %d"
                (expected - 1) cp_seqno)
-        else Ok ()
+        else checked extent []
     | Entry.Malformed m :: _ -> Error m
-    | Entry.Protocol e :: rest -> (
+    | (Entry.Protocol e as item) :: rest -> (
         match (e, vcs) with
         | Entry.View_change_set set, _ when vc_set set ->
             push e;
-            go ~vcs:set expected rest
+            go ~vcs:set (item :: extent) expected rest
         | Entry.New_view nv, Some set
           when D.equal (Tree.root tree) nv.Message.nv_m_root && new_view set nv ->
             push e;
-            go expected rest
+            go (item :: extent) expected rest
         | Entry.New_view _, _ -> Error "new view refused"
         | _ -> Error "view-change set refused")
-    | Entry.Batch { pp; _ } :: _ when pp.Message.seqno > cp_seqno -> Ok ()
-    | Entry.Batch { evidence; pp; txs } :: rest ->
+    | Entry.Batch { pp; _ } :: _ as rest when pp.Message.seqno > cp_seqno ->
+        checked extent rest
+    | (Entry.Batch { evidence; pp; txs } as item) :: rest ->
         let s = pp.Message.seqno in
         let signed () =
           match pp.Message.kind with
@@ -56,8 +63,14 @@ let check_suffix ~tree ~next_seqno ~cp_seqno ~verify_pp ~vc_set ~new_view entrie
           else begin
             push (Entry.Pre_prepare pp);
             List.iter (fun tx -> push (Entry.Tx tx)) txs;
-            go (s + 1) rest
+            go (item :: extent) (s + 1) rest
           end
         end
   in
-  go next_seqno (Entry.batches entries)
+  go [] next_seqno (Entry.batches entries)
+
+let adopt ledger c f =
+  if Ledger.length ledger <> c.from then
+    invalid_arg "Validate.adopt: the ledger moved since the extent was checked";
+  List.iter f c.extent;
+  c.rest

@@ -364,6 +364,14 @@ let plain n =
 
 let seal digest = [ Entry.Pre_prepare (sealing_pp digest) ]
 
+(* The gate these tests pass: the extent holds nothing below the
+   checkpoint, so it is empty. *)
+let pass_gate ~cp_seqno _ =
+  Iaccf_statesync.Validate.check_suffix
+    ~ledger:(Ledger.create (Cluster.standalone_genesis ~seed:1 ~n:4 ()))
+    ~next_seqno:(cp_seqno + 1) ~cp_seqno ~verify_pp:(fun _ -> true)
+    ~vc_set:(fun _ -> true) ~new_view:(fun _ _ -> true) []
+
 (* A client whose session came from an offer by peer 1 for checkpoint 10,
    our ledger at length 5 and the peer's at 40; we are replica 3. *)
 let open_session ?(peers = [ 0; 1; 2 ]) () =
@@ -373,7 +381,7 @@ let open_session ?(peers = [ 0; 1; 2 ]) () =
   let hooks =
     {
       Session.verify_pp = (fun _ -> true);
-      check_suffix = (fun ~cp_seqno:_ _ -> Ok ());
+      check_suffix = pass_gate;
       peers = (fun () -> peers);
     }
   in
@@ -671,9 +679,9 @@ let test_owner_restore_and_prune_points () =
   check Alcotest.(option int) "restore skips a renamed file" None (restore entries);
   check Alcotest.(option int) "prune skips a renamed file" None (prune ())
 
-(* The dry run refuses what the adoption refuses, on a real suffix: one
-   view change, so the ledger holds a view-change set and a new view, and
-   the checkpoint to adopt is the last committed batch after them. *)
+(* The install gate on a real suffix: one view change, so the ledger
+   holds a view-change set and a new view, and the checkpoint to adopt is
+   the last committed batch after them. *)
 let test_check_suffix_protocol_entries () =
   let module Validate = Iaccf_statesync.Validate in
   let module Request = Iaccf_types.Request in
@@ -687,14 +695,49 @@ let test_check_suffix_protocol_entries () =
   let entries = List.map snd (Ledger.entries (Replica.ledger r) ~from:1 ()) in
   check Alcotest.bool "the suffix holds a view-change set" true
     (List.exists (function Entry.View_change_set _ -> true | _ -> false) entries);
-  let dry_run ?(vc_set = fun _ -> true) ?(new_view = fun _ _ -> true) entries =
-    Validate.check_suffix
-      ~tree:(Ledger.m_tree_copy (Ledger.create (Cluster.genesis cluster)))
-      ~next_seqno:1 ~cp_seqno:(Replica.last_committed r) ~verify_pp:(fun _ -> true) ~vc_set
-      ~new_view entries
+  let gate ?(vc_set = fun _ -> true) ?(new_view = fun _ _ -> true) ledger entries =
+    Validate.check_suffix ~ledger ~next_seqno:1 ~cp_seqno:(Replica.last_committed r)
+      ~verify_pp:(fun _ -> true) ~vc_set ~new_view entries
+  in
+  let fresh () = Ledger.create (Cluster.genesis cluster) in
+  let dry_run ?vc_set ?new_view entries =
+    Result.map ignore (gate ?vc_set ?new_view (fresh ()) entries)
   in
   let outcome = Alcotest.(result unit string) in
   check outcome "accepted" (Ok ()) (dry_run entries);
+  (* The checked extent is the source ledger up to the first batch past
+     the checkpoint, and it is adopted only at the ledger length it was
+     checked at. *)
+  let ledger = fresh () and source = Replica.ledger r in
+  let extent = Result.get_ok (gate ledger entries) in
+  let append e = ignore (Ledger.append ledger e) in
+  let rest =
+    Validate.adopt ledger extent (function
+      | Entry.Batch { evidence; pp; txs } ->
+          List.iter append evidence;
+          append (Entry.Pre_prepare pp);
+          List.iter (fun tx -> append (Entry.Tx tx)) txs
+      | Entry.Protocol e -> append e
+      | Entry.Malformed _ -> ())
+  in
+  let n = Ledger.length ledger in
+  check Alcotest.bool "the rest starts past the checkpoint" true
+    (match rest with
+    | Entry.Batch { pp; _ } :: _ -> pp.Message.seqno > Replica.last_committed r
+    | [] -> n = Ledger.length source
+    | _ -> false);
+  for i = 0 to n - 1 do
+    check Alcotest.string "same entry"
+      (Entry.serialize (Ledger.get source i))
+      (Entry.serialize (Ledger.get ledger i));
+    check Alcotest.int "same M size" (Ledger.m_size_at source i) (Ledger.m_size_at ledger i)
+  done;
+  check Alcotest.bool "same M root" true
+    (D.equal (Ledger.m_root_at source n) (Ledger.m_root ledger));
+  check Alcotest.bool "a moved ledger refused" true
+    (match Validate.adopt ledger extent ignore with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
   check outcome "view-change set refused" (Error "view-change set refused")
     (dry_run ~vc_set:(fun _ -> false) entries);
   check outcome "new view refused" (Error "new view refused")
