@@ -97,5 +97,6 @@ let () =
            (List.map string_of_int (Bitmap.to_list verdict.Audit.v_blamed_replicas)));
       Printf.printf "Members punished by the enforcer: %s\n" (String.concat ", " punished)
   | Enforcer.No_misbehavior -> failwith "the rewrite went undetected"
-  | Enforcer.Unresponsive_punished _ | Enforcer.Auditor_punished _ ->
+  | Enforcer.Unresponsive_punished _ | Enforcer.Auditor_punished _
+  | Enforcer.Receipt_refused _ ->
       failwith "unexpected enforcement outcome"

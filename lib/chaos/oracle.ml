@@ -97,7 +97,8 @@ let check_blamed (oc : Scenario.outcome) ~culprits ~ledger ~receipts
       with
       | Enforcer.Auditor_punished { reason } ->
           fail "enforcer rejected the uPoM: %s" reason
-      | Enforcer.No_misbehavior | Enforcer.Unresponsive_punished _ ->
+      | Enforcer.No_misbehavior | Enforcer.Unresponsive_punished _
+      | Enforcer.Receipt_refused _ ->
           fail "enforcer did not confirm the uPoM"
       | Enforcer.Members_punished { punished; verdict } ->
           let blamed = Bitmap.to_list verdict.Audit.v_blamed_replicas in

@@ -12,6 +12,7 @@ type outcome =
   | Members_punished of { punished : string list; verdict : Audit.verdict }
   | Unresponsive_punished of { replicas : int list; punished : string list }
   | Auditor_punished of { reason : string }
+  | Receipt_refused of { reason : string }
 
 type t = {
   genesis : Genesis.t;
@@ -39,10 +40,6 @@ let punish t members =
 
 let punished_members t = t.punished
 
-let fresh_auditor t =
-  Audit.create ~genesis:t.genesis ~app:t.app ~pipeline:t.pipeline
-    ~checkpoint_interval:t.checkpoint_interval
-
 let newest_receipt receipts =
   List.fold_left
     (fun acc r ->
@@ -57,40 +54,48 @@ let newest_receipt receipts =
     None receipts
 
 let run_audit t ~receipts ~gov_receipts ~response ~responder =
-  let auditor = fresh_auditor t in
-  match Audit.add_gov_receipts auditor gov_receipts with
-  | Error v -> Error v
-  | Ok () ->
+  let auditor =
+    Audit.create ~genesis:t.genesis ~app:t.app ~pipeline:t.pipeline
+      ~checkpoint_interval:t.checkpoint_interval
+  in
+  Result.bind (Audit.add_gov_receipts auditor gov_receipts) (fun () ->
       Audit.audit auditor ~receipts ~ledger:response.resp_ledger
-        ?checkpoint:response.resp_checkpoint ~responder ()
+        ?checkpoint:response.resp_checkpoint ~responder ())
 
-(* Blamed replica ids to their operators under the genesis configuration. *)
-let operators_of t replicas =
-  let config = t.genesis.Genesis.initial_config in
-  List.filter_map (fun r -> Config.operator_of_replica config r) replicas
-  |> List.sort_uniq compare
-
+(* Only a receipt the governance chain verifies names whom to ask, and
+   under which configuration their operators are found. *)
 let investigate t ~receipts ~gov_receipts ~provider =
   match newest_receipt receipts with
   | None -> No_misbehavior
   | Some newest -> (
-      let signers = Bitmap.to_list (Receipt.signers newest) in
-      let responses =
-        List.filter_map
-          (fun r -> Option.map (fun resp -> (r, resp)) (provider r))
-          signers
-      in
-      match responses with
-      | [] ->
-          let punished = operators_of t signers in
-          punish t punished;
-          Unresponsive_punished { replicas = signers; punished }
-      | (responder, response) :: _ -> (
-          match run_audit t ~receipts ~gov_receipts ~response ~responder with
-          | Ok () -> No_misbehavior
-          | Error v ->
-              punish t v.Audit.v_blamed_members;
-              Members_punished { punished = v.Audit.v_blamed_members; verdict = v }))
+      let chain = Govchain.create t.genesis ~pipeline:t.pipeline in
+      match
+        Result.bind (Govchain.sync_from chain gov_receipts) (fun () ->
+            Govchain.verify_receipt chain newest)
+      with
+      | Error reason -> Receipt_refused { reason }
+      | Ok () -> (
+          let signers = Bitmap.to_list (Receipt.signers newest) in
+          let responses =
+            List.filter_map
+              (fun r -> Option.map (fun resp -> (r, resp)) (provider r))
+              signers
+          in
+          match responses with
+          | [] ->
+              let config = Govchain.config_for_seqno chain (Receipt.seqno newest) in
+              let punished =
+                List.sort_uniq compare
+                  (List.filter_map (Config.operator_of_replica config) signers)
+              in
+              punish t punished;
+              Unresponsive_punished { replicas = signers; punished }
+          | (responder, response) :: _ -> (
+              match run_audit t ~receipts ~gov_receipts ~response ~responder with
+              | Ok () -> No_misbehavior
+              | Error v ->
+                  punish t v.Audit.v_blamed_members;
+                  Members_punished { punished = v.Audit.v_blamed_members; verdict = v })))
 
 let verdicts_equivalent (a : Audit.verdict) (b : Audit.verdict) =
   Bitmap.equal a.Audit.v_blamed_replicas b.Audit.v_blamed_replicas

@@ -16,6 +16,9 @@ type outcome =
   | Members_punished of { punished : string list; verdict : Audit.verdict }
   | Unresponsive_punished of { replicas : int list; punished : string list }
   | Auditor_punished of { reason : string }
+  | Receipt_refused of { reason : string }
+      (** the newest receipt, or the governance chain it is checked
+          under, does not verify: nobody is asked or punished *)
 
 type t
 
@@ -32,10 +35,12 @@ val investigate :
   gov_receipts:Receipt.t list ->
   provider:(int -> response option) ->
   outcome
-(** Full §4 flow: validate receipts, ask every replica that signed the
-    newest receipt for a ledger (via [provider]; [None] models missing the
-    deadline), audit the first response, and punish. If no signer responds,
-    their operating members are punished instead. *)
+(** Full §4 flow: verify the newest receipt through a governance chain
+    built from [gov_receipts], ask every replica that signed it for a
+    ledger (via [provider]; [None] models missing the deadline), audit the
+    first response, and punish. If no signer responds, their operating
+    members under the configuration of the receipt's batch are punished
+    instead. *)
 
 val verify_upom :
   t ->

@@ -469,6 +469,27 @@ let test_enforcer_punishes_unresponsive () =
       check Alcotest.bool "members punished" true (punished <> [])
   | _ -> Alcotest.fail "expected unresponsive punishment"
 
+(* A receipt that does not verify names no one: with nobody answering,
+   the enforcer still punishes no one. *)
+let test_enforcer_refuses_invalid_receipt () =
+  let w = make_world () in
+  let forge = make_forge w in
+  let s = Forge.add_batch forge [ request w "counter/add" "5" ] in
+  let receipt = Forge.make_receipt forge ~seqno:s ~tx_position:(Some 0) in
+  let tampered = Forge.tamper_tx_output receipt ~output:(App.output_ok "42") in
+  let enforcer =
+    Enforcer.create ~genesis:w.w_genesis ~app:w.w_app ~pipeline:2
+      ~checkpoint_interval:100
+  in
+  let outcome =
+    Enforcer.investigate enforcer ~receipts:[ tampered ] ~gov_receipts:[]
+      ~provider:(fun _ -> None)
+  in
+  check Alcotest.(list string) "no one punished" [] (Enforcer.punished_members enforcer);
+  match outcome with
+  | Enforcer.Receipt_refused _ -> ()
+  | _ -> Alcotest.fail "expected the receipt to be refused"
+
 let test_enforcer_clean_audit_no_punishment () =
   let w = make_world () in
   let forge = make_forge w in
@@ -1150,6 +1171,8 @@ let () =
           Alcotest.test_case "punishes on uPoM" `Quick test_enforcer_punishes_on_upom;
           Alcotest.test_case "punishes unresponsive" `Quick
             test_enforcer_punishes_unresponsive;
+          Alcotest.test_case "refuses an invalid receipt" `Quick
+            test_enforcer_refuses_invalid_receipt;
           Alcotest.test_case "clean run unpunished" `Quick
             test_enforcer_clean_audit_no_punishment;
           Alcotest.test_case "rejects false uPoM" `Quick test_enforcer_rejects_false_upom;

@@ -187,6 +187,40 @@ let test_remove_primary () =
   check Alcotest.(result string string) "tx under new primaries" (Ok "7")
     oc.Client.oc_output
 
+(* Removing replica 0 hands each surviving replica id to another member
+   (Cluster.make_next_config gives operators by list position). With no
+   signer answering, the enforcer punishes the operators that the
+   receipt's own configuration names, not the genesis ones. *)
+let test_enforcer_punishes_current_operators () =
+  let cluster = Cluster.make ~n:4 () in
+  let client = Cluster.add_client cluster () in
+  ignore (submit cluster client "counter/add" "3");
+  let genesis = Cluster.genesis cluster and params = Cluster.params cluster in
+  let base = genesis.Genesis.initial_config in
+  let next = Cluster.make_next_config cluster ~remove_replicas:[ 0 ] ~base () in
+  ignore (pass_referendum cluster next);
+  check Alcotest.bool "survivors reach config 1" true
+    (wait_config cluster ~config_no:1 ~on:[ 1; 2; 3 ]);
+  let receipt = (submit cluster client "counter/add" "4").Client.oc_receipt in
+  let signers = Iaccf_util.Bitmap.to_list (Receipt.signers receipt) in
+  let operators config =
+    List.sort_uniq compare (List.filter_map (Config.operator_of_replica config) signers)
+  in
+  check Alcotest.bool "the signers changed hands" true (operators next <> operators base);
+  let enforcer =
+    Enforcer.create ~genesis ~app:(Cluster.app cluster) ~pipeline:params.Replica.pipeline
+      ~checkpoint_interval:params.Replica.checkpoint_interval
+  in
+  match
+    Enforcer.investigate enforcer ~receipts:[ receipt ]
+      ~gov_receipts:(Replica.gov_receipts (Cluster.replica cluster 1))
+      ~provider:(fun _ -> None)
+  with
+  | Enforcer.Unresponsive_punished { punished; _ } ->
+      check Alcotest.(list string) "the receipt's configuration's operators"
+        (operators next) punished
+  | _ -> Alcotest.fail "expected unresponsive punishment"
+
 (* The seqno of the last start-of-configuration batch in a ledger. *)
 let last_start_seqno ledger ~pipeline =
   let found = ref None in
@@ -522,6 +556,8 @@ let () =
           Alcotest.test_case "receipts collected" `Quick test_gov_receipts_collected;
           Alcotest.test_case "client verifies across reconfig" `Quick
             test_client_verifies_across_reconfig;
+          Alcotest.test_case "enforcer punishes current operators" `Quick
+            test_enforcer_punishes_current_operators;
         ] );
       ("schedule", [ QCheck_alcotest.to_alcotest prop_one_schedule ]);
       ( "voting",

@@ -242,6 +242,7 @@ let test_live_enforcement_flow () =
             "punished " ^ String.concat "," punished
         | Enforcer.Unresponsive_punished _ -> "unresponsive"
         | Enforcer.Auditor_punished _ -> "auditor punished"
+        | Enforcer.Receipt_refused { reason } -> "receipt refused: " ^ reason
         | Enforcer.No_misbehavior -> "clean"));
   (* Same flow with an unresponsive quorum: members get punished. *)
   match Enforcer.investigate enforcer ~receipts ~gov_receipts:[] ~provider:(fun _ -> None) with
