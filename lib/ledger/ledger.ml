@@ -62,6 +62,7 @@ let append = push
 let m_root t = Tree.root t.tree
 let m_size t = Tree.size t.tree
 let m_tree_copy t = Tree.copy t.tree
+let m_path t i = Tree.path t.tree i
 let m_size_at t i = if i <= 0 then 0 else (Vec.get t.slots (i - 1)).m_size_after
 
 let truncate t n =

@@ -52,8 +52,11 @@ val m_size : t -> int
 
 val m_tree_copy : t -> Iaccf_merkle.Tree.t
 (** A private copy of M, for side-effect-free validation of a candidate
-    suffix against future roots (state sync dry-runs) without touching the
-    ledger itself. *)
+    suffix against future roots (the state-sync install gate) without
+    touching the ledger itself. *)
+
+val m_path : t -> int -> Iaccf_crypto.Digest32.t list
+(** The audit path of M's leaf [i] in M as it stands. *)
 
 val truncate : t -> int -> unit
 val iteri : (int -> Entry.t -> unit) -> t -> unit

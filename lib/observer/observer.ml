@@ -4,7 +4,6 @@ module Schnorr = Iaccf_crypto.Schnorr
 module D = Iaccf_crypto.Digest32
 module Ledger = Iaccf_ledger.Ledger
 module Entry = Iaccf_ledger.Entry
-module Tree = Iaccf_merkle.Tree
 module State = Iaccf_kv.State
 module Kv = Iaccf_kv.Store
 module Obs = Iaccf_obs.Obs
@@ -83,22 +82,18 @@ let serve_audit t ~src ~index =
     if not (Entry.in_merkle_tree entry) then Obs.incr t.c_audit_refused
     else begin
       Obs.incr t.c_audit;
-      (* The entry's leaf index in M is its rank among Merkle-bound
-         entries; transaction entries are bound via the per-batch g_root
+      (* The entry's leaf index in M is the number of Merkle-bound entries
+         before it; transaction entries are bound via the per-batch g_root
          instead and are refused above. *)
-      let m_index = ref 0 in
-      Ledger.iteri
-        (fun i e -> if i < index && Entry.in_merkle_tree e then incr m_index)
-        ledger;
-      let tree = Ledger.m_tree_copy ledger in
+      let m_index = Ledger.m_size_at ledger index in
       Network.send t.network ~src:t.addr ~dst:src
         (Wire.Audit_answer
            {
              au_index = index;
              au_leaf = Entry.leaf_digest entry;
-             au_m_index = !m_index;
-             au_m_size = Tree.size tree;
-             au_path = Tree.path tree !m_index;
+             au_m_index = m_index;
+             au_m_size = Ledger.m_size ledger;
+             au_path = Ledger.m_path ledger m_index;
              au_root = Ledger.m_root ledger;
            })
     end
