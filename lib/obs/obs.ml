@@ -1,4 +1,5 @@
 module Vec = Iaccf_util.Vec
+module Json = Iaccf_util.Json
 
 type counter = { c_name : string; mutable c_value : int }
 type gauge = { g_name : string; mutable g_value : float; mutable g_max : float }
@@ -337,30 +338,7 @@ let parse_snapshot s =
 (* ------------------------------------------------------------------ *)
 (* Trace export                                                        *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_args args =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         args)
-  ^ "}"
+let json_args args = Json.to_compact (Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args))
 
 (* Chrome trace_event phases: async begin/end ("b"/"e") correlate
    overlapping spans by (cat, id); instants are "i"; flow start/finish
@@ -376,11 +354,11 @@ let chrome_event e =
   let base =
     Printf.sprintf
       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":%d,\"tid\":0"
-      (json_escape e.ev_name) (json_escape e.ev_cat) (chrome_ph e.ev_ph)
+      (Json.escape e.ev_name) (Json.escape e.ev_cat) (chrome_ph e.ev_ph)
       (e.ev_ts *. 1000.0) (* virtual ms -> trace microseconds *)
       e.ev_node
   in
-  let id = if e.ev_id = "" then "" else Printf.sprintf ",\"id\":\"%s\"" (json_escape e.ev_id) in
+  let id = if e.ev_id = "" then "" else Printf.sprintf ",\"id\":\"%s\"" (Json.escape e.ev_id) in
   let scope =
     match e.ev_ph with
     | Instant -> ",\"s\":\"p\""
@@ -408,7 +386,7 @@ let write_trace_chrome t oc =
       emit_line
         (Printf.sprintf
            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-           node (json_escape name)))
+           node (Json.escape name)))
     names;
   Vec.iter (fun e -> emit_line (chrome_event e)) t.trace;
   output_string oc "\n]}\n"
@@ -426,8 +404,8 @@ let write_trace_jsonl t oc =
       output_string oc
         (Printf.sprintf
            "{\"ts\":%.3f,\"ph\":\"%s\",\"cat\":\"%s\",\"name\":\"%s\",\"node\":%d,\"id\":\"%s\",\"args\":%s}\n"
-           e.ev_ts (phase_name e.ev_ph) (json_escape e.ev_cat)
-           (json_escape e.ev_name) e.ev_node (json_escape e.ev_id)
+           e.ev_ts (phase_name e.ev_ph) (Json.escape e.ev_cat)
+           (Json.escape e.ev_name) e.ev_node (Json.escape e.ev_id)
            (json_args e.ev_args)))
     t.trace
 

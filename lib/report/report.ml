@@ -48,22 +48,7 @@ let key r = (r.r_bench, r.r_series, r.r_metric)
 (* ------------------------------------------------------------------ *)
 (* Writing the explicit rows schema                                    *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
+let json_str s = Printf.sprintf "\"%s\"" (Json.escape s)
 
 let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 

@@ -252,7 +252,24 @@ let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 let to_list = function Arr xs -> Some xs | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 let to_number = function Num f -> Some f | _ -> None
-let to_obj = function Obj kvs -> Some kvs | _ -> None
+
+(* The body of a JSON string literal holding [s]: the quote, the
+   backslash and control bytes escaped, every other byte as it is, so
+   [parse] reads the literal back as [s]. *)
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
 
 let rec to_compact = function
   | Null -> "null"
@@ -261,21 +278,7 @@ let rec to_compact = function
       if Float.is_integer f && Float.abs f < 1e15 then
         Printf.sprintf "%.0f" f
       else Printf.sprintf "%g" f
-  | Str s ->
-      let buf = Buffer.create (String.length s + 2) in
-      Buffer.add_char buf '"';
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string buf "\\\""
-          | '\\' -> Buffer.add_string buf "\\\\"
-          | '\n' -> Buffer.add_string buf "\\n"
-          | c when Char.code c < 0x20 ->
-              Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-          | c -> Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '"';
-      Buffer.contents buf
+  | Str s -> "\"" ^ escape s ^ "\""
   | Arr xs -> "[" ^ String.concat "," (List.map to_compact xs) ^ "]"
   | Obj kvs ->
       "{"

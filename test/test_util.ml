@@ -289,6 +289,17 @@ let test_worker_counts_hashing () =
   Alcotest.(check int) "read" inline read;
   Alcotest.(check int) "dropped" inline dropped
 
+(* --- Json --- *)
+
+(* Every byte, alone and all together, escaped and parsed back. *)
+let test_json_escape_roundtrip () =
+  let back s = Json.parse ("\"" ^ Json.escape s ^ "\"") in
+  let all = String.init 256 Char.chr in
+  List.iter
+    (fun s -> check Alcotest.(result string string) (String.escaped s) (Ok s)
+        (Result.map (fun v -> Option.get (Json.to_string v)) (back s)))
+    (all :: List.init 256 (fun b -> String.make 1 (Char.chr b)))
+
 let () =
   Alcotest.run "iaccf_util"
     [
@@ -348,4 +359,5 @@ let () =
           Alcotest.test_case "ends when idle" `Quick test_worker_ends_when_idle;
           Alcotest.test_case "hashing counted once" `Quick test_worker_counts_hashing;
         ] );
+      ("json", [ Alcotest.test_case "escape round-trips every byte" `Quick test_json_escape_roundtrip ]);
     ]
