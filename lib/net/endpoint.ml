@@ -49,7 +49,6 @@ type t = {
   mutable conns : conn list; (* every live conn, accepted or dialled *)
   routes : (int, conn) Hashtbl.t; (* learned src address -> conn *)
   mutable on_frame : conn -> string -> unit;
-  queue_cap : int;
   c_bytes_in : Obs.counter;
   c_bytes_out : Obs.counter;
   c_frames_in : Obs.counter;
@@ -63,10 +62,12 @@ type t = {
   c_dropped_garbage : Obs.counter;
 }
 
+(* Bound on each connection's outbound frame queue. *)
+let queue_cap = 8192
 let initial_backoff = 0.05
 let max_backoff = 1.0
 
-let create ?obs ?(queue_cap = 8192) ?listen () =
+let create ?obs ?listen () =
   (* A peer dying mid-write must surface as EPIPE, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let obs = match obs with Some o -> o | None -> Obs.passive () in
@@ -89,7 +90,6 @@ let create ?obs ?(queue_cap = 8192) ?listen () =
     conns = [];
     routes = Hashtbl.create 16;
     on_frame = (fun _ _ -> ());
-    queue_cap;
     c_bytes_in = Obs.counter obs "net.sock.bytes_in";
     c_bytes_out = Obs.counter obs "net.sock.bytes_out";
     c_frames_in = Obs.counter obs "net.sock.frames_in";
@@ -180,7 +180,7 @@ let ensure_dialled t p =
   | None -> if Unix.gettimeofday () >= p.p_retry_at then dial t p
 
 let enqueue t p_gauge c framed =
-  if Queue.length c.outq >= t.queue_cap then Obs.incr t.c_dropped_queue_full
+  if Queue.length c.outq >= queue_cap then Obs.incr t.c_dropped_queue_full
   else begin
     Queue.push framed c.outq;
     match p_gauge with

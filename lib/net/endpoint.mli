@@ -24,13 +24,12 @@ type conn
 
 val create :
   ?obs:Iaccf_obs.Obs.t ->
-  ?queue_cap:int ->
   ?listen:Addr.t ->
   unit ->
   t
-(** [listen] binds and listens immediately; [queue_cap] (default 8192)
-    bounds each connection's outbound frame queue — overflow drops the
-    frame as [peer_down]. Installs a SIGPIPE-ignore handler. *)
+(** [listen] binds and listens immediately. Each connection queues at
+    most 8,192 outbound frames; a frame past that is dropped and counted
+    as [net.dropped.queue_full]. Installs a SIGPIPE-ignore handler. *)
 
 val add_peer : t -> id:int -> Addr.t -> unit
 (** Declare a manifest peer this endpoint dials actively. *)
