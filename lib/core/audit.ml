@@ -63,10 +63,14 @@ let verdict t ~seqno upom bitmap =
 (* ------------------------------------------------------------------ *)
 (* Governance receipts (§5.2, Lemma 7)                                 *)
 
+(* A receipt that fails Alg. 3 blames no replica. *)
+let invalid t r reason =
+  Error
+    (verdict t ~seqno:(Receipt.seqno r)
+       (Invalid_receipt { ir_receipt = r; ir_reason = reason })
+       Bitmap.empty)
+
 let add_gov_receipts t rs =
-  let sorted =
-    List.sort (fun a b -> compare (Receipt.seqno a) (Receipt.seqno b)) rs
-  in
   let rec go = function
     | [] -> Ok ()
     | r :: rest -> (
@@ -75,32 +79,24 @@ let add_gov_receipts t rs =
         | Error reason
           when reason = "governance fork: conflicting end-of-config receipts" -> (
             (* Find the receipt it conflicts with to blame the overlap. *)
-            let prev =
+            match
               List.find_opt
                 (fun r' ->
                   (not (Receipt.equal r r'))
                   && r'.Receipt.subject = Receipt.Batch_subject)
                 (Govchain.receipts t.chain)
-            in
-            match prev with
+            with
             | Some r' ->
-                let blamed = Bitmap.inter (Receipt.signers r) (Receipt.signers r') in
                 Error
                   (verdict t ~seqno:(Receipt.seqno r)
                      (Governance_fork { gf_first = r'; gf_second = r })
-                     blamed)
-            | None ->
-                Error
-                  (verdict t ~seqno:(Receipt.seqno r)
-                     (Invalid_receipt { ir_receipt = r; ir_reason = reason })
-                     Bitmap.empty))
-        | Error reason ->
-            Error
-              (verdict t ~seqno:(Receipt.seqno r)
-                 (Invalid_receipt { ir_receipt = r; ir_reason = reason })
-                 Bitmap.empty))
+                     (Bitmap.inter (Receipt.signers r) (Receipt.signers r')))
+            | None -> invalid t r reason)
+        | Error reason -> invalid t r reason)
   in
-  go sorted
+  go (List.sort (fun a b -> compare (Receipt.seqno a) (Receipt.seqno b)) rs)
+
+let verify_receipt t r = Govchain.verify_receipt t.chain r
 
 (* ------------------------------------------------------------------ *)
 (* Receipt set validation (Alg. 4, auditReceipts)                      *)
@@ -112,11 +108,7 @@ let audit_receipts t receipts =
     | r :: rest -> (
         match Govchain.verify_receipt t.chain r with
         | Ok () -> validate rest
-        | Error reason ->
-            Error
-              (verdict t ~seqno:(Receipt.seqno r)
-                 (Invalid_receipt { ir_receipt = r; ir_reason = reason })
-                 Bitmap.empty))
+        | Error reason -> invalid t r reason)
   in
   match validate receipts with
   | Error _ as e -> e

@@ -60,6 +60,14 @@ val create :
 val add_gov_receipts : t -> Receipt.t list -> (unit, verdict) result
 (** Feed the supporting governance chain; a fork yields a verdict. *)
 
+val verify_receipt : t -> Receipt.t -> (unit, string) result
+(** Alg. 3 for one receipt, under the configuration the governance chain
+    fed so far gives its batch. *)
+
+val members_of : t -> seqno:int -> Bitmap.t -> string list
+(** The operators of these replicas under the configuration of batch
+    [seqno], sorted. *)
+
 val audit :
   t ->
   receipts:Receipt.t list ->

@@ -53,62 +53,61 @@ let newest_receipt receipts =
           else acc)
     None receipts
 
-let run_audit t ~receipts ~gov_receipts ~response ~responder =
-  let auditor =
+(* The audit's governance chain, fed [gov_receipts]: one per investigation. *)
+let auditor t gov_receipts =
+  let a =
     Audit.create ~genesis:t.genesis ~app:t.app ~pipeline:t.pipeline
       ~checkpoint_interval:t.checkpoint_interval
   in
-  Result.bind (Audit.add_gov_receipts auditor gov_receipts) (fun () ->
-      Audit.audit auditor ~receipts ~ledger:response.resp_ledger
-        ?checkpoint:response.resp_checkpoint ~responder ())
+  Result.map (fun () -> a) (Audit.add_gov_receipts a gov_receipts)
 
-(* Only a receipt the governance chain verifies names whom to ask, and
+let audit_response a ~receipts ~response ~responder =
+  Audit.audit a ~receipts ~ledger:response.resp_ledger
+    ?checkpoint:response.resp_checkpoint ~responder ()
+
+let members_punished t (v : Audit.verdict) =
+  punish t v.Audit.v_blamed_members;
+  Members_punished { punished = v.Audit.v_blamed_members; verdict = v }
+
+(* A fork in the governance chain is punished as the audit finds it;
+   otherwise only a receipt the chain verifies names whom to ask, and
    under which configuration their operators are found. *)
 let investigate t ~receipts ~gov_receipts ~provider =
   match newest_receipt receipts with
   | None -> No_misbehavior
   | Some newest -> (
-      let chain = Govchain.create t.genesis ~pipeline:t.pipeline in
-      match
-        Result.bind (Govchain.sync_from chain gov_receipts) (fun () ->
-            Govchain.verify_receipt chain newest)
-      with
-      | Error reason -> Receipt_refused { reason }
-      | Ok () -> (
-          let signers = Bitmap.to_list (Receipt.signers newest) in
-          let responses =
-            List.filter_map
-              (fun r -> Option.map (fun resp -> (r, resp)) (provider r))
-              signers
-          in
-          match responses with
-          | [] ->
-              let config = Govchain.config_for_seqno chain (Receipt.seqno newest) in
-              let punished =
-                List.sort_uniq compare
-                  (List.filter_map (Config.operator_of_replica config) signers)
+      match auditor t gov_receipts with
+      | Error v -> members_punished t v
+      | Ok a -> (
+          match Audit.verify_receipt a newest with
+          | Error reason -> Receipt_refused { reason }
+          | Ok () -> (
+              let signers = Receipt.signers newest in
+              let responses =
+                List.filter_map
+                  (fun r -> Option.map (fun resp -> (r, resp)) (provider r))
+                  (Bitmap.to_list signers)
               in
-              punish t punished;
-              Unresponsive_punished { replicas = signers; punished }
-          | (responder, response) :: _ -> (
-              match run_audit t ~receipts ~gov_receipts ~response ~responder with
-              | Ok () -> No_misbehavior
-              | Error v ->
-                  punish t v.Audit.v_blamed_members;
-                  Members_punished { punished = v.Audit.v_blamed_members; verdict = v })))
+              match responses with
+              | [] ->
+                  let punished = Audit.members_of a ~seqno:(Receipt.seqno newest) signers in
+                  punish t punished;
+                  Unresponsive_punished { replicas = Bitmap.to_list signers; punished }
+              | (responder, response) :: _ -> (
+                  match audit_response a ~receipts ~response ~responder with
+                  | Ok () -> No_misbehavior
+                  | Error v -> members_punished t v))))
 
 let verdicts_equivalent (a : Audit.verdict) (b : Audit.verdict) =
   Bitmap.equal a.Audit.v_blamed_replicas b.Audit.v_blamed_replicas
 
 let verify_upom t ~verdict ~receipts ~gov_receipts ~response ~responder =
-  match run_audit t ~receipts ~gov_receipts ~response ~responder with
+  match
+    Result.bind (auditor t gov_receipts) (audit_response ~receipts ~response ~responder)
+  with
   | Ok () -> Auditor_punished { reason = "audit finds no misbehavior" }
-  | Error v ->
-      if verdicts_equivalent verdict v then begin
-        punish t v.Audit.v_blamed_members;
-        Members_punished { punished = v.Audit.v_blamed_members; verdict = v }
-      end
-      else Auditor_punished { reason = "uPoM does not match re-audit" }
+  | Error v when verdicts_equivalent verdict v -> members_punished t v
+  | Error _ -> Auditor_punished { reason = "uPoM does not match re-audit" }
 
 
 (* --- liveness monitoring (§2) --- *)

@@ -17,8 +17,8 @@ type outcome =
   | Unresponsive_punished of { replicas : int list; punished : string list }
   | Auditor_punished of { reason : string }
   | Receipt_refused of { reason : string }
-      (** the newest receipt, or the governance chain it is checked
-          under, does not verify: nobody is asked or punished *)
+      (** the newest receipt does not verify under the governance chain:
+          nobody is asked or punished *)
 
 type t
 
@@ -35,12 +35,13 @@ val investigate :
   gov_receipts:Receipt.t list ->
   provider:(int -> response option) ->
   outcome
-(** Full §4 flow: verify the newest receipt through a governance chain
-    built from [gov_receipts], ask every replica that signed it for a
-    ledger (via [provider]; [None] models missing the deadline), audit the
-    first response, and punish. If no signer responds, their operating
-    members under the configuration of the receipt's batch are punished
-    instead. *)
+(** Full §4 flow: feed [gov_receipts] to an auditor's governance chain,
+    punishing the members a fork in it blames (Lemma 7); verify the
+    newest receipt under that chain, ask every replica that signed it for
+    a ledger (via [provider]; [None] models missing the deadline), audit
+    the first response with the same auditor, and punish. If no signer
+    responds, their operating members under the configuration of the
+    receipt's batch are punished instead. *)
 
 val verify_upom :
   t ->

@@ -400,8 +400,9 @@ let test_wrong_execution_after_checkpoint () =
 
 (* --- governance forks (Lemma 7) --- *)
 
-let test_governance_fork_detected () =
-  let w = make_world () in
+(* Two colluding histories that end configuration 0 differently: the
+   first history and the two end-of-config receipts. *)
+let forked_end_of_config w =
   let forge_a = make_forge w in
   let forge_b = make_forge w in
   (* Two colluding histories end configuration 0 differently. *)
@@ -417,15 +418,47 @@ let test_governance_fork_detected () =
   in
   let ra = Forge.make_receipt forge_a ~seqno:sa ~tx_position:None in
   let rb = Forge.make_receipt forge_b ~seqno:sb ~tx_position:None in
+  (forge_a, ra, rb)
+
+let expect_fork (v : Audit.verdict) =
+  match v.Audit.v_upom with
+  | Audit.Governance_fork _ ->
+      check Alcotest.bool "blames >= f+1" true
+        (Bitmap.cardinal v.Audit.v_blamed_replicas >= 2)
+  | u -> Alcotest.failf "expected governance fork, got %s" (Format.asprintf "%a" Audit.pp_upom u)
+
+let test_governance_fork_detected () =
+  let w = make_world () in
+  let _, ra, rb = forked_end_of_config w in
   let auditor = make_auditor w in
   match Audit.add_gov_receipts auditor [ ra; rb ] with
-  | Error v -> (
-      match v.Audit.v_upom with
-      | Audit.Governance_fork _ ->
-          check Alcotest.bool "blames >= f+1" true
-            (Bitmap.cardinal v.Audit.v_blamed_replicas >= 2)
-      | u -> Alcotest.failf "expected governance fork, got %s" (Format.asprintf "%a" Audit.pp_upom u))
+  | Error v -> expect_fork v
   | Ok () -> Alcotest.fail "fork not detected"
+
+(* The enforcer punishes a fork among the governance receipts it is
+   given, whether or not a signer of the disputed receipt answers. *)
+let test_enforcer_punishes_governance_fork () =
+  let w = make_world () in
+  let forge_a, ra, rb = forked_end_of_config w in
+  List.iter
+    (fun provider ->
+      let enforcer =
+        Enforcer.create ~genesis:w.w_genesis ~app:w.w_app ~pipeline:2
+          ~checkpoint_interval:100
+      in
+      match
+        Enforcer.investigate enforcer ~receipts:[ ra ] ~gov_receipts:[ ra; rb ] ~provider
+      with
+      | Enforcer.Members_punished { punished; verdict } ->
+          expect_fork verdict;
+          check Alcotest.bool "members punished" true (punished <> []);
+          check Alcotest.(list string) "recorded" punished
+            (Enforcer.punished_members enforcer)
+      | _ -> Alcotest.fail "expected the fork's signers punished")
+    [
+      (fun _ -> None);
+      (fun _ -> Some { Enforcer.resp_ledger = Forge.ledger forge_a; resp_checkpoint = None });
+    ]
 
 (* --- enforcer --- *)
 
@@ -1173,6 +1206,8 @@ let () =
             test_enforcer_punishes_unresponsive;
           Alcotest.test_case "refuses an invalid receipt" `Quick
             test_enforcer_refuses_invalid_receipt;
+          Alcotest.test_case "punishes a governance fork" `Quick
+            test_enforcer_punishes_governance_fork;
           Alcotest.test_case "clean run unpunished" `Quick
             test_enforcer_clean_audit_no_punishment;
           Alcotest.test_case "rejects false uPoM" `Quick test_enforcer_rejects_false_upom;
