@@ -431,14 +431,18 @@ let same_results (a : Batch.tx_entry list) (b : Batch.tx_entry list) =
               y.Batch.result.Batch.write_set_hash)
        a b
 
-(* Append an executed batch to the ledger and retire its requests. *)
-let append_batch t pp txs =
-  append_ledger t (Entry.Pre_prepare pp);
-  List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
+(* Retire the requests of a batch in the ledger. *)
+let retire_batch t (pp : Message.pre_prepare) txs =
   List.iter
     (fun (tx : Batch.tx_entry) ->
       Pool.execute t.pool tx.Batch.request ~seqno:pp.Message.seqno ~index:tx.Batch.index)
     txs
+
+(* Append an executed batch to the ledger and retire its requests. *)
+let append_batch t pp txs =
+  append_ledger t (Entry.Pre_prepare pp);
+  List.iter (fun tx -> append_ledger t (Entry.Tx tx)) txs;
+  retire_batch t pp txs
 
 (* Record an executed batch: its record, where its entries end in the
    ledger, and the write sets its execution produced. Re-executions
@@ -1505,17 +1509,15 @@ and install_snapshot t (i : SyncSession.install) =
 and adopt_checkpoint t cp digest extent =
   Store.reset_to t.store cp.Checkpoint.state;
   let rest =
-    SyncValidate.adopt t.ledger extent (function
-      | Entry.Batch { evidence; pp; txs } ->
-          List.iter (append_ledger t) evidence;
-          append_batch t pp txs;
-          move_gov_index_and_dc t pp txs;
-          Hashtbl.replace t.batch_ledger_end pp.Message.seqno (ledger_len t);
-          commit_applied t pp ~index_writes:false
-      | Entry.Protocol e ->
-          append_ledger t e;
-          note_protocol t e
-      | Entry.Malformed _ -> ())
+    SyncValidate.adopt t.ledger extent (fun item ~upto ->
+        match item with
+        | Entry.Batch { pp; txs; _ } ->
+            retire_batch t pp txs;
+            move_gov_index_and_dc t pp txs;
+            Hashtbl.replace t.batch_ledger_end pp.Message.seqno upto;
+            commit_applied t pp ~index_writes:false
+        | Entry.Protocol e -> note_protocol t e
+        | Entry.Malformed _ -> ())
   in
   ignore (apply_items t rest);
   Option.iter (fun c -> t.cfg <- c) (stored_config t);

@@ -12,24 +12,38 @@ type sink = {
 
 type t = {
   slots : slot Vec.t;
-  tree : Tree.t;
+  mutable tree : Tree.t;
   mutable byte_total : int;
   mutable sink : sink option;
 }
 
 let set_sink t sink = t.sink <- sink
 
-(* [raw] is [Entry.serialize entry]. *)
-let push_raw t entry raw =
+(* [raw] is [Entry.serialize entry]; M has [m_size] leaves with it. *)
+let push_slot t entry raw ~m_size =
   let bytes = String.length raw in
-  if Entry.in_merkle_tree entry then Tree.append t.tree (Entry.leaf_of_serialized raw);
-  Vec.push t.slots { entry; m_size_after = Tree.size t.tree; bytes };
+  Vec.push t.slots { entry; m_size_after = m_size; bytes };
   t.byte_total <- t.byte_total + bytes;
   let index = Vec.length t.slots - 1 in
   (match t.sink with Some s -> s.sink_append index raw | None -> ());
   index
 
+let push_raw t entry raw =
+  if Entry.in_merkle_tree entry then Tree.append t.tree (Entry.leaf_of_serialized raw);
+  push_slot t entry raw ~m_size:(Tree.size t.tree)
+
 let push t entry = push_raw t entry (Entry.serialize entry)
+
+let append_extent t m entries =
+  let size = ref (Tree.size t.tree) in
+  if Tree.size m <> !size + List.length (List.filter Entry.in_merkle_tree entries) then
+    invalid_arg "Ledger.append_extent: the tree does not extend M by these entries";
+  t.tree <- m;
+  List.iter
+    (fun e ->
+      if Entry.in_merkle_tree e then incr size;
+      ignore (push_slot t e (Entry.serialize e) ~m_size:!size))
+    entries
 
 let empty () = { slots = Vec.create (); tree = Tree.create (); byte_total = 0; sink = None }
 

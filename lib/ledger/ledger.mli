@@ -55,6 +55,14 @@ val m_tree_copy : t -> Iaccf_merkle.Tree.t
     suffix against future roots (the state-sync install gate) without
     touching the ledger itself. *)
 
+val append_extent : t -> Iaccf_merkle.Tree.t -> Entry.t list -> unit
+(** [append_extent t m entries] appends [entries], taking [m] as M
+    instead of hashing their leaves again: [m] must be M (a
+    {!m_tree_copy}) with exactly their leaves appended, as the install
+    gate builds it. The sink sees each entry as {!append} would show it;
+    if it raises, M already holds every leaf of [entries].
+    @raise Invalid_argument if [m]'s size is not M's plus their leaves. *)
+
 val m_path : t -> int -> Iaccf_crypto.Digest32.t list
 (** The audit path of M's leaf [i] in M as it stands. *)
 

@@ -7,6 +7,7 @@ module D = Iaccf_crypto.Digest32
 
 type checked = {
   from : int;  (* the ledger length the extent was checked at *)
+  m : Tree.t;  (* M at [from] with the extent's leaves appended *)
   extent : Entry.item list;
   rest : Entry.item list;
 }
@@ -15,7 +16,7 @@ type checked = {
 let check_suffix ~ledger ~next_seqno ~cp_seqno ~verify_pp ~vc_set ~new_view entries =
   let from = Ledger.length ledger and tree = Ledger.m_tree_copy ledger in
   let push e = if Entry.in_merkle_tree e then Tree.append tree (Entry.leaf_digest e) in
-  let checked extent rest = Ok { from; extent = List.rev extent; rest } in
+  let checked extent rest = Ok { from; m = tree; extent = List.rev extent; rest } in
   (* [vcs]: the view-change set just pushed, which a new view must name. *)
   let rec go ?vcs extent expected = function
     | [] ->
@@ -69,8 +70,21 @@ let check_suffix ~ledger ~next_seqno ~cp_seqno ~verify_pp ~vc_set ~new_view entr
   in
   go [] next_seqno (Entry.batches entries)
 
+let entries_of = function
+  | Entry.Batch { evidence; pp; txs } ->
+      evidence @ (Entry.Pre_prepare pp :: List.map (fun tx -> Entry.Tx tx) txs)
+  | Entry.Protocol e -> [ e ]
+  | Entry.Malformed _ -> []
+
 let adopt ledger c f =
   if Ledger.length ledger <> c.from then
     invalid_arg "Validate.adopt: the ledger moved since the extent was checked";
-  List.iter f c.extent;
+  let items = List.map (fun item -> (item, entries_of item)) c.extent in
+  Ledger.append_extent ledger c.m (List.concat_map snd items);
+  let upto = ref c.from in
+  List.iter
+    (fun (item, es) ->
+      upto := !upto + List.length es;
+      f item ~upto:!upto)
+    items;
   c.rest

@@ -8,7 +8,8 @@
 
 type checked
 (** An accepted extent: the batches and view-change entries up to the
-    checkpoint, the ledger length they follow, and the batches past it. *)
+    checkpoint, the ledger length they follow, the copy of M they were
+    checked against, and the batches past it. *)
 
 val check_suffix :
   ledger:Iaccf_ledger.Ledger.t ->
@@ -35,11 +36,13 @@ val check_suffix :
     malformed, diverges, or ends before sealing [cp_seqno]. *)
 
 val adopt :
-  Iaccf_ledger.Ledger.t -> checked -> (Iaccf_ledger.Entry.item -> unit) ->
+  Iaccf_ledger.Ledger.t -> checked -> (Iaccf_ledger.Entry.item -> upto:int -> unit) ->
   Iaccf_ledger.Entry.item list
-(** [adopt ledger c f] calls [f] on each item of [c]'s extent in ledger
-    order; [f] appends the item to [ledger], with no second check, and
-    does its bookkeeping. Returns the batches past the checkpoint, for
-    the caller to execute.
+(** [adopt ledger c f] appends [c]'s extent to [ledger], with no second
+    check and no leaf hashed again ({!Iaccf_ledger.Ledger.append_extent}
+    takes the checked copy of M), then calls [f item ~upto] on each item
+    in ledger order for its bookkeeping, [upto] being the ledger length
+    that ends it. Returns the batches past the checkpoint, for the caller
+    to execute.
     @raise Invalid_argument unless [ledger] is at the length [c] was
     checked at. *)

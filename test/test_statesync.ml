@@ -710,17 +710,12 @@ let test_check_suffix_protocol_entries () =
      checked at. *)
   let ledger = fresh () and source = Replica.ledger r in
   let extent = Result.get_ok (gate ledger entries) in
-  let append e = ignore (Ledger.append ledger e) in
-  let rest =
-    Validate.adopt ledger extent (function
-      | Entry.Batch { evidence; pp; txs } ->
-          List.iter append evidence;
-          append (Entry.Pre_prepare pp);
-          List.iter (fun tx -> append (Entry.Tx tx)) txs
-      | Entry.Protocol e -> append e
-      | Entry.Malformed _ -> ())
-  in
+  let ends = ref [] in
+  let rest = Validate.adopt ledger extent (fun _ ~upto -> ends := upto :: !ends) in
   let n = Ledger.length ledger in
+  check Alcotest.(list int) "item ends ascend"
+    (List.sort_uniq compare !ends) (List.rev !ends);
+  check Alcotest.int "the last item ends the ledger" n (List.hd !ends);
   check Alcotest.bool "the rest starts past the checkpoint" true
     (match rest with
     | Entry.Batch { pp; _ } :: _ -> pp.Message.seqno > Replica.last_committed r
@@ -735,7 +730,7 @@ let test_check_suffix_protocol_entries () =
   check Alcotest.bool "same M root" true
     (D.equal (Ledger.m_root_at source n) (Ledger.m_root ledger));
   check Alcotest.bool "a moved ledger refused" true
-    (match Validate.adopt ledger extent ignore with
+    (match Validate.adopt ledger extent (fun _ ~upto:_ -> ()) with
     | exception Invalid_argument _ -> true
     | _ -> false);
   check outcome "view-change set refused" (Error "view-change set refused")
